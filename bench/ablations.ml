@@ -2,9 +2,7 @@
 
    - weight tying (Section 2.3): tied per-feature weights vs one weight per
      rule (the plain-MLN encoding);
-   - the cached Gibbs sampler vs the naive one (the DimmWitted-style kernel
-     both inference phases sit on);
-   - the greedy delta-first join order in staged incremental evaluation. *)
+   - the storage footprint of the materialized sample store. *)
 
 open Harness
 module Corpus = Dd_kbc.Corpus
@@ -15,13 +13,9 @@ module Program = Dd_core.Program
 module Grounding = Dd_core.Grounding
 module Database = Dd_relational.Database
 module Graph = Dd_fgraph.Graph
-module Semantics = Dd_fgraph.Semantics
-module Voting = Dd_fgraph.Voting
-module Gibbs = Dd_inference.Gibbs
-module Fast_gibbs = Dd_inference.Fast_gibbs
+module Compiled = Dd_inference.Compiled
 module Learner = Dd_inference.Learner
 module Prng = Dd_util.Prng
-module Timer = Dd_util.Timer
 module Table = Dd_util.Table
 
 (* --- weight tying --------------------------------------------------------- *)
@@ -44,7 +38,7 @@ let f1_of_program corpus program =
   let g = Grounding.graph grounding in
   let rng = Prng.create 61 in
   Learner.train_cd ~options:{ Learner.default_cd with Learner.epochs = 40 } rng g;
-  let marginals = Gibbs.marginals ~burn_in:30 rng g ~sweeps:400 in
+  let marginals = Compiled.marginals ~burn_in:30 rng (Compiled.compile g) ~sweeps:400 in
   ( (Quality.evaluate grounding marginals ~truth:corpus.Corpus.truth).Quality.f1,
     (Grounding.stats grounding).Grounding.weights )
 
@@ -75,56 +69,6 @@ let ablation_tying ~full =
           string_of_int untied_weights;
         ])
     systems;
-  Table.print table
-
-(* --- sampler kernel -------------------------------------------------------- *)
-
-let ablation_sampler ~full =
-  section "Ablation: cached vs naive Gibbs kernel (seconds per 100 sweeps)";
-  note
-    "The cached sampler maintains satisfied-body counts so an update costs\n\
-     O(bodies mentioning the variable); the naive kernel re-evaluates whole\n\
-     factors.  The gap explodes on aggregation factors (the voting program,\n\
-     one body per vote) and stays a constant factor on pairwise graphs.";
-  let table = Table.create [ "graph"; "naive (s)"; "cached (s)"; "speedup" ] in
-  let measure g =
-    let naive =
-      time_median ~repeats:1 (fun () ->
-          let rng = Prng.create 71 in
-          let a = Gibbs.init_assignment rng g in
-          for _ = 1 to 100 do
-            Gibbs.sweep rng g a
-          done)
-    in
-    let cached =
-      time_median ~repeats:1 (fun () ->
-          let rng = Prng.create 71 in
-          let t = Fast_gibbs.create rng g in
-          for _ = 1 to 100 do
-            Fast_gibbs.sweep rng t
-          done)
-    in
-    (naive, cached)
-  in
-  let voting n =
-    let cfg = { Voting.default with Voting.n_up = n / 2; n_down = n / 2 } in
-    let g, _, _, _ = Voting.build cfg in
-    g
-  in
-  let cases =
-    [
-      ("pairwise n=200", synthetic_graph (Prng.create 72) 200);
-      ("voting n=200", voting 200);
-      ("voting n=1000", voting 1000);
-    ]
-    @ (if full then [ ("voting n=5000", voting 5000) ] else [])
-  in
-  List.iter
-    (fun (name, g) ->
-      let naive, cached = measure g in
-      Table.add_row table
-        [ name; Table.cell_f naive; Table.cell_f cached; Table.cell_x (naive /. cached) ])
-    cases;
   Table.print table
 
 (* --- sample storage footprint (Section 3.2.2) -------------------------------- *)
@@ -161,5 +105,4 @@ let storage ~full =
 
 let () =
   register "ablation_tying" "Ablation: weight tying" ablation_tying;
-  register "ablation_sampler" "Ablation: Gibbs kernels" ablation_sampler;
   register "storage" "Sample-storage footprint" storage

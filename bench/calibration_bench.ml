@@ -10,7 +10,7 @@ module Calibration = Dd_kbc.Calibration
 module Grounding = Dd_core.Grounding
 module Database = Dd_relational.Database
 module Learner = Dd_inference.Learner
-module Gibbs = Dd_inference.Gibbs
+module Compiled = Dd_inference.Compiled
 module Prng = Dd_util.Prng
 module Table = Dd_util.Table
 
@@ -37,7 +37,7 @@ let calibration ~full =
       let g = Grounding.graph grounding in
       let rng = Prng.create 81 in
       Learner.train_cd ~options:{ Learner.default_cd with Learner.epochs = 50 } rng g;
-      let marginals = Gibbs.marginals ~burn_in:50 rng g ~sweeps:600 in
+      let marginals = Compiled.marginals ~burn_in:50 rng (Compiled.compile g) ~sweeps:600 in
       let report = Calibration.evaluate grounding marginals ~truth:corpus.Corpus.truth in
       Table.add_row table
         [

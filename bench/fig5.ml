@@ -4,7 +4,7 @@
 
 open Harness
 module Graph = Dd_fgraph.Graph
-module Gibbs = Dd_inference.Gibbs
+module Compiled = Dd_inference.Compiled
 module Metropolis = Dd_inference.Metropolis
 module Materialize = Dd_core.Materialize
 module Approx = Dd_variational.Approx
@@ -53,7 +53,8 @@ let fig5a ~full =
       let stored = ref [||] in
       let sample_mat =
         Timer.time_s (fun () ->
-            stored := Gibbs.sample_worlds ~burn_in:10 rng g ~n:samples_materialized)
+            stored :=
+              Compiled.sample_worlds ~burn_in:10 rng (Compiled.compile g) ~n:samples_materialized)
       in
       let approx = ref None in
       let var_mat =
@@ -100,7 +101,9 @@ let fig5b ~full =
   let n = if full then 200 else 100 in
   let rng = Prng.create 7 in
   let g = synthetic_graph rng n in
-  let stored = Gibbs.sample_worlds ~burn_in:20 rng g ~n:(samples_materialized * 4) in
+  let stored =
+    Compiled.sample_worlds ~burn_in:20 rng (Compiled.compile g) ~n:(samples_materialized * 4)
+  in
   let approx, _ = Approx.materialize ~lambda:0.1 rng g ~samples:stored in
   let table = Table.create [ "target accept"; "measured accept"; "sampling (s)"; "variational (s)" ] in
   List.iter
@@ -134,7 +137,9 @@ let fig5c ~full =
     (fun sparsity ->
       let rng = Prng.create 13 in
       let g = synthetic_graph ~sparsity ~extra_per_var:3 rng n in
-      let stored = Gibbs.sample_worlds ~burn_in:20 rng g ~n:(4 * samples_materialized) in
+      let stored =
+        Compiled.sample_worlds ~burn_in:20 rng (Compiled.compile g) ~n:(4 * samples_materialized)
+      in
       let solver = { Dd_variational.Logdet.default with Dd_variational.Logdet.prune_below = 2e-3 } in
       let approx, stats = Approx.materialize ~lambda:0.005 ~solver rng g ~samples:stored in
       (* A moderate update so the sampling approach must do real work. *)

@@ -10,7 +10,7 @@ module Pipeline = Dd_kbc.Pipeline
 module Quality = Dd_kbc.Quality
 module Snapshots = Dd_kbc.Snapshots
 module Graph = Dd_fgraph.Graph
-module Gibbs = Dd_inference.Gibbs
+module Compiled = Dd_inference.Compiled
 module Engine = Dd_core.Engine
 module Grounding = Dd_core.Grounding
 module Materialize = Dd_core.Materialize
@@ -64,14 +64,15 @@ let fig6 ~full =
   Dd_inference.Learner.train_cd
     ~options:{ Dd_inference.Learner.default_cd with Dd_inference.Learner.epochs = 40 }
     rng g;
-  let samples = Gibbs.sample_worlds ~burn_in:30 rng g ~n:800 in
-  let exactish = Gibbs.marginals ~burn_in:30 rng g ~sweeps:400 in
+  let kernel = Compiled.compile g in
+  let samples = Compiled.sample_worlds ~burn_in:30 rng kernel ~n:800 in
+  let exactish = Compiled.marginals ~burn_in:30 rng kernel ~sweeps:400 in
   let reference = Grounding.marginals_by_relation grounding exactish in
   let table = Table.create [ "lambda"; "pairwise factors"; "F1"; "diff>0.05 vs full" ] in
   List.iter
     (fun lambda ->
       let approx, stats = Approx.materialize ~lambda rng g ~samples in
-      let marginals = Gibbs.marginals ~burn_in:30 rng approx ~sweeps:400 in
+      let marginals = Compiled.marginals ~burn_in:30 rng (Compiled.compile approx) ~sweeps:400 in
       let f1 =
         (Quality.evaluate grounding marginals ~truth:corpus.Corpus.truth).Quality.f1
       in
@@ -250,7 +251,7 @@ let fig14 ~full =
   Dd_inference.Learner.train_cd
     ~options:{ Dd_inference.Learner.default_cd with Dd_inference.Learner.epochs = 15 }
     rng g;
-  let samples = Gibbs.sample_worlds ~burn_in:30 rng g ~n:300 in
+  let samples = Compiled.sample_worlds ~burn_in:30 rng (Compiled.compile g) ~n:300 in
   (* Active variables: candidates of relation r0 (the analyst's focus). *)
   let active =
     List.filter_map
@@ -263,7 +264,7 @@ let fig14 ~full =
   let whole_seconds =
     time_median ~repeats:1 (fun () ->
         let approx, _ = Approx.materialize ~lambda:0.1 rng g ~samples in
-        ignore (Gibbs.marginals ~burn_in:10 rng approx ~sweeps:100))
+        ignore (Compiled.marginals ~burn_in:10 rng (Compiled.compile approx) ~sweeps:100))
   in
   let groups = ref [] in
   let decomposed_seconds =
@@ -275,7 +276,7 @@ let fig14 ~full =
             if Graph.num_vars sub > 1 then begin
               let sub_samples = project_samples samples mapping (Graph.num_vars sub) in
               let approx, _ = Approx.materialize ~lambda:0.1 rng sub ~samples:sub_samples in
-              ignore (Gibbs.marginals ~burn_in:10 rng approx ~sweeps:100)
+              ignore (Compiled.marginals ~burn_in:10 rng (Compiled.compile approx) ~sweeps:100)
             end)
           !groups)
   in

@@ -9,7 +9,7 @@ module Pipeline = Dd_kbc.Pipeline
 module Quality = Dd_kbc.Quality
 module Semantics = Dd_fgraph.Semantics
 module Voting = Dd_fgraph.Voting
-module Gibbs = Dd_inference.Gibbs
+module Compiled = Dd_inference.Compiled
 module Engine = Dd_core.Engine
 module Grounding = Dd_core.Grounding
 module Database = Dd_relational.Database
@@ -29,7 +29,7 @@ let f1_with_semantics config semantics =
   Learner.train_cd
     ~options:{ Learner.default_cd with Learner.epochs = 30 }
     rng g;
-  let marginals = Gibbs.marginals ~burn_in:30 rng g ~sweeps:300 in
+  let marginals = Compiled.marginals ~burn_in:30 rng (Compiled.compile g) ~sweeps:300 in
   (Quality.evaluate grounding marginals ~truth:corpus.Corpus.truth).Quality.f1
 
 let fig10b ~full =
@@ -72,8 +72,8 @@ let fig13 ~full =
         let exact = Voting.exact_marginal_q cfg in
         let graph, q, _, _ = Voting.build cfg in
         match
-          Dd_inference.Fast_gibbs.sweeps_to_converge ~tolerance:0.01 ~max_sweeps
-            (Prng.create (41 + total)) graph ~target_var:q ~target_prob:exact
+          Compiled.sweeps_to_converge ~tolerance:0.01 ~max_sweeps
+            (Prng.create (41 + total)) (Compiled.compile graph) ~target_var:q ~target_prob:exact
         with
         | Some sweeps -> string_of_int sweeps
         | None -> Printf.sprintf ">%d" max_sweeps

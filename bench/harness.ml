@@ -144,7 +144,7 @@ let synthetic_graph ?(sparsity = 1.0) ?(extra_per_var = 1) rng n =
     done;
   g
 
-(* A synthetic scale graph for the async-Gibbs scaling study: [n] query
+(* A synthetic scale graph for the sampler experiment's parallel modes: [n] query
    variables with unary biases plus pairwise conjunction factors — a
    chain edge v—(v+1) and [extra_per_var] random edges per variable whose
    endpoints lie within [locality] positions of each other.  The window
@@ -224,9 +224,9 @@ let calibrate_acceptance rng g ~stored ~target =
     (!lo +. !hi) /. 2.0
   end
 
-(* The Fig-KBC graph shared by the scaling and gibbs-kernel experiments:
-   generate the News corpus, ground the full program, and fit weights
-   briefly so the sweeps sample a realistic posterior. *)
+(* The Fig-KBC graph of the sampler experiment: generate the News corpus,
+   ground the full program, and fit weights briefly so the sweeps sample
+   a realistic posterior. *)
 let fig_kbc_graph ~full =
   let module Corpus = Dd_kbc.Corpus in
   let module Systems = Dd_kbc.Systems in

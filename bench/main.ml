@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- fig5a fig9   # a subset
      dune exec bench/main.exe -- --full       # larger sizes (slower)
      dune exec bench/main.exe -- --list       # list experiment names
-     dune exec bench/main.exe -- scaling --json out.json
+     dune exec bench/main.exe -- sampler --json out.json
                                               # machine-readable results
 
    [--json PATH] writes one JSON record per experiment (name, scale,
@@ -32,12 +32,10 @@ module _ = Calibration_bench
 module _ = Fig_recovery
 module _ = Robustness
 module _ = Serving
-module _ = Scaling
-module _ = Gibbs_kernel
 module _ = Grounding_bench
 module _ = Columnar
 module _ = Ingestion
-module _ = Async_gibbs
+module _ = Sampler
 module _ = Scrub_bench
 module _ = Soak_bench
 

@@ -5,6 +5,7 @@
 open Harness
 module Graph = Dd_fgraph.Graph
 module Gibbs = Dd_inference.Gibbs
+module Compiled = Dd_inference.Compiled
 module Prng = Dd_util.Prng
 module Value = Dd_relational.Value
 module Schema = Dd_relational.Schema
@@ -16,8 +17,8 @@ open Toolkit
 let gibbs_sweep_test =
   let rng = Prng.create 51 in
   let g = synthetic_graph rng 200 in
-  let assignment = Gibbs.init_assignment rng g in
-  Test.make ~name:"gibbs sweep (200 vars)" (Staged.stage (fun () -> Gibbs.sweep rng g assignment))
+  let st = Compiled.make_state rng (Compiled.compile g) in
+  Test.make ~name:"gibbs sweep (200 vars)" (Staged.stage (fun () -> Compiled.sweep rng st))
 
 let total_energy_test =
   let rng = Prng.create 52 in

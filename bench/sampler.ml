@@ -1,0 +1,246 @@
+(* The sampler study: the one production Gibbs kernel (Dd_inference.Compiled)
+   measured against its oracle and across its parallel modes.
+
+   - Oracle vs compiled at one domain: sweeps/s of the naive graph-walking
+     sampler (Dd_inference.Gibbs, which re-evaluates every adjacent factor
+     per conditional) and of the compiled CSR kernel, on pairwise, voting
+     and grounded KBC graphs.  The gap explodes on aggregation factors
+     (the voting program, one body per vote) and stays a constant factor
+     on pairwise graphs.  Before timing, both samplers run from one seed
+     and must produce identical worlds (the bit-exactness flag).
+   - Color-sync vs async at 1/2/4/8 domains, on a synthetic scale graph
+     large enough that scheduling, not per-conditional arithmetic,
+     dominates: sweeps/s of the color-synchronous sampler (one barrier per
+     color class) and of the lock-free free-running range sampler (the
+     DimmWitted design, one barrier per epoch), plus worlds/s of the
+     chain-parallel sample store.  Domain counts beyond the host's
+     hardware multiplex onto its cores; the JSON host block records which
+     regime produced the numbers.
+   - The async equivalence tier: on an enumerable graph the async chain
+     must sample the same distribution as exact enumeration and the
+     color-sync chain. *)
+
+open Harness
+module Graph = Dd_fgraph.Graph
+module Exact = Dd_fgraph.Exact
+module Voting = Dd_fgraph.Voting
+module Gibbs = Dd_inference.Gibbs
+module Compiled = Dd_inference.Compiled
+module Par_gibbs = Dd_parallel.Par_gibbs
+module Partition = Dd_parallel.Partition
+module Pool = Dd_parallel.Pool
+module Prng = Dd_util.Prng
+module Stats = Dd_util.Stats
+module Table = Dd_util.Table
+
+let domain_counts = [ 1; 2; 4; 8 ]
+
+let rate_of ~sweeps secs = float_of_int sweeps /. secs
+
+let time_sweeps ~sweeps ~repeats sweep =
+  rate_of ~sweeps
+    (time_median ~repeats (fun () ->
+         for _ = 1 to sweeps do
+           sweep ()
+         done))
+
+(* --- oracle vs compiled ------------------------------------------------- *)
+
+(* Same seed, no explicit initial world: the compiled chain must draw the
+   oracle's initial world and then every sweep's world. *)
+let tracks_oracle g =
+  let rng_o = Prng.create 7 and rng_c = Prng.create 7 in
+  let oracle = Gibbs.init_assignment rng_o g in
+  let st = Compiled.make_state rng_c (Compiled.compile g) in
+  let same = ref (Compiled.snapshot st = oracle) in
+  for _ = 1 to 5 do
+    Gibbs.sweep rng_o g oracle;
+    Compiled.sweep rng_c st;
+    same := !same && Compiled.snapshot st = oracle
+  done;
+  !same
+
+let oracle_rate ~sweeps g =
+  let rng = Prng.create 71 in
+  let a = Gibbs.init_assignment rng g in
+  time_sweeps ~sweeps ~repeats:3 (fun () -> Gibbs.sweep rng g a)
+
+let compiled_rate ~sweeps g =
+  let rng = Prng.create 71 in
+  let st = Compiled.make_state rng (Compiled.compile g) in
+  time_sweeps ~sweeps ~repeats:3 (fun () -> Compiled.sweep rng st)
+
+let voting n =
+  let g, _, _, _ = Voting.build { Voting.default with Voting.n_up = n / 2; n_down = n / 2 } in
+  g
+
+let oracle_vs_compiled ~full =
+  note "oracle vs compiled kernel, one domain:";
+  let cases =
+    [
+      ("pairwise200", synthetic_graph (Prng.create 72) 200);
+      ("voting200", voting 200);
+      ("voting1000", voting 1000);
+      ("news", fig_kbc_graph ~full);
+    ]
+    @ if full then [ ("voting5000", voting 5000) ] else []
+  in
+  let sweeps = if full then 100 else 40 in
+  let table = Table.create [ "graph"; "vars"; "oracle s/s"; "compiled s/s"; "speedup" ] in
+  let exact =
+    List.for_all
+      (fun (name, g) ->
+        let same = tracks_oracle g in
+        let oracle = oracle_rate ~sweeps g and compiled = compiled_rate ~sweeps g in
+        metric (Printf.sprintf "oracle_sweeps_per_sec_%s" name) oracle;
+        metric (Printf.sprintf "compiled_sweeps_per_sec_%s" name) compiled;
+        metric (Printf.sprintf "compiled_speedup_%s" name) (compiled /. oracle);
+        Table.add_row table
+          [
+            (if same then name else name ^ " (DIVERGED)");
+            string_of_int (Graph.num_vars g);
+            Printf.sprintf "%.1f" oracle;
+            Printf.sprintf "%.1f" compiled;
+            Table.cell_x (compiled /. oracle);
+          ];
+        same)
+      cases
+  in
+  Table.print table;
+  note "compiled bit-exact with the Gibbs oracle on every graph: %s" (if exact then "yes" else "NO");
+  metric "bit_exact_oracle" (if exact then 1.0 else 0.0)
+
+(* --- parallel modes ----------------------------------------------------- *)
+
+(* Steady-state sweeps: the sampler (partition, pool) is built once and
+   warmed up before timing. *)
+let colorsync_rate ~sweeps ~repeats ~kernel g d =
+  let sampler = Par_gibbs.create ~kernel ~domains:d (Prng.create 53) g in
+  Fun.protect
+    ~finally:(fun () -> Par_gibbs.shutdown sampler)
+    (fun () ->
+      for _ = 1 to 2 do
+        Par_gibbs.sweep sampler
+      done;
+      time_sweeps ~sweeps ~repeats (fun () -> Par_gibbs.sweep sampler))
+
+(* One epoch of [sweeps] free-running range sweeps per timed run — the
+   epoch boundary is the only synchronization, as in the engine. *)
+let async_rate ~sweeps ~repeats ~kernel g d =
+  let sampler = Par_gibbs.create ~mode:Par_gibbs.Async ~kernel ~domains:d (Prng.create 53) g in
+  Fun.protect
+    ~finally:(fun () -> Par_gibbs.shutdown sampler)
+    (fun () ->
+      Par_gibbs.sweep_epoch sampler ~sweeps:2;
+      rate_of ~sweeps (time_median ~repeats (fun () -> Par_gibbs.sweep_epoch sampler ~sweeps)))
+
+(* Worlds/s of the sample store drawn by [d] independent chains. *)
+let chain_rate ~worlds g d =
+  rate_of ~sweeps:worlds
+    (time_median ~repeats:1 (fun () ->
+         ignore (Par_gibbs.sample_worlds ~burn_in:5 ~domains:d (Prng.create 59) g ~n:worlds)))
+
+(* Async with one worker keeps the caller's PRNG stream and recomputes
+   exactly the counter-derived conditionals, so its trajectory must be
+   bit-identical to the sequential compiled sweep. *)
+let async_tracks_sequential ~kernel g =
+  let seq = Par_gibbs.create ~kernel ~domains:1 (Prng.create 7) g in
+  let asy = Par_gibbs.create ~mode:Par_gibbs.Async ~kernel ~domains:1 (Prng.create 7) g in
+  Fun.protect
+    ~finally:(fun () ->
+      Par_gibbs.shutdown seq;
+      Par_gibbs.shutdown asy)
+    (fun () ->
+      for _ = 1 to 3 do
+        Par_gibbs.sweep seq;
+        Par_gibbs.sweep asy
+      done;
+      Par_gibbs.assignment seq = Par_gibbs.assignment asy)
+
+let parallel_modes ~full =
+  let nvars = if full then 1_200_000 else 60_000 in
+  let g, build_s =
+    Dd_util.Timer.time (fun () -> scale_graph ~extra_per_var:2 ~locality:512 (Prng.create 19) nvars)
+  in
+  let kernel = Compiled.compile g in
+  let partition = Partition.color g in
+  note "";
+  note "parallel modes on the scale graph: %d vars, %d factors, %d colors (built %.1fs); host: %d cpus"
+    (Graph.num_vars g) (Graph.num_factors g) partition.Partition.num_colors build_s
+    (host_cpu_count ());
+  metric "vars" (float_of_int (Graph.num_vars g));
+  metric "factors" (float_of_int (Graph.num_factors g));
+  metric "colors" (float_of_int partition.Partition.num_colors);
+  metric "recommended_domains" (float_of_int (Pool.recommended ()));
+  let async_exact = async_tracks_sequential ~kernel g in
+  note "async (1 worker) bit-exact with the sequential sweep: %s" (if async_exact then "yes" else "NO");
+  metric "async_bit_exact_1d" (if async_exact then 1.0 else 0.0);
+  let sweeps = if full then 8 else 24 in
+  let repeats = if full then 3 else 5 in
+  let worlds = 2 * sweeps in
+  let table =
+    Table.create [ "domains"; "color-sync s/s"; "async s/s"; "async vs sync"; "chain worlds/s" ]
+  in
+  List.iter
+    (fun d ->
+      let sync = colorsync_rate ~sweeps ~repeats ~kernel g d in
+      let asy = async_rate ~sweeps ~repeats ~kernel g d in
+      let chains = chain_rate ~worlds g d in
+      metric (Printf.sprintf "colorsync_sweeps_per_sec_%dd" d) sync;
+      metric (Printf.sprintf "async_sweeps_per_sec_%dd" d) asy;
+      metric (Printf.sprintf "async_vs_colorsync_%dd" d) (asy /. sync);
+      metric (Printf.sprintf "chain_worlds_per_sec_%dd" d) chains;
+      Table.add_row table
+        [
+          string_of_int d;
+          Printf.sprintf "%.1f" sync;
+          Printf.sprintf "%.1f" asy;
+          Table.cell_x (asy /. sync);
+          Printf.sprintf "%.1f" chains;
+        ])
+    domain_counts;
+  Table.print table;
+  note
+    "(sweeps timed: %d; chain worlds: %d, each chain burned in separately.  Logical\n\
+     workers multiplex onto min(domains, hardware) slots, so past the host's core\n\
+     count the async curve shows the scheduling and locality win, not core scaling.)"
+    sweeps worlds
+
+(* --- statistical equivalence on an enumerable graph --------------------- *)
+
+let equivalence_tier () =
+  note "";
+  note "statistical equivalence (12-var scale graph, exact enumeration):";
+  let g = scale_graph ~extra_per_var:2 ~locality:4 (Prng.create 11) 12 in
+  let exact = Exact.marginals g in
+  let sweeps = 30_000 in
+  let asy =
+    Par_gibbs.marginals ~mode:Par_gibbs.Async ~epoch_sweeps:4 ~burn_in:300 ~domains:3
+      (Prng.create 12) g ~sweeps
+  in
+  let sync = Par_gibbs.marginals ~burn_in:300 ~domains:3 (Prng.create 12) g ~sweeps in
+  let kl =
+    let acc = ref 0.0 in
+    Array.iteri (fun v p -> acc := !acc +. Stats.kl_bernoulli p asy.(v)) exact;
+    !acc /. float_of_int (Array.length exact)
+  in
+  let d_async = Stats.max_abs_diff asy exact in
+  let d_sync = Stats.max_abs_diff sync exact in
+  let d_cross = Stats.max_abs_diff asy sync in
+  metric "equiv_max_diff_async_vs_exact" d_async;
+  metric "equiv_max_diff_colorsync_vs_exact" d_sync;
+  metric "equiv_max_diff_async_vs_colorsync" d_cross;
+  metric "equiv_mean_kl_exact_vs_async" kl;
+  let ok = d_async < 0.05 && d_cross < 0.05 in
+  metric "equiv_ok" (if ok then 1.0 else 0.0);
+  note "  async vs exact: max|diff| %.4f, mean KL %.6f (color-sync vs exact: %.4f)" d_async kl
+    d_sync;
+  note "  async vs color-sync: max|diff| %.4f -> %s" d_cross (if ok then "ok" else "FAIL")
+
+let run ~full =
+  section "Sampler: the compiled Gibbs kernel vs its oracle and across parallel modes";
+  oracle_vs_compiled ~full;
+  parallel_modes ~full;
+  equivalence_tier ()
+
+let () = register "sampler" "Compiled Gibbs kernel: oracle, color-sync, async, chains" run

@@ -103,7 +103,7 @@ let run_cmd =
       stats.Grounding.evidence;
     let rng = Dd_util.Prng.create seed in
     let marginals =
-      Dd_inference.Gibbs.marginals ~burn_in:20 rng (Engine.graph engine) ~sweeps
+      Dd_inference.Compiled.(marginals ~burn_in:20 rng (compile (Engine.graph engine)) ~sweeps)
     in
     let by_rel = Grounding.marginals_by_relation (Engine.grounding engine) marginals in
     List.iter
@@ -172,7 +172,8 @@ let demo_cmd =
         rng
         (Grounding.graph grounding);
       let marginals =
-        Dd_inference.Gibbs.marginals ~burn_in:40 rng (Grounding.graph grounding) ~sweeps:500
+        Dd_inference.Compiled.(
+          marginals ~burn_in:40 rng (compile (Grounding.graph grounding)) ~sweeps:500)
       in
       Dd_kbc.Analysis.print
         (Dd_kbc.Analysis.analyze grounding marginals ~truth:corpus.Dd_kbc.Corpus.truth);

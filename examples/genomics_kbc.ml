@@ -111,7 +111,9 @@ let () =
     gstats.Grounding.variables gstats.Grounding.factors gstats.Grounding.weights;
   let grounding = Engine.grounding engine in
   let rng = Dd_util.Prng.create 4 in
-  let marginals = Dd_inference.Gibbs.marginals ~burn_in:50 rng (Engine.graph engine) ~sweeps:2500 in
+  let marginals =
+    Dd_inference.Compiled.(marginals ~burn_in:50 rng (compile (Engine.graph engine)) ~sweeps:2500)
+  in
   let name_of mid =
     let rel = Database.find db "mention" in
     let result = ref mid in

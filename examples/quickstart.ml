@@ -113,7 +113,9 @@ let () =
     stats.Grounding.variables stats.Grounding.factors stats.Grounding.weights
     stats.Grounding.evidence;
   let rng = Dd_util.Prng.create 1 in
-  let marginals = Dd_inference.Gibbs.marginals ~burn_in:50 rng (Engine.graph engine) ~sweeps:2000 in
+  let marginals =
+    Dd_inference.Compiled.(marginals ~burn_in:50 rng (compile (Engine.graph engine)) ~sweeps:2000)
+  in
   let name_of mid =
     (* Recover the mention's person name for display. *)
     let rel = Database.find db "mention" in

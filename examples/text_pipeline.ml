@@ -98,7 +98,7 @@ let () =
     gstats.Grounding.variables gstats.Grounding.factors gstats.Grounding.weights;
   let rng = Dd_util.Prng.create 2 in
   let marginals =
-    Dd_inference.Gibbs.marginals ~burn_in:50 rng (Engine.graph engine) ~sweeps:2000
+    Dd_inference.Compiled.(marginals ~burn_in:50 rng (compile (Engine.graph engine)) ~sweeps:2000)
   in
   let name_of mid =
     let rel = Database.find db "mention" in

@@ -13,7 +13,7 @@
 
 module Voting = Dd_fgraph.Voting
 module Semantics = Dd_fgraph.Semantics
-module Gibbs = Dd_inference.Gibbs
+module Compiled = Dd_inference.Compiled
 module Table = Dd_util.Table
 
 let () =
@@ -46,10 +46,11 @@ let () =
       let cfg = { Voting.default with Voting.n_up = 30; n_down = 20; semantics } in
       let exact = Voting.exact_marginal_q cfg in
       let graph, q, _, _ = Voting.build cfg in
+      let kernel = Compiled.compile graph in
       let rng = Dd_util.Prng.create 7 in
-      let marginals = Gibbs.marginals ~burn_in:100 rng graph ~sweeps:4000 in
+      let marginals = Compiled.marginals ~burn_in:100 rng kernel ~sweeps:4000 in
       let sweeps =
-        Gibbs.sweeps_to_converge (Dd_util.Prng.create 8) graph ~target_var:q
+        Compiled.sweeps_to_converge (Dd_util.Prng.create 8) kernel ~target_var:q
           ~target_prob:exact
       in
       Table.add_row table

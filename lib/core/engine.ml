@@ -404,8 +404,7 @@ let txn_rollback t x =
 
 let rematerialize t = Timer.time_s (fun () -> materialize_now t)
 
-let rerun ?(options = default_options) db prog =
-  let timer = Timer.start () in
+let rerun_grounding options db prog =
   Database.convert_all db options.relation_backend;
   let grounding = Grounding.ground db prog in
   let rng = Prng.create options.seed in
@@ -426,5 +425,10 @@ let rerun ?(options = default_options) db prog =
       Compiled.marginals ~burn_in:options.burn_in rng (Compiled.compile g)
         ~sweeps:options.inference_chain
   in
+  (grounding, marginals)
+
+let rerun ?(options = default_options) db prog =
+  let timer = Timer.start () in
+  let _, marginals = rerun_grounding options db prog in
   (marginals, Timer.elapsed_s timer)
 

@@ -149,3 +149,7 @@ val rematerialize : t -> float
 val rerun : ?options:options -> Database.t -> Program.t -> float array * float
 (** Ground + learn + infer from scratch; returns (marginals, seconds).
     The marginals index the fresh grounding's variables. *)
+
+val rerun_grounding : options -> Database.t -> Program.t -> Grounding.t * float array
+(** {!rerun} without the clock, also returning the fresh grounding its
+    marginals index — for callers that evaluate the Rerun output. *)

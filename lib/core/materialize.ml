@@ -1,10 +1,9 @@
 module Graph = Dd_fgraph.Graph
 module Exact = Dd_fgraph.Exact
-module Gibbs = Dd_inference.Gibbs
+module Compiled = Dd_inference.Compiled
 module Metropolis = Dd_inference.Metropolis
 module Approx = Dd_variational.Approx
 module Par_gibbs = Dd_parallel.Par_gibbs
-module Prng = Dd_util.Prng
 module Timer = Dd_util.Timer
 
 type strawman = { worlds : (bool array * float) array }
@@ -53,7 +52,7 @@ let baseline g =
 
 let materialize ?(n_samples = 200) ?(burn_in = 20) ?(lambda = 0.1)
     ?(variational_var_limit = 600) ?(with_variational = true) ?(domains = 1) rng g =
-  (* [domains = 1] is Gibbs.sample_worlds bit-for-bit; above that the
+  (* [domains = 1] is one compiled chain from [rng]; above that the
      sample store is drawn by independent chains, one per domain. *)
   let samples = Par_gibbs.sample_worlds ~burn_in ~domains rng g ~n:n_samples in
   let variational =
@@ -68,14 +67,14 @@ let materialize ?(n_samples = 200) ?(burn_in = 20) ?(lambda = 0.1)
 
 let materialize_within_budget ?(burn_in = 20) rng g ~seconds =
   let timer = Timer.start () in
-  let assignment = Gibbs.init_assignment rng g in
+  let st = Compiled.make_state rng (Compiled.compile g) in
   for _ = 1 to burn_in do
-    Gibbs.sweep rng g assignment
+    Compiled.sweep rng st
   done;
   let acc = ref [] in
   while Timer.elapsed_s timer < seconds do
-    Gibbs.sweep rng g assignment;
-    acc := Array.copy assignment :: !acc
+    Compiled.sweep rng st;
+    acc := Compiled.snapshot st :: !acc
   done;
   let base_weights, base_factor_count, base_var_count, base_evidence = baseline g in
   {
@@ -265,8 +264,4 @@ let variational_infer ?(sweeps = 200) ?(burn_in = 20) rng ~approx ~change =
         import_factor working full f ~bodies
       end)
     change.Metropolis.extended_factors;
-  Gibbs.marginals ~burn_in rng working ~sweeps
-
-(* Keep Prng in the interface-facing signature without an unused-module
-   warning. *)
-let _ = Prng.create
+  Compiled.marginals ~burn_in rng (Compiled.compile working) ~sweeps

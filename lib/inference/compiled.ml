@@ -15,8 +15,8 @@ let sem_tag = function
   | Semantics.Logical -> sem_logical
   | Semantics.Ratio -> sem_ratio
 
-(* Must compute exactly what [Semantics.g] computes (bit-exactness with
-   the legacy sampler depends on it). *)
+(* Must compute exactly what [Semantics.g] computes (agreement with the
+   {!Gibbs} oracle depends on it). *)
 let g_of tag n =
   if tag = sem_linear then float_of_int n
   else if tag = sem_logical then if n > 0 then 1.0 else 0.0
@@ -276,8 +276,7 @@ let make_state ?init rng k =
    for [v], accumulated tail-recursively so the hot loop allocates
    nothing.  A literal of [v] is satisfied under hypothetical [x] iff
    [x <> neg], i.e. iff [neg = neg_sat] with [neg_sat = not x].  The
-   counts are integers, so their accumulation order is irrelevant for
-   bit-exactness with the legacy sampler. *)
+   counts are integers, so their accumulation order is irrelevant. *)
 let rec n_under k st v_cur neg_sat o last n =
   if o > last then n
   else begin
@@ -310,9 +309,9 @@ let conditional_true_prob st v =
     let w = Array.unsafe_get k.weights (Array.unsafe_get k.f_weight fid) in
     let sem = Array.unsafe_get k.f_sem fid in
     let h = Array.unsafe_get k.f_head fid in
-    (* The float expression mirrors the legacy sampler's
-       [w *. sign *. g(sem, n)] and [acc +. e_true -. e_false] exactly,
-       keeping the two paths bit-identical. *)
+    (* Per factor [w *. sign *. g(sem, n)], as [Graph.factor_energy]
+       computes it; only the summation order differs from the {!Gibbs}
+       oracle's. *)
     let sign_true =
       if h < 0 || h = v then 1.0
       else if Bytes.unsafe_get st.assign h <> '\000' then 1.0
@@ -502,6 +501,35 @@ let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) rng k ~sweeps =
     accumulate_true st totals
   done;
   Array.map (fun c -> float_of_int c /. float_of_int (max 1 sweeps)) totals
+
+let sample_worlds ?(burn_in = 10) ?(spacing = 1) rng k ~n =
+  let st = make_state rng k in
+  for _ = 1 to burn_in do
+    sweep rng st
+  done;
+  Array.init n (fun _ ->
+      for _ = 1 to spacing do
+        sweep rng st
+      done;
+      snapshot st)
+
+let sweeps_to_converge ?(tolerance = 0.01) ?(max_sweeps = 100_000) ?(check_every = 10) rng k
+    ~target_var ~target_prob =
+  let st = make_state rng k in
+  let trues = ref 0 in
+  let rec go i =
+    if i > max_sweeps then None
+    else begin
+      sweep rng st;
+      if value st target_var then incr trues;
+      if
+        i mod check_every = 0
+        && abs_float ((float_of_int !trues /. float_of_int i) -. target_prob) <= tolerance
+      then Some i
+      else go (i + 1)
+    end
+  in
+  go 1
 
 let add_feature_counts st ~scale grad =
   let k = st.k in

@@ -3,10 +3,10 @@
     {!Dd_fgraph.Graph.t} is a pointer-rich structure: factors are records
     of literal-record arrays, adjacency is an int list per variable, and
     weights live behind a growable vector.  Sampling over it chases
-    pointers and, in the pre-compiled sampler, allocated a fresh hash
-    table per conditional.  This module compiles a graph {e once} into
-    immutable flat int/float arrays — the layout DimmWitted-style
-    main-memory engines use — so that the two hot operations of Gibbs
+    pointers and re-evaluates every adjacent factor per conditional.
+    This module compiles a graph {e once} into immutable flat int/float
+    arrays — the layout DimmWitted-style main-memory engines use — so
+    that the two hot operations of Gibbs
     sampling, a conditional-probability evaluation and an assignment
     update, run over contiguous arrays with no per-sample heap
     allocation beyond a couple of boxed floats.
@@ -27,15 +27,21 @@
     time; {!refresh_weights} re-reads them from the graph, which is the
     cheap "recompile" path when learning moved weights but the structure
     did not change.  A packed query-variable array replaces the
-    per-variable evidence branch of the legacy sweep.
+    per-variable evidence branch of {!Gibbs.sweep}.
 
-    Determinism contract: for a given [(seed, graph)], {!sweep} draws
-    from the PRNG in exactly the order and count of the legacy
-    {!Fast_gibbs} sweep (ascending variable id over query variables, one
-    Bernoulli draw each), and the conditional probability is computed
-    with bit-identical floating-point operations to the legacy grouped
-    path, so trajectories agree bit-for-bit per seed (asserted by
-    tests). *)
+    This is the only Gibbs sampler on production paths; the naive
+    {!Gibbs} module stays as its test oracle.
+
+    Determinism contract: for a given [(seed, graph)], {!make_state}
+    draws the initial world exactly as {!Gibbs.init_assignment} does and
+    {!sweep} draws from the PRNG in exactly the order and count of
+    {!Gibbs.sweep} (ascending variable id over query variables, one
+    Bernoulli draw each), so the two PRNG streams stay in step.  The
+    conditional sums the same per-factor energies as
+    {!Gibbs.conditional_true_prob} in a different order, so the two
+    agree to floating-point reassociation (within 1e-9), and
+    trajectories agree per seed unless a uniform draw lands between the
+    two values (asserted by tests). *)
 
 module Graph = Dd_fgraph.Graph
 
@@ -202,9 +208,29 @@ val rebuild_counters : state -> unit
 
 val marginals :
   ?burn_in:int -> ?budget:Dd_util.Budget.t -> Dd_util.Prng.t -> t -> sweeps:int -> float array
-(** Fresh-state marginals; drop-in for {!Fast_gibbs.marginals}.  [budget]
-    is polled once per sweep (burn-in included); exhaustion raises
-    {!Dd_util.Budget.Exceeded} instead of finishing the chain. *)
+(** Fresh-state marginals; the compiled counterpart of
+    {!Gibbs.marginals}.  [budget] is polled once per sweep (burn-in
+    included); exhaustion raises {!Dd_util.Budget.Exceeded} instead of
+    finishing the chain. *)
+
+val sample_worlds :
+  ?burn_in:int -> ?spacing:int -> Dd_util.Prng.t -> t -> n:int -> bool array array
+(** Draw [n] worlds from one fresh chain, [spacing] sweeps apart
+    (default 1) after [burn_in] (default 10) — the tuple-bundle store of
+    the sampling materialization; the compiled counterpart of
+    {!Gibbs.sample_worlds}.  Reads the kernel only, so several domains
+    may draw chains from one shared kernel concurrently. *)
+
+val sweeps_to_converge :
+  ?tolerance:float ->
+  ?max_sweeps:int ->
+  ?check_every:int ->
+  Dd_util.Prng.t ->
+  t ->
+  target_var:Graph.var ->
+  target_prob:float ->
+  int option
+(** As {!Gibbs.sweeps_to_converge}, on a fresh compiled chain. *)
 
 (** {1 Learning support} *)
 

@@ -1,9 +1,13 @@
-(** Gibbs sampling over factor graphs.
+(** Gibbs sampling over factor graphs, directly on {!Dd_fgraph.Graph.t}.
 
-    The workhorse of both inference and learning, as in the paper
-    (Section 2.5): visit each query variable, resample it from its
-    conditional given the rest, estimate marginals by averaging.  Evidence
-    variables stay clamped. *)
+    The textbook sampler of the paper (Section 2.5): visit each query
+    variable, resample it from its conditional given the rest, estimate
+    marginals by averaging.  Evidence variables stay clamped.  Each
+    conditional re-evaluates every adjacent factor, so this module is the
+    test oracle for the production sampler {!Compiled}, which must track
+    it draw for draw.  Its one production use is
+    {!Metropolis.extend_sample}'s single-site resample of a proposal's
+    new variables, which touches only their factors. *)
 
 module Graph = Dd_fgraph.Graph
 

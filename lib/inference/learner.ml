@@ -78,12 +78,12 @@ let pseudo_log_likelihood ?(worlds = 5) rng g =
   if evidence = [] then 0.0
   else begin
     let total = ref 0.0 and count = ref 0 in
-    let assignment = Gibbs.init_assignment rng g in
+    let st = Compiled.make_state rng (Compiled.compile g) in
     for _ = 1 to worlds do
-      Gibbs.sweep rng g assignment;
+      Compiled.sweep rng st;
       List.iter
         (fun (v, label) ->
-          let p = Gibbs.conditional_true_prob g assignment v in
+          let p = Compiled.conditional_true_prob st v in
           let p = Stats.clamp 1e-9 (1.0 -. 1e-9) (if label then p else 1.0 -. p) in
           total := !total +. log p;
           incr count)

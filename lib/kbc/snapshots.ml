@@ -55,20 +55,7 @@ let run ?(options = Engine.default_options) ?semantics ?(skip_rerun = false) cor
             Corpus.load corpus rerun_db;
             let rerun_prog = Program.add_rules (Pipeline.base_program ?semantics ()) !rules_so_far in
             let timer = Timer.start () in
-            let rerun_grounding = Grounding.ground rerun_db rerun_prog in
-            let rng = Dd_util.Prng.create options.Engine.seed in
-            Dd_inference.Learner.train_cd
-              ~options:
-                {
-                  Dd_inference.Learner.default_cd with
-                  Dd_inference.Learner.epochs = options.Engine.initial_learning_epochs;
-                }
-              rng
-              (Grounding.graph rerun_grounding);
-            let rerun_marginals =
-              Dd_inference.Gibbs.marginals ~burn_in:options.Engine.burn_in rng
-                (Grounding.graph rerun_grounding) ~sweeps:options.Engine.inference_chain
-            in
+            let rerun_grounding, rerun_marginals = Engine.rerun_grounding options rerun_db rerun_prog in
             let seconds = Timer.elapsed_s timer in
             let f1 =
               (Quality.evaluate rerun_grounding rerun_marginals ~truth:corpus.Corpus.truth)

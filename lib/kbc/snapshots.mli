@@ -4,7 +4,8 @@
     Incremental applies each rule as an update to a live engine (one
     materialization up front, amortized across the sequence); Rerun
     re-grounds, re-learns and re-infers the whole program from scratch at
-    every step.  Each row reports wall-clock, strategy, acceptance rate, F1
+    every step through {!Engine.rerun_grounding}, with the same options
+    and sampler as the incremental side.  Each row reports wall-clock, strategy, acceptance rate, F1
     against the hidden KB, and the marginal agreement between the two
     systems. *)
 

@@ -1,6 +1,4 @@
 module Graph = Dd_fgraph.Graph
-module Gibbs = Dd_inference.Gibbs
-module Fast_gibbs = Dd_inference.Fast_gibbs
 module Compiled = Dd_inference.Compiled
 module Prng = Dd_util.Prng
 module Budget = Dd_util.Budget
@@ -27,7 +25,7 @@ type async = {
 }
 
 type mode =
-  | Sequential of Prng.t  (** [domains = 1]: byte-for-byte Fast_gibbs *)
+  | Sequential of Prng.t  (** [domains = 1]: byte-for-byte [Compiled.sweep] *)
   | Parallel of parallel
   | Async_mode of async
 
@@ -270,9 +268,13 @@ let with_chain_pool domains f =
   let pool = Pool.create domains in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) (fun () -> f pool)
 
+(* Multi-chain entry points compile the graph once in the caller: the
+   kernel is only read while sampling, so every chain shares it and owns
+   just its state and PRNG stream. *)
 let sample_worlds ?(burn_in = 10) ?(spacing = 1) ~domains rng g ~n =
   if domains < 1 then invalid_arg "Par_gibbs.sample_worlds: domains must be >= 1";
-  if domains = 1 then Gibbs.sample_worlds ~burn_in ~spacing rng g ~n
+  let kernel = Compiled.compile g in
+  if domains = 1 then Compiled.sample_worlds ~burn_in ~spacing rng kernel ~n
   else begin
     let rngs = Array.init domains (fun _ -> Prng.split rng) in
     let results = Array.make domains [||] in
@@ -281,20 +283,21 @@ let sample_worlds ?(burn_in = 10) ?(spacing = 1) ~domains rng g ~n =
             if d < domains then begin
               let quota = share n domains d in
               if quota > 0 then
-                results.(d) <- Fast_gibbs.sample_worlds ~burn_in ~spacing rngs.(d) g ~n:quota
+                results.(d) <- Compiled.sample_worlds ~burn_in ~spacing rngs.(d) kernel ~n:quota
             end));
     Array.concat (Array.to_list results)
   end
 
 let chain_marginals ?(burn_in = 10) ~domains rng g ~sweeps =
   if domains < 1 then invalid_arg "Par_gibbs.chain_marginals: domains must be >= 1";
-  if domains = 1 then Fast_gibbs.marginals ~burn_in rng g ~sweeps
+  let kernel = Compiled.compile g in
+  if domains = 1 then Compiled.marginals ~burn_in rng kernel ~sweeps
   else begin
     let rngs = Array.init domains (fun _ -> Prng.split rng) in
     let per_chain = Array.make domains [||] in
     with_chain_pool domains (fun pool ->
         Pool.run pool (fun d ->
-            if d < domains then per_chain.(d) <- Fast_gibbs.marginals ~burn_in rngs.(d) g ~sweeps));
+            if d < domains then per_chain.(d) <- Compiled.marginals ~burn_in rngs.(d) kernel ~sweeps));
     Array.init (Graph.num_vars g) (fun v ->
         Array.fold_left (fun acc m -> acc +. m.(v)) 0.0 per_chain /. float_of_int domains)
   end

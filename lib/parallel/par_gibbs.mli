@@ -31,8 +31,8 @@
       chains and merge.
 
     With [domains = 1] and the default mode every entry point delegates
-    to the sequential sampler it replaces and reproduces its output
-    bit-for-bit from the same seed.  [Async] with one worker also
+    to the sequential {!Dd_inference.Compiled} sampler and reproduces its
+    output bit-for-bit from the same seed.  [Async] with one worker also
     reproduces the sequential chain bit-for-bit: it keeps the caller's
     PRNG stream, and the counter-free conditional is bit-identical to
     the counter-based one when unraced. *)
@@ -85,7 +85,7 @@ val phases : t -> int
 
 val sweep : t -> unit
 (** One pass over the query variables.  [domains = 1] color-sync:
-    exactly {!Dd_inference.Fast_gibbs.sweep}.  Multi-domain color-sync:
+    exactly {!Dd_inference.Compiled.sweep}.  Multi-domain color-sync:
     one barrier per color class (phases whose work lands on a single
     domain run inline).  Async: one epoch of a single free-running
     sweep. *)
@@ -125,7 +125,7 @@ val marginals :
   sweeps:int ->
   float array
 (** Single-chain marginals.  Default mode [Color_sync]: drop-in for
-    {!Dd_inference.Fast_gibbs.marginals} (bit-identical at
+    {!Dd_inference.Compiled.marginals} (bit-identical at
     [domains = 1]), polling [budget] on the coordinator between color
     phases and inside every worker slice.  Mode [Async]: burn-in and
     sampling run as epochs of [epoch_sweeps] (default 8) free-running
@@ -140,12 +140,15 @@ val marginals :
 val sample_worlds :
   ?burn_in:int -> ?spacing:int -> domains:int -> Dd_util.Prng.t -> Graph.t -> n:int -> bool array array
 (** [n] worlds from [domains] independent chains (chain [d] contributes
-    a deterministic near-equal share, each burned in separately).  With
-    [domains = 1] this is {!Dd_inference.Gibbs.sample_worlds} —
-    bit-identical to the sequential materialization loop it replaces. *)
+    a deterministic near-equal share, each burned in separately).  The
+    graph is compiled once and the kernel shared by every chain.  With
+    [domains = 1] this is {!Dd_inference.Compiled.sample_worlds} from the
+    caller's stream. *)
 
 val chain_marginals :
   ?burn_in:int -> domains:int -> Dd_util.Prng.t -> Graph.t -> sweeps:int -> float array
 (** Merged marginal estimate from [domains] independent chains of
     [sweeps] sweeps each (equal-weight average — [domains * sweeps]
-    post-burn-in samples in the time of [sweeps]). *)
+    post-burn-in samples in the time of [sweeps]), sharing one compiled
+    kernel.  With [domains = 1] this is
+    {!Dd_inference.Compiled.marginals} from the caller's stream. *)

@@ -3,7 +3,7 @@
     Two query variables {e conflict} when some factor mentions both (as
     head or in a body).  Resampling conflicting variables concurrently is
     unsound twice over: each one's conditional reads the other's current
-    value, and {!Dd_inference.Fast_gibbs} updates per-factor cached
+    value, and {!Dd_inference.Compiled} updates per-factor cached
     counts, so concurrent writers to a shared factor would race.
     Variables that never share a factor have disjoint factor sets and
     conditionally independent updates, so they can be resampled by

@@ -1,6 +1,6 @@
 module Graph = Dd_fgraph.Graph
 module Stats = Dd_util.Stats
-module Gibbs = Dd_inference.Gibbs
+module Compiled = Dd_inference.Compiled
 
 type stats = {
   pairwise_factors : int;
@@ -70,8 +70,11 @@ let materialize ?(lambda = 0.1) ?(solver = Logdet.default) ?(unary_rounds = 3) r
           Some w)
   in
   let sweeps = min 300 (max 50 (Array.length samples / 4)) in
+  (* The rounds move weights only: compile once, re-sync the slots. *)
+  let kernel = Compiled.compile approx in
   for _ = 1 to unary_rounds do
-    let est = Gibbs.marginals rng approx ~sweeps in
+    Compiled.refresh_weights kernel;
+    let est = Compiled.marginals rng kernel ~sweeps in
     Array.iteri
       (fun v weight ->
         match weight with

@@ -11,7 +11,7 @@
     (a documented implementation choice; Algorithm 1 itself only emits
     binary potentials).
 
-    Inference on the approximate graph is plain Gibbs sampling; because it
+    Inference on the approximate graph is compiled Gibbs sampling; because it
     has O(nnz) factors instead of the original graph's, sparse graphs run
     an order of magnitude faster (Figure 5(c)). *)
 

@@ -7,7 +7,7 @@ module Exact = Dd_fgraph.Exact
 module Gibbs = Dd_inference.Gibbs
 module Metropolis = Dd_inference.Metropolis
 module Learner = Dd_inference.Learner
-module Fast_gibbs = Dd_inference.Fast_gibbs
+module Compiled = Dd_inference.Compiled
 module Prng = Dd_util.Prng
 module Stats = Dd_util.Stats
 
@@ -375,7 +375,7 @@ let test_lr_loss_zero_weights () =
   let data = separable_data (Prng.create 27) 50 in
   check_close 1e-9 "log 2" (log 2.0) (Learner.lr_loss data (Array.make 3 0.0))
 
-(* --- fast (cached) gibbs ------------------------------------------------------ *)
+(* --- fast (cached) gibbs: the compiled sampler against the plain one ---------- *)
 
 (* A harsher structure mix for equivalence testing: implications with
    multiple bodies, negated literals, evidence, all three semantics. *)
@@ -420,10 +420,10 @@ let test_fast_gibbs_conditionals_match () =
     let rng = Prng.create (100 + seed) in
     for _ = 1 to 10 do
       let a = Gibbs.init_assignment rng g in
-      let fast = Fast_gibbs.create ~init:a (Prng.copy rng) g in
+      let fast = Compiled.make_state ~init:a (Prng.copy rng) (Compiled.compile g) in
       for v = 0 to Graph.num_vars g - 1 do
         let plain = Gibbs.conditional_true_prob g a v in
-        let cached = Fast_gibbs.conditional_true_prob fast v in
+        let cached = Compiled.conditional_true_prob fast v in
         if abs_float (plain -. cached) > 1e-9 then
           Alcotest.failf "seed %d var %d: plain %.12f fast %.12f" seed v plain cached
       done
@@ -436,16 +436,16 @@ let test_fast_gibbs_identical_chain () =
   let init = Gibbs.init_assignment (Prng.create 7) g in
   let a = Array.copy init in
   let rng_plain = Prng.create 8 and rng_fast = Prng.create 8 in
-  let fast = Fast_gibbs.create ~init (Prng.create 9) g in
+  let fast = Compiled.make_state ~init (Prng.create 9) (Compiled.compile g) in
   for _ = 1 to 50 do
     Gibbs.sweep rng_plain g a;
-    Fast_gibbs.sweep rng_fast fast
+    Compiled.sweep rng_fast fast
   done;
-  Alcotest.(check bool) "same trajectory" true (a = Fast_gibbs.assignment fast)
+  Alcotest.(check bool) "same trajectory" true (a = Compiled.snapshot fast)
 
 let test_fast_gibbs_marginals_match_exact () =
   let g = mixed_graph 3 in
-  let m = Fast_gibbs.marginals ~burn_in:100 (Prng.create 10) g ~sweeps:20_000 in
+  let m = Compiled.marginals ~burn_in:100 (Prng.create 10) (Compiled.compile g) ~sweeps:20_000 in
   let exact = Dd_fgraph.Exact.marginals g in
   Alcotest.(check bool) "within 3%" true (Stats.max_abs_diff m exact < 0.03)
 
@@ -457,7 +457,8 @@ let test_fast_gibbs_voting_fast () =
   let graph, q, _, _ = Dd_fgraph.Voting.build cfg in
   let exact = Dd_fgraph.Voting.exact_marginal_q cfg in
   match
-    Fast_gibbs.sweeps_to_converge ~tolerance:0.02 ~max_sweeps:20_000 (Prng.create 11) graph
+    Compiled.sweeps_to_converge ~tolerance:0.02 ~max_sweeps:20_000 (Prng.create 11)
+      (Compiled.compile graph)
       ~target_var:q ~target_prob:exact
   with
   | Some _ -> ()
@@ -476,7 +477,7 @@ let test_fast_gibbs_rejects_duplicate_literal () =
          semantics = Semantics.Logical;
        });
   Alcotest.(check bool) "rejected" true
-    (match Fast_gibbs.create (Prng.create 12) g with
+    (match Compiled.compile g with
     | _ -> false
     | exception Invalid_argument _ -> true)
 

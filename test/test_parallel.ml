@@ -9,7 +9,6 @@ module Semantics = Dd_fgraph.Semantics
 module Exact = Dd_fgraph.Exact
 module Voting = Dd_fgraph.Voting
 module Gibbs = Dd_inference.Gibbs
-module Fast_gibbs = Dd_inference.Fast_gibbs
 module Partition = Dd_parallel.Partition
 module Pool = Dd_parallel.Pool
 module Range = Dd_parallel.Range
@@ -196,15 +195,30 @@ let test_seq_marginals_bit_identical () =
   for seed = 0 to 4 do
     let g = random_graph seed in
     let a = Par_gibbs.marginals ~burn_in:15 ~domains:1 (Prng.create (50 + seed)) g ~sweeps:80 in
-    let b = Fast_gibbs.marginals ~burn_in:15 (Prng.create (50 + seed)) g ~sweeps:80 in
+    let b = Compiled.marginals ~burn_in:15 (Prng.create (50 + seed)) (Compiled.compile g) ~sweeps:80 in
     Alcotest.(check bool) (Printf.sprintf "seed %d identical" seed) true (a = b)
   done
 
+(* A grounded KBC graph: the Genomics preset at twice its documents, with
+   briefly learned weights so the conditionals are not all one half. *)
+let genomics_graph () =
+  let config = Dd_kbc.Systems.genomics in
+  let corpus = Corpus.generate { config with Corpus.docs = config.Corpus.docs * 2 } in
+  let db = Database.create () in
+  Corpus.load corpus db;
+  let g = Grounding.graph (Grounding.ground db (Pipeline.full_program ())) in
+  Dd_inference.Learner.train_cd
+    ~options:{ Dd_inference.Learner.default_cd with Dd_inference.Learner.epochs = 10 }
+    (Prng.create 62) g;
+  g
+
 let test_seq_sample_worlds_bit_identical () =
-  let g = random_graph 9 in
-  let a = Par_gibbs.sample_worlds ~burn_in:10 ~domains:1 (Prng.create 60) g ~n:25 in
-  let b = Gibbs.sample_worlds ~burn_in:10 (Prng.create 60) g ~n:25 in
-  Alcotest.(check bool) "identical worlds" true (a = b)
+  List.iter
+    (fun (name, g) ->
+      let a = Par_gibbs.sample_worlds ~burn_in:10 ~domains:1 (Prng.create 60) g ~n:25 in
+      let b = Gibbs.sample_worlds ~burn_in:10 (Prng.create 60) g ~n:25 in
+      Alcotest.(check bool) (name ^ ": identical worlds") true (a = b))
+    [ ("random graph", random_graph 9); ("genomics", genomics_graph ()) ]
 
 let test_seq_materialize_bit_identical () =
   (* The engine's default path must not move: materialize with the
@@ -314,7 +328,7 @@ let test_par_fig_kbc_agreement () =
     ~options:{ Dd_inference.Learner.default_cd with Dd_inference.Learner.epochs = 10 }
     (Prng.create 80) g;
   let sweeps = 2500 in
-  let seq = Fast_gibbs.marginals ~burn_in:50 (Prng.create 81) g ~sweeps in
+  let seq = Compiled.marginals ~burn_in:50 (Prng.create 81) (Compiled.compile g) ~sweeps in
   let par = Par_gibbs.marginals ~burn_in:50 ~domains:3 (Prng.create 81) g ~sweeps in
   let agreement =
     Quality.compare_marginals
