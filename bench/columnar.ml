@@ -1,24 +1,23 @@
-(* Columnar storage scale sweep: row vs dictionary-encoded column store on
-   a KBC-shaped grounding workload at 10^5..10^7 facts.
+(* Column-store scale sweep: a KBC-shaped grounding workload at
+   10^5..10^7 facts, plus a transitive-closure workload (recursive; every
+   round's delta joins probe the growing [tc] relation).
 
-   Per size and backend we measure the three phases separately:
-     - load: bulk insert of the mention table
+   Per size we measure the three phases separately:
+     - load: insert of the mention table through [Relation.insert]
      - eval: full grounding (co-occurrence candidate join + projection)
      - incremental: one small DRed delta against the materialized db
    plus resident memory (Gc live words after compaction) and full-grounding
-   throughput in facts/s.  Each timed comparison doubles as an equivalence
-   check: both backends must produce identical relation contents.
-
-   The row engine is the equivalence reference; at the largest size it can
-   complete, the columnar engine's full-grounding throughput is reported as
-   [speedup_at_row_max].  [--full] extends the sweep to 10^7 facts. *)
+   throughput in facts/s.  Every run is also an output check: after the
+   DRed delta, the IDB digest must equal that of a from-scratch
+   [Engine.run] over the updated base tables ([equiv_all]).  [--full]
+   extends the sweep to 10^7 facts, whose evaluation needs more than
+   8 GiB of memory. *)
 
 module Value = Dd_relational.Value
 module Schema = Dd_relational.Schema
 module Relation = Dd_relational.Relation
 module Database = Dd_relational.Database
 module Ast = Dd_datalog.Ast
-module Matcher = Dd_datalog.Matcher
 module Engine = Dd_datalog.Engine
 module Dred = Dd_datalog.Dred
 module Plan = Dd_datalog.Plan
@@ -84,16 +83,15 @@ type phase_times = {
   resident_mib : float;
 }
 
-(* Order-independent content digest of the IDB, so the previous backend's
-   database can be dropped before the next one runs — keeping hundreds of
-   MiB of row tuples live would tax the columnar run's GC and skew the
-   comparison.  (Exact cross-backend equivalence is property-tested in
-   test/test_plan.ml; the digest here is a cheap guard.) *)
-let digest db =
+(* Order-independent content digest of a program's IDB: the incremental
+   result and the from-scratch one are compared through it, so the check
+   never holds two copies of a 10^7-fact database.  (Count-exact plan
+   equivalence is property-tested in test/test_plan.ml; the digest here is
+   a cheap guard.) *)
+let digest program db =
   List.map
     (fun pred ->
-      let empty = Matcher.empty_relation in
-      let rel = Option.value (Database.find_opt db pred) ~default:empty in
+      let rel = Engine.lookup_in db pred in
       let sum =
         Relation.fold
           (fun tup c acc -> (acc + Hashtbl.hash (tup, c)) land max_int)
@@ -102,67 +100,106 @@ let digest db =
       (pred, Relation.cardinality rel, sum))
     (Ast.idb_preds program)
 
-let run_backend ~plans ~n backend =
+let run_exn ~plans db program =
+  match Engine.run ~plans db program with Ok () -> () | Error e -> invalid_arg e
+
+(* Full evaluation, then one DRed delta.  Resident memory is taken right
+   after evaluation, relative to [before].  [equiv]: the incrementally
+   maintained IDB equals a from-scratch evaluation over the updated base. *)
+let eval_and_update ~plans ~before db program make_delta =
+  let t = Timer.start () in
+  run_exn ~plans db program;
+  let eval_s = Timer.elapsed_s t in
+  let resident_mib = live_mib () -. before in
+  let delta = Dred.Delta.create () in
+  make_delta delta;
+  let t = Timer.start () in
+  (match Dred.apply ~plans db program delta with Ok _ -> () | Error e -> invalid_arg e);
+  let incr_s = Timer.elapsed_s t in
+  let incremental = digest program db in
+  (* From scratch over the updated base.  The incremental IDB is released
+     and the heap compacted first, so at 10^7 facts the two never share
+     the heap. *)
+  List.iter (fun pred -> Relation.clear (Engine.lookup_in db pred)) (Ast.idb_preds program);
+  Gc.compact ();
+  run_exn ~plans db program;
+  (incremental = digest program db, eval_s, incr_s, resident_mib)
+
+let run_size ~plans ~n =
   let before = live_mib () in
-  let db = Database.create ~backend () in
+  let db = Database.create () in
   let rel = Database.create_table db "mention" mention_schema in
   let t = Timer.start () in
   iter_mentions n (fun d m e -> Relation.insert rel [| i d; i m; i e |]);
   let load_s = Timer.elapsed_s t in
-  let t = Timer.start () in
-  (match Engine.run ~plans db program with Ok () -> () | Error e -> invalid_arg e);
-  let eval_s = Timer.elapsed_s t in
-  let resident_mib = live_mib () -. before in
-  let delta = Dred.Delta.create () in
-  make_delta n delta;
-  let t = Timer.start () in
-  (match Dred.apply ~plans db program delta with Ok _ -> () | Error e -> invalid_arg e);
-  let incr_s = Timer.elapsed_s t in
-  (digest db, { load_s; eval_s; incr_s; resident_mib })
+  let equiv, eval_s, incr_s, resident_mib =
+    eval_and_update ~plans ~before db program (make_delta n)
+  in
+  (equiv, { load_s; eval_s; incr_s; resident_mib })
+
+(* Transitive closure over a chain plus random extra edges: the recursive
+   stratum iterates ~chain-length rounds of delta joins against the growing
+   [tc] relation. *)
+let tc_program =
+  [
+    Ast.rule (atom "tc" [ v "x"; v "y" ]) [ Ast.Pos (atom "edge" [ v "x"; v "y" ]) ];
+    Ast.rule
+      (atom "tc" [ v "x"; v "z" ])
+      [ Ast.Pos (atom "edge" [ v "x"; v "y" ]); Ast.Pos (atom "tc" [ v "y"; v "z" ]) ];
+  ]
+
+let tc_db ~nodes ~extra =
+  let rng = Prng.create 7 in
+  let db = Database.create () in
+  let r =
+    Database.create_table db "edge" (Schema.make [ ("src", Value.TInt); ("dst", Value.TInt) ])
+  in
+  for k = 0 to nodes - 2 do
+    Relation.insert r [| i k; i (k + 1) |]
+  done;
+  for _ = 1 to extra do
+    let a = Prng.int_below rng nodes and b = Prng.int_below rng nodes in
+    if not (Relation.mem r [| i a; i b |]) then Relation.insert r [| i a; i b |]
+  done;
+  db
 
 let run ~full =
-  Harness.section "bench columnar: storage backend scale sweep (row vs column store)";
+  Harness.section "bench columnar: column-store scale sweep (load/eval/incremental)";
   let sizes = if full then [ 100_000; 1_000_000; 10_000_000 ] else [ 100_000; 1_000_000 ] in
-  (* The row engine completes every size in this sweep on the reference
-     machine; if that changes, cap it here and the columnar sweep continues
-     alone. *)
-  let row_max = List.fold_left max 0 sizes in
-  let speedup_at_row_max = ref 0.0 in
   let all_equiv = ref true in
   List.iter
     (fun n ->
       let plans = Plan.Cache.create () in
-      let dig_row, row = run_backend ~plans ~n Relation.Row in
-      let dig_col, col = run_backend ~plans ~n Relation.Columnar in
-      let equiv = dig_row = dig_col in
+      let equiv, r = run_size ~plans ~n in
       all_equiv := !all_equiv && equiv;
-      let row_fps = float_of_int n /. row.eval_s in
-      let col_fps = float_of_int n /. col.eval_s in
-      if n = row_max then speedup_at_row_max := row.eval_s /. col.eval_s;
+      let fps = float_of_int n /. r.eval_s in
       let tag = Printf.sprintf "%.0e" (float_of_int n) in
-      Harness.note "n=%-8d row      load %7.2fs  eval %7.2fs  incr %7.4fs  %8.1f MiB  %9.0f facts/s"
-        n row.load_s row.eval_s row.incr_s row.resident_mib row_fps;
-      Harness.note "n=%-8d columnar load %7.2fs  eval %7.2fs  incr %7.4fs  %8.1f MiB  %9.0f facts/s  equiv %b"
-        n col.load_s col.eval_s col.incr_s col.resident_mib col_fps equiv;
-      Harness.metric (Printf.sprintf "row_load_s_%s" tag) row.load_s;
-      Harness.metric (Printf.sprintf "row_eval_s_%s" tag) row.eval_s;
-      Harness.metric (Printf.sprintf "row_incremental_s_%s" tag) row.incr_s;
-      Harness.metric (Printf.sprintf "row_resident_mib_%s" tag) row.resident_mib;
-      Harness.metric (Printf.sprintf "row_facts_per_s_%s" tag) row_fps;
-      Harness.metric (Printf.sprintf "columnar_load_s_%s" tag) col.load_s;
-      Harness.metric (Printf.sprintf "columnar_eval_s_%s" tag) col.eval_s;
-      Harness.metric (Printf.sprintf "columnar_incremental_s_%s" tag) col.incr_s;
-      Harness.metric (Printf.sprintf "columnar_resident_mib_%s" tag) col.resident_mib;
-      Harness.metric (Printf.sprintf "columnar_facts_per_s_%s" tag) col_fps;
+      Harness.note
+        "n=%-8d load %7.2fs  eval %7.2fs  incr %7.4fs  %8.1f MiB  %9.0f facts/s  incr=rerun %b"
+        n r.load_s r.eval_s r.incr_s r.resident_mib fps equiv;
+      Harness.metric (Printf.sprintf "columnar_load_s_%s" tag) r.load_s;
+      Harness.metric (Printf.sprintf "columnar_eval_s_%s" tag) r.eval_s;
+      Harness.metric (Printf.sprintf "columnar_incremental_s_%s" tag) r.incr_s;
+      Harness.metric (Printf.sprintf "columnar_resident_mib_%s" tag) r.resident_mib;
+      Harness.metric (Printf.sprintf "columnar_facts_per_s_%s" tag) fps;
       Harness.metric (Printf.sprintf "equiv_%s" tag) (if equiv then 1.0 else 0.0))
     sizes;
-  Harness.note "";
-  Harness.note "columnar/row full-grounding speedup at n=%d: %.2fx (target >=2x)" row_max
-    !speedup_at_row_max;
+  let nodes, extra = if full then (420, 40) else (320, 25) in
+  let plans = Plan.Cache.create () in
+  let equiv, eval_s, incr_s, _ =
+    eval_and_update ~plans ~before:(live_mib ()) (tc_db ~nodes ~extra) tc_program (fun delta ->
+        (* one new edge back into the chain's start, one deleted chain edge
+           (forces rederivation through the cycle it closes) *)
+        Dred.Delta.insert delta "edge" [| i (nodes / 2); i 0 |];
+        Dred.Delta.delete delta "edge" [| i (nodes / 4); i ((nodes / 4) + 1) |])
+  in
+  all_equiv := !all_equiv && equiv;
+  Harness.note "tc  %d nodes: eval %7.4fs  incr %7.4fs  incr=rerun %b" nodes eval_s incr_s equiv;
+  Harness.metric "tc_eval_s" eval_s;
+  Harness.metric "tc_incremental_s" incr_s;
+  Harness.metric "equiv_tc" (if equiv then 1.0 else 0.0);
   Harness.metric "max_facts" (float_of_int (List.fold_left max 0 sizes));
-  Harness.metric "row_max_facts" (float_of_int row_max);
-  Harness.metric "speedup_at_row_max" !speedup_at_row_max;
   Harness.metric "equiv_all" (if !all_equiv then 1.0 else 0.0)
 
 let () =
-  Harness.register "columnar" "Columnar vs row storage scale sweep (load/eval/incremental)" run
+  Harness.register "columnar" "Column-store scale sweep (load/eval/incremental, incr = rerun)" run

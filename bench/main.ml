@@ -32,7 +32,6 @@ module _ = Calibration_bench
 module _ = Fig_recovery
 module _ = Robustness
 module _ = Serving
-module _ = Grounding_bench
 module _ = Columnar
 module _ = Ingestion
 module _ = Sampler

@@ -1,6 +1,6 @@
 (* Bechamel micro-benchmarks for the hot kernels underneath every
-   experiment: factor-energy evaluation, a Gibbs sweep, an indexed join,
-   and a DRed delta application. *)
+   experiment: factor-energy evaluation, a Gibbs sweep, and a compiled
+   join plan probing the column store. *)
 
 open Harness
 module Graph = Dd_fgraph.Graph
@@ -10,7 +10,8 @@ module Prng = Dd_util.Prng
 module Value = Dd_relational.Value
 module Schema = Dd_relational.Schema
 module Relation = Dd_relational.Relation
-module Algebra = Dd_relational.Algebra
+module Ast = Dd_datalog.Ast
+module Plan = Dd_datalog.Plan
 open Bechamel
 open Toolkit
 
@@ -37,9 +38,16 @@ let join_test =
     done;
     r
   in
-  let left = rel "l" and right = Algebra.rename (rel "r") [ ("a", "b"); ("b", "c") ] in
-  Test.make ~name:"natural join (2k x 2k)"
-    (Staged.stage (fun () -> ignore (Algebra.natural_join left right)))
+  let left = rel "l" and right = rel "r" in
+  let lookup = Plan.view_of_lookup (fun pred -> if pred = "l" then left else right) in
+  let var x = Ast.Var x in
+  let plan =
+    Plan.compile
+      (Ast.rule
+         (Ast.atom "j" [ var "x"; var "z" ])
+         [ Ast.Pos (Ast.atom "l" [ var "x"; var "y" ]); Ast.Pos (Ast.atom "r" [ var "y"; var "z" ]) ])
+  in
+  Test.make ~name:"plan join (2k x 2k)" (Staged.stage (fun () -> ignore (Plan.run plan ~lookup)))
 
 let benchmarks () = [ gibbs_sweep_test; total_energy_test; join_test ]
 

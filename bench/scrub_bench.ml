@@ -6,7 +6,7 @@
 
    Repair path: plant real damage — a flipped bit in a published
    checkpoint version, a wrecked derived plane and a wrecked content
-   plane in live columnar tables — and show the ladder healing or
+   plane in live tables' column stores — and show the ladder healing or
    containing every one of it end to end. *)
 
 open Harness
@@ -29,7 +29,6 @@ let bench_options =
     inference_chain = 150;
     initial_learning_epochs = 30;
     incremental_learning_epochs = 8;
-    relation_backend = Relation.Columnar;
   }
 
 let scratch_dir () = Filename.concat (Filename.get_temp_dir_name ()) "dd_bench_scrub"
@@ -156,22 +155,19 @@ let scrub ~full =
   let db = Grounding.database (Engine.grounding engine) in
   let tables =
     List.filter
-      (fun n ->
-        match Relation.columnar (Database.find db n) with
-        | Some cs -> Column_store.cardinality cs > 0
-        | None -> false)
+      (fun n -> Relation.cardinality (Database.find db n) > 0)
       (Database.table_names db)
   in
   let mirror_name = List.hd tables in
-  let mirror = Relation.convert Relation.Row (Database.find db mirror_name) in
+  let mirror = Relation.copy (Database.find db mirror_name) in
   (* Content-plane damage on one table (needs the reference mirror),
      derived-plane damage on another (healed in place). *)
-  let cs0 = Option.get (Relation.columnar (Database.find db mirror_name)) in
+  let cs0 = Relation.store (Database.find db mirror_name) in
   Column_store.compact cs0;
   Column_store.unsafe_corrupt_run cs0;
   (match tables with
   | _ :: second :: _ ->
-    Column_store.unsafe_corrupt_filter (Option.get (Relation.columnar (Database.find db second)))
+    Column_store.unsafe_corrupt_filter (Relation.store (Database.find db second))
   | _ -> ());
   let timer = Timer.start () in
   let r =
@@ -182,7 +178,7 @@ let scrub ~full =
   let repair_ms = Timer.elapsed_s timer *. 1e3 in
   note
     "Damaged store scrub (%.1fms): %d version(s) quarantined, %d table(s)\n\
-     repaired in place, %d rebuilt from the row mirror, %d unrepaired;\n\
+     repaired in place, %d rebuilt from the reference copy, %d unrepaired;\n\
      republished: %b."
     repair_ms r.Scrub.versions_quarantined r.Scrub.tables_repaired r.Scrub.tables_rebuilt
     (List.length r.Scrub.unrepaired)

@@ -29,7 +29,6 @@ type options = {
   parallel_domains : int;
   gibbs_mode : Par_gibbs.gibbs_mode;
   step_budget : Budget.spec;
-  relation_backend : Relation.backend;
   seed : int;
 }
 
@@ -52,7 +51,6 @@ let default_options =
     parallel_domains = 1;
     gibbs_mode = Par_gibbs.Color_sync;
     step_budget = Budget.Unlimited;
-    relation_backend = Relation.Row;
     seed = 42;
   }
 
@@ -151,10 +149,6 @@ let sample_mean_marginals mat nvars =
   Array.map (fun c -> float_of_int c /. float_of_int n) totals
 
 let create ?(options = default_options) db prog =
-  (* Settle the storage backend before grounding so derived tables made by
-     the evaluator inherit it; tables already on the right backend are
-     untouched. *)
-  Database.convert_all db options.relation_backend;
   let grounding = Grounding.ground db prog in
   Fault.hit "engine.create.post_ground";
   let t =
@@ -405,7 +399,6 @@ let txn_rollback t x =
 let rematerialize t = Timer.time_s (fun () -> materialize_now t)
 
 let rerun_grounding options db prog =
-  Database.convert_all db options.relation_backend;
   let grounding = Grounding.ground db prog in
   let rng = Prng.create options.seed in
   let g = Grounding.graph grounding in

@@ -63,14 +63,6 @@ type options = {
           per DRed batch; exhaustion raises {!Dd_util.Budget.Exceeded},
           which {!Txn} classifies as [`Inference_timeout].  Default
           [Unlimited]. *)
-  relation_backend : Dd_relational.Relation.backend;
-      (** storage backend for every table in the engine's database.
-          [create]/[rerun] convert the database (and all existing tables)
-          to this backend before grounding; derived tables created during
-          evaluation inherit it.  [Row] (default) is the hash-table
-          reference engine; [Columnar] is the dictionary-encoded column
-          store ({!Dd_relational.Column_store}) for large instances.  Both
-          produce bit-identical factor graphs and marginals. *)
   seed : int;
 }
 

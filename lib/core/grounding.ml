@@ -102,26 +102,16 @@ let create_var t pred tuple =
     Hashtbl.replace t.origins v (pred, tuple);
     v
 
-(* Majority label over the evidence companion for one candidate tuple. *)
+(* Majority label over the evidence companion for one candidate tuple: the
+   companion can hold [tuple ++ [true]] and [tuple ++ [false]], one vote
+   each, so two membership probes decide it. *)
 let evidence_label t query_pred tuple =
-  let ev_pred = Program.evidence_relation query_pred in
-  match Database.find_opt t.db ev_pred with
+  match Database.find_opt t.db (Program.evidence_relation query_pred) with
   | None -> None
   | Some ev ->
-    let arity = Array.length tuple in
-    let votes = ref 0 in
-    Relation.iter
-      (fun ev_tuple _ ->
-        if Array.length ev_tuple = arity + 1 then begin
-          let args = Array.sub ev_tuple 0 arity in
-          if Tuple.equal args tuple then
-            match ev_tuple.(arity) with
-            | Value.Bool true -> incr votes
-            | Value.Bool false -> decr votes
-            | _ -> ()
-        end)
-      ev;
-    if !votes > 0 then Some true else if !votes < 0 then Some false else None
+    let vote label = if Relation.mem ev (Array.append tuple [| Value.Bool label |]) then 1 else 0 in
+    let votes = vote true - vote false in
+    if votes > 0 then Some true else if votes < 0 then Some false else None
 
 let apply_evidence_to_var t query_pred tuple v =
   match evidence_label t query_pred tuple with
@@ -184,11 +174,11 @@ let grounding_body t env (r : Program.inference_rule) =
 
 (* Weight creation is deferred to {!flush_groups}: creating weights at
    [add_grounding] time would assign weight ids in env-discovery order,
-   which differs between storage backends (hash iteration vs sorted runs).
-   The group records what is needed to create the weight at flush, where
-   groups are processed in sorted key order — so var, weight and factor ids
-   are all canonical functions of the grounded content, and the row and
-   columnar engines produce bit-identical graphs. *)
+   which depends on the store's physical layout (sorted run, delta tail,
+   where the last compaction fell).  The group records what is needed to
+   create the weight at flush, where groups are processed in sorted key
+   order — so var, weight and factor ids are all canonical functions of the
+   grounded content, and graphs are bit-identical whatever the layout. *)
 type pending_group = {
   head_var : Graph.var;
   rule : Program.inference_rule;
@@ -239,7 +229,7 @@ and add_grounding_strict t pending (r : Program.inference_rule) env =
    factors with their prior body counts).  Groups are flushed in sorted key
    order and each group's bodies in sorted literal order, so weight and
    factor ids — and every factor's body layout — depend only on the set of
-   groundings, not on the order the storage backend discovered them in. *)
+   groundings, not on the order the store's layout yielded them in. *)
 let compare_bodies (a : Graph.literal array) (b : Graph.literal array) =
   compare a b
 
@@ -303,8 +293,8 @@ let ground db prog =
     }
   in
   (* One variable per query tuple, with evidence labels.  Tuples are
-     processed in sorted order so var ids do not depend on the storage
-     backend's iteration order. *)
+     processed in sorted order so var ids do not depend on the store's
+     iteration order (sorted run, tail, or where compaction fell). *)
   List.iter
     (fun (pred, _) ->
       match Database.find_opt db pred with
@@ -402,10 +392,11 @@ let extend ?(budget = Dd_util.Budget.unlimited) t update =
   t.prog <- new_prog;
   (* Canonicalize a flip list: group the signed entries per tuple (keeping
      each tuple's chronological sign sequence) and replay tuples in sorted
-     order.  DRed discovers flips in storage-iteration order, which differs
-     between the row and columnar backends; per-tuple chronology is the
-     only order that carries meaning (later signs supersede earlier ones),
-     so this is semantics-preserving and backend-independent. *)
+     order.  DRed discovers flips in storage-iteration order, which depends
+     on the store's physical layout (sorted run, tail, or where compaction
+     fell); per-tuple chronology is the only order that carries meaning
+     (later signs supersede earlier ones), so this is semantics-preserving
+     and layout-independent. *)
   let canonical_flips entries =
     let per_tuple = Tuple.Hashtbl.create 16 in
     let tuples = ref [] in

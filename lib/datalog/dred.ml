@@ -57,11 +57,12 @@ let stratum_level strata pred =
 
 (* Canonicalize a batch's entries: net the signed counts per tuple, drop
    zeros, and order by tuple.  Batch entries are assembled in storage
-   iteration order (plan outputs fold hash tables), which differs between
-   relation backends; netting first means membership flips — and underflow
-   clamping — depend only on the batch's aggregate effect, never on the
-   order contributions happened to be listed in, so the row and columnar
-   engines emit identical flip sequences. *)
+   iteration order (plan outputs fold hash tables), which depends on the
+   store's physical layout — which tuples sit in the sorted run, which in
+   the delta tail, and where the last compaction fell; netting first means
+   membership flips — and underflow clamping — depend only on the batch's
+   aggregate effect, never on the order contributions happened to be
+   listed in, so the flip sequence is independent of that layout. *)
 let canonical_entries entries =
   match entries with
   | [] | [ _ ] -> entries
@@ -337,11 +338,7 @@ let apply ?plans ?(seeds = []) ?(budget = Budget.unlimited) db program changes =
         Engine.eval_stratum ~plans db s;
         List.iter
           (fun (pred, pre) ->
-            let now =
-              match Database.find_opt db pred with
-              | Some r -> r
-              | None -> Matcher.empty_relation
-            in
+            let now = Engine.lookup_in db pred in
             let entries, _flips = diff_relations pre now in
             if entries <> [] then push { pred; entries; pre = Some pre; level = si })
           pre_state

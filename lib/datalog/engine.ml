@@ -4,10 +4,13 @@ module Relation = Dd_relational.Relation
 module Schema = Dd_relational.Schema
 module Database = Dd_relational.Database
 
+(* Shared by every lookup of an unknown predicate; never mutated. *)
+let empty_relation = Relation.create ~name:"<empty>" (Schema.make [])
+
 let lookup_in db pred =
   match Database.find_opt db pred with
   | Some r -> r
-  | None -> Matcher.empty_relation
+  | None -> empty_relation
 
 let infer_schema tuple =
   Schema.make
@@ -26,18 +29,9 @@ let ensure_table db pred sample =
   match Database.find_opt db pred with
   | Some r -> r
   | None ->
-    let r =
-      Relation.create ~backend:(Database.backend db) ~name:pred
-        (infer_schema sample)
-    in
+    let r = Relation.create ~name:pred (infer_schema sample) in
     Database.register db r;
     r
-
-let insert_counted db pred (tuple, count) =
-  if count > 0 then begin
-    let r = ensure_table db pred tuple in
-    Relation.insert ~count r tuple
-  end
 
 (* Evaluate one stratum to fixpoint with semi-naive iteration over compiled
    join plans.
@@ -52,10 +46,10 @@ let insert_counted db pred (tuple, count) =
 
    The previous state is never materialized: because round deltas contain
    only membership flips, S_{r-1} is exactly the live relation minus the last
-   delta's tuples, which a [Plan.Patched] view expresses without the per-round
-   [Relation.copy] of every stratum predicate the matcher-based evaluator
-   paid.  All contributions of a round are computed before any insert, so the
-   live relations are stable while the views read them. *)
+   delta's tuples, which a [Plan.Patched] view expresses without a per-round
+   [Relation.copy] of every stratum predicate.  All contributions of a round
+   are computed before any insert, so the live relations are stable while
+   the views read them. *)
 let eval_stratum ?plans db (stratum : Stratify.stratum) =
   let plans =
     match plans with
@@ -66,7 +60,7 @@ let eval_stratum ?plans db (stratum : Stratify.stratum) =
   let lookup_new pred = Plan.whole (lookup_in db pred) in
   (* Round 0: old state is the empty stratum. *)
   let initial_lookup pred =
-    if in_stratum pred then Plan.whole Matcher.empty_relation
+    if in_stratum pred then Plan.whole empty_relation
     else Plan.whole (lookup_in db pred)
   in
   let delta : (string, (Tuple.t * int) list) Hashtbl.t = Hashtbl.create 8 in
@@ -170,15 +164,12 @@ let eval_stratum ?plans db (stratum : Stratify.stratum) =
     loop ()
   end
 
-(* Merge every columnar table's delta tail into its sorted run.  Evaluation
-   entry is a safe point (no probe in flight), and tail-free stores take the
+(* Merge every table's delta tail into its sorted run.  Evaluation entry is
+   a safe point (no probe in flight), and tail-free stores take the
    override-free fast path on every scan and keyed probe below. *)
-let compact_columnar db =
+let compact_all db =
   List.iter
-    (fun name ->
-      match Relation.columnar (Database.find db name) with
-      | Some cs -> Dd_relational.Column_store.compact cs
-      | None -> ())
+    (fun name -> Dd_relational.Column_store.compact (Relation.store (Database.find db name)))
     (Database.table_names db)
 
 let run ?plans db program =
@@ -192,7 +183,7 @@ let run ?plans db program =
         | Some r -> Relation.clear r
         | None -> ())
       (Ast.idb_preds program);
-    compact_columnar db;
+    compact_all db;
     List.iter (eval_stratum ?plans db) strata;
     Ok ()
 
@@ -200,6 +191,3 @@ let run_exn ?plans db program =
   match run ?plans db program with
   | Ok () -> ()
   | Error e -> invalid_arg ("Engine.run: " ^ e)
-
-(* Re-export to silence unused-module warnings when only run is used. *)
-let _ = insert_counted

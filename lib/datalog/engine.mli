@@ -6,8 +6,8 @@
     maintains incrementally and what the paper's grounding phase consumes.
 
     Evaluation executes compiled join plans ({!Plan}): each rule is compiled
-    once (or fetched from the caller's {!Plan.Cache}), joins probe persistent
-    {!Dd_relational.Relation.get_index} indexes, and fixpoint rounds read the
+    once (or fetched from the caller's {!Plan.Cache}), joins probe the
+    relations' column stores on their bound columns, and fixpoint rounds read the
     previous state through snapshot-free [Plan.Patched] views instead of
     copying every stratum relation per round. *)
 

@@ -33,8 +33,8 @@ let view_mem v tuple =
 
 (* A term source resolved at compile time: a constant, or an integer slot in
    the binding array.  Slots referenced by [S] in probe keys, rejects, tests
-   and the head are always bound by an earlier step (or the step raises on
-   [Value.Null], mirroring the matcher's unbound-variable errors). *)
+   and the head are always bound by an earlier step (or the step raises an
+   unbound-variable error on [Value.Null]). *)
 type src = K of Value.t | S of int
 
 type probe = {
@@ -166,8 +166,7 @@ let compile_internal (rule : Ast.rule) ~delta_pos =
   let order = List.rev !order in
   (* Emit steps, scheduling each negation and guard at the earliest point
      where its variables are bound.  Leftovers (unsafe rules) are emitted at
-     the end and raise at run time if any rows reach them, mirroring the
-     matcher. *)
+     the end and raise at run time if any rows reach them. *)
   let steps = ref [] in
   let pending_rejects = ref reject_positions in
   let pending_guards = ref rule.Ast.guards in
@@ -382,62 +381,16 @@ let step_match cur p source =
     then frontier_push out (extend p binding tuple) (count * tcount)
   in
   (match source with
-  | R_view (Whole r) -> (
-    match Relation.columnar r with
-    | Some cs -> col_match out cur p cs None
-    | None ->
-      if Array.length p.key_pos > 0 then begin
-        let idx = Relation.get_index r p.key_pos in
-        for i = 0 to cur.len - 1 do
-          let b = cur.bindings.(i) and c = cur.counts.(i) in
-          match Hashtbl.find_opt idx (probe_key p b) with
-          | None -> ()
-          | Some bucket ->
-            Tuple.Hashtbl.iter (fun tup _ -> admit b c tup 1 ~check_keys:false) bucket
-        done
-      end
-      else begin
-        let tuples = Relation.to_list r in
-        for i = 0 to cur.len - 1 do
-          let b = cur.bindings.(i) and c = cur.counts.(i) in
-          List.iter (fun tup -> admit b c tup 1 ~check_keys:false) tuples
-        done
-      end)
+  | R_view (Whole r) -> col_match out cur p (Relation.store r) None
   | R_view (Patched { base; minus; plus }) ->
-    let plus_tuples = Tuple.Hashtbl.fold (fun tup () acc -> tup :: acc) plus [] in
-    (match Relation.columnar base with
-    | Some cs ->
-      col_match out cur p cs (Some minus);
-      if plus_tuples <> [] then
-        for i = 0 to cur.len - 1 do
-          let b = cur.bindings.(i) and c = cur.counts.(i) in
-          List.iter (fun tup -> admit b c tup 1 ~check_keys:true) plus_tuples
-        done
-    | None ->
-      if Array.length p.key_pos > 0 then begin
-        let idx = Relation.get_index base p.key_pos in
-        for i = 0 to cur.len - 1 do
-          let b = cur.bindings.(i) and c = cur.counts.(i) in
-          (match Hashtbl.find_opt idx (probe_key p b) with
-          | None -> ()
-          | Some bucket ->
-            Tuple.Hashtbl.iter
-              (fun tup _ ->
-                if not (Tuple.Hashtbl.mem minus tup) then admit b c tup 1 ~check_keys:false)
-              bucket);
-          List.iter (fun tup -> admit b c tup 1 ~check_keys:true) plus_tuples
-        done
-      end
-      else begin
-        let base_tuples =
-          List.filter (fun tup -> not (Tuple.Hashtbl.mem minus tup)) (Relation.to_list base)
-        in
-        for i = 0 to cur.len - 1 do
-          let b = cur.bindings.(i) and c = cur.counts.(i) in
-          List.iter (fun tup -> admit b c tup 1 ~check_keys:false) base_tuples;
-          List.iter (fun tup -> admit b c tup 1 ~check_keys:false) plus_tuples
-        done
-      end)
+    col_match out cur p (Relation.store base) (Some minus);
+    if Tuple.Hashtbl.length plus > 0 then begin
+      let plus_tuples = Tuple.Hashtbl.fold (fun tup () acc -> tup :: acc) plus [] in
+      for i = 0 to cur.len - 1 do
+        let b = cur.bindings.(i) and c = cur.counts.(i) in
+        List.iter (fun tup -> admit b c tup 1 ~check_keys:true) plus_tuples
+      done
+    end
   | R_delta entries ->
     if Array.length p.key_pos > 0 && cur.len >= 8 && length_at_least 8 entries then begin
       (* One-shot index over the delta, amortized across a large frontier. *)

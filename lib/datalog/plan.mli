@@ -1,22 +1,21 @@
 (** Compiled join plans for rule bodies — the paper's rule-based optimizer
     applied to grounding.
 
-    {!Matcher} interprets a rule body afresh on every call: it re-derives
-    the bound argument positions of each literal per frontier, resolves
-    variable slots through a string-keyed hash table per tuple, and advances
-    the frontier as a consed [(binding, count) list].  A {!t} is the
-    one-shot compiled form of the same evaluation: literals are reordered
-    once by a bound-variable/selectivity heuristic, every positive literal
-    is resolved at compile time to a probe against a persistent
-    {!Dd_relational.Relation.get_index} hash index on its bound columns
-    (built once per (relation, key columns) and maintained incrementally by
-    inserts and removes), variables become integer slots, and the frontier
-    advances over growable arrays.  Negated literals and guards are
-    scheduled at the earliest step where their variables are bound.
+    A {!t} is the one-shot compiled form of a rule body: literals are
+    reordered once by a bound-variable/selectivity heuristic, every positive
+    literal is resolved at compile time to a keyed probe on its bound
+    columns against the relation's column store
+    ({!Dd_relational.Column_store.iter_key}: a binary-searched range of the
+    sorted run plus the delta tail's bucket), variables become integer
+    slots, and the frontier advances over growable arrays.  Negated literals
+    and guards are scheduled at the earliest step where their variables are
+    bound.
 
-    Execution is count-exact with the legacy matcher: both enumerate the
-    same multiset of body groundings, so every head tuple carries the same
-    derivation count (property-tested in [test/test_plan.ml]).
+    Each body grounding contributes one derivation to its head tuple (body
+    atoms contribute membership, not multiplicity); explicit delta tuples
+    carry signed counts that propagate multiplicatively.  Execution is
+    count-exact with the interpreted reference matcher kept under [test/]
+    (property-tested in [test/test_plan.ml]).
 
     Relations are read through {!view}s.  A [Patched] view presents "the
     relation as it was" without copying: the live relation minus an
@@ -74,9 +73,10 @@ val compile_delta : Ast.rule -> delta_pos:int -> t
     greedy order seeded by the delta literal's variables.  Resolution keys
     off {e original} body positions: strictly before [delta_pos] resolves
     through the run-time [before] lookup (new state), strictly after
-    through [after] (old state), exactly like
-    {!Matcher.eval_rule_staged}.  A negated literal at [delta_pos] is
-    matched positively against the delta (signs live in the counts). *)
+    through [after] (old state).  A negated literal at [delta_pos] is
+    matched positively against the delta (signs live in the counts): for
+    it, [delta] holds membership flips, [+1] for tuples that left the
+    predicate and [-1] for tuples that entered it. *)
 
 val rule : t -> Ast.rule
 
@@ -87,9 +87,9 @@ val literal_order : t -> int list
 (** Original body positions in execution order (for inspection/tests). *)
 
 val run : t -> lookup:lookup -> (Tuple.t * int) list
-(** Execute a full plan: head tuples with derivation counts, equal (as a
-    counted multiset) to {!Matcher.eval_rule}.  Raises [Invalid_argument]
-    on a delta plan. *)
+(** Execute a full plan: every derivable head tuple with its derivation
+    count (the number of body groundings deriving it).  Raises
+    [Invalid_argument] on a delta plan. *)
 
 val run_iter : t -> lookup:lookup -> f:(Tuple.t -> int -> unit) -> unit
 (** Execute a full plan, streaming [f tuple count] per surviving body
@@ -106,12 +106,12 @@ val run_staged :
   after:lookup ->
   delta:(Tuple.t * int) list ->
   (Tuple.t * int) list
-(** Execute a delta plan; mirrors {!Matcher.eval_rule_staged}.  Raises
-    [Invalid_argument] on a full plan. *)
+(** Execute a delta plan: head tuples with signed derivation-count deltas.
+    Raises [Invalid_argument] on a full plan. *)
 
 val run_bindings : t -> lookup:lookup -> (string -> Value.t option) list
-(** Full plan, groundings exposed as variable environments; mirrors
-    {!Matcher.eval_rule_bindings}. *)
+(** Full plan, one variable environment per body grounding (grounding uses
+    this to extract feature values and variable columns). *)
 
 val run_bindings_staged :
   t ->
@@ -119,8 +119,8 @@ val run_bindings_staged :
   after:lookup ->
   delta:(Tuple.t * int) list ->
   ((string -> Value.t option) * int) list
-(** Delta plan, environments with signed counts; mirrors
-    {!Matcher.eval_rule_bindings_staged}. *)
+(** Delta plan, environments with signed counts — incremental grounding
+    uses this to build or retract factor bodies. *)
 
 (** Compiled plans cached by rule identity (printed form) and delta
     position, so repeated {!Engine} rounds and {!Dred} batches reuse both

@@ -3,7 +3,7 @@
    Checksums only help if something re-reads them: a bit that flips after
    a checkpoint is published (or a table that decays in memory) stays
    invisible until recovery trips over it months later.  [run] walks every
-   durable artifact in a checkpoint store and every live columnar table,
+   durable artifact in a checkpoint store and every live table,
    re-verifies all of it, and climbs a repair ladder per damaged artifact:
 
      checkpoint version   quarantine it; an older valid version remains
@@ -15,7 +15,7 @@
      DEADLETTERS          quarantine (letters are forensic, not served)
      columnar table       [Column_store.repair] (derived planes recomputed
                           in place) → [Column_store.rebuild] from a
-                          row-backend reference → report for regrounding
+                          reference copy → report for regrounding
      serving snapshot     verify only; the server rebuilds snapshots from
                           the engine on the next commit, so a bad snapshot
                           is re-published, never repaired in place
@@ -39,7 +39,7 @@ type report = {
   dead_letters_quarantined : bool;
   tables_ok : int;
   tables_repaired : int;  (* healed in place by [Column_store.repair] *)
-  tables_rebuilt : int;  (* reloaded from the row-backend reference *)
+  tables_rebuilt : int;  (* reloaded from the reference copy *)
   unrepaired : string list;  (* table names needing scratch regrounding *)
   snapshot_ok : bool option;  (* [None] when no verifier was supplied *)
   republished : bool;  (* a fresh checkpoint was saved to restore redundancy *)
@@ -104,31 +104,27 @@ let run ?engine ?reference ?reblob ?verify_snapshot store =
   | Error _ ->
     Checkpoint.quarantine_dead_letters store;
     r := { !r with dead_letters_quarantined = true });
-  (* 4. Live columnar tables: audit, then climb the ladder. *)
+  (* 4. Live tables: audit each column store, then climb the ladder. *)
   (match engine with
   | None -> ()
   | Some engine ->
     let db = Grounding.database (Engine.grounding engine) in
     List.iter
       (fun name ->
-        let rel = Database.find db name in
-        match Relation.columnar rel with
-        | None -> ()
-        | Some cs -> (
-          match Column_store.audit cs with
-          | Ok () -> r := { !r with tables_ok = !r.tables_ok + 1 }
+        let cs = Relation.store (Database.find db name) in
+        match Column_store.audit cs with
+        | Ok () -> r := { !r with tables_ok = !r.tables_ok + 1 }
+        | Error _ -> (
+          match Column_store.repair cs with
+          | Ok () -> r := { !r with tables_repaired = !r.tables_repaired + 1 }
           | Error _ -> (
-            match Column_store.repair cs with
-            | Ok () -> r := { !r with tables_repaired = !r.tables_repaired + 1 }
-            | Error _ -> (
-              match Option.bind reference (fun f -> f name) with
-              | Some mirror -> (
-                Column_store.rebuild cs (fun add ->
-                    Relation.iter (fun tup n -> add tup n) mirror);
-                match Column_store.audit cs with
-                | Ok () -> r := { !r with tables_rebuilt = !r.tables_rebuilt + 1 }
-                | Error _ -> r := { !r with unrepaired = name :: !r.unrepaired })
-              | None -> r := { !r with unrepaired = name :: !r.unrepaired }))))
+            match Option.bind reference (fun f -> f name) with
+            | Some mirror -> (
+              Column_store.rebuild cs (fun add -> Relation.iter (fun tup n -> add tup n) mirror);
+              match Column_store.audit cs with
+              | Ok () -> r := { !r with tables_rebuilt = !r.tables_rebuilt + 1 }
+              | Error _ -> r := { !r with unrepaired = name :: !r.unrepaired })
+            | None -> r := { !r with unrepaired = name :: !r.unrepaired })))
       (Database.table_names db));
   (* 5. The published serving snapshot, through the caller's verifier
      (this library sits below the serving layer). *)

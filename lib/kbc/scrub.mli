@@ -4,7 +4,7 @@
     something re-reads them before recovery needs them.  {!run} walks
     every durable artifact in a {!Checkpoint} store — checkpoint
     versions, sidecar blobs, the dead-letter queue — plus the live
-    columnar tables and (through a caller-supplied verifier) the
+    tables' column stores and (through a caller-supplied verifier) the
     published serving snapshot, re-verifies everything, and climbs a
     repair ladder per damaged artifact:
 
@@ -13,9 +13,9 @@
       is re-published to restore the retention window;
     - a corrupt sidecar blob is rewritten from live subsystem state
       ([reblob]) when possible, else quarantined;
-    - a corrupt columnar table is first healed in place
+    - a corrupt table is first healed in place
       ({!Dd_relational.Column_store.repair}, derived planes only), then
-      rebuilt from a row-backend [reference] mirror, and otherwise
+      rebuilt from a [reference] copy, and otherwise
       reported in [unrepaired] — the caller's cue to reground from
       scratch.
 
@@ -34,7 +34,7 @@ type report = {
   dead_letters_quarantined : bool;
   tables_ok : int;
   tables_repaired : int;  (** healed in place by [Column_store.repair] *)
-  tables_rebuilt : int;  (** reloaded from the row-backend reference *)
+  tables_rebuilt : int;  (** reloaded from the reference copy *)
   unrepaired : string list;  (** table names needing scratch regrounding *)
   snapshot_ok : bool option;  (** [None] when no verifier was supplied *)
   republished : bool;  (** a fresh checkpoint was saved to restore redundancy *)
@@ -61,7 +61,8 @@ val run :
   report
 (** One full scrub pass over [store].  [engine] enables the live-table
     scan and the redundancy re-publish; [reference] maps a table name to
-    a row-backend mirror for rebuilds; [reblob] maps a blob name to
+    a reference copy (e.g. an earlier {!Dd_relational.Relation.copy}) for
+    rebuilds; [reblob] maps a blob name to
     freshly re-encoded subsystem state; [verify_snapshot] checks the
     currently served snapshot (e.g. [Server.read srv Snapshot.verify]). *)
 

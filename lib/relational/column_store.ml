@@ -510,7 +510,9 @@ let compact t =
     t.rlen <- n;
     IH.reset t.tail;
     t.run_overrides <- 0;
-    if not incr_filter then rebuild_filter t;
+    (* An emptied run must drop its filter too: the incremental path only
+       ever adds bits, and the audit requires [[||]] for an empty run. *)
+    if (not incr_filter) || n = 0 then rebuild_filter t;
     IH.iter
       (fun _ idx ->
         idx.perm_rows <- -1;

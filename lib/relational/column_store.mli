@@ -19,7 +19,7 @@
       ({!compact}), amortizing mutations to O(log run) each.
 
     Multiplicities, journal notification and iteration contracts mirror
-    {!Relation}; this module is the columnar backend behind it. *)
+    {!Relation}; this module is the store behind it. *)
 
 type t
 
@@ -152,7 +152,7 @@ val repair : t -> (unit, string) result
 val rebuild : t -> ((Tuple.t -> int -> unit) -> unit) -> unit
 (** [rebuild t iter] discards the store's entire contents and reloads it
     from [iter] (an iterator over counted reference tuples, e.g.
-    {!Relation.iter} applied to a row-backend mirror), then compacts.
+    {!Relation.iter} applied to a reference copy), then compacts.
     The store object's identity is preserved — holders of [t] see the
     rebuilt contents — but dictionary ids are reassigned. *)
 

@@ -1,48 +1,32 @@
-type t = {
-  tables : (string, Relation.t) Hashtbl.t;
-  mutable backend : Relation.backend;
-}
+type t = (string, Relation.t) Hashtbl.t
 
-let create ?(backend = Relation.Row) () = { tables = Hashtbl.create 16; backend }
-
-let backend t = t.backend
+let create () = Hashtbl.create 16
 
 let create_table t name schema =
-  if Hashtbl.mem t.tables name then
-    invalid_arg ("Database.create_table: table exists: " ^ name);
-  let r = Relation.create ~backend:t.backend ~name schema in
-  Hashtbl.replace t.tables name r;
+  if Hashtbl.mem t name then invalid_arg ("Database.create_table: table exists: " ^ name);
+  let r = Relation.create ~name schema in
+  Hashtbl.replace t name r;
   r
 
-let register t r = Hashtbl.replace t.tables (Relation.name r) r
+let register t r = Hashtbl.replace t (Relation.name r) r
 
-let drop_table t name = Hashtbl.remove t.tables name
+let drop_table t name = Hashtbl.remove t name
 
-let find t name = Hashtbl.find t.tables name
+let find t name = Hashtbl.find t name
 
-let find_opt t name = Hashtbl.find_opt t.tables name
+let find_opt t name = Hashtbl.find_opt t name
 
-let mem t name = Hashtbl.mem t.tables name
+let mem t name = Hashtbl.mem t name
 
-let table_names t =
-  List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t.tables [])
+let table_names t = List.sort String.compare (Hashtbl.fold (fun name _ acc -> name :: acc) t [])
 
 let insert_rows t name rows =
   let r = find t name in
   List.iter (fun row -> Relation.insert r row) rows
 
-let convert_all t backend =
-  t.backend <- backend;
-  List.iter
-    (fun name ->
-      let r = find t name in
-      if Relation.backend r <> backend then
-        Hashtbl.replace t.tables name (Relation.convert backend r))
-    (table_names t)
-
 let copy t =
-  let fresh = create ~backend:t.backend () in
-  Hashtbl.iter (fun name r -> Hashtbl.replace fresh.tables name (Relation.copy r)) t.tables;
+  let fresh = create () in
+  Hashtbl.iter (fun name r -> Hashtbl.replace fresh name (Relation.copy r)) t;
   fresh
 
 let validate t =

@@ -2,16 +2,11 @@
 
 type t
 
-val create : ?backend:Relation.backend -> unit -> t
-(** [backend] (default {!Relation.Row}) is the storage backend given to
-    tables made with {!create_table}. *)
-
-val backend : t -> Relation.backend
-(** The backend new tables are created with. *)
+val create : unit -> t
 
 val create_table : t -> string -> Schema.t -> Relation.t
-(** Registers and returns an empty relation stored with the database's
-    backend.  Raises [Invalid_argument] if the name is taken. *)
+(** Registers and returns an empty relation.  Raises [Invalid_argument]
+    if the name is taken. *)
 
 val register : t -> Relation.t -> unit
 (** Register an existing relation under its own name (replacing any previous
@@ -31,13 +26,8 @@ val table_names : t -> string list
 
 val insert_rows : t -> string -> Tuple.t list -> unit
 
-val convert_all : t -> Relation.backend -> unit
-(** Set the database's backend and convert every registered table to it
-    (tables already on that backend are left untouched; journal hooks on
-    converted tables are dropped). *)
-
 val copy : t -> t
-(** Deep copy: relations are copied too.  Backends are preserved. *)
+(** Deep copy: relations are copied too. *)
 
 val validate : t -> (unit, string) result
 (** {!Relation.validate} over every table (first failure wins). *)

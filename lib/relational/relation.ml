@@ -1,98 +1,31 @@
-type backend = Row | Columnar
-
-(* Row storage: the original hash-of-tuples bag, plus cached hash indexes.
-   Index buckets are counted [Tuple.Hashtbl]s — tuple -> current
-   multiplicity — so removal under a skewed key is O(1) instead of the old
-   list-bucket O(bucket) rebuild, and joins can read multiplicities straight
-   off the bucket. *)
-type rows = {
-  rows : int Tuple.Hashtbl.t;
-  indexes : (int array, (Tuple.t, int Tuple.Hashtbl.t) Hashtbl.t) Hashtbl.t;
-}
-
-type store = Rows of rows | Cols of Column_store.t
-
 type t = {
   name : string;
   schema : Schema.t;
-  store : store;
+  store : Column_store.t;
   (* Undo-log hook: called with (tuple, previous count) immediately before
      any mutation of that tuple's multiplicity.  Detached (None) outside a
      transaction; must be detached before marshalling the relation. *)
   mutable journal : (Tuple.t -> int -> unit) option;
 }
 
-let create ?(backend = Row) ?(name = "<anon>") schema =
-  let store =
-    match backend with
-    | Row ->
-      Rows { rows = Tuple.Hashtbl.create 64; indexes = Hashtbl.create 4 }
-    | Columnar -> Cols (Column_store.create schema)
-  in
-  { name; schema; store; journal = None }
+let create ?(name = "<anon>") schema =
+  { name; schema; store = Column_store.create schema; journal = None }
 
-let backend t = match t.store with Rows _ -> Row | Cols _ -> Columnar
-
-let columnar t = match t.store with Rows _ -> None | Cols cs -> Some cs
+let store t = t.store
 
 let set_journal t hook = t.journal <- hook
-
-let note_journal t tup prev =
-  match t.journal with None -> () | Some f -> f tup prev
-
-(* [index_set]/[index_drop] keep every cached index bucket's multiplicity
-   current: [index_set] upserts (tuple -> count) in each index, [index_drop]
-   removes the tuple (dropping emptied buckets so stale keys don't pin
-   memory). *)
-let index_set indexes tuple count =
-  Hashtbl.iter
-    (fun key_cols index ->
-      let key = Tuple.project tuple key_cols in
-      let bucket =
-        match Hashtbl.find_opt index key with
-        | Some b -> b
-        | None ->
-          let b = Tuple.Hashtbl.create 4 in
-          Hashtbl.replace index key b;
-          b
-      in
-      Tuple.Hashtbl.replace bucket tuple count)
-    indexes
-
-let index_drop indexes tuple =
-  Hashtbl.iter
-    (fun key_cols index ->
-      let key = Tuple.project tuple key_cols in
-      match Hashtbl.find_opt index key with
-      | None -> ()
-      | Some bucket ->
-        Tuple.Hashtbl.remove bucket tuple;
-        if Tuple.Hashtbl.length bucket = 0 then Hashtbl.remove index key)
-    indexes
 
 let name t = t.name
 
 let schema t = t.schema
 
-let cardinality t =
-  match t.store with
-  | Rows r -> Tuple.Hashtbl.length r.rows
-  | Cols cs -> Column_store.cardinality cs
+let cardinality t = Column_store.cardinality t.store
 
-let total_count t =
-  match t.store with
-  | Rows r -> Tuple.Hashtbl.fold (fun _ c acc -> acc + c) r.rows 0
-  | Cols cs -> Column_store.total_count cs
+let total_count t = Column_store.total_count t.store
 
-let mem t tup =
-  match t.store with
-  | Rows r -> Tuple.Hashtbl.mem r.rows tup
-  | Cols cs -> Column_store.mem cs tup
+let mem t tup = Column_store.mem t.store tup
 
-let count t tup =
-  match t.store with
-  | Rows r -> ( try Tuple.Hashtbl.find r.rows tup with Not_found -> 0)
-  | Cols cs -> Column_store.count cs tup
+let count t tup = Column_store.count t.store tup
 
 let notify_of t tup =
   match t.journal with
@@ -106,111 +39,36 @@ let insert_prev ?(count = 1) t tup =
       (Printf.sprintf "Relation.insert: tuple %s does not conform to %s%s"
          (Tuple.to_string tup) t.name
          (Format.asprintf "%a" Schema.pp t.schema));
-  match t.store with
-  | Rows r ->
-    let current = try Tuple.Hashtbl.find r.rows tup with Not_found -> 0 in
-    note_journal t tup current;
-    Tuple.Hashtbl.replace r.rows tup (current + count);
-    index_set r.indexes tup (current + count);
-    current
-  | Cols cs -> Column_store.insert_prev ~count ?notify:(notify_of t tup) cs tup
+  Column_store.insert_prev ~count ?notify:(notify_of t tup) t.store tup
 
 let insert ?count t tup = ignore (insert_prev ?count t tup)
 
 let remove ?(count = 1) t tup =
   if count <= 0 then invalid_arg "Relation.remove: count must be positive";
-  match t.store with
-  | Rows r -> (
-    match Tuple.Hashtbl.find_opt r.rows tup with
-    | None -> 0
-    | Some current ->
-      note_journal t tup current;
-      let removed = min count current in
-      if current - removed = 0 then begin
-        Tuple.Hashtbl.remove r.rows tup;
-        index_drop r.indexes tup
-      end
-      else begin
-        Tuple.Hashtbl.replace r.rows tup (current - removed);
-        index_set r.indexes tup (current - removed)
-      end;
-      removed)
-  | Cols cs -> Column_store.remove ~count ?notify:(notify_of t tup) cs tup
+  Column_store.remove ~count ?notify:(notify_of t tup) t.store tup
 
-let delete_all t tup =
-  match t.store with
-  | Rows r -> (
-    match Tuple.Hashtbl.find_opt r.rows tup with
-    | None -> ()
-    | Some current ->
-      note_journal t tup current;
-      Tuple.Hashtbl.remove r.rows tup;
-      index_drop r.indexes tup)
-  | Cols cs -> Column_store.delete_all ?notify:(notify_of t tup) cs tup
+let delete_all t tup = Column_store.delete_all ?notify:(notify_of t tup) t.store tup
 
-let clear t =
-  match t.store with
-  | Rows r ->
-    (match t.journal with
-    | None -> ()
-    | Some f -> Tuple.Hashtbl.iter f r.rows);
-    Tuple.Hashtbl.reset r.rows;
-    Hashtbl.reset r.indexes
-  | Cols cs -> Column_store.clear ?notify:t.journal cs
+let clear t = Column_store.clear ?notify:t.journal t.store
 
-let iter f t =
-  match t.store with
-  | Rows r -> Tuple.Hashtbl.iter f r.rows
-  | Cols cs -> Column_store.iter f cs
+let iter f t = Column_store.iter f t.store
 
-let fold f t init =
-  match t.store with
-  | Rows r -> Tuple.Hashtbl.fold f r.rows init
-  | Cols cs -> Column_store.fold f cs init
+let fold f t init = Column_store.fold f t.store init
 
 let to_list t = fold (fun tup _ acc -> tup :: acc) t []
 
 let to_counted_list t = fold (fun tup c acc -> (tup, c) :: acc) t []
 
-let copy t =
-  let store =
-    match t.store with
-    | Rows r ->
-      Rows { rows = Tuple.Hashtbl.copy r.rows; indexes = Hashtbl.create 4 }
-    | Cols cs -> Cols (Column_store.copy cs)
-  in
-  { t with store; journal = None }
+let copy t = { t with store = Column_store.copy t.store; journal = None }
 
-(* Force a tuple's multiplicity to [target] (0 = absent) while keeping the
-   cached indexes consistent.  Bypasses the journal — this is the undo-log
-   replay primitive, and replaying must not re-log. *)
-let restore_count t tup target =
-  match t.store with
-  | Rows r ->
-    let current = try Tuple.Hashtbl.find r.rows tup with Not_found -> 0 in
-    if current <> target then
-      if target <= 0 then begin
-        Tuple.Hashtbl.remove r.rows tup;
-        index_drop r.indexes tup
-      end
-      else begin
-        Tuple.Hashtbl.replace r.rows tup target;
-        index_set r.indexes tup target
-      end
-  | Cols cs -> Column_store.restore_count cs tup target
+(* Bypasses the journal — this is the undo-log replay primitive, and
+   replaying must not re-log. *)
+let restore_count t tup target = Column_store.restore_count t.store tup target
 
-let of_list ?backend ?name schema tuples =
-  let t = create ?backend ?name schema in
+let of_list ?name schema tuples =
+  let t = create ?name schema in
   List.iter (fun tup -> insert t tup) tuples;
   t
-
-let convert backend t =
-  if backend = (match t.store with Rows _ -> Row | Cols _ -> Columnar) then t
-  else begin
-    let fresh = create ~backend ~name:t.name t.schema in
-    iter (fun tup c -> insert ~count:c fresh tup) t;
-    fresh
-  end
 
 let equal_contents a b =
   cardinality a = cardinality b
@@ -221,8 +79,8 @@ let equal_sets a b =
 
 (* Re-audit schema conformance and count positivity — [insert] enforces
    both on entry, but a relation restored from a durable snapshot bypassed
-   insert entirely.  Columnar stores additionally get their structural
-   audit (dictionary bijectivity, run sortedness, tail/base accounting). *)
+   insert entirely — then the store's structural audit (dictionary
+   bijectivity, run sortedness, tail/base accounting). *)
 let validate t =
   let contents =
     fold
@@ -239,49 +97,14 @@ let validate t =
       t (Ok ())
   in
   Result.bind contents (fun () ->
-      match t.store with
-      | Rows _ -> Ok ()
-      | Cols cs -> (
-        match Column_store.audit cs with
-        | Ok () -> Ok ()
-        | Error m -> Error (Printf.sprintf "%s: columnar audit: %s" t.name m)))
+      match Column_store.audit t.store with
+      | Ok () -> Ok ()
+      | Error m -> Error (Printf.sprintf "%s: columnar audit: %s" t.name m))
 
 let filter pred t =
-  let out = create ~backend:(backend t) ~name:t.name t.schema in
+  let out = create ~name:t.name t.schema in
   iter (fun tup c -> if pred tup then insert ~count:c out tup) t;
   out
-
-let build_index t key_cols =
-  let index = Hashtbl.create (max 16 (cardinality t)) in
-  iter
-    (fun tup c ->
-      let key = Tuple.project tup key_cols in
-      let bucket =
-        match Hashtbl.find_opt index key with
-        | Some b -> b
-        | None ->
-          let b = Tuple.Hashtbl.create 4 in
-          Hashtbl.replace index key b;
-          b
-      in
-      Tuple.Hashtbl.replace bucket tup c)
-    t;
-  index
-
-let get_index t key_cols =
-  match t.store with
-  | Rows r -> (
-    match Hashtbl.find_opt r.indexes key_cols with
-    | Some index -> index
-    | None ->
-      let index = build_index t key_cols in
-      Hashtbl.replace r.indexes (Array.copy key_cols) index;
-      index)
-  | Cols _ ->
-    (* Columnar probes go through [Column_store.iter_key]; a materialized
-       hash index is only built for legacy consumers (the matcher) and is
-       not cached — it would go stale silently. *)
-    build_index t key_cols
 
 let pp fmt t =
   Format.fprintf fmt "@[<v>%s%a {@," t.name Schema.pp t.schema;

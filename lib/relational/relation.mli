@@ -6,29 +6,17 @@
     the number of derivations of a tuple).  A relation with all counts equal
     to one behaves as a set.
 
-    Two interchangeable backends sit behind one interface: {!Row}, the
-    original hash-of-tuples store (the equivalence reference), and
-    {!Columnar}, the dictionary-encoded column store ({!Column_store}) built
-    for 10M+ fact scales.  All operations below behave identically on both;
-    {!columnar} exposes the int-id plane to consumers (the join planner)
-    that can exploit it. *)
-
-type backend = Row | Columnar
+    The bag lives in a dictionary-encoded column store ({!Column_store});
+    {!store} exposes its int-id plane to consumers (the join planner) that
+    probe it directly. *)
 
 type t
 
-val create : ?backend:backend -> ?name:string -> Schema.t -> t
-(** Default backend is {!Row}. *)
+val create : ?name:string -> Schema.t -> t
 
-val backend : t -> backend
-
-val columnar : t -> Column_store.t option
-(** The underlying column store, when the backend is {!Columnar}. *)
-
-val convert : backend -> t -> t
-(** [convert b t] is [t] itself when already on backend [b], otherwise a
-    fresh relation with the same name, schema and counted contents.  The
-    journal hook is not carried over — convert outside transactions. *)
+val store : t -> Column_store.t
+(** The underlying column store.  Mutating it directly bypasses schema
+    checks and the journal. *)
 
 val name : t -> string
 
@@ -73,12 +61,8 @@ val to_list : t -> Tuple.t list
 val to_counted_list : t -> (Tuple.t * int) list
 
 val copy : t -> t
-(** Deep copy of the tuple store (same backend).  Cached indexes
-    ({!get_index}) are {e not} carried over: the copy starts with an empty
-    index table, and the first [get_index] on it rebuilds from the copied
-    rows.  Callers holding an index obtained from the original must not
-    assume it reflects (or is shared with) the copy — the two relations
-    maintain indexes independently from the moment of the copy. *)
+(** Deep copy of the tuple store; the copy and the original evolve
+    independently from then on. *)
 
 val set_journal : t -> (Tuple.t -> int -> unit) option -> unit
 (** Attach (or detach, with [None]) an undo-log hook.  While attached, every
@@ -92,16 +76,15 @@ val set_journal : t -> (Tuple.t -> int -> unit) option -> unit
 
 val restore_count : t -> Tuple.t -> int -> unit
 (** [restore_count t tup n] forces [tup]'s multiplicity to exactly [n]
-    ([n <= 0] removes it), maintaining cached indexes and bypassing any
-    attached journal.  This is the undo-log replay primitive: applying a
-    journal's [(tuple, previous count)] records newest-to-oldest restores
-    the pre-transaction contents, and replaying is idempotent. *)
+    ([n <= 0] removes it), bypassing any attached journal.  This is the
+    undo-log replay primitive: applying a journal's [(tuple, previous
+    count)] records newest-to-oldest restores the pre-transaction
+    contents, and replaying is idempotent. *)
 
-val of_list : ?backend:backend -> ?name:string -> Schema.t -> Tuple.t list -> t
+val of_list : ?name:string -> Schema.t -> Tuple.t list -> t
 
 val equal_contents : t -> t -> bool
-(** Same distinct tuples with the same multiplicities (backends may
-    differ). *)
+(** Same distinct tuples with the same multiplicities. *)
 
 val equal_sets : t -> t -> bool
 (** Same distinct tuples, multiplicities ignored. *)
@@ -109,23 +92,9 @@ val equal_sets : t -> t -> bool
 val validate : t -> (unit, string) result
 (** Re-check every stored tuple against the schema (and counts against
     positivity).  [insert] enforces this on entry; relations restored from
-    a checkpoint bypassed insert and must be re-audited.  Columnar
-    relations additionally run {!Column_store.audit}. *)
+    a checkpoint bypassed insert and must be re-audited.  Also runs
+    {!Column_store.audit}. *)
 
 val filter : (Tuple.t -> bool) -> t -> t
-
-val build_index : t -> int array -> (Tuple.t, int Tuple.Hashtbl.t) Hashtbl.t
-(** [build_index r key_cols] maps each key projection to a counted bucket:
-    every tuple carrying the key, with its current multiplicity.  Used for
-    hash joins. *)
-
-val get_index : t -> int array -> (Tuple.t, int Tuple.Hashtbl.t) Hashtbl.t
-(** Like {!build_index} but, on the {!Row} backend, cached on the relation
-    and maintained incrementally by subsequent inserts and removes
-    (multiplicities included), so repeated joins on the same columns cost
-    O(changes) instead of O(relation).  On {!Columnar} the index is built
-    fresh on every call and never cached (plans probe the column store's
-    own sorted runs instead).  The returned table must be treated as
-    read-only. *)
 
 val pp : Format.formatter -> t -> unit

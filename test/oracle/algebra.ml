@@ -1,3 +1,5 @@
+open Dd_relational
+
 let select pred r = Relation.filter pred r
 
 let select_eq r col v =
@@ -52,53 +54,19 @@ let natural_join a b =
     let out =
       Relation.create ~name:(Relation.name a ^ "|x|" ^ Relation.name b) out_schema
     in
-    (* Probe the persistent index (built once per (relation, key columns) and
-       maintained by inserts/removes) instead of a throwaway one per join.
-       Counted buckets carry each match's multiplicity, and the residual
-       projection of each [b] tuple is memoized per key, so repeated key
-       hits pay it once.  Columnar relations are probed on encoded keys
-       through the store's sorted runs; only residual columns decode. *)
-    let probe =
-      match Relation.columnar b with
-      | Some cs ->
-        fun key ->
-          (match Column_store.encode_key cs key_b key with
-          | None -> []
-          | Some key_ids ->
-            let ms = ref [] in
-            Column_store.iter_key cs key_b key_ids (fun ids n ->
-                let extra =
-                  Array.of_list
-                    (List.map (fun (i, _) -> Column_store.dict_value cs i ids.(i)) residual)
-                in
-                ms := (extra, n) :: !ms);
-            !ms)
-      | None ->
-        let index = Relation.get_index b key_b in
-        fun key ->
-          (match Hashtbl.find_opt index key with
-          | None -> []
-          | Some bucket ->
-            Tuple.Hashtbl.fold
-              (fun tb cb acc ->
-                let extra = Array.of_list (List.map (fun (i, _) -> tb.(i)) residual) in
-                (extra, cb) :: acc)
-              bucket [])
-    in
-    let probe_cache : (Tuple.t, (Tuple.t * int) list) Hashtbl.t = Hashtbl.create 64 in
-    let matches_for key =
-      match Hashtbl.find_opt probe_cache key with
-      | Some ms -> ms
-      | None ->
-        let ms = probe key in
-        Hashtbl.replace probe_cache key ms;
-        ms
-    in
+    (* Hash join through a throwaway index over [b]; counted buckets carry
+       each match's multiplicity. *)
+    let index = Row_bag.hash_index b key_b in
     Relation.iter
       (fun ta ca ->
-        List.iter
-          (fun (extra, cb) -> Relation.insert ~count:(ca * cb) out (Tuple.concat ta extra))
-          (matches_for (Tuple.project ta key_a)))
+        match Hashtbl.find_opt index (Tuple.project ta key_a) with
+        | None -> ()
+        | Some bucket ->
+          Tuple.Hashtbl.iter
+            (fun tb cb ->
+              let extra = Array.of_list (List.map (fun (i, _) -> tb.(i)) residual) in
+              Relation.insert ~count:(ca * cb) out (Tuple.concat ta extra))
+            bucket)
       a;
     out
   end
@@ -120,40 +88,15 @@ let equi_join a b pairs =
       ~name:(Relation.name a ^ "|x|" ^ Relation.name b)
       (Schema.concat sa sb_renamed)
   in
-  (* Cached persistent index plus per-key memoized (tuple, count) matches,
-     as in [natural_join]; columnar [b] probes encoded keys instead. *)
-  let probe =
-    match Relation.columnar b with
-    | Some cs ->
-      fun key ->
-        (match Column_store.encode_key cs key_b key with
-        | None -> []
-        | Some key_ids ->
-          let ms = ref [] in
-          Column_store.iter_key cs key_b key_ids (fun ids n ->
-              ms := (Column_store.decode cs ids, n) :: !ms);
-          !ms)
-    | None ->
-      let index = Relation.get_index b key_b in
-      fun key ->
-        (match Hashtbl.find_opt index key with
-        | None -> []
-        | Some bucket -> Tuple.Hashtbl.fold (fun tb cb acc -> (tb, cb) :: acc) bucket [])
-  in
-  let probe_cache : (Tuple.t, (Tuple.t * int) list) Hashtbl.t = Hashtbl.create 64 in
-  let matches_for key =
-    match Hashtbl.find_opt probe_cache key with
-    | Some ms -> ms
-    | None ->
-      let ms = probe key in
-      Hashtbl.replace probe_cache key ms;
-      ms
-  in
+  let index = Row_bag.hash_index b key_b in
   Relation.iter
     (fun ta ca ->
-      List.iter
-        (fun (tb, cb) -> Relation.insert ~count:(ca * cb) out (Tuple.concat ta tb))
-        (matches_for (Tuple.project ta key_a)))
+      match Hashtbl.find_opt index (Tuple.project ta key_a) with
+      | None -> ()
+      | Some bucket ->
+        Tuple.Hashtbl.iter
+          (fun tb cb -> Relation.insert ~count:(ca * cb) out (Tuple.concat ta tb))
+          bucket)
     a;
   out
 

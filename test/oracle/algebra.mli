@@ -1,11 +1,14 @@
-(** Relational algebra over {!Relation.t}.
+(** Relational algebra over {!Relation.t}: a reference for bag semantics.
 
-    DeepDive's grounding phase "evaluates a sequence of SQL queries"; this
-    module is the query-evaluation layer of our engine.  Operators follow
+    DeepDive's grounding phase "evaluates a sequence of SQL queries"; the
+    engine compiles rule bodies into join plans ({!Dd_datalog.Plan})
+    instead, and this algebra is kept under [test/] only.  Operators follow
     bag semantics with derivation counts: selection preserves counts,
     projection sums them, join multiplies them and union adds them — which
     makes the algebra directly usable for counting-based incremental view
     maintenance. *)
+
+open Dd_relational
 
 val select : (Tuple.t -> bool) -> Relation.t -> Relation.t
 

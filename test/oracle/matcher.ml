@@ -2,6 +2,7 @@ module Value = Dd_relational.Value
 module Tuple = Dd_relational.Tuple
 module Relation = Dd_relational.Relation
 module Schema = Dd_relational.Schema
+module Ast = Dd_datalog.Ast
 
 type lookup = string -> Relation.t
 
@@ -141,7 +142,7 @@ let match_against_relation slots atom rel rows =
     end
     else begin
       let key_positions = Array.of_list bound_positions in
-      let index = Relation.get_index rel key_positions in
+      let index = Row_bag.hash_index rel key_positions in
       let args = Array.of_list atom.Ast.args in
       List.concat_map
         (fun (binding, count) ->

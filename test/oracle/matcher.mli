@@ -1,5 +1,8 @@
-(** Rule-body matching: the join machinery shared by full evaluation
-    ({!Engine}) and incremental maintenance ({!Dred}).
+(** Interpreted rule-body matching: the reference that compiled join plans
+    ({!Dd_datalog.Plan}) are checked against.  It re-derives bound argument
+    positions per literal, resolves variables by name, and joins through
+    {!Row_bag.hash_index} hash indexes built from scratch per call — none
+    of which the plans share.
 
     Matching proceeds literal-by-literal over a frontier of partial variable
     bindings; each positive literal is matched with a hash index built on
@@ -12,6 +15,8 @@
     paper's Equation 1 needs at grounding time.  Explicit delta tuples do
     carry signed counts, which propagate multiplicatively so membership
     flips yield signed grounding deltas. *)
+
+module Ast = Dd_datalog.Ast
 
 type lookup = string -> Dd_relational.Relation.t
 (** Resolves a predicate name to its current contents; must return an empty

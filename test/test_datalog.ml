@@ -10,7 +10,7 @@ module Relation = Dd_relational.Relation
 module Database = Dd_relational.Database
 module Ast = Dd_datalog.Ast
 module Stratify = Dd_datalog.Stratify
-module Matcher = Dd_datalog.Matcher
+module Matcher = Dd_oracle.Matcher
 module Engine = Dd_datalog.Engine
 module Dred = Dd_datalog.Dred
 

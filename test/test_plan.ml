@@ -1,8 +1,10 @@
 (* Tests for Dd_datalog.Plan: compiled join plans must be count-exact
-   against the legacy interpreted Matcher on arbitrary rules and databases
-   (including negation, constants, repeated variables, guards, and empty
-   relations), Patched views must behave like materialized snapshots, and
-   DRed through compiled delta plans must match from-scratch evaluation on
+   against the interpreted reference Matcher on arbitrary rules and
+   databases (including negation, constants, repeated variables, guards,
+   and empty relations) in every physical store layout, Patched views must
+   behave like materialized snapshots, the column store must equal the
+   reference row bag under random mutation programs, and DRed through
+   compiled delta plans must match from-scratch evaluation on
    insert / delete / rederive scenarios. *)
 
 module Value = Dd_relational.Value
@@ -11,10 +13,12 @@ module Tuple = Dd_relational.Tuple
 module Relation = Dd_relational.Relation
 module Database = Dd_relational.Database
 module Ast = Dd_datalog.Ast
-module Matcher = Dd_datalog.Matcher
+module Matcher = Dd_oracle.Matcher
 module Engine = Dd_datalog.Engine
 module Dred = Dd_datalog.Dred
 module Plan = Dd_datalog.Plan
+module Column_store = Dd_relational.Column_store
+module Row_bag = Dd_oracle.Row_bag
 
 let i = Value.int
 let v name = Ast.Var name
@@ -31,14 +35,66 @@ let preds = [ ("e1", 1); ("e2", 2); ("f2", 2); ("g3", 3) ]
 
 let arity_of pred = List.assoc pred preds
 
-let make_db ?backend contents =
-  let db = Database.create ?backend () in
+let compact_all db =
+  List.iter
+    (fun name -> Column_store.compact (Relation.store (Database.find db name)))
+    (Database.table_names db)
+
+(* Physical layouts of the same logical contents: where a probe finds a
+   tuple (delta tail, sorted run, or a run row a tail entry overrides)
+   must not change what it yields. *)
+type layout =
+  | Tail  (** everything still in the delta tail *)
+  | Run  (** everything compacted into the sorted run *)
+  | Split  (** first half in the run, second half in the tail *)
+  | Overridden
+      (** every tuple inserted once too often, plus ghost tuples, then
+          compacted; the extras are then removed and the ghosts deleted, so
+          every run row is overridden or hidden by a tail entry *)
+
+let layout_gen = QCheck.Gen.oneofl [ Tail; Run; Split; Overridden ]
+
+let layout_to_string = function
+  | Tail -> "tail"
+  | Run -> "run"
+  | Split -> "split"
+  | Overridden -> "overridden"
+
+let make_db ?(layout = Tail) contents =
+  let db = Database.create () in
   List.iter
     (fun (pred, arity) -> ignore (Database.create_table db pred (schema_of_arity arity)))
     preds;
-  List.iter
-    (fun (pred, tuple, count) -> Relation.insert ~count (Database.find db pred) tuple)
-    contents;
+  let insert (pred, tuple, count) = Relation.insert ~count (Database.find db pred) tuple in
+  (match layout with
+  | Tail -> List.iter insert contents
+  | Run ->
+    List.iter insert contents;
+    compact_all db
+  | Split ->
+    let half = List.length contents / 2 in
+    List.iteri (fun k e -> if k < half then insert e) contents;
+    compact_all db;
+    List.iteri (fun k e -> if k >= half then insert e) contents
+  | Overridden ->
+    (* Ghosts share key values with live tuples, so keyed probes land on
+       the hidden run rows. *)
+    let ghosts =
+      List.concat_map
+        (fun (pred, arity) ->
+          List.filter_map
+            (fun k ->
+              let tuple = Array.make arity (i k) in
+              if List.exists (fun (p, t, _) -> p = pred && Tuple.equal t tuple) contents then None
+              else Some (pred, tuple))
+            [ 0; 1; 2; 3 ])
+        preds
+    in
+    List.iter (fun (pred, tuple, count) -> insert (pred, tuple, count + 1)) contents;
+    List.iter (fun (pred, tuple) -> insert (pred, tuple, 1)) ghosts;
+    compact_all db;
+    List.iter (fun (pred, tuple, _) -> ignore (Relation.remove (Database.find db pred) tuple)) contents;
+    List.iter (fun (pred, tuple) -> Relation.delete_all (Database.find db pred) tuple) ghosts);
   db
 
 let sorted_counted l = List.sort compare (List.map (fun (t, n) -> (Array.to_list t, n)) l)
@@ -218,18 +274,19 @@ let db_gen =
   in
   list_size (0 -- 25) entry
 
-let print_scenario (rule, contents) =
-  Printf.sprintf "rule: %s\ndb: %s" (Ast.rule_to_string rule)
+let print_scenario (rule, contents, layout) =
+  Printf.sprintf "rule: %s\nlayout: %s\ndb: %s" (Ast.rule_to_string rule)
+    (layout_to_string layout)
     (String.concat "; "
        (List.map
           (fun (p, t, n) -> Printf.sprintf "%s%s*%d" p (Tuple.to_string t) n)
           contents))
 
 let full_equiv_arb =
-  QCheck.make ~print:print_scenario QCheck.Gen.(pair rule_gen db_gen)
+  QCheck.make ~print:print_scenario QCheck.Gen.(triple rule_gen db_gen layout_gen)
 
-let check_full_equivalence (rule, contents) =
-  let db = make_db contents in
+let check_full_equivalence (rule, contents, layout) =
+  let db = make_db ~layout contents in
   let lookup = Engine.lookup_in db in
   let legacy = Matcher.eval_rule ~lookup rule in
   let planned = Plan.run (Plan.compile rule) ~lookup:(Plan.view_of_lookup lookup) in
@@ -258,20 +315,23 @@ let staged_gen =
     return (tuple, sign)
   in
   let* delta = list_size (0 -- 6) delta_entry in
-  return (rule, before_db, after_db, delta_pos, delta)
+  let* layouts = pair layout_gen layout_gen in
+  return (rule, before_db, after_db, delta_pos, delta, layouts)
 
 let staged_arb =
   QCheck.make
-    ~print:(fun (rule, bdb, adb, pos, delta) ->
-      Printf.sprintf "%s\npos=%d delta=%s\nbefore=%d entries after=%d entries"
+    ~print:(fun (rule, bdb, adb, pos, delta, (bl, al)) ->
+      Printf.sprintf "%s\npos=%d delta=%s\nbefore=%d entries (%s) after=%d entries (%s)"
         (Ast.rule_to_string rule) pos
         (String.concat ";"
            (List.map (fun (t, s) -> Printf.sprintf "%s%+d" (Tuple.to_string t) s) delta))
-        (List.length bdb) (List.length adb))
+        (List.length bdb) (layout_to_string bl) (List.length adb) (layout_to_string al))
     staged_gen
 
-let check_staged_equivalence (rule, before_contents, after_contents, delta_pos, delta) =
-  let before_db = make_db before_contents and after_db = make_db after_contents in
+let check_staged_equivalence
+    (rule, before_contents, after_contents, delta_pos, delta, (before_layout, after_layout)) =
+  let before_db = make_db ~layout:before_layout before_contents
+  and after_db = make_db ~layout:after_layout after_contents in
   let before = Engine.lookup_in before_db and after = Engine.lookup_in after_db in
   let legacy = Matcher.eval_rule_staged ~before ~after ~delta_pos ~delta rule in
   let plan = Plan.compile_delta rule ~delta_pos in
@@ -287,42 +347,12 @@ let check_staged_equivalence (rule, before_contents, after_contents, delta_pos, 
   sorted_counted legacy = sorted_counted planned
   && sorted_counted_envs rule envs_legacy = sorted_counted_envs rule envs_planned
 
-(* --- qcheck: columnar backend equivalence ------------------------------------- *)
+(* --- qcheck: column store vs the reference row bag ------------------------------ *)
 
-module Column_store = Dd_relational.Column_store
-
-(* Same plan, two storage backends: results must agree tuple-for-tuple and
-   count-for-count. *)
-let check_backend_full_equivalence (rule, contents) =
-  let row_db = make_db contents in
-  let col_db = make_db ~backend:Relation.Columnar contents in
-  let run db =
-    let lookup = Engine.lookup_in db in
-    ( sorted_counted (Plan.run (Plan.compile rule) ~lookup:(Plan.view_of_lookup lookup)),
-      sorted_envs rule
-        (Plan.run_bindings (Plan.compile rule) ~lookup:(Plan.view_of_lookup lookup)) )
-  in
-  run row_db = run col_db
-
-let check_backend_staged_equivalence (rule, before_contents, after_contents, delta_pos, delta)
-    =
-  let run backend =
-    let before_db = make_db ?backend before_contents
-    and after_db = make_db ?backend after_contents in
-    let before = Engine.lookup_in before_db and after = Engine.lookup_in after_db in
-    let plan = Plan.compile_delta rule ~delta_pos in
-    ( sorted_counted
-        (Plan.run_staged plan ~before:(Plan.view_of_lookup before)
-           ~after:(Plan.view_of_lookup after) ~delta),
-      sorted_counted_envs rule
-        (Plan.run_bindings_staged plan ~before:(Plan.view_of_lookup before)
-           ~after:(Plan.view_of_lookup after) ~delta) )
-  in
-  run None = run (Some Relation.Columnar)
-
-(* Random mutation programs applied to both backends: contents must stay
-   identical through inserts, counted removals, restore_count, delete_all,
-   and an explicit compaction, and both stores must self-validate. *)
+(* Random mutation programs applied to a relation and to the row bag:
+   contents must stay identical through inserts, counted removals,
+   restore_count, delete_all, clear and explicit compactions, and the
+   store must self-validate throughout. *)
 let ops_gen =
   let open QCheck.Gen in
   let tuple = map (fun (a, b) -> [| i a; i b |]) (pair (0 -- 5) (0 -- 5)) in
@@ -330,10 +360,12 @@ let ops_gen =
     let* t = tuple in
     frequency
       [
-        (4, map (fun c -> `Insert (t, c)) (1 -- 3));
-        (3, map (fun c -> `Remove (t, c)) (1 -- 3));
-        (1, map (fun c -> `Restore (t, c)) (0 -- 3));
-        (1, return (`Delete_all t));
+        (8, map (fun c -> `Insert (t, c)) (1 -- 3));
+        (6, map (fun c -> `Remove (t, c)) (1 -- 3));
+        (2, map (fun c -> `Restore (t, c)) (0 -- 3));
+        (2, return (`Delete_all t));
+        (2, return `Compact);
+        (1, return `Clear);
       ]
   in
   list_size (0 -- 80) op
@@ -345,52 +377,68 @@ let print_ops ops =
          | `Insert (t, c) -> Printf.sprintf "ins %s*%d" (Tuple.to_string t) c
          | `Remove (t, c) -> Printf.sprintf "rem %s*%d" (Tuple.to_string t) c
          | `Restore (t, c) -> Printf.sprintf "res %s=%d" (Tuple.to_string t) c
-         | `Delete_all t -> Printf.sprintf "del %s" (Tuple.to_string t))
+         | `Delete_all t -> Printf.sprintf "del %s" (Tuple.to_string t)
+         | `Compact -> "compact"
+         | `Clear -> "clear")
        ops)
 
 let ops_arb = QCheck.make ~print:print_ops ops_gen
 
 let check_ops_equivalence ops =
   let schema = schema_of_arity 2 in
-  let row = Relation.create ~name:"r" schema in
-  let col = Relation.create ~backend:Relation.Columnar ~name:"r" schema in
-  let apply r = function
-    | `Insert (t, c) -> Relation.insert ~count:c r t
-    | `Remove (t, c) -> ignore (Relation.remove ~count:c r t)
-    | `Restore (t, c) -> Relation.restore_count r t c
-    | `Delete_all t -> Relation.delete_all r t
+  let bag = Row_bag.create () in
+  let rel = Relation.create ~name:"r" schema in
+  let cs = Relation.store rel in
+  let agree () =
+    Row_bag.equal_relation bag rel
+    && Row_bag.total_count bag = Relation.total_count rel
+    && Result.is_ok (Relation.validate rel)
   in
-  List.iter (fun op -> apply row op; apply col op) ops;
-  let cs = Option.get (Relation.columnar col) in
-  Relation.equal_contents row col
-  && Relation.total_count row = Relation.total_count col
-  && Result.is_ok (Relation.validate col)
+  let apply = function
+    | `Insert (t, c) ->
+      Row_bag.insert ~count:c bag t;
+      Relation.insert ~count:c rel t;
+      true
+    | `Remove (t, c) -> Row_bag.remove ~count:c bag t = Relation.remove ~count:c rel t
+    | `Restore (t, c) ->
+      Row_bag.restore_count bag t c;
+      Relation.restore_count rel t c;
+      true
+    | `Delete_all t ->
+      Row_bag.delete_all bag t;
+      Relation.delete_all rel t;
+      true
+    | `Compact ->
+      Column_store.compact cs;
+      true
+    | `Clear ->
+      Row_bag.clear bag;
+      Relation.clear rel;
+      true
+  in
+  List.for_all (fun op -> apply op && agree ()) ops
   && begin
        Column_store.compact cs;
-       Relation.equal_contents row col && Result.is_ok (Relation.validate col)
+       agree ()
      end
   && begin
-       (* Canonical byte round-trip mid-stream: decoded store equals the
-          original and serializes to the same bytes. *)
+       (* Canonical byte round-trip: decoded store equals the original and
+          serializes to the same bytes. *)
        let bytes = Column_store.to_bytes cs in
        match Column_store.of_bytes schema bytes with
        | Error e -> Alcotest.failf "of_bytes: %s" e
        | Ok cs' ->
          String.equal bytes (Column_store.to_bytes cs')
-         && Column_store.cardinality cs' = Relation.cardinality row
+         && Column_store.cardinality cs' = Row_bag.cardinality bag
      end
 
 let qcheck_tests =
   [
-    QCheck.Test.make ~name:"planned run equals matcher (random rules/dbs)" ~count:300
+    QCheck.Test.make ~name:"planned run equals matcher (random rules/dbs)" ~count:600
       full_equiv_arb check_full_equivalence;
-    QCheck.Test.make ~name:"planned staged run equals matcher (random deltas)" ~count:300
+    QCheck.Test.make ~name:"planned staged run equals matcher (random deltas)" ~count:600
       staged_arb check_staged_equivalence;
-    QCheck.Test.make ~name:"columnar backend equals row (full plans)" ~count:300
-      full_equiv_arb check_backend_full_equivalence;
-    QCheck.Test.make ~name:"columnar backend equals row (staged plans)" ~count:300
-      staged_arb check_backend_staged_equivalence;
-    QCheck.Test.make ~name:"columnar backend equals row (random mutations)" ~count:300
+    QCheck.Test.make ~name:"column store equals row bag (random programs)" ~count:300
       ops_arb check_ops_equivalence;
   ]
 
@@ -398,8 +446,8 @@ let qcheck_tests =
 
 let edge_schema = Schema.make [ ("src", Value.TInt); ("dst", Value.TInt) ]
 
-let db_with_edges ?backend edges =
-  let db = Database.create ?backend () in
+let db_with_edges edges =
+  let db = Database.create () in
   let r = Database.create_table db "edge" edge_schema in
   List.iter (fun (a, b) -> Relation.insert r [| i a; i b |]) edges;
   db
@@ -495,7 +543,7 @@ let test_engine_planned_negation_guard () =
   Alcotest.(check int) "one sink pair" 1 (Relation.cardinality sink);
   Alcotest.(check bool) "2->3" true (Relation.mem sink [| i 2; i 3 |])
 
-(* --- columnar end-to-end: dred + grounding bit-identity ----------------------- *)
+(* --- store layouts end-to-end: dred + grounding bit-identity -------------------- *)
 
 module Program = Dd_core.Program
 module Grounding = Dd_core.Grounding
@@ -505,21 +553,23 @@ module Serialize = Dd_fgraph.Serialize
 
 let s = Value.str
 
-let test_dred_planned_columnar_backend () =
+let test_dred_planned_compacted_between_steps () =
   (* The full DRed loop — counting deletes, Patched old-views, recursive
-     recompute-and-diff — over columnar tables, checked against from-scratch
-     row evaluation (dred_planned_equivalence's scratch db is row-backed). *)
+     recompute-and-diff — with every table forced into its sorted run
+     between steps, so the second step probes compacted runs rather than
+     the delta tails the first step left behind. *)
   let plans = Plan.Cache.create () in
-  let db = db_with_edges ~backend:Relation.Columnar [ (1, 2); (2, 3); (3, 1); (3, 4) ] in
+  let db = db_with_edges [ (1, 2); (2, 3); (3, 1); (3, 4) ] in
   (match Engine.run ~plans db tc_program with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   dred_planned_equivalence ~plans ~program:tc_program ~db ~inserts:[ (4, 5) ]
     ~deletes:[ (2, 3) ];
+  compact_all db;
   dred_planned_equivalence ~plans ~program:tc_program ~db ~inserts:[] ~deletes:[ (3, 1) ]
 
 (* A miniature KBC program (classifier + correlation + supervision), used to
-   check that grounding is bit-identical across storage backends. *)
+   check that grounding is bit-identical across store layouts. *)
 let kbc_item_schema = Schema.make [ ("item", Value.TStr); ("feature", Value.TStr) ]
 let kbc_link_schema = Schema.make [ ("a", Value.TStr); ("b", Value.TStr) ]
 let kbc_label_schema = Schema.make [ ("item", Value.TStr); ("lbl", Value.TBool) ]
@@ -565,16 +615,35 @@ let kbc_program =
       ];
   }
 
-let kbc_db backend =
-  let db = Database.create ~backend () in
+let kbc_facts =
+  [
+    ("item_feature", [| s "a"; s "f1" |]);
+    ("item_feature", [| s "b"; s "f1" |]);
+    ("item_feature", [| s "c"; s "f2" |]);
+    ("item_feature", [| s "d"; s "f2" |]);
+    ("link", [| s "b"; s "a" |]);
+    ("link", [| s "c"; s "d" |]);
+    ("label_src", [| s "a"; Value.Bool true |]);
+    ("label_src", [| s "d"; Value.Bool false |]);
+  ]
+
+(* The same facts in two physical layouts: loaded in order into the delta
+   tails, or loaded in reverse with every table compacted between the
+   halves — different dictionary ids, run contents and iteration order. *)
+let kbc_db ~reordered =
+  let db = Database.create () in
   ignore (Database.create_table db "item_feature" kbc_item_schema);
   ignore (Database.create_table db "link" kbc_link_schema);
   ignore (Database.create_table db "label_src" kbc_label_schema);
-  Database.insert_rows db "item_feature"
-    [ [| s "a"; s "f1" |]; [| s "b"; s "f1" |]; [| s "c"; s "f2" |]; [| s "d"; s "f2" |] ];
-  Database.insert_rows db "link" [ [| s "b"; s "a" |]; [| s "c"; s "d" |] ];
-  Database.insert_rows db "label_src"
-    [ [| s "a"; Value.Bool true |]; [| s "d"; Value.Bool false |] ];
+  let insert (table, tuple) = Relation.insert (Database.find db table) tuple in
+  if reordered then begin
+    let facts = List.rev kbc_facts in
+    let half = List.length facts / 2 in
+    List.iteri (fun k f -> if k < half then insert f) facts;
+    compact_all db;
+    List.iteri (fun k f -> if k >= half then insert f) facts
+  end
+  else List.iter insert kbc_facts;
   db
 
 let kbc_delta () =
@@ -584,23 +653,23 @@ let kbc_delta () =
   Dred.Delta.delete d "item_feature" [| s "b"; s "f1" |];
   d
 
-let test_grounding_bit_identical_across_backends () =
-  let ground backend = Grounding.ground (kbc_db backend) kbc_program in
-  let row = ground Relation.Row and col = ground Relation.Columnar in
+let test_grounding_identical_across_layouts () =
+  let ground reordered = Grounding.ground (kbc_db ~reordered) kbc_program in
+  let a = ground false and b = ground true in
   Alcotest.(check string) "initial graphs bit-identical"
-    (Serialize.to_string (Grounding.graph row))
-    (Serialize.to_string (Grounding.graph col));
-  ignore (Grounding.extend row (Grounding.data_update (kbc_delta ())));
-  ignore (Grounding.extend col (Grounding.data_update (kbc_delta ())));
+    (Serialize.to_string (Grounding.graph a))
+    (Serialize.to_string (Grounding.graph b));
+  ignore (Grounding.extend a (Grounding.data_update (kbc_delta ())));
+  ignore (Grounding.extend b (Grounding.data_update (kbc_delta ())));
   Alcotest.(check string) "extended graphs bit-identical"
-    (Serialize.to_string (Grounding.graph row))
-    (Serialize.to_string (Grounding.graph col))
+    (Serialize.to_string (Grounding.graph a))
+    (Serialize.to_string (Grounding.graph b))
 
-let test_engine_identical_across_backends () =
+let test_engine_identical_across_layouts () =
   (* Whole pipeline: create (ground + learn + materialize), one incremental
      update, then compare graph bytes and every marginal exactly. *)
-  let run backend =
-    let db = kbc_db backend in
+  let run reordered =
+    let db = kbc_db ~reordered in
     let options =
       {
         Core_engine.default_options with
@@ -608,17 +677,16 @@ let test_engine_identical_across_backends () =
         inference_chain = 30;
         initial_learning_epochs = 5;
         incremental_learning_epochs = 2;
-        relation_backend = backend;
       }
     in
     let engine = Core_engine.create ~options db kbc_program in
     ignore (Core_engine.apply_update engine (Grounding.data_update (kbc_delta ())));
     (Serialize.to_string (Core_engine.graph engine), Core_engine.marginals_by_relation engine)
   in
-  let g_row, m_row = run Relation.Row in
-  let g_col, m_col = run Relation.Columnar in
-  Alcotest.(check string) "graphs bit-identical" g_row g_col;
-  Alcotest.(check bool) "marginals identical" true (m_row = m_col)
+  let g_a, m_a = run false in
+  let g_b, m_b = run true in
+  Alcotest.(check string) "graphs bit-identical" g_a g_b;
+  Alcotest.(check bool) "marginals identical" true (m_a = m_b)
 
 let () =
   Alcotest.run "dd_datalog_plan"
@@ -646,11 +714,11 @@ let () =
       ( "columnar",
         [
           Alcotest.test_case "dred over columnar tables" `Quick
-            test_dred_planned_columnar_backend;
+            test_dred_planned_compacted_between_steps;
           Alcotest.test_case "grounding bit-identical" `Quick
-            test_grounding_bit_identical_across_backends;
+            test_grounding_identical_across_layouts;
           Alcotest.test_case "engine graph+marginals identical" `Quick
-            test_engine_identical_across_backends;
+            test_engine_identical_across_layouts;
         ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
     ]

@@ -1,13 +1,15 @@
-(* Tests for Dd_relational: values, schemas, tuples, relations, algebra,
-   CSV ingestion and the database catalog. *)
+(* Tests for Dd_relational: values, schemas, tuples, relations and their
+   column stores, CSV ingestion and the database catalog; plus the
+   reference relational algebra kept under test/oracle. *)
 
 module Value = Dd_relational.Value
 module Schema = Dd_relational.Schema
 module Tuple = Dd_relational.Tuple
 module Relation = Dd_relational.Relation
-module Algebra = Dd_relational.Algebra
+module Algebra = Dd_oracle.Algebra
 module Database = Dd_relational.Database
 module Csv = Dd_relational.Csv
+module Column_store = Dd_relational.Column_store
 
 let i = Value.int
 let s = Value.str
@@ -152,86 +154,111 @@ let test_relation_filter () =
   let only_x = Relation.filter (fun t -> Value.equal t.(1) (s "x")) r in
   Alcotest.(check int) "filtered" 2 (Relation.cardinality only_x)
 
-let bucket_size index key =
-  match Hashtbl.find_opt index key with
-  | None -> 0
-  | Some bucket -> Tuple.Hashtbl.length bucket
-
+(* The oracle's hash-index builder: every tuple bucketed under its key
+   projection with its multiplicity. *)
 let test_relation_build_index () =
   let r = make_rel [ [| i 1; s "x" |]; [| i 2; s "x" |]; [| i 3; s "y" |] ] in
-  let index = Relation.build_index r [| 1 |] in
-  Alcotest.(check int) "x bucket" 2 (bucket_size index [| s "x" |]);
-  Alcotest.(check int) "y bucket" 1 (bucket_size index [| s "y" |])
+  let index = Dd_oracle.Row_bag.hash_index r [| 1 |] in
+  let size key = match Hashtbl.find_opt index key with None -> 0 | Some b -> Tuple.Hashtbl.length b in
+  Alcotest.(check int) "x bucket" 2 (size [| s "x" |]);
+  Alcotest.(check int) "y bucket" 1 (size [| s "y" |])
+
+(* Keyed probe through the relation's column store — the path join plans
+   take: every live tuple whose [key_cols] projection equals [key], with its
+   multiplicity, sorted. *)
+let probe r key_cols key =
+  let cs = Relation.store r in
+  match Column_store.encode_key cs key_cols key with
+  | None -> []
+  | Some ids ->
+    let out = ref [] in
+    Column_store.iter_key cs key_cols ids (fun row n -> out := (Column_store.decode cs row, n) :: !out);
+    List.sort compare !out
+
+let counted = Alcotest.(list (pair (testable Tuple.pp Tuple.equal) int))
+
+let bucket_size r key = List.length (probe r [| 1 |] key)
 
 let test_relation_get_index_maintained () =
-  (* The cached index must track subsequent inserts and removes. *)
+  (* The store's key index must track subsequent inserts and removes. *)
   let r = make_rel [ [| i 1; s "x" |] ] in
-  let index = Relation.get_index r [| 1 |] in
-  Alcotest.(check int) "initial" 1 (bucket_size index [| s "x" |]);
+  Alcotest.(check int) "initial" 1 (bucket_size r [| s "x" |]);
   Relation.insert r [| i 2; s "x" |];
-  Alcotest.(check int) "after insert" 2 (bucket_size index [| s "x" |]);
+  Alcotest.(check int) "after insert" 2 (bucket_size r [| s "x" |]);
   ignore (Relation.remove r [| i 1; s "x" |]);
-  Alcotest.(check int) "after remove" 1 (bucket_size index [| s "x" |]);
-  (* Count-only changes must not duplicate index entries, and the counted
-     bucket must track the live multiplicity. *)
+  Alcotest.(check int) "after remove" 1 (bucket_size r [| s "x" |]);
+  (* Count-only changes must not duplicate index entries, and the probe
+     must report the live multiplicity — in the tail and after the tail is
+     merged into the sorted run. *)
   Relation.insert ~count:5 r [| i 2; s "x" |];
-  Alcotest.(check int) "count change" 1 (bucket_size index [| s "x" |]);
-  Alcotest.(check int) "bucket multiplicity" 6
-    (Tuple.Hashtbl.find (Hashtbl.find index [| s "x" |]) [| i 2; s "x" |]);
-  (* The same columns yield the same cached table. *)
-  Alcotest.(check bool) "cached" true (Relation.get_index r [| 1 |] == index)
+  Alcotest.(check counted) "count change"
+    [ ([| i 2; s "x" |], 6) ]
+    (probe r [| 1 |] [| s "x" |]);
+  Column_store.compact (Relation.store r);
+  ignore (Relation.remove ~count:2 r [| i 2; s "x" |]);
+  Alcotest.(check counted) "run row overridden"
+    [ ([| i 2; s "x" |], 4) ]
+    (probe r [| 1 |] [| s "x" |])
 
 let test_relation_index_skewed_key_removal () =
-  (* Regression for the old list-bucket index: removing [n] tuples that all
-     share one key was O(bucket) per removal (O(n^2) total) because each
-     remove rebuilt the bucket with [List.filter].  Counted hashtable
-     buckets make each removal O(1); at this size the quadratic version
-     takes minutes, so mere completion is the assertion — plus bucket
-     integrity along the way. *)
+  (* Removing [n] tuples that all share one key must stay cheap per removal
+     (an index that rebuilt the key's whole bucket on every remove is
+     O(n^2) and takes minutes at this size), so mere completion is the
+     assertion — plus bucket integrity along the way. *)
   let n = 20_000 in
   let r = Relation.create ~name:"skew" ab_schema in
-  let index = Relation.get_index r [| 1 |] in
+  ignore (probe r [| 1 |] [| s "hot" |]);
   for k = 1 to n do
     Relation.insert r [| i k; s "hot" |]
   done;
-  Alcotest.(check int) "bucket full" n (bucket_size index [| s "hot" |]);
+  Alcotest.(check int) "bucket full" n (bucket_size r [| s "hot" |]);
   for k = 1 to n do
     ignore (Relation.remove r [| i k; s "hot" |])
   done;
-  Alcotest.(check int) "bucket drained" 0 (bucket_size index [| s "hot" |]);
+  Alcotest.(check int) "bucket drained" 0 (bucket_size r [| s "hot" |]);
   Alcotest.(check int) "empty" 0 (Relation.cardinality r)
 
 let test_relation_copy_rebuilds_index () =
-  (* [Relation.copy] drops cached indexes: the copy's first [get_index] must
-     rebuild from the copied rows, stay independent of the original's index,
-     and track the copy's own subsequent mutations. *)
+  (* [Relation.copy] gives the copy its own store: probes on it see the
+     copied rows, track the copy's own mutations, and stay independent of
+     the original's. *)
   let r = make_rel [ [| i 1; s "x" |]; [| i 2; s "x" |]; [| i 3; s "y" |] ] in
-  let orig_index = Relation.get_index r [| 1 |] in
+  ignore (probe r [| 1 |] [| s "x" |]);
   let c = Relation.copy r in
-  let copy_index = Relation.get_index c [| 1 |] in
-  Alcotest.(check bool) "distinct tables" true (copy_index != orig_index);
-  Alcotest.(check int) "rebuilt x bucket" 2 (bucket_size copy_index [| s "x" |]);
-  Alcotest.(check int) "rebuilt y bucket" 1 (bucket_size copy_index [| s "y" |]);
-  (* Mutating the copy maintains the copy's index and leaves the original's
-     untouched. *)
+  Alcotest.(check int) "copied x bucket" 2 (bucket_size c [| s "x" |]);
+  Alcotest.(check int) "copied y bucket" 1 (bucket_size c [| s "y" |]);
   Relation.insert c [| i 4; s "y" |];
   ignore (Relation.remove c [| i 1; s "x" |]);
-  Alcotest.(check int) "copy y grew" 2 (bucket_size copy_index [| s "y" |]);
-  Alcotest.(check int) "copy x shrank" 1 (bucket_size copy_index [| s "x" |]);
-  Alcotest.(check int) "original y" 1 (bucket_size orig_index [| s "y" |]);
-  Alcotest.(check int) "original x" 2 (bucket_size orig_index [| s "x" |]);
+  Alcotest.(check int) "copy y grew" 2 (bucket_size c [| s "y" |]);
+  Alcotest.(check int) "copy x shrank" 1 (bucket_size c [| s "x" |]);
+  Alcotest.(check int) "original y" 1 (bucket_size r [| s "y" |]);
+  Alcotest.(check int) "original x" 2 (bucket_size r [| s "x" |]);
   (* And vice versa: mutating the original does not leak into the copy. *)
   Relation.insert r [| i 5; s "x" |];
-  Alcotest.(check int) "copy x unaffected" 1 (bucket_size copy_index [| s "x" |])
+  Alcotest.(check int) "copy x unaffected" 1 (bucket_size c [| s "x" |])
 
 let test_relation_get_index_cleared () =
   let r = make_rel [ [| i 1; s "x" |] ] in
-  ignore (Relation.get_index r [| 1 |]);
+  ignore (probe r [| 1 |] [| s "x" |]);
   Relation.clear r;
   Relation.insert r [| i 9; s "z" |];
-  let fresh = Relation.get_index r [| 1 |] in
-  Alcotest.(check bool) "has z" true (Hashtbl.mem fresh [| s "z" |]);
-  Alcotest.(check bool) "no x" false (Hashtbl.mem fresh [| s "x" |])
+  Alcotest.(check int) "has z" 1 (bucket_size r [| s "z" |]);
+  Alcotest.(check int) "no x" 0 (bucket_size r [| s "x" |])
+
+let test_compact_emptied_run_drops_filter () =
+  (* A compaction that empties the run must also drop its Bloom filter;
+     the audit rejects a filter over an empty run. *)
+  let cs = Column_store.create (Schema.make [ ("a", Value.TInt) ]) in
+  for k = 1 to 10 do
+    Column_store.insert cs [| i k |]
+  done;
+  Column_store.compact cs;
+  for k = 1 to 10 do
+    ignore (Column_store.remove cs [| i k |])
+  done;
+  Column_store.compact cs;
+  Alcotest.(check int) "run empty" 0 (Column_store.run_rows cs);
+  Alcotest.(check (result unit string)) "audit" (Ok ()) (Column_store.audit cs)
 
 (* --- algebra ---------------------------------------------------------------- *)
 
@@ -509,6 +536,8 @@ let () =
           Alcotest.test_case "skewed-key removal" `Quick test_relation_index_skewed_key_removal;
           Alcotest.test_case "copy rebuilds index" `Quick test_relation_copy_rebuilds_index;
           Alcotest.test_case "get_index after clear" `Quick test_relation_get_index_cleared;
+          Alcotest.test_case "compaction emptying the run drops its filter" `Quick
+            test_compact_emptied_run_drops_filter;
         ] );
       ( "algebra",
         [

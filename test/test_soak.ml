@@ -35,8 +35,6 @@ let quick_options =
     incremental_learning_epochs = 2;
   }
 
-let columnar_options = { quick_options with Engine.relation_backend = Relation.Columnar }
-
 let with_dir name f =
   let dir = Filename.concat (Filename.get_temp_dir_name ()) ("dd_soak_" ^ name) in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -68,14 +66,10 @@ let flip_byte_in_file path pos =
   output_bytes oc b;
   close_out oc
 
-let some_columnar_table engine =
+let some_table engine =
   let db = Grounding.database (Engine.grounding engine) in
-  let name =
-    List.find
-      (fun n -> Relation.columnar (Database.find db n) <> None)
-      (Database.table_names db)
-  in
-  (name, Option.get (Relation.columnar (Database.find db name)))
+  let name = List.hd (Database.table_names db) in
+  (name, Relation.store (Database.find db name))
 
 (* --- scrub ------------------------------------------------------------------ *)
 
@@ -91,10 +85,10 @@ let test_scrub_clean () =
 
 let test_scrub_repairs_table () =
   with_dir "scrub_table" (fun dir ->
-      let engine = make_engine ~options:columnar_options () in
+      let engine = make_engine () in
       let store = Checkpoint.open_store dir in
       Checkpoint.save store engine;
-      let name, cs = some_columnar_table engine in
+      let name, cs = some_table engine in
       Column_store.unsafe_corrupt_filter cs;
       Alcotest.(check bool) (name ^ " audit fails after damage") true
         (Result.is_error (Column_store.audit cs));
@@ -106,7 +100,7 @@ let test_scrub_repairs_table () =
 
 let test_scrub_rebuilds_table_from_reference () =
   with_dir "scrub_rebuild" (fun dir ->
-      let engine = make_engine ~options:columnar_options () in
+      let engine = make_engine () in
       let store = Checkpoint.open_store dir in
       Checkpoint.save store engine;
       (* A non-empty table, compacted so the sorted run carries the
@@ -118,14 +112,14 @@ let test_scrub_rebuilds_table_from_reference () =
             let rel = Database.find db n in
             let rows = ref 0 in
             Relation.iter (fun _ _ -> incr rows) rel;
-            Relation.columnar rel <> None && !rows > 0)
+            !rows > 0)
           (Database.table_names db)
       in
-      let cs = Option.get (Relation.columnar (Database.find db name)) in
+      let cs = Relation.store (Database.find db name) in
       Column_store.compact cs;
-      (* A row-backend mirror of the intact content, captured before the
+      (* A reference copy of the intact content, captured before the
          damage — the rung the ladder rebuilds from. *)
-      let mirror = Relation.convert Relation.Row (Database.find db name) in
+      let mirror = Relation.copy (Database.find db name) in
       let contents rel =
         let rows = ref [] in
         Relation.iter (fun tup n -> rows := (Array.to_list tup, n) :: !rows) rel;

