@@ -1,8 +1,9 @@
 (* Tests for Dd_datalog.Plan: compiled join plans must be count-exact
    against the interpreted reference Matcher on arbitrary rules and
    databases (including negation, constants, repeated variables, guards,
-   and empty relations) in every physical store layout, Patched views must
-   behave like materialized snapshots, the column store must equal the
+   and empty relations) in every physical store layout, one plan must give
+   the same results over any two layouts of the same facts, Patched views
+   must behave like materialized snapshots, the column store must equal the
    reference row bag under random mutation programs, and DRed through
    compiled delta plans must match from-scratch evaluation on
    insert / delete / rederive scenarios. *)
@@ -432,12 +433,44 @@ let check_ops_equivalence ops =
          && Column_store.cardinality cs' = Row_bag.cardinality bag
      end
 
+(* --- qcheck: one plan over two physical layouts ------------------------------- *)
+
+(* The same plan over the same facts held two ways: row by row in the delta
+   tail, inserted in reverse order (other dictionary ids, other iteration
+   order), and in the scenario's layout.  Results must agree tuple for
+   tuple and count for count, with no reference matcher in the loop. *)
+let plan_outputs rule db =
+  let view = Plan.view_of_lookup (Engine.lookup_in db) in
+  ( sorted_counted (Plan.run (Plan.compile rule) ~lookup:view),
+    sorted_envs rule (Plan.run_bindings (Plan.compile rule) ~lookup:view) )
+
+let check_layout_full_equivalence (rule, contents, layout) =
+  plan_outputs rule (make_db (List.rev contents)) = plan_outputs rule (make_db ~layout contents)
+
+let check_layout_staged_equivalence
+    (rule, before_contents, after_contents, delta_pos, delta, (before_layout, after_layout)) =
+  let run ~before_db ~after_db =
+    let before = Plan.view_of_lookup (Engine.lookup_in before_db)
+    and after = Plan.view_of_lookup (Engine.lookup_in after_db) in
+    let plan = Plan.compile_delta rule ~delta_pos in
+    ( sorted_counted (Plan.run_staged plan ~before ~after ~delta),
+      sorted_counted_envs rule (Plan.run_bindings_staged plan ~before ~after ~delta) )
+  in
+  run ~before_db:(make_db (List.rev before_contents)) ~after_db:(make_db (List.rev after_contents))
+  = run
+      ~before_db:(make_db ~layout:before_layout before_contents)
+      ~after_db:(make_db ~layout:after_layout after_contents)
+
 let qcheck_tests =
   [
     QCheck.Test.make ~name:"planned run equals matcher (random rules/dbs)" ~count:600
       full_equiv_arb check_full_equivalence;
     QCheck.Test.make ~name:"planned staged run equals matcher (random deltas)" ~count:600
       staged_arb check_staged_equivalence;
+    QCheck.Test.make ~name:"columnar backend equals row (full plans)" ~count:300
+      full_equiv_arb check_layout_full_equivalence;
+    QCheck.Test.make ~name:"columnar backend equals row (staged plans)" ~count:300
+      staged_arb check_layout_staged_equivalence;
     QCheck.Test.make ~name:"column store equals row bag (random programs)" ~count:300
       ops_arb check_ops_equivalence;
   ]

@@ -6,6 +6,8 @@
 module Budget = Dd_util.Budget
 module Fault = Dd_util.Fault
 module Database = Dd_relational.Database
+module Relation = Dd_relational.Relation
+module Column_store = Dd_relational.Column_store
 module Serialize = Dd_fgraph.Serialize
 module Engine = Dd_core.Engine
 module Grounding = Dd_core.Grounding
@@ -233,6 +235,42 @@ let test_ladder_retry_sweep () =
          column stores, so the retried run is bit-identical to the
          uninterrupted one. *)
       Alcotest.(check bool) (point ^ " marginals = uninterrupted run") true
+        (baseline.Txn.report.Engine.marginals = outcome.Txn.report.Engine.marginals);
+      Fault.reset ())
+    points
+
+let test_ladder_retry_sweep_compacted () =
+  (* The same sweep with every table of the engine's database compacted
+     into its sorted run before the update, so the update's deltas and the
+     rollback's journal replay land as tail entries overriding run rows.
+     The retried run must still equal the uninterrupted run on the
+     uncompacted engine, bit for bit. *)
+  let baseline, points = exercised_points () in
+  let compacted_engine () =
+    let _, engine = make_engine () in
+    let db = Grounding.database (Engine.grounding engine) in
+    List.iter
+      (fun name -> Column_store.compact (Relation.store (Database.find db name)))
+      (Database.table_names db);
+    engine
+  in
+  Fault.reset ();
+  let clean = apply_ok (Txn.create (compacted_engine ())) (Pipeline.update_of Pipeline.FE1) in
+  Alcotest.(check bool) "compacted clean apply = uncompacted run" true
+    (baseline.Txn.report.Engine.marginals = clean.Txn.report.Engine.marginals);
+  List.iter
+    (fun point ->
+      Fault.reset ();
+      let engine = compacted_engine () in
+      Fault.reset ();
+      Fault.arm point (Fault.Nth 1);
+      let txn = Txn.create engine in
+      let outcome = apply_ok txn (Pipeline.update_of Pipeline.FE1) in
+      note_covered ();
+      Alcotest.(check int) (point ^ " fired once") 1 (Fault.fired point);
+      Alcotest.(check bool) (point ^ " recovered on first retry") true
+        (outcome.Txn.rung = Txn.Retry 1);
+      Alcotest.(check bool) (point ^ " marginals = uncompacted uninterrupted run") true
         (baseline.Txn.report.Engine.marginals = outcome.Txn.report.Engine.marginals);
       Fault.reset ())
     points
@@ -534,6 +572,8 @@ let () =
       ( "ladder",
         [
           Alcotest.test_case "retry sweep over fault points" `Slow test_ladder_retry_sweep;
+          Alcotest.test_case "retry sweep, columnar backend" `Slow
+            test_ladder_retry_sweep_compacted;
           Alcotest.test_case "interrupted rollback" `Quick test_ladder_interrupted_rollback;
           Alcotest.test_case "quarantine after full ladder" `Quick test_ladder_quarantine;
           Alcotest.test_case "malformed never retries" `Quick test_malformed_never_retries;
