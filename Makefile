@@ -1,4 +1,4 @@
-.PHONY: all build test verify bench clean
+.PHONY: all build test verify bench loc clean
 
 all: build
 
@@ -19,6 +19,13 @@ verify:
 # Forward experiment names and flags: make bench ARGS="scaling --json out.json"
 bench:
 	dune exec bench/main.exe -- $(ARGS)
+
+# Line totals of lib/ .ml and .mli files: the net lib/ delta that
+# CHANGES.md records for each change.
+loc:
+	@printf 'lib .ml   %6d\n' $$(find lib -name '*.ml' -exec cat {} + | wc -l)
+	@printf 'lib .mli  %6d\n' $$(find lib -name '*.mli' -exec cat {} + | wc -l)
+	@printf 'lib total %6d\n' $$(find lib \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)
 
 clean:
 	dune clean

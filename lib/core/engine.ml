@@ -288,14 +288,9 @@ let apply_update t update =
     | Optimizer.Sampling | Optimizer.Variational ->
       let m, secs =
         Timer.time (fun () ->
-            let kernel = compiled_kernel t in
-            if t.opts.parallel_domains > 1 || t.opts.gibbs_mode = Par_gibbs.Async then
-              Par_gibbs.marginals ~burn_in:t.opts.burn_in ~budget ~kernel
-                ~mode:t.opts.gibbs_mode ~domains:t.opts.parallel_domains t.rng (graph t)
-                ~sweeps:t.opts.inference_chain
-            else
-              Compiled.marginals ~burn_in:t.opts.burn_in ~budget t.rng kernel
-                ~sweeps:t.opts.inference_chain)
+            Par_gibbs.marginals ~burn_in:t.opts.burn_in ~budget ~kernel:(compiled_kernel t)
+              ~mode:t.opts.gibbs_mode ~domains:t.opts.parallel_domains t.rng (graph t)
+              ~sweeps:t.opts.inference_chain)
       in
       (Used_full_gibbs, None, m, secs)
   in
@@ -411,12 +406,8 @@ let rerun_grounding options db prog =
       }
     rng g;
   let marginals =
-    if options.parallel_domains > 1 || options.gibbs_mode = Par_gibbs.Async then
-      Par_gibbs.marginals ~burn_in:options.burn_in ~mode:options.gibbs_mode
-        ~domains:options.parallel_domains rng g ~sweeps:options.inference_chain
-    else
-      Compiled.marginals ~burn_in:options.burn_in rng (Compiled.compile g)
-        ~sweeps:options.inference_chain
+    Par_gibbs.marginals ~burn_in:options.burn_in ~mode:options.gibbs_mode
+      ~domains:options.parallel_domains rng g ~sweeps:options.inference_chain
   in
   (grounding, marginals)
 

@@ -118,116 +118,6 @@ let cumulative_change m g ~extension_origin =
     evidence_changes = !evidence_changes;
   }
 
-exception Format_error = Dd_fgraph.Serialize.Format_error
-
-let fail fmt = Printf.ksprintf (fun m -> raise (Format_error m)) fmt
-
-(* The persisted artifact: a small header, one compact line per sample
-   (1 character per variable), the baseline snapshot, and the variational
-   graph embedded in its own format when present. *)
-let save path t =
-  (* Atomic publish, mirroring [Serialize.save]: an interrupted save must
-     never leave a truncated materialization at the target path. *)
-  let tmp = path ^ ".tmp" in
-  let out = open_out tmp in
-  (try
-      Printf.fprintf out "ddmat 1\n";
-      Printf.fprintf out "samples %d %d\n" (Array.length t.samples) t.base_var_count;
-      Array.iter
-        (fun world ->
-          let line = Bytes.make (Array.length world) '0' in
-          Array.iteri (fun i v -> if v then Bytes.set line i '1') world;
-          Printf.fprintf out "%s\n" (Bytes.to_string line))
-        t.samples;
-      Printf.fprintf out "baseline %d %d\n" t.base_factor_count t.base_var_count;
-      Printf.fprintf out "weights %d\n" (Array.length t.base_weights);
-      Array.iter (fun w -> Printf.fprintf out "%.17g\n" w) t.base_weights;
-      let evidence_char = function
-        | Graph.Query -> 'q'
-        | Graph.Evidence true -> 't'
-        | Graph.Evidence false -> 'f'
-      in
-      let line = Bytes.make (Array.length t.base_evidence) 'q' in
-      Array.iteri (fun i e -> Bytes.set line i (evidence_char e)) t.base_evidence;
-      Printf.fprintf out "evidence %s\n" (Bytes.to_string line);
-      (match t.variational with
-      | None -> Printf.fprintf out "variational 0\n"
-      | Some approx ->
-        Printf.fprintf out "variational 1\n";
-        Dd_fgraph.Serialize.write out approx);
-      Printf.fprintf out "end\n";
-      close_out out
-  with e ->
-    close_out_noerr out;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  Dd_util.Fault.hit "materialize.save.pre_rename";
-  Sys.rename tmp path
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      let line () = try input_line ic with End_of_file -> fail "unexpected end of file" in
-      (match String.split_on_char ' ' (line ()) with
-      | [ "ddmat"; "1" ] -> ()
-      | _ -> fail "bad header (expected 'ddmat 1')");
-      let nsamples, width =
-        match String.split_on_char ' ' (line ()) with
-        | [ "samples"; n; w ] -> (
-          match (int_of_string_opt n, int_of_string_opt w) with
-          | Some n, Some w -> (n, w)
-          | _ -> fail "bad samples line")
-        | _ -> fail "expected samples line"
-      in
-      let samples =
-        Array.init nsamples (fun _ ->
-            let l = line () in
-            if String.length l <> width then fail "sample width mismatch";
-            Array.init width (fun i -> l.[i] = '1'))
-      in
-      let base_factor_count, base_var_count =
-        match String.split_on_char ' ' (line ()) with
-        | [ "baseline"; f; v ] -> (
-          match (int_of_string_opt f, int_of_string_opt v) with
-          | Some f, Some v -> (f, v)
-          | _ -> fail "bad baseline line")
-        | _ -> fail "expected baseline line"
-      in
-      let nweights =
-        match String.split_on_char ' ' (line ()) with
-        | [ "weights"; n ] -> (
-          match int_of_string_opt n with Some n -> n | None -> fail "bad weights count")
-        | _ -> fail "expected weights line"
-      in
-      let base_weights =
-        Array.init nweights (fun _ ->
-            match float_of_string_opt (line ()) with
-            | Some w -> w
-            | None -> fail "bad weight value")
-      in
-      let base_evidence =
-        match String.split_on_char ' ' (line ()) with
-        | [ "evidence"; chars ] ->
-          Array.init (String.length chars) (fun i ->
-              match chars.[i] with
-              | 'q' -> Graph.Query
-              | 't' -> Graph.Evidence true
-              | 'f' -> Graph.Evidence false
-              | c -> fail "bad evidence flag %c" c)
-        | [ "evidence" ] -> [||]
-        | _ -> fail "expected evidence line"
-      in
-      let variational =
-        match String.split_on_char ' ' (line ()) with
-        | [ "variational"; "0" ] -> None
-        | [ "variational"; "1" ] -> Some (Dd_fgraph.Serialize.read ic)
-        | _ -> fail "expected variational line"
-      in
-      (match line () with "end" -> () | other -> fail "expected end, found %s" other);
-      { samples; variational; base_weights; base_factor_count; base_var_count; base_evidence })
-
 (* Import one factor of the updated full graph into the approximate graph,
    mapping its weight to a fresh weight carrying the current value. *)
 let import_factor approx full (f : Graph.factor) ~bodies =

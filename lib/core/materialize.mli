@@ -76,14 +76,6 @@ val cumulative_change :
     changes, and [extension_origin] maps pre-existing factors to their body
     count at materialization time. *)
 
-val save : string -> t -> unit
-(** Persist the materialization (samples, baseline, optional variational
-    graph) to a file — the artifact is built "overnight" and reused across
-    sessions, so it must survive the process. *)
-
-val load : string -> t
-(** Raises [Dd_fgraph.Serialize.Format_error] on malformed input. *)
-
 val variational_infer :
   ?sweeps:int ->
   ?burn_in:int ->

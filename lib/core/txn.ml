@@ -25,7 +25,6 @@ module Database = Dd_relational.Database
 module Prng = Dd_util.Prng
 module Fault = Dd_util.Fault
 module Budget = Dd_util.Budget
-module Crc32 = Dd_util.Crc32
 
 type error = Grounding.error
 
@@ -133,35 +132,20 @@ let classify : exn -> error = function
 
 (* --- dead-letter payloads ------------------------------------------------- *)
 
-(* Replayable serialized delta: a magic line, a CRC-32 line over the
-   marshalled update, then the marshalled bytes — same footer discipline
-   as the checkpoint WAL. *)
-let payload_magic = "ddtxn 1"
+(* Replayable serialized delta: the marshalled update in one
+   [Dd_util.Record] frame, the same framing as a checkpoint WAL entry. *)
+let payload_tag = "ddtxn 2"
 
 let encode_update (update : Grounding.update) =
-  let body = Marshal.to_string update [] in
-  Printf.sprintf "%s\n%s\n%s" payload_magic (Crc32.to_hex (Crc32.string body)) body
+  Dd_util.Record.frame payload_tag (Marshal.to_string update [])
 
 let decode_update payload =
-  let fail m = Error ("Txn.decode_update: " ^ m) in
-  match String.index_opt payload '\n' with
-  | None -> fail "missing magic line"
-  | Some i -> (
-    if String.sub payload 0 i <> payload_magic then fail "bad magic"
-    else
-      match String.index_from_opt payload (i + 1) '\n' with
-      | None -> fail "missing checksum line"
-      | Some j ->
-        let crc_line = String.sub payload (i + 1) (j - i - 1) in
-        let body = String.sub payload (j + 1) (String.length payload - j - 1) in
-        (match Crc32.of_hex crc_line with
-        | None -> fail "unparseable checksum"
-        | Some crc ->
-          if Crc32.string body <> crc then fail "checksum mismatch"
-          else
-            (match Marshal.from_string body 0 with
-            | (update : Grounding.update) -> Ok update
-            | exception _ -> fail "unmarshal failed")))
+  match Dd_util.Record.decode payload_tag payload with
+  | Error m -> Error ("Txn.decode_update: " ^ m)
+  | Ok body -> (
+    match Marshal.from_string body 0 with
+    | (update : Grounding.update) -> Ok update
+    | exception _ -> Error "Txn.decode_update: unmarshal failed")
 
 let decode_dead_letter dl = decode_update dl.payload
 

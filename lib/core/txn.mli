@@ -110,8 +110,8 @@ val classify : exn -> error
     [`Malformed_delta], anything else [`Internal]. *)
 
 val encode_update : Grounding.update -> string
-(** Serialize an update as a dead-letter payload (magic + CRC-32 +
-    marshalled bytes). *)
+(** Serialize an update as a dead-letter payload: the marshalled update
+    in one {!Dd_util.Record} frame (tag [ddtxn 2]). *)
 
 val decode_update : string -> (Grounding.update, string) result
 

@@ -1,5 +1,4 @@
 module Crc32 = Dd_util.Crc32
-module Fault = Dd_util.Fault
 
 exception Format_error of string
 
@@ -18,11 +17,12 @@ let semantics_of_code code =
 (* v2 writer: identical body to v1 plus a CRC-32 footer over every byte
    from the header through the last body line (checksum and end lines
    excluded), so any single flipped or dropped byte is detected on load. *)
-let write_lines ~emit g =
+let to_string g =
+  let buffer = Buffer.create 4096 in
   let crc = ref Crc32.init in
   let emit s =
     crc := Crc32.update_string !crc s;
-    emit s
+    Buffer.add_string buffer s
   in
   emit "ddgraph 2\n";
   emit (Printf.sprintf "vars %d\n" (Graph.num_vars g));
@@ -56,7 +56,8 @@ let write_lines ~emit g =
     g;
   let digest = Crc32.finish !crc in
   emit (Printf.sprintf "checksum %s\n" (Crc32.to_hex digest));
-  emit "end\n"
+  emit "end\n";
+  Buffer.contents buffer
 
 let read_lines next_line =
   let crc = ref Crc32.init in
@@ -180,54 +181,19 @@ let read_lines next_line =
   loop ();
   g
 
-(* Like [read_lines] but additionally requires exhaustion of the input
-   after [end] — a whole-file read, where trailing content (for instance a
-   duplicated [end] from a botched concatenation) means corruption.  The
-   embedded-section entry points ([read] on an open channel) must NOT
-   check this: they legitimately stop mid-stream. *)
-let read_lines_exhaustive next_line =
+(* Trailing content after [end] (for instance a duplicated [end] from a
+   botched concatenation) means corruption. *)
+let of_string text =
+  let lines = ref (String.split_on_char '\n' text) in
+  let next_line () =
+    match !lines with
+    | [] -> None
+    | l :: rest ->
+      lines := rest;
+      Some l
+  in
   let g = read_lines next_line in
   (match next_line () with
   | Some extra when String.trim extra <> "" -> fail "trailing content after end: %s" extra
   | Some _ | None -> ());
   g
-
-let write out g = write_lines ~emit:(output_string out) g
-
-let read ic = read_lines (fun () -> try Some (input_line ic) with End_of_file -> None)
-
-let save path g =
-  (* Atomic publish: the graph is streamed to a sibling temp file which is
-     renamed over the target only after a complete write, so a crash
-     mid-save never leaves a truncated artifact at [path]. *)
-  let tmp = path ^ ".tmp" in
-  let out = open_out tmp in
-  (match write out g with
-  | () -> close_out out
-  | exception e ->
-    close_out_noerr out;
-    (try Sys.remove tmp with Sys_error _ -> ());
-    raise e);
-  Fault.hit "serialize.save.pre_rename";
-  Sys.rename tmp path
-
-let load path =
-  let ic = open_in path in
-  Fun.protect
-    ~finally:(fun () -> close_in ic)
-    (fun () ->
-      read_lines_exhaustive (fun () -> try Some (input_line ic) with End_of_file -> None))
-
-let to_string g =
-  let buffer = Buffer.create 4096 in
-  write_lines ~emit:(Buffer.add_string buffer) g;
-  Buffer.contents buffer
-
-let of_string text =
-  let lines = ref (String.split_on_char '\n' text) in
-  read_lines_exhaustive (fun () ->
-      match !lines with
-      | [] -> None
-      | l :: rest ->
-        lines := rest;
-        Some l)

@@ -1,9 +1,9 @@
 (** Factor-graph (de)serialization.
 
     DeepDive materializes the grounded factor graph as a file handed to the
-    external sampler, and the incremental engine's materialization is an
-    overnight artifact meant to be reused across sessions — both need a
-    durable format.  This is a versioned, line-oriented text format:
+    external sampler.  Here the checkpoint embeds the graph in this
+    format as its auditable section, cross-checked against the marshalled
+    engine on load.  It is a versioned, line-oriented text format:
     human-greppable, stable under appends, and independent of in-memory
     representation details.
 
@@ -26,22 +26,9 @@
 
 exception Format_error of string
 
-val write : out_channel -> Graph.t -> unit
-
-val read : in_channel -> Graph.t
-(** Raises {!Format_error} on malformed input (including a checksum
-    mismatch).  Stops at the [end] line, leaving the channel positioned
-    after it — usable for graphs embedded in larger files. *)
-
-val save : string -> Graph.t -> unit
-(** Write to a file path atomically: the content goes to [path ^ ".tmp"]
-    and is renamed over [path] only once complete, so an interrupted save
-    never leaves a truncated graph at the target. *)
-
-val load : string -> Graph.t
-(** Read a whole file; trailing content after [end] (e.g. a duplicated
-    footer) is a {!Format_error}. *)
-
 val to_string : Graph.t -> string
 
 val of_string : string -> Graph.t
+(** Raises {!Format_error} on malformed input, including a checksum
+    mismatch and trailing content after [end] (e.g. a duplicated
+    footer). *)

@@ -11,7 +11,6 @@
    winner's id, so winner-side bindings never move. *)
 
 module Union_find = Dd_util.Union_find
-module Crc32 = Dd_util.Crc32
 module Mention_finder = Dd_text.Mention_finder
 
 type t = {
@@ -149,21 +148,21 @@ let alias_pairs t = List.rev t.aliases
 
 (* --- serialization ---------------------------------------------------------
 
-   Canonical text layout, CRC-gated:
+   Canonical text layout, one [Dd_util.Record] frame tagged [ddcanon 2]
+   around
 
-     ddcanon 1
      keys <n>
      <key of node 0> ... <key of node n-1>   (one per line)
      canon <n ints>                           (min member id per node)
      aliases <m>
      <a>\t<b>                                 (one per line, oldest first)
-     crc <hex>
-     end
 
    Keys contain no control characters (token normalization strips
    whitespace), so line- and tab-delimiting is unambiguous.  The [canon]
    array is derived from set structure, not union-find internals, so
    decode→encode is byte-identical regardless of path-compression state. *)
+
+let record_tag = "ddcanon 2"
 
 let encode t =
   let n = Union_find.length t.uf in
@@ -184,19 +183,17 @@ let encode t =
   List.iter
     (fun (a, b) -> Buffer.add_string body (Printf.sprintf "%s\t%s\n" a b))
     aliases;
-  let payload = Buffer.contents body in
-  Printf.sprintf "ddcanon 1\n%scrc %s\nend\n" payload (Crc32.to_hex (Crc32.string payload))
+  Dd_util.Record.frame record_tag (Buffer.contents body)
 
 exception Malformed of string
 
 let decode text =
   let fail fmt = Printf.ksprintf (fun m -> raise (Malformed m)) fmt in
   match
-    let lines = String.split_on_char '\n' text in
     let rest =
-      match lines with
-      | "ddcanon 1" :: rest -> rest
-      | _ -> fail "bad header"
+      match Dd_util.Record.decode record_tag text with
+      | Ok payload -> String.split_on_char '\n' payload
+      | Error m -> fail "%s" m
     in
     let take = function
       | line :: rest -> (line, rest)
@@ -249,21 +246,7 @@ let decode text =
           split_aliases ((a, b) :: acc) (k - 1) rest
     in
     let aliases, rest = split_aliases [] m rest in
-    (match rest with
-    | [ crc_line; "end"; "" ] -> (
-      match String.split_on_char ' ' crc_line with
-      | [ "crc"; hex ] -> (
-        match Crc32.of_hex hex with
-        | None -> fail "bad crc"
-        | Some crc ->
-          (* Everything between the header and the crc line; the suffix is
-             the crc line, its newline, and the "end\n" footer. *)
-          let start = String.length "ddcanon 1\n" in
-          let stop = String.length text - (String.length crc_line + 5) in
-          let payload = String.sub text start (stop - start) in
-          if Crc32.string payload <> crc then fail "crc mismatch")
-      | _ -> fail "expected crc line")
-    | _ -> fail "bad footer");
+    if rest <> [ "" ] then fail "trailing content after aliases";
     let t = create () in
     List.iter
       (fun key ->

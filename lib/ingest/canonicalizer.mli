@@ -76,7 +76,8 @@ val alias_pairs : t -> (string * string) list
 (** Declared alias pairs, oldest first (as normalized keys). *)
 
 val encode : t -> string
-(** Canonical text serialization with a CRC-32 footer.  Deterministic:
+(** Canonical text serialization in one {!Dd_util.Record} frame (tag
+    [ddcanon 2], length + CRC-32).  Deterministic:
     equal states encode identically, and [encode (decode (encode t))]
     is byte-equal to [encode t]. *)
 

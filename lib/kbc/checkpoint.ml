@@ -7,13 +7,15 @@
      wal-<n>.log         updates n+1, n+2, ... (one entry each)
      *.quarantined       damaged files set aside by recovery/scrub
 
-   A checkpoint file embeds the factor graph in the auditable ddgraph v2
-   text format (with its own CRC-32 footer) followed by a CRC-checked
-   binary snapshot of the full engine state.  Every publish is atomic and
-   durable (temp file + data fsync + rename + directory fsync, all via
-   {!Dd_util.Fault_file}) and ordered so that a crash at any instant
-   leaves the previous checkpoint consistent: first the fresh (empty)
-   WAL, then the checkpoint file, then the MANIFEST switch.
+   Every file but MANIFEST is a sequence of [Dd_util.Record] frames (tag,
+   length, CRC-32): a checkpoint holds its sequence number, the factor
+   graph in the auditable ddgraph v2 text format and the marshalled
+   engine state; a WAL its checkpoint's sequence number, then one frame
+   per update.  Every publish is atomic and durable (temp file + data
+   fsync + rename + directory fsync, all via [Dd_util.Fault_file]) and
+   ordered so that a crash at any instant leaves the previous checkpoint
+   consistent: first the fresh (empty) WAL, then the checkpoint file,
+   then the MANIFEST switch.
 
    The store retains the newest [keep_versions] checkpoint/WAL pairs.
    Because wal-<m> holds exactly the updates between checkpoint m and the
@@ -39,9 +41,9 @@ module Txn = Dd_core.Txn
 module Graph = Dd_fgraph.Graph
 module Serialize = Dd_fgraph.Serialize
 module Database = Dd_relational.Database
-module Crc32 = Dd_util.Crc32
 module Fault = Dd_util.Fault
 module Fault_file = Dd_util.Fault_file
+module Record = Dd_util.Record
 
 type error =
   | No_checkpoint  (** the store has no checkpoint at all *)
@@ -129,17 +131,12 @@ let quarantined_files store =
 let state_snapshot engine = Marshal.to_string (engine : Engine.t) []
 
 let checkpoint_content engine ~seq =
-  let buffer = Buffer.create 65536 in
-  Buffer.add_string buffer "ddckpt 1\n";
-  Buffer.add_string buffer (Printf.sprintf "seq %d\n" seq);
-  Buffer.add_string buffer (Serialize.to_string (Engine.graph engine));
-  let state = state_snapshot engine in
-  Buffer.add_string buffer
-    (Printf.sprintf "state %d %s\n" (String.length state)
-       (Crc32.to_hex (Crc32.string state)));
-  Buffer.add_string buffer state;
-  Buffer.add_string buffer "\nend\n";
-  Buffer.contents buffer
+  Record.frames
+    [
+      ("ddckpt 2", string_of_int seq);
+      ("graph", Serialize.to_string (Engine.graph engine));
+      ("state", state_snapshot engine);
+    ]
 
 let publish_manifest store ~ckpt ~wal =
   let content =
@@ -180,7 +177,7 @@ let save store engine =
   (* 1. Fresh empty WAL for the updates that will follow this checkpoint.
      Not yet referenced by the manifest, so a crash here is invisible. *)
   Fault_file.write_atomic ~fsync:store.fsync (wal_path store seq)
-    (Printf.sprintf "ddwal 1 %d\n" seq);
+    (Record.frame "ddwal 2" (string_of_int seq));
   (* 2. The checkpoint file itself: data fsync before the rename, directory
      fsync after, so a crash cannot leave a renamed-but-empty file. *)
   let tmp = ckpt_path store seq ^ ".tmp" in
@@ -199,20 +196,20 @@ let save store engine =
 
 (* --- write-ahead log ------------------------------------------------------- *)
 
+let entry_tag seq = Printf.sprintf "entry %d" seq
+
 let log_update store (update : Grounding.update) =
   match (store.wal, store.wal_file) with
   | None, _ | _, None -> invalid_arg "Checkpoint.log_update: no checkpoint published yet"
   | Some ch, Some path ->
     let payload = Marshal.to_string update [] in
     let seq = store.seq + 1 in
-    Fault_file.append ~path ch
-      (Printf.sprintf "entry %d %d %s\n" seq (String.length payload)
-         (Crc32.to_hex (Crc32.string payload)));
+    Fault_file.append ~path ch (Record.header (entry_tag seq) payload);
     (* Crash between header and payload leaves a torn tail entry, which
        recovery discards. *)
     Fault.hit "checkpoint.log_update.mid_write";
     Fault_file.append ~path ch payload;
-    Fault_file.append ~path ch "\n";
+    Fault_file.append ~path ch Record.terminator;
     Fault_file.flush_fsync ~fsync:store.fsync ~path ch;
     store.seq <- seq
 
@@ -226,154 +223,48 @@ exception Bad of error
 
 let corrupt fmt = Printf.ksprintf (fun m -> raise (Bad (Corrupt m))) fmt
 
-(* Cursor over a whole-file read.  Going through [Fault_file.read_file]
-   (rather than an [in_channel]) means the short-read fault applies
-   uniformly to every load path, and a torn file surfaces as [Eof] at the
-   exact byte it was cut. *)
-module Reader = struct
-  type t = { data : string; mutable pos : int }
-
-  exception Eof
-
-  let of_path path =
-    if not (Sys.file_exists path) then raise Eof;
-    { data = Fault_file.read_file path; pos = 0 }
-
-  let line r =
-    let n = String.length r.data in
-    if r.pos >= n then raise Eof
-    else
-      match String.index_from_opt r.data r.pos '\n' with
-      | Some i ->
-        let s = String.sub r.data r.pos (i - r.pos) in
-        r.pos <- i + 1;
-        s
-      | None ->
-        (* trailing bytes without a newline: the torn remainder *)
-        let s = String.sub r.data r.pos (n - r.pos) in
-        r.pos <- n;
-        s
-
-  let exact r len =
-    if len < 0 || r.pos + len > String.length r.data then raise Eof
-    else begin
-      let s = String.sub r.data r.pos len in
-      r.pos <- r.pos + len;
-      s
-    end
-end
+(* A whole file that must be exactly one record. *)
+let read_record path tag =
+  match Record.decode tag (Fault_file.read_file path) with
+  | Ok payload -> Ok payload
+  | Error m -> Error (Corrupt (Filename.basename path ^ ": " ^ m))
+  | exception Sys_error m -> Error (Corrupt m)
 
 (* --- dead-letter persistence ------------------------------------------------ *)
 
 (* Quarantined updates survive a restart in a DEADLETTERS file published
-   atomically next to the checkpoints.  Each letter keeps the supervisor's
-   metadata plus its replayable payload in the exact [Txn.encode_update]
-   encoding (magic + CRC-32 + marshalled bytes), so a loaded letter decodes
-   through the same CRC gate as a live one.  Lengths are recorded
-   explicitly: a torn or tampered file fails structurally before any
-   payload reaches [Marshal]. *)
+   atomically next to the checkpoints: one record whose payload is the
+   marshalled letter list, so the supervisor's metadata (sequence,
+   attempts, error) sits under the same CRC as the payloads.  Each
+   payload keeps its own [Txn.encode_update] frame and is decoded at load
+   time, so a bad letter surfaces here rather than at replay. *)
 
 let dead_letters_path store = Filename.concat store.dir "DEADLETTERS"
 
+let dead_letters_tag = "dddead 2"
+
 let quarantine_dead_letters store = quarantine_path (dead_letters_path store)
 
-let error_tag : Txn.error -> string = function
-  | `Malformed_delta _ -> "malformed"
-  | `Transient _ -> "transient"
-  | `Inference_timeout _ -> "timeout"
-  | `Internal _ -> "internal"
-
-let error_detail : Txn.error -> string = function
-  | `Malformed_delta m | `Transient m | `Inference_timeout m | `Internal m -> m
-
-let error_of_tag tag message : Txn.error option =
-  match tag with
-  | "malformed" -> Some (`Malformed_delta message)
-  | "transient" -> Some (`Transient message)
-  | "timeout" -> Some (`Inference_timeout message)
-  | "internal" -> Some (`Internal message)
-  | _ -> None
-
 let save_dead_letters store letters =
-  let buffer = Buffer.create 4096 in
-  Buffer.add_string buffer "dddead 1\n";
-  List.iter
-    (fun (dl : Txn.dead_letter) ->
-      let message = error_detail dl.Txn.error in
-      Buffer.add_string buffer
-        (Printf.sprintf "letter %d %d %s %d %d\n" dl.Txn.seq dl.Txn.attempts
-           (error_tag dl.Txn.error) (String.length message)
-           (String.length dl.Txn.payload));
-      Buffer.add_string buffer message;
-      Buffer.add_char buffer '\n';
-      Buffer.add_string buffer dl.Txn.payload;
-      Buffer.add_char buffer '\n')
-    letters;
-  Buffer.add_string buffer "end\n";
   Fault_file.write_atomic ~fsync:store.fsync (dead_letters_path store)
-    (Buffer.contents buffer)
+    (Record.frame dead_letters_tag (Marshal.to_string (letters : Txn.dead_letter list) []))
 
 let load_dead_letters store =
   let path = dead_letters_path store in
   if not (Sys.file_exists path) then Ok []
   else
-    match
-      let r = Reader.of_path path in
-      let line () = try Reader.line r with Reader.Eof -> corrupt "truncated DEADLETTERS" in
-      (match line () with
-      | "dddead 1" -> ()
-      | other -> corrupt "bad DEADLETTERS header: %s" other);
-      let read_exact len what =
-        let s =
-          try Reader.exact r len
-          with Reader.Eof -> corrupt "truncated DEADLETTERS %s" what
-        in
-        (match line () with
-        | "" -> ()
-        | _ -> corrupt "missing DEADLETTERS %s terminator" what);
-        s
-      in
-      let rec loop acc =
-        match line () with
-        | "end" -> List.rev acc
-        | header -> (
-          match String.split_on_char ' ' header with
-          | [ "letter"; seq; attempts; tag; msg_len; payload_len ] -> (
-            match
-              ( int_of_string_opt seq,
-                int_of_string_opt attempts,
-                int_of_string_opt msg_len,
-                int_of_string_opt payload_len )
-            with
-            | Some seq, Some attempts, Some msg_len, Some payload_len
-              when seq > 0 && attempts >= 0 && msg_len >= 0 && payload_len >= 0 -> (
-              let message = read_exact msg_len "error message" in
-              let payload = read_exact payload_len "payload" in
-              match error_of_tag tag message with
-              | None -> corrupt "unknown DEADLETTERS error tag %s" tag
-              | Some error ->
-                (* The payload carries its own CRC ([Txn.encode_update]);
-                   gate on it now so a corrupt letter surfaces at load
-                   time, not at replay time. *)
-                (match Txn.decode_update payload with
-                | Ok _ -> ()
-                | Error m -> corrupt "letter %d payload: %s" seq m);
-                loop ({ Txn.seq; error; attempts; payload } :: acc))
-            | _ -> corrupt "bad DEADLETTERS letter header: %s" header)
-          | _ -> corrupt "bad DEADLETTERS letter header: %s" header)
-      in
-      loop []
-    with
-    | letters -> Ok letters
-    | exception Bad error -> Error error
-    | exception Sys_error m -> Error (Corrupt m)
+    Result.bind (read_record path dead_letters_tag) (fun payload ->
+        let letters : Txn.dead_letter list = Marshal.from_string payload 0 in
+        match List.find_opt (fun dl -> Result.is_error (Txn.decode_dead_letter dl)) letters with
+        | Some dl -> Error (Corrupt (Printf.sprintf "letter %d payload does not decode" dl.Txn.seq))
+        | None -> Ok letters)
 
 (* --- sidecar blobs ---------------------------------------------------------- *)
 
 (* Small named state blobs published atomically next to the checkpoints —
    the subsystem-state analogue of DEADLETTERS (the ingestion feed stores
-   its canonicalizer here).  Length + CRC are recorded explicitly so a torn
-   or tampered file fails structurally at load time. *)
+   its canonicalizer here).  Each is one record, so a torn or tampered
+   file fails at load time. *)
 
 let blob_file name = "BLOB_" ^ name
 
@@ -389,40 +280,15 @@ let blob_path store name =
   if name = "" then invalid_arg "Checkpoint blob name: empty";
   Filename.concat store.dir (blob_file name)
 
+let blob_tag = "ddblob 2"
+
 let save_blob store ~name content =
-  Fault_file.write_atomic ~fsync:store.fsync (blob_path store name)
-    (Printf.sprintf "ddblob 1 %d %s\n%s\nend\n" (String.length content)
-       (Crc32.to_hex (Crc32.string content))
-       content)
+  Fault_file.write_atomic ~fsync:store.fsync (blob_path store name) (Record.frame blob_tag content)
 
 let load_blob store ~name =
   let path = blob_path store name in
   if not (Sys.file_exists path) then Ok None
-  else
-    match
-      let r = Reader.of_path path in
-      let line () = try Reader.line r with Reader.Eof -> corrupt "truncated blob %s" name in
-      let len, crc =
-        match String.split_on_char ' ' (line ()) with
-        | [ "ddblob"; "1"; len; hex ] -> (
-          match (int_of_string_opt len, Crc32.of_hex hex) with
-          | Some len, Some crc when len >= 0 -> (len, crc)
-          | _ -> corrupt "bad blob %s header fields" name)
-        | _ -> corrupt "bad blob %s header" name
-      in
-      let content =
-        try Reader.exact r len with Reader.Eof -> corrupt "truncated blob %s content" name
-      in
-      (match line () with
-      | "" -> ()
-      | _ -> corrupt "missing blob %s terminator" name);
-      (match line () with "end" -> () | _ -> corrupt "bad blob %s footer" name);
-      if Crc32.string content <> crc then corrupt "blob %s checksum mismatch" name;
-      content
-    with
-    | content -> Ok (Some content)
-    | exception Bad error -> Error error
-    | exception Sys_error m -> Error (Corrupt m)
+  else Result.map Option.some (read_record path blob_tag)
 
 let blob_names store =
   Array.fold_left
@@ -441,27 +307,6 @@ let quarantine_blob store ~name = quarantine_path (blob_path store name)
 
 (* --- load + recovery ------------------------------------------------------- *)
 
-let read_manifest store =
-  let path = manifest_path store in
-  if not (Sys.file_exists path) then raise (Bad No_checkpoint);
-  let r = try Reader.of_path path with Reader.Eof -> corrupt "unreadable MANIFEST" in
-  let line () = try Reader.line r with Reader.Eof -> corrupt "truncated MANIFEST" in
-  (match line () with
-  | "ddmanifest 1" -> ()
-  | other -> corrupt "bad MANIFEST header: %s" other);
-  let ckpt =
-    match String.split_on_char ' ' (line ()) with
-    | [ "checkpoint"; name ] -> name
-    | _ -> corrupt "bad MANIFEST checkpoint line"
-  in
-  let wal =
-    match String.split_on_char ' ' (line ()) with
-    | [ "wal"; name ] -> name
-    | _ -> corrupt "bad MANIFEST wal line"
-  in
-  (match line () with "end" -> () | _ -> corrupt "bad MANIFEST footer");
-  (ckpt, wal)
-
 let validate engine =
   let ( let* ) = Result.bind in
   let* () =
@@ -473,57 +318,26 @@ let validate engine =
 
 let load_checkpoint_file path =
   if not (Sys.file_exists path) then corrupt "missing checkpoint file %s" path;
-  let r = try Reader.of_path path with Reader.Eof -> corrupt "unreadable checkpoint" in
-  let line () = try Reader.line r with Reader.Eof -> corrupt "truncated checkpoint" in
-  (match line () with
-  | "ddckpt 1" -> ()
-  | other -> corrupt "bad checkpoint header: %s" other);
+  let r = Record.of_file path in
+  let read tag = try Record.read r tag with Record.Malformed m -> corrupt "checkpoint %s" m in
   let seq =
-    match String.split_on_char ' ' (line ()) with
-    | [ "seq"; n ] -> (
-      match int_of_string_opt n with
-      | Some n when n >= 0 -> n
-      | Some _ | None -> corrupt "bad checkpoint seq")
-    | _ -> corrupt "expected seq line"
+    match int_of_string_opt (read "ddckpt 2") with
+    | Some n when n >= 0 -> n
+    | Some _ | None -> corrupt "bad checkpoint seq"
   in
-  (* The seq line sits outside both embedded checksums; cross-check it
-     against the version the file name claims to be. *)
   (match version_of_name (Filename.basename path) with
   | Some n when n <> seq -> corrupt "checkpoint seq %d does not match file %s" seq path
   | _ -> ());
-  (* The embedded ddgraph section runs through its own [end] line. *)
-  let graph_buffer = Buffer.create 65536 in
-  let rec slurp_graph () =
-    let l = line () in
-    Buffer.add_string graph_buffer l;
-    Buffer.add_char graph_buffer '\n';
-    if l <> "end" then slurp_graph ()
-  in
-  slurp_graph ();
-  let graph_text = Buffer.contents graph_buffer in
+  let graph_text = read "graph" in
+  (* Both checksums pass before [Marshal.from_string], which is undefined
+     behaviour on corrupted bytes. *)
+  let state = read "state" in
+  (try Record.finish r with Record.Malformed m -> corrupt "checkpoint: %s" m);
   let graph =
     match Serialize.of_string graph_text with
     | g -> g
     | exception Serialize.Format_error m -> corrupt "embedded graph: %s" m
   in
-  let state_len, state_crc =
-    match String.split_on_char ' ' (line ()) with
-    | [ "state"; len; crc ] -> (
-      match (int_of_string_opt len, Crc32.of_hex crc) with
-      | Some len, Some crc when len >= 0 -> (len, crc)
-      | _ -> corrupt "bad state line")
-    | _ -> corrupt "expected state line"
-  in
-  let state =
-    try Reader.exact r state_len with Reader.Eof -> corrupt "truncated state section"
-  in
-  (* Checksum gate before unmarshalling: [Marshal.from_string] on
-     corrupted bytes is undefined behaviour, so it must never see them. *)
-  if Crc32.string state <> state_crc then corrupt "state checksum mismatch";
-  (match line () with
-  | "" -> ()
-  | _ -> corrupt "missing state terminator");
-  (match line () with "end" -> () | _ -> corrupt "missing checkpoint footer");
   (match Graph.validate graph with
   | Ok () -> ()
   | Error m -> raise (Bad (Invalid_state ("embedded graph: " ^ m))));
@@ -549,50 +363,17 @@ let verify_version store seq =
    end the log at that point — the entries "never made it to disk" and the
    driver redrives them. *)
 let read_wal path ~ckpt_seq =
-  match Reader.of_path path with
-  | exception Reader.Eof -> []
+  let rec entries r seq acc =
+    match Record.read r (entry_tag seq) with
+    | payload -> entries r (seq + 1) ((Marshal.from_string payload 0 : Grounding.update) :: acc)
+    | exception Record.Malformed _ -> List.rev acc
+  in
+  match Record.of_file path with
   | exception Sys_error _ -> []
   | r -> (
-    match Reader.line r with
-    | exception Reader.Eof -> []
-    | header -> (
-      match String.split_on_char ' ' header with
-      | [ "ddwal"; "1"; n ] when int_of_string_opt n = Some ckpt_seq ->
-        let entries = ref [] in
-        let expected = ref (ckpt_seq + 1) in
-        (* [None] = end of log (EOF, torn tail, or any malformed
-           structure). *)
-        let next_entry () =
-          match Reader.line r with
-          | exception Reader.Eof -> None
-          | header -> (
-            match String.split_on_char ' ' header with
-            | [ "entry"; seq; len; crc ] -> (
-              match (int_of_string_opt seq, int_of_string_opt len, Crc32.of_hex crc) with
-              | Some seq, Some len, Some crc when seq = !expected && len >= 0 -> (
-                match Reader.exact r len with
-                | exception Reader.Eof -> None (* torn tail *)
-                | payload -> (
-                  if Crc32.string payload <> crc then None (* torn/corrupt tail *)
-                  else
-                    match Reader.line r with
-                    | "" -> Some (Marshal.from_string payload 0 : Grounding.update)
-                    | _ -> None (* bad terminator: torn *)
-                    | exception Reader.Eof -> None (* missing terminator: torn *)))
-              | _ -> None (* malformed or out-of-sequence header: end of log *))
-            | _ -> None)
-        in
-        let rec loop () =
-          match next_entry () with
-          | None -> ()
-          | Some update ->
-            entries := update :: !entries;
-            incr expected;
-            loop ()
-        in
-        loop ();
-        List.rev !entries
-      | _ -> [] (* unreadable header: nothing recoverable here *)))
+    match Record.read r "ddwal 2" with
+    | n when n = string_of_int ckpt_seq -> entries r (ckpt_seq + 1) []
+    | _ | (exception Record.Malformed _) -> [])
 
 let recover store =
   abandon store;
@@ -647,7 +428,10 @@ let recover store =
   | exception Sys_error m -> Error (Corrupt m)
 
 let latest store =
-  match read_manifest store with
-  | ckpt, _ -> Some ckpt
-  | exception Bad _ -> None
+  match String.split_on_char '\n' (Fault_file.read_file (manifest_path store)) with
+  | "ddmanifest 1" :: ckpt :: wal :: "end" :: _ -> (
+    match (String.split_on_char ' ' ckpt, String.split_on_char ' ' wal) with
+    | [ "checkpoint"; name ], [ "wal"; _ ] -> Some name
+    | _ -> None)
+  | _ -> None
   | exception Sys_error _ -> None

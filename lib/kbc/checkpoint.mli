@@ -5,11 +5,11 @@
     force a full Rerun.  This module makes the engine restartable:
 
     - {!save} publishes a versioned checkpoint of the full engine state
-      (factor graph in auditable ddgraph v2 text with a CRC-32 footer,
-      plus a CRC-checked binary snapshot covering learned weights, the
-      materialization, the database and the applied-rule list) atomically
-      via temp-file + rename, and a [MANIFEST] names the latest valid
-      checkpoint.
+      (the factor graph in auditable ddgraph v2 text, plus a marshalled
+      snapshot covering learned weights, the materialization, the
+      database and the applied-rule list, each in a length- and
+      CRC-checked {!Dd_util.Record} frame) atomically via temp-file +
+      rename, and a [MANIFEST] names the latest valid checkpoint.
     - {!apply_update} appends the update's {!Dd_core.Grounding.update}
       payload to a write-ahead log ([flush]ed) {e before} mutating the
       engine.
@@ -99,19 +99,20 @@ val quarantined_files : t -> string list
 val save_dead_letters : t -> Dd_core.Txn.dead_letter list -> unit
 (** Atomically publish the supervisor's quarantine queue (oldest first, as
     {!Dd_core.Txn.dead_letters} returns it) to a [DEADLETTERS] file in the
-    store.  Each letter's payload is stored in the exact
-    {!Dd_core.Txn.encode_update} encoding — CRC-guarded and replayable —
-    so quarantined updates survive a restart.  Call with [[]] to clear. *)
+    store: one {!Dd_util.Record} frame over the whole queue, so every
+    letter's sequence number, attempt count and error sit under the same
+    CRC as its replayable {!Dd_core.Txn.encode_update} payload.  Call
+    with [[]] to clear. *)
 
 val load_dead_letters : t -> (Dd_core.Txn.dead_letter list, error) result
 (** Read back the persisted quarantine queue, oldest first ([Ok []] when
-    none was ever saved).  Every structural field and every payload CRC is
+    none was ever saved).  The file's frame and every payload's frame are
     verified; feed the result to {!Dd_core.Txn.restore_dead_letters} after
     {!recover}, then replay with {!Dd_core.Txn.replay}. *)
 
 val save_blob : t -> name:string -> string -> unit
-(** Atomically publish a named sidecar state blob ([BLOB_<name>], CRC-32
-    gated) next to the checkpoints — for subsystem state that must travel
+(** Atomically publish a named sidecar state blob ([BLOB_<name>], one
+    {!Dd_util.Record} frame) next to the checkpoints — for subsystem state that must travel
     with the engine snapshot, e.g. the ingestion feed's canonicalizer
     ({!Dd_ingest.Feed.encode_state}).  [name] must be non-empty
     [[A-Za-z0-9_-]]; raises [Invalid_argument] otherwise. *)

@@ -7,7 +7,6 @@
    beyond stdlib hashtables): checkpoints snapshot whole engines with
    [Marshal], columnar relations included. *)
 
-module Crc32 = Dd_util.Crc32
 
 module VH = Hashtbl.Make (struct
   type t = Value.t
@@ -977,173 +976,6 @@ let audit t =
           Result.bind (check_tail ()) (fun () ->
               Result.bind (check_overrides ()) (fun () ->
                   Result.bind (check_filter ()) check_totals))))
-
-(* --- serialization ------------------------------------------------------ *)
-
-let magic = "ddcols 1\n"
-
-let add_int buf n = Buffer.add_int64_le buf (Int64.of_int n)
-
-let add_value buf v =
-  match (v : Value.t) with
-  | Value.Null -> Buffer.add_char buf '\000'
-  | Value.Bool b ->
-    Buffer.add_char buf '\001';
-    Buffer.add_char buf (if b then '\001' else '\000')
-  | Value.Int n ->
-    Buffer.add_char buf '\002';
-    add_int buf n
-  | Value.Float f ->
-    Buffer.add_char buf '\003';
-    Buffer.add_int64_le buf (Int64.bits_of_float f)
-  | Value.Str s ->
-    Buffer.add_char buf '\004';
-    add_int buf (String.length s);
-    Buffer.add_string buf s
-
-let to_bytes t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  add_int buf t.cs_arity;
-  Array.iter
-    (fun d ->
-      add_int buf d.dlen;
-      for id = 0 to d.dlen - 1 do
-        add_value buf d.dvals.(id)
-      done)
-    t.dicts;
-  add_int buf t.rlen;
-  for row = 0 to t.rlen - 1 do
-    add_int buf t.counts.(row)
-  done;
-  Array.iter
-    (fun col ->
-      for row = 0 to t.rlen - 1 do
-        add_int buf col.(row)
-      done)
-    t.cols;
-  let tail = IH.fold (fun ids e acc -> (ids, e) :: acc) t.tail [] in
-  let tail = List.sort (fun (a, _) (b, _) -> cmp_ids a b) tail in
-  add_int buf (List.length tail);
-  List.iter
-    (fun (ids, e) ->
-      Array.iter (fun id -> add_int buf id) ids;
-      add_int buf e.base;
-      add_int buf e.delta)
-    tail;
-  add_int buf t.card;
-  add_int buf t.total;
-  let body = Buffer.contents buf in
-  body ^ Crc32.to_hex (Crc32.string body)
-
-let of_bytes schema s =
-  let err m = Error ("Column_store.of_bytes: " ^ m) in
-  let n = String.length s in
-  if n < String.length magic + 8 then err "truncated"
-  else begin
-    let body = String.sub s 0 (n - 8) in
-    let crc = String.sub s (n - 8) 8 in
-    if Crc32.to_hex (Crc32.string body) <> crc then err "CRC mismatch"
-    else if String.sub s 0 (String.length magic) <> magic then err "bad magic"
-    else begin
-      let pos = ref (String.length magic) in
-      let bad = ref None in
-      let fail m = if !bad = None then bad := Some m in
-      let read_int () =
-        if !pos + 8 > String.length body then begin
-          fail "truncated int";
-          0
-        end
-        else begin
-          let v = Int64.to_int (String.get_int64_le body !pos) in
-          pos := !pos + 8;
-          v
-        end
-      in
-      let read_value () =
-        if !pos >= String.length body then begin
-          fail "truncated value";
-          Value.Null
-        end
-        else begin
-          let tag = body.[!pos] in
-          incr pos;
-          match tag with
-          | '\000' -> Value.Null
-          | '\001' ->
-            let b = !pos < String.length body && body.[!pos] = '\001' in
-            incr pos;
-            Value.Bool b
-          | '\002' -> Value.Int (read_int ())
-          | '\003' ->
-            let bits = read_int () in
-            Value.Float (Int64.float_of_bits (Int64.of_int bits))
-          | '\004' ->
-            let len = read_int () in
-            if len < 0 || !pos + len > String.length body then begin
-              fail "truncated string";
-              Value.Null
-            end
-            else begin
-              let v = Value.Str (String.sub body !pos len) in
-              pos := !pos + len;
-              v
-            end
-          | _ ->
-            fail "unknown value tag";
-            Value.Null
-        end
-      in
-      let ar = read_int () in
-      if ar <> Schema.arity schema then
-        err
-          (Printf.sprintf "arity %d does not match schema arity %d" ar
-             (Schema.arity schema))
-      else begin
-        let t = create schema in
-        for c = 0 to ar - 1 do
-          let dlen = read_int () in
-          if dlen < 0 then fail "negative dict length"
-          else
-            for _ = 1 to dlen do
-              if !bad = None then ignore (intern t.dicts.(c) (read_value ()))
-            done
-        done;
-        let rlen = read_int () in
-        if rlen < 0 then fail "negative run length";
-        if !bad = None then begin
-          t.rlen <- rlen;
-          t.counts <- Array.init rlen (fun _ -> read_int ());
-          t.cols <-
-            Array.init ar (fun _ -> Array.init rlen (fun _ -> read_int ()));
-          rebuild_filter t
-        end;
-        let ntail = read_int () in
-        if ntail < 0 then fail "negative tail length";
-        if !bad = None then
-          for _ = 1 to ntail do
-            if !bad = None then begin
-              let ids = Array.init ar (fun _ -> read_int ()) in
-              let base = read_int () in
-              let delta = read_int () in
-              IH.replace t.tail ids { base; delta };
-              if base > 0 then t.run_overrides <- t.run_overrides + 1
-            end
-          done;
-        t.card <- read_int ();
-        t.total <- read_int ();
-        match !bad with
-        | Some m -> err m
-        | None ->
-          if !pos <> String.length body then err "trailing bytes"
-          else begin
-            match audit t with
-            | Error m -> err ("audit failed: " ^ m)
-            | Ok () -> Ok t
-          end
-      end
-    end
-  end
 
 (* --- repair ------------------------------------------------------------- *)
 

@@ -121,23 +121,12 @@ val iter_key : t -> int array -> int array -> (int array -> int -> unit) -> unit
     first use.  The store must not be mutated during iteration, and the
     ids arrays obey the same no-retention rule as {!iter_ids}. *)
 
-(** {2 Audit and serialization} *)
+(** {2 Audit} *)
 
 val audit : t -> (unit, string) result
 (** Deep structural audit: dictionary bijectivity, run sortedness and
     count positivity, tail/base consistency, cardinality and total-count
     accounting. *)
-
-val to_bytes : t -> string
-(** Canonical CRC-32-gated binary image of dictionaries, run and tail.
-    Two stores with identical logical state and identical physical layout
-    encode to identical bytes; {!of_bytes} followed by {!to_bytes} is the
-    identity on the image. *)
-
-val of_bytes : Schema.t -> string -> (t, string) result
-(** Decode {!to_bytes} output against the owning relation's schema,
-    verifying the CRC, re-running {!audit}, and rebuilding lookup
-    structures. *)
 
 (** {2 Repair} *)
 

@@ -1,6 +1,5 @@
 (* CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), table-driven.
-   Used as the integrity footer of the on-disk formats (ddgraph v2,
-   checkpoints, the write-ahead log). *)
+   The checksum of the ddgraph v2 footer and of every [Record] frame. *)
 
 let polynomial = 0xEDB88320l
 

@@ -2,8 +2,8 @@
 
     Streaming usage: start from {!init}, fold {!update_string} over the
     content, and {!finish}; or use {!string} for one-shot digests.  The
-    footer lines of ddgraph v2, checkpoints and WAL entries carry the
-    digest in the fixed 8-character form of {!to_hex}. *)
+    ddgraph v2 footer and every {!Record} header carry the digest in the
+    fixed 8-character form of {!to_hex}. *)
 
 type t = int32
 

@@ -506,42 +506,27 @@ let test_variational_infer_absorbs_update () =
   in
   Alcotest.(check bool) "new var biased up" true (marginals.(fresh) > 0.85)
 
+(* The materialization survives the process inside the checkpoint's
+   marshalled engine: it must round-trip through [Marshal] and answer
+   updates like the original. *)
 let test_materialize_save_load () =
   let g = biased_graph () in
   let m = Materialize.materialize ~n_samples:30 (Prng.create 19) g in
-  let path = Filename.temp_file "ddmat_test" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      Materialize.save path m;
-      let back = Materialize.load path in
-      Alcotest.(check int) "samples" 30 (Array.length back.Materialize.samples);
-      Alcotest.(check bool) "sample contents" true (m.Materialize.samples = back.Materialize.samples);
-      Alcotest.(check bool) "weights" true (m.Materialize.base_weights = back.Materialize.base_weights);
-      Alcotest.(check int) "factor count" m.Materialize.base_factor_count back.Materialize.base_factor_count;
-      Alcotest.(check bool) "evidence" true (m.Materialize.base_evidence = back.Materialize.base_evidence);
-      Alcotest.(check bool) "variational kept" true (back.Materialize.variational <> None);
-      (* The reloaded artifact must answer updates like the original. *)
-      Graph.set_weight g 0 2.0;
-      let change = Materialize.cumulative_change back g ~extension_origin:(Hashtbl.create 1) in
-      let result =
-        Dd_inference.Metropolis.infer (Prng.create 20) change
-          ~stored:back.Materialize.samples ~chain_length:30
-      in
-      Alcotest.(check bool) "usable" true (Array.length result.Dd_inference.Metropolis.marginals > 0))
-
-let test_materialize_load_rejects_garbage () =
-  let path = Filename.temp_file "ddmat_bad" ".txt" in
-  Fun.protect
-    ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
-    (fun () ->
-      let out = open_out path in
-      output_string out "not a materialization\n";
-      close_out out;
-      Alcotest.(check bool) "rejected" true
-        (match Materialize.load path with
-        | _ -> false
-        | exception Dd_fgraph.Serialize.Format_error _ -> true))
+  let back : Materialize.t = Marshal.from_string (Marshal.to_string m []) 0 in
+  Alcotest.(check int) "samples" 30 (Array.length back.Materialize.samples);
+  Alcotest.(check bool) "sample contents" true (m.Materialize.samples = back.Materialize.samples);
+  Alcotest.(check bool) "weights" true (m.Materialize.base_weights = back.Materialize.base_weights);
+  Alcotest.(check int) "factor count" m.Materialize.base_factor_count back.Materialize.base_factor_count;
+  Alcotest.(check bool) "evidence" true (m.Materialize.base_evidence = back.Materialize.base_evidence);
+  Alcotest.(check bool) "variational kept" true (back.Materialize.variational <> None);
+  Graph.set_weight g 0 2.0;
+  let infer (m : Materialize.t) =
+    let change = Materialize.cumulative_change m g ~extension_origin:(Hashtbl.create 1) in
+    (Dd_inference.Metropolis.infer (Prng.create 20) change ~stored:m.Materialize.samples
+       ~chain_length:30)
+      .Dd_inference.Metropolis.marginals
+  in
+  Alcotest.(check bool) "answers updates like the original" true (infer back = infer m)
 
 (* --- optimizer ----------------------------------------------------------------- *)
 
@@ -778,7 +763,6 @@ let () =
           Alcotest.test_case "cumulative change" `Quick test_cumulative_change;
           Alcotest.test_case "variational infer" `Slow test_variational_infer_absorbs_update;
           Alcotest.test_case "save/load" `Quick test_materialize_save_load;
-          Alcotest.test_case "load rejects garbage" `Quick test_materialize_load_rejects_garbage;
         ] );
       ( "optimizer",
         [

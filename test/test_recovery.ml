@@ -14,6 +14,9 @@ module Pipeline = Dd_kbc.Pipeline
 module Quality = Dd_kbc.Quality
 module Checkpoint = Dd_kbc.Checkpoint
 module Recovery = Dd_kbc.Recovery
+module Record = Dd_util.Record
+module Txn = Dd_core.Txn
+module Canonicalizer = Dd_ingest.Canonicalizer
 
 let tiny_config = { Corpus.default with Corpus.docs = 12; relations = 2; entities = 20; seed = 5 }
 
@@ -138,6 +141,16 @@ let test_recover_empty_store () =
       | Error e -> Alcotest.fail ("wrong error: " ^ Checkpoint.error_to_string e)
       | Ok _ -> Alcotest.fail "recovered from an empty store")
 
+(* Dictionaries (value per id, in id order) and live encoded rows. *)
+let store_image cs =
+  let dicts =
+    List.init (Column_store.arity cs) (fun c ->
+        List.init (Column_store.dict_size cs c) (Column_store.dict_value cs c))
+  in
+  let rows = ref [] in
+  Column_store.iter_ids cs (fun ids n -> rows := (Array.copy ids, n) :: !rows);
+  (dicts, List.sort compare !rows)
+
 let test_checkpoint_roundtrip_columnar () =
   with_store "columnar" (fun dir ->
       let corpus = Corpus.generate tiny_config in
@@ -155,28 +168,19 @@ let test_checkpoint_roundtrip_columnar () =
       Alcotest.(check bool) "bitwise-identical marginals" true
         (Engine.marginals_by_relation recovered = Engine.marginals_by_relation engine);
       (* The column stores survive the round trip with dictionaries
-         intact: every table re-serializes to the live engine's canonical
-         bytes. *)
+         intact: every table keeps the live engine's dictionary ids and
+         its encoded rows. *)
       let db_live = Grounding.database (Engine.grounding engine) in
       let db_rec = Grounding.database (Engine.grounding recovered) in
+      Alcotest.(check (list string)) "same tables" (Database.table_names db_live)
+        (Database.table_names db_rec);
       List.iter
         (fun name ->
-          let live = Database.find db_live name and back = Database.find db_rec name in
-          Alcotest.(check string) (name ^ " canonical bytes")
-            (Column_store.to_bytes (Relation.store live))
-            (Column_store.to_bytes (Relation.store back)))
-        (Database.table_names db_rec);
-      (* The canonical byte format is CRC-gated end to end: one flipped bit
-         anywhere must be rejected. *)
-      let name = List.hd (Database.table_names db_rec) in
-      let r = Database.find db_rec name in
-      let cs = Relation.store r in
-      let b = Bytes.of_string (Column_store.to_bytes cs) in
-      let pos = Bytes.length b / 2 in
-      Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor 1));
-      match Column_store.of_bytes (Relation.schema r) (Bytes.to_string b) with
-      | Error _ -> ()
-      | Ok _ -> Alcotest.fail "corrupt column bytes accepted")
+          let live = Relation.store (Database.find db_live name)
+          and back = Relation.store (Database.find db_rec name) in
+          Alcotest.(check bool) (name ^ " identical dictionary ids and rows") true
+            (store_image live = store_image back))
+        (Database.table_names db_rec))
 
 let test_fallback_to_previous_version () =
   with_store "fallback" (fun dir ->
@@ -204,6 +208,190 @@ let test_fallback_to_previous_version () =
       match Checkpoint.verify_version store 1 with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("republished version invalid: " ^ Checkpoint.error_to_string e))
+
+(* --- the record codec ------------------------------------------------------- *)
+
+let read_all file = In_channel.with_open_bin file In_channel.input_all
+
+let write_file file s = Out_channel.with_open_bin file (fun oc -> Out_channel.output_string oc s)
+
+(* Write [bytes] as [file] into an empty store; does [load] report it
+   corrupt? *)
+let store_rejects file bytes load =
+  with_store "codec" (fun dir ->
+      write_file (Filename.concat dir file) bytes;
+      match load (Checkpoint.open_store ~fsync:false dir) with
+      | Error (Checkpoint.Corrupt _) -> true
+      | _ -> false)
+
+(* One artifact of every record kind, as the writers produce it. *)
+type artifact = {
+  kind : string;
+  bytes : string;
+  tags : string list;  (* the records its loader reads, in order *)
+  rejects : string -> bool;  (* the public loader reports these bytes *)
+}
+
+type fixture = {
+  artifacts : artifact list;
+  wal : string;
+  entry_ends : int list;  (* WAL offsets where each entry's frame ends *)
+  ckpt : string;
+  manifest : string;
+}
+
+let fixture =
+  lazy
+    (with_store "codec_fixture" (fun dir ->
+         let store = Checkpoint.open_store ~fsync:false dir in
+         Checkpoint.save store (make_engine ());
+         let update = Pipeline.update_of Pipeline.A1 in
+         Checkpoint.log_update store update;
+         Checkpoint.log_update store update;
+         Checkpoint.abandon store;
+         let payload = Txn.encode_update update in
+         Checkpoint.save_dead_letters store
+           [ { Txn.seq = 1; error = `Transient "disk hiccup"; attempts = 2; payload } ];
+         let canon = Canonicalizer.create () in
+         List.iter
+           (fun key -> ignore (Canonicalizer.observe canon key))
+           [ "Ada Lovelace"; "Lovelace"; "Charles Babbage" ];
+         ignore (Canonicalizer.declare_alias canon "Lovelace" "Ada Lovelace");
+         Checkpoint.save_blob store ~name:"canon" (Canonicalizer.encode canon);
+         let file name = read_all (Filename.concat dir name) in
+         let wal = file "wal-0.log" in
+         (* The log is exactly a header record and one frame per entry. *)
+         let entry = Marshal.to_string update [] in
+         let first = Record.frame "ddwal 2" "0" ^ Record.frame "entry 1" entry in
+         Alcotest.(check string) "WAL layout" (first ^ Record.frame "entry 2" entry) wal;
+         {
+           artifacts =
+             [
+               {
+                 kind = "state";
+                 bytes = file "ckpt-0.ddckpt";
+                 tags = [ "ddckpt 2"; "graph"; "state" ];
+                 rejects =
+                   (fun b -> store_rejects "ckpt-0.ddckpt" b (fun s -> Checkpoint.verify_version s 0));
+               };
+               {
+                 kind = "blob";
+                 bytes = file "BLOB_canon";
+                 tags = [ "ddblob 2" ];
+                 rejects =
+                   (fun b -> store_rejects "BLOB_canon" b (Checkpoint.load_blob ~name:"canon"));
+               };
+               {
+                 kind = "deadletters";
+                 bytes = file "DEADLETTERS";
+                 tags = [ "dddead 2" ];
+                 rejects = (fun b -> store_rejects "DEADLETTERS" b Checkpoint.load_dead_letters);
+               };
+               {
+                 kind = "txn";
+                 bytes = payload;
+                 tags = [ "ddtxn 2" ];
+                 rejects = (fun b -> Result.is_error (Txn.decode_update b));
+               };
+               {
+                 kind = "canonicalizer";
+                 bytes = Canonicalizer.encode canon;
+                 tags = [ "ddcanon 2" ];
+                 rejects = (fun b -> Result.is_error (Canonicalizer.decode b));
+               };
+             ];
+           wal;
+           entry_ends = [ String.length first; String.length wal ];
+           ckpt = file "ckpt-0.ddckpt";
+           manifest = file "MANIFEST";
+         }))
+
+type mutation =
+  | Flip of int * int  (* byte, bit *)
+  | Truncate of int  (* bytes kept *)
+
+let mutate s = function
+  | Flip (pos, bit) ->
+    let b = Bytes.of_string s in
+    Bytes.set b pos (Char.chr (Char.code (Bytes.get b pos) lxor (1 lsl bit)));
+    Bytes.to_string b
+  | Truncate len -> String.sub s 0 len
+
+(* How many WAL entries the codec accepts before it rejects a record. *)
+let codec_entries bytes =
+  let r = Record.of_string bytes in
+  match Record.read r "ddwal 2" with
+  | exception Record.Malformed _ -> 0
+  | _ ->
+    let rec count k =
+      match Record.read r (Printf.sprintf "entry %d" (k + 1)) with
+      | _ -> count (k + 1)
+      | exception Record.Malformed _ -> k
+    in
+    count 0
+
+let codec_rejects bytes tags =
+  match
+    let r = Record.of_string bytes in
+    List.iter (fun tag -> ignore (Record.read r tag)) tags;
+    Record.finish r
+  with
+  | () -> false
+  | exception Record.Malformed _ -> true
+
+(* A damaged WAL entry ends the log there: recovery replays exactly the
+   entries before it. *)
+let wal_ends_at_damage f m =
+  let damaged = match m with Flip (pos, _) -> pos | Truncate len -> len in
+  let intact = List.length (List.filter (fun e -> e <= damaged) f.entry_ends) in
+  let bytes = mutate f.wal m in
+  codec_entries bytes = intact
+  && with_store "codec" (fun dir ->
+         List.iter
+           (fun (name, s) -> write_file (Filename.concat dir name) s)
+           [ ("ckpt-0.ddckpt", f.ckpt); ("MANIFEST", f.manifest); ("wal-0.log", bytes) ];
+         match Checkpoint.recover (Checkpoint.open_store ~fsync:false dir) with
+         | Ok (_, applied) -> applied = intact
+         | Error _ -> false)
+
+(* Every single-bit flip and every truncation of every record kind fails
+   the codec's check, so no loader hands the bytes to [Marshal], and every
+   loader reports the damage. *)
+let test_codec_rejects_damage =
+  (* kind 0 is the WAL, 1.. index [artifacts] *)
+  let length k =
+    let f = Lazy.force fixture in
+    String.length (if k = 0 then f.wal else (List.nth f.artifacts (k - 1)).bytes)
+  in
+  let gen =
+    QCheck.Gen.(
+      int_bound 5 >>= fun k ->
+      let n = length k in
+      (* Half the positions fall in the leading header line, which holds
+         the tag, length and digest outside the checksum. *)
+      let pos = oneof [ int_bound (n - 1); int_bound (min (n - 1) 32) ] in
+      oneof
+        [
+          map2 (fun pos bit -> (k, Flip (pos, bit))) pos (int_bound 7);
+          map (fun len -> (k, Truncate len)) pos;
+        ])
+  in
+  let print (k, m) =
+    let f = Lazy.force fixture in
+    Printf.sprintf "%s %s"
+      (if k = 0 then "wal" else (List.nth f.artifacts (k - 1)).kind)
+      (match m with
+      | Flip (pos, bit) -> Printf.sprintf "flip byte %d bit %d" pos bit
+      | Truncate len -> Printf.sprintf "truncate to %d bytes" len)
+  in
+  QCheck.Test.make ~name:"record codec rejects every bit flip and truncation" ~count:1000
+    (QCheck.make ~print gen) (fun (k, m) ->
+      let f = Lazy.force fixture in
+      if k = 0 then wal_ends_at_damage f m
+      else
+        let a = List.nth f.artifacts (k - 1) in
+        let bytes = mutate a.bytes m in
+        codec_rejects bytes a.tags && a.rejects bytes)
 
 (* --- crash–recover–compare ---------------------------------------------------- *)
 
@@ -247,6 +435,7 @@ let () =
           Alcotest.test_case "fallback to previous version" `Quick
             test_fallback_to_previous_version;
         ] );
+      ( "record-codec", [ QCheck_alcotest.to_alcotest test_codec_rejects_damage ] );
       ( "crash-recover-compare",
         [ Alcotest.test_case "sweep all fault points" `Slow test_crash_recovery_sweep ] );
     ]

@@ -474,6 +474,42 @@ let test_dead_letter_persistence () =
   | Ok _ -> Alcotest.fail "corrupt DEADLETTERS accepted"
   | Error e -> Alcotest.fail ("wrong error: " ^ Checkpoint.error_to_string e))
 
+(* Every byte of DEADLETTERS is under a checksum, the letters' sequence
+   numbers, attempt counts and error messages included: flipping the low
+   bit of any byte (which turns an attempt count of 2 into 3) must fail
+   the load, never return letters with wrong metadata. *)
+let test_dead_letter_metadata_checksummed () =
+  Fault.reset ();
+  let dir = fresh_dir "deadletter_bits" in
+  let store = Checkpoint.open_store ~fsync:false dir in
+  let payload = Txn.encode_update (Pipeline.update_of Pipeline.A1) in
+  let letters =
+    [
+      { Txn.seq = 1; error = `Transient "disk hiccup"; attempts = 2; payload };
+      { Txn.seq = 2; error = `Malformed_delta "unknown table"; attempts = 1; payload };
+    ]
+  in
+  Checkpoint.save_dead_letters store letters;
+  let path = Filename.concat dir "DEADLETTERS" in
+  let clean = In_channel.with_open_bin path In_channel.input_all in
+  let write s = Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s) in
+  String.iteri
+    (fun pos c ->
+      let b = Bytes.of_string clean in
+      Bytes.set b pos (Char.chr (Char.code c lxor 1));
+      write (Bytes.to_string b);
+      match Checkpoint.load_dead_letters store with
+      | Error (Checkpoint.Corrupt _) -> ()
+      | Error e ->
+        Alcotest.failf "flip at byte %d: wrong error: %s" pos (Checkpoint.error_to_string e)
+      | Ok loaded ->
+        Alcotest.failf "flip at byte %d loaded (%s)" pos
+          (if loaded = letters then "unchanged" else "with wrong metadata"))
+    clean;
+  write clean;
+  Alcotest.(check bool) "clean file still loads" true
+    (Checkpoint.load_dead_letters store = Ok letters)
+
 (* --- randomized rollback property ---------------------------------------------- *)
 
 let qcheck_tests =
@@ -531,8 +567,6 @@ let recovery_allowlist =
     "checkpoint.save.pre_rename";
     "checkpoint.save.pre_manifest";
     "checkpoint.log_update.mid_write";
-    "serialize.save.pre_rename";
-    "materialize.save.pre_rename";
   ]
   @ Dd_util.Fault_file.all_points
 
@@ -580,7 +614,11 @@ let () =
           Alcotest.test_case "budget timeout quarantine" `Quick test_budget_timeout_quarantine;
         ] );
       ( "persistence",
-        [ Alcotest.test_case "dead letters survive the store" `Quick test_dead_letter_persistence ] );
+        [
+          Alcotest.test_case "dead letters survive the store" `Quick test_dead_letter_persistence;
+          Alcotest.test_case "dead letter metadata is checksummed" `Quick
+            test_dead_letter_metadata_checksummed;
+        ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
       ( "meta",
         [ Alcotest.test_case "fault-point coverage" `Quick test_fault_coverage ] );
