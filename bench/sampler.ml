@@ -7,7 +7,9 @@
      and grounded KBC graphs.  The gap explodes on aggregation factors
      (the voting program, one body per vote) and stays a constant factor
      on pairwise graphs.  Before timing, both samplers run from one seed
-     and must produce identical worlds (the bit-exactness flag).
+     and must produce identical worlds (the bit-exactness flag).  The
+     compiled sweep's minor-heap allocation per variable update is
+     recorded too; it is 0 when the hot loop keeps its floats unboxed.
    - Color-sync vs async at 1/2/4/8 domains, on a synthetic scale graph
      large enough that scheduling, not per-conditional arithmetic,
      dominates: sweeps/s of the color-synchronous sampler (one barrier per
@@ -70,6 +72,26 @@ let compiled_rate ~sweeps g =
   let st = Compiled.make_state rng (Compiled.compile g) in
   time_sweeps ~sweeps ~repeats:3 (fun () -> Compiled.sweep rng st)
 
+(* Minor words per variable update of [Compiled.sweep]: the growth from
+   [few] to [many] sweeps, so the constant cost of the measurement itself
+   cancels. *)
+let minor_words_per_update g =
+  let rng = Prng.create 71 in
+  let k = Compiled.compile g in
+  let st = Compiled.make_state rng k in
+  let words sweeps =
+    let before = Gc.minor_words () in
+    for _ = 1 to sweeps do
+      Compiled.sweep rng st
+    done;
+    Gc.minor_words () -. before
+  in
+  let few = 10 and many = 110 in
+  ignore (words few);
+  let w_few = words few in
+  let w_many = words many in
+  (w_many -. w_few) /. float_of_int ((many - few) * max 1 (Compiled.num_query k))
+
 let voting n =
   let g, _, _, _ = Voting.build { Voting.default with Voting.n_up = n / 2; n_down = n / 2 } in
   g
@@ -86,11 +108,16 @@ let oracle_vs_compiled ~full =
     @ if full then [ ("voting5000", voting 5000) ] else []
   in
   let sweeps = if full then 100 else 40 in
-  let table = Table.create [ "graph"; "vars"; "oracle s/s"; "compiled s/s"; "speedup" ] in
+  let table =
+    Table.create [ "graph"; "vars"; "oracle s/s"; "compiled s/s"; "speedup"; "words/update" ]
+  in
+  let max_words = ref 0.0 in
   let exact =
     List.for_all
       (fun (name, g) ->
         let same = tracks_oracle g in
+        let words = minor_words_per_update g in
+        max_words := Float.max !max_words words;
         let oracle = oracle_rate ~sweeps g and compiled = compiled_rate ~sweeps g in
         metric (Printf.sprintf "oracle_sweeps_per_sec_%s" name) oracle;
         metric (Printf.sprintf "compiled_sweeps_per_sec_%s" name) compiled;
@@ -102,11 +129,14 @@ let oracle_vs_compiled ~full =
             Printf.sprintf "%.1f" oracle;
             Printf.sprintf "%.1f" compiled;
             Table.cell_x (compiled /. oracle);
+            Printf.sprintf "%.2f" words;
           ];
         same)
       cases
   in
   Table.print table;
+  note "compiled sweep minor words per variable update (max over graphs): %.2f" !max_words;
+  metric "compiled_minor_words_per_update" !max_words;
   note "compiled bit-exact with the Gibbs oracle on every graph: %s" (if exact then "yes" else "NO");
   metric "bit_exact_oracle" (if exact then 1.0 else 0.0)
 

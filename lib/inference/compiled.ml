@@ -1,7 +1,6 @@
 module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
 module Prng = Dd_util.Prng
-module Stats = Dd_util.Stats
 module Budget = Dd_util.Budget
 
 (* Semantics tags, kept as ints so the energy kernel branches on an
@@ -15,12 +14,37 @@ let sem_tag = function
   | Semantics.Logical -> sem_logical
   | Semantics.Ratio -> sem_ratio
 
+(* The float math of a conditional stays inside this module: dev builds
+   compile every module [-opaque], so a float passed to or returned from
+   another module's function (e.g. [Stats.sigmoid], [Prng.bernoulli]) is
+   boxed on every call.  The helpers below are [@inline] so that, within
+   this module, their floats stay unboxed too. *)
+
+(* [Ratio]'s [g = log (1 + n)] for small satisfied-body counts, computed
+   with the same expression as the fallback. *)
+let ratio_table_len = 64
+let ratio_g = Array.init ratio_table_len (fun n -> log (1.0 +. float_of_int n))
+
 (* Must compute exactly what [Semantics.g] computes (agreement with the
    {!Gibbs} oracle depends on it). *)
-let g_of tag n =
+let[@inline] g_of tag n =
   if tag = sem_linear then float_of_int n
   else if tag = sem_logical then if n > 0 then 1.0 else 0.0
+  else if n < ratio_table_len then Array.unsafe_get ratio_g n
   else log (1.0 +. float_of_int n)
+
+(* The same expression as [Stats.sigmoid], which the {!Gibbs} oracle
+   calls. *)
+let[@inline] sigmoid x =
+  if x >= 0.0 then 1.0 /. (1.0 +. exp (-.x))
+  else begin
+    let e = exp x in
+    e /. (1.0 +. e)
+  end
+
+(* [Prng.bernoulli rng p], drawn as an immediate: [Prng.float_unit] is
+   exactly [float_of_int (Prng.bits53 rng) *. 0x1p-53]. *)
+let[@inline] bernoulli rng p = float_of_int (Prng.bits53 rng) *. 0x1p-53 < p
 
 type t = {
   graph : Graph.t;
@@ -31,6 +55,7 @@ type t = {
   f_head : int array;  (* -1 = no head *)
   f_sem : int array;
   f_weight : int array;
+  f_learnable : Bytes.t;  (* '\001' iff the factor's weight slot is learnable *)
   f_body_off : int array;  (* nfactors + 1; spans of global body ids *)
   b_lit_off : int array;  (* nbodies + 1; spans into l_var / l_neg *)
   l_var : int array;
@@ -199,6 +224,9 @@ let compile g =
   for fid = 0 to nfactors - 1 do
     factor_counts.(f_weight.(fid)) <- factor_counts.(f_weight.(fid)) + 1
   done;
+  let f_learnable =
+    Bytes.init nfactors (fun fid -> bool_byte (Graph.weight_learnable g f_weight.(fid)))
+  in
   let learnable_active = ref [] in
   for w = nweights - 1 downto 0 do
     if Graph.weight_learnable g w && factor_counts.(w) > 0 then
@@ -213,6 +241,7 @@ let compile g =
     f_head;
     f_sem;
     f_weight;
+    f_learnable;
     f_body_off;
     b_lit_off;
     l_var;
@@ -295,7 +324,9 @@ let rec n_under k st v_cur neg_sat o last n =
     n_under k st v_cur neg_sat (o + 1) last n
   end
 
-let conditional_true_prob st v =
+(* Energy difference [E(v = true) - E(v = false)] given the rest, from
+   the cached counters. *)
+let[@inline] counters_delta st v =
   let k = st.k in
   let v_cur = Bytes.unsafe_get st.assign v <> '\000' in
   let delta = ref 0.0 in
@@ -320,7 +351,9 @@ let conditional_true_prob st v =
     let sign_false = if h < 0 then 1.0 else if h = v then -1.0 else sign_true in
     delta := !delta +. (w *. sign_true *. g_of sem n_true) -. (w *. sign_false *. g_of sem n_false)
   done;
-  Stats.sigmoid !delta
+  !delta
+
+let conditional_true_prob st v = sigmoid (counters_delta st v)
 
 let set_value st v x =
   if value st v <> x then begin
@@ -340,7 +373,7 @@ let set_value st v x =
     done
   end
 
-let resample_var rng st v = set_value st v (Prng.bernoulli rng (conditional_true_prob st v))
+let resample_var rng st v = set_value st v (bernoulli rng (sigmoid (counters_delta st v)))
 
 let sweep rng st =
   let q = st.k.query in
@@ -403,7 +436,8 @@ let async_cost t v =
   done;
   !c
 
-let async_conditional_true_prob st v =
+(* [counters_delta] recomputed from the assignment bytes only. *)
+let[@inline] async_delta st v =
   let k = st.k in
   let a = st.assign in
   let delta = ref 0.0 in
@@ -442,10 +476,12 @@ let async_conditional_true_prob st v =
     let sign_false = if h < 0 then 1.0 else if h = v then -1.0 else sign_true in
     delta := !delta +. (w *. sign_true *. g_of sem !n_true) -. (w *. sign_false *. g_of sem !n_false)
   done;
-  Stats.sigmoid !delta
+  !delta
+
+let async_conditional_true_prob st v = sigmoid (async_delta st v)
 
 let async_resample_var rng st v =
-  let x = Prng.bernoulli rng (async_conditional_true_prob st v) in
+  let x = bernoulli rng (sigmoid (async_delta st v)) in
   (* Unconditional single-byte store: the only shared write of the async
      sampler.  No counter maintenance — see the module comment above. *)
   Bytes.unsafe_set st.assign v (bool_byte x)
@@ -534,8 +570,8 @@ let sweeps_to_converge ?(tolerance = 0.01) ?(max_sweeps = 100_000) ?(check_every
 let add_feature_counts st ~scale grad =
   let k = st.k in
   for fid = 0 to k.nfactors - 1 do
-    let w = k.f_weight.(fid) in
-    if Graph.weight_learnable k.graph w then begin
+    if Bytes.unsafe_get k.f_learnable fid <> '\000' then begin
+      let w = k.f_weight.(fid) in
       let h = k.f_head.(fid) in
       let sign = if h < 0 || Bytes.unsafe_get st.assign h <> '\000' then 1.0 else -1.0 in
       grad.(w) <- grad.(w) +. (scale *. sign *. g_of k.f_sem.(fid) st.sat.(fid))

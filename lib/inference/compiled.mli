@@ -8,8 +8,12 @@
     arrays — the layout DimmWitted-style main-memory engines use — so
     that the two hot operations of Gibbs
     sampling, a conditional-probability evaluation and an assignment
-    update, run over contiguous arrays with no per-sample heap
-    allocation beyond a couple of boxed floats.
+    update, run over contiguous arrays with no heap allocation at all:
+    the sweeps below allocate nothing per variable update.  The
+    conditional's float math (energy sum, sigmoid, Bernoulli threshold)
+    stays inside this module, the uniform draw comes from
+    {!Dd_util.Prng.bits53} as an immediate, and [Ratio]'s [log (1 + n)]
+    is served from a table for [n < ratio_table_len].
 
     Two views of the same graph are laid out side by side:
 
@@ -109,14 +113,17 @@ val accumulate_true : state -> int array -> unit
     materializing a [bool array] per sweep. *)
 
 val conditional_true_prob : state -> Graph.var -> float
-(** P(v = true | rest), from cached counters; allocation-free except
-    for boxed-float accumulation. *)
+(** P(v = true | rest), from cached counters.  Only the returned float
+    is boxed; {!resample_var} computes the same value without boxing. *)
 
 val set_value : state -> Graph.var -> bool -> unit
 (** Write one variable and incrementally maintain the unsat / sat
     counters (no-op when the value is unchanged). *)
 
 val resample_var : Dd_util.Prng.t -> state -> Graph.var -> unit
+(** One Gibbs update: draw [v] from {!conditional_true_prob}, consuming
+    one {!Dd_util.Prng.bits53} (the draw {!Dd_util.Prng.bernoulli} makes),
+    and maintain the counters. *)
 
 val sweep : Dd_util.Prng.t -> state -> unit
 (** One pass over the packed query variables, ascending. *)
@@ -231,6 +238,11 @@ val sweeps_to_converge :
   target_prob:float ->
   int option
 (** As {!Gibbs.sweeps_to_converge}, on a fresh compiled chain. *)
+
+val ratio_table_len : int
+(** [Ratio]'s [g = log (1 + n)] is read from a table for satisfied-body
+    counts [n < ratio_table_len] and computed with [log] above; both use
+    the same expression as {!Dd_fgraph.Semantics.g}. *)
 
 (** {1 Learning support} *)
 

@@ -130,10 +130,15 @@ let quarantined_files store =
 
 let state_snapshot engine = Marshal.to_string (engine : Engine.t) []
 
+(* Bumped whenever the marshalled [Engine.t] layout changes (3: the
+   generator's state became a byte buffer), so an older store fails the
+   tag check instead of unmarshalling into the wrong shape. *)
+let ckpt_tag = "ddckpt 3"
+
 let checkpoint_content engine ~seq =
   Record.frames
     [
-      ("ddckpt 2", string_of_int seq);
+      (ckpt_tag, string_of_int seq);
       ("graph", Serialize.to_string (Engine.graph engine));
       ("state", state_snapshot engine);
     ]
@@ -321,7 +326,7 @@ let load_checkpoint_file path =
   let r = Record.of_file path in
   let read tag = try Record.read r tag with Record.Malformed m -> corrupt "checkpoint %s" m in
   let seq =
-    match int_of_string_opt (read "ddckpt 2") with
+    match int_of_string_opt (read ckpt_tag) with
     | Some n when n >= 0 -> n
     | Some _ | None -> corrupt "bad checkpoint seq"
   in

@@ -106,6 +106,130 @@ let test_same_rng_consumption () =
   done;
   Alcotest.(check int64) "streams in step" (Prng.bits64 rng_o) (Prng.bits64 rng_c)
 
+(* A Ratio factor whose satisfied-body count wanders across the end of
+   [Compiled.ratio_table_len]: [n] query variables, each the single
+   positive literal of one body, biased so that about [ratio_table_len]
+   of them are true.  Both the table and the [log] fallback serve
+   conditionals, and the compiled chain must still reproduce the oracle's
+   trajectory draw for draw. *)
+let ratio_boundary_graph () =
+  let g = Graph.create () in
+  let n = Compiled.ratio_table_len + 16 in
+  let vars = Graph.add_vars g n in
+  let head = Graph.add_var g in
+  let p = float_of_int Compiled.ratio_table_len /. float_of_int n in
+  let bias = Graph.add_weight g (log (p /. (1.0 -. p))) in
+  Array.iter (fun v -> ignore (Graph.unary g ~weight:bias v)) vars;
+  ignore (Graph.unary g ~weight:(Graph.add_weight g 0.5) head);
+  ignore
+    (Graph.add_factor g
+       {
+         Graph.head = Some head;
+         bodies = Array.map (fun v -> [| { Graph.var = v; negated = false } |]) vars;
+         weight_id = Graph.add_weight g 0.3;
+         semantics = Semantics.Ratio;
+       });
+  (g, vars)
+
+let test_ratio_table_boundary () =
+  let g, vars = ratio_boundary_graph () in
+  let init = Gibbs.init_assignment (Prng.create 31) g in
+  let st = Compiled.make_state ~init (Prng.create 1) (Compiled.compile g) in
+  let oracle = Array.copy init in
+  let rng_c = Prng.create 32 and rng_o = Prng.create 32 in
+  let lo = ref max_int and hi = ref min_int in
+  for sweep = 1 to 300 do
+    Compiled.sweep rng_c st;
+    Gibbs.sweep rng_o g oracle;
+    if Compiled.snapshot st <> oracle then
+      Alcotest.failf "sweep %d: compiled diverged from the Gibbs oracle" sweep;
+    let n = Array.fold_left (fun n v -> if oracle.(v) then n + 1 else n) 0 vars in
+    lo := min !lo n;
+    hi := max !hi n
+  done;
+  (* A conditional of a body variable sees counts n and n + 1 (or n - 1),
+     so the chain exercised both sides of the table's last entry. *)
+  if not (!lo < Compiled.ratio_table_len - 1 && !hi > Compiled.ratio_table_len) then
+    Alcotest.failf "satisfied bodies stayed in [%d, %d]; the boundary %d was not crossed" !lo !hi
+      Compiled.ratio_table_len;
+  for v = 0 to Graph.num_vars g - 1 do
+    let a = Compiled.conditional_true_prob st v and b = Gibbs.conditional_true_prob g oracle v in
+    if abs_float (a -. b) > 1e-9 then Alcotest.failf "var %d: compiled %.17g oracle %.17g" v a b
+  done
+
+(* --- zero allocation per update ------------------------------------------------ *)
+
+(* Linear, Logical and Ratio factors, heads on some, negated literals, and
+   one Ratio factor wide enough for the [log] fallback. *)
+let semantics_mix_graph () =
+  let rng = Prng.create 91 in
+  let g = Graph.create () in
+  let n = 40 in
+  let vars = Graph.add_vars g n in
+  Graph.set_evidence g vars.(0) (Graph.Evidence true);
+  Array.iter
+    (fun v -> ignore (Graph.unary g ~weight:(Graph.add_weight g (Prng.float_range rng (-1.0) 1.0)) v))
+    vars;
+  let semantics = [| Semantics.Linear; Semantics.Logical; Semantics.Ratio |] in
+  for i = 0 to (3 * n) - 1 do
+    let a = Prng.int_below rng n in
+    let b = (a + 1 + Prng.int_below rng (n - 1)) mod n in
+    ignore
+      (Graph.add_factor g
+         {
+           Graph.head = (if i mod 2 = 0 then Some (Prng.int_below rng n) else None);
+           bodies =
+             [|
+               [| { Graph.var = a; negated = Prng.bool rng } |];
+               [| { Graph.var = a; negated = false }; { Graph.var = b; negated = true } |];
+             |];
+           weight_id = Graph.add_weight g (Prng.float_range rng (-1.0) 1.0);
+           semantics = semantics.(i mod 3);
+         })
+  done;
+  ignore
+    (Graph.add_factor g
+       {
+         Graph.head = Some vars.(1);
+         bodies = Array.map (fun v -> [| { Graph.var = v; negated = false } |]) vars;
+         weight_id = Graph.add_weight g 0.2;
+         semantics = Semantics.Ratio;
+       });
+  g
+
+let minor_words f =
+  let before = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. before
+
+(* [run k] performs [k] sweeps.  What 1,000 sweeps allocate beyond 10
+   must be a small constant, not a per-update cost: an update that boxes
+   its floats or its generator state allocates 12-25 words. *)
+let check_allocation_free name run =
+  run 1;
+  let few = minor_words (fun () -> run 10) in
+  let many = minor_words (fun () -> run 1000) in
+  if many -. few > 64.0 then
+    Alcotest.failf "%s: 1000 sweeps allocate %.0f minor words, 10 sweeps %.0f" name many few
+
+let test_sweeps_allocation_free () =
+  let g = semantics_mix_graph () in
+  let k = Compiled.compile g in
+  let rng = Prng.create 5 in
+  let st = Compiled.make_state rng k in
+  let repeat f k =
+    for _ = 1 to k do
+      f ()
+    done
+  in
+  let slice = Compiled.query_vars k in
+  let nq = Compiled.num_query k in
+  check_allocation_free "sweep" (repeat (fun () -> Compiled.sweep rng st));
+  check_allocation_free "sweep_all" (repeat (fun () -> Compiled.sweep_all rng st));
+  check_allocation_free "sweep_slice" (repeat (fun () -> Compiled.sweep_slice rng st slice));
+  check_allocation_free "sweep_span_async"
+    (repeat (fun () -> Compiled.sweep_span_async rng st ~lo:0 ~hi:nq))
+
 (* --- agreement with exact marginals -------------------------------------------- *)
 
 let test_marginals_match_exact_mixed () =
@@ -322,7 +446,9 @@ let () =
         [
           Alcotest.test_case "trajectories vs oracle" `Quick test_tracks_oracle;
           Alcotest.test_case "rng consumption" `Quick test_same_rng_consumption;
+          Alcotest.test_case "ratio table boundary" `Quick test_ratio_table_boundary;
         ] );
+      ("allocation", [ Alcotest.test_case "sweeps allocate nothing" `Quick test_sweeps_allocation_free ]);
       ( "exact",
         [
           Alcotest.test_case "mixed graph" `Slow test_marginals_match_exact_mixed;

@@ -114,6 +114,130 @@ let test_copy_independent () =
   let b = Prng.bits64 dup in
   Alcotest.(check int64) "copy continues same stream" a b
 
+(* --- prng stream pin --------------------------------------------------- *)
+
+(* The first 64 outputs of each draw from [create 42], recorded when the
+   state was a boxed [int64] record field.  Every sampler's determinism
+   contract rests on this stream, so a change of representation must
+   reproduce it draw for draw. *)
+let pinned_bits64 =
+  [|
+    0x989b3f130a063869L; 0x290db4bf2570ded7L; 0x2a990be63a01b2d5L; 0x0c4b6b24ef01890eL;
+    0xfb16a06e52ec10a7L; 0x3c30fc5fd50692c3L; 0x4782c4b4c4fdf7c9L; 0x272404a0a3926552L;
+    0xc2bc249e28760ccdL; 0x3e69c285108dbb77L; 0xc3b2b51fc61ec914L; 0xe2df09f8ccf26f14L;
+    0xe664fb166d3dc14cL; 0x1494766cf71b64b6L; 0x09b78fbf46485568L; 0xda9e8d784db0c8f7L;
+    0x1158ab517a8ca0d3L; 0x394f8bb12fc92c37L; 0x1633bb32a8a81b0aL; 0xaa1d5be576d44e89L;
+    0x56f1a2422b95b9b3L; 0x3af1eb79c66a559fL; 0x8e040e54f7592ee8L; 0x6d94a674c34b9739L;
+    0x771b665074d680e9L; 0xf3e574517c5eedb8L; 0x1d23fbdef237f1ccL; 0xa4b67120e03c4d22L;
+    0xf39c32800a3a496aL; 0x051953672e4acbbcL; 0x11d94b400fa88703L; 0x92c6c2e1375c96acL;
+    0x326a884f2f1dac39L; 0x5e67829d4e432baeL; 0x5cd221d8b9ba24b6L; 0xf4c91ae0d30534afL;
+    0x81d3b5e6f3c30601L; 0x627574470bcad1e1L; 0x76ebaf2cd768671aL; 0xb611c33398fd898dL;
+    0x8e2eb3392826cf15L; 0xcf59e55818ecd106L; 0x4b709a336f13ae86L; 0x9b9a3211a8dacdccL;
+    0x34d3a61578c85356L; 0xda5935709ee1b6bfL; 0x75d65d6e374eee3fL; 0x653524c0e06b639cL;
+    0xdd342e643df19aedL; 0x457443983f29cfbdL; 0xb4b9000cd3a9692cL; 0x0cd0813db2ca7cd9L;
+    0x7604f15ce51d0d06L; 0x50d1ce4ba35f80e4L; 0xa8fd2f5c35ac4bb9L; 0xc2c45025f895b1faL;
+    0xa41764c5aeefbfbdL; 0x021be35babed7ac6L; 0xb5d6af4f1ab5fb18L; 0x063ecf9f68cee4e4L;
+    0x5d6df7d13bc9bffcL; 0x51fa1891bade803aL; 0xf66d0801efb25d9bL; 0x08b30baa09bf6ad6L;
+  |]
+
+let pinned_float_unit =
+  Array.map float_of_string
+    [|
+      "0x1.31367e26140c7p-1"; "0x1.486da5f92b86cp-3"; "0x1.54c85f31d00d8p-3"; "0x1.896d649de031p-5";
+      "0x1.f62d40dca5d82p-1"; "0x1.e187e2fea8348p-3"; "0x1.1e0b12d313f7cp-2"; "0x1.392025051c93p-3";
+      "0x1.8578493c50ec1p-1"; "0x1.f34e1428846dcp-3"; "0x1.87656a3f8c3d9p-1"; "0x1.c5be13f199e4dp-1";
+      "0x1.ccc9f62cda7b8p-1"; "0x1.494766cf71b6p-4"; "0x1.36f1f7e8c90ap-5"; "0x1.b53d1af09b619p-1";
+      "0x1.158ab517a8cap-4"; "0x1.ca7c5d897e494p-3"; "0x1.633bb32a8a818p-4"; "0x1.543ab7caeda89p-1";
+      "0x1.5bc68908ae56ep-2"; "0x1.d78f5bce33528p-3"; "0x1.1c081ca9eeb25p-1"; "0x1.b65299d30d2e4p-2";
+      "0x1.dc6d9941d35ap-2"; "0x1.e7cae8a2f8bddp-1"; "0x1.d23fbdef237fp-4"; "0x1.496ce241c0789p-1";
+      "0x1.e738650014749p-1"; "0x1.4654d9cb92b2p-6"; "0x1.1d94b400fa88p-4"; "0x1.258d85c26eb92p-1";
+      "0x1.9354427978ed4p-3"; "0x1.799e0a75390cap-2"; "0x1.73488762e6e88p-2"; "0x1.e99235c1a60a6p-1";
+      "0x1.03a76bcde786p-1"; "0x1.89d5d11c2f2b4p-2"; "0x1.dbaebcb35da18p-2"; "0x1.6c23866731fb1p-1";
+      "0x1.1c5d6672504d9p-1"; "0x1.9eb3cab031d9ap-1"; "0x1.2dc268cdbc4eap-2"; "0x1.3734642351b59p-1";
+      "0x1.a69d30abc6428p-3"; "0x1.b4b26ae13dc36p-1"; "0x1.d75975b8dd3bap-2"; "0x1.94d4930381ad8p-2";
+      "0x1.ba685cc87be33p-1"; "0x1.15d10e60fca72p-2"; "0x1.69720019a752dp-1"; "0x1.9a1027b6594fp-5";
+      "0x1.d813c57394742p-2"; "0x1.4347392e8d7ep-2"; "0x1.51fa5eb86b589p-1"; "0x1.8588a04bf12b6p-1";
+      "0x1.482ec98b5ddf7p-1"; "0x1.0df1add5f6bcp-7"; "0x1.6bad5e9e356bfp-1"; "0x1.8fb3e7da33b8p-6";
+      "0x1.75b7df44ef26ep-2"; "0x1.47e86246eb7ap-2"; "0x1.ecda1003df64bp-1"; "0x1.1661754137edp-5";
+    |]
+
+let pinned_bernoulli_03 = "0111011101000110111001000010011010000000001010000101000001010001"
+let pinned_int_below_7 = "5402560235552546066124533440210203465251211202134552660643653552"
+
+(* First outputs of [split (create 42)]. *)
+let pinned_split_child =
+  [|
+    0x33d3b3229fe0c44dL; 0xcc0aaf5e8d84aac2L; 0xa539e214256b51ecL; 0xa57c77288d9504f0L;
+    0x6a1a5b4564f0f705L; 0x9be523348b643085L; 0xd77a5e377fecdf84L; 0x3cf0ccbc39ddd1f9L;
+    0x239f29827f22c528L; 0x20667245060a8eedL; 0x071fa4091bd2cfdeL; 0x6f22d2fff34fa03bL;
+    0x9514a754a2877d46L; 0xa5ff7144997bb852L; 0x1214972be2231a57L; 0xc340c9b75ae19b6bL;
+  |]
+
+(* Check the four pinned draw streams, starting at output [from], on
+   generators made by [fresh ()]: each must stand where [create 42]
+   stands after [from] outputs. *)
+let check_pinned_streams what fresh ~from =
+  let n = 64 - from in
+  let rng = fresh () in
+  for i = from to 63 do
+    Alcotest.(check int64) (Printf.sprintf "%s: bits64 #%d" what i) pinned_bits64.(i) (Prng.bits64 rng)
+  done;
+  let rng = fresh () in
+  for i = from to 63 do
+    let f = Prng.float_unit rng in
+    if Int64.bits_of_float f <> Int64.bits_of_float pinned_float_unit.(i) then
+      Alcotest.failf "%s: float_unit #%d is %h, pinned %h" what i f pinned_float_unit.(i)
+  done;
+  let rng = fresh () in
+  let bern = String.init n (fun _ -> if Prng.bernoulli rng 0.3 then '1' else '0') in
+  Alcotest.(check string) (what ^ ": bernoulli 0.3") (String.sub pinned_bernoulli_03 from n) bern;
+  let rng = fresh () in
+  let ints = String.init n (fun _ -> Char.chr (Char.code '0' + Prng.int_below rng 7)) in
+  Alcotest.(check string) (what ^ ": int_below 7") (String.sub pinned_int_below_7 from n) ints
+
+let advanced k =
+  let rng = Prng.create 42 in
+  for _ = 1 to k do
+    ignore (Prng.bits64 rng)
+  done;
+  rng
+
+let test_prng_stream_pin () =
+  check_pinned_streams "create" (fun () -> Prng.create 42) ~from:0;
+  (* [int_below 7] drew one output per value above (no rejection), so
+     every stream can be re-entered at any output index. *)
+  List.iter
+    (fun k ->
+      check_pinned_streams "copy" (fun () -> Prng.copy (advanced k)) ~from:k;
+      check_pinned_streams "assign"
+        (fun () ->
+          let dst = Prng.create 7 in
+          Prng.assign dst (advanced k);
+          dst)
+        ~from:k;
+      check_pinned_streams "marshal"
+        (fun () -> (Marshal.from_string (Marshal.to_string (advanced k) []) 0 : Prng.t))
+        ~from:k)
+    [ 0; 1; 17; 63 ];
+  (* [split] consumes one output of the parent and starts a pinned child. *)
+  check_pinned_streams "split parent"
+    (fun () ->
+      let rng = Prng.create 42 in
+      ignore (Prng.split rng);
+      rng)
+    ~from:1;
+  let child = Prng.split (Prng.create 42) in
+  Array.iteri
+    (fun i x -> Alcotest.(check int64) (Printf.sprintf "split child #%d" i) x (Prng.bits64 child))
+    pinned_split_child
+
+let test_bits53_is_top_bits () =
+  let a = Prng.create 42 and b = Prng.create 42 in
+  for _ = 1 to 1000 do
+    let top = Int64.to_int (Int64.shift_right_logical (Prng.bits64 a) 11) in
+    Alcotest.(check int) "bits53 = bits64 lsr 11" top (Prng.bits53 b)
+  done
+
 let test_shuffle_permutation () =
   let rng = Prng.create 18 in
   let a = Array.init 50 (fun i -> i) in
@@ -490,6 +614,8 @@ let () =
           Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
           Alcotest.test_case "split independence" `Quick test_split_independence;
           Alcotest.test_case "copy" `Quick test_copy_independent;
+          Alcotest.test_case "stream pin" `Quick test_prng_stream_pin;
+          Alcotest.test_case "bits53 top bits" `Quick test_bits53_is_top_bits;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
           Alcotest.test_case "choice member" `Quick test_choice_member;
           Alcotest.test_case "sample w/o replacement" `Quick test_sample_without_replacement;
