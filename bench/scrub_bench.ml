@@ -2,7 +2,9 @@
 
    Clean path: what fsync-everywhere actually costs on checkpoint saves
    and WAL appends (the store takes [?fsync] exactly so this is
-   measurable), and what a background scrub pass adds on a cadence.
+   measurable), the two encode kernels inside every save (the CRC-32 of
+   each record frame and the ddgraph text of the graph), and what a
+   background scrub pass adds on a cadence.
 
    Repair path: plant real damage — a flipped bit in a published
    checkpoint version, a wrecked derived plane and a wrecked content
@@ -21,6 +23,8 @@ module Relation = Dd_relational.Relation
 module Column_store = Dd_relational.Column_store
 module Timer = Dd_util.Timer
 module Table = Dd_util.Table
+module Crc32 = Dd_util.Crc32
+module Serialize = Dd_fgraph.Serialize
 
 let bench_options =
   {
@@ -112,6 +116,33 @@ let scrub ~full =
   metric "save_fsync_overhead_pct" (overhead save_fsync_ms save_nofsync_ms);
   metric "log_fsync_ms" log_fsync_ms;
   metric "log_nofsync_ms" log_nofsync_ms;
+
+  (* --- clean path: the encode kernels of a save --------------------------- *)
+  let crc_buffer = String.init (1 lsl 20) (fun i -> Char.chr ((i * 131) land 0xff)) in
+  let crc_passes = 256 in
+  ignore (Crc32.string crc_buffer);
+  let crc_s =
+    Timer.time_s (fun () ->
+        for _ = 1 to crc_passes do
+          ignore (Sys.opaque_identity (Crc32.string crc_buffer))
+        done)
+  in
+  let crc32_mb_per_s = float_of_int (crc_passes * String.length crc_buffer) /. crc_s /. 1e6 in
+  let graph = Engine.graph engine in
+  let text_passes = 100 in
+  let graph_bytes = String.length (Serialize.to_string graph) in
+  let text_s =
+    Timer.time_s (fun () ->
+        for _ = 1 to text_passes do
+          ignore (Sys.opaque_identity (Serialize.to_string graph))
+        done)
+  in
+  let graph_text_ms = text_s /. float_of_int text_passes *. 1e3 in
+  note "Encode kernels: CRC-32 at %.0f MB/s over a 1 MiB buffer; ddgraph text of the\n\
+        bench graph (%d bytes) in %.2f ms."
+    crc32_mb_per_s graph_bytes graph_text_ms;
+  metric "crc32_mb_per_s" crc32_mb_per_s;
+  metric "graph_text_ms" graph_text_ms;
 
   (* --- clean path: a scrub pass and its cadence cost ----------------------- *)
   let store_dir = Filename.concat dir "store" in

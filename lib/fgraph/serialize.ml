@@ -16,57 +16,80 @@ let semantics_of_code code =
 
 (* v2 writer: identical body to v1 plus a CRC-32 footer over every byte
    from the header through the last body line (checksum and end lines
-   excluded), so any single flipped or dropped byte is detected on load. *)
+   excluded), so any single flipped or dropped byte is detected on load.
+   Each line is its keyword followed by space-prefixed fields, written
+   straight into one buffer with no per-token [Printf]; only a weight
+   goes through [%.17g], which round-trips every double exactly. *)
 let to_string g =
-  let buffer = Buffer.create 4096 in
-  let crc = ref Crc32.init in
-  let emit s =
-    crc := Crc32.update_string !crc s;
-    Buffer.add_string buffer s
+  let b = Buffer.create 4096 in
+  let add = Buffer.add_string b in
+  let rec digits n =
+    if n >= 10 then digits (n / 10);
+    Buffer.add_char b (Char.chr (48 + (n mod 10)))
   in
-  emit "ddgraph 2\n";
-  emit (Printf.sprintf "vars %d\n" (Graph.num_vars g));
+  let int n =
+    Buffer.add_char b ' ';
+    if n < 0 then add (string_of_int n) else digits n
+  in
+  let flag f = add (if f then " 1" else " 0") in
+  add "ddgraph 2\nvars";
+  int (Graph.num_vars g);
+  add "\n";
   List.iter
-    (fun (v, value) -> emit (Printf.sprintf "evidence %d %d\n" v (if value then 1 else 0)))
+    (fun (v, value) ->
+      add "evidence";
+      int v;
+      flag value;
+      add "\n")
     (Graph.evidence_vars g);
   for w = 0 to Graph.num_weights g - 1 do
-    emit
-      (Printf.sprintf "weight %.17g %d\n" (Graph.weight_value g w)
-         (if Graph.weight_learnable g w then 1 else 0))
+    Printf.bprintf b "weight %.17g" (Graph.weight_value g w);
+    flag (Graph.weight_learnable g w);
+    add "\n"
   done;
   Graph.iter_factors
     (fun _ f ->
-      let buffer = Buffer.create 64 in
-      let head = match f.Graph.head with Some h -> h | None -> -1 in
-      Buffer.add_string buffer
-        (Printf.sprintf "factor %d %d %s %d" head f.Graph.weight_id
-           (semantics_code f.Graph.semantics)
-           (Array.length f.Graph.bodies));
+      add "factor";
+      int (match f.Graph.head with Some h -> h | None -> -1);
+      int f.Graph.weight_id;
+      add " ";
+      add (semantics_code f.Graph.semantics);
+      int (Array.length f.Graph.bodies);
       Array.iter
         (fun body ->
-          Buffer.add_string buffer (Printf.sprintf " | %d" (Array.length body));
+          add " |";
+          int (Array.length body);
           Array.iter
             (fun l ->
-              Buffer.add_string buffer
-                (Printf.sprintf " %d %d" l.Graph.var (if l.Graph.negated then 1 else 0)))
+              int l.Graph.var;
+              flag l.Graph.negated)
             body)
         f.Graph.bodies;
-      Buffer.add_char buffer '\n';
-      emit (Buffer.contents buffer))
+      add "\n")
     g;
-  let digest = Crc32.finish !crc in
-  emit (Printf.sprintf "checksum %s\n" (Crc32.to_hex digest));
-  emit "end\n";
-  Buffer.contents buffer
+  let body = Buffer.contents b in
+  Printf.sprintf "%schecksum %s\nend\n" body (Crc32.to_hex (Crc32.string body))
 
-let read_lines next_line =
-  let crc = ref Crc32.init in
+(* Trailing content after [end] (for instance a duplicated [end] from a
+   botched concatenation) means corruption. *)
+let of_string text =
+  let len = String.length text in
+  (* [pos] is where the next unread line starts ([len + 1] once every
+     line is read); [line_start] is where the last line read starts. *)
+  let pos = ref 0 in
+  let line_start = ref 0 in
+  let next_line () =
+    if !pos > len then None
+    else begin
+      let eol = Option.value (String.index_from_opt text !pos '\n') ~default:len in
+      let l = String.sub text !pos (eol - !pos) in
+      line_start := !pos;
+      pos := eol + 1;
+      Some l
+    end
+  in
   let expect_line () =
-    match next_line () with
-    | Some l ->
-      crc := Crc32.update_string !crc (l ^ "\n");
-      l
-    | None -> fail "unexpected end of input"
+    match next_line () with Some l -> l | None -> fail "unexpected end of input"
   in
   let version =
     match String.split_on_char ' ' (expect_line ()) with
@@ -139,9 +162,6 @@ let read_lines next_line =
   in
   let checksum_seen = ref false in
   let rec loop () =
-    (* The checksum covers every line before its own, so snapshot the
-       running digest before consuming the next line. *)
-    let body_crc = Crc32.finish !crc in
     let l = expect_line () in
     let reject_after_checksum () =
       if !checksum_seen then fail "content after checksum footer"
@@ -152,11 +172,11 @@ let read_lines next_line =
     | [ "checksum"; hex ] ->
       reject_after_checksum ();
       if version < 2 then fail "unexpected checksum line in ddgraph 1";
-      (match Crc32.of_hex hex with
-      | None -> fail "malformed checksum %s" hex
-      | Some declared ->
-        if declared <> body_crc then
-          fail "checksum mismatch (declared %s, computed %s)" hex (Crc32.to_hex body_crc));
+      (* The checksum covers every byte before its own line.  Compare
+         the exact rendering the writer emits, so a digest that differs
+         only in letter case is a flipped byte like any other. *)
+      let computed = Crc32.to_hex (Crc32.string (String.sub text 0 !line_start)) in
+      if hex <> computed then fail "checksum mismatch (declared %s, computed %s)" hex computed;
       checksum_seen := true;
       loop ()
     | "evidence" :: [ v; value ] ->
@@ -179,20 +199,6 @@ let read_lines next_line =
     | _ -> fail "unexpected line: %s" l
   in
   loop ();
-  g
-
-(* Trailing content after [end] (for instance a duplicated [end] from a
-   botched concatenation) means corruption. *)
-let of_string text =
-  let lines = ref (String.split_on_char '\n' text) in
-  let next_line () =
-    match !lines with
-    | [] -> None
-    | l :: rest ->
-      lines := rest;
-      Some l
-  in
-  let g = read_lines next_line in
   (match next_line () with
   | Some extra when String.trim extra <> "" -> fail "trailing content after end: %s" extra
   | Some _ | None -> ());

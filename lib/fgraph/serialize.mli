@@ -30,5 +30,6 @@ val to_string : Graph.t -> string
 
 val of_string : string -> Graph.t
 (** Raises {!Format_error} on malformed input, including a checksum
-    mismatch and trailing content after [end] (e.g. a duplicated
-    footer). *)
+    mismatch (the footer must be the exact lowercase digest, so a
+    case-flipped one is rejected) and trailing content after [end]
+    (e.g. a duplicated footer). *)

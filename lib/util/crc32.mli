@@ -3,7 +3,14 @@
     Streaming usage: start from {!init}, fold {!update_string} over the
     content, and {!finish}; or use {!string} for one-shot digests.  The
     ddgraph v2 footer and every {!Record} header carry the digest in the
-    fixed 8-character form of {!to_hex}. *)
+    fixed 8-character form of {!to_hex}; readers check a digest by
+    comparing that exact rendering, so there is no parser for it.
+
+    {!update_string} is table-driven slicing-by-8: it folds 8 bytes per
+    step over native ints, then the tail byte by byte.  It allocates
+    nothing per byte; a call allocates only the boxed [int32] it
+    returns.  Digests are those of the plain bytewise algorithm, which
+    the test suite keeps as its reference. *)
 
 type t = int32
 
@@ -18,6 +25,3 @@ val string : string -> t
 
 val to_hex : t -> string
 (** Fixed-width (8 lowercase hex digits) rendering. *)
-
-val of_hex : string -> t option
-(** Inverse of {!to_hex}; [None] on anything but 8 hex digits. *)

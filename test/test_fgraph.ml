@@ -498,9 +498,78 @@ let random_graph seed =
   done;
   g
 
+(* Graphs that exercise every token of the text format: multi-digit
+   ids, both evidence values, heads [None] and [Some], empty and negated
+   bodies, non-learnable weights, and weights whose [%.17g] rendering is
+   unusual ([-0.], subnormal-adjacent, inexact decimals, infinities). *)
+let text_graph seed =
+  let rng = Dd_util.Prng.create seed in
+  let g = Graph.create () in
+  let n = 1 + Dd_util.Prng.int_below rng 200 in
+  ignore (Graph.add_vars g n);
+  for v = 0 to n - 1 do
+    if Dd_util.Prng.bernoulli rng 0.3 then
+      Graph.set_evidence g v (Graph.Evidence (Dd_util.Prng.bool rng))
+  done;
+  let special =
+    [| -0.; 0.; 1e-300; -1e-300; 0.1; 1. /. 3.; 1e300; -2.5; 4.9e-324; infinity; neg_infinity |]
+  in
+  let nweights = 1 + Dd_util.Prng.int_below rng 30 in
+  for _ = 1 to nweights do
+    let value =
+      if Dd_util.Prng.bool rng then Dd_util.Prng.choice rng special
+      else Dd_util.Prng.float_range rng (-1e4) 1e4
+    in
+    ignore (Graph.add_weight ~learnable:(Dd_util.Prng.bool rng) g value)
+  done;
+  let lit () = { Graph.var = Dd_util.Prng.int_below rng n; negated = Dd_util.Prng.bool rng } in
+  for _ = 1 to Dd_util.Prng.int_below rng 60 do
+    ignore
+      (Graph.add_factor g
+         {
+           Graph.head =
+             (if Dd_util.Prng.bool rng then Some (Dd_util.Prng.int_below rng n) else None);
+           bodies =
+             Array.init (Dd_util.Prng.int_below rng 4) (fun _ ->
+                 Array.init (Dd_util.Prng.int_below rng 4) (fun _ -> lit ()));
+           weight_id = Dd_util.Prng.int_below rng nweights;
+           semantics = Dd_util.Prng.choice rng (Array.of_list Semantics.all);
+         })
+  done;
+  g
+
+(* The footer is compared as the exact lowercase rendering: flipping
+   bit 5 of a hex letter (a -> A) is a single flipped byte like any
+   other, and must not load. *)
+let test_serialize_rejects_case_flipped_checksum () =
+  let flipped = ref 0 in
+  List.iter
+    (fun g ->
+      let text = Serialize.to_string g in
+      let i = find_sub text "checksum " + String.length "checksum " in
+      for j = i to i + 7 do
+        match text.[j] with
+        | 'a' .. 'f' ->
+          let b = Bytes.of_string text in
+          Bytes.set b j (Char.chr (Char.code text.[j] lxor 0x20));
+          incr flipped;
+          expect_format_error
+            (Printf.sprintf "footer %s" (Bytes.sub_string b i 8))
+            (Bytes.to_string b)
+        | _ -> ()
+      done)
+    (rich_graph () :: List.init 8 text_graph);
+  Alcotest.(check bool) "some footer letters flipped" true (!flipped > 0)
+
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"writer bytes = Printf oracle, and round-trip" ~count:200 small_int
+      (fun seed ->
+        let g = text_graph seed in
+        let text = Serialize.to_string g in
+        text = Dd_oracle.Ddgraph_printf.to_string g
+        && Serialize.to_string (Serialize.of_string text) = text);
     Test.make ~name:"serialization roundtrip (random graphs)" ~count:100 small_int
       (fun seed ->
         let g = random_graph seed in
@@ -578,6 +647,8 @@ let () =
           Alcotest.test_case "rejects flipped byte" `Quick test_serialize_rejects_flipped_byte;
           Alcotest.test_case "rejects forged checksum" `Quick
             test_serialize_rejects_forged_checksum;
+          Alcotest.test_case "rejects case-flipped checksum" `Quick
+            test_serialize_rejects_case_flipped_checksum;
           Alcotest.test_case "rejects duplicate end" `Quick
             test_serialize_rejects_duplicate_end;
           Alcotest.test_case "rejects out-of-range refs" `Quick

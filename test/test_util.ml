@@ -5,6 +5,7 @@ module Stats = Dd_util.Stats
 module Union_find = Dd_util.Union_find
 module Table = Dd_util.Table
 module Crc32 = Dd_util.Crc32
+module Crc32_bytewise = Dd_oracle.Crc32_bytewise
 module Fault = Dd_util.Fault
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -489,14 +490,39 @@ let test_crc32_streaming_matches_whole () =
   Alcotest.(check string) "streamed = whole" (Crc32.to_hex (Crc32.string s))
     (Crc32.to_hex streamed)
 
-let test_crc32_hex_roundtrip () =
-  let crc = Crc32.string "roundtrip" in
-  (match Crc32.of_hex (Crc32.to_hex crc) with
-  | Some back -> Alcotest.(check bool) "roundtrip" true (back = crc)
-  | None -> Alcotest.fail "of_hex rejected its own to_hex");
-  Alcotest.(check bool) "bad length" true (Crc32.of_hex "abc" = None);
-  Alcotest.(check bool) "bad digit" true (Crc32.of_hex "0000000g" = None);
-  Alcotest.(check bool) "sign prefix" true (Crc32.of_hex "-0000001" = None)
+(* [s] fed to [update_string] in pieces ending at the sorted [cuts]. *)
+let crc32_streamed s cuts =
+  let crc, last =
+    List.fold_left
+      (fun (crc, from) cut -> (Crc32.update_string crc (String.sub s from (cut - from)), cut))
+      (Crc32.init, 0) cuts
+  in
+  Crc32.finish (Crc32.update_string crc (String.sub s last (String.length s - last)))
+
+(* Slicing-by-8 vs the bytewise reference on every length 0-24 (each
+   8-byte fold plus every tail length) and every streaming split. *)
+let test_crc32_short_lengths_match_oracle () =
+  let rng = Prng.create 18 in
+  for len = 0 to 24 do
+    let s = String.init len (fun _ -> Char.chr (Prng.int_below rng 256)) in
+    let expected = Crc32_bytewise.string s in
+    for split = 0 to len do
+      let streamed = crc32_streamed s [ split ] in
+      if streamed <> expected then
+        Alcotest.failf "length %d split %d: %08lx, oracle %08lx" len split streamed expected
+    done
+  done
+
+(* The register lives in a native int: a 1 MiB digest allocates only the
+   boxed [int32] results, where the bytewise loop boxes per byte. *)
+let test_crc32_allocation_free () =
+  let s = String.init (1 lsl 20) (fun i -> Char.chr ((i * 131) land 0xff)) in
+  ignore (Crc32.string s);
+  let before = Gc.minor_words () in
+  let digest = Crc32.string s in
+  let words = Gc.minor_words () -. before in
+  ignore (Sys.opaque_identity digest);
+  if words > 16.0 then Alcotest.failf "a 1 MiB Crc32.string allocates %.0f minor words" words
 
 let test_crc32_detects_flip () =
   let s = Bytes.of_string "some serialized payload" in
@@ -562,9 +588,25 @@ let test_fault_registry_and_is_injected () =
 
 (* --- qcheck properties ---------------------------------------------------- *)
 
+(* Random bytes of 0-64 KiB (or 0-24, around the 8-byte fold), cut at
+   up to three random points and streamed piece by piece. *)
+let crc32_case =
+  let open QCheck.Gen in
+  let bytes len = string_size ~gen:(map Char.chr (int_bound 255)) (return len) in
+  let case =
+    frequency [ (1, int_bound 24); (3, int_bound 65536) ] >>= fun len ->
+    bytes len >>= fun s ->
+    list_size (int_bound 3) (int_bound len) >|= fun cuts -> (s, List.sort compare cuts)
+  in
+  QCheck.make case ~print:(fun (s, cuts) ->
+      Printf.sprintf "length %d, cuts [%s]" (String.length s)
+        (String.concat "; " (List.map string_of_int cuts)))
+
 let qcheck_tests =
   let open QCheck in
   [
+    Test.make ~name:"crc32 slicing-by-8 = bytewise oracle" ~count:200 crc32_case
+      (fun (s, cuts) -> crc32_streamed s cuts = Crc32_bytewise.string s);
     Test.make ~name:"sigmoid in (0,1)" ~count:500 (float_bound_inclusive 700.0) (fun x ->
         let s = Stats.sigmoid x in
         s >= 0.0 && s <= 1.0);
@@ -668,7 +710,8 @@ let () =
         [
           Alcotest.test_case "known vectors" `Quick test_crc32_known_vectors;
           Alcotest.test_case "streaming" `Quick test_crc32_streaming_matches_whole;
-          Alcotest.test_case "hex roundtrip" `Quick test_crc32_hex_roundtrip;
+          Alcotest.test_case "short lengths = oracle" `Quick test_crc32_short_lengths_match_oracle;
+          Alcotest.test_case "allocates nothing" `Quick test_crc32_allocation_free;
           Alcotest.test_case "detects bit flip" `Quick test_crc32_detects_flip;
         ] );
       ( "fault",
