@@ -85,4 +85,6 @@ val variational_infer :
   float array
 (** Apply the update to (a copy of) the approximate graph — importing new
     variables, evidence, new factors and extension bodies with their current
-    weights — and estimate marginals by Gibbs sampling on the result. *)
+    weights — and estimate marginals on the result with
+    {!Dd_inference.Compiled.marginals}: Gibbs sampling over the coupled
+    query variables, closed form for the isolated ones. *)

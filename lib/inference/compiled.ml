@@ -70,6 +70,12 @@ type t = {
   weights : float array;
   learnable_active : int array;
   query : int array;
+  (* The query set split by Appendix B.1's decomposition: a query
+     variable is coupled when some adjacent factor also mentions another
+     query variable, and isolated otherwise (a singleton component, whose
+     conditional is its exact marginal).  Both ascending. *)
+  coupled : int array;
+  isolated : int array;
 }
 
 let graph t = t.graph
@@ -79,6 +85,8 @@ let num_weights t = Array.length t.weights
 let num_bodies t = t.nbodies
 let num_query t = Array.length t.query
 let query_vars t = Array.copy t.query
+let num_coupled t = Array.length t.coupled
+let coupled_vars t = Array.copy t.coupled
 let learnable_active t = Array.copy t.learnable_active
 
 let refresh_weights t =
@@ -91,11 +99,23 @@ let count_bodies g =
   Graph.iter_factors (fun _ f -> n := !n + Array.length f.Graph.bodies) g;
   !n
 
+let is_query g v = match Graph.evidence_of g v with Graph.Query -> true | Graph.Evidence _ -> false
+
+(* Same query set: the packed ids are all still [Query] and no other
+   variable became one (the counts agree). *)
+let same_query_set t g =
+  let n = ref 0 in
+  for v = 0 to t.nvars - 1 do
+    if is_query g v then incr n
+  done;
+  !n = Array.length t.query && Array.for_all (is_query g) t.query
+
 let matches_structure t g =
   t.nvars = Graph.num_vars g
   && t.nfactors = Graph.num_factors g
   && Array.length t.weights = Graph.num_weights g
   && t.nbodies = count_bodies g
+  && same_query_set t g
 
 let bool_byte b = if b then '\001' else '\000'
 
@@ -233,6 +253,37 @@ let compile g =
       learnable_active := w :: !learnable_active
   done;
   let query = Array.of_list (Graph.query_vars g) in
+  (* The coupled/isolated split in one pass over the literals: a factor
+     mentioning two or more distinct query variables (head or body) marks
+     them all coupled.  A factor's literals are one contiguous span. *)
+  let query_flag = Bytes.make (max 1 nvars) '\000' in
+  Array.iter (fun v -> Bytes.set query_flag v '\001') query;
+  let in_query v = v >= 0 && Bytes.get query_flag v <> '\000' in
+  let coupled_flag = Bytes.make (max 1 nvars) '\000' in
+  for fid = 0 to nfactors - 1 do
+    let h = f_head.(fid) in
+    let l0 = b_lit_off.(f_body_off.(fid)) and l1 = b_lit_off.(f_body_off.(fid + 1)) - 1 in
+    let first = ref (if in_query h then h else -1) and shared = ref false in
+    for l = l0 to l1 do
+      let v = l_var.(l) in
+      if in_query v then if !first < 0 then first := v else if v <> !first then shared := true
+    done;
+    if !shared then begin
+      if in_query h then Bytes.set coupled_flag h '\001';
+      for l = l0 to l1 do
+        if in_query l_var.(l) then Bytes.set coupled_flag l_var.(l) '\001'
+      done
+    end
+  done;
+  let is_coupled v = Bytes.get coupled_flag v <> '\000' in
+  let ncoupled = Array.fold_left (fun n v -> if is_coupled v then n + 1 else n) 0 query in
+  let coupled = Array.make ncoupled 0 and isolated = Array.make (Array.length query - ncoupled) 0 in
+  let nc = ref 0 and ni = ref 0 in
+  Array.iter
+    (fun v ->
+      if is_coupled v then begin coupled.(!nc) <- v; incr nc end
+      else begin isolated.(!ni) <- v; incr ni end)
+    query;
   {
     graph = g;
     nvars;
@@ -254,6 +305,8 @@ let compile g =
     weights;
     learnable_active = Array.of_list !learnable_active;
     query;
+    coupled;
+    isolated;
   }
 
 (* --- state -------------------------------------------------------------- *)
@@ -270,11 +323,6 @@ let kernel st = st.k
 let value st v = Bytes.unsafe_get st.assign v <> '\000'
 
 let snapshot st = Array.init st.k.nvars (fun v -> value st v)
-
-let accumulate_true st totals =
-  for v = 0 to st.k.nvars - 1 do
-    if Bytes.unsafe_get st.assign v <> '\000' then totals.(v) <- totals.(v) + 1
-  done
 
 let make_state ?init rng k =
   let init =
@@ -486,26 +534,24 @@ let async_resample_var rng st v =
      sampler.  No counter maintenance — see the module comment above. *)
   Bytes.unsafe_set st.assign v (bool_byte x)
 
-let sweep_span_async rng st ~lo ~hi =
-  let q = st.k.query in
+let sweep_span_async rng st vars ~lo ~hi =
   for i = lo to hi - 1 do
-    async_resample_var rng st (Array.unsafe_get q i)
+    async_resample_var rng st (Array.unsafe_get vars i)
   done
 
-let sweep_span_async_budgeted ?(every = 128) ~budget ~site rng st ~lo ~hi =
+let sweep_span_async_budgeted ?(every = 128) ~budget ~site rng st vars ~lo ~hi =
   let every = max 1 every in
   let i = ref lo in
   while !i < hi do
     Budget.check budget site;
     let stop = min hi (!i + every) in
-    sweep_span_async rng st ~lo:!i ~hi:stop;
+    sweep_span_async rng st vars ~lo:!i ~hi:stop;
     i := stop
   done
 
-let accumulate_span_true st ~lo ~hi totals =
-  let q = st.k.query in
+let accumulate_span_true st vars ~lo ~hi totals =
   for i = lo to hi - 1 do
-    let v = Array.unsafe_get q i in
+    let v = Array.unsafe_get vars i in
     if Bytes.unsafe_get st.assign v <> '\000' then totals.(v) <- totals.(v) + 1
   done
 
@@ -524,19 +570,32 @@ let rebuild_counters st =
     done
   done
 
+let closed_form_marginals st =
+  let k = st.k in
+  let m = Array.init k.nvars (fun v -> if value st v then 1.0 else 0.0) in
+  Array.iter (fun v -> m.(v) <- sigmoid (counters_delta st v)) k.isolated;
+  m
+
+(* The chain visits the coupled variables only; the poll stays once per
+   sweep even when there are none, so a tick budget expires at the same
+   sweep whatever the split. *)
 let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) rng k ~sweeps =
   let st = make_state rng k in
+  let m = closed_form_marginals st in
+  let c = k.coupled in
   for _ = 1 to burn_in do
     Budget.check budget "compiled.burn_in_sweep";
-    sweep rng st
+    sweep_slice rng st c
   done;
   let totals = Array.make k.nvars 0 in
   for _ = 1 to sweeps do
     Budget.check budget "compiled.sweep";
-    sweep rng st;
-    accumulate_true st totals
+    sweep_slice rng st c;
+    accumulate_span_true st c ~lo:0 ~hi:(Array.length c) totals
   done;
-  Array.map (fun c -> float_of_int c /. float_of_int (max 1 sweeps)) totals
+  let denom = float_of_int (max 1 sweeps) in
+  Array.iter (fun v -> m.(v) <- float_of_int totals.(v) /. denom) c;
+  m
 
 let sample_worlds ?(burn_in = 10) ?(spacing = 1) rng k ~n =
   let st = make_state rng k in

@@ -36,6 +36,19 @@
     This is the only Gibbs sampler on production paths; the naive
     {!Gibbs} module stays as its test oracle.
 
+    {b Isolated and coupled query variables.}  [compile] splits the
+    query set once, in one pass over the literals: a query variable is
+    {e coupled} when some adjacent factor (head or body) also mentions
+    another query variable, and {e isolated} otherwise.  An isolated
+    variable is a singleton component of Appendix B.1's decomposition:
+    its conditional P(v | rest) depends only on weights and clamped
+    evidence, so that conditional is its exact marginal.  {!marginals}
+    (and {!Dd_parallel.Par_gibbs.marginals}) therefore read isolated
+    variables in closed form ({!closed_form_marginals}) and run the
+    chain over {!coupled_vars} only — Rao-Blackwellization on singleton
+    components.  {!sweep}, {!sweep_all} and {!sample_worlds} still visit
+    every query variable: they produce whole worlds.
+
     Determinism contract: for a given [(seed, graph)], {!make_state}
     draws the initial world exactly as {!Gibbs.init_assignment} does and
     {!sweep} draws from the PRNG in exactly the order and count of
@@ -45,7 +58,12 @@
     {!Gibbs.conditional_true_prob} in a different order, so the two
     agree to floating-point reassociation (within 1e-9), and
     trajectories agree per seed unless a uniform draw lands between the
-    two values (asserted by tests). *)
+    two values (asserted by tests).  {!marginals} draws the same initial
+    world and then one Bernoulli per {e coupled} variable per sweep; on
+    a graph with no isolated query variable it is bit-identical to
+    counting every sweep of {!sweep} (the reference kept under
+    [test/oracle]), and evaluating the closed forms consumes no
+    randomness. *)
 
 module Graph = Dd_fgraph.Graph
 
@@ -73,11 +91,13 @@ val refresh_weights : t -> unit
     and weight-only engine updates. *)
 
 val matches_structure : t -> Graph.t -> bool
-(** Cheap structural fingerprint check: true iff [g] still has the same
-    variable / factor / weight / body counts as at compile time, i.e.
-    the kernel can be reused after {!refresh_weights}.  (Evidence
-    changes are not detected — callers that flip evidence must
-    recompile.) *)
+(** Reuse check, O(variables + factors): true iff [g] still has the same
+    variable / factor / weight / body counts as at compile time {e and}
+    the same query set (as many query variables, each packed id still
+    [Query]), i.e. the kernel — its packed query array and its
+    isolated/coupled split — can be reused after {!refresh_weights}.
+    A change of an evidence variable's clamped value keeps the match:
+    {!make_state} reads the values from the graph. *)
 
 val num_vars : t -> int
 val num_factors : t -> int
@@ -87,6 +107,13 @@ val num_query : t -> int
 
 val query_vars : t -> int array
 (** Packed query-variable ids, ascending.  Fresh copy. *)
+
+val num_coupled : t -> int
+
+val coupled_vars : t -> int array
+(** Packed coupled query-variable ids (some adjacent factor mentions
+    another query variable), ascending.  Fresh copy.  The remaining
+    query variables are isolated. *)
 
 val learnable_active : t -> int array
 (** Weight slots that are learnable {e and} attached to at least one
@@ -106,11 +133,6 @@ val value : state -> Graph.var -> bool
 
 val snapshot : state -> bool array
 (** Fresh copy of the current assignment. *)
-
-val accumulate_true : state -> int array -> unit
-(** [accumulate_true st totals] increments [totals.(v)] for every
-    variable currently true — the marginal-counting inner loop, without
-    materializing a [bool array] per sweep. *)
 
 val conditional_true_prob : state -> Graph.var -> float
 (** P(v = true | rest), from cached counters.  Only the returned float
@@ -183,9 +205,10 @@ val async_resample_var : Dd_util.Prng.t -> state -> Graph.var -> unit
 (** One async Gibbs update: a conditional evaluation plus a single-byte
     assignment store.  Never touches the [unsat]/[sat] counters. *)
 
-val sweep_span_async : Dd_util.Prng.t -> state -> lo:int -> hi:int -> unit
-(** Async-resample the packed query variables with indexes [\[lo, hi)],
-    ascending — one worker's range sweep. *)
+val sweep_span_async : Dd_util.Prng.t -> state -> Graph.var array -> lo:int -> hi:int -> unit
+(** [sweep_span_async rng st vars ~lo ~hi] async-resamples [vars.(lo)]
+    .. [vars.(hi - 1)] in order — one worker's range sweep over a packed
+    variable array ({!query_vars} or {!coupled_vars}). *)
 
 val sweep_span_async_budgeted :
   ?every:int ->
@@ -193,6 +216,7 @@ val sweep_span_async_budgeted :
   site:string ->
   Dd_util.Prng.t ->
   state ->
+  Graph.var array ->
   lo:int ->
   hi:int ->
   unit
@@ -202,9 +226,10 @@ val sweep_span_async_budgeted :
     is never torn by an abort: every completed resample left a whole
     byte. *)
 
-val accumulate_span_true : state -> lo:int -> hi:int -> int array -> unit
-(** Increment [totals.(v)] for every currently-true packed query
-    variable with index in [\[lo, hi)] — the per-worker marginal
+val accumulate_span_true : state -> Graph.var array -> lo:int -> hi:int -> int array -> unit
+(** [accumulate_span_true st vars ~lo ~hi totals] increments
+    [totals.(v)] for every currently-true [v = vars.(i)] with [i] in
+    [\[lo, hi)] — the marginal-counting inner loop, and the per-worker
     accumulation shard of an async epoch (spans are disjoint, so
     concurrent workers write disjoint [totals] cells). *)
 
@@ -213,12 +238,23 @@ val rebuild_counters : state -> unit
     the "merge on demand" that re-validates the counter caches after any
     number of async sweeps.  O(total literals). *)
 
+val closed_form_marginals : state -> float array
+(** A fresh marginal vector for a chain that sweeps only the coupled
+    variables: every evidence variable at its current (clamped) value as
+    0/1, every isolated query variable at {!conditional_true_prob} —
+    its exact marginal, evaluated once — and every coupled variable at
+    its current value as a placeholder the caller overwrites with its
+    chain estimate.  Consumes no randomness. *)
+
 val marginals :
   ?burn_in:int -> ?budget:Dd_util.Budget.t -> Dd_util.Prng.t -> t -> sweeps:int -> float array
-(** Fresh-state marginals; the compiled counterpart of
-    {!Gibbs.marginals}.  [budget] is polled once per sweep (burn-in
-    included); exhaustion raises {!Dd_util.Budget.Exceeded} instead of
-    finishing the chain. *)
+(** Fresh-state marginals.  Evidence and isolated query variables come
+    from {!closed_form_marginals}; the coupled ones are the fraction of
+    [sweeps] post-burn-in sweeps over {!coupled_vars} in which they were
+    true.  [budget] is polled once per sweep (burn-in included), also
+    when no variable is coupled, so a tick budget expires at the same
+    sweep whatever the split; exhaustion raises
+    {!Dd_util.Budget.Exceeded} instead of finishing the chain. *)
 
 val sample_worlds :
   ?burn_in:int -> ?spacing:int -> Dd_util.Prng.t -> t -> n:int -> bool array array

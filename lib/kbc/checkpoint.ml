@@ -131,9 +131,10 @@ let quarantined_files store =
 let state_snapshot engine = Marshal.to_string (engine : Engine.t) []
 
 (* Bumped whenever the marshalled [Engine.t] layout changes (3: the
-   generator's state became a byte buffer), so an older store fails the
-   tag check instead of unmarshalling into the wrong shape. *)
-let ckpt_tag = "ddckpt 3"
+   generator's state became a byte buffer; 4: the cached compiled kernel
+   stores its coupled/isolated split), so an older store fails the tag
+   check instead of unmarshalling into the wrong shape. *)
+let ckpt_tag = "ddckpt 4"
 
 let checkpoint_content engine ~seq =
   Record.frames

@@ -29,9 +29,18 @@ type mode =
   | Parallel of parallel
   | Async_mode of async
 
-type t = { state : Compiled.state; mode : mode; domains : int }
+type t = {
+  state : Compiled.state;
+  vars : Graph.var array;  (** the packed variables one sweep visits, ascending *)
+  mode : mode;
+  domains : int;
+}
 
-let create ?init ?pool ?(mode = Color_sync) ?kernel ~domains rng g =
+(* [sweep_set] picks the packed variables a sweep visits: every query
+   variable for {!create}, the coupled ones for {!marginals}.  On a graph
+   with no isolated query variable the two are the same array, so the
+   plan, the spans and every draw are too. *)
+let build ?init ?pool ~mode ?kernel ~sweep_set ~domains rng g =
   if domains < 1 then invalid_arg "Par_gibbs.create: domains must be >= 1";
   let kernel =
     match kernel with
@@ -42,11 +51,26 @@ let create ?init ?pool ?(mode = Color_sync) ?kernel ~domains rng g =
     | None -> Compiled.compile g
   in
   let state = Compiled.make_state ?init rng kernel in
+  let vars = sweep_set kernel in
   match mode with
-  | Color_sync when domains = 1 -> { state; mode = Sequential rng; domains }
+  | Color_sync when domains = 1 -> { state; vars; mode = Sequential rng; domains }
   | Color_sync ->
     let partition = Partition.color g in
-    let plan = Partition.slices partition ~domains in
+    (* The coloring covers every query variable; a sweep over a subset
+       keeps each class's order, drops the rest, and then splits what is
+       left across the domains.  Every color keeps its phase. *)
+    let classes =
+      if Array.length vars = Compiled.num_query kernel then partition.Partition.classes
+      else begin
+        let keep = Bytes.make (Graph.num_vars g) '\000' in
+        Array.iter (fun v -> Bytes.set keep v '\001') vars;
+        Array.map
+          (fun cls ->
+            Array.of_list (List.filter (fun v -> Bytes.get keep v <> '\000') (Array.to_list cls)))
+          partition.Partition.classes
+      end
+    in
+    let plan = Partition.slices { partition with Partition.classes } ~domains in
     (* Splitting after [Compiled.make_state] keeps the initial assignment
        identical to the sequential sampler's for the same seed. *)
     let rngs = Array.init domains (fun _ -> Prng.split rng) in
@@ -60,22 +84,20 @@ let create ?init ?pool ?(mode = Color_sync) ?kernel ~domains rng g =
     in
     {
       state;
+      vars;
       mode = Parallel { rngs; plan; pool; owns_pool; num_colors = partition.Partition.num_colors };
       domains;
     }
   | Async ->
     (* [domains] logical workers, each owning one contiguous cost-balanced
-       span of the packed query array.  The pool is sized to the hardware
-       (never oversubscribed): when fewer slots than workers are
-       available, each slot runs a deterministic block of workers
-       back-to-back — worker [w] still consumes only its own stream and
-       range, so shrinking the slot count changes scheduling, not work
-       assignment. *)
-    let query = Compiled.query_vars kernel in
+       span of [vars].  The pool is sized to the hardware (never
+       oversubscribed): when fewer slots than workers are available, each
+       slot runs a deterministic block of workers back-to-back — worker
+       [w] still consumes only its own stream and range, so shrinking the
+       slot count changes scheduling, not work assignment. *)
     let spans =
-      Range.spans
-        ~cost:(fun i -> Compiled.async_cost kernel query.(i))
-        ~workers:domains (Array.length query)
+      Range.spans ~cost:(fun i -> Compiled.async_cost kernel vars.(i)) ~workers:domains
+        (Array.length vars)
     in
     (* A single worker keeps the caller's stream: its trajectory is then
        bit-identical to the sequential sampler's (the async conditional
@@ -91,9 +113,13 @@ let create ?init ?pool ?(mode = Color_sync) ?kernel ~domains rng g =
     let slots = min domains (Pool.size pool) in
     {
       state;
+      vars;
       mode = Async_mode { a_rngs = rngs; a_spans = spans; a_pool = pool; a_owns_pool = owns_pool; a_slots = slots; a_counters_stale = false };
       domains;
     }
+
+let create ?init ?pool ?(mode = Color_sync) ?kernel ~domains rng g =
+  build ?init ?pool ~mode ?kernel ~sweep_set:Compiled.query_vars ~domains rng g
 
 let assignment t = Compiled.snapshot t.state
 
@@ -130,11 +156,12 @@ let run_phase state p phase =
   run_phase_with (fun rng slice -> Compiled.sweep_slice rng state slice) p phase
 
 (* One async epoch: every worker free-runs [sweeps] passes over its own
-   span with no intermediate synchronization; the single [Pool.run] join
-   at the end is the epoch barrier that publishes the bytes (and the
-   per-worker [totals] shards) to the coordinator.  Logical workers are
-   multiplexed onto the pool's hardware slots in deterministic blocks. *)
-let run_async_epoch st a ~budget ~sweeps ~totals =
+   span of [vars] with no intermediate synchronization; the single
+   [Pool.run] join at the end is the epoch barrier that publishes the
+   bytes (and the per-worker [totals] shards) to the coordinator.  Logical
+   workers are multiplexed onto the pool's hardware slots in deterministic
+   blocks. *)
+let run_async_epoch st vars a ~budget ~sweeps ~totals =
   a.a_counters_stale <- true;
   let workers = Array.length a.a_spans in
   let slots = a.a_slots in
@@ -143,34 +170,36 @@ let run_async_epoch st a ~budget ~sweeps ~totals =
         let rng = a.a_rngs.(w) and span = a.a_spans.(w) in
         if Range.length span > 0 then
           for _ = 1 to sweeps do
-            Compiled.sweep_span_async_budgeted ~budget ~site:"par_gibbs.async_range" rng st
+            Compiled.sweep_span_async_budgeted ~budget ~site:"par_gibbs.async_range" rng st vars
               ~lo:span.Range.lo ~hi:span.Range.hi;
             match totals with
             | Some tot ->
               (* Spans are disjoint: each worker owns its cells of [tot]. *)
-              Compiled.accumulate_span_true st ~lo:span.Range.lo ~hi:span.Range.hi tot
+              Compiled.accumulate_span_true st vars ~lo:span.Range.lo ~hi:span.Range.hi tot
             | None -> ()
           done
       done)
 
+(* [Compiled.sweep_slice] over the packed query array draws exactly as
+   [Compiled.sweep]. *)
 let sweep t =
   match t.mode with
-  | Sequential rng -> Compiled.sweep rng t.state
+  | Sequential rng -> Compiled.sweep_slice rng t.state t.vars
   | Parallel p -> Array.iter (run_phase t.state p) p.plan
-  | Async_mode a -> run_async_epoch t.state a ~budget:Budget.unlimited ~sweeps:1 ~totals:None
+  | Async_mode a -> run_async_epoch t.state t.vars a ~budget:Budget.unlimited ~sweeps:1 ~totals:None
 
 let sweep_epoch ?(budget = Budget.unlimited) ?totals t ~sweeps =
   if sweeps < 0 then invalid_arg "Par_gibbs.sweep_epoch: sweeps must be >= 0";
   match t.mode with
   | Async_mode a ->
     Budget.check budget "par_gibbs.epoch";
-    run_async_epoch t.state a ~budget ~sweeps ~totals
+    run_async_epoch t.state t.vars a ~budget ~sweeps ~totals
   | Sequential rng ->
     for _ = 1 to sweeps do
       Budget.check budget "par_gibbs.sweep";
-      Compiled.sweep rng t.state;
+      Compiled.sweep_slice rng t.state t.vars;
       match totals with
-      | Some tot -> Compiled.accumulate_span_true t.state ~lo:0 ~hi:(Compiled.num_query (Compiled.kernel t.state)) tot
+      | Some tot -> Compiled.accumulate_span_true t.state t.vars ~lo:0 ~hi:(Array.length t.vars) tot
       | None -> ()
     done
   | Parallel _ ->
@@ -196,7 +225,7 @@ let sweep_budgeted budget t =
   match t.mode with
   | Sequential rng ->
     Budget.check budget "par_gibbs.sweep";
-    Compiled.sweep rng t.state
+    Compiled.sweep_slice rng t.state t.vars
   | Parallel p ->
     Array.iter
       (fun phase ->
@@ -208,7 +237,7 @@ let sweep_budgeted budget t =
       p.plan
   | Async_mode a ->
     Budget.check budget "par_gibbs.epoch";
-    run_async_epoch t.state a ~budget ~sweeps:1 ~totals:None
+    run_async_epoch t.state t.vars a ~budget ~sweeps:1 ~totals:None
 
 let shutdown t =
   match t.mode with
@@ -216,26 +245,18 @@ let shutdown t =
   | Parallel p -> if p.owns_pool then Pool.shutdown p.pool
   | Async_mode a -> if a.a_owns_pool then Pool.shutdown a.a_pool
 
-let async_marginals_of_totals t totals ~sweeps =
-  let st = t.state in
-  let kernel = Compiled.kernel st in
-  let n = Compiled.num_vars kernel in
-  let denom = float_of_int (max 1 sweeps) in
-  (* Evidence variables never move: their marginal is their clamped
-     value, matching what per-sweep [accumulate_true] would have
-     counted. *)
-  let m = Array.init n (fun v -> if Compiled.value st v then 1.0 else 0.0) in
-  Array.iter (fun v -> m.(v) <- float_of_int totals.(v) /. denom) (Compiled.query_vars kernel);
-  m
-
+(* The chain sweeps the coupled variables only; evidence and isolated
+   query variables are read in closed form before the first sweep. *)
 let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) ?kernel ?(mode = Color_sync)
     ?(epoch_sweeps = 8) ~domains rng g ~sweeps =
   if epoch_sweeps < 1 then invalid_arg "Par_gibbs.marginals: epoch_sweeps must be >= 1";
-  let t = create ?kernel ~mode ~domains rng g in
+  let t = build ?kernel ~mode ~sweep_set:Compiled.coupled_vars ~domains rng g in
   Fun.protect
     ~finally:(fun () -> shutdown t)
     (fun () ->
-      match t.mode with
+      let m = Compiled.closed_form_marginals t.state in
+      let totals = Array.make (Graph.num_vars g) 0 in
+      (match t.mode with
       | Async_mode _ ->
         let run_epochs total totals =
           let remaining = ref total in
@@ -245,21 +266,19 @@ let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) ?kernel ?(mode = Colo
             remaining := !remaining - chunk
           done
         in
-        let totals = Array.make (Graph.num_vars g) 0 in
         run_epochs burn_in None;
-        run_epochs sweeps (Some totals);
-        async_marginals_of_totals t totals ~sweeps
+        run_epochs sweeps (Some totals)
       | Sequential _ | Parallel _ ->
         for _ = 1 to burn_in do
           sweep_budgeted budget t
         done;
-        let n = Graph.num_vars g in
-        let totals = Array.make n 0 in
         for _ = 1 to sweeps do
           sweep_budgeted budget t;
-          Compiled.accumulate_true t.state totals
-        done;
-        Array.map (fun c -> float_of_int c /. float_of_int (max 1 sweeps)) totals)
+          Compiled.accumulate_span_true t.state t.vars ~lo:0 ~hi:(Array.length t.vars) totals
+        done);
+      let denom = float_of_int (max 1 sweeps) in
+      Array.iter (fun v -> m.(v) <- float_of_int totals.(v) /. denom) t.vars;
+      m)
 
 (* Deterministic near-equal split of [n] across [chains]. *)
 let share n chains c = (n * (c + 1) / chains) - (n * c / chains)

@@ -35,7 +35,16 @@
     output bit-for-bit from the same seed.  [Async] with one worker also
     reproduces the sequential chain bit-for-bit: it keeps the caller's
     PRNG stream, and the counter-free conditional is bit-identical to
-    the counter-based one when unraced. *)
+    the counter-based one when unraced.
+
+    A sampler from {!create} sweeps every query variable.  {!marginals}
+    builds its chain over the {e coupled} query variables only
+    ({!Dd_inference.Compiled.coupled_vars}): color-sync filters the
+    isolated ones out of its plan, and async builds its spans over the
+    coupled set.  Isolated query variables read their exact marginal in
+    closed form ({!Dd_inference.Compiled.closed_form_marginals}).  On a
+    graph with no isolated query variable both sets are the same, and so
+    are the plan, the spans and every draw. *)
 
 module Graph = Dd_fgraph.Graph
 
@@ -84,7 +93,7 @@ val phases : t -> int
     the async mode exists for; see DESIGN.md. *)
 
 val sweep : t -> unit
-(** One pass over the query variables.  [domains = 1] color-sync:
+(** One pass over every query variable.  [domains = 1] color-sync:
     exactly {!Dd_inference.Compiled.sweep}.  Multi-domain color-sync:
     one barrier per color class (phases whose work lands on a single
     domain run inline).  Async: one epoch of a single free-running
@@ -124,15 +133,18 @@ val marginals :
   Graph.t ->
   sweeps:int ->
   float array
-(** Single-chain marginals.  Default mode [Color_sync]: drop-in for
+(** Single-chain marginals.  Evidence variables report their clamped
+    value and isolated query variables their closed-form marginal, read
+    once before the chain starts; the chain sweeps the coupled query
+    variables and counts them.  Default mode [Color_sync]: drop-in for
     {!Dd_inference.Compiled.marginals} (bit-identical at
     [domains = 1]), polling [budget] on the coordinator between color
-    phases and inside every worker slice.  Mode [Async]: burn-in and
+    phases (every color keeps its phase, even one left empty by the
+    filter) and inside every worker slice.  Mode [Async]: burn-in and
     sampling run as epochs of [epoch_sweeps] (default 8) free-running
     sweeps; workers accumulate marginal counts for their own ranges
-    between epoch barriers, evidence variables report their clamped
-    value, and the budget is polled per epoch plus inside every chunked
-    range sweep.  A worker-side exhaustion surfaces after the
+    between epoch barriers, and the budget is polled per epoch plus
+    inside every chunked range sweep.  A worker-side exhaustion surfaces after the
     join with every byte whole and the engine state rolled back by the
     caller's transaction — async counters are rebuilt lazily, never
     trusted after an abort. *)

@@ -228,7 +228,7 @@ let test_sweeps_allocation_free () =
   check_allocation_free "sweep_all" (repeat (fun () -> Compiled.sweep_all rng st));
   check_allocation_free "sweep_slice" (repeat (fun () -> Compiled.sweep_slice rng st slice));
   check_allocation_free "sweep_span_async"
-    (repeat (fun () -> Compiled.sweep_span_async rng st ~lo:0 ~hi:nq))
+    (repeat (fun () -> Compiled.sweep_span_async rng st slice ~lo:0 ~hi:nq))
 
 (* --- agreement with exact marginals -------------------------------------------- *)
 
@@ -298,6 +298,33 @@ let test_matches_structure () =
   let w = Graph.add_weight g 1.0 in
   ignore (Graph.unary g ~weight:w v);
   Alcotest.(check bool) "new factor detected" false (Compiled.matches_structure kernel2 g)
+
+(* Evidence flips keep every count but change the query set, and with it
+   the packed query array and the isolated/coupled split: a kernel compiled
+   before the flip must not be reused. *)
+let test_matches_structure_evidence_flip () =
+  let g = mixed_graph 2 in
+  let q = List.hd (Graph.query_vars g) in
+  let kernel = Compiled.compile g in
+  Graph.set_evidence g q (Graph.Evidence true);
+  Alcotest.(check bool) "query -> evidence detected" false (Compiled.matches_structure kernel g);
+  let kernel2 = Compiled.compile g in
+  Graph.set_evidence g q Graph.Query;
+  Alcotest.(check bool) "evidence -> query detected" false (Compiled.matches_structure kernel2 g);
+  Alcotest.(check bool) "original query set matches again" true
+    (Compiled.matches_structure kernel g);
+  Graph.set_evidence g q (Graph.Evidence false);
+  let kernel3 = Compiled.compile g in
+  Graph.set_evidence g q (Graph.Evidence true);
+  Alcotest.(check bool) "clamped value flip keeps the query set" true
+    (Compiled.matches_structure kernel3 g);
+  (* Counts equal, sets differ: one variable freed, another clamped. *)
+  let e = List.hd (List.map fst (Graph.evidence_vars g)) in
+  let q' = List.hd (Graph.query_vars g) in
+  let kernel4 = Compiled.compile g in
+  Graph.set_evidence g e Graph.Query;
+  Graph.set_evidence g q' (Graph.Evidence false);
+  Alcotest.(check bool) "swapped query set detected" false (Compiled.matches_structure kernel4 g)
 
 let test_compile_rejects_duplicate_literal () =
   let g = Graph.create () in
@@ -458,6 +485,8 @@ let () =
         [
           Alcotest.test_case "refresh_weights = recompile" `Quick test_refresh_weights_equiv_recompile;
           Alcotest.test_case "matches_structure" `Quick test_matches_structure;
+          Alcotest.test_case "matches_structure sees evidence flips" `Quick
+            test_matches_structure_evidence_flip;
           Alcotest.test_case "duplicate literal" `Quick test_compile_rejects_duplicate_literal;
           Alcotest.test_case "dense gradients" `Quick test_add_feature_counts_matches_reference;
         ] );

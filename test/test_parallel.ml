@@ -278,11 +278,7 @@ let test_par_voting_agrees () =
 
 (* --- budget polling inside worker slices -------------------------------- *)
 
-(* A unary-only graph: one color class, so every sweep is exactly one
-   parallel phase whose [domains] slices all carry work.  Poll counts are
-   then a pure function of the shapes: 1 coordinator poll per phase plus
-   [ceil (slice / 128)] polls per worker slice — deterministic no matter
-   how the domains interleave, because the tick counter is atomic. *)
+(* A unary-only graph: one color class, and every variable isolated. *)
 let unary_graph n =
   let g = Graph.create () in
   Array.iter
@@ -292,21 +288,339 @@ let unary_graph n =
     (Graph.add_vars g n);
   g
 
+(* [n] variables in coupled pairs [(2i, 2i + 1)], each with a unary bias:
+   two color classes (even and odd ids), so every sweep is exactly two
+   parallel phases whose [domains] slices all carry work.  Poll counts
+   are then a pure function of the shapes: 1 coordinator poll per phase
+   plus [ceil (slice / 128)] polls per worker slice — deterministic no
+   matter how the domains interleave, because the tick counter is
+   atomic. *)
+let pair_graph n =
+  let g = unary_graph n in
+  let w = Graph.add_weight g 0.4 in
+  for i = 0 to (n / 2) - 1 do
+    ignore (Graph.pairwise g ~weight:w (2 * i) ((2 * i) + 1))
+  done;
+  g
+
 let test_budgeted_worker_slices () =
   let module Budget = Dd_util.Budget in
-  let g = unary_graph 600 in
+  let g = pair_graph 1200 in
   let run budget =
     Par_gibbs.marginals ?budget ~burn_in:1 ~domains:3 (Prng.create 90) g ~sweeps:5
   in
-  (* 6 sweeps x (1 phase poll + 3 slices x 2 chunk polls) = 42 ticks. *)
+  (* 6 sweeps x 2 phases x (1 phase poll + 3 slices x 2 chunk polls) = 84 ticks. *)
   let free = run None in
-  let exact = run (Some (Budget.start (Budget.Ticks 42))) in
+  let exact = run (Some (Budget.start (Budget.Ticks 84))) in
   Alcotest.(check bool) "budgeted sweep is bit-identical" true (free = exact);
   (* One tick short: the very last poll — inside a worker slice, not on
      the coordinator — must raise, and from the worker's own site. *)
-  match run (Some (Budget.start (Budget.Ticks 41))) with
+  match run (Some (Budget.start (Budget.Ticks 83))) with
   | _ -> Alcotest.fail "expected Budget.Exceeded from a worker slice"
   | exception Budget.Exceeded site -> Alcotest.(check string) "worker site" "par_gibbs.slice" site
+
+(* --- closed-form marginals for isolated query variables ------------------- *)
+
+module Sweep_oracle = Dd_oracle.Sweep_marginals
+
+(* Graphs with no isolated query variable: every query variable shares a
+   factor with another one.  Each builder adds [copies] disjoint,
+   identical components in turn, so every component's query variables
+   are contiguous in the packed query array. *)
+
+(* A pairwise chain with unary biases, clamped at its first variable. *)
+let chain_graph ~copies n =
+  let g = Graph.create () in
+  for _ = 1 to copies do
+    let vars = Graph.add_vars g n in
+    Graph.set_evidence g vars.(0) (Graph.Evidence true);
+    Array.iteri
+      (fun i v ->
+        let w = Graph.add_weight g (0.15 *. float_of_int ((i mod 7) - 3)) in
+        ignore (Graph.unary g ~weight:w v))
+      vars;
+    let w = Graph.add_weight g 0.6 in
+    for i = 0 to n - 2 do
+      ignore (Graph.pairwise g ~weight:w vars.(i) vars.(i + 1))
+    done
+  done;
+  g
+
+(* Example 2.5's voting program: one head [q], an up and a down
+   aggregation factor with one body per voter, unary biases on voters. *)
+let voting_graph ~copies ~up ~down semantics =
+  let g = Graph.create () in
+  for _ = 1 to copies do
+    let q = Graph.add_var g in
+    let vote weight voters =
+      let w = Graph.add_weight g weight in
+      ignore
+        (Graph.add_factor g
+           {
+             Graph.head = Some q;
+             bodies = Array.map (fun v -> [| { Graph.var = v; negated = false } |]) voters;
+             weight_id = w;
+             semantics;
+           })
+    in
+    let ups = Graph.add_vars g up and downs = Graph.add_vars g down in
+    vote 0.8 ups;
+    vote (-0.8) downs;
+    let wu = Graph.add_weight g 0.2 and wd = Graph.add_weight g (-0.1) in
+    Array.iter (fun v -> ignore (Graph.unary g ~weight:wu v)) ups;
+    Array.iter (fun v -> ignore (Graph.unary g ~weight:wd v)) downs
+  done;
+  g
+
+(* The shape the I1 inference rule grounds to: a symmetric relation whose
+   two tuples imply each other, plus an evidence-conditioned two-body
+   Ratio factor with negated literals. *)
+let i1_graph ~copies pairs =
+  let g = Graph.create () in
+  for _ = 1 to copies do
+    for i = 0 to pairs - 1 do
+      let x = Graph.add_var g and y = Graph.add_var g in
+      let e = Graph.add_var ~evidence:(Graph.Evidence (i mod 2 = 0)) g in
+      let wp = Graph.add_weight g (0.2 *. float_of_int ((i mod 5) - 2)) in
+      ignore (Graph.unary g ~weight:wp x);
+      let ws = Graph.add_weight g 0.9 in
+      ignore (Graph.implication g ~weight:ws ~semantics:Semantics.Logical [ x ] y);
+      ignore (Graph.implication g ~weight:ws ~semantics:Semantics.Logical [ y ] x);
+      let wr = Graph.add_weight g (-0.5) in
+      ignore
+        (Graph.add_factor g
+           {
+             Graph.head = Some x;
+             bodies =
+               [|
+                 [| { Graph.var = y; negated = true }; { Graph.var = e; negated = false } |];
+                 [| { Graph.var = e; negated = true } |];
+               |];
+             weight_id = wr;
+             semantics = Semantics.Ratio;
+           })
+    done
+  done;
+  g
+
+let no_isolated_graphs () =
+  [
+    ("chain", chain_graph ~copies:3 24);
+    ("voting", voting_graph ~copies:3 ~up:9 ~down:7 Semantics.Logical);
+    ("i1", i1_graph ~copies:3 8);
+  ]
+
+let digest m =
+  Digest.to_hex
+    (Digest.string (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") m))))
+
+let check_no_isolated name g =
+  let k = Compiled.compile g in
+  Alcotest.(check int) (name ^ ": every query variable coupled") (Compiled.num_query k)
+    (Compiled.num_coupled k)
+
+(* On graphs with no isolated query variable the closed-form estimators
+   must return the bits of the count-every-sweep oracle: the compiled
+   estimator, and the sampler sequentially and async at one worker (which
+   keeps the caller's stream). *)
+let test_no_isolated_matches_oracle () =
+  List.iter
+    (fun (name, g) ->
+      check_no_isolated name g;
+      List.iter
+        (fun seed ->
+          let oracle =
+            Sweep_oracle.marginals ~burn_in:7 (Prng.create seed) (Compiled.compile g) ~sweeps:40
+          in
+          let same what m =
+            Alcotest.(check string) (Printf.sprintf "%s seed %d: %s" name seed what)
+              (digest oracle) (digest m)
+          in
+          same "Compiled.marginals"
+            (Compiled.marginals ~burn_in:7 (Prng.create seed) (Compiled.compile g) ~sweeps:40);
+          same "sequential"
+            (Par_gibbs.marginals ~burn_in:7 ~domains:1 (Prng.create seed) g ~sweeps:40);
+          same "async, 1 worker"
+            (Par_gibbs.marginals ~mode:Par_gibbs.Async ~epoch_sweeps:4 ~burn_in:7 ~domains:1
+               (Prng.create seed) g ~sweeps:40))
+        [ 31; 32; 33 ])
+    (no_isolated_graphs ())
+
+(* The 3-domain modes against digests recorded with the estimator that
+   swept every query variable.  Color-sync is deterministic per (seed,
+   graph, domains); the async run is deterministic here because each of
+   the three identical components fills exactly one worker's
+   cost-balanced span, so no worker reads another's variables. *)
+let parent_digests =
+  [
+    ("chain", "3f24775dbe62b47b654bee64408eed06", "ee8f1c4fffecbf1d1129505d8f49ea1d");
+    ("voting", "d4d047db7bdce1c5100d091788ed5d2c", "02d98c7b8e8968f737007d74c4131403");
+    ("i1", "48b891548d1d327e04d1646c87439dbe", "7b12f4f26c1b87abddfd40f45b4e32f7");
+  ]
+
+let test_no_isolated_three_domains_pinned () =
+  List.iter2
+    (fun (name, g) (name', sync_digest, async_digest) ->
+      assert (name = name');
+      let sync = Par_gibbs.marginals ~burn_in:7 ~domains:3 (Prng.create 31) g ~sweeps:40 in
+      let asy =
+        Par_gibbs.marginals ~mode:Par_gibbs.Async ~epoch_sweeps:4 ~burn_in:7 ~domains:3
+          (Prng.create 31) g ~sweeps:40
+      in
+      Alcotest.(check string) (name ^ ": color-sync, 3 domains") sync_digest (digest sync);
+      Alcotest.(check string) (name ^ ": async, 3 domains") async_digest (digest asy))
+    (no_isolated_graphs ()) parent_digests
+
+(* Random small graphs mixing isolated and coupled query variables: all
+   three semantics, one to three bodies per factor, negated literals,
+   heads that are absent, the anchor, or another variable, factors whose
+   other variables are all evidence, and (sometimes) a variable with no
+   factor at all.  At most 11 variables, so [Exact] enumerates them. *)
+let isolated_mix_graph seed =
+  let rng = Prng.create seed in
+  let g = Graph.create () in
+  let n = 4 + Prng.int_below rng 7 in
+  let vars = Graph.add_vars g n in
+  Array.iter
+    (fun v -> if Prng.bernoulli rng 0.3 then Graph.set_evidence g v (Graph.Evidence (Prng.bool rng)))
+    vars;
+  let evidence =
+    Array.of_list
+      (List.filter (fun v -> Graph.evidence_of g v <> Graph.Query) (Array.to_list vars))
+  in
+  let lit v = { Graph.var = v; negated = Prng.bool rng } in
+  for _ = 1 to 2 + Prng.int_below rng (2 * n) do
+    let anchor = Prng.int_below rng n in
+    let partners =
+      if Array.length evidence > 0 && Prng.bernoulli rng 0.6 then evidence else vars
+    in
+    let partners = List.filter (fun v -> v <> anchor) (Array.to_list partners) in
+    let body () =
+      let others = List.filter (fun _ -> Prng.bernoulli rng 0.4) partners in
+      let lits = if others = [] || Prng.bernoulli rng 0.7 then anchor :: others else others in
+      Array.of_list (List.map lit lits)
+    in
+    let head =
+      match Prng.int_below rng 3 with
+      | 0 -> None
+      | 1 -> Some anchor
+      | _ -> ( match partners with [] -> None | l -> Some (List.nth l (Prng.int_below rng (List.length l))))
+    in
+    let w = Graph.add_weight g (Prng.float_range rng (-1.5) 1.5) in
+    ignore
+      (Graph.add_factor g
+         {
+           Graph.head;
+           bodies = Array.init (1 + Prng.int_below rng 3) (fun _ -> body ());
+           weight_id = w;
+           semantics = Prng.choice rng [| Semantics.Linear; Semantics.Logical; Semantics.Ratio |];
+         })
+  done;
+  if Prng.bool rng then ignore (Graph.add_var g);
+  g
+
+(* The split by definition, one variable at a time: [v] is coupled iff
+   some factor mentioning it mentions another query variable. *)
+let reference_coupled g =
+  let is_query v = Graph.evidence_of g v = Graph.Query in
+  List.filter
+    (fun v ->
+      List.exists
+        (fun fid ->
+          List.exists (fun u -> u <> v && is_query u) (Graph.vars_of_factor (Graph.factor g fid)))
+        (Graph.factors_of_var g v))
+    (Graph.query_vars g)
+
+let isolated_of g =
+  let coupled = Compiled.coupled_vars (Compiled.compile g) in
+  List.filter (fun v -> not (Array.mem v coupled)) (Graph.query_vars g)
+
+let closed_form_qcheck =
+  let open QCheck in
+  [
+    Test.make ~name:"coupled set = per-variable reference" ~count:200 small_int (fun seed ->
+        let g = isolated_mix_graph seed in
+        Array.to_list (Compiled.coupled_vars (Compiled.compile g)) = reference_coupled g);
+    Test.make ~name:"isolated marginals = exact, every mode" ~count:40 small_int (fun seed ->
+        let g = isolated_mix_graph seed in
+        let exact = Exact.marginals g in
+        let isolated = isolated_of g in
+        let estimates =
+          [
+            ("compiled", Compiled.marginals ~burn_in:3 (Prng.create seed) (Compiled.compile g) ~sweeps:5);
+            ("sequential", Par_gibbs.marginals ~burn_in:3 ~domains:1 (Prng.create seed) g ~sweeps:5);
+            ("color-sync 3", Par_gibbs.marginals ~burn_in:3 ~domains:3 (Prng.create seed) g ~sweeps:5);
+            ( "async 1",
+              Par_gibbs.marginals ~mode:Par_gibbs.Async ~burn_in:3 ~domains:1 (Prng.create seed) g
+                ~sweeps:5 );
+            ( "async 3",
+              Par_gibbs.marginals ~mode:Par_gibbs.Async ~burn_in:3 ~domains:3 (Prng.create seed) g
+                ~sweeps:5 );
+          ]
+        in
+        List.for_all
+          (fun (mode, m) ->
+            let bad v = abs_float (m.(v) -. exact.(v)) > 1e-12 in
+            match List.find_opt bad isolated with
+            | Some v ->
+              Test.fail_reportf "seed %d, %s: isolated var %d reads %.17g, exact %.17g" seed mode v
+                m.(v) exact.(v)
+            | None ->
+              List.for_all (fun (v, b) -> m.(v) = if b then 1.0 else 0.0) (Graph.evidence_vars g))
+          estimates);
+  ]
+
+(* Coupled variables are still sampled: on a mixed graph they match exact
+   enumeration within the chain-length tolerance the other enumerable
+   checks use (0.03 at 20,000 sweeps), while the isolated ones are exact. *)
+let test_coupled_match_exact () =
+  let g = isolated_mix_graph 22 in
+  let k = Compiled.compile g in
+  let coupled = Compiled.coupled_vars k in
+  Alcotest.(check bool) "graph mixes coupled and isolated" true
+    (Array.length coupled >= 2 && isolated_of g <> []);
+  let exact = Exact.marginals g in
+  let check what m =
+    Array.iter
+      (fun v ->
+        if abs_float (m.(v) -. exact.(v)) > 0.03 then
+          Alcotest.failf "%s: coupled var %d reads %.4f, exact %.4f" what v m.(v) exact.(v))
+      coupled
+  in
+  check "compiled" (Compiled.marginals ~burn_in:100 (Prng.create 12) k ~sweeps:20_000);
+  check "color-sync 3"
+    (Par_gibbs.marginals ~burn_in:100 ~domains:3 (Prng.create 13) g ~sweeps:20_000)
+
+(* With every query variable isolated the chain sweeps nothing, but the
+   budget is still polled once per sweep: a tick budget runs out at the
+   sweep it ran out at when every sweep resampled every variable. *)
+let test_budget_with_no_coupled () =
+  let module Budget = Dd_util.Budget in
+  let g = unary_graph 50 in
+  let k = Compiled.compile g in
+  Alcotest.(check int) "nothing coupled" 0 (Compiled.num_coupled k);
+  (* The poll that runs out: its index (ticks + 1) and site, or none. *)
+  let outcome ticks run =
+    match run (Budget.start (Budget.Ticks ticks)) with
+    | _ -> "finished"
+    | exception Budget.Exceeded site -> site
+  in
+  let oracle budget = Sweep_oracle.marginals ~budget ~burn_in:4 (Prng.create 3) k ~sweeps:6 in
+  let compiled budget = Compiled.marginals ~budget ~burn_in:4 (Prng.create 3) k ~sweeps:6 in
+  let sequential budget =
+    Par_gibbs.marginals ~budget ~burn_in:4 ~domains:1 (Prng.create 3) g ~sweeps:6
+  in
+  for ticks = 0 to 11 do
+    let expected = outcome ticks oracle in
+    Alcotest.(check string) (Printf.sprintf "compiled, %d ticks" ticks) expected
+      (outcome ticks compiled);
+    (* The sampler's per-sweep poll has its own site; it must run out at
+       the same poll. *)
+    Alcotest.(check bool) (Printf.sprintf "sequential, %d ticks" ticks) (expected = "finished")
+      (outcome ticks sequential = "finished")
+  done;
+  Alcotest.(check string) "10 polls: 4 burn-in + 6 counted sweeps" "finished" (outcome 10 compiled);
+  Alcotest.(check string) "the 10th poll is the last sweep's" "compiled.sweep" (outcome 9 compiled)
 
 (* --- Fig-KBC agreement (the recovery harness comparators) -------------- *)
 
@@ -618,6 +932,16 @@ let () =
           Alcotest.test_case "engine smoke with gibbs_mode async" `Quick
             test_engine_async_smoke;
         ] );
+      ( "closed form",
+        [
+          Alcotest.test_case "no isolated: bits of the sweep-count oracle" `Quick
+            test_no_isolated_matches_oracle;
+          Alcotest.test_case "no isolated: 3-domain digests pinned" `Quick
+            test_no_isolated_three_domains_pinned;
+          Alcotest.test_case "coupled marginals vs exact" `Slow test_coupled_match_exact;
+          Alcotest.test_case "budget ticks with nothing coupled" `Quick test_budget_with_no_coupled;
+        ] );
+      ("closed form properties", List.map QCheck_alcotest.to_alcotest closed_form_qcheck);
       ("partition properties", List.map QCheck_alcotest.to_alcotest partition_qcheck);
       ("range properties", List.map QCheck_alcotest.to_alcotest range_qcheck);
     ]

@@ -270,7 +270,7 @@ let fixture =
                {
                  kind = "state";
                  bytes = file "ckpt-0.ddckpt";
-                 tags = [ "ddckpt 3"; "graph"; "state" ];
+                 tags = [ "ddckpt 4"; "graph"; "state" ];
                  rejects =
                    (fun b -> store_rejects "ckpt-0.ddckpt" b (fun s -> Checkpoint.verify_version s 0));
                };
