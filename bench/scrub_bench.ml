@@ -1,8 +1,9 @@
 (* Durability cost and the scrub repair ladder, measured.
 
-   Clean path: what fsync-everywhere actually costs on checkpoint saves
-   and WAL appends (the store takes [?fsync] exactly so this is
-   measurable), the two encode kernels inside every save (the CRC-32 of
+   Clean path: what the two kinds of checkpoint save cost — a full base
+   and a WAL append of one committed update — and what fsync-everywhere
+   adds to each (the store takes [?fsync] exactly so this is
+   measurable), the two encode kernels inside every base (the CRC-32 of
    each record frame and the ddgraph text of the graph), and what a
    background scrub pass adds on a cadence.
 
@@ -56,26 +57,42 @@ let flip_byte_in_file path pos =
   output_bytes oc b;
   close_out oc
 
-let make_engine corpus =
+let make_engine ?docs corpus =
   let db = Database.create () in
-  Corpus.load corpus db;
+  Corpus.load corpus ?docs db;
   Engine.create ~options:bench_options db (Pipeline.base_program ())
 
-let time_saves ~fsync ~rounds dir engine =
+(* The two kinds of save on one store: [rounds] bases (the engine marked
+   as needing one before each) and [rounds] appends (one document's
+   update committed before each), then [rounds * 4] write-ahead log
+   entries.  The engine starts [rounds] documents short of the corpus
+   so each append carries a fresh document. *)
+let time_saves ~fsync ~rounds dir corpus =
   clear_dir dir;
+  let first = corpus.Corpus.config.Corpus.docs - rounds in
+  let engine = make_engine ~docs:first corpus in
   let store = Checkpoint.open_store ~keep_versions:2 ~fsync dir in
-  let timer = Timer.start () in
+  let per_save total = total /. float_of_int rounds *. 1e3 in
+  let base_s = ref 0.0 and append_s = ref 0.0 in
   for _ = 1 to rounds do
-    Checkpoint.save store engine
+    Engine.require_base engine;
+    base_s := !base_s +. Timer.time_s (fun () -> Checkpoint.save store engine)
   done;
-  let save_s = Timer.elapsed_s timer in
+  for i = first to first + rounds - 1 do
+    ignore
+      (Engine.apply_update engine
+         (Grounding.data_update (Corpus.doc_delta corpus ~from_doc:i ~until_doc:(i + 1))));
+    append_s := !append_s +. Timer.time_s (fun () -> Checkpoint.save store engine);
+    if Checkpoint.last_save store <> Some (Checkpoint.Append 1) then
+      failwith "scrub bench: a timed append wrote a base"
+  done;
   let update = Pipeline.update_of Pipeline.FE1 in
   let timer = Timer.start () in
   for _ = 1 to rounds * 4 do
     Checkpoint.log_update store update
   done;
   let log_s = Timer.elapsed_s timer in
-  (save_s /. float_of_int rounds *. 1e3, log_s /. float_of_int (rounds * 4) *. 1e3)
+  (per_save !base_s, per_save !append_s, log_s /. float_of_int (rounds * 4) *. 1e3)
 
 let scrub ~full =
   section "Scrub: durability overhead and the self-healing repair ladder";
@@ -90,30 +107,29 @@ let scrub ~full =
   let rounds = if full then 12 else 6 in
 
   (* --- clean path: what durable writes cost ------------------------------- *)
-  let save_fsync_ms, log_fsync_ms = time_saves ~fsync:true ~rounds (Filename.concat dir "fsync") engine in
-  let save_nofsync_ms, log_nofsync_ms =
-    time_saves ~fsync:false ~rounds (Filename.concat dir "nofsync") engine
+  let base_ms, append_ms, log_fsync_ms =
+    time_saves ~fsync:true ~rounds (Filename.concat dir "fsync") corpus
+  in
+  let base_nofsync_ms, append_nofsync_ms, log_nofsync_ms =
+    time_saves ~fsync:false ~rounds (Filename.concat dir "nofsync") corpus
   in
   let overhead a b = if b > 0.0 then (a -. b) /. b *. 100.0 else 0.0 in
   let table = Table.create [ "operation"; "fsync(ms)"; "no-fsync(ms)"; "overhead(%)" ] in
-  Table.add_row table
+  List.iter
+    (fun (label, synced, unsynced) ->
+      Table.add_row table
+        [ label; Table.cell_f synced; Table.cell_f unsynced; Table.cell_f (overhead synced unsynced) ])
     [
-      "checkpoint save";
-      Table.cell_f save_fsync_ms;
-      Table.cell_f save_nofsync_ms;
-      Table.cell_f (overhead save_fsync_ms save_nofsync_ms);
-    ];
-  Table.add_row table
-    [
-      "wal append";
-      Table.cell_f log_fsync_ms;
-      Table.cell_f log_nofsync_ms;
-      Table.cell_f (overhead log_fsync_ms log_nofsync_ms);
+      ("checkpoint save: base", base_ms, base_nofsync_ms);
+      ("checkpoint save: append", append_ms, append_nofsync_ms);
+      ("wal append (write-ahead)", log_fsync_ms, log_nofsync_ms);
     ];
   Table.print table;
-  metric "save_fsync_ms" save_fsync_ms;
-  metric "save_nofsync_ms" save_nofsync_ms;
-  metric "save_fsync_overhead_pct" (overhead save_fsync_ms save_nofsync_ms);
+  metric "save_base_ms" base_ms;
+  metric "save_base_nofsync_ms" base_nofsync_ms;
+  metric "save_fsync_overhead_pct" (overhead base_ms base_nofsync_ms);
+  metric "save_append_ms" append_ms;
+  metric "save_append_nofsync_ms" append_nofsync_ms;
   metric "log_fsync_ms" log_fsync_ms;
   metric "log_nofsync_ms" log_nofsync_ms;
 

@@ -87,7 +87,22 @@ type t = {
      incremental steps just re-sync the dense slots. *)
   mutable kernel : Compiled.t option;
   mutable kernel_compiles : int;
+  (* Commit log for durable stores: the updates committed since a store
+     last drained it, newest first, each with its commit number; [None]
+     when replaying them could not reproduce the engine and the next
+     save must write a base.  [identity] is a fresh block per engine, and
+     unmarshalling a saved engine yields a new one. *)
+  identity : identity;
+  mutable commits : int;
+  mutable log : (int * Grounding.update) list option;
 }
+
+and identity = unit ref
+
+(* No store appends more than this many updates at once, so a longer log
+   could only ever be written as a base: an engine whose log no store
+   drains drops it instead of holding every update. *)
+let log_capacity = 32
 
 let options t = t.opts
 
@@ -170,6 +185,9 @@ let create ?(options = default_options) db prog =
       last_marginals = [||];
       kernel = None;
       kernel_compiles = 0;
+      identity = ref ();
+      commits = 0;
+      log = None;
     }
   in
   learn t ~epochs:options.initial_learning_epochs
@@ -186,7 +204,7 @@ let record_extensions t (greport : Grounding.report) =
       then Hashtbl.replace t.extension_origin fid old_count)
     greport.Grounding.change.Metropolis.extended_factors
 
-let apply_update t update =
+let step t update =
   (* One budget per update step, polled cooperatively by grounding rounds
      and Gibbs sweeps; [Ticks] specs re-arm deterministically per call. *)
   let budget = Budget.start t.opts.step_budget in
@@ -306,14 +324,40 @@ let apply_update t update =
     marginals;
   }
 
+let apply_update t update =
+  match step t update with
+  | report ->
+    t.commits <- t.commits + 1;
+    t.log <-
+      (match t.log with
+      | Some entries when List.compare_length_with entries log_capacity < 0 ->
+        Some ((t.commits, update) :: entries)
+      | Some _ | None -> None);
+    report
+  | exception e ->
+    (* A half-applied update is a state no replay reproduces. *)
+    t.log <- None;
+    raise e
+
+let identity t = t.identity
+
+let commits t = t.commits
+
+let committed_log t = Option.map List.rev t.log
+
+let drain_log t = t.log <- Some []
+
+let require_base t = t.log <- None
+
 (* --- update transactions -------------------------------------------------- *)
 
 (* Everything [apply_update] can mutate, captured as either a cheap value
-   snapshot (rng state, counters, marginals, kernel cache — all small) or
-   an undo log over the big mutable stores (relations journal their tuple
-   flips, the graph journals in-place slot writes and truncates appends,
-   the grounding tables prune by id thresholds).  The clean path therefore
-   pays only journal bookkeeping, never a copy of the database or graph. *)
+   snapshot (rng state, counters, marginals, kernel cache, commit log —
+   all small) or an undo log over the big mutable stores (relations
+   journal their tuple flips, the graph journals in-place slot writes and
+   truncates appends, the grounding tables prune by id thresholds).  The
+   clean path therefore pays only journal bookkeeping, never a copy of
+   the database or graph. *)
 type txn = {
   x_graph_journal : Graph.journal;
   x_gmark : Grounding.mark;
@@ -327,6 +371,8 @@ type txn = {
   x_last_marginals : float array;
   x_kernel : Compiled.t option;
   x_kernel_compiles : int;
+  x_commits : int;
+  x_log : (int * Grounding.update) list option;
 }
 
 let txn_begin t =
@@ -351,6 +397,8 @@ let txn_begin t =
     x_last_marginals = t.last_marginals;
     x_kernel = t.kernel;
     x_kernel_compiles = t.kernel_compiles;
+    x_commits = t.commits;
+    x_log = t.log;
   }
 
 let detach_journals x = List.iter (fun rel -> Relation.set_journal rel None) x.x_journaled
@@ -389,9 +437,14 @@ let txn_rollback t x =
   t.proposals_used <- x.x_proposals_used;
   t.last_marginals <- x.x_last_marginals;
   t.kernel <- x.x_kernel;
-  t.kernel_compiles <- x.x_kernel_compiles
+  t.kernel_compiles <- x.x_kernel_compiles;
+  t.commits <- x.x_commits;
+  t.log <- x.x_log
 
-let rematerialize t = Timer.time_s (fun () -> materialize_now t)
+(* A fresh baseline and the PRNG draws it took: nothing replay redoes. *)
+let rematerialize t =
+  t.log <- None;
+  Timer.time_s (fun () -> materialize_now t)
 
 let rerun_grounding options db prog =
   let grounding = Grounding.ground db prog in

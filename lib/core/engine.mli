@@ -136,7 +136,47 @@ val txn_rollback : t -> txn -> unit
     points), running it again converges to the same restored state. *)
 
 val rematerialize : t -> float
-(** Refresh the materialized baseline; returns elapsed seconds. *)
+(** Refresh the materialized baseline; returns elapsed seconds.  Marks
+    the engine as needing a base (see {!committed_log}). *)
+
+(** {2 Commit log}
+
+    A durable store ({!Dd_kbc.Checkpoint}) persists an engine as a full
+    base plus the updates committed since.  The engine keeps those
+    updates until a store drains them; replaying them through
+    {!apply_update} on the base reproduces the engine bit for bit.  A
+    change that replay cannot reproduce marks the engine as needing a
+    base instead: {!create} (so the Rerun rung and every freshly built
+    engine), {!rematerialize}, an {!apply_update} that raised, and
+    {!require_base}.  {!txn_rollback} restores the log with the rest of
+    the state; rollback also restores the PRNG, so a retried update
+    replays exactly.  The log is bounded: past 32 undrained updates it
+    is dropped and the engine needs a base. *)
+
+type identity
+(** A token naming one in-memory engine, compared with [==].  {!create}
+    makes a fresh one, and so does unmarshalling a saved engine, so a
+    store can recognise the engine it last based without keeping it
+    alive. *)
+
+val identity : t -> identity
+
+val commits : t -> int
+(** Updates this engine has committed, counted from {!create}; a saved
+    and reloaded engine continues the count. *)
+
+val committed_log : t -> (int * Grounding.update) list option
+(** The updates committed since the log was last drained, oldest first,
+    each with its commit number (the last is {!commits}); [None] when
+    the engine needs a base. *)
+
+val drain_log : t -> unit
+(** Empty the log and clear the needs-base mark: a store has made the
+    engine's current state durable. *)
+
+val require_base : t -> unit
+(** Mark the engine as needing a base — for changes made outside
+    {!apply_update}, such as scrub repairing a live table in place. *)
 
 val rerun : ?options:options -> Database.t -> Program.t -> float array * float
 (** Ground + learn + infer from scratch; returns (marginals, seconds).

@@ -3,7 +3,7 @@
    The durable layout inside a store directory is:
 
      MANIFEST            names the latest published checkpoint + its WAL
-     ckpt-<n>.ddckpt     engine state after the first n updates
+     ckpt-<n>.ddckpt     a base: engine state after the first n updates
      wal-<n>.log         updates n+1, n+2, ... (one entry each)
      *.quarantined       damaged files set aside by recovery/scrub
 
@@ -24,16 +24,23 @@
    reach the next publish point, and keep following WALs by sequence
    until the chain runs out.
 
-   The write-ahead log makes individual updates durable before they
-   mutate the engine: [apply_update] appends the update's payload
-   (flushed + fsynced) and only then runs the in-memory update.  Recovery
-   therefore is: load the newest checkpoint that passes every checksum —
-   quarantining any version that doesn't ([.quarantined] suffix, never
-   deleted) — replay the WAL chain through the ordinary
-   [Engine.apply_update] path (deterministic, since the snapshot includes
-   the engine's PRNG state), and publish a fresh checkpoint.  A torn
-   entry at the WAL tail (the classic mid-append crash) fails its CRC or
-   length check and marks the end of the log. *)
+   A save is WAL-first.  The engine logs the updates it commits
+   ([Engine.committed_log]); [save] appends those to the current WAL in
+   one write and one fsync and advances the sequence by one per entry,
+   so a save costs time in proportion to its delta.  It writes a full
+   base (a new ckpt-<n> with a fresh WAL) only when replay could not
+   reproduce the engine, when the store cannot vouch that the WAL ends
+   where the engine's log begins, or when the WAL would pass its caps
+   (32 entries, half the base's bytes) — so recovery replays a bounded
+   log.  [apply_update] is the write-ahead variant: it appends the
+   update's payload (flushed + fsynced) and only then runs the in-memory
+   update.  Recovery therefore is: load the newest checkpoint that
+   passes every checksum — quarantining any version that doesn't
+   ([.quarantined] suffix, never deleted) — replay the WAL chain through
+   the ordinary [Engine.apply_update] path (deterministic, since the
+   snapshot includes the engine's PRNG state), and publish a fresh
+   base.  A torn entry at the WAL tail (the classic mid-append crash)
+   fails its CRC or length check and marks the end of the log. *)
 
 module Engine = Dd_core.Engine
 module Grounding = Dd_core.Grounding
@@ -55,6 +62,22 @@ let error_to_string = function
   | Corrupt message -> "corrupt checkpoint store: " ^ message
   | Invalid_state message -> "checkpoint failed validation: " ^ message
 
+type save = Base | Append of int
+
+type wal_usage = { entries : int; bytes : int; base_bytes : int }
+
+(* The base the current WAL continues, and the engine it was taken from
+   — by identity token, so the store never keeps an engine alive. *)
+type base = {
+  engine : Engine.identity;
+  mutable commit : int;  (* that engine's commits the durable state holds *)
+  base_seq : int;
+  size : int;  (* bytes of the checkpoint file *)
+  mutable appended : int;  (* WAL entries since the base *)
+  mutable appended_bytes : int;
+  mutable sealed : bool;  (* quarantined, or an append failed: base next *)
+}
+
 type t = {
   dir : string;
   keep : int;  (* checkpoint versions retained by gc *)
@@ -62,6 +85,8 @@ type t = {
   mutable seq : int;  (* updates logged since the engine was created *)
   mutable wal : out_channel option;
   mutable wal_file : string option;  (* path behind [wal], for fsync tracking *)
+  mutable base : base option;  (* [None]: the next save writes a base *)
+  mutable last_save : save option;
 }
 
 let manifest_path store = Filename.concat store.dir "MANIFEST"
@@ -79,17 +104,37 @@ let open_store ?(keep_versions = 2) ?(fsync = true) dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   if not (Sys.is_directory dir) then
     invalid_arg ("Checkpoint.open_store: not a directory: " ^ dir);
-  { dir; keep = keep_versions; fsync; seq = 0; wal = None; wal_file = None }
+  {
+    dir;
+    keep = keep_versions;
+    fsync;
+    seq = 0;
+    wal = None;
+    wal_file = None;
+    base = None;
+    last_save = None;
+  }
 
 let abandon store =
   (match store.wal with Some ch -> close_out_noerr ch | None -> ());
   store.wal <- None;
-  store.wal_file <- None
+  store.wal_file <- None;
+  store.base <- None
+
 let applied store = store.seq
 
+let last_save store = store.last_save
 
+let wal_usage store =
+  match store.base with
+  | Some b -> { entries = b.appended; bytes = b.appended_bytes; base_bytes = b.size }
+  | None -> { entries = 0; bytes = 0; base_bytes = 0 }
+
+(* A driver that moves the sequence itself owns the count: the next save
+   writes a base at exactly that sequence. *)
 let set_applied store n =
   if n < store.seq then invalid_arg "Checkpoint.set_applied: sequence moved backwards";
+  if n <> store.seq then store.base <- None;
   store.seq <- n
 
 (* Version names are structural: "ckpt-<n>.ddckpt" (and nothing else). *)
@@ -115,6 +160,7 @@ let quarantine_path path =
     try Sys.rename path (path ^ ".quarantined") with Sys_error _ -> ()
 
 let quarantine_version store seq =
+  (match store.base with Some b when b.base_seq = seq -> b.sealed <- true | _ -> ());
   quarantine_path (ckpt_path store seq);
   quarantine_path (wal_path store seq)
 
@@ -132,9 +178,18 @@ let state_snapshot engine = Marshal.to_string (engine : Engine.t) []
 
 (* Bumped whenever the marshalled [Engine.t] layout changes (3: the
    generator's state became a byte buffer; 4: the cached compiled kernel
-   stores its coupled/isolated split), so an older store fails the tag
-   check instead of unmarshalling into the wrong shape. *)
-let ckpt_tag = "ddckpt 4"
+   stores its coupled/isolated split; 5: the engine carries its commit
+   log), so an older store fails the tag check instead of unmarshalling
+   into the wrong shape. *)
+let ckpt_tag = "ddckpt 5"
+
+(* A save appends while the WAL stays within both caps and writes a base
+   once it would pass either, so recovery replays at most
+   [max_wal_entries] updates and the WAL never outweighs half its base. *)
+let max_wal_entries = 32
+
+let wal_fits b ~entries ~bytes =
+  b.appended + entries <= max_wal_entries && 2 * (b.appended_bytes + bytes) <= b.size
 
 let checkpoint_content engine ~seq =
   Record.frames
@@ -178,50 +233,135 @@ let gc_stale_files store =
         try Sys.remove (Filename.concat store.dir name) with Sys_error _ -> ())
     (try Sys.readdir store.dir with Sys_error _ -> [||])
 
-let save store engine =
-  let seq = store.seq in
-  (* 1. Fresh empty WAL for the updates that will follow this checkpoint.
-     Not yet referenced by the manifest, so a crash here is invisible. *)
-  Fault_file.write_atomic ~fsync:store.fsync (wal_path store seq)
-    (Record.frame "ddwal 2" (string_of_int seq));
-  (* 2. The checkpoint file itself: data fsync before the rename, directory
-     fsync after, so a crash cannot leave a renamed-but-empty file. *)
-  let tmp = ckpt_path store seq ^ ".tmp" in
-  Fault_file.write_file ~fsync:store.fsync tmp (checkpoint_content engine ~seq);
-  Fault.hit "checkpoint.save.pre_rename";
-  Fault_file.rename_durable ~fsync:store.fsync tmp (ckpt_path store seq);
-  (* 3. Only the manifest switch makes the new checkpoint authoritative. *)
-  Fault.hit "checkpoint.save.pre_manifest";
-  publish_manifest store ~ckpt:(ckpt_name seq) ~wal:(wal_name seq);
-  (* 4. Retire the previous WAL channel and any versions past the
-     retention window. *)
-  (match store.wal with Some ch -> close_out_noerr ch | None -> ());
-  store.wal <- Some (open_out_gen [ Open_wronly; Open_append ] 0o644 (wal_path store seq));
-  store.wal_file <- Some (wal_path store seq);
-  gc_stale_files store
+(* A base at [seq]: the whole engine, which then absorbs its commit log. *)
+let write_base store engine ~seq =
+  store.base <- None;
+  store.seq <- seq;
+  Engine.drain_log engine;
+  let content = checkpoint_content engine ~seq in
+  match
+    (* 1. Fresh empty WAL for the updates that will follow this checkpoint.
+       Not yet referenced by the manifest, so a crash here is invisible. *)
+    Fault_file.write_atomic ~fsync:store.fsync (wal_path store seq)
+      (Record.frame "ddwal 2" (string_of_int seq));
+    (* 2. The checkpoint file itself: data fsync before the rename,
+       directory fsync after, so a crash cannot leave a renamed-but-empty
+       file. *)
+    let tmp = ckpt_path store seq ^ ".tmp" in
+    Fault_file.write_file ~fsync:store.fsync tmp content;
+    Fault.hit "checkpoint.save.pre_rename";
+    Fault_file.rename_durable ~fsync:store.fsync tmp (ckpt_path store seq);
+    (* 3. Only the manifest switch makes the new checkpoint authoritative. *)
+    Fault.hit "checkpoint.save.pre_manifest";
+    publish_manifest store ~ckpt:(ckpt_name seq) ~wal:(wal_name seq)
+  with
+  | () ->
+    (* 4. Retire the previous WAL channel and any versions past the
+       retention window. *)
+    (match store.wal with Some ch -> close_out_noerr ch | None -> ());
+    store.wal <- Some (open_out_gen [ Open_wronly; Open_append ] 0o644 (wal_path store seq));
+    store.wal_file <- Some (wal_path store seq);
+    gc_stale_files store;
+    store.base <-
+      Some
+        {
+          engine = Engine.identity engine;
+          commit = Engine.commits engine;
+          base_seq = seq;
+          size = String.length content;
+          appended = 0;
+          appended_bytes = 0;
+          sealed = false;
+        };
+    store.last_save <- Some Base
+  | exception e ->
+    Engine.require_base engine;
+    raise e
 
 (* --- write-ahead log ------------------------------------------------------- *)
 
 let entry_tag seq = Printf.sprintf "entry %d" seq
 
-let log_update store (update : Grounding.update) =
+(* Entries [store.seq + 1], ... framed back to back. *)
+let frame_entries store updates =
+  String.concat ""
+    (List.mapi
+       (fun i update ->
+         Record.frame (entry_tag (store.seq + 1 + i)) (Marshal.to_string (update : Grounding.update) []))
+       updates)
+
+(* One write and one fsync for all of [data], [count] entries.  A crash
+   partway leaves a torn tail entry, which recovery discards, so the log
+   always reads as a committed prefix; after any failure the WAL takes no
+   more appends. *)
+let append_entries store ~point ~count data =
   match (store.wal, store.wal_file) with
-  | None, _ | _, None -> invalid_arg "Checkpoint.log_update: no checkpoint published yet"
-  | Some ch, Some path ->
-    let payload = Marshal.to_string update [] in
-    let seq = store.seq + 1 in
-    Fault_file.append ~path ch (Record.header (entry_tag seq) payload);
-    (* Crash between header and payload leaves a torn tail entry, which
-       recovery discards. *)
-    Fault.hit "checkpoint.log_update.mid_write";
-    Fault_file.append ~path ch payload;
-    Fault_file.append ~path ch Record.terminator;
-    Fault_file.flush_fsync ~fsync:store.fsync ~path ch;
-    store.seq <- seq
+  | None, _ | _, None -> invalid_arg "Checkpoint: no checkpoint published yet"
+  | Some ch, Some path -> (
+    match
+      if Fault.check point then begin
+        (* The process dies halfway through the write. *)
+        Fault_file.append ~path ch (String.sub data 0 (String.length data / 2));
+        (try flush ch with Sys_error _ -> ());
+        raise (Fault.Injected point)
+      end;
+      Fault_file.append ~path ch data;
+      Fault_file.flush_fsync ~fsync:store.fsync ~path ch
+    with
+    | () ->
+      store.seq <- store.seq + count;
+      Option.iter
+        (fun b ->
+          b.appended <- b.appended + count;
+          b.appended_bytes <- b.appended_bytes + String.length data)
+        store.base
+    | exception e ->
+      Option.iter (fun b -> b.sealed <- true) store.base;
+      raise e)
+
+let log_update store (update : Grounding.update) =
+  append_entries store ~point:"checkpoint.log_update.mid_write" ~count:1
+    (frame_entries store [ update ]);
+  (* The WAL now runs ahead of every engine: the next save writes a base. *)
+  store.base <- None
+
+(* The engine's log continues exactly where the WAL ends. *)
+let continues b engine = function
+  | [] -> Engine.commits engine = b.commit
+  | (first, _) :: _ -> first = b.commit + 1
+
+let save store engine =
+  let based = match store.base with Some b when b.engine == Engine.identity engine -> Some b | _ -> None in
+  let append =
+    match (based, Engine.committed_log engine) with
+    | Some b, Some entries when (not b.sealed) && continues b engine entries ->
+      let count = List.length entries in
+      let data = frame_entries store (List.map snd entries) in
+      if wal_fits b ~entries:count ~bytes:(String.length data) then Some (b, count, data) else None
+    | _ -> None
+  in
+  match append with
+  | Some (b, count, data) ->
+    if count > 0 then append_entries store ~point:"checkpoint.save.mid_append" ~count data;
+    b.commit <- Engine.commits engine;
+    Engine.drain_log engine;
+    store.last_save <- Some (Append count)
+  | None ->
+    (* Count the updates this engine committed since the store last took
+       its state; a store that did not base it cannot know them. *)
+    let absorbed = match based with Some b -> Engine.commits engine - b.commit | None -> 0 in
+    write_base store engine ~seq:(store.seq + absorbed)
 
 let apply_update store engine update =
-  log_update store update;
-  Engine.apply_update engine update
+  (* Level the WAL with the engine first — a no-op unless it committed
+     updates since the last save — so this entry directly follows them. *)
+  save store engine;
+  append_entries store ~point:"checkpoint.log_update.mid_write" ~count:1
+    (frame_entries store [ update ]);
+  let report = Engine.apply_update engine update in
+  Option.iter (fun b -> b.commit <- Engine.commits engine) store.base;
+  Engine.drain_log engine;
+  report
 
 (* --- structured reads ------------------------------------------------------- *)
 
@@ -393,7 +533,10 @@ let recover store =
               Corrupt "manifest present but no checkpoint versions on disk"
             else No_checkpoint));
     (* Newest version that passes every checksum and validation wins;
-       anything damaged on the way down is quarantined, not deleted. *)
+       a damaged checkpoint on the way down is quarantined, not deleted.
+       Its WAL stays: the chain replayed from an older version continues
+       through it, so the updates appended after the damaged base are not
+       lost with it. *)
     let rec attempt quarantined = function
       | [] ->
         corrupt "no loadable checkpoint version (%d quarantined)" quarantined
@@ -401,7 +544,7 @@ let recover store =
         match load_checkpoint_file (ckpt_path store seqn) with
         | result -> result
         | exception (Bad _ | Sys_error _) ->
-          quarantine_version store seqn;
+          quarantine_path (ckpt_path store seqn);
           attempt (quarantined + 1) rest)
     in
     let ckpt_seq, engine = attempt 0 vs in

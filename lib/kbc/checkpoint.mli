@@ -4,12 +4,14 @@
     of the develop–evaluate loop is cheap; a crash mid-update must not
     force a full Rerun.  This module makes the engine restartable:
 
-    - {!save} publishes a versioned checkpoint of the full engine state
-      (the factor graph in auditable ddgraph v2 text, plus a marshalled
-      snapshot covering learned weights, the materialization, the
-      database and the applied-rule list, each in a length- and
-      CRC-checked {!Dd_util.Record} frame) atomically via temp-file +
-      rename, and a [MANIFEST] names the latest valid checkpoint.
+    - {!save} appends the updates the engine committed since the last
+      save to a write-ahead log, and on a bounded cadence publishes a
+      versioned base of the full engine state instead (the factor graph
+      in auditable ddgraph v2 text, plus a marshalled snapshot covering
+      learned weights, the materialization, the database and the
+      applied-rule list, each in a length- and CRC-checked
+      {!Dd_util.Record} frame) atomically via temp-file + rename; a
+      [MANIFEST] names the latest valid base.
     - {!apply_update} appends the update's {!Dd_core.Grounding.update}
       payload to a write-ahead log ([flush]ed) {e before} mutating the
       engine.
@@ -46,19 +48,60 @@ val open_store : ?keep_versions:int -> ?fsync:bool -> string -> t
     only to measure what durability costs. *)
 
 val save : t -> Engine.t -> unit
-(** Publish a checkpoint of the engine's current state and rotate the
-    WAL.  Ordering (fresh WAL, then fsynced checkpoint rename, then
-    manifest switch — all via {!Dd_util.Fault_file}) guarantees that a
-    crash at any instant leaves the previously published checkpoint
+(** Make the engine's current state durable.  When [save] returns, a
+    {!recover} of the store reproduces the engine as it was, bit for bit.
+
+    Usually a save {e appends}: the updates the engine committed since
+    the last save ({!Dd_core.Engine.committed_log}) go to the current WAL
+    as consecutive entries, in one write and one fsync, and {!applied}
+    advances by one per entry.  An engine that committed nothing appends
+    nothing and writes nothing.  A torn append (crash point
+    ["checkpoint.save.mid_append"]) recovers to a committed prefix.
+
+    A save writes a full {e base} instead — a new [ckpt-<n>] with a fresh,
+    empty WAL — when any of these holds:
+    - the engine needs a base (it was just created, rematerialized,
+      repaired by scrub, half-applied an update, or committed more
+      updates than its log holds);
+    - the engine is not the one this store last based, or its log does
+      not continue where the WAL ends;
+    - the current base or its WAL was quarantined, or an append failed;
+    - {!set_applied} or {!log_update} moved the sequence since the last
+      base;
+    - the WAL would pass 32 entries ([max_wal_entries]) or half the
+      base's bytes.
+
+    A base absorbs the engine's log and advances {!applied} by the
+    updates the engine committed since this store last saved it.  Its
+    ordering (fresh WAL, then fsynced checkpoint rename, then manifest
+    switch — all via {!Dd_util.Fault_file}) guarantees that a crash at
+    any instant leaves the previously published checkpoint
     authoritative. *)
 
+type save = Base | Append of int  (** entries appended, possibly 0 *)
+
+val last_save : t -> save option
+(** What the store's most recent successful {!save} did. *)
+
+val max_wal_entries : int
+(** The WAL entry cap above (32). *)
+
+type wal_usage = { entries : int; bytes : int; base_bytes : int }
+
+val wal_usage : t -> wal_usage
+(** Entries and framed bytes appended to the current WAL since its base,
+    and the base's size in bytes; zeros before the first base. *)
+
 val log_update : t -> Grounding.update -> unit
-(** Append one update payload to the WAL, flush and fsync it.  Raises
-    [Invalid_argument] if no checkpoint has been published yet. *)
+(** Append one update payload to the WAL, flush and fsync it.  The WAL
+    then runs ahead of every engine, so the next {!save} writes a base.
+    Raises [Invalid_argument] if no checkpoint has been published yet. *)
 
 val apply_update : t -> Engine.t -> Grounding.update -> Engine.report
-(** [log_update] followed by {!Engine.apply_update}: the WAL entry is
-    durable before any in-memory state changes. *)
+(** {!save} (a no-op unless the engine committed updates since the last
+    one), then append the update to the WAL, then {!Engine.apply_update}:
+    the WAL entry is durable before any in-memory state changes, and a
+    later {!save} does not append it again. *)
 
 val applied : t -> int
 (** The store's current update sequence (updates absorbed by the state
@@ -68,16 +111,19 @@ val set_applied : t -> int -> unit
 (** Advance the store's update sequence without logging WAL entries — for
     drivers that make durability promises only at checkpoint granularity
     (e.g. the ingestion soak pipeline checkpoints per batch and redrives
-    whole batches after a crash).  Raises [Invalid_argument] when moving
-    backwards. *)
+    whole batches after a crash).  Such a driver owns the count: after a
+    move, the next {!save} writes a base at exactly this sequence.
+    Raises [Invalid_argument] when moving backwards. *)
 
 val recover : t -> (Engine.t * int, error) result
 (** Load the newest checkpoint version that passes every checksum and
-    validation — quarantining damaged versions on the way down
+    validation — quarantining damaged checkpoint files on the way down
     ([.quarantined] suffix; never deleted) — then chain-replay the WALs
-    forward from it and return the rebuilt engine together with the total
-    number of updates it has absorbed.  Torn WAL tail entries are
-    discarded.  On success a fresh checkpoint is published.
+    forward from it, through the WAL of any damaged newer version, and
+    return the rebuilt engine together with the total number of updates
+    it has absorbed.  A save appends at most {!max_wal_entries} entries
+    to a base's WAL, which bounds the replay.  Torn WAL tail entries are
+    discarded.  On success a fresh base is published.
     [Error No_checkpoint] means the store holds no version at all;
     [Error (Corrupt _)] that versions exist but none was loadable. *)
 

@@ -29,18 +29,30 @@ let fresh_engine ?(options = Engine.default_options) ?semantics corpus =
   Corpus.load corpus db;
   Engine.create ~options db (Pipeline.base_program ?semantics ())
 
-(* Apply updates [from .. end] through the store, checkpointing on the
-   fixed cadence.  Saves never mutate the engine, so the cadence has no
-   effect on the final marginals — only on how much WAL replay a crash
-   costs. *)
+(* Apply updates [from .. end], saving on the fixed cadence.  The first
+   half take the write-ahead path ([Checkpoint.apply_update]); the rest
+   commit in memory and reach the WAL through [save]'s append.  Before
+   the second half the engine rematerializes, which no replay redoes, so
+   the next save writes a base: a sweep crashes inside a log entry, a
+   base and a multi-entry append.  Recovery never lands between the
+   rematerialization and its base, since nothing after it is durable
+   until that base is.  Saves never change what the engine computes, so
+   the cadence has no effect on the final marginals — only on how much
+   WAL replay a crash costs. *)
 let finish ?semantics ~checkpoint_every store engine ~from =
+  let updates = updates ?semantics () in
+  let half = List.length updates / 2 in
   List.iteri
     (fun i update ->
       if i >= from then begin
-        ignore (Checkpoint.apply_update store engine update);
+        if i < half then ignore (Checkpoint.apply_update store engine update)
+        else begin
+          if i = half then ignore (Engine.rematerialize engine);
+          ignore (Engine.apply_update engine update)
+        end;
         if (i + 1) mod checkpoint_every = 0 then Checkpoint.save store engine
       end)
-    (updates ?semantics ())
+    updates
 
 let run ?options ?semantics ?(checkpoint_every = 2) ~dir corpus =
   let store = Checkpoint.open_store dir in

@@ -18,9 +18,11 @@ val run :
   Corpus.t ->
   Engine.t
 (** Materialize the base program, then apply all of
-    {!Pipeline.all_rule_ids} through {!Checkpoint.apply_update},
-    publishing a checkpoint every [checkpoint_every] (default 2)
-    updates. *)
+    {!Pipeline.all_rule_ids}: the first half through
+    {!Checkpoint.apply_update}, the rest in memory after a
+    rematerialization, with a {!Checkpoint.save} every [checkpoint_every]
+    (default 2) updates — so the run writes WAL entries ahead of
+    updates, a base, and a multi-entry append. *)
 
 type baseline = {
   marginals : (string * Tuple.t * float) list;

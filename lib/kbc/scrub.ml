@@ -8,8 +8,8 @@
 
      checkpoint version   quarantine it; an older valid version remains
                           loadable (recovery chain-replays WALs forward);
-                          re-publish from the live engine to restore the
-                          retention window
+                          re-publish a base from the live engine to
+                          restore the retention window
      sidecar blob         rewrite from the live subsystem state when the
                           caller can provide it, else quarantine
      DEADLETTERS          quarantine (letters are forensic, not served)
@@ -115,6 +115,9 @@ let run ?engine ?reference ?reblob ?verify_snapshot store =
         match Column_store.audit cs with
         | Ok () -> r := { !r with tables_ok = !r.tables_ok + 1 }
         | Error _ -> (
+          (* An in-place repair or rebuild is a change no WAL replay
+             makes: the engine's next save must be a base. *)
+          Engine.require_base engine;
           match Column_store.repair cs with
           | Ok () -> r := { !r with tables_repaired = !r.tables_repaired + 1 }
           | Error _ -> (
@@ -133,9 +136,10 @@ let run ?engine ?reference ?reblob ?verify_snapshot store =
   | Some verify ->
     r := { !r with snapshot_ok = Some (Result.is_ok (verify ())) });
   (* 6. Restore checkpoint redundancy: quarantining versions shrank the
-     retention window, so re-publish from the live engine. *)
+     retention window, so re-publish a base from the live engine. *)
   (match engine with
   | Some engine when !r.versions_quarantined > 0 && healthy !r ->
+    Engine.require_base engine;
     Checkpoint.save store engine;
     r := { !r with republished = true }
   | _ -> ());

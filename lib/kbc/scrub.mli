@@ -9,15 +9,16 @@
     repair ladder per damaged artifact:
 
     - a corrupt checkpoint version is quarantined ([.quarantined]
-      suffix) and, when the live engine is available, a fresh checkpoint
-      is re-published to restore the retention window;
+      suffix) and, when the live engine is available, a fresh base is
+      re-published to restore the retention window;
     - a corrupt sidecar blob is rewritten from live subsystem state
       ([reblob]) when possible, else quarantined;
     - a corrupt table is first healed in place
       ({!Dd_relational.Column_store.repair}, derived planes only), then
       rebuilt from a [reference] copy, and otherwise
       reported in [unrepaired] — the caller's cue to reground from
-      scratch.
+      scratch.  Either repair marks the engine as needing a base
+      ({!Engine.require_base}), since no WAL replay reproduces it.
 
     A scrub never deletes anything and never serves damaged state.
     Drive it on a {!cadence} from the update loop; surface the counters
@@ -37,7 +38,7 @@ type report = {
   tables_rebuilt : int;  (** reloaded from the reference copy *)
   unrepaired : string list;  (** table names needing scratch regrounding *)
   snapshot_ok : bool option;  (** [None] when no verifier was supplied *)
-  republished : bool;  (** a fresh checkpoint was saved to restore redundancy *)
+  republished : bool;  (** a fresh base was saved to restore redundancy *)
 }
 
 val clean : report

@@ -10,6 +10,7 @@ module Value = Dd_relational.Value
 module Graph = Dd_fgraph.Graph
 module Engine = Dd_core.Engine
 module Grounding = Dd_core.Grounding
+module Program = Dd_core.Program
 module Calibration = Dd_kbc.Calibration
 module Crc32 = Dd_util.Crc32
 
@@ -67,16 +68,23 @@ let build ?(bins = 10) ?truth ~epoch ~txn_seq engine =
       let bucket = buckets.(b) in
       if bucket.Calibration.count = 0 then p else bucket.Calibration.empirical_precision
   in
+  (* The pairs [Grounding.marginals_by_relation] reads, with the var id
+     kept for the evidence flag instead of probed for again. *)
   let facts =
-    List.map
-      (fun (relation, tuple, probability) ->
-        let evidence =
-          match Grounding.var_of grounding relation tuple with
-          | Some v -> Graph.evidence_of g v <> Graph.Query
-          | None -> false
-        in
-        { relation; tuple; probability; calibrated = calibrate probability; evidence })
-      (Grounding.marginals_by_relation grounding marginals)
+    List.concat_map
+      (fun (relation, _) ->
+        List.map
+          (fun (tuple, v) ->
+            let probability = marginals.(v) in
+            {
+              relation;
+              tuple;
+              probability;
+              calibrated = calibrate probability;
+              evidence = Graph.evidence_of g v <> Graph.Query;
+            })
+          (Grounding.vars_of_relation grounding relation))
+      (Grounding.program grounding).Program.query_relations
   in
   let facts = Array.of_list facts in
   Array.sort order facts;

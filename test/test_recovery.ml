@@ -188,7 +188,12 @@ let test_fallback_to_previous_version () =
       let store = Checkpoint.open_store dir in
       Checkpoint.save store engine;
       ignore (Checkpoint.apply_update store engine (Pipeline.update_of Pipeline.A1));
+      (* A rematerialization is not replayable, so this save writes a
+         second version, a base.  It leaves the marginals as they are. *)
+      ignore (Engine.rematerialize engine);
       Checkpoint.save store engine;
+      Alcotest.(check bool) "second save wrote a base" true
+        (Checkpoint.last_save store = Some Checkpoint.Base);
       Checkpoint.abandon store;
       (* The newest version fails its CRC; recovery must quarantine it,
          fall back to the previous version, and chain-replay the WAL
@@ -270,7 +275,7 @@ let fixture =
                {
                  kind = "state";
                  bytes = file "ckpt-0.ddckpt";
-                 tags = [ "ddckpt 4"; "graph"; "state" ];
+                 tags = [ "ddckpt 5"; "graph"; "state" ];
                  rejects =
                    (fun b -> store_rejects "ckpt-0.ddckpt" b (fun s -> Checkpoint.verify_version s 0));
                };
@@ -393,6 +398,250 @@ let test_codec_rejects_damage =
         let bytes = mutate a.bytes m in
         codec_rejects bytes a.tags && a.rejects bytes)
 
+(* --- WAL-first saves ------------------------------------------------------------ *)
+
+let bits_equal a b =
+  Array.length a = Array.length b
+  && Array.for_all2 (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)) a b
+
+(* A torn multi-entry append leaves a committed prefix; redriving the
+   rest from it reproduces the live engine bit for bit. *)
+let test_torn_append_recovers_prefix () =
+  with_store "torn_append" (fun dir ->
+      let engine = make_engine () in
+      let store = Checkpoint.open_store dir in
+      Checkpoint.save store engine;
+      let updates = List.map Pipeline.update_of [ Pipeline.A1; Pipeline.FE1; Pipeline.FE2 ] in
+      List.iter (fun u -> ignore (Engine.apply_update engine u)) updates;
+      Fault.arm "checkpoint.save.mid_append" (Fault.Nth 1);
+      (match Checkpoint.save store engine with
+      | () -> Alcotest.fail "the armed append did not crash"
+      | exception Fault.Injected _ -> ());
+      Fault.reset ();
+      Checkpoint.abandon store;
+      let recovered, applied = recover_exn (Checkpoint.open_store dir) in
+      Alcotest.(check bool) "recovery landed on a strict prefix" true (applied < 3);
+      List.iteri (fun i u -> if i >= applied then ignore (Engine.apply_update recovered u)) updates;
+      Alcotest.(check bool) "redriven run matches bit for bit" true
+        (bits_equal (Engine.marginals recovered) (Engine.marginals engine)))
+
+(* Fixed-seed sequences of supervised updates with saves in between.
+   Every save must write a base exactly when a trigger holds — the
+   engine is new or rematerialized, the current base was quarantined,
+   [set_applied] moved the sequence, or the WAL would pass its caps —
+   and append the committed updates otherwise; after each save a
+   recovery on a copy of the store equals the live engine bit for bit. *)
+type op =
+  | Update  (** a clean [Txn.apply] *)
+  | Retried  (** a fault on the first attempt: the Retry rung *)
+  | Rematerialized  (** no retries allowed: the Rematerialize rung *)
+  | Rerun  (** no retry, no rematerialize: the Rerun rung *)
+  | Quarantine  (** damage the current base; a scrub quarantines it *)
+  | Set_applied
+  | Save
+
+let op_to_string = function
+  | Update -> "update"
+  | Retried -> "retried"
+  | Rematerialized -> "rematerialized"
+  | Rerun -> "rerun"
+  | Quarantine -> "quarantine"
+  | Set_applied -> "set_applied"
+  | Save -> "save"
+
+let copy_store src dst =
+  if not (Sys.file_exists dst) then Sys.mkdir dst 0o755;
+  Array.iter (fun n -> Sys.remove (Filename.concat dst n)) (Sys.readdir dst);
+  Array.iter
+    (fun n -> write_file (Filename.concat dst n) (read_all (Filename.concat src n)))
+    (Sys.readdir src)
+
+(* The bytes an append of [updates] writes after entry [applied]. *)
+let framed_bytes ~applied updates =
+  List.fold_left ( + ) 0
+    (List.mapi
+       (fun i u ->
+         String.length
+           (Record.frame (Printf.sprintf "entry %d" (applied + 1 + i)) (Marshal.to_string u [])))
+       updates)
+
+let run_save_sequence ?(docs_per_update = 1) ops =
+  with_store "wal_first" (fun dir ->
+      let corpus =
+        Corpus.generate { tiny_config with Corpus.docs = 8 + (docs_per_update * List.length ops) }
+      in
+      let db = Database.create () in
+      Corpus.load corpus ~docs:8 db;
+      let engine = ref (Engine.create ~options:quick_options db (Pipeline.base_program ())) in
+      let store = Checkpoint.open_store ~fsync:false dir in
+      let next_doc = ref 8 in
+      let pending = ref [] (* committed since the last save, newest first *) in
+      let forced = ref true (* a fresh engine needs a base *) in
+      let supervised options arm =
+        let update =
+          Grounding.data_update
+            (Corpus.doc_delta corpus ~from_doc:!next_doc ~until_doc:(!next_doc + docs_per_update))
+        in
+        next_doc := !next_doc + docs_per_update;
+        Fault.reset ();
+        Option.iter (fun point -> Fault.arm point (Fault.Nth 1)) arm;
+        let txn = Txn.create ~options !engine in
+        let outcome = Txn.apply txn update in
+        Fault.reset ();
+        engine := Txn.engine txn;
+        match outcome with
+        | Error e -> Alcotest.fail ("update quarantined: " ^ Txn.error_message e)
+        | Ok o -> (o.Txn.rung, update)
+      in
+      let commit ~options ~arm ~rung:expected =
+        let rung, update = supervised options arm in
+        Alcotest.(check string) "ladder rung" (Txn.rung_to_string expected) (Txn.rung_to_string rung);
+        pending := update :: !pending;
+        if rung = Txn.Rematerialize || rung = Txn.Rerun then forced := true
+      in
+      let fault = Some "engine.apply_update.post_learning" in
+      let no_retry = { Txn.default_options with Txn.max_retries = 0 } in
+      let check_save () =
+        let updates = List.rev !pending in
+        let usage = Checkpoint.wal_usage store in
+        let n = List.length updates in
+        let expected =
+          if !forced then Checkpoint.Base
+          else if
+            usage.Checkpoint.entries + n <= Checkpoint.max_wal_entries
+            && 2 * (usage.Checkpoint.bytes + framed_bytes ~applied:(Checkpoint.applied store) updates)
+               <= usage.Checkpoint.base_bytes
+          then Checkpoint.Append n
+          else Checkpoint.Base
+        in
+        Checkpoint.save store !engine;
+        Alcotest.(check bool) "base or append as the triggers require" true
+          (Checkpoint.last_save store = Some expected);
+        pending := [];
+        forced := false;
+        let copy = dir ^ "_copy" in
+        copy_store dir copy;
+        let recovered, _ = recover_exn (Checkpoint.open_store ~fsync:false copy) in
+        Alcotest.(check bool) "recovered marginals bit-identical" true
+          (bits_equal (Engine.marginals recovered) (Engine.marginals !engine));
+        Alcotest.(check string) "recovered graph identical"
+          (Serialize.to_string (Engine.graph !engine))
+          (Serialize.to_string (Engine.graph recovered))
+      in
+      check_save ();
+      List.iter
+        (function
+          | Update -> commit ~options:Txn.default_options ~arm:None ~rung:Txn.Direct
+          | Retried -> commit ~options:Txn.default_options ~arm:fault ~rung:(Txn.Retry 1)
+          | Rematerialized -> commit ~options:no_retry ~arm:fault ~rung:Txn.Rematerialize
+          | Rerun ->
+            commit
+              ~options:{ no_retry with Txn.allow_rematerialize = false }
+              ~arm:fault ~rung:Txn.Rerun
+          | Quarantine -> (
+            match Checkpoint.latest store with
+            | Some name when Sys.file_exists (Filename.concat dir name) ->
+              flip_byte_in_file (Filename.concat dir name) (-40);
+              let r = Dd_kbc.Scrub.run store in
+              Alcotest.(check int) "scrub quarantined the base" 1 r.Dd_kbc.Scrub.versions_quarantined;
+              forced := true
+            | Some _ | None -> ())
+          | Set_applied ->
+            Checkpoint.set_applied store (Checkpoint.applied store + 1);
+            forced := true
+          | Save -> check_save ())
+        ops;
+      check_save ();
+      true)
+
+(* An engine whose log no store drains keeps at most 32 updates, then
+   drops the log and needs a base. *)
+let test_log_bounded () =
+  let corpus = Corpus.generate { tiny_config with Corpus.docs = 60 } in
+  let db = Database.create () in
+  Corpus.load corpus ~docs:8 db;
+  let engine = Engine.create ~options:quick_options db (Pipeline.base_program ()) in
+  Alcotest.(check bool) "a new engine needs a base" true (Engine.committed_log engine = None);
+  Engine.drain_log engine;
+  let apply i =
+    ignore
+      (Engine.apply_update engine
+         (Grounding.data_update (Corpus.doc_delta corpus ~from_doc:(8 + i) ~until_doc:(9 + i))))
+  in
+  for i = 0 to 31 do
+    apply i
+  done;
+  Alcotest.(check (option (list int))) "32 commits, numbered"
+    (Some (List.init 32 (fun i -> i + 1)))
+    (Option.map (List.map fst) (Engine.committed_log engine));
+  apply 32;
+  Alcotest.(check int) "commits counted" 33 (Engine.commits engine);
+  Alcotest.(check bool) "the 33rd drops the log" true (Engine.committed_log engine = None)
+
+(* Two cases the supervised sequences never reach: a half-applied update
+   outside a transaction, and one engine saved to two stores, where the
+   log a store sees no longer starts where its WAL ends.  Both must save
+   a base that recovers to the live engine. *)
+let test_unreplayable_saves_base () =
+  with_store "unreplayable" (fun dir ->
+      let engine = make_engine () in
+      (* An empty store next to [dir], which [with_store] emptied. *)
+      let store name =
+        let path = dir ^ name in
+        copy_store dir path;
+        Checkpoint.open_store ~fsync:false path
+      in
+      let a = store "_a" and b = store "_b" in
+      Checkpoint.save a engine;
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.A1));
+      Checkpoint.save b engine;
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.FE1));
+      Checkpoint.save a engine;
+      Alcotest.(check bool) "the other store drained the log: a base" true
+        (Checkpoint.last_save a = Some Checkpoint.Base);
+      Fault.arm "engine.apply_update.post_learning" (Fault.Nth 1);
+      (match Engine.apply_update engine (Pipeline.update_of Pipeline.FE2) with
+      | _ -> Alcotest.fail "the armed update did not raise"
+      | exception Fault.Injected _ -> ());
+      Fault.reset ();
+      Checkpoint.save a engine;
+      Alcotest.(check bool) "a half-applied update: a base" true
+        (Checkpoint.last_save a = Some Checkpoint.Base);
+      Checkpoint.abandon a;
+      let recovered, _ = recover_exn (Checkpoint.open_store ~fsync:false (dir ^ "_a")) in
+      Alcotest.(check string) "recovered graph identical"
+        (Serialize.to_string (Engine.graph engine))
+        (Serialize.to_string (Engine.graph recovered)))
+
+(* Enough saves to pass a WAL cap: the save that would cross it writes a
+   base, and appends resume on top of it.  One-document updates reach
+   the 32-entry cap first, three-document updates half the base's
+   bytes. *)
+let test_wal_cap () =
+  let saves = List.concat (List.init 36 (fun _ -> [ Update; Save ])) in
+  Alcotest.(check bool) "entry cap" true (run_save_sequence saves);
+  Alcotest.(check bool) "byte cap" true (run_save_sequence ~docs_per_update:3 saves)
+
+let test_save_triggers =
+  let op =
+    QCheck.Gen.frequency
+      [
+        (6, QCheck.Gen.return Update);
+        (2, QCheck.Gen.return Retried);
+        (1, QCheck.Gen.return Rematerialized);
+        (1, QCheck.Gen.return Rerun);
+        (1, QCheck.Gen.return Quarantine);
+        (1, QCheck.Gen.return Set_applied);
+        (4, QCheck.Gen.return Save);
+      ]
+  in
+  QCheck.Test.make ~name:"saves append or write a base as the triggers require" ~count:6
+    (QCheck.make
+       ~print:(fun ops -> String.concat " " (List.map op_to_string ops))
+       ~shrink:QCheck.Shrink.list
+       QCheck.Gen.(list_size (int_range 4 28) op))
+    run_save_sequence
+
 (* --- crash–recover–compare ---------------------------------------------------- *)
 
 let test_crash_recovery_sweep () =
@@ -401,6 +650,12 @@ let test_crash_recovery_sweep () =
       let base, outcomes = Recovery.sweep ~options:quick_options ~dir corpus in
       Alcotest.(check bool) "pipeline exercises several points" true
         (List.length base.Recovery.exercised >= 6);
+      (* A log entry, a base and a multi-entry append each get a crash. *)
+      List.iter
+        (fun point ->
+          Alcotest.(check bool) (point ^ " exercised") true
+            (List.mem_assoc point base.Recovery.exercised))
+        [ "checkpoint.log_update.mid_write"; "checkpoint.save.pre_rename"; "checkpoint.save.mid_append" ];
       Alcotest.(check int) "one outcome per exercised point"
         (List.length base.Recovery.exercised)
         (List.length outcomes);
@@ -434,6 +689,16 @@ let () =
           Alcotest.test_case "columnar roundtrip" `Quick test_checkpoint_roundtrip_columnar;
           Alcotest.test_case "fallback to previous version" `Quick
             test_fallback_to_previous_version;
+        ] );
+      ( "wal-first",
+        [
+          Alcotest.test_case "torn append recovers a prefix" `Quick
+            test_torn_append_recovers_prefix;
+          Alcotest.test_case "an undrained log is bounded" `Quick test_log_bounded;
+          Alcotest.test_case "unreplayable changes save a base" `Quick
+            test_unreplayable_saves_base;
+          Alcotest.test_case "a WAL cap forces a base" `Quick test_wal_cap;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |]) test_save_triggers;
         ] );
       ( "record-codec", [ QCheck_alcotest.to_alcotest test_codec_rejects_damage ] );
       ( "crash-recover-compare",

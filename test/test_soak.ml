@@ -96,7 +96,11 @@ let test_scrub_repairs_table () =
       Alcotest.(check int) "one table repaired in place" 1 r.Scrub.tables_repaired;
       Alcotest.(check (list string)) "nothing unrepaired" [] r.Scrub.unrepaired;
       Alcotest.(check bool) "audit passes after scrub" true
-        (Column_store.audit cs = Ok ()))
+        (Column_store.audit cs = Ok ());
+      (* No WAL replay redoes an in-place repair. *)
+      Checkpoint.save store engine;
+      Alcotest.(check bool) "the next save is a base" true
+        (Checkpoint.last_save store = Some Checkpoint.Base))
 
 let test_scrub_rebuilds_table_from_reference () =
   with_dir "scrub_rebuild" (fun dir ->
@@ -163,6 +167,22 @@ let test_scrub_quarantines_corrupt_version () =
       | Ok (recovered, _) ->
         Alcotest.(check bool) "recovered marginals identical" true
           (Engine.marginals_by_relation recovered = Engine.marginals_by_relation engine))
+
+(* Quarantining an older version leaves the current base and its WAL in
+   place, so only a forced base restores the retention window. *)
+let test_scrub_republishes_a_base () =
+  with_dir "scrub_republish" (fun dir ->
+      let engine = make_engine () in
+      let store = Checkpoint.open_store dir in
+      Checkpoint.save store engine;
+      ignore (Checkpoint.apply_update store engine (Pipeline.update_of Pipeline.A1));
+      ignore (Engine.rematerialize engine);
+      Checkpoint.save store engine;
+      flip_byte_in_file (Filename.concat dir "ckpt-0.ddckpt") (-40);
+      let r = Scrub.run ~engine store in
+      Alcotest.(check int) "older version quarantined" 1 r.Scrub.versions_quarantined;
+      Alcotest.(check bool) "republished" true r.Scrub.republished;
+      Alcotest.(check bool) "as a base" true (Checkpoint.last_save store = Some Checkpoint.Base))
 
 let test_scrub_blob_ladder () =
   with_dir "scrub_blob" (fun dir ->
@@ -381,6 +401,8 @@ let test_read_short_detected () =
       let store = Checkpoint.open_store dir in
       Checkpoint.save store engine;
       ignore (Checkpoint.apply_update store engine (Pipeline.update_of Pipeline.A1));
+      (* Not replayable, so the next save writes a second version. *)
+      ignore (Engine.rematerialize engine);
       Checkpoint.save store engine;
       Checkpoint.abandon store;
       Fault.arm "io.read.short" (Fault.Nth 1);
@@ -407,6 +429,7 @@ let () =
             test_scrub_rebuilds_table_from_reference;
           Alcotest.test_case "quarantines corrupt version" `Quick
             test_scrub_quarantines_corrupt_version;
+          Alcotest.test_case "republishes a base" `Quick test_scrub_republishes_a_base;
           Alcotest.test_case "blob ladder" `Quick test_scrub_blob_ladder;
           Alcotest.test_case "cadence" `Quick test_scrub_cadence;
         ] );
