@@ -1,16 +1,16 @@
 (* Crash–recover–compare over the Fig-KBC pipeline: for every fault point
-   the pipeline exercises, kill a checkpointed run mid-update, recover
-   from the store (last checkpoint + WAL replay), finish the remaining
-   snapshots, and compare final marginals against an uninterrupted run
-   with the same seed.  The determinism claim makes the expected numbers
-   exact — Jaccard 1.0 and zero marginal difference — and the recovery
-   time column shows what the checkpoint buys over redoing the run. *)
+   the pipeline exercises, kill a checkpointed run mid-update (or damage
+   its bytes silently and force a power cut), recover from the store
+   (last base + WAL replay), scrub, finish the remaining snapshots, and
+   compare the result with an uninterrupted run with the same seed.  The
+   determinism claim makes the expected outcome exact: a bit-identical
+   fingerprint (marginals and sidecar state) and a healthy scrub, for
+   every point.  This is [Soak.sweep] over [Soak.kbc_pipeline]. *)
 
 open Harness
 module Corpus = Dd_kbc.Corpus
 module Systems = Dd_kbc.Systems
-module Quality = Dd_kbc.Quality
-module Recovery = Dd_kbc.Recovery
+module Soak = Dd_kbc.Soak
 module Engine = Dd_core.Engine
 module Timer = Dd_util.Timer
 module Table = Dd_util.Table
@@ -29,51 +29,52 @@ let scratch_dir () = Filename.concat (Filename.get_temp_dir_name ()) "dd_bench_r
 let recovery ~full =
   section "Recovery: crash injection over the KBC snapshot sequence";
   note
-    "Each row arms one fault point mid-run (Nth = half its hit count),\n\
-     treats the escaping injection as a process death, recovers from the\n\
-     checkpoint store and finishes the run.  'replayed' counts updates\n\
-     already durable at recovery; agreement compares final marginals to\n\
-     the uninterrupted baseline (expected exact: the checkpoint carries\n\
-     the engine PRNG, so the recovered run retraces it bit for bit).";
+    "Each row arms one fault point mid-run (Nth = half its hit count + 1),\n\
+     treats the escaping injection as a process death (or, for a silent\n\
+     fault, forces a power cut), recovers from the checkpoint store,\n\
+     scrubs and finishes the run.  Pass = fingerprint bit-identical to\n\
+     the uninterrupted run and a healthy final scrub (expected for every\n\
+     point: the checkpoint carries the engine PRNG, so the recovered run\n\
+     retraces it bit for bit).";
   let config =
     let base = Systems.news in
     if full then { base with Corpus.docs = base.Corpus.docs * 4 } else base
   in
   let corpus = Corpus.generate config in
-  let dir = scratch_dir () in
-  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-  let baseline_timer = Timer.start () in
-  let base =
-    Recovery.baseline ~options:bench_options ~dir:(Filename.concat dir "baseline") corpus
-  in
-  let baseline_seconds = Timer.elapsed_s baseline_timer in
-  note "Uninterrupted run: %.2fs, %d fault points exercised.\n" baseline_seconds
-    (List.length base.Recovery.exercised);
+  let pipeline = Soak.kbc_pipeline ~options:bench_options ~dir:(scratch_dir ()) corpus in
+  let timer = Timer.start () in
+  let exercised, outcomes = Soak.sweep pipeline in
+  let seconds = Timer.elapsed_s timer in
+  note "%d fault points exercised; baseline + %d crash runs in %.2fs.\n"
+    (List.length exercised) (List.length outcomes) seconds;
   let table =
-    Table.create
-      [ "fault point"; "trigger"; "replayed"; "crash+recover(s)"; "jaccard"; "maxdiff" ]
+    Table.create [ "fault point"; "trigger"; "fired"; "crashes"; "repairs"; "result" ]
   in
+  let failures = ref 0 in
   List.iter
-    (fun (point, hits) ->
-      let trigger = (hits / 2) + 1 in
-      let timer = Timer.start () in
-      let outcome =
-        Recovery.crash_recover_compare ~options:bench_options
-          ~dir:(Filename.concat dir "crash") ~point ~trigger
-          ~reference:base.Recovery.marginals corpus
+    (fun (o : Soak.outcome) ->
+      let arm = List.hd o.Soak.schedule.Soak.arms in
+      let fired = List.mem arm.Soak.point o.Soak.fired in
+      let result =
+        match o.Soak.failure with
+        | None when fired -> "identical"
+        | None -> "NOT FIRED"
+        | Some f -> f
       in
-      let seconds = Timer.elapsed_s timer in
+      if result <> "identical" then incr failures;
       Table.add_row table
         [
-          outcome.Recovery.point;
-          string_of_int outcome.Recovery.trigger;
-          string_of_int outcome.Recovery.replayed_to;
-          Table.cell_f seconds;
-          Table.cell_f outcome.Recovery.agreement.Quality.high_conf_jaccard;
-          Table.cell_f outcome.Recovery.agreement.Quality.max_diff;
+          arm.Soak.point;
+          string_of_int arm.Soak.trigger;
+          (if fired then "yes" else "no");
+          string_of_int o.Soak.crashes;
+          string_of_int o.Soak.repairs;
+          result;
         ])
-    base.Recovery.exercised;
+    outcomes;
   Table.print table;
-  Dd_util.Fault.reset ()
+  metric "points_exercised" (float_of_int (List.length exercised));
+  metric "sweep_s" seconds;
+  metric "failures" (float_of_int !failures)
 
 let () = register "recovery" "Crash recovery: checkpoint + WAL replay" recovery

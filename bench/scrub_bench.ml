@@ -64,9 +64,8 @@ let make_engine ?docs corpus =
 
 (* The two kinds of save on one store: [rounds] bases (the engine marked
    as needing one before each) and [rounds] appends (one document's
-   update committed before each), then [rounds * 4] write-ahead log
-   entries.  The engine starts [rounds] documents short of the corpus
-   so each append carries a fresh document. *)
+   update committed before each).  The engine starts [rounds] documents
+   short of the corpus so each append carries a fresh document. *)
 let time_saves ~fsync ~rounds dir corpus =
   clear_dir dir;
   let first = corpus.Corpus.config.Corpus.docs - rounds in
@@ -86,13 +85,7 @@ let time_saves ~fsync ~rounds dir corpus =
     if Checkpoint.last_save store <> Some (Checkpoint.Append 1) then
       failwith "scrub bench: a timed append wrote a base"
   done;
-  let update = Pipeline.update_of Pipeline.FE1 in
-  let timer = Timer.start () in
-  for _ = 1 to rounds * 4 do
-    Checkpoint.log_update store update
-  done;
-  let log_s = Timer.elapsed_s timer in
-  (per_save !base_s, per_save !append_s, log_s /. float_of_int (rounds * 4) *. 1e3)
+  (per_save !base_s, per_save !append_s)
 
 let scrub ~full =
   section "Scrub: durability overhead and the self-healing repair ladder";
@@ -107,10 +100,8 @@ let scrub ~full =
   let rounds = if full then 12 else 6 in
 
   (* --- clean path: what durable writes cost ------------------------------- *)
-  let base_ms, append_ms, log_fsync_ms =
-    time_saves ~fsync:true ~rounds (Filename.concat dir "fsync") corpus
-  in
-  let base_nofsync_ms, append_nofsync_ms, log_nofsync_ms =
+  let base_ms, append_ms = time_saves ~fsync:true ~rounds (Filename.concat dir "fsync") corpus in
+  let base_nofsync_ms, append_nofsync_ms =
     time_saves ~fsync:false ~rounds (Filename.concat dir "nofsync") corpus
   in
   let overhead a b = if b > 0.0 then (a -. b) /. b *. 100.0 else 0.0 in
@@ -122,7 +113,6 @@ let scrub ~full =
     [
       ("checkpoint save: base", base_ms, base_nofsync_ms);
       ("checkpoint save: append", append_ms, append_nofsync_ms);
-      ("wal append (write-ahead)", log_fsync_ms, log_nofsync_ms);
     ];
   Table.print table;
   metric "save_base_ms" base_ms;
@@ -130,8 +120,6 @@ let scrub ~full =
   metric "save_fsync_overhead_pct" (overhead base_ms base_nofsync_ms);
   metric "save_append_ms" append_ms;
   metric "save_append_nofsync_ms" append_nofsync_ms;
-  metric "log_fsync_ms" log_fsync_ms;
-  metric "log_nofsync_ms" log_nofsync_ms;
 
   (* --- clean path: the encode kernels of a save --------------------------- *)
   let crc_buffer = String.init (1 lsl 20) (fun i -> Char.chr ((i * 131) land 0xff)) in
@@ -184,7 +172,7 @@ let scrub ~full =
     let timer = Timer.start () in
     List.iter
       (fun rid ->
-        ignore (Checkpoint.apply_update store engine (Pipeline.update_of rid));
+        ignore (Engine.apply_update engine (Pipeline.update_of rid));
         Checkpoint.save store engine;
         if with_scrub && Scrub.due cadence then ignore (Scrub.run ~engine store))
       Pipeline.all_rule_ids;

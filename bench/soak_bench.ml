@@ -14,6 +14,7 @@ open Harness
 module Corpus = Dd_kbc.Corpus
 module Engine = Dd_core.Engine
 module Fault_file = Dd_util.Fault_file
+module Checkpoint = Dd_kbc.Checkpoint
 module Soak = Dd_kbc.Soak
 module Source = Dd_ingest.Source
 module Soak_driver = Dd_ingest.Soak_driver
@@ -69,12 +70,14 @@ let soak ~full =
   let dir = scratch_dir "soak_kbc" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let pipeline = Soak.kbc_pipeline ~options:soak_options ~dir corpus in
-  let points =
-    Fault_file.all_points
-    @ [ "checkpoint.save.pre_rename"; "checkpoint.save.pre_manifest"; "checkpoint.log_update.mid_write" ]
-  in
+  let points = Fault_file.all_points @ Checkpoint.fault_points in
+  (* How often each point of the pool fired across the kbc schedules: a
+     point that never fires is a blind spot of the soak. *)
+  let fires = Hashtbl.create 16 in
+  let fired p = Option.value ~default:0 (Hashtbl.find_opt fires p) in
+  let count (o : Soak.outcome) = List.iter (fun p -> Hashtbl.replace fires p (fired p + 1)) o.Soak.fired in
   let timer = Timer.start () in
-  let summary = Soak.soak ~seed:101 ~points ~schedules:kbc_schedules pipeline in
+  let summary = Soak.soak ~seed:101 ~points ~on_schedule:count ~schedules:kbc_schedules pipeline in
   let kbc_s = Timer.elapsed_s timer in
   note
     "kbc loop: %d schedules in %.1fs — %d crashed (%d injected deaths),\n\
@@ -88,6 +91,9 @@ let soak ~full =
   metric "kbc_total_crashes" (float_of_int summary.Soak.total_crashes);
   metric "kbc_repairs" (float_of_int summary.Soak.total_repairs);
   metric "kbc_failures" (float_of_int (List.length summary.Soak.failures));
+  note "kbc schedules in which each point fired: %s."
+    (String.concat ", " (List.map (fun p -> Printf.sprintf "%s %d" p (fired p)) points));
+  List.iter (fun p -> metric ("kbc_fired." ^ p) (float_of_int (fired p))) points;
 
   (* --- full ingest -> txn -> serve loop ------------------------------------ *)
   let ingest_dir = scratch_dir "soak_ingest" in

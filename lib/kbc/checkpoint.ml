@@ -32,9 +32,8 @@
    reproduce the engine, when the store cannot vouch that the WAL ends
    where the engine's log begins, or when the WAL would pass its caps
    (32 entries, half the base's bytes) — so recovery replays a bounded
-   log.  [apply_update] is the write-ahead variant: it appends the
-   update's payload (flushed + fsynced) and only then runs the in-memory
-   update.  Recovery therefore is: load the newest checkpoint that
+   log.  Every WAL entry comes from a save: there is no other way into
+   the log.  Recovery therefore is: load the newest checkpoint that
    passes every checksum — quarantining any version that doesn't
    ([.quarantined] suffix, never deleted) — replay the WAL chain through
    the ordinary [Engine.apply_update] path (deterministic, since the
@@ -73,6 +72,8 @@ type base = {
   mutable commit : int;  (* that engine's commits the durable state holds *)
   base_seq : int;
   size : int;  (* bytes of the checkpoint file *)
+  wal : out_channel;  (* the base's WAL, open for appends *)
+  wal_file : string;  (* path behind [wal], for fsync tracking *)
   mutable appended : int;  (* WAL entries since the base *)
   mutable appended_bytes : int;
   mutable sealed : bool;  (* quarantined, or an append failed: base next *)
@@ -83,8 +84,6 @@ type t = {
   keep : int;  (* checkpoint versions retained by gc *)
   fsync : bool;  (* fsync data + directories on every publish *)
   mutable seq : int;  (* updates logged since the engine was created *)
-  mutable wal : out_channel option;
-  mutable wal_file : string option;  (* path behind [wal], for fsync tracking *)
   mutable base : base option;  (* [None]: the next save writes a base *)
   mutable last_save : save option;
 }
@@ -94,6 +93,14 @@ let manifest_path store = Filename.concat store.dir "MANIFEST"
 let ckpt_name seq = Printf.sprintf "ckpt-%d.ddckpt" seq
 
 let wal_name seq = Printf.sprintf "wal-%d.log" seq
+
+let point_pre_rename = "checkpoint.save.pre_rename"
+
+let point_pre_manifest = "checkpoint.save.pre_manifest"
+
+let point_mid_append = "checkpoint.save.mid_append"
+
+let fault_points = [ point_pre_rename; point_pre_manifest; point_mid_append ]
 
 let ckpt_path store seq = Filename.concat store.dir (ckpt_name seq)
 
@@ -109,16 +116,12 @@ let open_store ?(keep_versions = 2) ?(fsync = true) dir =
     keep = keep_versions;
     fsync;
     seq = 0;
-    wal = None;
-    wal_file = None;
     base = None;
     last_save = None;
   }
 
 let abandon store =
-  (match store.wal with Some ch -> close_out_noerr ch | None -> ());
-  store.wal <- None;
-  store.wal_file <- None;
+  Option.iter (fun b -> close_out_noerr b.wal) store.base;
   store.base <- None
 
 let applied store = store.seq
@@ -235,7 +238,7 @@ let gc_stale_files store =
 
 (* A base at [seq]: the whole engine, which then absorbs its commit log. *)
 let write_base store engine ~seq =
-  store.base <- None;
+  abandon store;
   store.seq <- seq;
   Engine.drain_log engine;
   let content = checkpoint_content engine ~seq in
@@ -249,18 +252,17 @@ let write_base store engine ~seq =
        file. *)
     let tmp = ckpt_path store seq ^ ".tmp" in
     Fault_file.write_file ~fsync:store.fsync tmp content;
-    Fault.hit "checkpoint.save.pre_rename";
+    Fault.hit point_pre_rename;
     Fault_file.rename_durable ~fsync:store.fsync tmp (ckpt_path store seq);
     (* 3. Only the manifest switch makes the new checkpoint authoritative. *)
-    Fault.hit "checkpoint.save.pre_manifest";
+    Fault.hit point_pre_manifest;
     publish_manifest store ~ckpt:(ckpt_name seq) ~wal:(wal_name seq)
   with
   | () ->
-    (* 4. Retire the previous WAL channel and any versions past the
+    (* 4. Open the new WAL for appends and retire any versions past the
        retention window. *)
-    (match store.wal with Some ch -> close_out_noerr ch | None -> ());
-    store.wal <- Some (open_out_gen [ Open_wronly; Open_append ] 0o644 (wal_path store seq));
-    store.wal_file <- Some (wal_path store seq);
+    let wal_file = wal_path store seq in
+    let wal = open_out_gen [ Open_wronly; Open_append ] 0o644 wal_file in
     gc_stale_files store;
     store.base <-
       Some
@@ -269,6 +271,8 @@ let write_base store engine ~seq =
           commit = Engine.commits engine;
           base_seq = seq;
           size = String.length content;
+          wal;
+          wal_file;
           appended = 0;
           appended_bytes = 0;
           sealed = false;
@@ -290,40 +294,29 @@ let frame_entries store updates =
          Record.frame (entry_tag (store.seq + 1 + i)) (Marshal.to_string (update : Grounding.update) []))
        updates)
 
-(* One write and one fsync for all of [data], [count] entries.  A crash
-   partway leaves a torn tail entry, which recovery discards, so the log
-   always reads as a committed prefix; after any failure the WAL takes no
-   more appends. *)
-let append_entries store ~point ~count data =
-  match (store.wal, store.wal_file) with
-  | None, _ | _, None -> invalid_arg "Checkpoint: no checkpoint published yet"
-  | Some ch, Some path -> (
-    match
-      if Fault.check point then begin
-        (* The process dies halfway through the write. *)
-        Fault_file.append ~path ch (String.sub data 0 (String.length data / 2));
-        (try flush ch with Sys_error _ -> ());
-        raise (Fault.Injected point)
-      end;
-      Fault_file.append ~path ch data;
-      Fault_file.flush_fsync ~fsync:store.fsync ~path ch
-    with
-    | () ->
-      store.seq <- store.seq + count;
-      Option.iter
-        (fun b ->
-          b.appended <- b.appended + count;
-          b.appended_bytes <- b.appended_bytes + String.length data)
-        store.base
-    | exception e ->
-      Option.iter (fun b -> b.sealed <- true) store.base;
-      raise e)
-
-let log_update store (update : Grounding.update) =
-  append_entries store ~point:"checkpoint.log_update.mid_write" ~count:1
-    (frame_entries store [ update ]);
-  (* The WAL now runs ahead of every engine: the next save writes a base. *)
-  store.base <- None
+(* One write and one fsync to [b]'s WAL for all of [data], [count]
+   entries.  A crash partway leaves a torn tail entry, which recovery
+   discards, so the log always reads as a committed prefix; after any
+   failure the WAL takes no more appends. *)
+let append_entries store b ~count data =
+  let ch = b.wal and path = b.wal_file in
+  match
+    if Fault.check point_mid_append then begin
+      (* The process dies halfway through the write. *)
+      Fault_file.append ~path ch (String.sub data 0 (String.length data / 2));
+      (try flush ch with Sys_error _ -> ());
+      raise (Fault.Injected point_mid_append)
+    end;
+    Fault_file.append ~path ch data;
+    Fault_file.flush_fsync ~fsync:store.fsync ~path ch
+  with
+  | () ->
+    store.seq <- store.seq + count;
+    b.appended <- b.appended + count;
+    b.appended_bytes <- b.appended_bytes + String.length data
+  | exception e ->
+    b.sealed <- true;
+    raise e
 
 (* The engine's log continues exactly where the WAL ends. *)
 let continues b engine = function
@@ -342,7 +335,7 @@ let save store engine =
   in
   match append with
   | Some (b, count, data) ->
-    if count > 0 then append_entries store ~point:"checkpoint.save.mid_append" ~count data;
+    if count > 0 then append_entries store b ~count data;
     b.commit <- Engine.commits engine;
     Engine.drain_log engine;
     store.last_save <- Some (Append count)
@@ -351,17 +344,6 @@ let save store engine =
        its state; a store that did not base it cannot know them. *)
     let absorbed = match based with Some b -> Engine.commits engine - b.commit | None -> 0 in
     write_base store engine ~seq:(store.seq + absorbed)
-
-let apply_update store engine update =
-  (* Level the WAL with the engine first — a no-op unless it committed
-     updates since the last save — so this entry directly follows them. *)
-  save store engine;
-  append_entries store ~point:"checkpoint.log_update.mid_write" ~count:1
-    (frame_entries store [ update ]);
-  let report = Engine.apply_update engine update in
-  Option.iter (fun b -> b.commit <- Engine.commits engine) store.base;
-  Engine.drain_log engine;
-  report
 
 (* --- structured reads ------------------------------------------------------- *)
 

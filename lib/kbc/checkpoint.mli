@@ -12,20 +12,18 @@
       applied-rule list, each in a length- and CRC-checked
       {!Dd_util.Record} frame) atomically via temp-file + rename; a
       [MANIFEST] names the latest valid base.
-    - {!apply_update} appends the update's {!Dd_core.Grounding.update}
-      payload to a write-ahead log ([flush]ed) {e before} mutating the
-      engine.
     - {!recover} loads the manifest checkpoint, verifies every checksum,
       runs {!Dd_fgraph.Graph.validate} plus a relational schema check,
       replays the WAL through the ordinary update path (deterministic —
       the snapshot includes the PRNG state), and re-publishes.
 
-    Crash sites in this module and in the engine are instrumented with
-    {!Dd_util.Fault} points; see {!Recovery} for the crash–recover–compare
-    harness built on top. *)
+    An engine commits updates through {!Dd_core.Engine.apply_update} (or
+    a {!Dd_core.Txn} supervisor) and a later {!save} logs them; that is
+    the only way into the WAL.  Crash sites in this module
+    ({!fault_points}) and in the engine are instrumented with
+    {!Dd_util.Fault} points; {!Soak} is the crash harness built on top. *)
 
 module Engine = Dd_core.Engine
-module Grounding = Dd_core.Grounding
 
 type error =
   | No_checkpoint  (** the store has no published manifest *)
@@ -66,8 +64,7 @@ val save : t -> Engine.t -> unit
     - the engine is not the one this store last based, or its log does
       not continue where the WAL ends;
     - the current base or its WAL was quarantined, or an append failed;
-    - {!set_applied} or {!log_update} moved the sequence since the last
-      base;
+    - {!set_applied} moved the sequence since the last base;
     - the WAL would pass 32 entries ([max_wal_entries]) or half the
       base's bytes.
 
@@ -83,6 +80,12 @@ type save = Base | Append of int  (** entries appended, possibly 0 *)
 val last_save : t -> save option
 (** What the store's most recent successful {!save} did. *)
 
+val fault_points : string list
+(** This module's crash points: ["checkpoint.save.pre_rename"] and
+    ["checkpoint.save.pre_manifest"] inside a base's publish, and
+    ["checkpoint.save.mid_append"], which writes half an append and
+    dies. *)
+
 val max_wal_entries : int
 (** The WAL entry cap above (32). *)
 
@@ -91,17 +94,6 @@ type wal_usage = { entries : int; bytes : int; base_bytes : int }
 val wal_usage : t -> wal_usage
 (** Entries and framed bytes appended to the current WAL since its base,
     and the base's size in bytes; zeros before the first base. *)
-
-val log_update : t -> Grounding.update -> unit
-(** Append one update payload to the WAL, flush and fsync it.  The WAL
-    then runs ahead of every engine, so the next {!save} writes a base.
-    Raises [Invalid_argument] if no checkpoint has been published yet. *)
-
-val apply_update : t -> Engine.t -> Grounding.update -> Engine.report
-(** {!save} (a no-op unless the engine committed updates since the last
-    one), then append the update to the WAL, then {!Engine.apply_update}:
-    the WAL entry is durable before any in-memory state changes, and a
-    later {!save} does not append it again. *)
 
 val applied : t -> int
 (** The store's current update sequence (updates absorbed by the state

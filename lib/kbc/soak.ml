@@ -1,29 +1,15 @@
-(* Crash-consistency soak harness: seeded random fault schedules over a
-   full update→checkpoint loop, with golden-model comparison and
-   automatic schedule shrinking.
+(* Crash-consistency soak harness: seeded fault schedules, or one
+   schedule per exercised point ([sweep]), over a pipeline of closures,
+   each held to a golden fault-free run.  The property and the pipeline
+   contract are documented in soak.mli.
 
-   One schedule arms a handful of (point, Nth trigger) faults drawn from
-   a seed, then drives a pipeline start to finish.  Every escaping
-   [Fault.Injected] is treated as a machine death: volatile (un-fsynced)
-   bytes are lost ([Fault_file.crash_lose_volatile]), all in-memory state
-   is abandoned, and the pipeline recovers from disk, scrubs, and
-   resumes from wherever the durable state proves it got to.  Silent
-   faults (bit flips, dropped fsyncs) don't crash anything — so every
-   schedule ends with a forced power cut + recover + scrub, which is
-   where latent damage must surface and heal.
-
-   The property checked per schedule: after the final recover+scrub, the
-   pipeline's fingerprint — marginals plus whatever subsystem state the
-   pipeline folds in (e.g. the ingestion canonicalizer) — is bit-identical
-   to a golden fingerprint computed by a fault-free run of the same
-   pipeline, and the scrub left nothing unrepaired.  A failing schedule
-   is shrunk greedily (drop arms, halve triggers) to a minimal
-   reproduction before being reported.
-
-   The pipeline itself is a record of closures, so the same runner soaks
-   the bare kbc loop (see [kbc_pipeline]) and the full
-   ingest→Txn→checkpoint→serve loop (built in bench/test code, where the
-   ingest and serve libraries are linkable). *)
+   Every escaping [Fault.Injected] is a machine death: volatile
+   (un-fsynced) bytes are lost ([Fault_file.crash_lose_volatile]), all
+   in-memory state is abandoned, and the pipeline recovers from disk,
+   scrubs, and resumes from wherever the durable state proves it got
+   to.  Silent faults (bit flips, dropped fsyncs) crash nothing, so
+   every schedule ends with a forced power cut + recover + scrub, which
+   is where latent damage must surface and heal. *)
 
 module Engine = Dd_core.Engine
 module Database = Dd_relational.Database
@@ -32,19 +18,13 @@ module Fault_file = Dd_util.Fault_file
 module Prng = Dd_util.Prng
 
 type pipeline = {
-  steps : int;  (* number of updates the op sequence applies *)
+  steps : int;
   reset : unit -> unit;
-      (* clean slate: wipe the store directory, rebuild in-memory state,
-         publish the initial checkpoint *)
-  apply : int -> unit;  (* apply update [i] durably (0-based) *)
-  save : unit -> unit;  (* publish a checkpoint of the current state *)
+  apply : int -> unit;
+  save : unit -> unit;
   recover : unit -> int;
-      (* abandon in-memory state, rebuild from disk, return how many
-         updates the durable state proves applied; must fall back to a
-         deterministic from-scratch rebuild when nothing is loadable *)
-  scrub : unit -> Scrub.report;  (* integrity pass over disk + live state *)
+  scrub : unit -> Scrub.report;
   fingerprint : unit -> string;
-      (* bit-exact digest of everything the golden comparison covers *)
 }
 
 type arm = { point : string; trigger : int }
@@ -53,19 +33,19 @@ type schedule = { sid : int; arms : arm list }
 
 type outcome = {
   schedule : schedule;
-  crashes : int;  (* injected process/machine deaths, incl. during recovery *)
-  recoveries : int;
-  repairs : int;  (* artifacts healed or contained across all scrubs *)
-  failure : string option;  (* [None] = converged bit-identically *)
+  crashes : int;
+  repairs : int;
+  fired : string list;
+  failure : string option;
 }
 
 type summary = {
   schedules : int;
-  clean : int;  (* schedules where no armed fault fired *)
-  crashed : int;  (* schedules with at least one injected death *)
+  clean : int;
+  crashed : int;
   total_crashes : int;
   total_repairs : int;
-  failures : outcome list;  (* shrunk to minimal reproductions *)
+  failures : outcome list;
 }
 
 (* --- schedule generation -------------------------------------------------- *)
@@ -93,10 +73,20 @@ let run_schedule pipeline sched =
   Fault.reset ();
   Fault_file.reset ();
   Fault_file.seed (0x5eed + sched.sid);
-  pipeline.reset ();
+  (* Armed before the reset, so the points that fire while the pipeline
+     builds its first state (engine creation, the initial publish) are
+     reachable too; a death there recovers like any other. *)
   List.iter (fun a -> Fault.arm a.point (Fault.Nth a.trigger)) sched.arms;
-  let crashes = ref 0 and recoveries = ref 0 and repairs = ref 0 in
+  let crashes = ref 0 and repairs = ref 0 in
   let step = ref 0 in
+  let fired = ref [] in
+  (* [Fault.reset] zeroes the counters: note the arms that fired first. *)
+  let reset_faults () =
+    List.iter
+      (fun a -> if Fault.fired a.point > 0 then fired := a.point :: !fired)
+      sched.arms;
+    Fault.reset ()
+  in
   let scrub () =
     let r = pipeline.scrub () in
     repairs := !repairs + Scrub.damage_found r;
@@ -110,7 +100,7 @@ let run_schedule pipeline sched =
     let rec attempt k =
       Fault_file.crash_lose_volatile ();
       if k >= 5 then begin
-        Fault.reset ();
+        reset_faults ();
         pipeline.recover ()
       end
       else
@@ -121,12 +111,14 @@ let run_schedule pipeline sched =
           attempt (k + 1)
     in
     let applied = attempt 0 in
-    incr recoveries;
     ignore (scrub ());
     applied
   in
   let failure = ref None in
   (try
+     (match pipeline.reset () with
+     | () -> ()
+     | exception e when Fault.is_injected e -> step := crash_recover ());
      let rec drive () =
        if !step < pipeline.steps then begin
          (match pipeline.apply !step with
@@ -146,10 +138,9 @@ let run_schedule pipeline sched =
         planted — a flipped bit in a checkpoint, an fsync that never
         happened — must be found, healed or quarantined NOW, and must not
         change the state the pipeline converges to. *)
-     Fault.reset ();
+     reset_faults ();
      Fault_file.crash_lose_volatile ();
      step := pipeline.recover ();
-     incr recoveries;
      let final_report = scrub () in
      drive ();
      if not (Scrub.healthy final_report) then
@@ -167,12 +158,12 @@ let run_schedule pipeline sched =
     let r = scrub () in
     if not (Scrub.healthy r) then
       failure := Some (Format.asprintf "post-redrive scrub: %a" Scrub.pp r));
-  Fault.reset ();
+  reset_faults ();
   {
     schedule = sched;
     crashes = !crashes;
-    recoveries = !recoveries;
     repairs = !repairs;
+    fired = List.sort_uniq String.compare !fired;
     failure = !failure;
   }
 
@@ -235,27 +226,35 @@ let shrink ~run sched =
 
 (* --- the soak loop ---------------------------------------------------------- *)
 
-let soak ?(seed = 1) ?(points = Fault_file.all_points) ?on_schedule ~schedules
-    pipeline =
-  (* Golden model: the same pipeline, no faults armed. *)
+(* Golden model: the same pipeline, no faults armed.  Returns its
+   fingerprint and every fault point the run hit, with its hit count —
+   counted before the fingerprint reads anything back. *)
+let golden_run pipeline =
   Fault.reset ();
   Fault_file.reset ();
   pipeline.reset ();
-  let golden_drive () =
-    for i = 0 to pipeline.steps - 1 do
-      pipeline.apply i
-    done;
-    pipeline.save ()
+  for i = 0 to pipeline.steps - 1 do
+    pipeline.apply i
+  done;
+  pipeline.save ();
+  let exercised =
+    List.filter_map
+      (fun name -> match Fault.hits name with 0 -> None | h -> Some (name, h))
+      (Fault.registered ())
   in
-  golden_drive ();
-  let golden = pipeline.fingerprint () in
+  (pipeline.fingerprint (), exercised)
+
+let soak ?(seed = 1) ?(points = Fault_file.all_points) ?on_schedule ~schedules
+    pipeline =
+  let golden, _ = golden_run pipeline in
   let clean = ref 0 and crashed = ref 0 in
   let total_crashes = ref 0 and total_repairs = ref 0 in
   let failures = ref [] in
   for sid = 1 to schedules do
     let sched = generate ~points ~seed sid in
     let outcome = check_golden pipeline golden (run_schedule pipeline sched) in
-    if outcome.crashes = 0 then incr clean else incr crashed;
+    if outcome.fired = [] then incr clean;
+    if outcome.crashes > 0 then incr crashed;
     total_crashes := !total_crashes + outcome.crashes;
     total_repairs := !total_repairs + outcome.repairs;
     (match outcome.failure with
@@ -279,18 +278,41 @@ let soak ?(seed = 1) ?(points = Fault_file.all_points) ?on_schedule ~schedules
     failures = List.rev !failures;
   }
 
+let sweep pipeline =
+  let golden, exercised = golden_run pipeline in
+  let outcomes =
+    List.mapi
+      (fun i (point, hits) ->
+        (* Mid-run: late enough that durable state exists for most
+           points, early enough that real work remains after recovery. *)
+        let sched = { sid = i + 1; arms = [ { point; trigger = (hits / 2) + 1 } ] } in
+        check_golden pipeline golden (run_schedule pipeline sched))
+      exercised
+  in
+  Fault.reset ();
+  Fault_file.reset ();
+  (exercised, outcomes)
+
 (* --- the bare kbc pipeline -------------------------------------------------- *)
 
 (* The six-rule-update Fig-KBC loop through a checkpoint store, with a
    sidecar blob standing in for subsystem state (re-encoded on every save
    and after every recovery, the way the ingestion feed persists its
    canonicalizer).  Deterministic end to end: the corpus is static, the
-   update list fixed, and the engine snapshot carries its PRNG. *)
+   update list fixed, and the engine snapshot carries its PRNG.
 
-let kbc_pipeline ?(options = Engine.default_options) ?semantics
-    ?(checkpoint_every = 2) ?(keep_versions = 2) ~dir corpus =
-  let updates = List.map (Pipeline.update_of ?semantics) Pipeline.all_rule_ids in
+   Updates commit in memory and reach the WAL through a save after
+   every second one.  Before update [half] the engine rematerializes, which no
+   replay redoes, so the next save writes a base: one run crosses the
+   initial publish, multi-entry appends and a base.  Recovery never
+   lands between the rematerialization and its base, since nothing
+   after it is durable until that base is.  Saves never change what the
+   engine computes, so the cadence has no effect on the fingerprint. *)
+
+let kbc_pipeline ?(options = Engine.default_options) ~dir corpus =
+  let updates = List.map (fun rid -> Pipeline.update_of rid) Pipeline.all_rule_ids in
   let steps = List.length updates in
+  let half = steps / 2 in
   let update i = List.nth updates i in
   let store = ref None in
   let engine = ref None in
@@ -300,44 +322,37 @@ let kbc_pipeline ?(options = Engine.default_options) ?semantics
   let fresh_engine () =
     let db = Database.create () in
     Corpus.load corpus db;
-    Engine.create ~options db (Pipeline.base_program ?semantics ())
+    Engine.create ~options db (Pipeline.base_program ())
   in
   let publish () =
     Checkpoint.save (the_store ()) (the_engine ());
     Checkpoint.save_blob (the_store ()) ~name:"soakstate"
       (blob_of (Checkpoint.applied (the_store ())))
   in
-  let clear_dir () =
-    if Sys.file_exists dir && Sys.is_directory dir then
-      Array.iter
-        (fun name -> try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-        (Sys.readdir dir)
-    else if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-  in
-  let scrub () =
-    Scrub.run ~engine:(the_engine ())
-      ~reblob:(fun _ -> Some (blob_of (Checkpoint.applied (the_store ()))))
-      (the_store ())
-  in
   {
     steps;
     reset =
       (fun () ->
-        clear_dir ();
-        store := Some (Checkpoint.open_store ~keep_versions dir);
+        (* [open_store] creates the directory when it is missing. *)
+        if Sys.file_exists dir then
+          Array.iter
+            (fun name -> try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
+            (Sys.readdir dir);
+        store := Some (Checkpoint.open_store dir);
         engine := Some (fresh_engine ());
         publish ());
     apply =
       (fun i ->
-        ignore (Checkpoint.apply_update (the_store ()) (the_engine ()) (update i));
-        if (i + 1) mod checkpoint_every = 0 then publish ());
+        if i = half then ignore (Engine.rematerialize (the_engine ()));
+        ignore (Engine.apply_update (the_engine ()) (update i));
+        if i mod 2 = 1 then publish ());
     save = publish;
     recover =
       (fun () ->
-        let st = Checkpoint.open_store ~keep_versions dir in
+        let st = Checkpoint.open_store dir in
+        store := Some st;
         match Checkpoint.recover st with
         | Ok (e, applied) ->
-          store := Some st;
           engine := Some e;
           Checkpoint.save_blob st ~name:"soakstate" (blob_of applied);
           applied
@@ -346,10 +361,13 @@ let kbc_pipeline ?(options = Engine.default_options) ?semantics
              rung is a deterministic from-scratch rebuild.  Quarantined
              files stay behind as evidence. *)
           engine := Some (fresh_engine ());
-          store := Some st;
           publish ();
           0);
-    scrub;
+    scrub =
+      (fun () ->
+        Scrub.run ~engine:(the_engine ())
+          ~reblob:(fun _ -> Some (blob_of (Checkpoint.applied (the_store ()))))
+          (the_store ()));
     fingerprint =
       (fun () ->
         let marginals = Engine.marginals_by_relation (the_engine ()) in

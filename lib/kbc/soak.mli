@@ -2,9 +2,11 @@
 
     Seeded random fault schedules — each a handful of [(point, Nth
     trigger)] arms drawn from the {!Dd_util.Fault} registry — are run
-    against a full update→checkpoint pipeline.  Every escaping injection
-    is treated as a machine death: volatile bytes are lost
-    ({!Dd_util.Fault_file.crash_lose_volatile}), in-memory state is
+    against a full update→checkpoint pipeline.  A schedule's arms are set
+    before the pipeline's [reset], so points hit while it builds its
+    first state (engine creation, the initial publish) fire too.  Every
+    escaping injection is treated as a machine death: volatile bytes are
+    lost ({!Dd_util.Fault_file.crash_lose_volatile}), in-memory state is
     abandoned, and the pipeline recovers from disk, scrubs, and resumes.
     Every schedule additionally ends with a forced power cut + recover +
     scrub so that silent faults (bit flips, dropped fsyncs) are exercised
@@ -13,7 +15,10 @@
     The checked property: after convergence the pipeline's fingerprint is
     bit-identical to a golden fingerprint from a fault-free run, and the
     final scrub leaves nothing unrepaired.  Failing schedules are shrunk
-    greedily to minimal reproductions.
+    greedily to minimal reproductions.  {!sweep} is the exhaustive
+    crash–recover–compare run: one one-arm schedule per fault point a
+    fault-free run exercises, each checked against the same golden
+    fingerprint.
 
     The pipeline is a record of closures so the same runner drives both
     the bare kbc loop ({!kbc_pipeline}) and the full
@@ -26,7 +31,8 @@ type pipeline = {
   reset : unit -> unit;
       (** clean slate: wipe the store directory, rebuild in-memory state,
           publish the initial checkpoint *)
-  apply : int -> unit;  (** apply update [i] durably (0-based) *)
+  apply : int -> unit;
+      (** apply update [i] (0-based), publishing on the pipeline's cadence *)
   save : unit -> unit;  (** publish a checkpoint of the current state *)
   recover : unit -> int;
       (** abandon in-memory state, rebuild from disk, return how many
@@ -45,8 +51,10 @@ type outcome = {
   schedule : schedule;
   crashes : int;
       (** injected process/machine deaths, including during recovery *)
-  recoveries : int;
   repairs : int;  (** artifacts healed or contained across all scrubs *)
+  fired : string list;
+      (** armed points that fired at least once — crashing the run or
+          damaging bytes silently — sorted *)
   failure : string option;  (** [None] = converged bit-identically *)
 }
 
@@ -62,10 +70,6 @@ type summary = {
 val generate : points:string list -> seed:int -> int -> schedule
 (** The deterministic schedule for id [sid] under [seed]: 1–3 arms over
     [points] with triggers in [1, 16]. *)
-
-val run_schedule : pipeline -> schedule -> outcome
-(** Run one schedule to convergence (does not compare against a golden
-    fingerprint — use {!soak} for the full property). *)
 
 val shrink : run:(schedule -> outcome) -> schedule -> schedule
 (** Greedy minimization of a failing schedule: repeatedly drop arms and
@@ -85,18 +89,23 @@ val soak :
     are shrunk before being returned.  Resets the fault registry on
     exit. *)
 
-val kbc_pipeline :
-  ?options:Engine.options ->
-  ?semantics:Dd_fgraph.Semantics.t ->
-  ?checkpoint_every:int ->
-  ?keep_versions:int ->
-  dir:string ->
-  Corpus.t ->
-  pipeline
+val sweep : pipeline -> (string * int) list * outcome list
+(** Crash–recover–compare over every fault point: a fault-free golden
+    run of [pipeline] records each point it hits with its hit count
+    (the first result, sorted by point); then, per point, a one-arm
+    schedule triggered mid-run (hit count / 2 + 1) is run and checked
+    against the golden fingerprint, one outcome per point in the same
+    order.  Every trigger lies within the golden run's hits, so every
+    outcome's [fired] names its point.  Resets the fault registry on
+    exit. *)
+
+val kbc_pipeline : ?options:Engine.options -> dir:string -> Corpus.t -> pipeline
 (** The bare kbc loop as a soakable pipeline: the six {!Pipeline} rule
-    updates applied through {!Checkpoint.apply_update} over a store at
-    [dir], checkpointing every [checkpoint_every] (default 2) updates,
-    with a [soakstate] sidecar blob standing in for subsystem state.
-    When every on-disk version is damaged beyond loading, recovery falls
-    back to a deterministic from-scratch rebuild (quarantined files are
-    left behind as evidence). *)
+    updates committed through {!Dd_core.Engine.apply_update} over a store
+    at [dir] (two versions kept), with a {!Checkpoint.save} after every
+    second update and a rematerialization before the fourth, so a run
+    writes the initial base, two-entry appends and a second base.  A
+    [soakstate] sidecar blob stands in for subsystem state.  When every
+    on-disk version is damaged beyond loading, recovery falls back to a
+    deterministic from-scratch rebuild (quarantined files are left
+    behind as evidence). *)

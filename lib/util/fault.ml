@@ -48,8 +48,6 @@ let arm name mode =
   p.hits <- 0;
   p.fired <- 0
 
-let disarm name = arm name Never
-
 let reset () =
   Hashtbl.iter
     (fun _ p ->

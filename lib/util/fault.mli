@@ -36,8 +36,6 @@ val check : string -> bool
 val arm : string -> mode -> unit
 (** Set a point's mode and reset its counters. *)
 
-val disarm : string -> unit
-
 val reset : unit -> unit
 (** Disarm every point and zero all counters (names stay registered). *)
 

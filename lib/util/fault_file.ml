@@ -79,8 +79,6 @@ let mark_volatile_keep path =
   let tr = track_of path in
   tr.volatile <- true
 
-let attach path len = mark_durable path len
-
 (* A strict prefix: the interesting torn lengths include 0 (nothing made
    it) and everything short of complete. *)
 let prefix_len len = if len <= 0 then 0 else Prng.int_below !rng len

@@ -62,10 +62,6 @@ val flush_fsync : ?fsync:bool -> path:string -> out_channel -> unit
 (** Flush and fsync an append channel, recording the new durable length
     ([io.atomic.dropped_fsync] applies). *)
 
-val attach : string -> int -> unit
-(** Declare that the first [len] bytes of a path are known durable (used
-    when reattaching to a file that survived a crash). *)
-
 val crash_lose_volatile : unit -> unit
 (** Power-cut model: truncate every tracked file with unsynced bytes back
     to its last durable length.  Call when simulating a machine (not just

@@ -3,6 +3,8 @@ module Txn = Dd_core.Txn
 module Pipeline = Dd_kbc.Pipeline
 module Pool = Dd_parallel.Pool
 module Prng = Dd_util.Prng
+module Server = Dd_serve.Server
+module Snapshot = Dd_serve.Snapshot
 
 type reader_report = {
   reads : int;

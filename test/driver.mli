@@ -6,16 +6,16 @@
     the supervisor, and [readers] domains hammering the server the whole
     time.  Each reader records the epochs it observed (they must be
     monotone), runs cheap cross-query consistency probes on every pinned
-    read, and a full {!Snapshot.verify} every [verify_every] reads — the
-    torn-snapshot detector the stress tests assert on.
+    read, and a full {!Dd_serve.Snapshot.verify} every [verify_every]
+    reads — the torn-snapshot detector the stress tests assert on.
 
-    The driver is the harness behind both the fault-sweep stress test
-    (arm a {!Dd_util.Fault} point, drive, assert no reader ever saw an
-    inconsistent snapshot) and the [bench serving] read-throughput and
-    staleness measurements. *)
+    [run] is the harness behind the serving stress tests in
+    [test_serve]: arm a {!Dd_util.Fault} point, drive, assert no reader
+    ever saw an inconsistent snapshot. *)
 
 module Txn = Dd_core.Txn
 module Pipeline = Dd_kbc.Pipeline
+module Server = Dd_serve.Server
 
 type reader_report = {
   reads : int;
@@ -23,7 +23,7 @@ type reader_report = {
   max_epoch : int;
   distinct_epochs : int;  (** number of epoch transitions observed *)
   monotone : bool;  (** epochs never went backwards *)
-  verifies : int;  (** full {!Snapshot.verify} audits run *)
+  verifies : int;  (** full {!Dd_serve.Snapshot.verify} audits run *)
   verify_failures : string list;  (** must be [[]]; any entry is a torn read *)
 }
 

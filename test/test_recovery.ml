@@ -1,6 +1,6 @@
 (* Tests for checkpoint/recovery: round-trips, corruption detection, WAL
    replay, and the crash–recover–compare property over every fault point
-   the Fig-KBC pipeline exercises. *)
+   the Fig-KBC pipeline exercises ([Soak.sweep]). *)
 
 module Database = Dd_relational.Database
 module Relation = Dd_relational.Relation
@@ -11,9 +11,8 @@ module Serialize = Dd_fgraph.Serialize
 module Fault = Dd_util.Fault
 module Corpus = Dd_kbc.Corpus
 module Pipeline = Dd_kbc.Pipeline
-module Quality = Dd_kbc.Quality
 module Checkpoint = Dd_kbc.Checkpoint
-module Recovery = Dd_kbc.Recovery
+module Soak = Dd_kbc.Soak
 module Record = Dd_util.Record
 module Txn = Dd_core.Txn
 module Canonicalizer = Dd_ingest.Canonicalizer
@@ -108,8 +107,9 @@ let test_wal_replay () =
       let engine = make_engine () in
       let store = Checkpoint.open_store dir in
       Checkpoint.save store engine;
-      ignore (Checkpoint.apply_update store engine (Pipeline.update_of Pipeline.A1));
-      ignore (Checkpoint.apply_update store engine (Pipeline.update_of Pipeline.FE1));
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.A1));
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.FE1));
+      Checkpoint.save store engine;
       Checkpoint.abandon store;
       let recovered, applied = recover_exn (Checkpoint.open_store dir) in
       Alcotest.(check int) "both entries replayed" 2 applied;
@@ -123,7 +123,8 @@ let test_torn_wal_tail_discarded () =
       let engine = make_engine () in
       let store = Checkpoint.open_store dir in
       Checkpoint.save store engine;
-      ignore (Checkpoint.apply_update store engine (Pipeline.update_of Pipeline.A1));
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.A1));
+      Checkpoint.save store engine;
       Checkpoint.abandon store;
       (* A mid-append crash: entry header present, payload cut short. *)
       let oc =
@@ -159,7 +160,8 @@ let test_checkpoint_roundtrip_columnar () =
       let engine = Engine.create ~options:quick_options db (Pipeline.base_program ()) in
       let store = Checkpoint.open_store dir in
       Checkpoint.save store engine;
-      ignore (Checkpoint.apply_update store engine (Pipeline.update_of Pipeline.FE1));
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.FE1));
+      Checkpoint.save store engine;
       Checkpoint.abandon store;
       let recovered, applied = recover_exn (Checkpoint.open_store dir) in
       Alcotest.(check int) "one entry replayed" 1 applied;
@@ -187,7 +189,8 @@ let test_fallback_to_previous_version () =
       let engine = make_engine () in
       let store = Checkpoint.open_store dir in
       Checkpoint.save store engine;
-      ignore (Checkpoint.apply_update store engine (Pipeline.update_of Pipeline.A1));
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.A1));
+      Checkpoint.save store engine;
       (* A rematerialization is not replayable, so this save writes a
          second version, a base.  It leaves the marginals as they are. *)
       ignore (Engine.rematerialize engine);
@@ -213,6 +216,35 @@ let test_fallback_to_previous_version () =
       match Checkpoint.verify_version store 1 with
       | Ok () -> ()
       | Error e -> Alcotest.fail ("republished version invalid: " ^ Checkpoint.error_to_string e))
+
+(* A base that recovery republished sits at the end of the chain it
+   replayed.  When that base is damaged later, the older base's chain
+   continues through its WAL, so the updates appended after it survive. *)
+let test_damaged_base_wal_continues_chain () =
+  with_store "chain" (fun dir ->
+      let engine = make_engine () in
+      let store = Checkpoint.open_store dir in
+      Checkpoint.save store engine;
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.A1));
+      Checkpoint.save store engine;
+      Checkpoint.abandon store;
+      let store = Checkpoint.open_store dir in
+      let engine, applied = recover_exn store in
+      Alcotest.(check int) "republished at the end of the chain" 1 applied;
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.FE1));
+      Checkpoint.save store engine;
+      Alcotest.(check bool) "appended to the republished base's WAL" true
+        (Checkpoint.last_save store = Some (Checkpoint.Append 1));
+      Checkpoint.abandon store;
+      flip_byte_in_file (Filename.concat dir "ckpt-1.ddckpt") (-40);
+      let store = Checkpoint.open_store dir in
+      let recovered, applied = recover_exn store in
+      Alcotest.(check int) "chain continued through the damaged base's WAL" 2 applied;
+      Alcotest.(check bool) "bitwise-identical marginals" true
+        (Engine.marginals_by_relation recovered = Engine.marginals_by_relation engine);
+      Alcotest.(check (list string)) "only the checkpoint quarantined"
+        [ "ckpt-1.ddckpt.quarantined" ]
+        (Checkpoint.quarantined_files store))
 
 (* --- the record codec ------------------------------------------------------- *)
 
@@ -249,10 +281,12 @@ let fixture =
   lazy
     (with_store "codec_fixture" (fun dir ->
          let store = Checkpoint.open_store ~fsync:false dir in
-         Checkpoint.save store (make_engine ());
+         let engine = make_engine () in
+         Checkpoint.save store engine;
          let update = Pipeline.update_of Pipeline.A1 in
-         Checkpoint.log_update store update;
-         Checkpoint.log_update store update;
+         ignore (Engine.apply_update engine update);
+         ignore (Engine.apply_update engine update);
+         Checkpoint.save store engine;
          Checkpoint.abandon store;
          let payload = Txn.encode_update update in
          Checkpoint.save_dead_letters store
@@ -647,34 +681,30 @@ let test_save_triggers =
 let test_crash_recovery_sweep () =
   with_store "sweep" (fun dir ->
       let corpus = Corpus.generate tiny_config in
-      let base, outcomes = Recovery.sweep ~options:quick_options ~dir corpus in
+      let exercised, outcomes =
+        Soak.sweep (Soak.kbc_pipeline ~options:quick_options ~dir corpus)
+      in
       Alcotest.(check bool) "pipeline exercises several points" true
-        (List.length base.Recovery.exercised >= 6);
-      (* A log entry, a base and a multi-entry append each get a crash. *)
+        (List.length exercised >= 6);
+      (* The engine build before the first publish, both halves of a
+         base's publish and a multi-entry append each get a crash. *)
       List.iter
         (fun point ->
-          Alcotest.(check bool) (point ^ " exercised") true
-            (List.mem_assoc point base.Recovery.exercised))
-        [ "checkpoint.log_update.mid_write"; "checkpoint.save.pre_rename"; "checkpoint.save.mid_append" ];
-      Alcotest.(check int) "one outcome per exercised point"
-        (List.length base.Recovery.exercised)
+          Alcotest.(check bool) (point ^ " exercised") true (List.mem_assoc point exercised))
+        ("engine.create.post_ground" :: "engine.create.post_learn" :: Checkpoint.fault_points);
+      Alcotest.(check int) "one outcome per exercised point" (List.length exercised)
         (List.length outcomes);
-      List.iter
-        (fun (o : Recovery.outcome) ->
+      List.iter2
+        (fun (point, _) (o : Soak.outcome) ->
           (* Every armed point must actually fire: either it killed the
-             run (crashed) or it damaged bytes silently and the harness
-             forced a power cut (latent). *)
-          Alcotest.(check bool)
-            (o.Recovery.point ^ " crashed or fired silently")
-            true
-            (o.Recovery.crashed || o.Recovery.latent);
-          Alcotest.(check (float 0.0))
-            (o.Recovery.point ^ " high-conf jaccard")
-            1.0 o.Recovery.agreement.Quality.high_conf_jaccard;
-          Alcotest.(check (float 0.0))
-            (o.Recovery.point ^ " max marginal diff")
-            0.0 o.Recovery.agreement.Quality.max_diff)
-        outcomes)
+             run or it damaged bytes silently and the final power cut
+             surfaced it. *)
+          Alcotest.(check (list string)) (point ^ " crashed or fired silently") [ point ]
+            o.Soak.fired;
+          Alcotest.(check (option string))
+            (point ^ " converged to the golden fingerprint, scrub healthy")
+            None o.Soak.failure)
+        exercised outcomes)
 
 let () =
   Alcotest.run "dd_recovery"
@@ -689,6 +719,8 @@ let () =
           Alcotest.test_case "columnar roundtrip" `Quick test_checkpoint_roundtrip_columnar;
           Alcotest.test_case "fallback to previous version" `Quick
             test_fallback_to_previous_version;
+          Alcotest.test_case "damaged base's WAL continues the chain" `Quick
+            test_damaged_base_wal_continues_chain;
         ] );
       ( "wal-first",
         [

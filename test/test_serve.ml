@@ -16,7 +16,6 @@ module Pipeline = Dd_kbc.Pipeline
 module Calibration = Dd_kbc.Calibration
 module Snapshot = Dd_serve.Snapshot
 module Server = Dd_serve.Server
-module Driver = Dd_serve.Driver
 
 let tiny_config = { Corpus.default with Corpus.docs = 12; relations = 2; entities = 20; seed = 5 }
 

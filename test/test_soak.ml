@@ -16,7 +16,6 @@ module Fault_file = Dd_util.Fault_file
 module Corpus = Dd_kbc.Corpus
 module Pipeline = Dd_kbc.Pipeline
 module Checkpoint = Dd_kbc.Checkpoint
-module Recovery = Dd_kbc.Recovery
 module Scrub = Dd_kbc.Scrub
 module Soak = Dd_kbc.Soak
 module Source = Dd_ingest.Source
@@ -76,9 +75,13 @@ let some_table engine =
 let test_scrub_clean () =
   with_dir "scrub_clean" (fun dir ->
       let corpus = Corpus.generate tiny_config in
-      let engine = Recovery.run ~options:quick_options ~dir corpus in
-      let store = Checkpoint.open_store dir in
-      let r = Scrub.run ~engine store in
+      let pipeline = Soak.kbc_pipeline ~options:quick_options ~dir corpus in
+      pipeline.Soak.reset ();
+      for i = 0 to pipeline.Soak.steps - 1 do
+        pipeline.Soak.apply i
+      done;
+      pipeline.Soak.save ();
+      let r = pipeline.Soak.scrub () in
       Alcotest.(check int) "nothing damaged" 0 (Scrub.damage_found r);
       Alcotest.(check bool) "healthy" true (Scrub.healthy r);
       Alcotest.(check bool) "versions verified" true (r.Scrub.versions_ok >= 1))
@@ -175,7 +178,8 @@ let test_scrub_republishes_a_base () =
       let engine = make_engine () in
       let store = Checkpoint.open_store dir in
       Checkpoint.save store engine;
-      ignore (Checkpoint.apply_update store engine (Pipeline.update_of Pipeline.A1));
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.A1));
+      Checkpoint.save store engine;
       ignore (Engine.rematerialize engine);
       Checkpoint.save store engine;
       flip_byte_in_file (Filename.concat dir "ckpt-0.ddckpt") (-40);
@@ -237,8 +241,8 @@ let test_shrink_minimizes () =
     {
       Soak.schedule = s;
       crashes = 0;
-      recoveries = 0;
       repairs = 0;
+      fired = [];
       failure = (if failing then Some "boom" else None);
     }
   in
@@ -281,14 +285,7 @@ let test_soak_kbc_engine_points () =
   with_dir "soak_kbc_ckpt" (fun dir ->
       let corpus = Corpus.generate tiny_config in
       let pipeline = Soak.kbc_pipeline ~options:quick_options ~dir corpus in
-      let points =
-        Fault_file.all_points
-        @ [
-            "checkpoint.save.pre_rename";
-            "checkpoint.save.pre_manifest";
-            "checkpoint.log_update.mid_write";
-          ]
-      in
+      let points = Fault_file.all_points @ Checkpoint.fault_points in
       let summary = Soak.soak ~seed:23 ~points ~schedules:8 pipeline in
       List.iter
         (fun (o : Soak.outcome) ->
@@ -370,24 +367,22 @@ let write_side_points =
 let test_sweep_covers_io_points () =
   with_dir "sweep_io" (fun dir ->
       let corpus = Corpus.generate tiny_config in
-      let base, outcomes = Recovery.sweep ~options:quick_options ~dir corpus in
-      let exercised = List.map fst base.Recovery.exercised in
+      let exercised, outcomes =
+        Soak.sweep (Soak.kbc_pipeline ~options:quick_options ~dir corpus)
+      in
       List.iter
         (fun p ->
           Alcotest.(check bool) (p ^ " exercised by the pipeline") true
-            (List.mem p exercised))
+            (List.mem_assoc p exercised))
         write_side_points;
-      (* And each exercised io point produced a bit-identical recovery. *)
+      (* And each exercised io point fired and converged bit-identically. *)
       List.iter
-        (fun (o : Recovery.outcome) ->
-          if String.length o.Recovery.point > 3 && String.sub o.Recovery.point 0 3 = "io." then begin
-            Alcotest.(check bool) (o.Recovery.point ^ " fired") true
-              (o.Recovery.crashed || o.Recovery.latent);
-            Alcotest.(check (float 0.0)) (o.Recovery.point ^ " jaccard") 1.0
-              o.Recovery.agreement.Dd_kbc.Quality.high_conf_jaccard;
-            Alcotest.(check (float 0.0)) (o.Recovery.point ^ " max diff") 0.0
-              o.Recovery.agreement.Dd_kbc.Quality.max_diff
-          end)
+        (fun (o : Soak.outcome) ->
+          match o.Soak.schedule.Soak.arms with
+          | [ { Soak.point; _ } ] when String.starts_with ~prefix:"io." point ->
+            Alcotest.(check (list string)) (point ^ " fired") [ point ] o.Soak.fired;
+            Alcotest.(check (option string)) (point ^ " golden fingerprint") None o.Soak.failure
+          | _ -> ())
         outcomes)
 
 let test_read_short_detected () =
@@ -400,7 +395,8 @@ let test_read_short_detected () =
       let engine = make_engine () in
       let store = Checkpoint.open_store dir in
       Checkpoint.save store engine;
-      ignore (Checkpoint.apply_update store engine (Pipeline.update_of Pipeline.A1));
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.A1));
+      Checkpoint.save store engine;
       (* Not replayable, so the next save writes a second version. *)
       ignore (Engine.rematerialize engine);
       Checkpoint.save store engine;
@@ -408,7 +404,7 @@ let test_read_short_detected () =
       Fault.arm "io.read.short" (Fault.Nth 1);
       let result = Checkpoint.recover (Checkpoint.open_store dir) in
       let fired = Fault.fired "io.read.short" > 0 in
-      Fault.disarm "io.read.short";
+      Fault.reset ();
       Alcotest.(check bool) "short read fired" true fired;
       match result with
       | Error e -> Alcotest.fail (Checkpoint.error_to_string e)

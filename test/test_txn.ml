@@ -562,13 +562,7 @@ let qcheck_tests =
    this binary must have been exercised by a txn test above.  The io.*
    points are the Fault_file layer — registered at module init, swept by
    the recovery suite and the soak harness. *)
-let recovery_allowlist =
-  [
-    "checkpoint.save.pre_rename";
-    "checkpoint.save.pre_manifest";
-    "checkpoint.log_update.mid_write";
-  ]
-  @ Dd_util.Fault_file.all_points
+let recovery_allowlist = Dd_kbc.Checkpoint.fault_points @ Dd_util.Fault_file.all_points
 
 let test_fault_coverage () =
   let registered = Fault.registered () in
