@@ -320,9 +320,6 @@ let ground db prog =
     (Program.inference_rules prog);
   t
 
-let ground_checked db prog =
-  match ground db prog with t -> Ok t | exception Error e -> (Error e : (t, error) result)
-
 (* --- incremental grounding ------------------------------------------------ *)
 
 type update = {

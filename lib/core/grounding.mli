@@ -56,11 +56,7 @@ type stats = {
 
 val ground : Database.t -> Program.t -> t
 (** Full grounding.  Raises {!Error} ([`Malformed_delta]) on an invalid
-    program — a raising convenience wrapper over {!ground_checked} for
-    callers who treat a bad program as fatal. *)
-
-val ground_checked : Database.t -> Program.t -> (t, error) result
-(** Like {!ground}, with the failure as data instead of an exception. *)
+    program. *)
 
 val graph : t -> Graph.t
 

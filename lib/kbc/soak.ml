@@ -56,14 +56,8 @@ let generate ~points ~seed sid =
   let n = 1 + Prng.int_below rng 3 in
   let arms =
     List.init n (fun _ ->
-        {
-          point = Prng.choice rng pts;
-          (* Early, mid, late and (occasionally) beyond-the-run
-             positions are all interesting, but the pipelines under soak
-             only hit each point a handful of times per run — keep most
-             triggers inside that window. *)
-          trigger = 1 + Prng.int_below rng 16;
-        })
+        let point, window = Prng.choice rng pts in
+        { point; trigger = 1 + Prng.int_below rng window })
   in
   { sid; arms }
 
@@ -246,7 +240,15 @@ let golden_run pipeline =
 
 let soak ?(seed = 1) ?(points = Fault_file.all_points) ?on_schedule ~schedules
     pipeline =
-  let golden, _ = golden_run pipeline in
+  let golden, exercised = golden_run pipeline in
+  (* Each trigger within the hits of a fault-free run, so a point hit
+     only twice fires as often as one hit fifty times; a point that run
+     never hits (a read only recovery makes) keeps the window [1, 16]. *)
+  let points =
+    List.map
+      (fun p -> (p, Option.value ~default:16 (List.assoc_opt p exercised)))
+      points
+  in
   let clean = ref 0 and crashed = ref 0 in
   let total_crashes = ref 0 and total_repairs = ref 0 in
   let failures = ref [] in
@@ -329,6 +331,11 @@ let kbc_pipeline ?(options = Engine.default_options) ~dir corpus =
     Checkpoint.save_blob (the_store ()) ~name:"soakstate"
       (blob_of (Checkpoint.applied (the_store ())))
   in
+  let rebuild () =
+    engine := Some (fresh_engine ());
+    publish ();
+    0
+  in
   {
     steps;
     reset =
@@ -356,13 +363,13 @@ let kbc_pipeline ?(options = Engine.default_options) ~dir corpus =
           engine := Some e;
           Checkpoint.save_blob st ~name:"soakstate" (blob_of applied);
           applied
-        | Error _ ->
-          (* Nothing loadable on disk (every version damaged): the last
-             rung is a deterministic from-scratch rebuild.  Quarantined
-             files stay behind as evidence. *)
-          engine := Some (fresh_engine ());
-          publish ();
-          0);
+        (* Killed before the first publish, or every version damaged
+           beyond loading (quarantined files stay behind as evidence): the
+           last rung is a deterministic from-scratch rebuild.  Any other
+           error is a recovery bug. *)
+        | Error Checkpoint.No_checkpoint -> rebuild ()
+        | Error (Checkpoint.Corrupt _) when Checkpoint.quarantined_files st <> [] -> rebuild ()
+        | Error err -> failwith ("recovery failed: " ^ Checkpoint.error_to_string err));
     scrub =
       (fun () ->
         Scrub.run ~engine:(the_engine ())

@@ -67,9 +67,10 @@ type summary = {
   failures : outcome list;  (** shrunk to minimal reproductions *)
 }
 
-val generate : points:string list -> seed:int -> int -> schedule
+val generate : points:(string * int) list -> seed:int -> int -> schedule
 (** The deterministic schedule for id [sid] under [seed]: 1–3 arms over
-    [points] with triggers in [1, 16]. *)
+    [points], each a [(point, window)] pair whose arm draws its trigger
+    in [1, window]. *)
 
 val shrink : run:(schedule -> outcome) -> schedule -> schedule
 (** Greedy minimization of a failing schedule: repeatedly drop arms and
@@ -84,8 +85,9 @@ val soak :
   summary
 (** Run [schedules] seeded schedules against [pipeline], comparing each
     converged state bit-for-bit against a golden fault-free run.
-    [points] defaults to {!Dd_util.Fault_file.all_points};
-    [on_schedule] observes each outcome (progress reporting).  Failures
+    [points] defaults to {!Dd_util.Fault_file.all_points}; each arm's
+    trigger is drawn within the golden run's hits of its point, or in
+    [1, 16] for a point that run never hits; [on_schedule] observes each outcome (progress reporting).  Failures
     are shrunk before being returned.  Resets the fault registry on
     exit. *)
 
@@ -105,7 +107,8 @@ val kbc_pipeline : ?options:Engine.options -> dir:string -> Corpus.t -> pipeline
     at [dir] (two versions kept), with a {!Checkpoint.save} after every
     second update and a rematerialization before the fourth, so a run
     writes the initial base, two-entry appends and a second base.  A
-    [soakstate] sidecar blob stands in for subsystem state.  When every
-    on-disk version is damaged beyond loading, recovery falls back to a
-    deterministic from-scratch rebuild (quarantined files are left
-    behind as evidence). *)
+    [soakstate] sidecar blob stands in for subsystem state.  When nothing
+    was published yet, or every on-disk version is damaged beyond loading
+    and quarantined, recovery falls back to a deterministic from-scratch
+    rebuild (quarantined files are left behind as evidence); any other
+    recovery error raises, failing the schedule. *)

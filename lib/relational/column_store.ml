@@ -180,8 +180,6 @@ let arity t = t.cs_arity
 let cardinality t = t.card
 let total_count t = t.total
 let run_rows t = t.rlen
-let tail_size t = IH.length t.tail
-
 (* --- dictionaries ------------------------------------------------------- *)
 
 let dict_append d v =
@@ -1034,8 +1032,6 @@ let rebuild t iter =
 let unsafe_corrupt_filter t =
   if Array.length t.run_filter > 0 then Array.fill t.run_filter 0 (Array.length t.run_filter) 0
   else t.run_filter <- [| 0 |]
-
-let unsafe_corrupt_accounting t = t.card <- t.card + 1
 
 let unsafe_corrupt_run t =
   if t.rlen = 0 then invalid_arg "Column_store.unsafe_corrupt_run: empty run";

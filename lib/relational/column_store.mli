@@ -39,9 +39,6 @@ val run_rows : t -> int
 (** Rows in the compacted sorted run (including rows a tail entry has
     overridden). *)
 
-val tail_size : t -> int
-(** Live delta-tail entries. *)
-
 val mem : t -> Tuple.t -> bool
 
 val count : t -> Tuple.t -> int
@@ -152,8 +149,6 @@ val rebuild : t -> ((Tuple.t -> int -> unit) -> unit) -> unit
     [run] damages content (audit fails until {!rebuild}). *)
 
 val unsafe_corrupt_filter : t -> unit
-
-val unsafe_corrupt_accounting : t -> unit
 
 val unsafe_corrupt_run : t -> unit
 (** Raises [Invalid_argument] when the run is empty. *)

@@ -57,8 +57,6 @@ let fold f t init = Column_store.fold f t.store init
 
 let to_list t = fold (fun tup _ acc -> tup :: acc) t []
 
-let to_counted_list t = fold (fun tup c acc -> (tup, c) :: acc) t []
-
 let copy t = { t with store = Column_store.copy t.store; journal = None }
 
 (* Bypasses the journal — this is the undo-log replay primitive, and

@@ -58,8 +58,6 @@ val fold : (Tuple.t -> int -> 'a -> 'a) -> t -> 'a -> 'a
 val to_list : t -> Tuple.t list
 (** Distinct tuples, unspecified order. *)
 
-val to_counted_list : t -> (Tuple.t * int) list
-
 val copy : t -> t
 (** Deep copy of the tuple store; the copy and the original evolve
     independently from then on. *)

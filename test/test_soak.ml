@@ -219,7 +219,7 @@ let test_scrub_cadence () =
 (* --- soak harness ------------------------------------------------------------ *)
 
 let test_schedule_generation_deterministic () =
-  let points = Fault_file.all_points in
+  let points = List.mapi (fun i p -> (p, i + 1)) Fault_file.all_points in
   let a = Soak.generate ~points ~seed:7 3 in
   let b = Soak.generate ~points ~seed:7 3 in
   Alcotest.(check bool) "same seed, same schedule" true (a = b);
@@ -227,10 +227,12 @@ let test_schedule_generation_deterministic () =
   Alcotest.(check bool) "different seed, different schedule" true (a <> c);
   List.iter
     (fun (arm : Soak.arm) ->
-      Alcotest.(check bool) "point from the pool" true (List.mem arm.Soak.point points);
-      Alcotest.(check bool) "trigger in range" true
-        (arm.Soak.trigger >= 1 && arm.Soak.trigger <= 16))
-    a.Soak.arms
+      match List.assoc_opt arm.Soak.point points with
+      | None -> Alcotest.fail "point not from the pool"
+      | Some window ->
+        Alcotest.(check bool) "trigger in its point's window" true
+          (arm.Soak.trigger >= 1 && arm.Soak.trigger <= window))
+    (a.Soak.arms @ c.Soak.arms)
 
 let test_shrink_minimizes () =
   (* Synthetic failure predicate: a schedule fails iff it arms the "bad"
