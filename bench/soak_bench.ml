@@ -71,11 +71,22 @@ let soak ~full =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let pipeline = Soak.kbc_pipeline ~options:soak_options ~dir corpus in
   let points = Fault_file.all_points @ Checkpoint.fault_points in
-  (* How often each point of the pool fired across the kbc schedules: a
+  (* How often each point of the pool fired across a loop's schedules: a
      point that never fires is a blind spot of the soak. *)
-  let fires = Hashtbl.create 16 in
-  let fired p = Option.value ~default:0 (Hashtbl.find_opt fires p) in
-  let count (o : Soak.outcome) = List.iter (fun p -> Hashtbl.replace fires p (fired p + 1)) o.Soak.fired in
+  let fire_counter () =
+    let fires = Hashtbl.create 16 in
+    let fired p = Option.value ~default:0 (Hashtbl.find_opt fires p) in
+    let count (o : Soak.outcome) =
+      List.iter (fun p -> Hashtbl.replace fires p (fired p + 1)) o.Soak.fired
+    in
+    (fired, count)
+  in
+  let report_fired label fired =
+    note "%s schedules in which each point fired: %s." label
+      (String.concat ", " (List.map (fun p -> Printf.sprintf "%s %d" p (fired p)) points));
+    List.iter (fun p -> metric (label ^ "_fired." ^ p) (float_of_int (fired p))) points
+  in
+  let fired, count = fire_counter () in
   let timer = Timer.start () in
   let summary = Soak.soak ~seed:101 ~points ~on_schedule:count ~schedules:kbc_schedules pipeline in
   let kbc_s = Timer.elapsed_s timer in
@@ -91,9 +102,7 @@ let soak ~full =
   metric "kbc_total_crashes" (float_of_int summary.Soak.total_crashes);
   metric "kbc_repairs" (float_of_int summary.Soak.total_repairs);
   metric "kbc_failures" (float_of_int (List.length summary.Soak.failures));
-  note "kbc schedules in which each point fired: %s."
-    (String.concat ", " (List.map (fun p -> Printf.sprintf "%s %d" p (fired p)) points));
-  List.iter (fun p -> metric ("kbc_fired." ^ p) (float_of_int (fired p))) points;
+  report_fired "kbc" fired;
 
   (* --- full ingest -> txn -> serve loop ------------------------------------ *)
   let ingest_dir = scratch_dir "soak_ingest" in
@@ -119,8 +128,11 @@ let soak ~full =
           r);
     }
   in
+  let ifired, icount = fire_counter () in
   let timer = Timer.start () in
-  let isummary = Soak.soak ~seed:77 ~schedules:ingest_schedules ingest_pipeline in
+  let isummary =
+    Soak.soak ~seed:77 ~points ~on_schedule:icount ~schedules:ingest_schedules ingest_pipeline
+  in
   let ingest_s = Timer.elapsed_s timer in
   note
     "ingest+serve loop: %d schedules in %.1fs — %d crashed, %d repairs, %d FAILURES."
@@ -134,6 +146,7 @@ let soak ~full =
       h.Server.scrubs
       (h.Server.last_scrub_healthy = Some true)
   | None -> ());
+  report_fired "ingest" ifired;
   metric "ingest_schedules" (float_of_int isummary.Soak.schedules);
   metric "ingest_crashed" (float_of_int isummary.Soak.crashed);
   metric "ingest_repairs" (float_of_int isummary.Soak.total_repairs);

@@ -403,10 +403,11 @@ let txn_begin t =
 
 let detach_journals x = List.iter (fun rel -> Relation.set_journal rel None) x.x_journaled
 
-let txn_commit _t x =
+let txn_commit t x =
   detach_journals x;
   (* The graph journal was armed by this txn's [journal_begin]; dropping
      it commits the appends. *)
+  Graph.journal_end (graph t);
   x.x_rel_log := []
 
 (* Fully idempotent so the supervisor can retry a rollback that was itself
@@ -445,6 +446,14 @@ let txn_rollback t x =
 let rematerialize t =
   t.log <- None;
   Timer.time_s (fun () -> materialize_now t)
+
+(* The Rerun rung's engine: built from scratch over [t]'s database and
+   program, it continues [t]'s commit count and, like any new engine,
+   needs a base. *)
+let rebuild t =
+  let fresh = create ~options:t.opts (Grounding.database t.ground) (Grounding.program t.ground) in
+  fresh.commits <- t.commits;
+  fresh
 
 let rerun_grounding options db prog =
   let grounding = Grounding.ground db prog in

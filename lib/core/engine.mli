@@ -128,7 +128,8 @@ val txn_begin : t -> txn
 (** Arm the undo logs and snapshot the pre-update state. *)
 
 val txn_commit : t -> txn -> unit
-(** Detach the undo logs, keeping the update's effects. *)
+(** Detach the undo logs, keeping the update's effects; later writes are
+    no longer journaled. *)
 
 val txn_rollback : t -> txn -> unit
 (** Restore the engine to its state at {!txn_begin}.  Idempotent: if a
@@ -146,11 +147,10 @@ val rematerialize : t -> float
     updates until a store drains them; replaying them through
     {!apply_update} on the base reproduces the engine bit for bit.  A
     change that replay cannot reproduce marks the engine as needing a
-    base instead: {!create} (so the Rerun rung and every freshly built
-    engine), {!rematerialize}, an {!apply_update} that raised, and
-    {!require_base}.  {!txn_rollback} restores the log with the rest of
-    the state; rollback also restores the PRNG, so a retried update
-    replays exactly.  The log is bounded: past 32 undrained updates it
+    base instead: {!create}, {!rebuild}, {!rematerialize}, an
+    {!apply_update} that raised, and {!require_base}.  {!txn_rollback}
+    restores the log with the rest of the state; rollback also restores
+    the PRNG, so a retried update replays exactly.  The log is bounded: past 32 undrained updates it
     is dropped and the engine needs a base. *)
 
 type identity
@@ -163,7 +163,8 @@ val identity : t -> identity
 
 val commits : t -> int
 (** Updates this engine has committed, counted from {!create}; a saved
-    and reloaded engine continues the count. *)
+    and reloaded engine and a {!rebuild} continue the count.  A store
+    numbers its versions and WAL entries by it. *)
 
 val committed_log : t -> (int * Grounding.update) list option
 (** The updates committed since the log was last drained, oldest first,
@@ -177,6 +178,11 @@ val drain_log : t -> unit
 val require_base : t -> unit
 (** Mark the engine as needing a base — for changes made outside
     {!apply_update}, such as scrub repairing a live table in place. *)
+
+val rebuild : t -> t
+(** A fresh engine built from scratch ({!create}, same options) over this
+    engine's database and program — the {!Txn} Rerun rung.  It continues
+    this engine's {!commits} and needs a base. *)
 
 val rerun : ?options:options -> Database.t -> Program.t -> float array * float
 (** Ground + learn + infer from scratch; returns (marginals, seconds).

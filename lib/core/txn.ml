@@ -8,7 +8,7 @@
 
      retry (transients only, bounded, deterministic exponential backoff)
        -> rematerialize and retry
-       -> full rerun from scratch (fresh [Engine.create]) and retry
+       -> full rerun from scratch ([Engine.rebuild]) and retry
        -> quarantine the update into the dead-letter queue
 
    so one poison batch never wedges the pipeline.  DeepDive already falls
@@ -88,7 +88,6 @@ type t = {
   backoff_rng : Prng.t;
   mutable seq : int;
   mutable dead : dead_letter list;  (* newest first *)
-  mutable commits : int;
   mutable observers : (event -> unit) list;  (* registration order *)
 }
 
@@ -99,15 +98,12 @@ let create ?(options = default_options) engine =
     backoff_rng = Prng.create options.backoff_seed;
     seq = 0;
     dead = [];
-    commits = 0;
     observers = [];
   }
 
 let engine t = t.engine
 
 let dead_letters t = List.rev t.dead
-
-let commits t = t.commits
 
 let on_event t f = t.observers <- t.observers @ [ f ]
 
@@ -199,7 +195,6 @@ let apply t update =
   in
   let finish rung report =
     let outcome = { report; rung; attempts = !attempts; backoffs_s = List.rev !backoffs } in
-    t.commits <- t.commits + 1;
     emit t (Committed outcome);
     Ok outcome
   in
@@ -250,16 +245,14 @@ let apply t update =
       (* Rung 3: re-execution as the universal recovery path — build a
          fresh engine from scratch over the rolled-back database and
          program, then apply the update to it.  On success the fresh
-         engine replaces the old one. *)
+         engine replaces the old one; it continues the commit count. *)
       let rerun =
         if not t.topts.allow_rerun then Error err2
         else begin
           emit t (Degraded Rerun);
           match
             Fault.hit "txn.rerun.pre_create";
-            let ground = Engine.grounding t.engine in
-            Engine.create ~options:(Engine.options t.engine) (Grounding.database ground)
-              (Grounding.program ground)
+            Engine.rebuild t.engine
           with
           | fresh -> (
             t.engine <- fresh;

@@ -8,7 +8,8 @@
       failures only),
     - {b rematerialize} the inference baseline and retry,
     - full {b rerun}: rebuild a fresh engine from scratch over the
-      rolled-back database and program, then retry,
+      rolled-back database and program ({!Engine.rebuild}, which
+      continues the old engine's {!Engine.commits}), then retry,
     - {b quarantine}: park the update in the dead-letter queue with its
       error, attempt count and a replayable serialized delta.
 
@@ -75,13 +76,12 @@ val create : ?options:options -> Engine.t -> t
 
 val engine : t -> Engine.t
 (** The live engine.  Identity changes when a rerun rung succeeds (the
-    fresh engine replaces the old one) — re-read after each {!apply}. *)
+    fresh engine replaces the old one) — re-read after each {!apply}.
+    Its {!Engine.commits} counts every update committed, across a rerun
+    rung too: it is the supervisor's commit sequence. *)
 
 val dead_letters : t -> dead_letter list
 (** Quarantined updates, oldest first. *)
-
-val commits : t -> int
-(** Updates committed through this supervisor (replays included). *)
 
 val on_event : t -> (event -> unit) -> unit
 (** Subscribe to the supervisor's lifecycle.  Observers run synchronously

@@ -1,25 +1,12 @@
-(* The full ingest→txn→checkpoint loop as a soakable pipeline.
+(* The full ingest→txn→checkpoint loop as a soakable pipeline; the
+   contract is in soak_driver.mli.
 
-   Durability promises here are batch-granular: after each ingested batch
-   the store's sequence advances ([Checkpoint.set_applied]); every
-   [checkpoint_every] batches the engine snapshot and the feed state (next
-   sentence id + canonicalizer, the entity-identity memory) are published
-   together.  Nothing is WAL-logged — a crash loses at most the batches
-   since the last publish, and recovery redrives them from the (static,
-   deterministic) stream.
-
-   The feed blob is stamped with the sequence it was encoded at and the
-   two publishes are ordered blob-first.  A crash can therefore land the
-   pair out of step; recovery detects the mismatch and drops to the last
-   rung — a from-scratch redrive of the whole stream, which is
-   deterministic and converges to the same state.  What recovery never
-   does is marry an engine snapshot to a canonicalizer from a different
-   point in time: that is how entity identity silently forks.
-
-   Fault schedules for this pipeline should stick to the [io.*] points:
-   engine-internal faults are absorbed by [Txn.apply]'s retry ladder
-   (deterministically — the soak property still holds, it just stops
-   exercising the durability path this harness is about). *)
+   The feed blob is published before the checkpoint save, so a crash can
+   land the pair out of step (a torn append recovers a prefix of the
+   batches the blob already holds).  Recovery then redrives the whole
+   stream from scratch rather than marry an engine snapshot to a
+   canonicalizer from a different point in time: that is how entity
+   identity silently forks. *)
 
 module Engine = Dd_core.Engine
 module Txn = Dd_core.Txn
@@ -35,26 +22,19 @@ let blob_name = "canon"
 let encode_blob ~seq state = Printf.sprintf "canon %d\n%s" seq state
 
 let decode_blob raw =
-  match String.index_opt raw '\n' with
-  | None -> None
-  | Some i -> (
-    match String.split_on_char ' ' (String.sub raw 0 i) with
-    | [ "canon"; s ] -> (
-      match int_of_string_opt s with
-      | Some seq -> Some (seq, String.sub raw (i + 1) (String.length raw - i - 1))
-      | None -> None)
-    | _ -> None)
+  Scanf.sscanf_opt raw "canon %d\n%n" (fun seq n -> (seq, String.sub raw n (String.length raw - n)))
 
-(* Remove everything except quarantined evidence before a from-scratch
-   republish, so a stale ckpt-<n> can never outrank the rebuilt state. *)
-let clear_active dir =
-  if Sys.file_exists dir && Sys.is_directory dir then
+(* Empty the store before a from-scratch republish, so a stale ckpt-<n>
+   can never outrank the rebuilt state.  Quarantined evidence stays
+   unless [all] (a reset between schedules). *)
+let clear ~all dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+  else
     Array.iter
       (fun name ->
-        if not (Filename.check_suffix name ".quarantined") then
+        if all || not (Filename.check_suffix name ".quarantined") then
           try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
       (Sys.readdir dir)
-  else if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
 
 (* The streaming program: features + supervision riding on the base, same
    shape the ingestion bench drives. *)
@@ -76,91 +56,76 @@ let batches_of source batcher =
   in
   go []
 
-let pipeline ?(options = Engine.default_options) ?(canonicalize = true)
-    ?(checkpoint_every = 2) ?(keep_versions = 2) ?(max_docs = 8) ?attach
-    ?verify_snapshot ~dir source =
-  let batches = batches_of source (Batcher.create ~max_docs ()) in
-  let steps = List.length batches in
+let pipeline ?(options = Engine.default_options) ?attach ?verify_snapshot ~dir source =
+  let batches = Array.of_list (batches_of source (Batcher.create ~max_docs:8 ())) in
   let store = ref None and txn = ref None and feed = ref None in
   let the_store () = Option.get !store in
   let the_txn () = Option.get !txn in
   let the_feed () = Option.get !feed in
-  let notify () = match attach with None -> () | Some f -> f (the_txn ()) in
-  let publish () =
-    let st = the_store () in
-    Checkpoint.save_blob st ~name:blob_name
-      (encode_blob ~seq:(Checkpoint.applied st) (Feed.encode_state (the_feed ())));
-    Checkpoint.save st (Txn.engine (the_txn ()))
-  in
-  let fresh ~clear st =
-    if clear then clear_active dir;
-    let db = Database.create () in
-    Feed.prepare_database db source;
-    let engine = Engine.create ~options db (stream_program ()) in
+  let engine () = Txn.engine (the_txn ()) in
+  let blob () = encode_blob ~seq:(Engine.commits (engine ())) (Feed.encode_state (the_feed ())) in
+  let start ?state st engine =
     store := Some st;
     txn := Some (Txn.create engine);
-    feed := Some (Feed.create ~canonicalize (the_txn ()));
-    notify ();
+    feed := Some (Feed.create ?state (the_txn ()));
+    Option.iter (fun f -> f (the_txn ())) attach
+  in
+  let publish () =
+    Checkpoint.save_blob (the_store ()) ~name:blob_name (blob ());
+    Checkpoint.save (the_store ()) (engine ())
+  in
+  let fresh ~all =
+    clear ~all dir;
+    let db = Database.create () in
+    Feed.prepare_database db source;
+    start (Checkpoint.open_store dir) (Engine.create ~options db (stream_program ()));
     publish ()
   in
-  let scrub () =
-    let st = the_store () in
-    Scrub.run
-      ~engine:(Txn.engine (the_txn ()))
-      ~reblob:(fun _ ->
-        Some (encode_blob ~seq:(Checkpoint.applied st) (Feed.encode_state (the_feed ()))))
-      ?verify_snapshot st
-  in
   {
-    Soak.steps;
-    reset =
-      (fun () ->
-        (* Clean slate: even quarantined evidence from earlier schedules
-           goes. *)
-        if Sys.file_exists dir && Sys.is_directory dir then
-          Array.iter
-            (fun name -> try Sys.remove (Filename.concat dir name) with Sys_error _ -> ())
-            (Sys.readdir dir)
-        else if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-        fresh ~clear:false (Checkpoint.open_store ~keep_versions dir));
+    Soak.steps = Array.length batches;
+    reset = (fun () -> fresh ~all:true);
     apply =
       (fun i ->
-        ignore (Feed.ingest (the_feed ()) (List.nth batches i));
-        Checkpoint.set_applied (the_store ()) (i + 1);
-        if (i + 1) mod checkpoint_every = 0 then publish ());
+        match (Feed.ingest (the_feed ()) batches.(i)).Feed.outcome with
+        | Ok _ -> if i mod 2 = 1 then publish ()
+        | Error e ->
+          failwith (Printf.sprintf "batch %d quarantined: %s" i (Txn.error_message e)));
     save = publish;
     recover =
       (fun () ->
-        let st = Checkpoint.open_store ~keep_versions dir in
+        let st = Checkpoint.open_store dir in
         let scratch () =
-          fresh ~clear:true (Checkpoint.open_store ~keep_versions dir);
+          fresh ~all:false;
           0
         in
         match Checkpoint.recover st with
-        | Error _ -> scratch ()
+        (* Killed before the first publish, or every version damaged
+           beyond loading (quarantined files stay behind as evidence): a
+           from-scratch redrive.  Any other error is a recovery bug. *)
+        | Error Checkpoint.No_checkpoint -> scratch ()
+        | Error (Checkpoint.Corrupt _) when Checkpoint.quarantined_files st <> [] -> scratch ()
+        | Error err -> failwith ("recovery failed: " ^ Checkpoint.error_to_string err)
         | Ok (engine, applied) -> (
-          match Checkpoint.load_blob st ~name:blob_name with
-          | Error _ | Ok None -> scratch ()
-          | Ok (Some raw) -> (
-            match decode_blob raw with
-            | Some (seq, blob) when seq = applied -> (
-              match Feed.decode_state blob with
-              | Error _ -> scratch ()
-              | Ok state ->
-                store := Some st;
-                txn := Some (Txn.create engine);
-                feed := Some (Feed.create ~canonicalize ~state (the_txn ()));
-                notify ();
-                applied)
-            | Some _ | None ->
-              (* Blob and checkpoint out of step (crash landed between the
-                 two publishes): never marry them — redrive from scratch. *)
-              scratch ())));
-    scrub;
+          let raw = Result.value ~default:None (Checkpoint.load_blob st ~name:blob_name) in
+          match Option.bind raw decode_blob with
+          | Some (seq, blob) when seq = applied -> (
+            match Feed.decode_state blob with
+            | Ok state ->
+              start ~state st engine;
+              applied
+            | Error _ -> scratch ())
+          | Some _ | None ->
+            (* No loadable blob, or blob and checkpoint out of step (a crash
+               landed between the two publishes): never marry them —
+               redrive from scratch. *)
+            scratch ()));
+    scrub =
+      (fun () ->
+        Scrub.run ~engine:(engine ()) ~reblob:(fun _ -> Some (blob ())) ?verify_snapshot
+          (the_store ()));
     fingerprint =
       (fun () ->
         Marshal.to_string
-          ( Engine.marginals_by_relation (Txn.engine (the_txn ())),
-            Feed.encode_state (the_feed ()) )
+          (Engine.marginals_by_relation (engine ()), Feed.encode_state (the_feed ()))
           []);
   }

@@ -1,17 +1,19 @@
-(** The full ingest→txn→checkpoint loop as a {!Dd_kbc.Soak.pipeline}.
+(** The full ingest→txn→checkpoint loop as a {!Dd_kbc.Soak.pipeline},
+    built the way {!Dd_kbc.Soak.kbc_pipeline} is.
 
-    Each pipeline step ingests one pre-batched slice of a deterministic
-    document stream through {!Feed.ingest}; every [checkpoint_every]
-    batches the engine snapshot and the feed state (sentence counter +
-    canonicalizer) are published together, blob first, with the blob
-    stamped by its sequence.  Recovery refuses to combine an engine
-    snapshot with feed state from a different sequence — on any mismatch
-    (or when nothing on disk is loadable) it redrives the whole stream
-    from scratch, which is deterministic and converges to the same
-    state.
+    Each pipeline step commits one pre-batched slice (at most 8 documents)
+    of a deterministic document stream through {!Feed.ingest}; every
+    second step publishes the feed state (sentence counter +
+    canonicalizer) as a blob stamped with the engine's commit count, then
+    a {!Dd_kbc.Checkpoint.save}, which appends the committed batches to
+    the WAL.  Steps map to commits one to one: a batch the supervisor
+    quarantines fails the schedule.  Recovery refuses to combine an
+    engine with feed state from a different commit count — on a mismatch,
+    or when nothing was published or every version was quarantined, it
+    redrives the whole stream from scratch, which is deterministic and
+    converges to the same state; any other recovery error raises.
 
-    Soak schedules over this pipeline should stick to the [io.*] fault
-    points: engine-internal faults are absorbed deterministically by
+    Engine faults inside an update are absorbed deterministically by
     {!Dd_core.Txn.apply}'s retry ladder and never reach the durability
     path this harness exists to break. *)
 
@@ -20,19 +22,14 @@ module Txn = Dd_core.Txn
 
 val pipeline :
   ?options:Engine.options ->
-  ?canonicalize:bool ->
-  ?checkpoint_every:int ->
-  ?keep_versions:int ->
-  ?max_docs:int ->
   ?attach:(Txn.t -> unit) ->
   ?verify_snapshot:(unit -> (unit, string) result) ->
   dir:string ->
   Source.t ->
   Dd_kbc.Soak.pipeline
 (** Build the soakable pipeline over [source]'s full stream (consumed
-    eagerly into batches of at most [max_docs], default 8) and a
-    checkpoint store at [dir].  [attach] is called with the live
-    transactional supervisor after every reset and every recovery — the
-    hook for rebuilding a serving layer on top; pair it with
-    [verify_snapshot] so the scrub checks what that layer currently
-    serves. *)
+    eagerly into batches) and a checkpoint store at [dir] (two versions
+    kept).  [attach] is called with the live transactional supervisor
+    after every reset and every recovery — the hook for rebuilding a
+    serving layer on top; pair it with [verify_snapshot] so the scrub
+    checks what that layer currently serves. *)

@@ -3,36 +3,37 @@
    The durable layout inside a store directory is:
 
      MANIFEST            names the latest published checkpoint + its WAL
-     ckpt-<n>.ddckpt     a base: engine state after the first n updates
-     wal-<n>.log         updates n+1, n+2, ... (one entry each)
+     ckpt-<n>.ddckpt     a base: engine state after the engine's n-th commit
+     wal-<n>.log         commits n+1, n+2, ... (one entry each)
      *.quarantined       damaged files set aside by recovery/scrub
 
-   Every file but MANIFEST is a sequence of [Dd_util.Record] frames (tag,
+   Every number is the engine's commit count ([Engine.commits]).  Every
+   file but MANIFEST is a sequence of [Dd_util.Record] frames (tag,
    length, CRC-32): a checkpoint holds its sequence number, the factor
    graph in the auditable ddgraph v2 text format and the marshalled
-   engine state; a WAL its checkpoint's sequence number, then one frame
-   per update.  Every publish is atomic and durable (temp file + data
-   fsync + rename + directory fsync, all via [Dd_util.Fault_file]) and
-   ordered so that a crash at any instant leaves the previous checkpoint
-   consistent: first the fresh (empty) WAL, then the checkpoint file,
-   then the MANIFEST switch.
+   engine state; a WAL its checkpoint's sequence number and whether that
+   base continues the chain, then one frame per update.  Every publish
+   is atomic and durable (temp file + data fsync + rename + directory
+   fsync, all via [Dd_util.Fault_file]) and ordered so that a crash at
+   any instant leaves the previous checkpoint consistent: first the
+   fresh (empty) WAL, then the checkpoint file, then the MANIFEST
+   switch.
 
    The store retains the newest [keep_versions] checkpoint/WAL pairs.
    Because wal-<m> holds exactly the updates between checkpoint m and the
    next publish, recovery that has to fall back past a damaged newest
    version can chain-replay forward: load ckpt-<m>, replay wal-<m> to
    reach the next publish point, and keep following WALs by sequence
-   until the chain runs out.
+   until the chain runs out or reaches a base that ends it.
 
    A save is WAL-first.  The engine logs the updates it commits
    ([Engine.committed_log]); [save] appends those to the current WAL in
-   one write and one fsync and advances the sequence by one per entry,
-   so a save costs time in proportion to its delta.  It writes a full
-   base (a new ckpt-<n> with a fresh WAL) only when replay could not
-   reproduce the engine, when the store cannot vouch that the WAL ends
-   where the engine's log begins, or when the WAL would pass its caps
-   (32 entries, half the base's bytes) — so recovery replays a bounded
-   log.  Every WAL entry comes from a save: there is no other way into
+   one write and one fsync, so a save costs time in proportion to its
+   delta.  It writes a full base (a new ckpt-<n> with a fresh WAL) only
+   when replay could not reproduce the engine, when the store cannot
+   vouch that the WAL ends where the engine's log begins, or when the
+   WAL would pass its caps (32 entries, half the base's bytes) — so
+   recovery replays a bounded log.  Every WAL entry comes from a save: there is no other way into
    the log.  Recovery therefore is: load the newest checkpoint that
    passes every checksum — quarantining any version that doesn't
    ([.quarantined] suffix, never deleted) — replay the WAL chain through
@@ -65,11 +66,10 @@ type save = Base | Append of int
 
 type wal_usage = { entries : int; bytes : int; base_bytes : int }
 
-(* The base the current WAL continues, and the engine it was taken from
-   — by identity token, so the store never keeps an engine alive. *)
+(* The current base and its WAL, and the engine it was taken from — by
+   identity token, so the store never keeps an engine alive. *)
 type base = {
   engine : Engine.identity;
-  mutable commit : int;  (* that engine's commits the durable state holds *)
   base_seq : int;
   size : int;  (* bytes of the checkpoint file *)
   wal : out_channel;  (* the base's WAL, open for appends *)
@@ -83,7 +83,8 @@ type t = {
   dir : string;
   keep : int;  (* checkpoint versions retained by gc *)
   fsync : bool;  (* fsync data + directories on every publish *)
-  mutable seq : int;  (* updates logged since the engine was created *)
+  mutable seq : int;  (* the engine commit count the durable state holds *)
+  mutable chained : bool;  (* that state is the replay of the chain before it *)
   mutable base : base option;  (* [None]: the next save writes a base *)
   mutable last_save : save option;
 }
@@ -116,6 +117,7 @@ let open_store ?(keep_versions = 2) ?(fsync = true) dir =
     keep = keep_versions;
     fsync;
     seq = 0;
+    chained = false;
     base = None;
     last_save = None;
   }
@@ -132,13 +134,6 @@ let wal_usage store =
   match store.base with
   | Some b -> { entries = b.appended; bytes = b.appended_bytes; base_bytes = b.size }
   | None -> { entries = 0; bytes = 0; base_bytes = 0 }
-
-(* A driver that moves the sequence itself owns the count: the next save
-   writes a base at exactly that sequence. *)
-let set_applied store n =
-  if n < store.seq then invalid_arg "Checkpoint.set_applied: sequence moved backwards";
-  if n <> store.seq then store.base <- None;
-  store.seq <- n
 
 (* Version names are structural: "ckpt-<n>.ddckpt" (and nothing else). *)
 let version_of_name name =
@@ -236,17 +231,32 @@ let gc_stale_files store =
         try Sys.remove (Filename.concat store.dir name) with Sys_error _ -> ())
     (try Sys.readdir store.dir with Sys_error _ -> [||])
 
-(* A base at [seq]: the whole engine, which then absorbs its commit log. *)
-let write_base store engine ~seq =
+(* Bumped with the WAL layout (3: the header says whether the base
+   continues the chain). *)
+let wal_tag = "ddwal 3"
+
+let wal_header seq ~continues =
+  Printf.sprintf "%d %s" seq (if continues then "continues" else "ends")
+
+(* A base at the engine's commit count, which then absorbs its commit
+   log.  It continues the chain when its state is the replay of what came
+   before: the engine has a log, and it either committed past the
+   store's durable state or sits on it, which must then continue the
+   chain itself. *)
+let write_base store engine =
   abandon store;
-  store.seq <- seq;
+  let seq = Engine.commits engine in
+  let continues =
+    Engine.committed_log engine <> None
+    && (seq > store.seq || (seq = store.seq && store.chained))
+  in
   Engine.drain_log engine;
   let content = checkpoint_content engine ~seq in
   match
     (* 1. Fresh empty WAL for the updates that will follow this checkpoint.
        Not yet referenced by the manifest, so a crash here is invisible. *)
     Fault_file.write_atomic ~fsync:store.fsync (wal_path store seq)
-      (Record.frame "ddwal 2" (string_of_int seq));
+      (Record.frame wal_tag (wal_header seq ~continues));
     (* 2. The checkpoint file itself: data fsync before the rename,
        directory fsync after, so a crash cannot leave a renamed-but-empty
        file. *)
@@ -264,11 +274,12 @@ let write_base store engine ~seq =
     let wal_file = wal_path store seq in
     let wal = open_out_gen [ Open_wronly; Open_append ] 0o644 wal_file in
     gc_stale_files store;
+    store.seq <- seq;
+    store.chained <- continues;
     store.base <-
       Some
         {
           engine = Engine.identity engine;
-          commit = Engine.commits engine;
           base_seq = seq;
           size = String.length content;
           wal;
@@ -286,13 +297,13 @@ let write_base store engine ~seq =
 
 let entry_tag seq = Printf.sprintf "entry %d" seq
 
-(* Entries [store.seq + 1], ... framed back to back. *)
-let frame_entries store updates =
+(* Entries framed back to back, each tagged with its commit number. *)
+let frame_entries entries =
   String.concat ""
-    (List.mapi
-       (fun i update ->
-         Record.frame (entry_tag (store.seq + 1 + i)) (Marshal.to_string (update : Grounding.update) []))
-       updates)
+    (List.map
+       (fun (commit, update) ->
+         Record.frame (entry_tag commit) (Marshal.to_string (update : Grounding.update) []))
+       entries)
 
 (* One write and one fsync to [b]'s WAL for all of [data], [count]
    entries.  A crash partway leaves a torn tail entry, which recovery
@@ -311,39 +322,34 @@ let append_entries store b ~count data =
     Fault_file.flush_fsync ~fsync:store.fsync ~path ch
   with
   | () ->
-    store.seq <- store.seq + count;
+    store.chained <- true;
     b.appended <- b.appended + count;
     b.appended_bytes <- b.appended_bytes + String.length data
   | exception e ->
     b.sealed <- true;
     raise e
 
-(* The engine's log continues exactly where the WAL ends. *)
-let continues b engine = function
-  | [] -> Engine.commits engine = b.commit
-  | (first, _) :: _ -> first = b.commit + 1
-
 let save store engine =
-  let based = match store.base with Some b when b.engine == Engine.identity engine -> Some b | _ -> None in
   let append =
-    match (based, Engine.committed_log engine) with
-    | Some b, Some entries when (not b.sealed) && continues b engine entries ->
+    match (store.base, Engine.committed_log engine) with
+    (* The log holds the engine's last commits, so it continues exactly
+       where the WAL ends when the commits before it are the store's. *)
+    | Some b, Some entries
+      when b.engine == Engine.identity engine
+           && (not b.sealed)
+           && Engine.commits engine - List.length entries = store.seq ->
       let count = List.length entries in
-      let data = frame_entries store (List.map snd entries) in
+      let data = frame_entries entries in
       if wal_fits b ~entries:count ~bytes:(String.length data) then Some (b, count, data) else None
     | _ -> None
   in
   match append with
   | Some (b, count, data) ->
     if count > 0 then append_entries store b ~count data;
-    b.commit <- Engine.commits engine;
+    store.seq <- Engine.commits engine;
     Engine.drain_log engine;
     store.last_save <- Some (Append count)
-  | None ->
-    (* Count the updates this engine committed since the store last took
-       its state; a store that did not base it cannot know them. *)
-    let absorbed = match based with Some b -> Engine.commits engine - b.commit | None -> 0 in
-    write_base store engine ~seq:(store.seq + absorbed)
+  | None -> write_base store engine
 
 (* --- structured reads ------------------------------------------------------- *)
 
@@ -478,6 +484,8 @@ let load_checkpoint_file path =
   (match validate engine with
   | Ok () -> ()
   | Error m -> raise (Bad (Invalid_state m)));
+  if Engine.commits engine <> seq then
+    raise (Bad (Invalid_state "checkpoint seq is not its engine's commit count"));
   (seq, engine)
 
 let verify_version store seq =
@@ -486,22 +494,24 @@ let verify_version store seq =
   | exception Bad error -> Error error
   | exception Sys_error m -> Error (Corrupt m)
 
-(* Entries after the checkpoint, in order.  Tolerant by design: a missing
-   file, an unreadable header, a torn or out-of-sequence tail entry all
-   end the log at that point — the entries "never made it to disk" and the
-   driver redrives them. *)
-let read_wal path ~ckpt_seq =
-  let rec entries r seq acc =
-    match Record.read r (entry_tag seq) with
-    | payload -> entries r (seq + 1) ((Marshal.from_string payload 0 : Grounding.update) :: acc)
+(* The WAL of the base at [seq]: whether that base continues the chain,
+   and the entries after it, in order; [None] when the file is missing or
+   its header unreadable.  Tolerant by design: a torn or out-of-sequence
+   tail entry ends the log at that point — the entries "never made it to
+   disk" and the driver redrives them. *)
+let read_wal store seq =
+  let rec entries r n acc =
+    match Record.read r (entry_tag n) with
+    | payload -> entries r (n + 1) ((Marshal.from_string payload 0 : Grounding.update) :: acc)
     | exception Record.Malformed _ -> List.rev acc
   in
-  match Record.of_file path with
-  | exception Sys_error _ -> []
+  match Record.of_file (wal_path store seq) with
+  | exception Sys_error _ -> None
   | r -> (
-    match Record.read r "ddwal 2" with
-    | n when n = string_of_int ckpt_seq -> entries r (ckpt_seq + 1) []
-    | _ | (exception Record.Malformed _) -> [])
+    match Record.read r wal_tag with
+    | h when h = wal_header seq ~continues:true -> Some (true, entries r (seq + 1) [])
+    | h when h = wal_header seq ~continues:false -> Some (false, entries r (seq + 1) [])
+    | _ | (exception Record.Malformed _) -> None)
 
 let recover store =
   abandon store;
@@ -516,9 +526,8 @@ let recover store =
             else No_checkpoint));
     (* Newest version that passes every checksum and validation wins;
        a damaged checkpoint on the way down is quarantined, not deleted.
-       Its WAL stays: the chain replayed from an older version continues
-       through it, so the updates appended after the damaged base are not
-       lost with it. *)
+       Its WAL stays for the chain below: when the base continues the
+       chain, the updates appended after it are not lost with it. *)
     let rec attempt quarantined = function
       | [] ->
         corrupt "no loadable checkpoint version (%d quarantined)" quarantined
@@ -532,27 +541,29 @@ let recover store =
     let ckpt_seq, engine = attempt 0 vs in
     (* Chain-replay WALs forward from the loaded version: wal-<m> carries
        the updates between checkpoint m and the next publish, whose own
-       WAL continues the chain.  Replay through the ordinary update path:
-       deterministic because the snapshot restored the engine's PRNG
-       along with everything else. *)
-    let applied = ref ckpt_seq in
-    let progressing = ref true in
-    while !progressing do
-      let path = wal_path store !applied in
-      if Sys.file_exists path then begin
-        match read_wal path ~ckpt_seq:!applied with
-        | [] -> progressing := false
-        | updates ->
-          List.iter (fun update -> ignore (Engine.apply_update engine update)) updates;
-          applied := !applied + List.length updates
-      end
-      else progressing := false
-    done;
-    store.seq <- !applied;
+       WAL continues the chain — unless its base ends it, and then that
+       WAL is quarantined with the base.  Replay through the ordinary
+       update path: deterministic because the snapshot restored the
+       engine's PRNG along with everything else. *)
+    let replay updates = List.iter (fun u -> ignore (Engine.apply_update engine u)) updates in
+    let rec chain seq =
+      match read_wal store seq with
+      | Some (true, []) -> ()
+      | Some (true, updates) ->
+        replay updates;
+        chain (Engine.commits engine)
+      | Some (false, _) | None -> quarantine_path (wal_path store seq)
+    in
+    let continues, updates = Option.value ~default:(false, []) (read_wal store ckpt_seq) in
+    replay updates;
+    if updates <> [] then chain (Engine.commits engine);
     (* Re-publish so the replay work is durable and any torn WAL tail is
-       retired. *)
+       retired.  With nothing replayed the new base is the loaded one, so
+       it ends the chain if that one did. *)
+    store.seq <- Engine.commits engine;
+    store.chained <- continues || updates <> [];
     save store engine;
-    (engine, !applied)
+    (engine, Engine.commits engine)
   with
   | result -> Ok result
   | exception Bad error -> Error error

@@ -19,8 +19,10 @@
 
     An engine commits updates through {!Dd_core.Engine.apply_update} (or
     a {!Dd_core.Txn} supervisor) and a later {!save} logs them; that is
-    the only way into the WAL.  Crash sites in this module
-    ({!fault_points}) and in the engine are instrumented with
+    the only way into the WAL.  The store numbers everything by the
+    engine's commit count ({!Dd_core.Engine.commits}): a base [ckpt-<n>]
+    holds the engine after its [n]-th commit and WAL entry [n] is commit
+    [n].  Crash sites in this module ({!fault_points}) and in the engine are instrumented with
     {!Dd_util.Fault} points; {!Soak} is the crash harness built on top. *)
 
 module Engine = Dd_core.Engine
@@ -51,9 +53,8 @@ val save : t -> Engine.t -> unit
 
     Usually a save {e appends}: the updates the engine committed since
     the last save ({!Dd_core.Engine.committed_log}) go to the current WAL
-    as consecutive entries, in one write and one fsync, and {!applied}
-    advances by one per entry.  An engine that committed nothing appends
-    nothing and writes nothing.  A torn append (crash point
+    as consecutive entries, in one write and one fsync.  An engine that
+    committed nothing appends nothing and writes nothing.  A torn append (crash point
     ["checkpoint.save.mid_append"]) recovers to a committed prefix.
 
     A save writes a full {e base} instead — a new [ckpt-<n>] with a fresh,
@@ -64,16 +65,16 @@ val save : t -> Engine.t -> unit
     - the engine is not the one this store last based, or its log does
       not continue where the WAL ends;
     - the current base or its WAL was quarantined, or an append failed;
-    - {!set_applied} moved the sequence since the last base;
     - the WAL would pass 32 entries ([max_wal_entries]) or half the
       base's bytes.
 
-    A base absorbs the engine's log and advances {!applied} by the
-    updates the engine committed since this store last saved it.  Its
-    ordering (fresh WAL, then fsynced checkpoint rename, then manifest
-    switch — all via {!Dd_util.Fault_file}) guarantees that a crash at
-    any instant leaves the previously published checkpoint
-    authoritative. *)
+    A base absorbs the engine's log.  Its WAL header records whether it
+    continues the chain: it ends it when the engine needed a base (first
+    bullet), keeps the flag of the durable state when written again at
+    its sequence, and continues it otherwise.  Its ordering (fresh
+    WAL, then fsynced checkpoint rename, then manifest switch — all via
+    {!Dd_util.Fault_file}) guarantees that a crash at any instant leaves
+    the previously published checkpoint authoritative. *)
 
 type save = Base | Append of int  (** entries appended, possibly 0 *)
 
@@ -96,28 +97,22 @@ val wal_usage : t -> wal_usage
     and the base's size in bytes; zeros before the first base. *)
 
 val applied : t -> int
-(** The store's current update sequence (updates absorbed by the state
-    the WAL is relative to, plus entries logged since). *)
-
-val set_applied : t -> int -> unit
-(** Advance the store's update sequence without logging WAL entries — for
-    drivers that make durability promises only at checkpoint granularity
-    (e.g. the ingestion soak pipeline checkpoints per batch and redrives
-    whole batches after a crash).  Such a driver owns the count: after a
-    move, the next {!save} writes a base at exactly this sequence.
-    Raises [Invalid_argument] when moving backwards. *)
+(** The engine commit count the durable state holds: after a {!save} or
+    {!recover}, that engine's {!Dd_core.Engine.commits}. *)
 
 val recover : t -> (Engine.t * int, error) result
 (** Load the newest checkpoint version that passes every checksum and
     validation — quarantining damaged checkpoint files on the way down
     ([.quarantined] suffix; never deleted) — then chain-replay the WALs
-    forward from it, through the WAL of any damaged newer version, and
-    return the rebuilt engine together with the total number of updates
-    it has absorbed.  A save appends at most {!max_wal_entries} entries
-    to a base's WAL, which bounds the replay.  Torn WAL tail entries are
-    discarded.  On success a fresh base is published.
-    [Error No_checkpoint] means the store holds no version at all;
-    [Error (Corrupt _)] that versions exist but none was loadable. *)
+    forward from it, through the WAL of any damaged newer version whose
+    base continues the chain (one that ends it is quarantined with its
+    base), and return the rebuilt engine with its commit count.  A save
+    appends at most {!max_wal_entries} entries to a base's WAL, which
+    bounds the replay.  Torn WAL tail entries are discarded.  On success
+    a fresh base is published.  [Error No_checkpoint] means the store
+    holds no version at all; [Error (Corrupt _)] that versions exist but
+    none was loadable.  A version whose sequence is not its engine's
+    commit count fails validation ([Invalid_state]). *)
 
 val versions : t -> int list
 (** Checkpoint version sequences present on disk, newest first
@@ -179,5 +174,6 @@ val latest : t -> string option
 (** Name of the manifest's current checkpoint file, if any. *)
 
 val abandon : t -> unit
-(** Close the store's WAL channel without any further writes (used by the
-    fault harness to simulate a process death). *)
+(** Close the store's WAL channel without any further writes, so the next
+    {!save} writes a base (the fault harness uses it to simulate a
+    process death; scrub, to republish). *)

@@ -139,7 +139,7 @@ let run ?engine ?reference ?reblob ?verify_snapshot store =
      retention window, so re-publish a base from the live engine. *)
   (match engine with
   | Some engine when !r.versions_quarantined > 0 && healthy !r ->
-    Engine.require_base engine;
+    Checkpoint.abandon store;
     Checkpoint.save store engine;
     r := { !r with republished = true }
   | _ -> ());

@@ -1,5 +1,6 @@
 module Tuple = Dd_relational.Tuple
 module Txn = Dd_core.Txn
+module Engine = Dd_core.Engine
 
 (* One published snapshot plus its retirement state.  [pins] counts
    readers currently inside a [read] on this snapshot; [superseded] is set
@@ -88,11 +89,15 @@ let try_retire t slot =
     && Atomic.compare_and_set slot.retired false true
   then Atomic.incr t.retired_count
 
-let publish t engine ~txn_seq =
+(* A snapshot carries the engine's commit count, which a Rerun rung
+   continues. *)
+let publish t engine =
   let t0 = Unix.gettimeofday () in
   let epoch = t.next_epoch in
   t.next_epoch <- epoch + 1;
-  let snap = Snapshot.build ~bins:t.bins ?truth:t.truth ~epoch ~txn_seq engine in
+  let snap =
+    Snapshot.build ~bins:t.bins ?truth:t.truth ~epoch ~txn_seq:(Engine.commits engine) engine
+  in
   let old = Atomic.exchange t.current (fresh_slot snap) in
   Atomic.set old.superseded true;
   try_retire t old;
@@ -103,16 +108,15 @@ let publish t engine ~txn_seq =
   if ns > Atomic.get t.max_swap_ns then Atomic.set t.max_swap_ns ns
 
 let create ?(bins = 10) ?truth txn =
-  let snap =
-    Snapshot.build ~bins ?truth ~epoch:1 ~txn_seq:(Txn.commits txn) (Txn.engine txn)
-  in
+  let engine = Txn.engine txn in
+  let snap = Snapshot.build ~bins ?truth ~epoch:1 ~txn_seq:(Engine.commits engine) engine in
   let t =
     {
       current = Atomic.make (fresh_slot snap);
       next_epoch = 2;
       bins;
       truth;
-      writer_commits = Atomic.make (Txn.commits txn);
+      writer_commits = Atomic.make (Engine.commits engine);
       degraded = Atomic.make None;
       quarantined = Atomic.make 0;
       swaps = Atomic.make 0;
@@ -134,9 +138,9 @@ let create ?(bins = 10) ?truth txn =
   in
   Txn.on_event txn (function
     | Txn.Committed _ ->
-      Atomic.set t.writer_commits (Txn.commits txn);
+      Atomic.set t.writer_commits (Engine.commits (Txn.engine txn));
       Atomic.set t.degraded None;
-      publish t (Txn.engine txn) ~txn_seq:(Txn.commits txn)
+      publish t (Txn.engine txn)
     | Txn.Degraded rung -> Atomic.set t.degraded (Some (Txn.rung_to_string rung))
     | Txn.Quarantined _ ->
       Atomic.incr t.quarantined;
@@ -144,7 +148,7 @@ let create ?(bins = 10) ?truth txn =
       (* The engine was rolled back (and, if the ladder reached the rerun
          rung, replaced) — re-publish so served state tracks the live
          engine even across a failed update. *)
-      publish t (Txn.engine txn) ~txn_seq:(Txn.commits txn));
+      publish t (Txn.engine txn));
   t
 
 let current t = (Atomic.get t.current).snap

@@ -58,7 +58,10 @@ type counters = {
 type health = {
   epoch : int;  (** serving epoch *)
   txn_seq : int;  (** commit sequence the snapshot was built at *)
-  writer_commits : int;  (** commits the supervisor has applied so far *)
+  writer_commits : int;
+      (** the live engine's {!Dd_core.Engine.commits}: every update it has
+          committed, before the server attached too, counted across a
+          Rerun rung *)
   staleness_commits : int;  (** commits the served snapshot is behind *)
   staleness_s : float;  (** wall-clock age of the served snapshot *)
   degraded : string option;

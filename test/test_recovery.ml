@@ -246,6 +246,77 @@ let test_damaged_base_wal_continues_chain () =
         [ "ckpt-1.ddckpt.quarantined" ]
         (Checkpoint.quarantined_files store))
 
+(* A base is numbered by its engine's commit count: a checkpoint whose
+   frames all verify but whose sequence is not that count fails
+   validation. *)
+let test_seq_is_commit_count () =
+  with_store "seq_count" (fun dir ->
+      let engine = make_engine () in
+      let store = Checkpoint.open_store ~fsync:false dir in
+      Checkpoint.save store engine;
+      Checkpoint.abandon store;
+      let r = Record.of_file (Filename.concat dir "ckpt-0.ddckpt") in
+      let seq = Record.read r "ddckpt 5" in
+      let graph = Record.read r "graph" in
+      let state = Record.read r "state" in
+      Alcotest.(check string) "a new engine's base is ckpt-0" "0" seq;
+      let forged = Record.frames [ ("ddckpt 5", "3"); ("graph", graph); ("state", state) ] in
+      Out_channel.with_open_bin (Filename.concat dir "ckpt-3.ddckpt") (fun oc ->
+          output_string oc forged);
+      match Checkpoint.verify_version store 3 with
+      | Error (Checkpoint.Invalid_state _) -> ()
+      | Error e -> Alcotest.fail ("wrong error: " ^ Checkpoint.error_to_string e)
+      | Ok () -> Alcotest.fail "a base at the wrong commit count loaded")
+
+(* A base written after a rematerialization holds a state no replay
+   reproduces, so it ends the chain — also when it is written again at
+   the same sequence, after scrub quarantined it or by a recovery that
+   replayed nothing.  When it is damaged, recovery quarantines its WAL
+   with it and stops at the older chain's end instead of replaying later
+   entries onto the wrong state. *)
+let test_damaged_base_ends_chain () =
+  let scrubbed dir store engine =
+    flip_byte_in_file (Filename.concat dir "ckpt-1.ddckpt") (-40);
+    let r = Dd_kbc.Scrub.run store in
+    Alcotest.(check int) "scrub quarantined the base" 1 r.Dd_kbc.Scrub.versions_quarantined;
+    Checkpoint.save store engine;
+    (store, engine)
+  in
+  let restarted dir store _ =
+    Checkpoint.abandon store;
+    let store = Checkpoint.open_store dir in
+    let engine, _ = recover_exn store in
+    (store, engine)
+  in
+  List.iter
+    (fun (label, rewrite) ->
+      with_store "chain_end" (fun dir ->
+          let engine = make_engine () in
+          let store = Checkpoint.open_store dir in
+          Checkpoint.save store engine;
+          ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.A1));
+          Checkpoint.save store engine;
+          let after_a1 = Engine.marginals_by_relation engine in
+          ignore (Engine.rematerialize engine);
+          Checkpoint.save store engine;
+          let store, engine = rewrite dir store engine in
+          ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.FE1));
+          Checkpoint.save store engine;
+          Alcotest.(check bool) (label ^ ": FE1 appended to the rematerialized base's WAL") true
+            (Checkpoint.last_save store = Some (Checkpoint.Append 1));
+          Checkpoint.abandon store;
+          flip_byte_in_file (Filename.concat dir "ckpt-1.ddckpt") (-40);
+          let store = Checkpoint.open_store dir in
+          let recovered, applied = recover_exn store in
+          Alcotest.(check int) (label ^ ": the chain ends before the damaged base") 1 applied;
+          Alcotest.(check bool) (label ^ ": the state after A1") true
+            (Engine.marginals_by_relation recovered = after_a1);
+          Alcotest.(check (list string)) (label ^ ": the base and its WAL quarantined")
+            [ "ckpt-1.ddckpt.quarantined"; "wal-1.log.quarantined" ]
+            (Checkpoint.quarantined_files store)))
+    [ ("written once", fun _ store engine -> (store, engine)); ("rewritten after scrub", scrubbed);
+      ("rewritten by recovery", restarted) ]
+
 (* --- the record codec ------------------------------------------------------- *)
 
 let read_all file = In_channel.with_open_bin file In_channel.input_all
@@ -301,7 +372,7 @@ let fixture =
          let wal = file "wal-0.log" in
          (* The log is exactly a header record and one frame per entry. *)
          let entry = Marshal.to_string update [] in
-         let first = Record.frame "ddwal 2" "0" ^ Record.frame "entry 1" entry in
+         let first = Record.frame "ddwal 3" "0 ends" ^ Record.frame "entry 1" entry in
          Alcotest.(check string) "WAL layout" (first ^ Record.frame "entry 2" entry) wal;
          {
            artifacts =
@@ -359,7 +430,7 @@ let mutate s = function
 (* How many WAL entries the codec accepts before it rejects a record. *)
 let codec_entries bytes =
   let r = Record.of_string bytes in
-  match Record.read r "ddwal 2" with
+  match Record.read r "ddwal 3" with
   | exception Record.Malformed _ -> 0
   | _ ->
     let rec count k =
@@ -461,17 +532,18 @@ let test_torn_append_recovers_prefix () =
 
 (* Fixed-seed sequences of supervised updates with saves in between.
    Every save must write a base exactly when a trigger holds — the
-   engine is new or rematerialized, the current base was quarantined,
-   [set_applied] moved the sequence, or the WAL would pass its caps —
-   and append the committed updates otherwise; after each save a
-   recovery on a copy of the store equals the live engine bit for bit. *)
+   engine is new, rematerialized or rebuilt by the Rerun rung, the
+   current base was quarantined, or the WAL would pass its caps — and
+   append the committed updates otherwise.  After each save the store
+   holds every update committed so far ([applied] is the engine's commit
+   count, which counts them all), and a recovery on a copy of the store
+   reaches the same count and equals the live engine bit for bit. *)
 type op =
   | Update  (** a clean [Txn.apply] *)
   | Retried  (** a fault on the first attempt: the Retry rung *)
   | Rematerialized  (** no retries allowed: the Rematerialize rung *)
   | Rerun  (** no retry, no rematerialize: the Rerun rung *)
   | Quarantine  (** damage the current base; a scrub quarantines it *)
-  | Set_applied
   | Save
 
 let op_to_string = function
@@ -480,7 +552,6 @@ let op_to_string = function
   | Rematerialized -> "rematerialized"
   | Rerun -> "rerun"
   | Quarantine -> "quarantine"
-  | Set_applied -> "set_applied"
   | Save -> "save"
 
 let copy_store src dst =
@@ -510,6 +581,7 @@ let run_save_sequence ?(docs_per_update = 1) ops =
       let store = Checkpoint.open_store ~fsync:false dir in
       let next_doc = ref 8 in
       let pending = ref [] (* committed since the last save, newest first *) in
+      let committed = ref 0 in
       let forced = ref true (* a fresh engine needs a base *) in
       let supervised options arm =
         let update =
@@ -531,6 +603,7 @@ let run_save_sequence ?(docs_per_update = 1) ops =
         let rung, update = supervised options arm in
         Alcotest.(check string) "ladder rung" (Txn.rung_to_string expected) (Txn.rung_to_string rung);
         pending := update :: !pending;
+        incr committed;
         if rung = Txn.Rematerialize || rung = Txn.Rerun then forced := true
       in
       let fault = Some "engine.apply_update.post_learning" in
@@ -551,11 +624,15 @@ let run_save_sequence ?(docs_per_update = 1) ops =
         Checkpoint.save store !engine;
         Alcotest.(check bool) "base or append as the triggers require" true
           (Checkpoint.last_save store = Some expected);
+        Alcotest.(check int) "the engine counts every commit" !committed (Engine.commits !engine);
+        Alcotest.(check int) "applied is the engine's commit count" (Engine.commits !engine)
+          (Checkpoint.applied store);
         pending := [];
         forced := false;
         let copy = dir ^ "_copy" in
         copy_store dir copy;
-        let recovered, _ = recover_exn (Checkpoint.open_store ~fsync:false copy) in
+        let recovered, applied = recover_exn (Checkpoint.open_store ~fsync:false copy) in
+        Alcotest.(check int) "recovery reaches the same count" (Engine.commits !engine) applied;
         Alcotest.(check bool) "recovered marginals bit-identical" true
           (bits_equal (Engine.marginals recovered) (Engine.marginals !engine));
         Alcotest.(check string) "recovered graph identical"
@@ -580,9 +657,6 @@ let run_save_sequence ?(docs_per_update = 1) ops =
               Alcotest.(check int) "scrub quarantined the base" 1 r.Dd_kbc.Scrub.versions_quarantined;
               forced := true
             | Some _ | None -> ())
-          | Set_applied ->
-            Checkpoint.set_applied store (Checkpoint.applied store + 1);
-            forced := true
           | Save -> check_save ())
         ops;
       check_save ();
@@ -656,6 +730,12 @@ let test_wal_cap () =
   Alcotest.(check bool) "entry cap" true (run_save_sequence saves);
   Alcotest.(check bool) "byte cap" true (run_save_sequence ~docs_per_update:3 saves)
 
+(* After a Rerun rung the store bases a rebuilt engine; that engine
+   continues the count, so the store still holds both commits. *)
+let test_rerun_rung_counts () =
+  Alcotest.(check bool) "update, save, Rerun-rung update, save" true
+    (run_save_sequence [ Update; Save; Rerun; Save ])
+
 let test_save_triggers =
   let op =
     QCheck.Gen.frequency
@@ -665,7 +745,6 @@ let test_save_triggers =
         (1, QCheck.Gen.return Rematerialized);
         (1, QCheck.Gen.return Rerun);
         (1, QCheck.Gen.return Quarantine);
-        (1, QCheck.Gen.return Set_applied);
         (4, QCheck.Gen.return Save);
       ]
   in
@@ -721,6 +800,8 @@ let () =
             test_fallback_to_previous_version;
           Alcotest.test_case "damaged base's WAL continues the chain" `Quick
             test_damaged_base_wal_continues_chain;
+          Alcotest.test_case "damaged base ends the chain" `Quick test_damaged_base_ends_chain;
+          Alcotest.test_case "sequence is the commit count" `Quick test_seq_is_commit_count;
         ] );
       ( "wal-first",
         [
@@ -730,6 +811,7 @@ let () =
           Alcotest.test_case "unreplayable changes save a base" `Quick
             test_unreplayable_saves_base;
           Alcotest.test_case "a WAL cap forces a base" `Quick test_wal_cap;
+          Alcotest.test_case "the Rerun rung continues the count" `Quick test_rerun_rung_counts;
           QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20 |]) test_save_triggers;
         ] );
       ( "record-codec", [ QCheck_alcotest.to_alcotest test_codec_rejects_damage ] );

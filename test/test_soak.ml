@@ -337,6 +337,40 @@ let test_soak_ingest_serve () =
         Alcotest.(check bool) "health exposes a scrub verdict" true
           (h.Server.scrubs >= 0 && h.Server.scrub_unrepaired = 0))
 
+(* The ingest loop commits through the supervisor and saves every second
+   batch, so a fault-free run reaches the store as one base and WAL
+   appends; a crash at any point of the io and checkpoint pool that run
+   hits — a torn append included — recovers to the golden fingerprint. *)
+let test_sweep_ingest () =
+  with_dir "sweep_ingest" (fun dir ->
+      (* Four batches: two saves of two batches each, both appends. *)
+      let cfg = { Source.default with Source.docs = 24; entities = 6; relations = 2; seed = 5 } in
+      let pipeline = Soak_driver.pipeline ~options:quick_options ~dir (Source.synthetic cfg) in
+      Alcotest.(check int) "four batches" 4 pipeline.Soak.steps;
+      pipeline.Soak.reset ();
+      for i = 0 to pipeline.Soak.steps - 1 do
+        pipeline.Soak.apply i
+      done;
+      pipeline.Soak.save ();
+      let store = Checkpoint.open_store dir in
+      Alcotest.(check (list int)) "one base on disk" [ 0 ] (Checkpoint.versions store);
+      (match Checkpoint.recover store with
+      | Ok (_, applied) ->
+        Alcotest.(check int) "every batch replayed from the WAL" pipeline.Soak.steps applied
+      | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
+      let exercised, outcomes = Soak.sweep pipeline in
+      List.iter
+        (fun point ->
+          Alcotest.(check bool) (point ^ " exercised") true (List.mem_assoc point exercised))
+        [ "io.wal.append_torn"; "checkpoint.save.mid_append" ];
+      List.iter2
+        (fun (point, _) (o : Soak.outcome) ->
+          if List.mem point (Fault_file.all_points @ Checkpoint.fault_points) then begin
+            Alcotest.(check (list string)) (point ^ " fired") [ point ] o.Soak.fired;
+            Alcotest.(check (option string)) (point ^ " golden fingerprint") None o.Soak.failure
+          end)
+        exercised outcomes)
+
 let test_record_scrub_counters () =
   with_dir "record_scrub" (fun dir ->
       let engine = make_engine () in
@@ -439,6 +473,7 @@ let () =
           Alcotest.test_case "kbc io faults" `Slow test_soak_kbc;
           Alcotest.test_case "kbc io+checkpoint faults" `Slow test_soak_kbc_engine_points;
           Alcotest.test_case "ingest+serve" `Slow test_soak_ingest_serve;
+          Alcotest.test_case "ingest sweep" `Slow test_sweep_ingest;
           Alcotest.test_case "health counters" `Quick test_record_scrub_counters;
         ] );
       ( "io-points",

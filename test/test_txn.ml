@@ -109,6 +109,28 @@ let test_budget_spec_strings () =
   Alcotest.(check bool) "ticks mentions count" true
     (String.length (Budget.spec_to_string (Budget.Ticks 7)) > 0)
 
+(* --- commit ------------------------------------------------------------------------ *)
+
+(* A commit ends the transaction's graph journal: later updates outside
+   a transaction journal nothing, so the graph of an engine that ran one
+   [Txn.apply] marshals to the same bytes as its twin's that applied
+   every update directly. *)
+let test_commit_ends_graph_journal () =
+  Fault.reset ();
+  let _, supervised = make_engine () in
+  let _, direct = make_engine () in
+  let updates = List.map Pipeline.update_of [ Pipeline.A1; Pipeline.FE1; Pipeline.FE2 ] in
+  let txn = Txn.create supervised in
+  ignore (apply_ok txn (List.hd updates));
+  ignore (Engine.apply_update direct (List.hd updates));
+  List.iter
+    (fun u ->
+      ignore (Engine.apply_update supervised u);
+      ignore (Engine.apply_update direct u))
+    (List.tl updates);
+  Alcotest.(check bool) "no graph journal left recording" true
+    (Marshal.to_string (Engine.graph supervised) [] = Marshal.to_string (Engine.graph direct) [])
+
 (* --- typed grounding errors --------------------------------------------------- *)
 
 let bad_rules_update () =
@@ -596,6 +618,8 @@ let () =
           Alcotest.test_case "bit-identity + replay" `Quick test_rollback_bit_identity;
           Alcotest.test_case "persistent rollback fault" `Quick
             test_persistent_rollback_fault_suppressed;
+          Alcotest.test_case "commit ends the graph journal" `Quick
+            test_commit_ends_graph_journal;
         ] );
       ( "ladder",
         [
