@@ -1,5 +1,4 @@
 module Graph = Dd_fgraph.Graph
-module Semantics = Dd_fgraph.Semantics
 module Value = Dd_relational.Value
 module Tuple = Dd_relational.Tuple
 module Relation = Dd_relational.Relation
@@ -120,25 +119,214 @@ let apply_evidence_to_var t query_pred tuple v =
 
 (* --- factor construction -------------------------------------------------- *)
 
-let term_value env = function
-  | Ast.Const c -> c
-  | Ast.Var name -> (
-    match env name with
-    | Some v -> v
-    | None ->
-      (* A rule whose head or weight mentions a variable its body never
-         binds: the program (or the delta that added the rule) is bad. *)
-      raise (Error (`Malformed_delta ("unbound variable " ^ name ^ " in rule head or weight"))))
+(* An inference rule compiled once against its plan's slots: grounding
+   reads the head, the weight terms and the query atoms of each body
+   grounding straight from the plan's slot rows, through scratch buffers,
+   and builds no per-grounding tuple, environment or key string. *)
+type term =
+  | Tconst of Value.t
+  | Tslot of int * string  (* slot, variable name *)
 
-let atom_tuple env (atom : Ast.atom) =
-  Array.of_list (List.map (term_value env) atom.Ast.args)
+type query_atom = {
+  qpred : string;
+  qvars : Graph.var Tuple.Hashtbl.t;  (* the relation's variable table *)
+  qterms : term array;
+  qbuf : Value.t array;
+  qnegated : bool;
+}
 
-let weight_key (r : Program.inference_rule) env =
+(* Pending factor groups are keyed by (head variable, weight-term values);
+   [probe_key] is the one key every lookup reuses. *)
+type group_key = {
+  mutable kvar : Graph.var;
+  kw : Value.t array;
+}
+
+module GH = Hashtbl.Make (struct
+  type t = group_key
+
+  let equal a b =
+    a.kvar = b.kvar
+    && Array.length a.kw = Array.length b.kw
+    &&
+    let i = ref 0 in
+    while !i < Array.length a.kw && Value.equal a.kw.(!i) b.kw.(!i) do
+      incr i
+    done;
+    !i = Array.length a.kw
+
+  let hash k =
+    let h = ref k.kvar in
+    for i = 0 to Array.length k.kw - 1 do
+      h := (!h * 31) + Value.hash k.kw.(i)
+    done;
+    !h land max_int
+end)
+
+(* Weight creation is deferred to {!flush_groups}: creating weights at
+   [add_grounding] time would assign weight ids in discovery order, which
+   depends on the store's physical layout (sorted run, delta tail, where
+   the last compaction fell).  The group records what is needed to create
+   the weight at flush, where groups are processed in sorted key order —
+   so var, weight and factor ids are all canonical functions of the
+   grounded content, and graphs are bit-identical whatever the layout. *)
+type group = {
+  head_var : Graph.var;
+  head_tuple : Tuple.t;  (* the first grounding's head values *)
+  grule : Program.inference_rule;
+  wvals : Value.t array;  (* the first grounding's weight-term values *)
+  mutable new_bodies : Graph.literal array list;
+}
+
+(* Every group created since the last flush, newest first. *)
+type pending = group list ref
+
+type template = {
+  rule : Program.inference_rule;
+  pending : pending;
+  head_pred : string;
+  head_vars : Graph.var Tuple.Hashtbl.t;
+  head : term array;
+  head_buf : Value.t array;
+  query_atoms : query_atom array;  (* body literals over query relations *)
+  wterms : term array;  (* tied-weight terms; [||] for a fixed weight *)
+  probe_key : group_key;
+  open_groups : group GH.t;
+}
+
+(* A relation's variable table, or a fresh empty one when the relation has
+   no variables (lookups then miss, as they would). *)
+let var_table_of t pred =
+  match Hashtbl.find_opt t.var_table pred with
+  | Some table -> table
+  | None -> Tuple.Hashtbl.create 1
+
+(* A rule whose head or weight mentions a variable its body never binds:
+   the program (or the delta that added the rule) is bad. *)
+let unbound name =
+  raise (Error (`Malformed_delta ("unbound variable " ^ name ^ " in rule head or weight")))
+
+let compile_template t pending plan (r : Program.inference_rule) =
+  let term = function
+    | Ast.Const c -> Tconst c
+    | Ast.Var name -> (
+      match Plan.slot plan name with Some s -> Tslot (s, name) | None -> unbound name)
+  in
+  let terms (atom : Ast.atom) = Array.of_list (List.map term atom.Ast.args) in
+  let head = terms r.Program.head in
+  let query_atoms =
+    List.filter_map
+      (fun literal ->
+        let atom = Ast.atom_of_literal literal in
+        if Program.is_query_relation t.prog atom.Ast.pred then begin
+          let qterms = terms atom in
+          Some
+            {
+              qpred = atom.Ast.pred;
+              qvars = var_table_of t atom.Ast.pred;
+              qterms;
+              qbuf = Array.make (Array.length qterms) Value.Null;
+              qnegated = not (Ast.is_positive literal);
+            }
+        end
+        else None)
+      r.Program.body
+  in
+  let wterms =
+    match r.Program.weight with
+    | Program.Fixed _ -> [||]
+    | Program.Tied ts -> Array.of_list (List.map term ts)
+  in
+  {
+    rule = r;
+    pending;
+    head_pred = r.Program.head.Ast.pred;
+    head_vars = var_table_of t r.Program.head.Ast.pred;
+    head;
+    head_buf = Array.make (Array.length head) Value.Null;
+    query_atoms = Array.of_list query_atoms;
+    wterms;
+    probe_key = { kvar = 0; kw = Array.make (Array.length wterms) Value.Null };
+    open_groups = GH.create 256;
+  }
+
+let term_value row = function
+  | Tconst c -> c
+  | Tslot (s, name) ->
+    let v = row.(s) in
+    if Value.equal v Value.Null then unbound name else v
+
+let fill buf terms row =
+  for k = 0 to Array.length terms - 1 do
+    buf.(k) <- term_value row terms.(k)
+  done
+
+exception Missing_candidate of string * Tuple.t
+
+let find_var table pred buf =
+  try Tuple.Hashtbl.find table buf
+  with Not_found -> raise (Missing_candidate (pred, Array.copy buf))
+
+(* The factor body of one grounding: literals over query-relation atoms;
+   deterministic atoms are already satisfied by the match and drop out. *)
+let grounding_body tpl row =
+  Array.map
+    (fun q ->
+      fill q.qbuf q.qterms row;
+      { Graph.var = find_var q.qvars q.qpred q.qbuf; negated = q.qnegated })
+    tpl.query_atoms
+
+(* Groundings of a non-populating rule that touch a candidate that does
+   not exist are dropped, as in DeepDive; for populating rules a missing
+   candidate is an internal invariant violation. *)
+let rec add_grounding tpl row =
+  match add_grounding_strict tpl row with
+  | () -> ()
+  | exception Missing_candidate (pred, tuple) ->
+    if tpl.rule.Program.populate_head then
+      (* The deterministic pass guarantees a candidate row (and thus a
+         variable) for every grounding of a populating rule; a miss means
+         the engine's own bookkeeping is inconsistent. *)
+      raise
+        (Error
+           (`Internal
+             (Printf.sprintf "no variable for %s%s (rule %s)" pred (Tuple.to_string tuple)
+                tpl.rule.Program.name)))
+
+and add_grounding_strict tpl row =
+  fill tpl.head_buf tpl.head row;
+  let head_var = find_var tpl.head_vars tpl.head_pred tpl.head_buf in
+  let key = tpl.probe_key in
+  fill key.kw tpl.wterms row;
+  let body = grounding_body tpl row in
+  key.kvar <- head_var;
+  let group =
+    match GH.find tpl.open_groups key with
+    | g -> g
+    | exception Not_found ->
+      let g =
+        {
+          head_var;
+          head_tuple = Array.copy tpl.head_buf;
+          grule = tpl.rule;
+          wvals = Array.copy key.kw;
+          new_bodies = [];
+        }
+      in
+      tpl.pending := g :: !(tpl.pending);
+      GH.replace tpl.open_groups { kvar = head_var; kw = g.wvals } g;
+      g
+  in
+  group.new_bodies <- body :: group.new_bodies
+
+(* The canonical strings: the weight key ("rule|feature") and the factor
+   group key ("rule#head#weight key"), built once per group. *)
+let weight_key g =
+  let r = g.grule in
   match r.Program.weight with
   | Program.Fixed _ -> r.Program.name ^ "|<fixed>"
-  | Program.Tied terms ->
-    r.Program.name ^ "|"
-    ^ String.concat "," (List.map (fun term -> Value.to_string (term_value env term)) terms)
+  | Program.Tied _ ->
+    r.Program.name ^ "|" ^ String.concat "," (Array.to_list (Array.map Value.to_string g.wvals))
 
 let find_or_create_weight t (r : Program.inference_rule) key =
   match Hashtbl.find_opt t.weight_table key with
@@ -154,113 +342,85 @@ let find_or_create_weight t (r : Program.inference_rule) key =
     Hashtbl.replace t.weight_names w key;
     w
 
-exception Missing_candidate of string * Tuple.t
-
-(* The factor body of one grounding: literals over query-relation atoms;
-   deterministic atoms are already satisfied by the match and drop out. *)
-let grounding_body t env (r : Program.inference_rule) =
-  List.filter_map
-    (fun literal ->
-      let atom = Ast.atom_of_literal literal in
-      if Program.is_query_relation t.prog atom.Ast.pred then begin
-        let tuple = atom_tuple env atom in
-        match var_of t atom.Ast.pred tuple with
-        | Some v -> Some { Graph.var = v; negated = not (Ast.is_positive literal) }
-        | None -> raise (Missing_candidate (atom.Ast.pred, tuple))
-      end
-      else None)
-    r.Program.body
-  |> Array.of_list
-
-(* Weight creation is deferred to {!flush_groups}: creating weights at
-   [add_grounding] time would assign weight ids in env-discovery order,
-   which depends on the store's physical layout (sorted run, delta tail,
-   where the last compaction fell).  The group records what is needed to
-   create the weight at flush, where groups are processed in sorted key
-   order — so var, weight and factor ids are all canonical functions of the
-   grounded content, and graphs are bit-identical whatever the layout. *)
-type pending_group = {
-  head_var : Graph.var;
-  rule : Program.inference_rule;
-  wkey : string;
-  semantics : Semantics.t;
-  mutable new_bodies : Graph.literal array list;
-}
-
-let group_key (r : Program.inference_rule) head_tuple wkey =
-  r.Program.name ^ "#" ^ Tuple.to_string head_tuple ^ "#" ^ wkey
-
-(* Groundings of a non-populating rule that touch a candidate that does
-   not exist are dropped, as in DeepDive; for populating rules a missing
-   candidate is an internal invariant violation. *)
-let rec add_grounding t pending (r : Program.inference_rule) env =
-  match add_grounding_strict t pending r env with
-  | () -> ()
-  | exception Missing_candidate (pred, tuple) ->
-    if r.Program.populate_head then
-      (* The deterministic pass guarantees a candidate row (and thus a
-         variable) for every grounding of a populating rule; a miss means
-         the engine's own bookkeeping is inconsistent. *)
-      raise
-        (Error
-           (`Internal
-             (Printf.sprintf "no variable for %s%s (rule %s)" pred (Tuple.to_string tuple)
-                r.Program.name)))
-
-and add_grounding_strict t pending (r : Program.inference_rule) env =
-  let head_tuple = atom_tuple env r.Program.head in
-  match var_of t r.Program.head.Ast.pred head_tuple with
-  | None -> raise (Missing_candidate (r.Program.head.Ast.pred, head_tuple))
-  | Some head_var ->
-    let wkey = weight_key r env in
-    let key = group_key r head_tuple wkey in
-    let body = grounding_body t env r in
-    let group =
-      match Hashtbl.find_opt pending key with
-      | Some g -> g
-      | None ->
-        let g = { head_var; rule = r; wkey; semantics = r.Program.semantics; new_bodies = [] } in
-        Hashtbl.replace pending key g;
-        g
-    in
-    group.new_bodies <- body :: group.new_bodies
+(* Bodies in the order polymorphic [compare] gives: length first, then
+   literal by literal, [var] before [negated]. *)
+let compare_bodies (a : Graph.literal array) (b : Graph.literal array) =
+  let la = Array.length a and lb = Array.length b in
+  if la <> lb then Int.compare la lb
+  else begin
+    let c = ref 0 and i = ref 0 in
+    while !c = 0 && !i < la do
+      let x = a.(!i) and y = b.(!i) in
+      c := Int.compare x.Graph.var y.Graph.var;
+      if !c = 0 then c := Bool.compare x.Graph.negated y.Graph.negated;
+      incr i
+    done;
+    !c
+  end
 
 (* Flush pending groups into the graph.  Returns (new factor ids, extended
    factors with their prior body counts).  Groups are flushed in sorted key
    order and each group's bodies in sorted literal order, so weight and
    factor ids — and every factor's body layout — depend only on the set of
-   groundings, not on the order the store's layout yielded them in. *)
-let compare_bodies (a : Graph.literal array) (b : Graph.literal array) =
-  compare a b
-
+   groundings, not on the order the store's layout yielded them in.  Groups
+   whose key strings coincide (distinct values that print alike) form one
+   factor, led by the group created first. *)
 let flush_groups t pending =
-  let keys = Hashtbl.fold (fun key _ acc -> key :: acc) pending [] in
-  let keys = List.sort String.compare keys in
+  let buf = Buffer.create 128 in
+  let keyed =
+    List.rev_map
+      (fun g ->
+        let wkey = weight_key g in
+        Buffer.clear buf;
+        Buffer.add_string buf g.grule.Program.name;
+        Buffer.add_string buf "#(";
+        Array.iteri
+          (fun k v ->
+            if k > 0 then Buffer.add_string buf ", ";
+            Buffer.add_string buf (Value.to_string v))
+          g.head_tuple;
+        Buffer.add_string buf ")#";
+        Buffer.add_string buf wkey;
+        (Buffer.contents buf, wkey, g))
+      !pending
+  in
+  (* oldest first, and stable: a key's first group leads it *)
+  let keyed = List.stable_sort (fun (a, _, _) (b, _, _) -> String.compare a b) keyed in
   let new_factors = ref [] and extended = ref [] in
-  List.iter
-    (fun key ->
-      let group = Hashtbl.find pending key in
-      let bodies = Array.of_list (List.rev group.new_bodies) in
-      Array.sort compare_bodies bodies;
-      match Hashtbl.find_opt t.factor_table key with
-      | Some fid ->
-        let old_count = Array.length (Graph.factor t.graph fid).Graph.bodies in
-        Graph.extend_factor t.graph fid bodies;
-        extended := (fid, old_count) :: !extended
-      | None ->
-        let weight_id = find_or_create_weight t group.rule group.wkey in
-        let fid =
-          Graph.add_factor t.graph
-            {
-              Graph.head = Some group.head_var;
-              bodies;
-              weight_id;
-              semantics = group.semantics;
-            }
-        in
-        Hashtbl.replace t.factor_table key fid;
-        new_factors := fid :: !new_factors)
-    keys;
+  let flush key wkey lead bodies =
+    let bodies = Array.of_list bodies in
+    Array.sort compare_bodies bodies;
+    match Hashtbl.find_opt t.factor_table key with
+    | Some fid ->
+      let old_count = Array.length (Graph.factor t.graph fid).Graph.bodies in
+      Graph.extend_factor t.graph fid bodies;
+      extended := (fid, old_count) :: !extended
+    | None ->
+      let weight_id = find_or_create_weight t lead.grule wkey in
+      let fid =
+        Graph.add_factor t.graph
+          {
+            Graph.head = Some lead.head_var;
+            bodies;
+            weight_id;
+            semantics = lead.grule.Program.semantics;
+          }
+      in
+      Hashtbl.replace t.factor_table key fid;
+      new_factors := fid :: !new_factors
+  in
+  let rec go = function
+    | [] -> ()
+    | (key, wkey, lead) :: rest ->
+      let rec same acc = function
+        | (k, _, g) :: tl when String.equal k key -> same (List.rev_append g.new_bodies acc) tl
+        | tl -> (acc, tl)
+      in
+      let bodies, rest = same lead.new_bodies rest in
+      flush key wkey lead bodies;
+      go rest
+  in
+  go keyed;
   (List.rev !new_factors, List.rev !extended)
 
 let inference_rule_ast (r : Program.inference_rule) =
@@ -311,11 +471,10 @@ let ground db prog =
   let lookup = Plan.view_of_lookup (Engine.lookup_in db) in
   List.iter
     (fun r ->
-      let pending = Hashtbl.create 256 in
-      let envs =
-        Plan.run_bindings (Plan.Cache.full t.plans (inference_rule_ast r)) ~lookup
-      in
-      List.iter (fun env -> add_grounding t pending r env) envs;
+      let pending = ref [] in
+      let plan = Plan.Cache.full t.plans (inference_rule_ast r) in
+      let tpl = compile_template t pending plan r in
+      Plan.iter_rows plan ~lookup ~f:(fun row _ -> add_grounding tpl row);
       ignore (flush_groups t pending))
     (Program.inference_rules prog);
   t
@@ -471,7 +630,7 @@ let extend ?(budget = Dd_util.Budget.unlimited) t update =
      view reconstructed from the net membership flips DRed reported — the
      old [Relation.copy] of every inference-rule body predicate is gone. *)
   let needs_rebuild = ref false in
-  let pending = Hashtbl.create 64 in
+  let pending = ref [] in
   let after_views : (string, Plan.view) Hashtbl.t = Hashtbl.create 16 in
   let after_lookup pred =
     match Hashtbl.find_opt after_views pred with
@@ -502,6 +661,8 @@ let extend ?(budget = Dd_util.Budget.unlimited) t update =
   List.iter
     (fun r ->
       let ast = inference_rule_ast r in
+      (* one template per rule: every plan of a rule has the same slots *)
+      let tpl = lazy (compile_template t pending (Plan.Cache.full t.plans ast) r) in
       List.iteri
         (fun pos literal ->
           let pred = (Ast.atom_of_literal literal).Ast.pred in
@@ -512,47 +673,41 @@ let extend ?(budget = Dd_util.Budget.unlimited) t update =
               if Ast.is_positive literal then pred_flips
               else List.map (fun (tup, s) -> (tup, -s)) pred_flips
             in
-            let groundings =
-              Plan.run_bindings_staged
-                (Plan.Cache.delta t.plans ast ~delta_pos:pos)
-                ~before:view_lookup ~after:after_lookup ~delta
-            in
-            List.iter
-              (fun (env, count) ->
-                if count > 0 then add_grounding t pending r env
+            let tpl = Lazy.force tpl in
+            Plan.iter_rows_staged
+              (Plan.Cache.delta t.plans ast ~delta_pos:pos)
+              ~before:view_lookup ~after:after_lookup ~delta
+              ~f:(fun row count ->
+                if count > 0 then add_grounding tpl row
                 else if count < 0 then begin
                   (* A lost grounding is harmless when one of its factor
                      body variables (or head) was clamped false; otherwise
                      the graph would need a rebuild to stay exact. *)
-                  match grounding_body t env r with
+                  match grounding_body tpl row with
                   | exception Missing_candidate _ -> ()
                   | body ->
-                  let head_tuple = atom_tuple env r.Program.head in
-                  let head_clamped =
-                    match var_of t r.Program.head.Ast.pred head_tuple with
-                    | Some hv -> Hashtbl.mem clamped hv
-                    | None -> false
-                  in
-                  let body_clamped =
-                    Array.exists
-                      (fun l -> (not l.Graph.negated) && Hashtbl.mem clamped l.Graph.var)
-                      body
-                  in
-                  if not (head_clamped || body_clamped) then needs_rebuild := true
-                end)
-              groundings)
+                    fill tpl.head_buf tpl.head row;
+                    let head_clamped =
+                      match Tuple.Hashtbl.find_opt tpl.head_vars tpl.head_buf with
+                      | Some hv -> Hashtbl.mem clamped hv
+                      | None -> false
+                    in
+                    let body_clamped =
+                      Array.exists
+                        (fun l -> (not l.Graph.negated) && Hashtbl.mem clamped l.Graph.var)
+                        body
+                    in
+                    if not (head_clamped || body_clamped) then needs_rebuild := true
+                end))
         r.Program.body)
     old_inference;
   (* Full grounding of brand-new inference rules (post-update state). *)
   List.iter
     (function
       | Program.Infer r ->
-        let envs =
-          Plan.run_bindings
-            (Plan.Cache.full t.plans (inference_rule_ast r))
-            ~lookup:view_lookup
-        in
-        List.iter (fun env -> add_grounding t pending r env) envs
+        let plan = Plan.Cache.full t.plans (inference_rule_ast r) in
+        let tpl = compile_template t pending plan r in
+        Plan.iter_rows plan ~lookup:view_lookup ~f:(fun row _ -> add_grounding tpl row)
       | Program.Deterministic _ | Program.Supervise _ -> ())
     update.new_rules;
   phase "staged-factors";

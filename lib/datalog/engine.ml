@@ -91,28 +91,60 @@ let eval_stratum ?plans db (stratum : Stratify.stratum) =
       contributions;
     Hashtbl.length delta > 0
   in
-  (* Round 0 streams each grounding straight into the store: in-stratum
-     predicates resolve to the empty view this round, so no plan can
-     observe the inserts, and skipping the contribution lists (and their
-     count-aggregation tables) saves gigabytes of allocation at KBC
-     scale.  [insert_prev] both accumulates the multiplicity and reports
-     the membership flip the semi-naive delta needs; the flip fires on a
-     tuple's first derivation only, exactly as under aggregation. *)
+  (* Round 0 reads no in-stratum predicate (they resolve to the empty
+     view this round), so no plan can observe what it writes.  A
+     non-recursive stratum is then complete: each head predicate's rows
+     are encoded straight from the plan into a loader and written as one
+     sorted run, with no head tuple, tail entry or compaction per row.  A
+     recursive stratum streams its round 0 into the stores instead:
+     [insert_prev] both accumulates the multiplicity and reports the
+     membership flip the semi-naive delta needs (on a tuple's first
+     derivation only, exactly as under aggregation). *)
   Hashtbl.reset delta;
-  List.iter
-    (fun rule ->
-      let head = Ast.head_pred rule in
-      let fresh = ref [] in
-      Plan.run_iter (Plan.Cache.full plans rule) ~lookup:initial_lookup
-        ~f:(fun tuple count ->
-          if count > 0 then begin
-            let r = ensure_table db head tuple in
-            let existed = Relation.insert_prev ~count r tuple > 0 in
-            if (not existed) && stratum.Stratify.recursive then
-              fresh := (tuple, 1) :: !fresh
-          end);
-      if !fresh <> [] then merge_delta head !fresh)
-    stratum.Stratify.rules;
+  if not stratum.Stratify.recursive then begin
+    let loaders = Hashtbl.create 4 in
+    let loader_for head sample =
+      match Hashtbl.find_opt loaders head with
+      | Some l -> l
+      | None ->
+        let l = Relation.loader (ensure_table db head (Array.copy sample)) in
+        Hashtbl.replace loaders head l;
+        l
+    in
+    List.iter
+      (fun rule ->
+        let head = Ast.head_pred rule in
+        let loader = ref None in
+        Plan.iter_heads (Plan.Cache.full plans rule) ~lookup:initial_lookup
+          ~f:(fun tuple count ->
+            if count > 0 then begin
+              let l =
+                match !loader with
+                | Some l -> l
+                | None ->
+                  let l = loader_for head tuple in
+                  loader := Some l;
+                  l
+              in
+              Relation.load ~count l tuple
+            end))
+      stratum.Stratify.rules;
+    Hashtbl.iter (fun _ l -> Relation.finish_load l) loaders
+  end
+  else
+    List.iter
+      (fun rule ->
+        let head = Ast.head_pred rule in
+        let fresh = ref [] in
+        Plan.iter_heads (Plan.Cache.full plans rule) ~lookup:initial_lookup
+          ~f:(fun tuple count ->
+            if count > 0 then begin
+              let tuple = Array.copy tuple in
+              let r = ensure_table db head tuple in
+              if Relation.insert_prev ~count r tuple = 0 then fresh := (tuple, 1) :: !fresh
+            end);
+        if !fresh <> [] then merge_delta head !fresh)
+      stratum.Stratify.rules;
   let continue_ = Hashtbl.length delta > 0 in
   if continue_ && stratum.Stratify.recursive then begin
     let empty_set : unit Tuple.Hashtbl.t = Tuple.Hashtbl.create 1 in
@@ -184,7 +216,20 @@ let run ?plans db program =
         | None -> ())
       (Ast.idb_preds program);
     compact_all db;
-    List.iter (eval_stratum ?plans db) strata;
+    (* Every stratum leaves one sorted run per predicate: non-recursive
+       strata are bulk-written, recursive ones compacted after their
+       fixpoint, before the next stratum (or the factor pass) probes them. *)
+    List.iter
+      (fun stratum ->
+        eval_stratum ?plans db stratum;
+        if stratum.Stratify.recursive then
+          List.iter
+            (fun pred ->
+              Option.iter
+                (fun r -> Dd_relational.Column_store.compact (Relation.store r))
+                (Database.find_opt db pred))
+            stratum.Stratify.preds)
+      strata;
     Ok ()
 
 let run_exn ?plans db program =

@@ -219,75 +219,81 @@ let compile_delta rule ~delta_pos =
 
 (* --- execution ------------------------------------------------------------ *)
 
-(* The frontier of partial bindings, as growable parallel arrays.  Binding
-   arrays are never mutated after being pushed (each Match step copies
-   before writing fresh slots), so steps that bind nothing may share the
-   parent array across rows. *)
+(* The frontier of partial bindings: one flat row-major [Value.t array] with
+   stride [width] (the plan's slot count) and a count per row.  A row costs
+   no block of its own: its values are owned by the stores' dictionaries,
+   the plan's constants or the delta's tuples.  Slots a row has not bound
+   yet hold [Value.Null]. *)
 type frontier = {
-  mutable bindings : Value.t array array;
+  width : int;
+  mutable vals : Value.t array;
   mutable counts : int array;
   mutable len : int;
 }
 
-let frontier_create () = { bindings = Array.make 16 [||]; counts = Array.make 16 0; len = 0 }
+let frontier_create width =
+  { width; vals = Array.make (16 * width) Value.Null; counts = Array.make 16 0; len = 0 }
 
-let frontier_push f b c =
-  if f.len = Array.length f.bindings then begin
-    let cap = 2 * Array.length f.bindings in
-    let nb = Array.make cap [||] and nc = Array.make cap 0 in
-    Array.blit f.bindings 0 nb 0 f.len;
-    Array.blit f.counts 0 nc 0 f.len;
-    f.bindings <- nb;
-    f.counts <- nc
+(* Append a copy of row [i] of [src] with count [c]; returns the new row's
+   offset in [f.vals], where the caller writes the slots it binds. *)
+let push_row f src i c =
+  let w = f.width in
+  if f.len = Array.length f.counts then begin
+    let cap = 2 * f.len in
+    let vals = Array.make (cap * w) Value.Null and counts = Array.make cap 0 in
+    Array.blit f.vals 0 vals 0 (f.len * w);
+    Array.blit f.counts 0 counts 0 f.len;
+    f.vals <- vals;
+    f.counts <- counts
   end;
-  f.bindings.(f.len) <- b;
+  let off = f.len * w and from = i * w in
+  for s = 0 to w - 1 do
+    f.vals.(off + s) <- src.vals.(from + s)
+  done;
   f.counts.(f.len) <- c;
-  f.len <- f.len + 1
+  f.len <- f.len + 1;
+  off
 
+(* Keep the rows whose offset satisfies [keep], in order. *)
 let filter_frontier f keep =
+  let w = f.width in
   let j = ref 0 in
   for i = 0 to f.len - 1 do
-    if keep f.bindings.(i) then begin
-      f.bindings.(!j) <- f.bindings.(i);
-      f.counts.(!j) <- f.counts.(i);
+    if keep (i * w) then begin
+      if !j <> i then begin
+        Array.blit f.vals (i * w) f.vals (!j * w) w;
+        f.counts.(!j) <- f.counts.(i)
+      end;
       incr j
     end
   done;
   f.len <- !j
 
-let src_value binding = function K c -> c | S s -> binding.(s)
+let src_value vals off = function K c -> c | S s -> vals.(off + s)
 
-let keys_match p binding tuple =
+let keys_match p vals off tuple =
   let m = Array.length p.key_pos in
-  let rec go k =
-    k >= m
-    || (Value.equal tuple.(p.key_pos.(k)) (src_value binding p.key_src.(k)) && go (k + 1))
-  in
-  go 0
+  let k = ref 0 in
+  while !k < m && Value.equal tuple.(p.key_pos.(!k)) (src_value vals off p.key_src.(!k)) do
+    incr k
+  done;
+  !k = m
 
 let dups_match p tuple =
   let m = Array.length p.dup in
-  let rec go k =
-    k >= m
-    ||
-    let i, j = p.dup.(k) in
-    Value.equal tuple.(i) tuple.(j) && go (k + 1)
-  in
-  go 0
+  let k = ref 0 in
+  while
+    !k < m
+    &&
+    let i, j = p.dup.(!k) in
+    Value.equal tuple.(i) tuple.(j)
+  do
+    incr k
+  done;
+  !k = m
 
-(* Failures are detected before any allocation; the parent binding is only
-   copied once a candidate is admitted (and shared outright when the step
-   binds nothing). *)
-let extend p binding tuple =
-  if Array.length p.binds = 0 then binding
-  else begin
-    let fresh = Array.copy binding in
-    Array.iter (fun (i, s) -> fresh.(s) <- tuple.(i)) p.binds;
-    fresh
-  end
-
-let probe_key p binding =
-  Array.init (Array.length p.key_src) (fun k -> src_value binding p.key_src.(k))
+let probe_key p vals off =
+  Array.init (Array.length p.key_src) (fun k -> src_value vals off p.key_src.(k))
 
 let rec length_at_least n l =
   n <= 0 || (match l with [] -> false | _ :: tl -> length_at_least (n - 1) tl)
@@ -300,19 +306,41 @@ type resolved = R_view of view | R_delta of (Tuple.t * int) list
    occurrences of the same value may carry different ids, so decode. *)
 let dups_match_ids p cs ids =
   let m = Array.length p.dup in
-  let rec go k =
-    k >= m
-    ||
-    let i, j = p.dup.(k) in
+  let k = ref 0 in
+  while
+    !k < m
+    &&
+    let i, j = p.dup.(!k) in
     Value.equal (Column_store.dict_value cs i ids.(i)) (Column_store.dict_value cs j ids.(j))
-    && go (k + 1)
-  in
-  go 0
+  do
+    incr k
+  done;
+  !k = m
 
-(* Columnar match: probe the store's sorted runs on encoded keys, decode
-   only the slots this step binds.  [minus] (a Patched view's pending
-   retractions, keyed by decoded tuples) forces a decode per candidate only
-   while non-empty — the common steady state is an empty patch. *)
+(* Admit a tuple-shaped candidate (a Patched view's re-inclusion or a delta
+   entry) for row [i] of [cur]. *)
+let admit_tuple out cur p i tuple tcount ~check_keys =
+  let w = cur.width in
+  if
+    Array.length tuple = p.arity
+    && ((not check_keys) || keys_match p cur.vals (i * w) tuple)
+    && dups_match p tuple
+  then begin
+    let off = push_row out cur i (cur.counts.(i) * tcount) in
+    for b = 0 to Array.length p.binds - 1 do
+      let ti, s = p.binds.(b) in
+      out.vals.(off + s) <- tuple.(ti)
+    done
+  end
+
+(* Columnar match: probe the store's sorted run on encoded keys and decode
+   only the slots this step binds.  The store's index is resolved once per
+   step (on the first row whose key encodes), constant key columns are
+   encoded once, and the per-row loop allocates nothing: one key buffer,
+   one [admit] closure reading the current parent row from [parent].
+   [minus] (a Patched view's pending retractions, keyed by decoded tuples)
+   forces a decode per candidate only while non-empty — the common steady
+   state is an empty patch. *)
 let col_match out cur p cs minus =
   if Column_store.arity cs = p.arity then begin
     let minus =
@@ -320,75 +348,105 @@ let col_match out cur p cs minus =
       | Some m when Tuple.Hashtbl.length m > 0 -> Some m
       | _ -> None
     in
-    let admit_ids b c ids =
+    let parent = ref 0 in
+    let admit ids _ =
       if
         dups_match_ids p cs ids
         && (match minus with
            | None -> true
            | Some m -> not (Tuple.Hashtbl.mem m (Column_store.decode cs ids)))
       then begin
-        let fresh =
-          if Array.length p.binds = 0 then b
-          else begin
-            let fresh = Array.copy b in
-            Array.iter
-              (fun (i, s) -> fresh.(s) <- Column_store.dict_value cs i ids.(i))
-              p.binds;
-            fresh
-          end
-        in
-        frontier_push out fresh c
+        let off = push_row out cur !parent cur.counts.(!parent) in
+        for b = 0 to Array.length p.binds - 1 do
+          let i, s = p.binds.(b) in
+          out.vals.(off + s) <- Column_store.dict_value cs i ids.(i)
+        done
       end
     in
+    let w = cur.width in
     let nkeys = Array.length p.key_pos in
     if nkeys > 0 then begin
       let key_ids = Array.make nkeys 0 in
-      for i = 0 to cur.len - 1 do
-        let b = cur.bindings.(i) and c = cur.counts.(i) in
-        let ok = ref true in
-        for k = 0 to nkeys - 1 do
-          if !ok then
-            match Column_store.encode_value cs p.key_pos.(k) (src_value b p.key_src.(k)) with
-            | Some id -> key_ids.(k) <- id
-            | None -> ok := false
-        done;
-        if !ok then Column_store.iter_key cs p.key_pos key_ids (fun ids _ -> admit_ids b c ids)
-      done
+      let consts_known = ref true in
+      Array.iteri
+        (fun k src ->
+          match src with
+          | K c ->
+            let id = Column_store.find_id cs p.key_pos.(k) c in
+            if id < 0 then consts_known := false else key_ids.(k) <- id
+          | S _ -> ())
+        p.key_src;
+      let probe = ref None in
+      (* Sibling frontier rows share their parent's values physically, so
+         a key value identical to the last one encoded reuses its id. *)
+      let last = Array.make nkeys Value.Null and last_id = Array.make nkeys (-2) in
+      if !consts_known then
+        for i = 0 to cur.len - 1 do
+          let ok = ref true and k = ref 0 in
+          while !ok && !k < nkeys do
+            (match p.key_src.(!k) with
+            | K _ -> ()
+            | S s ->
+              let v = cur.vals.((i * w) + s) in
+              let id =
+                if v == last.(!k) && last_id.(!k) > -2 then last_id.(!k)
+                else begin
+                  let id = Column_store.find_id cs p.key_pos.(!k) v in
+                  last.(!k) <- v;
+                  last_id.(!k) <- id;
+                  id
+                end
+              in
+              if id < 0 then ok := false else key_ids.(!k) <- id);
+            incr k
+          done;
+          if !ok then begin
+            let pr =
+              match !probe with
+              | Some pr -> pr
+              | None ->
+                let pr = Column_store.prepare cs p.key_pos in
+                probe := Some pr;
+                pr
+            in
+            parent := i;
+            Column_store.iter_probe pr key_ids admit
+          end
+        done
     end
-    else if cur.len = 1 then begin
-      let b = cur.bindings.(0) and c = cur.counts.(0) in
-      Column_store.iter_ids cs (fun ids _ -> admit_ids b c ids)
-    end
+    else if cur.len = 1 then Column_store.iter_ids cs admit
     else begin
-      let rows = ref [] in
-      (* the yielded ids buffer is reused across rows: copy to retain *)
-      Column_store.iter_ids cs (fun ids _ -> rows := Array.copy ids :: !rows);
-      let rows = List.rev !rows in
+      (* the yielded ids buffer is reused across rows: copy out the scan *)
+      let arity = p.arity in
+      let rows = ref [||] and n = ref 0 in
+      Column_store.iter_ids cs (fun ids _ ->
+          if (!n + 1) * arity > Array.length !rows then begin
+            let fresh = Array.make (max 64 (2 * Array.length !rows)) 0 in
+            Array.blit !rows 0 fresh 0 (!n * arity);
+            rows := fresh
+          end;
+          Array.blit ids 0 !rows (!n * arity) arity;
+          incr n);
+      let ids = Array.make arity 0 in
       for i = 0 to cur.len - 1 do
-        let b = cur.bindings.(i) and c = cur.counts.(i) in
-        List.iter (fun ids -> admit_ids b c ids) rows
+        parent := i;
+        for r = 0 to !n - 1 do
+          Array.blit !rows (r * arity) ids 0 arity;
+          admit ids 0
+        done
       done
     end
   end
 
-let step_match cur p source =
-  let out = frontier_create () in
-  let admit binding count tuple tcount ~check_keys =
-    if
-      Array.length tuple = p.arity
-      && ((not check_keys) || keys_match p binding tuple)
-      && dups_match p tuple
-    then frontier_push out (extend p binding tuple) (count * tcount)
-  in
-  (match source with
+let step_match cur out p source =
+  match source with
   | R_view (Whole r) -> col_match out cur p (Relation.store r) None
   | R_view (Patched { base; minus; plus }) ->
     col_match out cur p (Relation.store base) (Some minus);
     if Tuple.Hashtbl.length plus > 0 then begin
       let plus_tuples = Tuple.Hashtbl.fold (fun tup () acc -> tup :: acc) plus [] in
       for i = 0 to cur.len - 1 do
-        let b = cur.bindings.(i) and c = cur.counts.(i) in
-        List.iter (fun tup -> admit b c tup 1 ~check_keys:true) plus_tuples
+        List.iter (fun tup -> admit_tuple out cur p i tup 1 ~check_keys:true) plus_tuples
       done
     end
   | R_delta entries ->
@@ -404,55 +462,49 @@ let step_match cur p source =
           end)
         entries;
       for i = 0 to cur.len - 1 do
-        let b = cur.bindings.(i) and c = cur.counts.(i) in
-        match Hashtbl.find_opt idx (probe_key p b) with
+        match Hashtbl.find_opt idx (probe_key p cur.vals (i * cur.width)) with
         | None -> ()
         | Some matched ->
-          List.iter (fun (tup, tc) -> admit b c tup tc ~check_keys:false) matched
+          List.iter (fun (tup, tc) -> admit_tuple out cur p i tup tc ~check_keys:false) matched
       done
     end
     else
       for i = 0 to cur.len - 1 do
-        let b = cur.bindings.(i) and c = cur.counts.(i) in
-        List.iter (fun (tup, tc) -> admit b c tup tc ~check_keys:true) entries
-      done);
-  out
+        List.iter (fun (tup, tc) -> admit_tuple out cur p i tup tc ~check_keys:true) entries
+      done
 
-let reject_tuple args binding =
-  Array.map
-    (fun s ->
-      match s with
-      | K c -> c
-      | S i ->
-        let v = binding.(i) in
-        if Value.equal v Value.Null then
-          invalid_arg "Plan: negation on unbound variable"
-        else v)
-    args
-
-let guard_value binding s =
+let bound_value vals off what s =
   match s with
   | K c -> c
   | S i ->
-    let v = binding.(i) in
-    if Value.equal v Value.Null then invalid_arg "Plan: guard on unbound variable" else v
+    let v = vals.(off + i) in
+    if Value.equal v Value.Null then invalid_arg ("Plan: " ^ what ^ " on unbound variable")
+    else v
 
 let exec t ~resolve ~delta =
-  let cur = ref (frontier_create ()) in
-  frontier_push !cur (Array.make t.nslots Value.Null) 1;
+  let cur = ref (frontier_create t.nslots) and spare = ref (frontier_create t.nslots) in
+  !cur.counts.(0) <- 1;
+  !cur.len <- 1;
   Array.iter
     (fun step ->
       if !cur.len > 0 then
         match step with
         | Match p ->
           let source = if p.pos = t.delta_pos then R_delta delta else R_view (resolve p.pos p.pred) in
-          cur := step_match !cur p source
+          let out = !spare in
+          out.len <- 0;
+          step_match !cur out p source;
+          spare := !cur;
+          cur := out
         | Reject { pos; pred; args } ->
           let v = resolve pos pred in
-          filter_frontier !cur (fun binding -> not (view_mem v (reject_tuple args binding)))
+          let vals = !cur.vals in
+          filter_frontier !cur (fun off ->
+              not (view_mem v (Array.map (bound_value vals off "negation") args)))
         | Test { op; a; b } ->
-          filter_frontier !cur (fun binding ->
-              let va = guard_value binding a and vb = guard_value binding b in
+          let vals = !cur.vals in
+          filter_frontier !cur (fun off ->
+              let va = bound_value vals off "guard" a and vb = bound_value vals off "guard" b in
               match op with
               | Ceq -> Value.equal va vb
               | Cneq -> not (Value.equal va vb)
@@ -461,61 +513,76 @@ let exec t ~resolve ~delta =
     t.steps;
   !cur
 
-let head_tuple t binding =
-  Array.map
-    (fun s ->
-      match s with
-      | K c -> c
-      | S i ->
-        let v = binding.(i) in
-        if Value.equal v Value.Null then
-          invalid_arg "Plan: unbound head variable (unsafe rule?)"
-        else v)
+(* Head values of row [i] into [buf]. *)
+let fill_head t cur i buf =
+  let off = i * cur.width in
+  Array.iteri
+    (fun k s ->
+      buf.(k) <-
+        (match s with
+        | K c -> c
+        | S j ->
+          let v = cur.vals.(off + j) in
+          if Value.equal v Value.Null then
+            invalid_arg "Plan: unbound head variable (unsafe rule?)"
+          else v))
     t.head
 
 let collect_counted t cur =
   let acc = Tuple.Hashtbl.create (max 16 cur.len) in
   for i = 0 to cur.len - 1 do
-    let tup = head_tuple t cur.bindings.(i) in
+    let tup = Array.make (Array.length t.head) Value.Null in
+    fill_head t cur i tup;
     let current = try Tuple.Hashtbl.find acc tup with Not_found -> 0 in
     Tuple.Hashtbl.replace acc tup (current + cur.counts.(i))
   done;
   Tuple.Hashtbl.fold (fun tup c out -> if c = 0 then out else (tup, c) :: out) acc []
 
-let run t ~lookup =
-  if t.delta_pos >= 0 then invalid_arg "Plan.run: delta plan (use run_staged)";
-  collect_counted t (exec t ~resolve:(fun _ pred -> lookup pred) ~delta:[])
-
-let run_iter t ~lookup ~f =
-  if t.delta_pos >= 0 then invalid_arg "Plan.run_iter: delta plan (use run_staged)";
-  let cur = exec t ~resolve:(fun _ pred -> lookup pred) ~delta:[] in
-  for i = 0 to cur.len - 1 do
-    f (head_tuple t cur.bindings.(i)) cur.counts.(i)
-  done
+let full_resolve lookup _ pred = lookup pred
 
 let staged_resolve t ~before ~after pos pred =
   if pos < t.delta_pos then before pred else after pred
 
+let check_full t what =
+  if t.delta_pos >= 0 then invalid_arg ("Plan." ^ what ^ ": delta plan (use run_staged)")
+
+let check_staged t what =
+  if t.delta_pos < 0 then invalid_arg ("Plan." ^ what ^ ": full plan (use run)")
+
+let run t ~lookup =
+  check_full t "run";
+  collect_counted t (exec t ~resolve:(full_resolve lookup) ~delta:[])
+
+let iter_heads t ~lookup ~f =
+  check_full t "iter_heads";
+  let cur = exec t ~resolve:(full_resolve lookup) ~delta:[] in
+  let buf = Array.make (Array.length t.head) Value.Null in
+  for i = 0 to cur.len - 1 do
+    fill_head t cur i buf;
+    f buf cur.counts.(i)
+  done
+
 let run_staged t ~before ~after ~delta =
-  if t.delta_pos < 0 then invalid_arg "Plan.run_staged: full plan (use run)";
+  check_staged t "run_staged";
   collect_counted t (exec t ~resolve:(staged_resolve t ~before ~after) ~delta)
 
-let env_of t binding v =
-  match Hashtbl.find_opt t.slots v with
-  | None -> None
-  | Some s ->
-    let value = binding.(s) in
-    if Value.equal value Value.Null then None else Some value
+let slot t v = Hashtbl.find_opt t.slots v
 
-let run_bindings t ~lookup =
-  if t.delta_pos >= 0 then invalid_arg "Plan.run_bindings: delta plan (use run_bindings_staged)";
-  let cur = exec t ~resolve:(fun _ pred -> lookup pred) ~delta:[] in
-  List.init cur.len (fun i -> env_of t cur.bindings.(i))
+let yield_rows cur f =
+  let w = cur.width in
+  let row = Array.make w Value.Null in
+  for i = 0 to cur.len - 1 do
+    Array.blit cur.vals (i * w) row 0 w;
+    f row cur.counts.(i)
+  done
 
-let run_bindings_staged t ~before ~after ~delta =
-  if t.delta_pos < 0 then invalid_arg "Plan.run_bindings_staged: full plan (use run_bindings)";
-  let cur = exec t ~resolve:(staged_resolve t ~before ~after) ~delta in
-  List.init cur.len (fun i -> (env_of t cur.bindings.(i), cur.counts.(i)))
+let iter_rows t ~lookup ~f =
+  check_full t "iter_rows";
+  yield_rows (exec t ~resolve:(full_resolve lookup) ~delta:[]) f
+
+let iter_rows_staged t ~before ~after ~delta ~f =
+  check_staged t "iter_rows_staged";
+  yield_rows (exec t ~resolve:(staged_resolve t ~before ~after) ~delta) f
 
 (* --- plan cache ----------------------------------------------------------- *)
 

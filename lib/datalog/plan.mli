@@ -4,12 +4,20 @@
     A {!t} is the one-shot compiled form of a rule body: literals are
     reordered once by a bound-variable/selectivity heuristic, every positive
     literal is resolved at compile time to a keyed probe on its bound
-    columns against the relation's column store
-    ({!Dd_relational.Column_store.iter_key}: a binary-searched range of the
-    sorted run plus the delta tail's bucket), variables become integer
-    slots, and the frontier advances over growable arrays.  Negated literals
-    and guards are scheduled at the earliest step where their variables are
-    bound.
+    columns against the relation's column store, variables become integer
+    slots, and negated literals and guards are scheduled at the earliest
+    step where their variables are bound.
+
+    Execution advances a frontier of partial bindings step by step.  The
+    frontier is one flat row-major [Value.t array] with stride = the
+    plan's slot count, plus an [int array] of counts: a row owns no block,
+    its values are the dictionaries' own.  A match step resolves its
+    view's store and index once per execution
+    ({!Dd_relational.Column_store.prepare}), encodes constant keys once,
+    and then probes per frontier row with no allocation: keys encode
+    through an id lookup that answers [-1] for an unknown value, one key
+    buffer and one scratch row are reused, and the row callback is built
+    once per step.
 
     Each body grounding contributes one derivation to its head tuple (body
     atoms contribute membership, not multiplicity); explicit delta tuples
@@ -91,13 +99,13 @@ val run : t -> lookup:lookup -> (Tuple.t * int) list
     count (the number of body groundings deriving it).  Raises
     [Invalid_argument] on a delta plan. *)
 
-val run_iter : t -> lookup:lookup -> f:(Tuple.t -> int -> unit) -> unit
-(** Execute a full plan, streaming [f tuple count] per surviving body
+val iter_heads : t -> lookup:lookup -> f:(Tuple.t -> int -> unit) -> unit
+(** Execute a full plan, streaming [f head count] per surviving body
     grounding {e without} aggregating counts or materializing the result
     list — a head tuple derived [k] ways is yielded [k] times, with the
-    same total count as {!run}.  Callers accumulate (e.g. through
-    [Relation.insert_prev ~count]); at millions of groundings this skips
-    gigabytes of list and aggregation-table allocation.  Raises
+    same total count as {!run}.  [head] is one buffer reused across calls:
+    valid only during the call, copy it to keep it.  Full evaluation
+    encodes it straight into a {!Relation.loader}.  Raises
     [Invalid_argument] on a delta plan. *)
 
 val run_staged :
@@ -109,18 +117,32 @@ val run_staged :
 (** Execute a delta plan: head tuples with signed derivation-count deltas.
     Raises [Invalid_argument] on a full plan. *)
 
-val run_bindings : t -> lookup:lookup -> (string -> Value.t option) list
-(** Full plan, one variable environment per body grounding (grounding uses
-    this to extract feature values and variable columns). *)
+(** {2 Slot rows}
 
-val run_bindings_staged :
+    Every rule variable has an integer slot, the same in the full plan and
+    in every delta plan of one rule.  A consumer that reads more than the
+    head (grounding reads feature values, weight terms and the body's
+    query atoms) resolves the variables it needs to slots once, with
+    {!slot}, then reads each body grounding as a slot row. *)
+
+val slot : t -> string -> int option
+(** The slot of a rule variable; [None] for a name the rule never
+    mentions. *)
+
+val iter_rows : t -> lookup:lookup -> f:(Value.t array -> int -> unit) -> unit
+(** Full plan: [f row count] per body grounding, where [row.(slot)] is the
+    variable's value ([Value.Null] for a variable no body literal binds).
+    [row] is one buffer reused across calls: valid only during the call. *)
+
+val iter_rows_staged :
   t ->
   before:lookup ->
   after:lookup ->
   delta:(Tuple.t * int) list ->
-  ((string -> Value.t option) * int) list
-(** Delta plan, environments with signed counts — incremental grounding
-    uses this to build or retract factor bodies. *)
+  f:(Value.t array -> int -> unit) ->
+  unit
+(** Delta plan: slot rows with signed counts — incremental grounding uses
+    this to build or retract factor bodies. *)
 
 (** Compiled plans cached by rule identity (printed form) and delta
     position, so repeated {!Engine} rounds and {!Dred} batches reuse both

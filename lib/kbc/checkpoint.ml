@@ -153,9 +153,19 @@ let versions store =
     (try Sys.readdir store.dir with Sys_error _ -> [||])
   |> List.sort (fun a b -> compare b a)
 
+(* Set a damaged file aside, never over an earlier quarantined copy: the
+   first takes [<name>.quarantined], later ones [<name>.<k>.quarantined]
+   with the smallest free [k]. *)
 let quarantine_path path =
-  if Sys.file_exists path then
-    try Sys.rename path (path ^ ".quarantined") with Sys_error _ -> ()
+  if Sys.file_exists path then begin
+    let rec free k =
+      let target =
+        if k = 0 then path ^ ".quarantined" else Printf.sprintf "%s.%d.quarantined" path k
+      in
+      if Sys.file_exists target then free (k + 1) else target
+    in
+    try Sys.rename path (free 0) with Sys_error _ -> ()
+  end
 
 let quarantine_version store seq =
   (match store.base with Some b when b.base_seq = seq -> b.sealed <- true | _ -> ());

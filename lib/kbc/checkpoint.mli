@@ -124,7 +124,9 @@ val verify_version : t -> int -> (unit, error) result
 
 val quarantine_version : t -> int -> unit
 (** Rename a version's checkpoint and WAL files to [*.quarantined] so
-    they are preserved for forensics but never loaded or served. *)
+    they are preserved for forensics but never loaded or served.  A name
+    quarantined again never overwrites its earlier copy: later copies are
+    [<name>.<k>.quarantined], [k = 1, 2, ...]. *)
 
 val quarantined_files : t -> string list
 (** Names of quarantined files in the store, sorted. *)

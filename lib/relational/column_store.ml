@@ -34,8 +34,11 @@ module IH = Hashtbl.Make (struct
     let n = Array.length a in
     n = Array.length b
     &&
-    let rec go i = i = n || (a.(i) = b.(i) && go (i + 1)) in
-    go 0
+    let i = ref 0 in
+    while !i < n && a.(!i) = b.(!i) do
+      incr i
+    done;
+    !i = n
 
   let hash = hash_ids
 end)
@@ -212,11 +215,12 @@ let intern d v =
       VH.replace d.dids v id;
       id)
 
-(* Non-interning lookup: the id, or -1 when the value was never seen. *)
+(* Non-interning lookup: the id, or -1 when the value was never seen.
+   Allocation-free: a probe pays no [Some] box per key. *)
 let dict_find_raw d v =
   match v with
   | Value.Int k -> Imap.find d.dints k
-  | _ -> ( match VH.find_opt d.dids v with Some id -> id | None -> -1)
+  | _ -> ( try VH.find d.dids v with Not_found -> -1)
 
 let dict_size t c = t.dicts.(c).dlen
 
@@ -226,9 +230,7 @@ let dict_value t c id =
     invalid_arg (Printf.sprintf "Column_store.dict_value: id %d/%d" id d.dlen);
   d.dvals.(id)
 
-let encode_value t c v =
-  let id = dict_find_raw t.dicts.(c) v in
-  if id >= 0 then Some id else None
+let find_id t c v = dict_find_raw t.dicts.(c) v
 
 let encode_tuple t tup =
   let n = Array.length tup in
@@ -245,50 +247,107 @@ let encode_tuple t tup =
     if !ok then Some ids else None
   end
 
-let encode_key t key_cols vals =
-  let n = Array.length key_cols in
-  let ids = Array.make n 0 in
-  let ok = ref true in
-  let k = ref 0 in
-  while !ok && !k < n do
-    let id = dict_find_raw t.dicts.(key_cols.(!k)) vals.(!k) in
-    if id >= 0 then ids.(!k) <- id else ok := false;
-    incr k
-  done;
-  if !ok then Some ids else None
-
 let decode t ids = Array.mapi (fun c id -> dict_value t c id) ids
 
 (* --- run primitives ----------------------------------------------------- *)
 
-let cmp_ids a b =
+(* The compares below are plain loops over local refs: a local recursive
+   helper would allocate a closure per call, and they sit on every probe,
+   insert and sort. *)
+let cmp_ids (a : int array) (b : int array) =
   let n = Array.length a in
-  let rec go i =
-    if i = n then 0
-    else
-      let c = compare (a.(i) : int) b.(i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  let c = ref 0 and i = ref 0 in
+  while !c = 0 && !i < n do
+    let x = a.(!i) and y = b.(!i) in
+    if x < y then c := -1 else if x > y then c := 1;
+    incr i
+  done;
+  !c
+
+(* Lexicographic compare of row [a] of id columns [cols] against row [b]
+   of [cols'] (the same columns, or another set of the same width). *)
+let cmp_col_rows (cols : int array array) a (cols' : int array array) b =
+  let n = Array.length cols in
+  let c = ref 0 and i = ref 0 in
+  while !c = 0 && !i < n do
+    let x = cols.(!i).(a) and y = cols'.(!i).(b) in
+    if x < y then c := -1 else if x > y then c := 1;
+    incr i
+  done;
+  !c
 
 (* Lexicographic compare of run row [row] against an encoded tuple. *)
-let cmp_row_ids t row ids =
-  let rec go c =
-    if c = t.cs_arity then 0
-    else
-      let x = t.cols.(c).(row) and y = ids.(c) in
-      if x < y then -1 else if x > y then 1 else go (c + 1)
-  in
-  go 0
+let cmp_row_ids t row (ids : int array) =
+  let c = ref 0 and i = ref 0 in
+  while !c = 0 && !i < t.cs_arity do
+    let x = t.cols.(!i).(row) and y = ids.(!i) in
+    if x < y then c := -1 else if x > y then c := 1;
+    incr i
+  done;
+  !c
 
-let cmp_rows t a b =
-  let rec go c =
-    if c = t.cs_arity then 0
-    else
-      let x = t.cols.(c).(a) and y = t.cols.(c).(b) in
-      if x < y then -1 else if x > y then 1 else go (c + 1)
-  in
-  go 0
+let cmp_rows t a b = cmp_col_rows t.cols a t.cols b
+
+(* Stable sort of rows [0, n) of the id columns [cols] (most significant
+   first), as a permutation.  Dictionary ids are dense, so an LSD counting
+   sort over the column domains ([spans.(k)] = column [k]'s dictionary
+   size) needs no comparisons; when the dictionaries vastly outnumber the
+   rows (the counting arrays would dominate) a closure-free merge sort
+   takes over.  Both are stable, so rows with equal ids keep their order. *)
+let sort_perm (cols : int array array) (spans : int array) n =
+  let span = Array.fold_left ( + ) 0 spans in
+  let src = ref (Array.init n (fun k -> k)) in
+  let dst = ref (Array.make n 0) in
+  if span <= 8 * n then
+    for c = Array.length cols - 1 downto 0 do
+      let col = cols.(c) in
+      let dlen = spans.(c) in
+      let counts = Array.make (dlen + 1) 0 in
+      for k = 0 to n - 1 do
+        counts.(col.(k) + 1) <- counts.(col.(k) + 1) + 1
+      done;
+      for d = 1 to dlen do
+        counts.(d) <- counts.(d) + counts.(d - 1)
+      done;
+      let s = !src and d = !dst in
+      for k = 0 to n - 1 do
+        let row = s.(k) in
+        let key = col.(row) in
+        d.(counts.(key)) <- row;
+        counts.(key) <- counts.(key) + 1
+      done;
+      src := d;
+      dst := s
+    done
+  else begin
+    (* bottom-up merge sort: runs of [width] rows, doubled per pass *)
+    let width = ref 1 in
+    while !width < n do
+      let s = !src and d = !dst in
+      let lo = ref 0 in
+      while !lo < n do
+        let mid = min n (!lo + !width) in
+        let hi = min n (mid + !width) in
+        let i = ref !lo and j = ref mid and o = ref !lo in
+        while !o < hi do
+          if !j >= hi || (!i < mid && cmp_col_rows cols s.(!i) cols s.(!j) <= 0) then begin
+            d.(!o) <- s.(!i);
+            incr i
+          end
+          else begin
+            d.(!o) <- s.(!j);
+            incr j
+          end;
+          incr o
+        done;
+        lo := hi
+      done;
+      src := d;
+      dst := s;
+      width := 2 * !width
+    done
+  end;
+  !src
 
 (* Binary search for an encoded tuple among the (unique, sorted) run rows. *)
 let find_run t ids =
@@ -382,63 +441,7 @@ let compact t =
         tnet.(!j) <- e.base + e.delta;
         incr j)
       t.tail;
-    (* Sort a permutation of the tail id-lexicographically.  Dictionary ids
-       are dense, so an LSD radix over the column domains needs no
-       comparisons; fall back to a comparison sort when the dictionaries
-       vastly outnumber the tail (the counting arrays would dominate). *)
-    let dict_span =
-      Array.fold_left (fun acc d -> acc + d.dlen) 0 t.dicts
-    in
-    let perm =
-      if dict_span <= 8 * nt then begin
-        let src = ref (Array.init nt (fun k -> k)) in
-        let dst = ref (Array.make nt 0) in
-        for c = t.cs_arity - 1 downto 0 do
-          let col = tcols.(c) in
-          let dlen = t.dicts.(c).dlen in
-          let counts = Array.make (dlen + 1) 0 in
-          for k = 0 to nt - 1 do
-            counts.(col.(k) + 1) <- counts.(col.(k) + 1) + 1
-          done;
-          for d = 1 to dlen do
-            counts.(d) <- counts.(d) + counts.(d - 1)
-          done;
-          let s = !src and d = !dst in
-          for k = 0 to nt - 1 do
-            let row = s.(k) in
-            let key = col.(row) in
-            d.(counts.(key)) <- row;
-            counts.(key) <- counts.(key) + 1
-          done;
-          src := d;
-          dst := s
-        done;
-        !src
-      end
-      else begin
-        let perm = Array.init nt (fun k -> k) in
-        let cmp a b =
-          let rec go c =
-            if c = t.cs_arity then 0
-            else
-              let x = tcols.(c).(a) and y = tcols.(c).(b) in
-              if x < y then -1 else if x > y then 1 else go (c + 1)
-          in
-          go 0
-        in
-        Array.sort cmp perm;
-        perm
-      end
-    in
-    let cmp_run_tail row k =
-      let rec go c =
-        if c = t.cs_arity then 0
-        else
-          let x = t.cols.(c).(row) and y = tcols.(c).(k) in
-          if x < y then -1 else if x > y then 1 else go (c + 1)
-      in
-      go 0
-    in
+    let perm = sort_perm tcols (Array.map (fun d -> d.dlen) t.dicts) nt in
     (* The filter grows incrementally when it still has headroom for the
        merged run; otherwise it is rebuilt (resized) after the merge. *)
     let incr_filter =
@@ -477,7 +480,7 @@ let compact t =
     let i = ref 0 and j = ref 0 in
     while !i < t.rlen && !j < nt do
       let k = perm.(!j) in
-      let c = cmp_run_tail !i k in
+      let c = cmp_col_rows t.cols !i tcols k in
       if c < 0 then begin
         emit_run !i;
         incr i
@@ -631,6 +634,86 @@ let restore_count t tup target =
     let ids = encode_intern t tup in
     ignore (change t ids ~f:(fun _ -> target))
 
+(* --- bulk load ----------------------------------------------------------- *)
+
+(* A whole batch of tuples written as one sorted run: rows are encoded
+   (interning, in arrival order) into growable id columns, sorted once by
+   [sort_perm], and equal rows merged with their counts summed.  Into an
+   empty store the result becomes the run directly, with no tail entry,
+   hashtable bucket or factor-2 compaction on the way. *)
+type loader = {
+  lstore : t;
+  mutable lcols : int array array; (* [cs_arity] id columns, first [ln] rows live *)
+  mutable lcounts : int array;
+  mutable ln : int;
+}
+
+let loader t =
+  {
+    lstore = t;
+    lcols = Array.init t.cs_arity (fun _ -> Array.make 64 0);
+    lcounts = Array.make 64 0;
+    ln = 0;
+  }
+
+let load l count tup =
+  let t = l.lstore in
+  if l.ln = Array.length l.lcounts then begin
+    let cap = 2 * l.ln in
+    let grow a =
+      let fresh = Array.make cap 0 in
+      Array.blit a 0 fresh 0 l.ln;
+      fresh
+    in
+    l.lcols <- Array.map grow l.lcols;
+    l.lcounts <- grow l.lcounts
+  end;
+  for c = 0 to t.cs_arity - 1 do
+    l.lcols.(c).(l.ln) <- intern t.dicts.(c) tup.(c)
+  done;
+  l.lcounts.(l.ln) <- count;
+  l.ln <- l.ln + 1
+
+let finish_load l =
+  let t = l.lstore and n = l.ln in
+  l.ln <- 0;
+  if n > 0 then begin
+    let lcols = l.lcols in
+    let perm = sort_perm lcols (Array.map (fun d -> d.dlen) t.dicts) n in
+    let unique = ref 1 in
+    for k = 1 to n - 1 do
+      if cmp_col_rows lcols perm.(k - 1) lcols perm.(k) <> 0 then incr unique
+    done;
+    let m = !unique in
+    let cols = Array.init t.cs_arity (fun _ -> Array.make m 0) in
+    let counts = Array.make m 0 in
+    let out = ref (-1) in
+    for k = 0 to n - 1 do
+      let row = perm.(k) in
+      if k = 0 || cmp_col_rows lcols perm.(k - 1) lcols row <> 0 then begin
+        incr out;
+        for c = 0 to t.cs_arity - 1 do
+          cols.(c).(!out) <- lcols.(c).(row)
+        done
+      end;
+      counts.(!out) <- counts.(!out) + l.lcounts.(row)
+    done;
+    if t.cs_arity > 0 && t.rlen = 0 && IH.length t.tail = 0 then begin
+      t.cols <- cols;
+      t.counts <- counts;
+      t.rlen <- m;
+      t.card <- m;
+      t.total <- Array.fold_left ( + ) 0 counts;
+      rebuild_filter t
+    end
+    else begin
+      for k = 0 to m - 1 do
+        ignore (add_ids t (Array.map (fun col -> col.(k)) cols) counts.(k))
+      done;
+      compact t
+    end
+  end
+
 let count t tup =
   match encode_tuple t tup with
   | None -> 0
@@ -648,7 +731,7 @@ let sorted_tail t =
   |> List.filter (fun (_, n) -> n > 0)
   |> List.sort (fun (a, _) (b, _) -> cmp_ids a b)
 
-(* The ids arrays handed to [iter_ids]/[iter_key] callbacks are either a
+(* The ids arrays handed to [iter_ids]/[iter_probe] callbacks are either a
    reused scratch buffer (run rows) or the table's own tail keys: valid only
    for the duration of the call, never to be mutated or retained (see the
    .mli contract). *)
@@ -739,57 +822,30 @@ let copy t =
 
 (* --- keyed probes ------------------------------------------------------- *)
 
-let cmp_row_key t idx row key_ids =
-  let n = Array.length idx.key_cols in
-  let rec go k =
-    if k = n then 0
-    else
-      let x = t.cols.(idx.key_cols.(k)).(row) and y = key_ids.(k) in
-      if x < y then -1 else if x > y then 1 else go (k + 1)
-  in
-  go 0
-
+(* Index layout: [perm] lists the run rows sorted by (key projection, row),
+   built by [sort_perm] over the key columns; [offsets.(k) .. offsets.(k+1))]
+   is the perm range whose first key column carries id [k], from one more
+   counting pass.  A single-column probe is two array loads; a
+   multi-column probe binary-searches the remaining key columns inside its
+   first column's bucket.  Built offsets are never empty: an empty array
+   marks an index restored from a checkpoint whose multi-column indexes
+   had none, and it is rebuilt. *)
 let refresh_perm t idx =
-  if idx.perm_rows <> t.rlen then begin
-    if Array.length idx.key_cols = 1 then begin
-      (* Dictionary ids are dense, so a stable counting sort builds both the
-         permutation and the per-key ranges in O(rows + dict) — row-order
-         scatter preserves the (key, row) tie-break of the comparison sort. *)
-      let col = t.cols.(idx.key_cols.(0)) in
-      let nk = t.dicts.(idx.key_cols.(0)).dlen in
-      let offsets = Array.make (nk + 1) 0 in
-      for row = 0 to t.rlen - 1 do
-        offsets.(col.(row) + 1) <- offsets.(col.(row) + 1) + 1
-      done;
-      for k = 1 to nk do
-        offsets.(k) <- offsets.(k) + offsets.(k - 1)
-      done;
-      let cursor = Array.copy offsets in
-      let perm = Array.make t.rlen 0 in
-      for row = 0 to t.rlen - 1 do
-        let k = col.(row) in
-        perm.(cursor.(k)) <- row;
-        cursor.(k) <- cursor.(k) + 1
-      done;
-      idx.perm <- perm;
-      idx.offsets <- offsets
-    end
-    else begin
-      let perm = Array.init t.rlen (fun i -> i) in
-      let cmp a b =
-        let n = Array.length idx.key_cols in
-        let rec go k =
-          if k = n then compare (a : int) b
-          else
-            let x = t.cols.(idx.key_cols.(k)).(a)
-            and y = t.cols.(idx.key_cols.(k)).(b) in
-            if x < y then -1 else if x > y then 1 else go (k + 1)
-        in
-        go 0
-      in
-      Array.sort cmp perm;
-      idx.perm <- perm
-    end;
+  if idx.perm_rows <> t.rlen || Array.length idx.offsets = 0 then begin
+    let key_cols = Array.map (fun c -> t.cols.(c)) idx.key_cols in
+    let spans = Array.map (fun c -> t.dicts.(c).dlen) idx.key_cols in
+    let perm = sort_perm key_cols spans t.rlen in
+    let first = key_cols.(0) in
+    let nk = spans.(0) in
+    let offsets = Array.make (nk + 1) 0 in
+    for row = 0 to t.rlen - 1 do
+      offsets.(first.(row) + 1) <- offsets.(first.(row) + 1) + 1
+    done;
+    for k = 1 to nk do
+      offsets.(k) <- offsets.(k) + offsets.(k - 1)
+    done;
+    idx.perm <- perm;
+    idx.offsets <- offsets;
     idx.perm_rows <- t.rlen
   end
 
@@ -811,56 +867,78 @@ let get_or_create_index t key_cols =
     IH.replace t.indexes idx.key_cols idx;
     idx
 
-(* Lower/upper bound of [key_ids] in the key-sorted permutation. *)
-let equal_range t idx key_ids =
-  if Array.length idx.key_cols = 1 then begin
-    (* Counting-sorted index: direct range lookup.  A key id interned after
-       the perm was built cannot appear in the (unchanged) run. *)
-    let k = key_ids.(0) in
-    if k + 1 < Array.length idx.offsets then (idx.offsets.(k), idx.offsets.(k + 1))
-    else (0, 0)
-  end
-  else begin
-  let lo = ref 0 and hi = ref t.rlen in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cmp_row_key t idx idx.perm.(mid) key_ids < 0 then lo := mid + 1
-    else hi := mid
-  done;
-  let first = !lo in
-  let lo = ref first and hi = ref t.rlen in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if cmp_row_key t idx idx.perm.(mid) key_ids <= 0 then lo := mid + 1
-    else hi := mid
-  done;
-  (first, !lo)
-  end
+type probe = {
+  pstore : t;
+  pidx : index;
+  prow : int array; (* the one scratch row every yielded run row is copied into *)
+  mutable lo : int; (* perm range of the last located key *)
+  mutable hi : int;
+}
 
-let iter_key t key_cols key_ids f =
+let prepare t key_cols =
+  if Array.length key_cols = 0 then invalid_arg "Column_store.prepare: empty key";
   let idx = get_or_create_index t key_cols in
   refresh_perm t idx;
-  let lo, hi = equal_range t idx key_ids in
+  { pstore = t; pidx = idx; prow = Array.make t.cs_arity 0; lo = 0; hi = 0 }
+
+(* Key columns [from..] of run row [row] against [key_ids.(from..)]. *)
+let cmp_row_key t idx row (key_ids : int array) from =
+  let n = Array.length idx.key_cols in
+  let c = ref 0 and k = ref from in
+  while !c = 0 && !k < n do
+    let x = t.cols.(idx.key_cols.(!k)).(row) and y = key_ids.(!k) in
+    if x < y then c := -1 else if x > y then c := 1;
+    incr k
+  done;
+  !c
+
+(* Set [p.lo, p.hi) to [key_ids]' perm range: the first column's bucket,
+   narrowed by binary search on the remaining columns.  A key id interned
+   after the perm was built cannot appear in the (unchanged) run. *)
+let locate p (key_ids : int array) =
+  let t = p.pstore and idx = p.pidx in
+  let k0 = key_ids.(0) in
+  if k0 + 1 >= Array.length idx.offsets then begin
+    p.lo <- 0;
+    p.hi <- 0
+  end
+  else begin
+    let lo = ref idx.offsets.(k0) and hi = ref idx.offsets.(k0 + 1) in
+    if Array.length idx.key_cols > 1 then begin
+      let top = !hi in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if cmp_row_key t idx idx.perm.(mid) key_ids 1 < 0 then lo := mid + 1 else hi := mid
+      done;
+      let first = !lo in
+      hi := top;
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if cmp_row_key t idx idx.perm.(mid) key_ids 1 <= 0 then lo := mid + 1 else hi := mid
+      done;
+      hi := !lo;
+      lo := first
+    end;
+    p.lo <- !lo;
+    p.hi <- !hi
+  end
+
+let iter_probe p key_ids f =
+  let t = p.pstore and idx = p.pidx and scratch = p.prow in
+  locate p key_ids;
   let tail_n = IH.length t.tail in
-  let scratch = Array.make t.cs_arity 0 in
-  if tail_n = 0 || t.run_overrides = 0 then
-    for k = lo to hi - 1 do
-      let row = idx.perm.(k) in
-      for c = 0 to t.cs_arity - 1 do
-        scratch.(c) <- t.cols.(c).(row)
-      done;
-      f scratch t.counts.(row)
-    done
-  else
-    for k = lo to hi - 1 do
-      let row = idx.perm.(k) in
-      for c = 0 to t.cs_arity - 1 do
-        scratch.(c) <- t.cols.(c).(row)
-      done;
+  let overrides = tail_n > 0 && t.run_overrides > 0 in
+  for k = p.lo to p.hi - 1 do
+    let row = idx.perm.(k) in
+    for c = 0 to t.cs_arity - 1 do
+      scratch.(c) <- t.cols.(c).(row)
+    done;
+    if not overrides then f scratch t.counts.(row)
+    else
       match IH.find_opt t.tail scratch with
       | Some e -> if e.base + e.delta > 0 then f scratch (e.base + e.delta)
       | None -> f scratch t.counts.(row)
-    done;
+  done;
   if tail_n > 0 then
     match IH.find_opt idx.tails key_ids with
     | None -> ()

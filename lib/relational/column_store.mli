@@ -9,14 +9,24 @@
       and ids can be compared for equality without decoding.
     - {b Sorted run}: the compacted bulk of the store, as flat per-column
       [int array] vectors plus a multiplicity vector, with rows unique and
-      sorted id-lexicographically.  Probes over the run binary-search a
-      per-index-key sorted permutation.
+      sorted id-lexicographically.
+    - {b Indexes}, one per probed key-column set: a permutation of the run
+      rows sorted by (key projection, row), built by an LSD counting sort
+      over the dense dictionary ids (a merge sort when the dictionaries
+      far outnumber the rows), plus first-key-column offsets: the rows
+      whose first key column holds id [k] are one perm range found with
+      two array loads, and a multi-column probe binary-searches the other
+      key columns inside it.
     - {b Delta tail}: a small mutable hashtable absorbing {!insert} /
       {!remove} / {!restore_count} between compactions.  Each entry records
       the tuple's run multiplicity ([base]) and the pending signed change
       ([delta]); the live multiplicity is [base + delta].  When the tail
       outgrows a fraction of the run it is merged into a fresh run
       ({!compact}), amortizing mutations to O(log run) each.
+
+    A whole batch of tuples can instead be written as one sorted run
+    ({!loader}): full datalog evaluation writes each stratum's output this
+    way, so the next stratum and the factor pass probe a tail-free run.
 
     Multiplicities, journal notification and iteration contracts mirror
     {!Relation}; this module is the store behind it. *)
@@ -89,12 +99,9 @@ val encode_tuple : t -> Tuple.t -> int array option
 (** Ids for an existing tuple's values; [None] if any value was never
     interned (the tuple cannot be live) or the arity mismatches. *)
 
-val encode_value : t -> int -> Value.t -> int option
-(** Id of a value in column [col]'s dictionary, if interned. *)
-
-val encode_key : t -> int array -> Value.t array -> int array option
-(** [encode_key t key_cols vals] encodes [vals.(k)] in column
-    [key_cols.(k)]'s dictionary; [None] if any value is unknown. *)
+val find_id : t -> int -> Value.t -> int
+(** [find_id t col v] is [v]'s id in column [col]'s dictionary, or [-1]
+    when [v] was never interned.  Allocates nothing. *)
 
 val dict_value : t -> int -> int -> Value.t
 (** [dict_value t col id] decodes an id. Raises [Invalid_argument] on an
@@ -110,13 +117,39 @@ val iter_ids : t -> (int array -> int -> unit) -> unit
     is valid only for the duration of the callback and must not be mutated
     or retained — [Array.copy] it to keep it. *)
 
-val iter_key : t -> int array -> int array -> (int array -> int -> unit) -> unit
-(** [iter_key t key_cols key_ids f] yields every live encoded row whose
-    projection on [key_cols] equals [key_ids]: a binary-searched range of
-    the per-key sorted permutation over the run, then the key's delta-tail
-    bucket.  Registers (and lazily refreshes) the index for [key_cols] on
-    first use.  The store must not be mutated during iteration, and the
-    ids arrays obey the same no-retention rule as {!iter_ids}. *)
+type probe
+(** A keyed probe resolved once: the store, the index for one key-column
+    set (built or refreshed on {!prepare}) and one scratch row. *)
+
+val prepare : t -> int array -> probe
+(** [prepare t key_cols] registers the index for the non-empty [key_cols]
+    (adopting current tail entries) and brings its permutation up to date
+    with the run.  The probe stays valid until the store is mutated. *)
+
+val iter_probe : probe -> int array -> (int array -> int -> unit) -> unit
+(** [iter_probe p key_ids f] yields every live encoded row whose
+    projection on the probe's key columns equals [key_ids]: the key's perm
+    range over the run, then its delta-tail bucket.  Allocates nothing on
+    a tail-free store.  The ids arrays obey the no-retention rule of
+    {!iter_ids}. *)
+
+(** {2 Bulk load} *)
+
+type loader
+(** Tuples collected for one sorted run. *)
+
+val loader : t -> loader
+
+val load : loader -> int -> Tuple.t -> unit
+(** [load l count tup] interns [tup]'s values (in call order, as {!insert}
+    would) and queues [count] derivations of it.  [tup] may be a reused
+    buffer; it is not retained. *)
+
+val finish_load : loader -> unit
+(** Sort the queued rows once, merge equal rows' counts, and add them to
+    the store: into an empty store they become the sorted run with no
+    tail; otherwise they go through the tail and one {!compact}.  Never
+    notifies.  The loader is empty afterwards. *)
 
 (** {2 Audit} *)
 

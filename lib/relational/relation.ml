@@ -32,16 +32,36 @@ let notify_of t tup =
   | None -> None
   | Some f -> Some (fun prev -> f tup prev)
 
-let insert_prev ?(count = 1) t tup =
+let check_insert t count tup =
   if count <= 0 then invalid_arg "Relation.insert: count must be positive";
   if not (Schema.conforms t.schema tup) then
     invalid_arg
       (Printf.sprintf "Relation.insert: tuple %s does not conform to %s%s"
          (Tuple.to_string tup) t.name
-         (Format.asprintf "%a" Schema.pp t.schema));
+         (Format.asprintf "%a" Schema.pp t.schema))
+
+let insert_prev ?(count = 1) t tup =
+  check_insert t count tup;
   Column_store.insert_prev ~count ?notify:(notify_of t tup) t.store tup
 
 let insert ?count t tup = ignore (insert_prev ?count t tup)
+
+type loader = {
+  lrel : t;
+  lstore : Column_store.loader;
+}
+
+let loader t = { lrel = t; lstore = Column_store.loader t.store }
+
+(* A journaled relation logs every tuple it gains, so it takes the
+   per-tuple path (with a copy: the journal retains the tuple). *)
+let load ?(count = 1) l tup =
+  check_insert l.lrel count tup;
+  match l.lrel.journal with
+  | Some _ -> insert ~count l.lrel (Array.copy tup)
+  | None -> Column_store.load l.lstore count tup
+
+let finish_load l = Column_store.finish_load l.lstore
 
 let remove ?(count = 1) t tup =
   if count <= 0 then invalid_arg "Relation.remove: count must be positive";

@@ -42,6 +42,20 @@ val insert_prev : ?count:int -> t -> Tuple.t -> int
 (** Like {!insert} but returns the tuple's previous multiplicity — one
     store lookup where a [mem]-then-[insert] pair would pay two. *)
 
+type loader
+(** Tuples collected for one bulk insert ({!Column_store.loader}). *)
+
+val loader : t -> loader
+
+val load : ?count:int -> loader -> Tuple.t -> unit
+(** Queue [count] (default 1) derivations of a tuple, checked as by
+    {!insert}.  The tuple may be a reused buffer.  On a journaled relation
+    the tuple is inserted (and logged) at once instead. *)
+
+val finish_load : loader -> unit
+(** Add every queued tuple as by {!insert}, written as one sorted run
+    (into an empty relation) instead of through the delta tail. *)
+
 val remove : ?count:int -> t -> Tuple.t -> int
 (** Subtract up to [count] derivations; returns how many were actually
     removed. The tuple disappears when its multiplicity reaches zero. *)

@@ -722,6 +722,75 @@ let test_engine_marginals_by_relation () =
       Alcotest.(check bool) "prob range" true (p >= 0.0 && p <= 1.0))
     by_rel
 
+(* --- graph bit-identity pins ----------------------------------------------- *)
+
+(* MD5 digests of the marshalled graph after full grounding and after the six
+   Fig. 9 rule updates, on the five Systems presets (base program) and on
+   three small News corpora (the full program, as a Rerun grounds it, and the
+   base program plus the six updates).  Grounding is a canonical function of
+   the facts and rules, so any change to the store, the join plans or
+   factor construction must leave every digest unchanged. *)
+module Systems = Dd_kbc.Systems
+module Corpus = Dd_kbc.Corpus
+module Pipeline = Dd_kbc.Pipeline
+
+let graph_digest g = Digest.to_hex (Digest.string (Marshal.to_string g [ Marshal.No_sharing ]))
+
+let pinned_graph_digests () =
+  let corpus_db config =
+    let db = Database.create () in
+    Corpus.load (Corpus.generate config) db;
+    db
+  in
+  let ground_and_update label config =
+    let g = Grounding.ground (corpus_db config) (Pipeline.base_program ()) in
+    let base = graph_digest (Grounding.graph g) in
+    List.iter (fun id -> ignore (Grounding.extend g (Pipeline.update_of id))) Pipeline.all_rule_ids;
+    [ (label ^ " ground", base); (label ^ " +6 rules", graph_digest (Grounding.graph g)) ]
+  in
+  let presets =
+    List.concat_map (fun config -> ground_and_update config.Corpus.name config) Systems.all
+  in
+  let news =
+    List.concat_map
+      (fun seed ->
+        let config =
+          { Systems.news with Corpus.docs = 60; entities = 24; truth_pairs_per_relation = 10; seed }
+        in
+        let label = Printf.sprintf "news-%d" seed in
+        let full = Grounding.ground (corpus_db config) (Pipeline.full_program ()) in
+        ((label ^ " full", graph_digest (Grounding.graph full)) :: ground_and_update label config))
+      [ 500; 501; 502 ]
+  in
+  presets @ news
+
+let expected_graph_digests =
+  [
+    ("Adversarial ground", "6ed5edfad8691f427f7cfbd4e744d941");
+    ("Adversarial +6 rules", "ffb9dd8db5a0d45e2e5baf04af4bb9c6");
+    ("News ground", "aadc8200029d59cba4f58814a382b156");
+    ("News +6 rules", "3de1214d8629d41bd91337a368df5e2d");
+    ("Genomics ground", "27e85e7dc50ac6c5dcc93b7d0518e134");
+    ("Genomics +6 rules", "38aaf49e6e6852491a10c8322efa8e7c");
+    ("Pharma ground", "3213c08a469f3fe66ab5bf605c4dc789");
+    ("Pharma +6 rules", "feb24a058bd5886ba5597ab403c60a48");
+    ("Paleontology ground", "c0e8b7e58ecf2b6a4f626d0fee3fe3ee");
+    ("Paleontology +6 rules", "a245207aaf0091f0d248edb1105f547d");
+    ("news-500 full", "4760ec52e1e9afcd9616f6254dab3b0e");
+    ("news-500 ground", "ad8808cb9dca252b4427a5c4f6fdc63f");
+    ("news-500 +6 rules", "4760ec52e1e9afcd9616f6254dab3b0e");
+    ("news-501 full", "ca53ca504b6cd2b0522c7711a5aac895");
+    ("news-501 ground", "8ce1fc65c123d8f9b91fc44db55ea8a2");
+    ("news-501 +6 rules", "ca53ca504b6cd2b0522c7711a5aac895");
+    ("news-502 full", "c949acd54fd34d8025900da70a55e86e");
+    ("news-502 ground", "d0f52f5e89f3fb74e64b73131cc41d48");
+    ("news-502 +6 rules", "c949acd54fd34d8025900da70a55e86e");
+  ]
+
+let test_graph_digest_pins () =
+  let actual = pinned_graph_digests () in
+  Alcotest.(check (list (pair string string))) "graph digests" expected_graph_digests actual
+
 let () =
   Alcotest.run "dd_core"
     [
@@ -742,6 +811,7 @@ let () =
           Alcotest.test_case "evidence majority" `Quick test_ground_evidence_majority;
           Alcotest.test_case "body query literals" `Quick test_ground_body_query_literals;
           Alcotest.test_case "grounding counts" `Quick test_ground_counts_in_factor_bodies;
+          Alcotest.test_case "graph digest pins" `Quick test_graph_digest_pins;
         ] );
       ( "incremental",
         [

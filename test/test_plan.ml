@@ -105,6 +105,24 @@ let materialize_env rule env =
 
 let sorted_envs rule envs = List.sort compare (List.map (materialize_env rule) envs)
 
+(* Slot rows read back as the environments the reference matcher yields:
+   each rule variable's value, [None] while unbound. *)
+let env_of_row plan row var =
+  match Plan.slot plan var with
+  | Some s when not (Value.equal row.(s) Value.Null) -> Some row.(s)
+  | _ -> None
+
+let plan_envs plan ~lookup =
+  let out = ref [] in
+  Plan.iter_rows plan ~lookup ~f:(fun row _ -> out := env_of_row plan (Array.copy row) :: !out);
+  List.rev !out
+
+let plan_envs_staged plan ~before ~after ~delta =
+  let out = ref [] in
+  Plan.iter_rows_staged plan ~before ~after ~delta ~f:(fun row n ->
+      out := (env_of_row plan (Array.copy row), n) :: !out);
+  List.rev !out
+
 let sorted_counted_envs rule envs =
   List.sort compare (List.map (fun (env, n) -> (materialize_env rule env, n)) envs)
 
@@ -293,7 +311,7 @@ let check_full_equivalence (rule, contents, layout) =
   let planned = Plan.run (Plan.compile rule) ~lookup:(Plan.view_of_lookup lookup) in
   let envs_legacy = Matcher.eval_rule_bindings ~lookup rule in
   let envs_planned =
-    Plan.run_bindings (Plan.compile rule) ~lookup:(Plan.view_of_lookup lookup)
+    plan_envs (Plan.compile rule) ~lookup:(Plan.view_of_lookup lookup)
   in
   sorted_counted legacy = sorted_counted planned
   && sorted_envs rule envs_legacy = sorted_envs rule envs_planned
@@ -342,7 +360,7 @@ let check_staged_equivalence
   in
   let envs_legacy = Matcher.eval_rule_bindings_staged ~before ~after ~delta_pos ~delta rule in
   let envs_planned =
-    Plan.run_bindings_staged plan ~before:(Plan.view_of_lookup before)
+    plan_envs_staged plan ~before:(Plan.view_of_lookup before)
       ~after:(Plan.view_of_lookup after) ~delta
   in
   sorted_counted legacy = sorted_counted planned
@@ -441,7 +459,7 @@ let check_ops_equivalence ops =
 let plan_outputs rule db =
   let view = Plan.view_of_lookup (Engine.lookup_in db) in
   ( sorted_counted (Plan.run (Plan.compile rule) ~lookup:view),
-    sorted_envs rule (Plan.run_bindings (Plan.compile rule) ~lookup:view) )
+    sorted_envs rule (plan_envs (Plan.compile rule) ~lookup:view) )
 
 let check_layout_full_equivalence (rule, contents, layout) =
   plan_outputs rule (make_db (List.rev contents)) = plan_outputs rule (make_db ~layout contents)
@@ -453,7 +471,7 @@ let check_layout_staged_equivalence
     and after = Plan.view_of_lookup (Engine.lookup_in after_db) in
     let plan = Plan.compile_delta rule ~delta_pos in
     ( sorted_counted (Plan.run_staged plan ~before ~after ~delta),
-      sorted_counted_envs rule (Plan.run_bindings_staged plan ~before ~after ~delta) )
+      sorted_counted_envs rule (plan_envs_staged plan ~before ~after ~delta) )
   in
   run ~before_db:(make_db (List.rev before_contents)) ~after_db:(make_db (List.rev after_contents))
   = run

@@ -288,8 +288,9 @@ let test_damaged_base_ends_chain () =
     let engine, _ = recover_exn store in
     (store, engine)
   in
+  let once = [ "ckpt-1.ddckpt.quarantined"; "wal-1.log.quarantined" ] in
   List.iter
-    (fun (label, rewrite) ->
+    (fun (label, rewrite, quarantined) ->
       with_store "chain_end" (fun dir ->
           let engine = make_engine () in
           let store = Checkpoint.open_store dir in
@@ -312,10 +313,20 @@ let test_damaged_base_ends_chain () =
           Alcotest.(check bool) (label ^ ": the state after A1") true
             (Engine.marginals_by_relation recovered = after_a1);
           Alcotest.(check (list string)) (label ^ ": the base and its WAL quarantined")
-            [ "ckpt-1.ddckpt.quarantined"; "wal-1.log.quarantined" ]
-            (Checkpoint.quarantined_files store)))
-    [ ("written once", fun _ store engine -> (store, engine)); ("rewritten after scrub", scrubbed);
-      ("rewritten by recovery", restarted) ]
+            quarantined (Checkpoint.quarantined_files store)))
+    [
+      ("written once", (fun _ store engine -> (store, engine)), once);
+      (* scrub's copies of ckpt-1 and wal-1 survive recovery's *)
+      ( "rewritten after scrub",
+        scrubbed,
+        [
+          "ckpt-1.ddckpt.1.quarantined";
+          "ckpt-1.ddckpt.quarantined";
+          "wal-1.log.1.quarantined";
+          "wal-1.log.quarantined";
+        ] );
+      ("rewritten by recovery", restarted, once);
+    ]
 
 (* --- the record codec ------------------------------------------------------- *)
 

@@ -168,12 +168,14 @@ let test_relation_build_index () =
    multiplicity, sorted. *)
 let probe r key_cols key =
   let cs = Relation.store r in
-  match Column_store.encode_key cs key_cols key with
-  | None -> []
-  | Some ids ->
+  let ids = Array.mapi (fun k col -> Column_store.find_id cs col key.(k)) key_cols in
+  if Array.exists (fun id -> id < 0) ids then []
+  else begin
     let out = ref [] in
-    Column_store.iter_key cs key_cols ids (fun row n -> out := (Column_store.decode cs row, n) :: !out);
+    Column_store.iter_probe (Column_store.prepare cs key_cols) ids (fun row n ->
+        out := (Column_store.decode cs row, n) :: !out);
     List.sort compare !out
+  end
 
 let counted = Alcotest.(list (pair (testable Tuple.pp Tuple.equal) int))
 
@@ -497,6 +499,139 @@ let columnar_qcheck_tests =
         && Marshal.to_string back [] = bytes);
   ]
 
+(* Keyed probes on 1-, 2- and 3-column keys in any column order: over a
+   store in each physical layout (delta tail, sorted run, half and half,
+   run rows overridden by the tail), through inserts, removes, bulk
+   loads, compactions and clears, every probe yields exactly the live
+   rows a filter over [iter] selects, with their counts, and the store
+   holds a reference bag's contents.  Wide value domains leave
+   dictionaries far larger than the run, so index permutations are built
+   by both the counting sort and the merge-sort fallback, and every
+   probe after a mutation or compaction exercises index refresh. *)
+let index_qcheck_tests =
+  let module Tup = Tuple in
+  let open QCheck in
+  let module CS = Dd_relational.Column_store in
+  let schema = Schema.make [ ("a", Value.TInt); ("b", Value.TInt); ("c", Value.TInt) ] in
+  let gen =
+    let open Gen in
+    let* wide = bool in
+    let tuple = array_repeat 3 (map i (if wide then 0 -- 40 else 0 -- 3)) in
+    let* contents =
+      frequency [ (1, return []); (3, list_size (1 -- 30) (pair tuple (1 -- 2))) ]
+    in
+    let* layout = 0 -- 3 in
+    let key_cols =
+      let* n = 1 -- 3 in
+      map (fun cols -> Array.of_list (List.filteri (fun k _ -> k < n) cols)) (shuffle_l [ 0; 1; 2 ])
+    in
+    let op =
+      frequency
+        [
+          (4, map (fun (t, c) -> `Insert (t, c)) (pair tuple (1 -- 2)));
+          (3, map (fun (t, c) -> `Remove (t, c)) (pair tuple (1 -- 2)));
+          (2, map (fun l -> `Load l) (list_size (0 -- 6) (pair tuple (1 -- 2))));
+          (1, return `Compact);
+          (1, return `Clear);
+          (5, map (fun (cols, t) -> `Probe (cols, t)) (pair key_cols tuple));
+        ]
+    in
+    let* ops = list_size (1 -- 40) op in
+    return (contents, layout, ops)
+  in
+  let print (contents, layout, ops) =
+    let tup t = Tup.to_string t in
+    Printf.sprintf "layout %d, %d initial tuples (%s); ops: %s" layout (List.length contents)
+      (String.concat " " (List.map (fun (t, c) -> Printf.sprintf "%s*%d" (tup t) c) contents))
+      (String.concat "; "
+         (List.map
+            (function
+              | `Insert (t, c) -> Printf.sprintf "ins %s*%d" (tup t) c
+              | `Remove (t, c) -> Printf.sprintf "rem %s*%d" (tup t) c
+              | `Load l -> Printf.sprintf "load %d" (List.length l)
+              | `Compact -> "compact"
+              | `Clear -> "clear"
+              | `Probe (cols, t) ->
+                Printf.sprintf "probe [%s] %s"
+                  (String.concat "," (Array.to_list (Array.map string_of_int cols)))
+                  (tup t))
+            ops))
+  in
+  let check (contents, layout, ops) =
+    let r = Relation.create schema in
+    let cs = Relation.store r in
+    (* the reference bag the store must hold *)
+    let model = Tup.Hashtbl.create 16 in
+    let count t = Option.value (Tup.Hashtbl.find_opt model t) ~default:0 in
+    let set t n = if n > 0 then Tup.Hashtbl.replace model t n else Tup.Hashtbl.remove model t in
+    let insert (t, c) =
+      set t (count t + c);
+      CS.insert ~count:c cs t
+    in
+    let remove (t, c) =
+      set t (count t - min c (count t));
+      ignore (CS.remove ~count:c cs t)
+    in
+    (match layout with
+    | 0 -> List.iter insert contents
+    | 1 ->
+      List.iter insert contents;
+      CS.compact cs
+    | 2 ->
+      let half = List.length contents / 2 in
+      List.iteri (fun k e -> if k < half then insert e) contents;
+      CS.compact cs;
+      List.iteri (fun k e -> if k >= half then insert e) contents
+    | _ ->
+      (* every row once too often, then compacted, then the extras removed:
+         each run row is overridden by a tail entry *)
+      List.iter (fun (t, c) -> insert (t, c + 1)) contents;
+      CS.compact cs;
+      List.iter (fun (t, _) -> remove (t, 1)) contents);
+    List.for_all
+      (function
+        | `Insert e ->
+          insert e;
+          true
+        | `Remove e ->
+          remove e;
+          true
+        | `Load l ->
+          let loader = CS.loader cs in
+          List.iter
+            (fun (t, c) ->
+              set t (count t + c);
+              CS.load loader c t)
+            l;
+          CS.finish_load loader;
+          CS.audit cs = Ok ()
+        | `Compact ->
+          CS.compact cs;
+          true
+        | `Clear ->
+          (* dictionaries survive: later probes index an empty run *)
+          Tup.Hashtbl.reset model;
+          CS.clear cs;
+          true
+        | `Probe (cols, t) ->
+          let key = Array.map (fun c -> t.(c)) cols in
+          let expected =
+            CS.fold
+              (fun tup n acc ->
+                if Array.for_all2 (fun c v -> Value.equal tup.(c) v) cols key then (tup, n) :: acc
+                else acc)
+              cs []
+          in
+          CS.cardinality cs = Tup.Hashtbl.length model
+          && CS.fold (fun tup n ok -> ok && count tup = n) cs true
+          && List.sort compare expected = probe r cols key)
+      ops
+  in
+  [
+    Test.make ~name:"keyed probes equal a filtered scan (all layouts)" ~count:500
+      (make ~print gen) check;
+  ]
+
 let () =
   Alcotest.run "dd_relational"
     [
@@ -569,4 +704,5 @@ let () =
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
       ( "columnar-durability",
         List.map QCheck_alcotest.to_alcotest columnar_qcheck_tests );
+      ("columnar-index", List.map QCheck_alcotest.to_alcotest index_qcheck_tests);
     ]
