@@ -8,9 +8,9 @@
    background scrub pass adds on a cadence.
 
    Repair path: plant real damage — a flipped bit in a published
-   checkpoint version, a wrecked derived plane and a wrecked content
-   plane in live tables' column stores — and show the ladder healing or
-   containing every one of it end to end. *)
+   checkpoint version and a wrecked derived plane in a live table's
+   column store — and show the ladder healing every one of it end to
+   end. *)
 
 open Harness
 module Corpus = Dd_kbc.Corpus
@@ -70,7 +70,7 @@ let time_saves ~fsync ~rounds dir corpus =
   clear_dir dir;
   let first = corpus.Corpus.config.Corpus.docs - rounds in
   let engine = make_engine ~docs:first corpus in
-  let store = Checkpoint.open_store ~keep_versions:2 ~fsync dir in
+  let store = Checkpoint.open_store ~fsync dir in
   let per_save total = total /. float_of_int rounds *. 1e3 in
   let base_s = ref 0.0 and append_s = ref 0.0 in
   for _ = 1 to rounds do
@@ -151,7 +151,7 @@ let scrub ~full =
   (* --- clean path: a scrub pass and its cadence cost ----------------------- *)
   let store_dir = Filename.concat dir "store" in
   clear_dir store_dir;
-  let store = Checkpoint.open_store ~keep_versions:2 store_dir in
+  let store = Checkpoint.open_store store_dir in
   Checkpoint.save store engine;
   let timer = Timer.start () in
   let clean_report = Scrub.run ~engine store in
@@ -166,7 +166,7 @@ let scrub ~full =
   let drive ~with_scrub dir =
     clear_dir dir;
     let engine = make_engine corpus in
-    let store = Checkpoint.open_store ~keep_versions:2 dir in
+    let store = Checkpoint.open_store dir in
     Checkpoint.save store engine;
     let cadence = Scrub.cadence 2 in
     let timer = Timer.start () in
@@ -187,40 +187,26 @@ let scrub ~full =
   (* --- repair path: plant damage, climb the ladder ------------------------- *)
   let ckpt = Filename.concat store_dir (Option.get (Checkpoint.latest store)) in
   flip_byte_in_file ckpt (-40);
+  (* Derived-plane damage on one non-empty table, healed in place. *)
   let db = Grounding.database (Engine.grounding engine) in
-  let tables =
-    List.filter
-      (fun n -> Relation.cardinality (Database.find db n) > 0)
-      (Database.table_names db)
-  in
-  let mirror_name = List.hd tables in
-  let mirror = Relation.copy (Database.find db mirror_name) in
-  (* Content-plane damage on one table (needs the reference mirror),
-     derived-plane damage on another (healed in place). *)
-  let cs0 = Relation.store (Database.find db mirror_name) in
-  Column_store.compact cs0;
-  Column_store.unsafe_corrupt_run cs0;
-  (match tables with
-  | _ :: second :: _ ->
-    Column_store.unsafe_corrupt_filter (Relation.store (Database.find db second))
-  | _ -> ());
+  (match
+     List.find_opt
+       (fun n -> Relation.cardinality (Database.find db n) > 0)
+       (Database.table_names db)
+   with
+  | Some name -> Column_store.unsafe_corrupt_filter (Relation.store (Database.find db name))
+  | None -> ());
   let timer = Timer.start () in
-  let r =
-    Scrub.run ~engine
-      ~reference:(fun n -> if n = mirror_name then Some mirror else None)
-      store
-  in
+  let r = Scrub.run ~engine store in
   let repair_ms = Timer.elapsed_s timer *. 1e3 in
   note
     "Damaged store scrub (%.1fms): %d version(s) quarantined, %d table(s)\n\
-     repaired in place, %d rebuilt from the reference copy, %d unrepaired;\n\
-     republished: %b."
-    repair_ms r.Scrub.versions_quarantined r.Scrub.tables_repaired r.Scrub.tables_rebuilt
+     repaired in place, %d unrepaired; republished: %b."
+    repair_ms r.Scrub.versions_quarantined r.Scrub.tables_repaired
     (List.length r.Scrub.unrepaired)
     r.Scrub.republished;
   metric "repair_versions_quarantined" (float_of_int r.Scrub.versions_quarantined);
   metric "repair_tables_repaired" (float_of_int r.Scrub.tables_repaired);
-  metric "repair_tables_rebuilt" (float_of_int r.Scrub.tables_rebuilt);
   metric "repair_unrepaired" (float_of_int (List.length r.Scrub.unrepaired));
   metric "repair_healthy" (if Scrub.healthy r then 1.0 else 0.0);
   (* And the store must still recover bit-for-bit after the repair. *)

@@ -1,8 +1,9 @@
 (* Serving: what the snapshot-swap read path costs and buys.
 
    Read throughput: reader domains hammer [Server.lookup] over a fixed key
-   set against a quiescent server — the pure cost of the pinned read path
-   (two atomic RMWs around two hash probes) at 1/2/4/8 domains.
+   set against a quiescent server — the pure cost of the read path (one
+   atomic load and one counter increment around two hash probes) at
+   1/2/4/8 domains.
 
    Swap latency: the six-snapshot KBC sequence driven through the
    supervisor with the server attached; every commit rebuilds and swaps a
@@ -149,7 +150,6 @@ let serving ~full =
   metric "swap_count" (float_of_int h.Server.swaps);
   metric "swap_mean_ms" h.Server.mean_swap_ms;
   metric "swap_max_ms" h.Server.max_swap_ms;
-  metric "retired_snapshots" (float_of_int h.Server.retired);
 
   note "\nRead staleness vs update cadence (health sampled every 0.2ms):";
   let table = Table.create [ "cadence"; "samples"; "mean staleness (ms)"; "max staleness (ms)" ] in

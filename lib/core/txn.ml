@@ -16,9 +16,9 @@
    incremental is unprofitable (Section 3.3); the ladder extends that
    idea from a performance choice to a correctness mechanism.
 
-   Backoff delays are drawn from a dedicated [Prng] stream seeded by
-   [options.backoff_seed], and [options.sleep] defaults to a no-op, so
-   the whole ladder is deterministic and wall-clock-free under test. *)
+   Backoff delays are drawn from a dedicated [Prng] stream with a fixed
+   seed and recorded, never slept, so the whole ladder is deterministic
+   and wall-clock-free. *)
 
 module Graph = Dd_fgraph.Graph
 module Database = Dd_relational.Database
@@ -32,24 +32,20 @@ let error_message = Grounding.error_message
 
 type options = {
   max_retries : int;
-  backoff_base_s : float;
-  backoff_seed : int;
-  rollback_retries : int;
   allow_rematerialize : bool;
   allow_rerun : bool;
-  sleep : float -> unit;
 }
 
-let default_options =
-  {
-    max_retries = 2;
-    backoff_base_s = 0.05;
-    backoff_seed = 97;
-    rollback_retries = 2;
-    allow_rematerialize = true;
-    allow_rerun = true;
-    sleep = (fun _ -> ());
-  }
+let default_options = { max_retries = 2; allow_rematerialize = true; allow_rerun = true }
+
+(* Delay before retry [k] is [backoff_base_s * 2^(k-1) * (0.5 + u)], [u]
+   from the backoff stream. *)
+let backoff_base_s = 0.05
+
+let backoff_seed = 97
+
+(* Extra attempts when the rollback itself is hit by an injected fault. *)
+let rollback_retries = 2
 
 type rung =
   | Direct
@@ -95,7 +91,7 @@ let create ?(options = default_options) engine =
   {
     engine;
     topts = options;
-    backoff_rng = Prng.create options.backoff_seed;
+    backoff_rng = Prng.create backoff_seed;
     seq = 0;
     dead = [];
     observers = [];
@@ -166,7 +162,7 @@ let rollback_guarded t x =
     match Engine.txn_rollback t.engine x with
     | () -> ()
     | exception e when Fault.is_injected e ->
-      if k < t.topts.rollback_retries then attempt (k + 1)
+      if k < rollback_retries then attempt (k + 1)
       else Fault.with_suppressed (fun () -> Engine.txn_rollback t.engine x)
   in
   attempt 0
@@ -212,13 +208,12 @@ let apply t update =
     match err with
     | `Transient _ when k <= t.topts.max_retries ->
       let delay =
-        t.topts.backoff_base_s
+        backoff_base_s
         *. (2.0 ** float_of_int (k - 1))
         *. (0.5 +. Prng.float_unit t.backoff_rng)
       in
       backoffs := delay :: !backoffs;
       emit t (Degraded (Retry k));
-      t.topts.sleep delay;
       (match attempt () with Ok r -> Ok (Retry k, r) | Error e -> retry (k + 1) e)
     | _ -> Error err
   in

@@ -14,9 +14,9 @@
       error, attempt count and a replayable serialized delta.
 
     A poison update therefore costs one rejected batch, never a wedged
-    pipeline.  Backoff delays come from a dedicated PRNG stream and the
-    sleep hook defaults to a no-op, so tests are deterministic and
-    wall-clock-free. *)
+    pipeline.  Backoff delays come from a dedicated, fixed-seed PRNG stream
+    and are recorded in the outcome, never slept, so the ladder is
+    deterministic and wall-clock-free. *)
 
 type error = Grounding.error
 
@@ -24,15 +24,8 @@ val error_message : error -> string
 
 type options = {
   max_retries : int;  (** retry rung width; transients only *)
-  backoff_base_s : float;  (** delay before retry [k] is
-      [base * 2^(k-1) * (0.5 + u)] with [u] from the backoff stream *)
-  backoff_seed : int;
-  rollback_retries : int;
-      (** extra attempts when the rollback itself is hit by an injected
-          fault, before a final attempt with injection suppressed *)
   allow_rematerialize : bool;
   allow_rerun : bool;
-  sleep : float -> unit;  (** called with each backoff delay; default no-op *)
 }
 
 val default_options : options

@@ -439,17 +439,19 @@ let sweep_slice rng st slice =
     resample_var rng st (Array.unsafe_get slice i)
   done
 
+(* Variables resampled between two budget polls. *)
+let poll_every = 128
+
 (* Identical PRNG consumption to [sweep_slice]; only the budget is polled
-   between chunks, so a slice much larger than [every] cannot outlive its
-   deadline by more than one chunk.  Safe from worker domains: [Budget.t]
-   is domain-safe to poll. *)
-let sweep_slice_budgeted ?(every = 128) ~budget ~site rng st slice =
+   between chunks, so a slice much larger than [poll_every] cannot
+   outlive its deadline by more than one chunk.  Safe from worker
+   domains: [Budget.t] is domain-safe to poll. *)
+let sweep_slice_budgeted ~budget ~site rng st slice =
   let n = Array.length slice in
-  let every = max 1 every in
   let i = ref 0 in
   while !i < n do
     Budget.check budget site;
-    let stop = min n (!i + every) in
+    let stop = min n (!i + poll_every) in
     for j = !i to stop - 1 do
       resample_var rng st (Array.unsafe_get slice j)
     done;
@@ -539,12 +541,11 @@ let sweep_span_async rng st vars ~lo ~hi =
     async_resample_var rng st (Array.unsafe_get vars i)
   done
 
-let sweep_span_async_budgeted ?(every = 128) ~budget ~site rng st vars ~lo ~hi =
-  let every = max 1 every in
+let sweep_span_async_budgeted ~budget ~site rng st vars ~lo ~hi =
   let i = ref lo in
   while !i < hi do
     Budget.check budget site;
-    let stop = min hi (!i + every) in
+    let stop = min hi (!i + poll_every) in
     sweep_span_async rng st vars ~lo:!i ~hi:stop;
     i := stop
   done
@@ -608,8 +609,9 @@ let sample_worlds ?(burn_in = 10) ?(spacing = 1) rng k ~n =
       done;
       snapshot st)
 
-let sweeps_to_converge ?(tolerance = 0.01) ?(max_sweeps = 100_000) ?(check_every = 10) rng k
-    ~target_var ~target_prob =
+let sweeps_to_converge ?(tolerance = 0.01) ?(max_sweeps = 100_000) rng k ~target_var
+    ~target_prob =
+  let check_every = 10 in
   let st = make_state rng k in
   let trues = ref 0 in
   let rec go i =

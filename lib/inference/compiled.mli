@@ -161,17 +161,16 @@ val sweep_slice : Dd_util.Prng.t -> state -> Graph.var array -> unit
     and assignment cells. *)
 
 val sweep_slice_budgeted :
-  ?every:int ->
   budget:Dd_util.Budget.t ->
   site:string ->
   Dd_util.Prng.t ->
   state ->
   Graph.var array ->
   unit
-(** {!sweep_slice} with a cooperative budget poll every [every] (default
-    128) variables, so one oversized color slice cannot stretch a step
-    deadline: exhaustion raises {!Dd_util.Budget.Exceeded} from the
-    polling worker.  Draws from the PRNG exactly as {!sweep_slice} does
+(** {!sweep_slice} with a cooperative budget poll every 128 variables,
+    so one oversized color slice cannot stretch a step deadline:
+    exhaustion raises {!Dd_util.Budget.Exceeded} from the polling
+    worker.  Draws from the PRNG exactly as {!sweep_slice} does
     for the variables it completes. *)
 
 (** {1 Asynchronous (lock-free) sampling}
@@ -211,7 +210,6 @@ val sweep_span_async : Dd_util.Prng.t -> state -> Graph.var array -> lo:int -> h
     variable array ({!query_vars} or {!coupled_vars}). *)
 
 val sweep_span_async_budgeted :
-  ?every:int ->
   budget:Dd_util.Budget.t ->
   site:string ->
   Dd_util.Prng.t ->
@@ -220,11 +218,10 @@ val sweep_span_async_budgeted :
   lo:int ->
   hi:int ->
   unit
-(** {!sweep_span_async} with a cooperative budget poll every [every]
-    (default 128) variables; exhaustion raises
-    {!Dd_util.Budget.Exceeded} from the polling worker.  The assignment
-    is never torn by an abort: every completed resample left a whole
-    byte. *)
+(** {!sweep_span_async} with a cooperative budget poll every 128
+    variables; exhaustion raises {!Dd_util.Budget.Exceeded} from the
+    polling worker.  The assignment is never torn by an abort: every
+    completed resample left a whole byte. *)
 
 val accumulate_span_true : state -> Graph.var array -> lo:int -> hi:int -> int array -> unit
 (** [accumulate_span_true st vars ~lo ~hi totals] increments
@@ -267,7 +264,6 @@ val sample_worlds :
 val sweeps_to_converge :
   ?tolerance:float ->
   ?max_sweeps:int ->
-  ?check_every:int ->
   Dd_util.Prng.t ->
   t ->
   target_var:Graph.var ->

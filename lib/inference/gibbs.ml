@@ -65,8 +65,9 @@ let sample_worlds ?(burn_in = 10) ?(spacing = 1) rng g ~n =
       end);
   out
 
-let sweeps_to_converge ?(tolerance = 0.01) ?(max_sweeps = 100_000) ?(check_every = 10) rng g
-    ~target_var ~target_prob =
+let sweeps_to_converge ?(tolerance = 0.01) ?(max_sweeps = 100_000) rng g ~target_var
+    ~target_prob =
+  let check_every = 10 in
   let trues = ref 0 and total = ref 0 in
   let converged_at = ref None in
   let assignment = init_assignment rng g in

@@ -46,13 +46,13 @@ val sample_worlds :
 val sweeps_to_converge :
   ?tolerance:float ->
   ?max_sweeps:int ->
-  ?check_every:int ->
   Dd_util.Prng.t ->
   Graph.t ->
   target_var:Graph.var ->
   target_prob:float ->
   int option
 (** Number of sweeps until the running-mean estimate of [target_var]'s
-    marginal stays within [tolerance] (default 0.01) of [target_prob];
-    [None] if [max_sweeps] (default 100_000) is exhausted.  Used by the
+    marginal, checked every 10 sweeps, is within [tolerance] (default
+    0.01) of [target_prob]; [None] if [max_sweeps] (default 100_000) is
+    exhausted.  Used by the
     convergence experiments of Figure 13. *)

@@ -120,8 +120,9 @@ type lr_method =
   | Sgd
   | Gd
 
-let train_lr ~method_ ?warm ?(epochs = 50) ?(learning_rate = 0.1) ?(l2 = 0.0001)
-    ?(on_epoch = fun _ _ -> ()) rng data =
+let train_lr ~method_ ?warm ?(epochs = 50) ?(learning_rate = 0.1) ?(on_epoch = fun _ _ -> ())
+    rng data =
+  let l2 = 0.0001 in
   let weights =
     match warm with
     | Some w ->

@@ -68,10 +68,9 @@ val train_lr :
   ?warm:float array ->
   ?epochs:int ->
   ?learning_rate:float ->
-  ?l2:float ->
   ?on_epoch:(int -> float array -> unit) ->
   Dd_util.Prng.t ->
   lr_data ->
   float array
-(** Returns learned weights.  [warm] seeds the model (warmstart); omitted
-    means zero initialization. *)
+(** Returns learned weights, under an L2 penalty of 0.0001.  [warm] seeds
+    the model (warmstart); omitted means zero initialization. *)

@@ -52,8 +52,8 @@ let greedy_refine g assignment =
   done;
   !flips
 
-let search ?(sweeps = 500) ?schedule ?init rng g =
-  let schedule = match schedule with Some s -> s | None -> default_schedule ~sweeps in
+let search ?(sweeps = 500) ?init rng g =
+  let schedule = default_schedule ~sweeps in
   let assignment =
     match init with Some a -> Array.copy a | None -> Gibbs.init_assignment rng g
   in

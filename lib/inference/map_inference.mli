@@ -21,14 +21,13 @@ val default_schedule : sweeps:int -> int -> float
 
 val search :
   ?sweeps:int ->
-  ?schedule:(int -> float) ->
   ?init:bool array ->
   Dd_util.Prng.t ->
   Graph.t ->
   result
 (** [search rng g] anneals for [sweeps] (default 500) sweeps; evidence
-    variables stay clamped.  [schedule i] gives the temperature of sweep
-    [i] (default {!default_schedule}). *)
+    variables stay clamped.  Sweep [i] runs at temperature
+    [default_schedule ~sweeps i]. *)
 
 val greedy_refine : Graph.t -> bool array -> int
 (** Deterministic hill-climbing: flip any variable that strictly increases

@@ -155,7 +155,8 @@ let extend_sample rng change stored_sample ~sweeps =
   done;
   a
 
-let infer ?(new_var_sweeps = 2) rng change ~stored ~chain_length =
+let infer rng change ~stored ~chain_length =
+  let new_var_sweeps = 2 in
   let g = change.graph in
   let nstored = Array.length stored in
   if nstored = 0 then invalid_arg "Metropolis.infer: no stored samples";

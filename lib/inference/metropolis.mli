@@ -47,7 +47,6 @@ type result = {
 }
 
 val infer :
-  ?new_var_sweeps:int ->
   Dd_util.Prng.t ->
   change ->
   stored:bool array array ->
@@ -55,8 +54,7 @@ val infer :
   result
 (** Run the independent MH chain for [chain_length] steps, proposing stored
     samples in order (cycling).  Variables in [new_vars] are filled in by
-    [new_var_sweeps] (default 2) restricted Gibbs sweeps conditioned on the
-    proposal.  Marginals are chain averages. *)
+    two restricted Gibbs sweeps conditioned on the proposal.  Marginals are chain averages. *)
 
 val acceptance_probe :
   Dd_util.Prng.t -> change -> stored:bool array array -> probes:int -> float

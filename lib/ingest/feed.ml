@@ -284,7 +284,7 @@ type run_summary = {
   run_quarantined : int;
 }
 
-let run ?on_batch t source batcher =
+let run t source batcher =
   let latencies = ref [] in
   let busy = ref 0.0 in
   let batches = ref 0 and docs = ref 0 and quarantined = ref 0 in
@@ -305,8 +305,7 @@ let run ?on_batch t source batcher =
     List.iter
       (fun (doc : Source.doc) ->
         latencies := (!now_v -. doc.Source.arrival_s) :: !latencies)
-      batch.Batcher.docs;
-    match on_batch with Some f -> f report | None -> ()
+      batch.Batcher.docs
   in
   let rec pump () =
     match Source.next source with

@@ -94,7 +94,7 @@ type run_summary = {
   run_quarantined : int;
 }
 
-val run : ?on_batch:(batch_report -> unit) -> t -> Source.t -> Batcher.t -> run_summary
+val run : t -> Source.t -> Batcher.t -> run_summary
 (** Drain a source through a batcher into the feed.  Document arrivals
     follow the stream's own timestamps on a virtual clock; each batch's
     service time is measured on the wall clock and folded back into the

@@ -2,22 +2,21 @@
 
    The durable layout inside a store directory is:
 
-     MANIFEST            names the latest published checkpoint + its WAL
      ckpt-<n>.ddckpt     a base: engine state after the engine's n-th commit
      wal-<n>.log         commits n+1, n+2, ... (one entry each)
      *.quarantined       damaged files set aside by recovery/scrub
 
    Every number is the engine's commit count ([Engine.commits]).  Every
-   file but MANIFEST is a sequence of [Dd_util.Record] frames (tag,
-   length, CRC-32): a checkpoint holds its sequence number, the factor
-   graph in the auditable ddgraph v2 text format and the marshalled
-   engine state; a WAL its checkpoint's sequence number and whether that
-   base continues the chain, then one frame per update.  Every publish
-   is atomic and durable (temp file + data fsync + rename + directory
-   fsync, all via [Dd_util.Fault_file]) and ordered so that a crash at
-   any instant leaves the previous checkpoint consistent: first the
-   fresh (empty) WAL, then the checkpoint file, then the MANIFEST
-   switch.
+   file is a sequence of [Dd_util.Record] frames (tag, length, CRC-32): a
+   checkpoint holds its sequence number, the factor graph in the
+   auditable ddgraph v2 text format and the marshalled engine state; a
+   WAL its checkpoint's sequence number and whether that base continues
+   the chain, then one frame per update.  A base publishes in two atomic,
+   durable steps (temp file + data fsync + rename + directory fsync, all
+   via [Dd_util.Fault_file]): first the fresh (empty) WAL, then the
+   checkpoint file.  The checkpoint's rename is the commit point:
+   recovery loads the newest checkpoint on disk, so a crash before it
+   leaves the previous checkpoint authoritative.
 
    The store retains the newest [keep_versions] checkpoint/WAL pairs.
    Because wal-<m> holds exactly the updates between checkpoint m and the
@@ -81,7 +80,6 @@ type base = {
 
 type t = {
   dir : string;
-  keep : int;  (* checkpoint versions retained by gc *)
   fsync : bool;  (* fsync data + directories on every publish *)
   mutable seq : int;  (* the engine commit count the durable state holds *)
   mutable chained : bool;  (* that state is the replay of the chain before it *)
@@ -89,32 +87,29 @@ type t = {
   mutable last_save : save option;
 }
 
-let manifest_path store = Filename.concat store.dir "MANIFEST"
-
 let ckpt_name seq = Printf.sprintf "ckpt-%d.ddckpt" seq
 
 let wal_name seq = Printf.sprintf "wal-%d.log" seq
 
 let point_pre_rename = "checkpoint.save.pre_rename"
 
-let point_pre_manifest = "checkpoint.save.pre_manifest"
-
 let point_mid_append = "checkpoint.save.mid_append"
 
-let fault_points = [ point_pre_rename; point_pre_manifest; point_mid_append ]
+let fault_points = [ point_pre_rename; point_mid_append ]
 
 let ckpt_path store seq = Filename.concat store.dir (ckpt_name seq)
 
 let wal_path store seq = Filename.concat store.dir (wal_name seq)
 
-let open_store ?(keep_versions = 2) ?(fsync = true) dir =
-  if keep_versions < 1 then invalid_arg "Checkpoint.open_store: keep_versions < 1";
+(* Checkpoint versions retained by gc. *)
+let keep_versions = 2
+
+let open_store ?(fsync = true) dir =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   if not (Sys.is_directory dir) then
     invalid_arg ("Checkpoint.open_store: not a directory: " ^ dir);
   {
     dir;
-    keep = keep_versions;
     fsync;
     seq = 0;
     chained = false;
@@ -207,19 +202,13 @@ let checkpoint_content engine ~seq =
       ("state", state_snapshot engine);
     ]
 
-let publish_manifest store ~ckpt ~wal =
-  let content =
-    Printf.sprintf "ddmanifest 1\ncheckpoint %s\nwal %s\nend\n" ckpt wal
-  in
-  Fault_file.write_atomic ~fsync:store.fsync (manifest_path store) content
-
-(* Retire everything outside the newest [store.keep] versions.  Quarantined
+(* Retire everything outside the newest [keep_versions] versions.  Quarantined
    files are never collected (they are the scrub/forensics record), stray
    .tmp files from crashed publishes are. *)
 let gc_stale_files store =
   let kept = ref 0 in
   let keep_seqs =
-    List.filter (fun _ -> incr kept; !kept <= store.keep) (versions store)
+    List.filter (fun _ -> incr kept; !kept <= keep_versions) (versions store)
   in
   Array.iter
     (fun name ->
@@ -264,22 +253,21 @@ let write_base store engine =
   let content = checkpoint_content engine ~seq in
   match
     (* 1. Fresh empty WAL for the updates that will follow this checkpoint.
-       Not yet referenced by the manifest, so a crash here is invisible. *)
+       Recovery reads a WAL only after its checkpoint or as the next link
+       of a chain, where an empty one ends the replay, so a crash here is
+       invisible. *)
     Fault_file.write_atomic ~fsync:store.fsync (wal_path store seq)
       (Record.frame wal_tag (wal_header seq ~continues));
     (* 2. The checkpoint file itself: data fsync before the rename,
        directory fsync after, so a crash cannot leave a renamed-but-empty
-       file. *)
+       file.  The rename makes the new checkpoint authoritative. *)
     let tmp = ckpt_path store seq ^ ".tmp" in
     Fault_file.write_file ~fsync:store.fsync tmp content;
     Fault.hit point_pre_rename;
-    Fault_file.rename_durable ~fsync:store.fsync tmp (ckpt_path store seq);
-    (* 3. Only the manifest switch makes the new checkpoint authoritative. *)
-    Fault.hit point_pre_manifest;
-    publish_manifest store ~ckpt:(ckpt_name seq) ~wal:(wal_name seq)
+    Fault_file.rename_durable ~fsync:store.fsync tmp (ckpt_path store seq)
   with
   | () ->
-    (* 4. Open the new WAL for appends and retire any versions past the
+    (* 3. Open the new WAL for appends and retire any versions past the
        retention window. *)
     let wal_file = wal_path store seq in
     let wal = open_out_gen [ Open_wronly; Open_append ] 0o644 wal_file in
@@ -526,13 +514,14 @@ let read_wal store seq =
 let recover store =
   abandon store;
   match
-    let manifest_exists = Sys.file_exists (manifest_path store) in
     let vs = versions store in
+    (* With no version on disk, a quarantined checkpoint shows that every
+       version was set aside; otherwise no base ever reached its rename. *)
     if vs = [] then
       raise
         (Bad
-           (if manifest_exists then
-              Corrupt "manifest present but no checkpoint versions on disk"
+           (if List.exists (String.starts_with ~prefix:"ckpt-") (quarantined_files store) then
+              Corrupt "every checkpoint version is quarantined"
             else No_checkpoint));
     (* Newest version that passes every checksum and validation wins;
        a damaged checkpoint on the way down is quarantined, not deleted.
@@ -579,11 +568,4 @@ let recover store =
   | exception Bad error -> Error error
   | exception Sys_error m -> Error (Corrupt m)
 
-let latest store =
-  match String.split_on_char '\n' (Fault_file.read_file (manifest_path store)) with
-  | "ddmanifest 1" :: ckpt :: wal :: "end" :: _ -> (
-    match (String.split_on_char ' ' ckpt, String.split_on_char ' ' wal) with
-    | [ "checkpoint"; name ], [ "wal"; _ ] -> Some name
-    | _ -> None)
-  | _ -> None
-  | exception Sys_error _ -> None
+let latest store = Option.map ckpt_name (List.nth_opt (versions store) 0)

@@ -10,9 +10,9 @@
       in auditable ddgraph v2 text, plus a marshalled snapshot covering
       learned weights, the materialization, the database and the
       applied-rule list, each in a length- and CRC-checked
-      {!Dd_util.Record} frame) atomically via temp-file + rename; a
-      [MANIFEST] names the latest valid base.
-    - {!recover} loads the manifest checkpoint, verifies every checksum,
+      {!Dd_util.Record} frame) atomically via temp-file + rename, which
+      is the base's commit point.
+    - {!recover} loads the newest checkpoint, verifies every checksum,
       runs {!Dd_fgraph.Graph.validate} plus a relational schema check,
       replays the WAL through the ordinary update path (deterministic —
       the snapshot includes the PRNG state), and re-publishes.
@@ -28,7 +28,7 @@
 module Engine = Dd_core.Engine
 
 type error =
-  | No_checkpoint  (** the store has no published manifest *)
+  | No_checkpoint  (** no base of the store ever reached its rename *)
   | Corrupt of string  (** bad magic, failed checksum, torn structure *)
   | Invalid_state of string
       (** checksums fine, semantic validation (graph/schema) failed *)
@@ -38,12 +38,12 @@ val error_to_string : error -> string
 type t
 (** A checkpoint store rooted at one directory. *)
 
-val open_store : ?keep_versions:int -> ?fsync:bool -> string -> t
+val open_store : ?fsync:bool -> string -> t
 (** Create (or reattach to) a store directory.  Does not read anything:
     call {!recover} to load published state, or {!save} to publish.
-    [keep_versions] (default 2, must be ≥ 1) is how many checkpoint/WAL
-    version pairs {!save} retains — older versions are what {!recover}
-    falls back to when the newest is damaged.  [fsync] (default [true])
+    {!save} retains the newest two checkpoint/WAL version pairs — the
+    older one is what {!recover} falls back to when the newest is
+    damaged.  [fsync] (default [true])
     controls whether publishes fsync data and directories; turn it off
     only to measure what durability costs. *)
 
@@ -71,10 +71,11 @@ val save : t -> Engine.t -> unit
     A base absorbs the engine's log.  Its WAL header records whether it
     continues the chain: it ends it when the engine needed a base (first
     bullet), keeps the flag of the durable state when written again at
-    its sequence, and continues it otherwise.  Its ordering (fresh
-    WAL, then fsynced checkpoint rename, then manifest switch — all via
-    {!Dd_util.Fault_file}) guarantees that a crash at any instant leaves
-    the previously published checkpoint authoritative. *)
+    its sequence, and continues it otherwise.  It takes two atomic writes
+    and four fsyncs, both via {!Dd_util.Fault_file}: the fresh WAL, then
+    the checkpoint's rename, which is the commit point.  A crash at any
+    instant before that rename leaves the previously published
+    checkpoint authoritative. *)
 
 type save = Base | Append of int  (** entries appended, possibly 0 *)
 
@@ -82,10 +83,9 @@ val last_save : t -> save option
 (** What the store's most recent successful {!save} did. *)
 
 val fault_points : string list
-(** This module's crash points: ["checkpoint.save.pre_rename"] and
-    ["checkpoint.save.pre_manifest"] inside a base's publish, and
-    ["checkpoint.save.mid_append"], which writes half an append and
-    dies. *)
+(** This module's crash points: ["checkpoint.save.pre_rename"] inside a
+    base's publish, and ["checkpoint.save.mid_append"], which writes half
+    an append and dies. *)
 
 val max_wal_entries : int
 (** The WAL entry cap above (32). *)
@@ -109,9 +109,10 @@ val recover : t -> (Engine.t * int, error) result
     base), and return the rebuilt engine with its commit count.  A save
     appends at most {!max_wal_entries} entries to a base's WAL, which
     bounds the replay.  Torn WAL tail entries are discarded.  On success
-    a fresh base is published.  [Error No_checkpoint] means the store
-    holds no version at all; [Error (Corrupt _)] that versions exist but
-    none was loadable.  A version whose sequence is not its engine's
+    a fresh base is published.  [Error No_checkpoint] means no base ever
+    reached its rename (an empty or WAL-only store); [Error (Corrupt _)]
+    that versions existed but none was loadable, including a store whose
+    every version is quarantined.  A version whose sequence is not its engine's
     commit count fails validation ([Invalid_state]). *)
 
 val versions : t -> int list
@@ -173,7 +174,8 @@ val validate : Engine.t -> (unit, string) result
     {!Dd_relational.Database.validate} on the restored tuples. *)
 
 val latest : t -> string option
-(** Name of the manifest's current checkpoint file, if any. *)
+(** Name of the newest checkpoint file on disk ([ckpt-<n>.ddckpt]), the
+    base {!recover} loads when it is intact; [None] when there is none. *)
 
 val abandon : t -> unit
 (** Close the store's WAL channel without any further writes, so the next

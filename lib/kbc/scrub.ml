@@ -14,8 +14,7 @@
                           caller can provide it, else quarantine
      DEADLETTERS          quarantine (letters are forensic, not served)
      columnar table       [Column_store.repair] (derived planes recomputed
-                          in place) → [Column_store.rebuild] from a
-                          reference copy → report for regrounding
+                          in place) → report for regrounding
      serving snapshot     verify only; the server rebuilds snapshots from
                           the engine on the next commit, so a bad snapshot
                           is re-published, never repaired in place
@@ -39,7 +38,6 @@ type report = {
   dead_letters_quarantined : bool;
   tables_ok : int;
   tables_repaired : int;  (* healed in place by [Column_store.repair] *)
-  tables_rebuilt : int;  (* reloaded from the reference copy *)
   unrepaired : string list;  (* table names needing scratch regrounding *)
   snapshot_ok : bool option;  (* [None] when no verifier was supplied *)
   republished : bool;  (* a fresh checkpoint was saved to restore redundancy *)
@@ -55,7 +53,6 @@ let clean =
     dead_letters_quarantined = false;
     tables_ok = 0;
     tables_repaired = 0;
-    tables_rebuilt = 0;
     unrepaired = [];
     snapshot_ok = None;
     republished = false;
@@ -63,14 +60,14 @@ let clean =
 
 let damage_found r =
   r.versions_quarantined + r.blobs_rewritten + r.blobs_quarantined
-  + r.tables_repaired + r.tables_rebuilt
+  + r.tables_repaired
   + List.length r.unrepaired
   + (if r.dead_letters_quarantined then 1 else 0)
   + (match r.snapshot_ok with Some false -> 1 | _ -> 0)
 
 let healthy r = r.unrepaired = [] && r.snapshot_ok <> Some false
 
-let run ?engine ?reference ?reblob ?verify_snapshot store =
+let run ?engine ?reblob ?verify_snapshot store =
   let r = ref clean in
   (* 1. Checkpoint versions: full re-verification (every CRC, graph and
      schema validation), newest first. *)
@@ -115,19 +112,12 @@ let run ?engine ?reference ?reblob ?verify_snapshot store =
         match Column_store.audit cs with
         | Ok () -> r := { !r with tables_ok = !r.tables_ok + 1 }
         | Error _ -> (
-          (* An in-place repair or rebuild is a change no WAL replay
-             makes: the engine's next save must be a base. *)
+          (* An in-place repair is a change no WAL replay makes: the
+             engine's next save must be a base. *)
           Engine.require_base engine;
           match Column_store.repair cs with
           | Ok () -> r := { !r with tables_repaired = !r.tables_repaired + 1 }
-          | Error _ -> (
-            match Option.bind reference (fun f -> f name) with
-            | Some mirror -> (
-              Column_store.rebuild cs (fun add -> Relation.iter (fun tup n -> add tup n) mirror);
-              match Column_store.audit cs with
-              | Ok () -> r := { !r with tables_rebuilt = !r.tables_rebuilt + 1 }
-              | Error _ -> r := { !r with unrepaired = name :: !r.unrepaired })
-            | None -> r := { !r with unrepaired = name :: !r.unrepaired })))
+          | Error _ -> r := { !r with unrepaired = name :: !r.unrepaired }))
       (Database.table_names db));
   (* 5. The published serving snapshot, through the caller's verifier
      (this library sits below the serving layer). *)
@@ -164,10 +154,10 @@ let due c =
 let pp fmt r =
   Format.fprintf fmt
     "@[<v>scrub{versions %d ok / %d quarantined; blobs %d ok / %d rewritten / %d \
-     quarantined; tables %d ok / %d repaired / %d rebuilt; unrepaired [%s]; \
+     quarantined; tables %d ok / %d repaired; unrepaired [%s]; \
      snapshot %s%s%s}@]"
     r.versions_ok r.versions_quarantined r.blobs_ok r.blobs_rewritten
-    r.blobs_quarantined r.tables_ok r.tables_repaired r.tables_rebuilt
+    r.blobs_quarantined r.tables_ok r.tables_repaired
     (String.concat ", " r.unrepaired)
     (match r.snapshot_ok with None -> "unchecked" | Some true -> "ok" | Some false -> "BAD")
     (if r.dead_letters_quarantined then "; DEADLETTERS quarantined" else "")

@@ -13,11 +13,11 @@
       re-published to restore the retention window;
     - a corrupt sidecar blob is rewritten from live subsystem state
       ([reblob]) when possible, else quarantined;
-    - a corrupt table is first healed in place
-      ({!Dd_relational.Column_store.repair}, derived planes only), then
-      rebuilt from a [reference] copy, and otherwise
+    - a corrupt table is healed in place
+      ({!Dd_relational.Column_store.repair}, derived planes only) when
+      the damage is confined to a derived plane; content damage is
       reported in [unrepaired] — the caller's cue to reground from
-      scratch.  Either repair marks the engine as needing a base
+      scratch.  A repair marks the engine as needing a base
       ({!Engine.require_base}), since no WAL replay reproduces it.
 
     A scrub never deletes anything and never serves damaged state.
@@ -35,7 +35,6 @@ type report = {
   dead_letters_quarantined : bool;
   tables_ok : int;
   tables_repaired : int;  (** healed in place by [Column_store.repair] *)
-  tables_rebuilt : int;  (** reloaded from the reference copy *)
   unrepaired : string list;  (** table names needing scratch regrounding *)
   snapshot_ok : bool option;  (** [None] when no verifier was supplied *)
   republished : bool;  (** a fresh base was saved to restore redundancy *)
@@ -55,15 +54,12 @@ val healthy : report -> bool
 
 val run :
   ?engine:Engine.t ->
-  ?reference:(string -> Dd_relational.Relation.t option) ->
   ?reblob:(string -> string option) ->
   ?verify_snapshot:(unit -> (unit, string) result) ->
   Checkpoint.t ->
   report
 (** One full scrub pass over [store].  [engine] enables the live-table
-    scan and the redundancy re-publish; [reference] maps a table name to
-    a reference copy (e.g. an earlier {!Dd_relational.Relation.copy}) for
-    rebuilds; [reblob] maps a blob name to
+    scan and the redundancy re-publish; [reblob] maps a blob name to
     freshly re-encoded subsystem state; [verify_snapshot] checks the
     currently served snapshot (e.g. [Server.read srv Snapshot.verify]). *)
 

@@ -86,27 +86,31 @@ let run_schedule pipeline sched =
     repairs := !repairs + Scrub.damage_found r;
     r
   in
-  (* A machine died.  Recovery itself runs under the armed schedule and
-     may be killed again; each Nth arm fires at most once, so the retry
-     loop is bounded, with a suppressed last resort for safety. *)
+  (* A machine died.  Recovery and the scrub after it (which may
+     republish a base) run under the armed schedule and may be killed
+     again; each Nth arm fires at most once, so the retry loop is
+     bounded, with a suppressed last resort for safety. *)
   let crash_recover () =
     incr crashes;
+    let recover_and_scrub () =
+      let applied = pipeline.recover () in
+      ignore (scrub ());
+      applied
+    in
     let rec attempt k =
       Fault_file.crash_lose_volatile ();
       if k >= 5 then begin
         reset_faults ();
-        pipeline.recover ()
+        recover_and_scrub ()
       end
       else
-        match pipeline.recover () with
+        match recover_and_scrub () with
         | applied -> applied
         | exception e when Fault.is_injected e ->
           incr crashes;
           attempt (k + 1)
     in
-    let applied = attempt 0 in
-    ignore (scrub ());
-    applied
+    attempt 0
   in
   let failure = ref None in
   (try

@@ -7,8 +7,9 @@
     first state (engine creation, the initial publish) fire too.  Every
     escaping injection is treated as a machine death: volatile bytes are
     lost ({!Dd_util.Fault_file.crash_lose_volatile}), in-memory state is
-    abandoned, and the pipeline recovers from disk, scrubs, and resumes.
-    Every schedule additionally ends with a forced power cut + recover +
+    abandoned, and the pipeline recovers from disk, scrubs, and resumes;
+    a death during that recovery or scrub is one more crash.  Every
+    schedule additionally ends with a forced power cut + recover +
     scrub so that silent faults (bit flips, dropped fsyncs) are exercised
     even when they never crash anything.
 

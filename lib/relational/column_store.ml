@@ -125,10 +125,9 @@ type index = {
   key_cols : int array;
   mutable perm : int array; (* run rows sorted by (key projection, row) *)
   mutable perm_rows : int; (* run length when [perm] was built; -1 = stale *)
-  (* Single-column keys only: [offsets.(k) .. offsets.(k+1))] is the perm
-     range carrying key id [k], built by a counting sort over the dense
-     dictionary — probes become two array loads instead of a binary search.
-     [[||]] for multi-column keys (those fall back to binary search). *)
+  (* [offsets.(k) .. offsets.(k+1))] is the perm range whose first key
+     column carries id [k], built by a counting pass over the dense
+     dictionary; [[||]] until built (see [refresh_perm]). *)
   mutable offsets : int array;
   (* key ids -> tail-resident tuples with base = 0 carrying that key.  Run
      rows overridden by the tail (base > 0) are filtered during the range
@@ -1061,7 +1060,7 @@ let audit t =
    override/cardinality/total accounting).  [repair] recomputes every
    derived plane from the content and re-audits: damage confined to a
    derived plane heals in place, while content damage still fails the
-   re-audit — the caller's cue to rebuild from a reference or reground. *)
+   re-audit — the caller's cue to reground. *)
 let repair t =
   Array.iteri
     (fun c d ->
@@ -1086,23 +1085,6 @@ let repair t =
   t.card <- !card;
   t.total <- !total;
   audit t
-
-let rebuild t iter =
-  Array.iteri
-    (fun c _ ->
-      t.dicts.(c) <- { dvals = [||]; dlen = 0; dids = VH.create 64; dints = Imap.create () })
-    t.dicts;
-  t.cols <- Array.make t.cs_arity [||];
-  t.counts <- [||];
-  t.rlen <- 0;
-  IH.reset t.tail;
-  t.run_overrides <- 0;
-  t.run_filter <- [||];
-  IH.reset t.indexes;
-  t.card <- 0;
-  t.total <- 0;
-  iter (fun tup count -> insert ~count t tup);
-  compact t
 
 (* Test-only damage hooks: simulate in-memory corruption of a derived
    plane (repairable) or of run content (not repairable in place). *)

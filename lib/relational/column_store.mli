@@ -166,20 +166,13 @@ val repair : t -> (unit, string) result
     from the content plane (dictionary values, run columns, tail), then
     re-{!audit}.  Damage confined to a derived plane heals in place
     ([Ok ()]); content damage still fails the re-audit, which is the
-    caller's cue to {!rebuild} from a reference or reground from scratch. *)
-
-val rebuild : t -> ((Tuple.t -> int -> unit) -> unit) -> unit
-(** [rebuild t iter] discards the store's entire contents and reloads it
-    from [iter] (an iterator over counted reference tuples, e.g.
-    {!Relation.iter} applied to a reference copy), then compacts.
-    The store object's identity is preserved — holders of [t] see the
-    rebuilt contents — but dictionary ids are reassigned. *)
+    caller's cue to reground from scratch. *)
 
 (** {2 Test-only damage hooks}
 
     Simulated memory corruption for scrub/repair tests: [filter] and
     [accounting] damage derived planes ({!repair} heals them), while
-    [run] damages content (audit fails until {!rebuild}). *)
+    [run] damages content (no repair heals it). *)
 
 val unsafe_corrupt_filter : t -> unit
 

@@ -2,19 +2,6 @@ module Tuple = Dd_relational.Tuple
 module Txn = Dd_core.Txn
 module Engine = Dd_core.Engine
 
-(* One published snapshot plus its retirement state.  [pins] counts
-   readers currently inside a [read] on this snapshot; [superseded] is set
-   by the writer when a newer snapshot replaces it; [retired] flips once,
-   when a superseded slot's last reader leaves (or it was idle at swap
-   time).  The GC keeps the memory safe regardless — retirement exists so
-   the health surface can prove old epochs actually drain. *)
-type slot = {
-  snap : Snapshot.t;
-  pins : int Atomic.t;
-  superseded : bool Atomic.t;
-  retired : bool Atomic.t;
-}
-
 type counters = {
   lookups : int;
   scans : int;
@@ -32,8 +19,6 @@ type health = {
   degraded : string option;
   quarantined : int;
   swaps : int;
-  retired : int;
-  active_pins : int;
   last_swap_ms : float;
   mean_swap_ms : float;
   max_swap_ms : float;
@@ -45,8 +30,11 @@ type health = {
   counters : counters;
 }
 
+(* [current] is the only publication step: the writer sets it, a reader
+   gets it and queries an immutable snapshot, and the GC frees a
+   superseded snapshot once its last reader drops it. *)
 type t = {
-  current : slot Atomic.t;
+  current : Snapshot.t Atomic.t;
   (* Writer-side state.  Only the supervisor's domain touches these; the
      health surface reads them through the atomics below. *)
   mutable next_epoch : int;
@@ -57,7 +45,6 @@ type t = {
   degraded : string option Atomic.t;
   quarantined : int Atomic.t;
   swaps : int Atomic.t;
-  retired_count : int Atomic.t;
   last_swap_ns : int Atomic.t;
   total_swap_ns : int Atomic.t;
   max_swap_ns : int Atomic.t;
@@ -73,22 +60,6 @@ type t = {
   c_generic : int Atomic.t;
 }
 
-let fresh_slot snap =
-  {
-    snap;
-    pins = Atomic.make 0;
-    superseded = Atomic.make false;
-    retired = Atomic.make false;
-  }
-
-(* Flip [retired] exactly once per slot and account for it. *)
-let try_retire t slot =
-  if
-    Atomic.get slot.superseded
-    && Atomic.get slot.pins = 0
-    && Atomic.compare_and_set slot.retired false true
-  then Atomic.incr t.retired_count
-
 (* A snapshot carries the engine's commit count, which a Rerun rung
    continues. *)
 let publish t engine =
@@ -98,9 +69,7 @@ let publish t engine =
   let snap =
     Snapshot.build ~bins:t.bins ?truth:t.truth ~epoch ~txn_seq:(Engine.commits engine) engine
   in
-  let old = Atomic.exchange t.current (fresh_slot snap) in
-  Atomic.set old.superseded true;
-  try_retire t old;
+  Atomic.set t.current snap;
   Atomic.incr t.swaps;
   let ns = int_of_float ((Unix.gettimeofday () -. t0) *. 1e9) in
   Atomic.set t.last_swap_ns ns;
@@ -112,7 +81,7 @@ let create ?(bins = 10) ?truth txn =
   let snap = Snapshot.build ~bins ?truth ~epoch:1 ~txn_seq:(Engine.commits engine) engine in
   let t =
     {
-      current = Atomic.make (fresh_slot snap);
+      current = Atomic.make snap;
       next_epoch = 2;
       bins;
       truth;
@@ -120,7 +89,6 @@ let create ?(bins = 10) ?truth txn =
       degraded = Atomic.make None;
       quarantined = Atomic.make 0;
       swaps = Atomic.make 0;
-      retired_count = Atomic.make 0;
       last_swap_ns = Atomic.make 0;
       total_swap_ns = Atomic.make 0;
       max_swap_ns = Atomic.make 0;
@@ -151,34 +119,11 @@ let create ?(bins = 10) ?truth txn =
       publish t (Txn.engine txn));
   t
 
-let current t = (Atomic.get t.current).snap
-
-(* Pin the slot the pointer names right now.  If the writer retired it in
-   the window between our load and our pin (possible only when the slot
-   was idle, i.e. we had not pinned yet), drop it and take the fresh
-   pointer — this keeps "retired" ⇒ "no reader will ever use it again". *)
-let rec acquire t =
-  let slot = Atomic.get t.current in
-  Atomic.incr slot.pins;
-  if Atomic.get slot.retired then begin
-    ignore (Atomic.fetch_and_add slot.pins (-1));
-    acquire t
-  end
-  else slot
-
-let release t slot =
-  if Atomic.fetch_and_add slot.pins (-1) = 1 then try_retire t slot
+let current t = Atomic.get t.current
 
 let read_with t counter f =
   Atomic.incr counter;
-  let slot = acquire t in
-  match f slot.snap with
-  | v ->
-    release t slot;
-    v
-  | exception e ->
-    release t slot;
-    raise e
+  f (Atomic.get t.current)
 
 let read t f = read_with t t.c_generic f
 
@@ -196,8 +141,7 @@ let count_above t ?relation threshold =
 let entity_facts t value = read_with t t.c_entities (fun s -> Snapshot.entity_facts s value)
 
 let health t =
-  let slot = Atomic.get t.current in
-  let snap = slot.snap in
+  let snap = Atomic.get t.current in
   let ms ns = float_of_int ns /. 1e6 in
   let swaps = Atomic.get t.swaps in
   {
@@ -209,8 +153,6 @@ let health t =
     degraded = Atomic.get t.degraded;
     quarantined = Atomic.get t.quarantined;
     swaps;
-    retired = Atomic.get t.retired_count;
-    active_pins = Atomic.get slot.pins;
     last_swap_ms = ms (Atomic.get t.last_swap_ns);
     mean_swap_ms = (if swaps = 0 then 0.0 else ms (Atomic.get t.total_swap_ns) /. float_of_int swaps);
     max_swap_ms = ms (Atomic.get t.max_swap_ns);
@@ -237,7 +179,7 @@ let record_scrub t (r : Dd_kbc.Scrub.report) =
   Atomic.incr t.s_passes;
   ignore
     (Atomic.fetch_and_add t.s_repaired
-       (r.tables_repaired + r.tables_rebuilt + r.blobs_rewritten));
+       (r.tables_repaired + r.blobs_rewritten));
   ignore
     (Atomic.fetch_and_add t.s_quarantined
        (r.versions_quarantined + r.blobs_quarantined

@@ -3,12 +3,11 @@
     The server owns an atomic pointer to the current {!Snapshot}.  A
     writer — the {!Dd_core.Txn} supervisor the server subscribes to at
     {!create} — builds a fresh snapshot after every committed update and
-    swaps it in with a single atomic exchange; readers on other domains
-    pin the snapshot they start with (one atomic increment), query it
-    lock-free, and unpin.  Because snapshots are immutable, a reader
-    always observes one internally consistent epoch no matter how many
-    swaps happen mid-query, and epoch-based retirement lets the health
-    surface report when superseded snapshots have fully drained.
+    publishes it with a single atomic store; a reader on another domain
+    loads the pointer once and queries that snapshot lock-free.  Because
+    snapshots are immutable, a reader always observes one internally
+    consistent epoch no matter how many swaps happen mid-query, and the
+    GC frees a superseded snapshot once its last reader drops it.
 
     Degradation is first-class: the supervisor's ladder events
     ({!Dd_core.Txn.event}) drive a visible writer status, and a
@@ -29,15 +28,15 @@ val create : ?bins:int -> ?truth:Dd_kbc.Corpus.fact list -> Txn.t -> t
     snapshot the server builds (see {!Snapshot.build}). *)
 
 val current : t -> Snapshot.t
-(** The latest published snapshot (unpinned peek — fine for one-shot
-    inspection; use {!read} to keep a consistent view across queries). *)
+(** The latest published snapshot.  Holding it keeps one consistent
+    view across queries, as {!read} does. *)
 
 val read : t -> (Snapshot.t -> 'a) -> 'a
-(** Pin the current snapshot, run the query against it, unpin.  The
-    callback sees exactly one epoch regardless of concurrent swaps.
-    Safe from any domain. *)
+(** Run the query against the current snapshot.  The callback sees
+    exactly one epoch regardless of concurrent swaps.  Safe from any
+    domain. *)
 
-(** {1 Typed queries} — each is a pinned read that bumps its counter. *)
+(** {1 Typed queries} — each is a {!read} that bumps its counter. *)
 
 val lookup : t -> relation:string -> Tuple.t -> Snapshot.fact option
 val top_k : t -> ?relation:string -> int -> Snapshot.fact list
@@ -68,14 +67,12 @@ type health = {
       (** ladder rung the writer is currently attempting, if any *)
   quarantined : int;  (** quarantines observed since {!create} *)
   swaps : int;  (** snapshots published after the initial one *)
-  retired : int;  (** superseded snapshots fully drained of readers *)
-  active_pins : int;  (** readers currently pinned to the serving snapshot *)
   last_swap_ms : float;  (** build+publish latency of the latest swap *)
   mean_swap_ms : float;
   max_swap_ms : float;
   scrubs : int;  (** scrub passes recorded via {!record_scrub} *)
   scrub_repaired : int;
-      (** artifacts healed across all passes (tables repaired or rebuilt,
+      (** artifacts healed across all passes (tables repaired in place,
           blobs rewritten from live state) *)
   scrub_quarantined : int;
       (** artifacts set aside across all passes (checkpoint versions,

@@ -33,7 +33,8 @@ let bag_of_words_between ctx =
          if w = "" then None else Some ("bow:" ^ w))
   |> List.sort_uniq compare
 
-let window ?(size = 1) ctx =
+let window ctx =
+  let size = 1 in
   let left, right = ordered ctx in
   let before =
     Tokenizer.slice ctx.tokens

@@ -21,9 +21,9 @@ val bag_of_words_between : pair_context -> string list
 (** One feature per distinct normalized token between the mentions
     (prefixed ["bow:"]). *)
 
-val window : ?size:int -> pair_context -> string list
-(** Tokens immediately before the first and after the second mention
-    (prefixed ["left:"] / ["right:"]; default window 1). *)
+val window : pair_context -> string list
+(** The token immediately before the first and the one after the second
+    mention (prefixed ["left:"] / ["right:"]). *)
 
 val inverted_order : pair_context -> string option
 (** ["inv_order"] when [m2] precedes [m1] in the sentence. *)

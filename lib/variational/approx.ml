@@ -25,8 +25,8 @@ let add_agreement g ~weight a b =
          semantics = Dd_fgraph.Semantics.Logical;
        })
 
-let materialize ?(lambda = 0.1) ?(solver = Logdet.default) ?(unary_rounds = 3) rng g
-    ~samples =
+let materialize ?(lambda = 0.1) ?(solver = Logdet.default) rng g ~samples =
+  let unary_rounds = 3 in
   let nvars = Graph.num_vars g in
   let nz = Covariance.nonzero_pairs g in
   let m = Covariance.estimate ~samples ~nvars ~nz in

@@ -26,7 +26,6 @@ type stats = {
 val materialize :
   ?lambda:float ->
   ?solver:Logdet.options ->
-  ?unary_rounds:int ->
   Dd_util.Prng.t ->
   Graph.t ->
   samples:bool array array ->
@@ -34,5 +33,5 @@ val materialize :
 (** [materialize rng g ~samples] builds the approximate graph from worlds
     sampled out of [g].  The result has the same variables and evidence as
     [g] (so variable ids line up), only simpler factors.  [lambda] defaults
-    to 0.1, the paper's "safe region" choice.  [unary_rounds] (default 3)
-    iterations of unary moment matching. *)
+    to 0.1, the paper's "safe region" choice; unary weights take three
+    rounds of moment matching. *)

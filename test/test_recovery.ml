@@ -67,7 +67,8 @@ let test_checkpoint_roundtrip () =
       let engine = make_engine () in
       let store = Checkpoint.open_store dir in
       Checkpoint.save store engine;
-      Alcotest.(check bool) "manifest published" true (Checkpoint.latest store <> None);
+      Alcotest.(check (option string)) "base published" (Some "ckpt-0.ddckpt")
+        (Checkpoint.latest store);
       let recovered, applied = recover_exn (Checkpoint.open_store dir) in
       Alcotest.(check int) "nothing replayed" 0 applied;
       Alcotest.(check bool) "recovered state validates" true
@@ -141,6 +142,64 @@ let test_recover_empty_store () =
       | Error Checkpoint.No_checkpoint -> ()
       | Error e -> Alcotest.fail ("wrong error: " ^ Checkpoint.error_to_string e)
       | Ok _ -> Alcotest.fail "recovered from an empty store")
+
+(* A base writes its fresh WAL, then its checkpoint, and nothing else;
+   [latest] names the newest checkpoint on disk, which is the version
+   recovery loads. *)
+let test_latest_is_newest_base () =
+  with_store "latest" (fun dir ->
+      let engine = make_engine () in
+      let store = Checkpoint.open_store dir in
+      let files () = List.sort String.compare (Array.to_list (Sys.readdir dir)) in
+      Checkpoint.save store engine;
+      Alcotest.(check (list string)) "first base: its WAL and checkpoint"
+        [ "ckpt-0.ddckpt"; "wal-0.log" ] (files ());
+      ignore (Engine.apply_update engine (Pipeline.update_of Pipeline.A1));
+      Engine.require_base engine;
+      Checkpoint.save store engine;
+      Alcotest.(check (list string)) "second base: two versions, no MANIFEST"
+        [ "ckpt-0.ddckpt"; "ckpt-1.ddckpt"; "wal-0.log"; "wal-1.log" ]
+        (files ());
+      Alcotest.(check (option string)) "latest is ckpt-<commits>"
+        (Some (Printf.sprintf "ckpt-%d.ddckpt" (Engine.commits engine)))
+        (Checkpoint.latest store);
+      Checkpoint.abandon store;
+      Checkpoint.quarantine_version store 1;
+      Alcotest.(check (option string)) "latest falls back" (Some "ckpt-0.ddckpt")
+        (Checkpoint.latest store);
+      let store = Checkpoint.open_store dir in
+      let _, applied = recover_exn store in
+      Alcotest.(check int) "recovery loaded ckpt-0 and replayed nothing" 0 applied;
+      Alcotest.(check (option string)) "and republished it" (Some "ckpt-0.ddckpt")
+        (Checkpoint.latest store))
+
+(* With no version on disk, recovery tells a store no base ever reached
+   (a first base that died before its rename leaves only its WAL) from
+   one whose every version was quarantined. *)
+let test_store_without_versions () =
+  let recover dir = Checkpoint.recover (Checkpoint.open_store dir) in
+  with_store "wal_only" (fun dir ->
+      let engine = make_engine () in
+      Fault.arm "checkpoint.save.pre_rename" (Fault.Nth 1);
+      (match Checkpoint.save (Checkpoint.open_store dir) engine with
+      | () -> Alcotest.fail "the armed base did not crash"
+      | exception Fault.Injected _ -> ());
+      Fault.reset ();
+      Alcotest.(check bool) "the WAL is on disk" true
+        (Sys.file_exists (Filename.concat dir "wal-0.log"));
+      match recover dir with
+      | Error Checkpoint.No_checkpoint -> ()
+      | Error e -> Alcotest.fail ("WAL-only: wrong error: " ^ Checkpoint.error_to_string e)
+      | Ok _ -> Alcotest.fail "recovered from a WAL-only store");
+  with_store "all_quarantined" (fun dir ->
+      let store = Checkpoint.open_store dir in
+      Checkpoint.save store (make_engine ());
+      Checkpoint.abandon store;
+      Checkpoint.quarantine_version store 0;
+      match recover dir with
+      | Error (Checkpoint.Corrupt _) -> ()
+      | Error e -> Alcotest.fail ("all quarantined: wrong error: " ^ Checkpoint.error_to_string e)
+      | Ok _ -> Alcotest.fail "recovered from a store with every version quarantined")
 
 (* Dictionaries (value per id, in id order) and live encoded rows. *)
 let store_image cs =
@@ -356,7 +415,6 @@ type fixture = {
   wal : string;
   entry_ends : int list;  (* WAL offsets where each entry's frame ends *)
   ckpt : string;
-  manifest : string;
 }
 
 let fixture =
@@ -424,7 +482,6 @@ let fixture =
            wal;
            entry_ends = [ String.length first; String.length wal ];
            ckpt = file "ckpt-0.ddckpt";
-           manifest = file "MANIFEST";
          }))
 
 type mutation =
@@ -470,7 +527,7 @@ let wal_ends_at_damage f m =
   && with_store "codec" (fun dir ->
          List.iter
            (fun (name, s) -> write_file (Filename.concat dir name) s)
-           [ ("ckpt-0.ddckpt", f.ckpt); ("MANIFEST", f.manifest); ("wal-0.log", bytes) ];
+           [ ("ckpt-0.ddckpt", f.ckpt); ("wal-0.log", bytes) ];
          match Checkpoint.recover (Checkpoint.open_store ~fsync:false dir) with
          | Ok (_, applied) -> applied = intact
          | Error _ -> false)
@@ -776,8 +833,8 @@ let test_crash_recovery_sweep () =
       in
       Alcotest.(check bool) "pipeline exercises several points" true
         (List.length exercised >= 6);
-      (* The engine build before the first publish, both halves of a
-         base's publish and a multi-entry append each get a crash. *)
+      (* The engine build before the first publish, a base's publish
+         before its rename and a multi-entry append each get a crash. *)
       List.iter
         (fun point ->
           Alcotest.(check bool) (point ^ " exercised") true (List.mem_assoc point exercised))
@@ -806,6 +863,8 @@ let () =
           Alcotest.test_case "wal replay" `Quick test_wal_replay;
           Alcotest.test_case "torn wal tail" `Quick test_torn_wal_tail_discarded;
           Alcotest.test_case "empty store" `Quick test_recover_empty_store;
+          Alcotest.test_case "latest is the newest base" `Quick test_latest_is_newest_base;
+          Alcotest.test_case "store without versions" `Quick test_store_without_versions;
           Alcotest.test_case "columnar roundtrip" `Quick test_checkpoint_roundtrip_columnar;
           Alcotest.test_case "fallback to previous version" `Quick
             test_fallback_to_previous_version;

@@ -231,6 +231,26 @@ let test_server_quarantine_republishes () =
   Alcotest.(check bool) "served marginals track the replaced engine" true
     (identical (Snapshot.marginals (Server.current server)) (Engine.marginals (Txn.engine txn)))
 
+(* A superseded snapshot is garbage once no reader holds it: the GC, not
+   the server, retires old epochs. *)
+let test_superseded_snapshot_collected () =
+  Fault.reset ();
+  let _, engine = make_engine () in
+  let txn = Txn.create engine in
+  let server = Server.create txn in
+  let first = Weak.create 1 in
+  let watch () = Weak.set first 0 (Some (Server.current server)) in
+  watch ();
+  List.iter
+    (fun rid ->
+      match Txn.apply txn (Pipeline.update_of rid) with
+      | Ok _ -> ()
+      | Error e -> Alcotest.fail (Txn.error_message e))
+    [ Pipeline.A1; Pipeline.FE1; Pipeline.FE2 ];
+  Alcotest.(check int) "three publishes" 4 (Snapshot.epoch (Server.current server));
+  Gc.full_major ();
+  Alcotest.(check bool) "epoch 1 was collected" true (Weak.get first 0 = None)
+
 (* --- concurrent driver -------------------------------------------------- *)
 
 let check_readers label (report : Driver.report) =
@@ -318,7 +338,7 @@ let test_driver_quarantine_stream () =
   Fault.seed 42;
   Fault.arm "engine.apply_update.post_ground" (Fault.Probability 1.0);
   let options =
-    { Txn.default_options with Txn.max_retries = 0; allow_rematerialize = false; allow_rerun = false }
+    { Txn.max_retries = 0; allow_rematerialize = false; allow_rerun = false }
   in
   let txn, _, report =
     Driver.run ~readers:2 ~verify_every:8 ~txn_options:options engine [ Pipeline.FE1; Pipeline.I1 ]
@@ -399,6 +419,8 @@ let () =
           Alcotest.test_case "commit publishes" `Quick test_server_publishes_on_commit;
           Alcotest.test_case "degradation surface" `Quick test_server_degradation_surface;
           Alcotest.test_case "quarantine republishes" `Quick test_server_quarantine_republishes;
+          Alcotest.test_case "superseded snapshot collected" `Quick
+            test_superseded_snapshot_collected;
         ] );
       ( "driver",
         [

@@ -38,12 +38,7 @@ let make_engine ?(options = quick_options) ?docs () =
 (* The ladder reduced to a single transactional attempt: any failure
    quarantines immediately, leaving the rolled-back engine in place. *)
 let rollback_only =
-  {
-    Txn.default_options with
-    Txn.max_retries = 0;
-    allow_rematerialize = false;
-    allow_rerun = false;
-  }
+  { Txn.max_retries = 0; allow_rematerialize = false; allow_rerun = false }
 
 type snap = {
   s_graph : string;
