@@ -150,11 +150,8 @@ let synthetic_graph ?(sparsity = 1.0) ?(extra_per_var = 1) rng n =
    endpoints lie within [locality] positions of each other.  The window
    mirrors the document-local factor structure KBC grounding produces
    (mentions of one document share factors; cross-document factors are
-   rare), and is what makes a contiguous variable range a contiguous
-   working set: the async sampler's per-worker ranges stay
-   cache-resident across an epoch, where the chromatic classes of the
-   color-sync sampler scatter over the whole graph.  All variables are
-   query variables, so a sweep's work is exactly [n] conditionals. *)
+   rare).  All variables are query variables, so a sweep's work is
+   exactly [n] conditionals. *)
 let scale_graph ?(extra_per_var = 2) ?(locality = 512) rng n =
   let g = Graph.create () in
   let vars = Graph.add_vars g n in

@@ -10,23 +10,21 @@
      and must produce identical worlds (the bit-exactness flag).  The
      compiled sweep's minor-heap allocation per variable update is
      recorded too; it is 0 when the hot loop keeps its floats unboxed.
-   - Color-sync vs async at 1/2/4/8 domains, on a synthetic scale graph
+   - The parallel modes at 1/2/4/8 domains, on a synthetic scale graph
      large enough that scheduling, not per-conditional arithmetic,
      dominates: sweeps/s of the color-synchronous sampler (one barrier per
-     color class) and of the lock-free free-running range sampler (the
-     DimmWitted design, one barrier per epoch), plus worlds/s of the
-     chain-parallel sample store.  Domain counts beyond the host's
-     hardware multiplex onto its cores; the JSON host block records which
-     regime produced the numbers.
-   - The async equivalence tier: on an enumerable graph the async chain
-     must sample the same distribution as exact enumeration and the
-     color-sync chain.
+     color class) and worlds/s of the chain-parallel sample store.  Domain
+     counts beyond the host's hardware oversubscribe its cores; the JSON
+     host block records which regime produced the numbers.
+   - The equivalence tier: on an enumerable graph the color-sync chain at
+     3 domains must sample the same distribution as exact enumeration.
    - The closed-form tier: the marginal estimators read isolated query
      variables (no adjacent factor mentions another query variable) in
      closed form.  On an enumerable graph mixing isolated and coupled
-     variables, every mode at 1 and 3 domains must match exact
-     enumeration on the isolated ones to rounding; the share of isolated
-     query variables on the grounded KBC graph is recorded beside it. *)
+     variables, the compiled estimator and color-sync at 1 and 3 domains
+     must match exact enumeration on the isolated ones to rounding; the
+     share of isolated query variables on the grounded KBC graph is
+     recorded beside it. *)
 
 open Harness
 module Graph = Dd_fgraph.Graph
@@ -37,7 +35,6 @@ module Gibbs = Dd_inference.Gibbs
 module Compiled = Dd_inference.Compiled
 module Par_gibbs = Dd_parallel.Par_gibbs
 module Partition = Dd_parallel.Partition
-module Pool = Dd_parallel.Pool
 module Prng = Dd_util.Prng
 module Stats = Dd_util.Stats
 module Table = Dd_util.Table
@@ -161,38 +158,11 @@ let colorsync_rate ~sweeps ~repeats ~kernel g d =
       done;
       time_sweeps ~sweeps ~repeats (fun () -> Par_gibbs.sweep sampler))
 
-(* One epoch of [sweeps] free-running range sweeps per timed run — the
-   epoch boundary is the only synchronization, as in the engine. *)
-let async_rate ~sweeps ~repeats ~kernel g d =
-  let sampler = Par_gibbs.create ~mode:Par_gibbs.Async ~kernel ~domains:d (Prng.create 53) g in
-  Fun.protect
-    ~finally:(fun () -> Par_gibbs.shutdown sampler)
-    (fun () ->
-      Par_gibbs.sweep_epoch sampler ~sweeps:2;
-      rate_of ~sweeps (time_median ~repeats (fun () -> Par_gibbs.sweep_epoch sampler ~sweeps)))
-
 (* Worlds/s of the sample store drawn by [d] independent chains. *)
 let chain_rate ~worlds g d =
   rate_of ~sweeps:worlds
     (time_median ~repeats:1 (fun () ->
          ignore (Par_gibbs.sample_worlds ~burn_in:5 ~domains:d (Prng.create 59) g ~n:worlds)))
-
-(* Async with one worker keeps the caller's PRNG stream and recomputes
-   exactly the counter-derived conditionals, so its trajectory must be
-   bit-identical to the sequential compiled sweep. *)
-let async_tracks_sequential ~kernel g =
-  let seq = Par_gibbs.create ~kernel ~domains:1 (Prng.create 7) g in
-  let asy = Par_gibbs.create ~mode:Par_gibbs.Async ~kernel ~domains:1 (Prng.create 7) g in
-  Fun.protect
-    ~finally:(fun () ->
-      Par_gibbs.shutdown seq;
-      Par_gibbs.shutdown asy)
-    (fun () ->
-      for _ = 1 to 3 do
-        Par_gibbs.sweep seq;
-        Par_gibbs.sweep asy
-      done;
-      Par_gibbs.assignment seq = Par_gibbs.assignment asy)
 
 let parallel_modes ~full =
   let nvars = if full then 1_200_000 else 60_000 in
@@ -208,40 +178,21 @@ let parallel_modes ~full =
   metric "vars" (float_of_int (Graph.num_vars g));
   metric "factors" (float_of_int (Graph.num_factors g));
   metric "colors" (float_of_int partition.Partition.num_colors);
-  metric "recommended_domains" (float_of_int (Pool.recommended ()));
-  let async_exact = async_tracks_sequential ~kernel g in
-  note "async (1 worker) bit-exact with the sequential sweep: %s" (if async_exact then "yes" else "NO");
-  metric "async_bit_exact_1d" (if async_exact then 1.0 else 0.0);
   let sweeps = if full then 8 else 24 in
   let repeats = if full then 3 else 5 in
   let worlds = 2 * sweeps in
-  let table =
-    Table.create [ "domains"; "color-sync s/s"; "async s/s"; "async vs sync"; "chain worlds/s" ]
-  in
+  let table = Table.create [ "domains"; "color-sync s/s"; "chain worlds/s" ] in
   List.iter
     (fun d ->
       let sync = colorsync_rate ~sweeps ~repeats ~kernel g d in
-      let asy = async_rate ~sweeps ~repeats ~kernel g d in
       let chains = chain_rate ~worlds g d in
       metric (Printf.sprintf "colorsync_sweeps_per_sec_%dd" d) sync;
-      metric (Printf.sprintf "async_sweeps_per_sec_%dd" d) asy;
-      metric (Printf.sprintf "async_vs_colorsync_%dd" d) (asy /. sync);
       metric (Printf.sprintf "chain_worlds_per_sec_%dd" d) chains;
       Table.add_row table
-        [
-          string_of_int d;
-          Printf.sprintf "%.1f" sync;
-          Printf.sprintf "%.1f" asy;
-          Table.cell_x (asy /. sync);
-          Printf.sprintf "%.1f" chains;
-        ])
+        [ string_of_int d; Printf.sprintf "%.1f" sync; Printf.sprintf "%.1f" chains ])
     domain_counts;
   Table.print table;
-  note
-    "(sweeps timed: %d; chain worlds: %d, each chain burned in separately.  Logical\n\
-     workers multiplex onto min(domains, hardware) slots, so past the host's core\n\
-     count the async curve shows the scheduling and locality win, not core scaling.)"
-    sweeps worlds
+  note "(sweeps timed: %d; chain worlds: %d, each chain burned in separately.)" sweeps worlds
 
 (* --- statistical equivalence on an enumerable graph --------------------- *)
 
@@ -250,29 +201,19 @@ let equivalence_tier () =
   note "statistical equivalence (12-var scale graph, exact enumeration):";
   let g = scale_graph ~extra_per_var:2 ~locality:4 (Prng.create 11) 12 in
   let exact = Exact.marginals g in
-  let sweeps = 30_000 in
-  let asy =
-    Par_gibbs.marginals ~mode:Par_gibbs.Async ~epoch_sweeps:4 ~burn_in:300 ~domains:3
-      (Prng.create 12) g ~sweeps
-  in
-  let sync = Par_gibbs.marginals ~burn_in:300 ~domains:3 (Prng.create 12) g ~sweeps in
+  let sync = Par_gibbs.marginals ~burn_in:300 ~domains:3 (Prng.create 12) g ~sweeps:30_000 in
   let kl =
     let acc = ref 0.0 in
-    Array.iteri (fun v p -> acc := !acc +. Stats.kl_bernoulli p asy.(v)) exact;
+    Array.iteri (fun v p -> acc := !acc +. Stats.kl_bernoulli p sync.(v)) exact;
     !acc /. float_of_int (Array.length exact)
   in
-  let d_async = Stats.max_abs_diff asy exact in
   let d_sync = Stats.max_abs_diff sync exact in
-  let d_cross = Stats.max_abs_diff asy sync in
-  metric "equiv_max_diff_async_vs_exact" d_async;
   metric "equiv_max_diff_colorsync_vs_exact" d_sync;
-  metric "equiv_max_diff_async_vs_colorsync" d_cross;
-  metric "equiv_mean_kl_exact_vs_async" kl;
-  let ok = d_async < 0.05 && d_cross < 0.05 in
+  metric "equiv_mean_kl_exact_vs_colorsync" kl;
+  let ok = d_sync < 0.05 in
   metric "equiv_ok" (if ok then 1.0 else 0.0);
-  note "  async vs exact: max|diff| %.4f, mean KL %.6f (color-sync vs exact: %.4f)" d_async kl
-    d_sync;
-  note "  async vs color-sync: max|diff| %.4f -> %s" d_cross (if ok then "ok" else "FAIL")
+  note "  color-sync (3 domains) vs exact: max|diff| %.4f, mean KL %.6f -> %s" d_sync kl
+    (if ok then "ok" else "FAIL")
 
 (* --- closed-form marginals for isolated query variables ------------------ *)
 
@@ -315,16 +256,12 @@ let closed_form_tier ~full =
   let coupled = Compiled.coupled_vars kernel in
   let isolated = List.filter (fun v -> not (Array.mem v coupled)) (Graph.query_vars g) in
   let sweeps = 50 in
-  let estimate mode domains =
-    Par_gibbs.marginals ~mode ~burn_in:5 ~domains (Prng.create 17) g ~sweeps
-  in
+  let estimate domains = Par_gibbs.marginals ~burn_in:5 ~domains (Prng.create 17) g ~sweeps in
   let runs =
     [
       ("compiled", Compiled.marginals ~burn_in:5 (Prng.create 17) kernel ~sweeps);
-      ("color-sync 1d", estimate Par_gibbs.Color_sync 1);
-      ("color-sync 3d", estimate Par_gibbs.Color_sync 3);
-      ("async 1d", estimate Par_gibbs.Async 1);
-      ("async 3d", estimate Par_gibbs.Async 3);
+      ("color-sync 1d", estimate 1);
+      ("color-sync 3d", estimate 3);
     ]
   in
   let diff =
@@ -353,4 +290,4 @@ let run ~full =
   equivalence_tier ();
   closed_form_tier ~full
 
-let () = register "sampler" "Compiled Gibbs kernel: oracle, color-sync, async, chains" run
+let () = register "sampler" "Compiled Gibbs kernel: oracle, color-sync, chains" run

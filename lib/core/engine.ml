@@ -18,7 +18,6 @@ type options = {
   lambda : float;
   acceptance_floor : float;
   initial_learning_epochs : int;
-  initial_learning_rate : float;
   incremental_learning_epochs : int;
   incremental_learning_rate : float;
   variational_var_limit : int;
@@ -27,7 +26,6 @@ type options = {
   disable_variational : bool;
   workload_aware : bool;
   parallel_domains : int;
-  gibbs_mode : Par_gibbs.gibbs_mode;
   step_budget : Budget.spec;
   seed : int;
 }
@@ -40,7 +38,6 @@ let default_options =
     lambda = 0.1;
     acceptance_floor = 0.02;
     initial_learning_epochs = 30;
-    initial_learning_rate = 0.1;
     incremental_learning_epochs = 5;
     incremental_learning_rate = 0.03;
     variational_var_limit = 600;
@@ -49,7 +46,6 @@ let default_options =
     disable_variational = false;
     workload_aware = true;
     parallel_domains = 1;
-    gibbs_mode = Par_gibbs.Color_sync;
     step_budget = Budget.Unlimited;
     seed = 42;
   }
@@ -135,12 +131,8 @@ let compiled_kernel t =
     t.kernel_compiles <- t.kernel_compiles + 1;
     k
 
-let cd_options epochs learning_rate =
-  { Learner.default_cd with Learner.epochs; learning_rate; chain_sweeps = 2 }
-
 let learn t ~epochs ~learning_rate =
-  if epochs > 0 then
-    Learner.train_cd ~options:(cd_options epochs learning_rate) t.rng (graph t)
+  if epochs > 0 then Learner.train_cd ~options:{ Learner.epochs; learning_rate } t.rng (graph t)
 
 let materialize_now t =
   t.mat <-
@@ -191,7 +183,7 @@ let create ?(options = default_options) db prog =
     }
   in
   learn t ~epochs:options.initial_learning_epochs
-    ~learning_rate:options.initial_learning_rate;
+    ~learning_rate:Learner.default_cd.Learner.learning_rate;
   Fault.hit "engine.create.post_learn";
   materialize_now t;
   t.last_marginals <- sample_mean_marginals t.mat (Graph.num_vars (graph t));
@@ -307,7 +299,7 @@ let step t update =
       let m, secs =
         Timer.time (fun () ->
             Par_gibbs.marginals ~burn_in:t.opts.burn_in ~budget ~kernel:(compiled_kernel t)
-              ~mode:t.opts.gibbs_mode ~domains:t.opts.parallel_domains t.rng (graph t)
+              ~domains:t.opts.parallel_domains t.rng (graph t)
               ~sweeps:t.opts.inference_chain)
       in
       (Used_full_gibbs, None, m, secs)
@@ -460,16 +452,11 @@ let rerun_grounding options db prog =
   let rng = Prng.create options.seed in
   let g = Grounding.graph grounding in
   Learner.train_cd
-    ~options:
-      {
-        Learner.default_cd with
-        Learner.epochs = options.initial_learning_epochs;
-        learning_rate = options.initial_learning_rate;
-      }
+    ~options:{ Learner.default_cd with Learner.epochs = options.initial_learning_epochs }
     rng g;
   let marginals =
-    Par_gibbs.marginals ~burn_in:options.burn_in ~mode:options.gibbs_mode
-      ~domains:options.parallel_domains rng g ~sweeps:options.inference_chain
+    Par_gibbs.marginals ~burn_in:options.burn_in ~domains:options.parallel_domains rng g
+      ~sweeps:options.inference_chain
   in
   (grounding, marginals)
 

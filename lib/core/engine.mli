@@ -28,7 +28,8 @@ type options = {
           the variational artifact ("the method resorts to another
           evaluation method", Section 3.2.2) *)
   initial_learning_epochs : int;
-  initial_learning_rate : float;
+      (** from-scratch learning runs at {!Dd_inference.Learner.default_cd}'s
+          rate *)
   incremental_learning_epochs : int;
   incremental_learning_rate : float;
       (** warmstart fine-tuning is gentler than from-scratch learning, which
@@ -46,21 +47,10 @@ type options = {
           full-Gibbs fallbacks as color-synchronous parallel sweeps —
           deterministic per [(seed, N)], but a different chain than
           [N = 1]. *)
-  gibbs_mode : Dd_parallel.Par_gibbs.gibbs_mode;
-      (** scheduling of full-Gibbs inference sweeps.  [Color_sync]
-          (default) barriers between chromatic color phases and is the
-          bit-exact reference; [Async] free-runs
-          [max parallel_domains 1] lock-free workers over contiguous
-          variable ranges with benign races (DimmWitted-style),
-          synchronizing only at epoch boundaries — statistically
-          equivalent, not bit-reproducible across domain counts or
-          scheduling.  [Async] takes effect even at
-          [parallel_domains = 1] (single free-running worker, bit-exact
-          with the sequential chain). *)
   step_budget : Dd_util.Budget.spec;
       (** cooperative deadline for one [apply_update] step, polled per
-          Gibbs sweep / color phase / async epoch-and-range-chunk and
-          per DRed batch; exhaustion raises {!Dd_util.Budget.Exceeded},
+          Gibbs sweep / color phase / worker-slice chunk and per DRed
+          batch; exhaustion raises {!Dd_util.Budget.Exceeded},
           which {!Txn} classifies as [`Inference_timeout].  Default
           [Unlimited]. *)
   seed : int;

@@ -458,117 +458,10 @@ let sweep_slice_budgeted ~budget ~site rng st slice =
     i := stop
   done
 
-(* --- asynchronous (lock-free) sampling --------------------------------- *)
-
-(* The async sampler shares only the assignment [Bytes] between domains:
-   conditionals recompute body satisfaction directly from the assignment
-   instead of reading the cached [unsat]/[sat] counters, and an update
-   writes exactly one byte.  Shared counters would need read-modify-write
-   cycles that lose updates under races and drift permanently; the
-   recompute reads are merely {e stale}, which is the DimmWitted benign
-   race — every read returns some value previously written to that byte
-   (the OCaml 5 memory model guarantees no tearing and no
-   out-of-thin-air values for non-atomic locations), so each resample is
-   a correct Gibbs conditional w.r.t. a slightly old view of the
-   neighbors.  The counters are left untouched and go stale; callers
-   that hand the state back to a counter-based path must call
-   {!rebuild_counters} first. *)
-
-(* Work of one async conditional for [v]: every literal of every body of
-   every adjacent factor is scanned once.  Used by the range scheduler to
-   cost-balance contiguous spans. *)
-let async_cost t v =
-  let c = ref 1 in
-  for grp = t.v_grp_off.(v) to t.v_grp_off.(v + 1) - 1 do
-    let fid = t.grp_factor.(grp) in
-    let b0 = t.f_body_off.(fid) and b1 = t.f_body_off.(fid + 1) in
-    c := !c + (t.b_lit_off.(b1) - t.b_lit_off.(b0))
-  done;
-  !c
-
-(* [counters_delta] recomputed from the assignment bytes only. *)
-let[@inline] async_delta st v =
-  let k = st.k in
-  let a = st.assign in
-  let delta = ref 0.0 in
-  for grp = Array.unsafe_get k.v_grp_off v to Array.unsafe_get k.v_grp_off (v + 1) - 1 do
-    let fid = Array.unsafe_get k.grp_factor grp in
-    (* Recompute the satisfied-body count of [fid] under both values of
-       [v] straight from the assignment bytes. *)
-    let n_true = ref 0 and n_false = ref 0 in
-    for b = Array.unsafe_get k.f_body_off fid to Array.unsafe_get k.f_body_off (fid + 1) - 1 do
-      let others_unsat = ref 0 in
-      (* -1: v absent from this body; 0: positive literal; 1: negated. *)
-      let v_neg = ref (-1) in
-      for l = Array.unsafe_get k.b_lit_off b to Array.unsafe_get k.b_lit_off (b + 1) - 1 do
-        let u = Array.unsafe_get k.l_var l in
-        let neg = Bytes.unsafe_get k.l_neg l <> '\000' in
-        if u = v then v_neg := (if neg then 1 else 0)
-        else if (Bytes.unsafe_get a u <> '\000') = neg then incr others_unsat
-      done;
-      if !others_unsat = 0 then
-        if !v_neg < 0 then begin incr n_true; incr n_false end
-        else if !v_neg = 0 then incr n_true
-        else incr n_false
-    done;
-    let w = Array.unsafe_get k.weights (Array.unsafe_get k.f_weight fid) in
-    let sem = Array.unsafe_get k.f_sem fid in
-    let h = Array.unsafe_get k.f_head fid in
-    (* Same float expression as [conditional_true_prob]: with no
-       concurrent writers the recomputed counts equal the counter-derived
-       ones, so the two conditionals are bit-identical (asserted by
-       tests). *)
-    let sign_true =
-      if h < 0 || h = v then 1.0
-      else if Bytes.unsafe_get a h <> '\000' then 1.0
-      else -1.0
-    in
-    let sign_false = if h < 0 then 1.0 else if h = v then -1.0 else sign_true in
-    delta := !delta +. (w *. sign_true *. g_of sem !n_true) -. (w *. sign_false *. g_of sem !n_false)
-  done;
-  !delta
-
-let async_conditional_true_prob st v = sigmoid (async_delta st v)
-
-let async_resample_var rng st v =
-  let x = bernoulli rng (sigmoid (async_delta st v)) in
-  (* Unconditional single-byte store: the only shared write of the async
-     sampler.  No counter maintenance — see the module comment above. *)
-  Bytes.unsafe_set st.assign v (bool_byte x)
-
-let sweep_span_async rng st vars ~lo ~hi =
-  for i = lo to hi - 1 do
-    async_resample_var rng st (Array.unsafe_get vars i)
-  done
-
-let sweep_span_async_budgeted ~budget ~site rng st vars ~lo ~hi =
-  let i = ref lo in
-  while !i < hi do
-    Budget.check budget site;
-    let stop = min hi (!i + poll_every) in
-    sweep_span_async rng st vars ~lo:!i ~hi:stop;
-    i := stop
-  done
-
 let accumulate_span_true st vars ~lo ~hi totals =
   for i = lo to hi - 1 do
     let v = Array.unsafe_get vars i in
     if Bytes.unsafe_get st.assign v <> '\000' then totals.(v) <- totals.(v) + 1
-  done
-
-let rebuild_counters st =
-  let k = st.k in
-  for fid = 0 to k.nfactors - 1 do
-    st.sat.(fid) <- 0;
-    for b = k.f_body_off.(fid) to k.f_body_off.(fid + 1) - 1 do
-      let u = ref 0 in
-      for l = k.b_lit_off.(b) to k.b_lit_off.(b + 1) - 1 do
-        let value = Bytes.get st.assign k.l_var.(l) <> '\000' in
-        if value = (Bytes.get k.l_neg l <> '\000') then incr u
-      done;
-      st.unsat.(b) <- !u;
-      if !u = 0 then st.sat.(fid) <- st.sat.(fid) + 1
-    done
   done
 
 let closed_form_marginals st =

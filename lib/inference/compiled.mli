@@ -173,67 +173,10 @@ val sweep_slice_budgeted :
     worker.  Draws from the PRNG exactly as {!sweep_slice} does
     for the variables it completes. *)
 
-(** {1 Asynchronous (lock-free) sampling}
-
-    The async entry points share only the assignment [Bytes] between
-    domains: {!async_conditional_true_prob} recomputes body satisfaction
-    directly from the assignment instead of reading the cached
-    [unsat]/[sat] counters, and {!async_resample_var} writes exactly one
-    byte.  Concurrent use from several domains is a {e benign race} in
-    the DimmWitted sense: reads of neighbor assignments may be stale, but
-    the OCaml 5 memory model guarantees every racy read of a non-atomic
-    location returns some previously-written value (no tearing, no
-    out-of-thin-air), so each resample draws from a correct conditional
-    w.r.t. a slightly old view of the neighbors.  With a single domain
-    the recomputed counts equal the counter-derived ones and the async
-    conditional is bit-identical to {!conditional_true_prob}.
-
-    The cached counters are left untouched by async sweeps and go stale;
-    call {!rebuild_counters} before handing the state back to any
-    counter-based path ({!sweep}, {!conditional_true_prob},
-    {!add_feature_counts}). *)
-
-val async_cost : t -> Graph.var -> int
-(** Literal-scan work of one async conditional for [v] (plus 1) — the
-    cost function the contiguous range scheduler balances spans by. *)
-
-val async_conditional_true_prob : state -> Graph.var -> float
-(** P(v = true | rest) recomputed from the assignment bytes only. *)
-
-val async_resample_var : Dd_util.Prng.t -> state -> Graph.var -> unit
-(** One async Gibbs update: a conditional evaluation plus a single-byte
-    assignment store.  Never touches the [unsat]/[sat] counters. *)
-
-val sweep_span_async : Dd_util.Prng.t -> state -> Graph.var array -> lo:int -> hi:int -> unit
-(** [sweep_span_async rng st vars ~lo ~hi] async-resamples [vars.(lo)]
-    .. [vars.(hi - 1)] in order — one worker's range sweep over a packed
-    variable array ({!query_vars} or {!coupled_vars}). *)
-
-val sweep_span_async_budgeted :
-  budget:Dd_util.Budget.t ->
-  site:string ->
-  Dd_util.Prng.t ->
-  state ->
-  Graph.var array ->
-  lo:int ->
-  hi:int ->
-  unit
-(** {!sweep_span_async} with a cooperative budget poll every 128
-    variables; exhaustion raises {!Dd_util.Budget.Exceeded} from the
-    polling worker.  The assignment is never torn by an abort: every
-    completed resample left a whole byte. *)
-
 val accumulate_span_true : state -> Graph.var array -> lo:int -> hi:int -> int array -> unit
 (** [accumulate_span_true st vars ~lo ~hi totals] increments
     [totals.(v)] for every currently-true [v = vars.(i)] with [i] in
-    [\[lo, hi)] — the marginal-counting inner loop, and the per-worker
-    accumulation shard of an async epoch (spans are disjoint, so
-    concurrent workers write disjoint [totals] cells). *)
-
-val rebuild_counters : state -> unit
-(** Recompute every [unsat]/[sat] counter from the current assignment —
-    the "merge on demand" that re-validates the counter caches after any
-    number of async sweeps.  O(total literals). *)
+    [\[lo, hi)] — the marginal-counting inner loop. *)
 
 val closed_form_marginals : state -> float array
 (** A fresh marginal vector for a chain that sweeps only the coupled

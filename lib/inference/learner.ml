@@ -26,16 +26,14 @@ let feature_counts g assignment =
     g;
   Hashtbl.fold (fun w v out -> (w, v) :: out) acc []
 
-type cd_options = {
-  epochs : int;
-  learning_rate : float;
-  decay : float;
-  l2 : float;
-  chain_sweeps : int;
-}
+type cd_options = { epochs : int; learning_rate : float }
 
-let default_cd =
-  { epochs = 50; learning_rate = 0.1; decay = 0.05; l2 = 0.0001; chain_sweeps = 2 }
+let default_cd = { epochs = 50; learning_rate = 0.1 }
+
+(* Step-size decay, L2 penalty and Gibbs sweeps per phase per epoch. *)
+let cd_decay = 0.05
+let cd_l2 = 0.0001
+let cd_chain_sweeps = 2
 
 let train_cd ?(options = default_cd) ?(on_epoch = fun _ _ -> ()) rng g =
   (* Persistent chains over one compiled kernel: the positive chain keeps
@@ -53,18 +51,18 @@ let train_cd ?(options = default_cd) ?(on_epoch = fun _ _ -> ()) rng g =
     (* Crash mid-training = weights partially stepped; recovery discards
        them with the rest of the in-memory state. *)
     Dd_util.Fault.hit "learner.train_cd.epoch";
-    for _ = 1 to options.chain_sweeps do
+    for _ = 1 to cd_chain_sweeps do
       Compiled.sweep rng positive;
       Compiled.sweep_all rng negative
     done;
-    let lr = options.learning_rate /. (1.0 +. (options.decay *. float_of_int epoch)) in
+    let lr = options.learning_rate /. (1.0 +. (cd_decay *. float_of_int epoch)) in
     Array.fill gradient 0 (Array.length gradient) 0.0;
     Compiled.add_feature_counts positive ~scale:1.0 gradient;
     Compiled.add_feature_counts negative ~scale:(-1.0) gradient;
     Array.iter
       (fun w ->
         let current = Graph.weight_value g w in
-        Graph.set_weight g w (current +. (lr *. (gradient.(w) -. (options.l2 *. current)))))
+        Graph.set_weight g w (current +. (lr *. (gradient.(w) -. (cd_l2 *. current)))))
       learnable;
     on_epoch epoch g;
     (* After both the step and the callback (which may also touch

@@ -22,9 +22,9 @@ val feature_counts : Graph.t -> bool array -> (Graph.weight_id * float) list
 type cd_options = {
   epochs : int;
   learning_rate : float;
-  decay : float;  (** step size at epoch [t] is [lr / (1 + decay * t)] *)
-  l2 : float;
-  chain_sweeps : int;  (** Gibbs sweeps per phase per epoch *)
+      (** step size at epoch [t] is [learning_rate / (1 + 0.05 t)]; each
+          step adds an L2 penalty of [0.0001] and follows two Gibbs
+          sweeps per phase *)
 }
 
 val default_cd : cd_options

@@ -182,9 +182,10 @@ let state_snapshot engine = Marshal.to_string (engine : Engine.t) []
 (* Bumped whenever the marshalled [Engine.t] layout changes (3: the
    generator's state became a byte buffer; 4: the cached compiled kernel
    stores its coupled/isolated split; 5: the engine carries its commit
-   log), so an older store fails the tag check instead of unmarshalling
-   into the wrong shape. *)
-let ckpt_tag = "ddckpt 5"
+   log; 6: [Engine.options] lost its Gibbs-mode and initial-learning-rate
+   fields), so an older store fails the tag check instead of
+   unmarshalling into the wrong shape. *)
+let ckpt_tag = "ddckpt 6"
 
 (* A save appends while the WAL stays within both caps and writes a base
    once it would pass either, so recovery replays at most

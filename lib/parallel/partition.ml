@@ -24,8 +24,6 @@ let neighbor_sets g =
     g;
   neighbors
 
-let conflict_degree g = Array.map Hashtbl.length (neighbor_sets g)
-
 let color g =
   let n = Graph.num_vars g in
   let neighbors = neighbor_sets g in

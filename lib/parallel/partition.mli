@@ -39,10 +39,6 @@ val color : Graph.t -> t
 (** Greedy chromatic coloring of the query variables.  Deterministic:
     the same graph always yields the same partition. *)
 
-val conflict_degree : Graph.t -> int array
-(** Per variable, the number of distinct query variables it shares at
-    least one factor with (0 for evidence variables). *)
-
 val validate : Graph.t -> t -> (unit, string) result
 (** Full audit of a partition against its graph: every query variable
     holds a color in [[0, num_colors)] and appears in exactly its class,

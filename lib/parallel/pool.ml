@@ -14,8 +14,6 @@ type t = {
   mutable alive : bool;
 }
 
-let recommended () = Domain.recommended_domain_count ()
-
 (* Each worker parks on its own condition variable until [run] hands it a
    job or [shutdown] raises [stop].  The worker publishes completion by
    clearing [busy] under the same mutex, so a [run] joining on [busy]

@@ -37,7 +37,3 @@ val run : ?limit:int -> t -> (int -> unit) -> unit
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent. *)
-
-val recommended : unit -> int
-(** [Domain.recommended_domain_count ()] — the hardware's useful domain
-    count, the natural default pool size. *)

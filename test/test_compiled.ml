@@ -223,12 +223,9 @@ let test_sweeps_allocation_free () =
     done
   in
   let slice = Compiled.query_vars k in
-  let nq = Compiled.num_query k in
   check_allocation_free "sweep" (repeat (fun () -> Compiled.sweep rng st));
   check_allocation_free "sweep_all" (repeat (fun () -> Compiled.sweep_all rng st));
-  check_allocation_free "sweep_slice" (repeat (fun () -> Compiled.sweep_slice rng st slice));
-  check_allocation_free "sweep_span_async"
-    (repeat (fun () -> Compiled.sweep_span_async rng st slice ~lo:0 ~hi:nq))
+  check_allocation_free "sweep_slice" (repeat (fun () -> Compiled.sweep_slice rng st slice))
 
 (* --- agreement with exact marginals -------------------------------------------- *)
 

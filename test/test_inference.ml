@@ -302,7 +302,7 @@ let test_cd_learns_evidence_sign () =
     ignore (Graph.unary g ~weight:w_neg vn)
   done;
   Learner.train_cd
-    ~options:{ Learner.default_cd with Learner.epochs = 80; learning_rate = 0.2 }
+    ~options:{ Learner.epochs = 80; learning_rate = 0.2 }
     (Prng.create 16) g;
   Alcotest.(check bool) "positive weight up" true (Graph.weight_value g w_pos > 0.3);
   Alcotest.(check bool) "negative weight down" true (Graph.weight_value g w_neg < -0.3)
@@ -320,7 +320,7 @@ let test_pseudo_log_likelihood_improves () =
   let g = build () in
   let before = Learner.pseudo_log_likelihood ~worlds:20 (Prng.create 17) g in
   Learner.train_cd
-    ~options:{ Learner.default_cd with Learner.epochs = 60; learning_rate = 0.2 }
+    ~options:{ Learner.epochs = 60; learning_rate = 0.2 }
     (Prng.create 18) g;
   let after = Learner.pseudo_log_likelihood ~worlds:20 (Prng.create 19) g in
   Alcotest.(check bool) "likelihood improved" true (after > before)
