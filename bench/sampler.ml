@@ -16,8 +16,11 @@
      color class) and worlds/s of the chain-parallel sample store.  Domain
      counts beyond the host's hardware oversubscribe its cores; the JSON
      host block records which regime produced the numbers.
-   - The equivalence tier: on an enumerable graph the color-sync chain at
-     3 domains must sample the same distribution as exact enumeration.
+   - The equivalence tier: on a graph small enough for [Exact] but whose
+     component is over the enumeration bound, the color-sync chain at 3
+     domains must sample the same distribution as exact enumeration.
+   - The exact tier: on graphs under the bound the estimators enumerate
+     each component; they must match [Exact] to rounding.
    - The closed-form tier: the marginal estimators read isolated query
      variables (no adjacent factor mentions another query variable) in
      closed form.  On an enumerable graph mixing isolated and coupled
@@ -194,26 +197,75 @@ let parallel_modes ~full =
   Table.print table;
   note "(sweeps timed: %d; chain worlds: %d, each chain burned in separately.)" sweeps worlds
 
-(* --- statistical equivalence on an enumerable graph --------------------- *)
+(* --- statistical equivalence on a graph the chain must run --------------- *)
+
+let equiv_burn_in = 300
+let equiv_sweeps = 30_000
+
+(* The smallest scale graph, from 12 variables up, whose one component is
+   over the enumeration bound at the tier's chain length, so the sampler
+   runs the chain rather than enumerating. *)
+let over_the_bound_scale_graph () =
+  let graph n = scale_graph ~extra_per_var:2 ~locality:4 (Prng.create 11) n in
+  let rec first n =
+    let g = graph n in
+    if Compiled.enumerable (Compiled.compile g) ~steps:(equiv_burn_in + equiv_sweeps) then first (n + 1)
+    else g
+  in
+  first 12
 
 let equivalence_tier () =
   note "";
-  note "statistical equivalence (12-var scale graph, exact enumeration):";
-  let g = scale_graph ~extra_per_var:2 ~locality:4 (Prng.create 11) 12 in
+  let g = over_the_bound_scale_graph () in
+  note "statistical equivalence (%d-var scale graph, over the enumeration bound; exact enumeration):"
+    (Graph.num_vars g);
   let exact = Exact.marginals g in
-  let sync = Par_gibbs.marginals ~burn_in:300 ~domains:3 (Prng.create 12) g ~sweeps:30_000 in
+  let sync =
+    Par_gibbs.marginals ~burn_in:equiv_burn_in ~domains:3 (Prng.create 12) g ~sweeps:equiv_sweeps
+  in
   let kl =
     let acc = ref 0.0 in
     Array.iteri (fun v p -> acc := !acc +. Stats.kl_bernoulli p sync.(v)) exact;
     !acc /. float_of_int (Array.length exact)
   in
   let d_sync = Stats.max_abs_diff sync exact in
+  metric "equiv_vars" (float_of_int (Graph.num_vars g));
   metric "equiv_max_diff_colorsync_vs_exact" d_sync;
   metric "equiv_mean_kl_exact_vs_colorsync" kl;
   let ok = d_sync < 0.05 in
   metric "equiv_ok" (if ok then 1.0 else 0.0);
   note "  color-sync (3 domains) vs exact: max|diff| %.4f, mean KL %.6f -> %s" d_sync kl
     (if ok then "ok" else "FAIL")
+
+(* --- exact marginals for small coupled components ----------------------- *)
+
+(* Graphs under the bound are answered by enumerating each component:
+   the compiled estimator and the sampler at 1 and 3 domains must match
+   [Exact] to rounding on every variable. *)
+let exact_tier graphs =
+  note "";
+  note "exact marginals for small coupled components (enumerated, vs exact enumeration):";
+  let diff =
+    List.fold_left
+      (fun acc (name, g, steps) ->
+        let kernel = Compiled.compile g in
+        let exact = Exact.marginals g in
+        let sweeps = steps - 10 in
+        let runs =
+          [
+            Compiled.marginals ~burn_in:10 (Prng.create 19) kernel ~sweeps;
+            Par_gibbs.marginals ~burn_in:10 ~domains:1 (Prng.create 19) g ~sweeps;
+            Par_gibbs.marginals ~burn_in:10 ~domains:3 (Prng.create 19) g ~sweeps;
+          ]
+        in
+        let d = List.fold_left (fun acc m -> Float.max acc (Stats.max_abs_diff m exact)) 0.0 runs in
+        note "  %s: %d coupled in %d components, enumerable at %d steps: %b; max|diff| %.3g" name
+          (Compiled.num_coupled kernel) (Compiled.num_components kernel) steps
+          (Compiled.enumerable kernel ~steps) d;
+        Float.max acc d)
+      0.0 graphs
+  in
+  metric "exact_max_diff_vs_exact" diff
 
 (* --- closed-form marginals for isolated query variables ------------------ *)
 
@@ -288,6 +340,11 @@ let run ~full =
   oracle_vs_compiled ~full;
   parallel_modes ~full;
   equivalence_tier ();
+  exact_tier
+    [
+      ("12-var scale graph", scale_graph ~extra_per_var:2 ~locality:4 (Prng.create 11) 12, equiv_burn_in + equiv_sweeps);
+      ("mixed isolated graph", mixed_isolated_graph (), 120);
+    ];
   closed_form_tier ~full
 
 let () = register "sampler" "Compiled Gibbs kernel: oracle, color-sync, chains" run

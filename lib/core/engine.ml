@@ -66,6 +66,7 @@ type report = {
   learning_seconds : float;
   inference_seconds : float;
   acceptance_rate : float option;
+  exact_components : int;
   grounding : Grounding.report;
   marginals : float array;
 }
@@ -131,8 +132,9 @@ let compiled_kernel t =
     t.kernel_compiles <- t.kernel_compiles + 1;
     k
 
-let learn t ~epochs ~learning_rate =
-  if epochs > 0 then Learner.train_cd ~options:{ Learner.epochs; learning_rate } t.rng (graph t)
+let learn ?kernel t ~epochs ~learning_rate =
+  if epochs > 0 then
+    Learner.train_cd ~options:{ Learner.epochs; learning_rate } ?kernel t.rng (graph t)
 
 let materialize_now t =
   t.mat <-
@@ -196,6 +198,81 @@ let record_extensions t (greport : Grounding.report) =
       then Hashtbl.replace t.extension_origin fid old_count)
     greport.Grounding.change.Metropolis.extended_factors
 
+(* The §3.2 strategies, picked by the §3.3 optimizer, with full Gibbs on
+   the real graph as the fallback when neither artifact is usable. *)
+let choose_and_infer t ~budget ~kernel =
+  let change = Materialize.cumulative_change t.mat (graph t) ~extension_origin:t.extension_origin in
+  let profile = Optimizer.profile_of_change change in
+  let samples_total = Array.length t.mat.Materialize.samples in
+  let exhausted = t.proposals_used + t.opts.inference_chain > samples_total in
+  let variational_available =
+    t.mat.Materialize.variational <> None && not t.opts.disable_variational
+  in
+  let sampling_available = samples_total > 0 && not t.opts.disable_sampling in
+  let decision =
+    if not sampling_available then Optimizer.Variational
+    else if not variational_available then Optimizer.Sampling
+    else if not t.opts.workload_aware then
+      if exhausted then Optimizer.Variational else Optimizer.Sampling
+    else Optimizer.choose profile ~samples_exhausted:exhausted
+  in
+  match decision with
+  | Optimizer.Sampling when sampling_available ->
+    (* Probe the acceptance rate first: a chain needs ~SI/rho proposals
+       for SI effective samples, and when the distribution moved too much
+       the method "resorts to another evaluation method" (Section
+       3.2.2). *)
+    let (probe, m_probe), probe_secs =
+      Timer.time (fun () ->
+          let r =
+            Metropolis.infer t.rng change ~stored:t.mat.Materialize.samples
+              ~chain_length:(min 150 (Array.length t.mat.Materialize.samples))
+          in
+          (r.Metropolis.acceptance_rate, r))
+    in
+    t.proposals_used <- t.proposals_used + m_probe.Metropolis.proposals;
+    if probe < t.opts.acceptance_floor && variational_available then begin
+      let approx = Option.get t.mat.Materialize.variational in
+      let m, extra =
+        Timer.time (fun () ->
+            Materialize.variational_infer ~sweeps:t.opts.inference_chain
+              ~burn_in:t.opts.burn_in t.rng ~approx ~change)
+      in
+      (Used_variational, Some probe, m, probe_secs +. extra)
+    end
+    else begin
+      let chain_length =
+        min
+          (t.opts.inference_chain * 10)
+          (int_of_float
+             (ceil (float_of_int t.opts.inference_chain /. max probe 0.02)))
+      in
+      let result, secs =
+        Timer.time (fun () ->
+            Metropolis.infer t.rng change ~stored:t.mat.Materialize.samples
+              ~chain_length)
+      in
+      t.proposals_used <- t.proposals_used + result.Metropolis.proposals;
+      (Used_sampling, Some result.Metropolis.acceptance_rate, result.Metropolis.marginals,
+       probe_secs +. secs)
+    end
+  | Optimizer.Variational when variational_available ->
+    let approx = Option.get t.mat.Materialize.variational in
+    let m, secs =
+      Timer.time (fun () ->
+          Materialize.variational_infer ~sweeps:t.opts.inference_chain
+            ~burn_in:t.opts.burn_in t.rng ~approx ~change)
+    in
+    (Used_variational, None, m, secs)
+  | Optimizer.Sampling | Optimizer.Variational ->
+    let m, secs =
+      Timer.time (fun () ->
+          Par_gibbs.marginals ~burn_in:t.opts.burn_in ~budget ~kernel
+            ~domains:t.opts.parallel_domains t.rng (graph t)
+            ~sweeps:t.opts.inference_chain)
+    in
+    (Used_full_gibbs, None, m, secs)
+
 let step t update =
   (* One budget per update step, polled cooperatively by grounding rounds
      and Gibbs sweeps; [Ticks] specs re-arm deterministically per call. *)
@@ -226,83 +303,26 @@ let step t update =
   let learning_seconds =
     if needs_learning then
       Timer.time_s (fun () ->
-          learn t ~epochs:t.opts.incremental_learning_epochs
+          learn ~kernel:(compiled_kernel t) t ~epochs:t.opts.incremental_learning_epochs
             ~learning_rate:t.opts.incremental_learning_rate)
     else 0.0
   in
   Fault.hit "engine.apply_update.post_learning";
-  let change = Materialize.cumulative_change t.mat (graph t) ~extension_origin:t.extension_origin in
-  let profile = Optimizer.profile_of_change change in
-  let samples_total = Array.length t.mat.Materialize.samples in
-  let exhausted = t.proposals_used + t.opts.inference_chain > samples_total in
-  let variational_available =
-    t.mat.Materialize.variational <> None && not t.opts.disable_variational
-  in
-  let sampling_available = samples_total > 0 && not t.opts.disable_sampling in
-  let decision =
-    if not sampling_available then Optimizer.Variational
-    else if not variational_available then Optimizer.Sampling
-    else if not t.opts.workload_aware then
-      if exhausted then Optimizer.Variational else Optimizer.Sampling
-    else Optimizer.choose profile ~samples_exhausted:exhausted
-  in
-  let strategy, acceptance_rate, marginals, inference_seconds =
-    match decision with
-    | Optimizer.Sampling when sampling_available ->
-      (* Probe the acceptance rate first: a chain needs ~SI/rho proposals
-         for SI effective samples, and when the distribution moved too much
-         the method "resorts to another evaluation method" (Section
-         3.2.2). *)
-      let (probe, m_probe), probe_secs =
-        Timer.time (fun () ->
-            let r =
-              Metropolis.infer t.rng change ~stored:t.mat.Materialize.samples
-                ~chain_length:(min 150 (Array.length t.mat.Materialize.samples))
-            in
-            (r.Metropolis.acceptance_rate, r))
-      in
-      t.proposals_used <- t.proposals_used + m_probe.Metropolis.proposals;
-      if probe < t.opts.acceptance_floor && variational_available then begin
-        let approx = Option.get t.mat.Materialize.variational in
-        let m, extra =
-          Timer.time (fun () ->
-              Materialize.variational_infer ~sweeps:t.opts.inference_chain
-                ~burn_in:t.opts.burn_in t.rng ~approx ~change)
-        in
-        (Used_variational, Some probe, m, probe_secs +. extra)
-      end
-      else begin
-        let chain_length =
-          min
-            (t.opts.inference_chain * 10)
-            (int_of_float
-               (ceil (float_of_int t.opts.inference_chain /. max probe 0.02)))
-        in
-        let result, secs =
-          Timer.time (fun () ->
-              Metropolis.infer t.rng change ~stored:t.mat.Materialize.samples
-                ~chain_length)
-        in
-        t.proposals_used <- t.proposals_used + result.Metropolis.proposals;
-        (Used_sampling, Some result.Metropolis.acceptance_rate, result.Metropolis.marginals,
-         probe_secs +. secs)
-      end
-    | Optimizer.Variational when variational_available ->
-      let approx = Option.get t.mat.Materialize.variational in
+  let kernel = compiled_kernel t in
+  let strategy, acceptance_rate, marginals, inference_seconds, exact_components =
+    (* The §3.3 rule ahead of the optimizer: when every coupled component
+       is small, answer exactly on the real graph. *)
+    if Compiled.enumerable kernel ~steps:(t.opts.burn_in + t.opts.inference_chain) then begin
       let m, secs =
         Timer.time (fun () ->
-            Materialize.variational_infer ~sweeps:t.opts.inference_chain
-              ~burn_in:t.opts.burn_in t.rng ~approx ~change)
+            Par_gibbs.marginals ~burn_in:t.opts.burn_in ~budget ~kernel
+              ~domains:t.opts.parallel_domains t.rng (graph t) ~sweeps:t.opts.inference_chain)
       in
-      (Used_variational, None, m, secs)
-    | Optimizer.Sampling | Optimizer.Variational ->
-      let m, secs =
-        Timer.time (fun () ->
-            Par_gibbs.marginals ~burn_in:t.opts.burn_in ~budget ~kernel:(compiled_kernel t)
-              ~domains:t.opts.parallel_domains t.rng (graph t)
-              ~sweeps:t.opts.inference_chain)
-      in
-      (Used_full_gibbs, None, m, secs)
+      (Used_full_gibbs, None, m, secs, Compiled.num_components kernel)
+    end
+    else
+      let strategy, acceptance_rate, marginals, inference_seconds = choose_and_infer t ~budget ~kernel in
+      (strategy, acceptance_rate, marginals, inference_seconds, 0)
   in
   Fault.hit "engine.apply_update.post_inference";
   t.last_marginals <- marginals;
@@ -312,6 +332,7 @@ let step t update =
     learning_seconds;
     inference_seconds;
     acceptance_rate;
+    exact_components;
     grounding = greport;
     marginals;
   }
@@ -332,6 +353,8 @@ let apply_update t update =
     raise e
 
 let identity t = t.identity
+
+let without_kernel t = { t with kernel = None }
 
 let commits t = t.commits
 
@@ -447,15 +470,18 @@ let rebuild t =
   fresh.commits <- t.commits;
   fresh
 
+(* One kernel serves learning and inference: learning leaves it holding
+   the learned weights. *)
 let rerun_grounding options db prog =
   let grounding = Grounding.ground db prog in
   let rng = Prng.create options.seed in
   let g = Grounding.graph grounding in
+  let kernel = Compiled.compile g in
   Learner.train_cd
     ~options:{ Learner.default_cd with Learner.epochs = options.initial_learning_epochs }
-    rng g;
+    ~kernel rng g;
   let marginals =
-    Par_gibbs.marginals ~burn_in:options.burn_in ~domains:options.parallel_domains rng g
+    Par_gibbs.marginals ~burn_in:options.burn_in ~kernel ~domains:options.parallel_domains rng g
       ~sweeps:options.inference_chain
   in
   (grounding, marginals)

@@ -61,7 +61,11 @@ val default_options : options
 type strategy_used =
   | Used_sampling
   | Used_variational
-  | Used_full_gibbs  (** fallback when no variational artifact exists *)
+  | Used_full_gibbs
+      (** inference on the real graph: exact enumeration when every
+          coupled component is small ({!report.exact_components} says how
+          many were enumerated), else the Gibbs chain — the fallback when
+          neither §3.2 artifact is usable *)
 
 val strategy_used_to_string : strategy_used -> string
 
@@ -71,6 +75,9 @@ type report = {
   learning_seconds : float;
   inference_seconds : float;
   acceptance_rate : float option;
+  exact_components : int;
+      (** coupled components answered by enumeration; 0 unless the exact
+          rule fired on a graph with coupled variables *)
   grounding : Grounding.report;
   marginals : float array;
 }
@@ -150,6 +157,11 @@ type identity
     alive. *)
 
 val identity : t -> identity
+
+val without_kernel : t -> t
+(** A shallow copy sharing every field but the compiled-kernel cache,
+    which it leaves empty — what a store marshals: the kernel is a pure
+    function of the graph, recompiled on first use. *)
 
 val commits : t -> int
 (** Updates this engine has committed, counted from {!create}; a saved

@@ -2,6 +2,7 @@ module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
 module Prng = Dd_util.Prng
 module Budget = Dd_util.Budget
+module Union_find = Dd_util.Union_find
 
 (* Semantics tags, kept as ints so the energy kernel branches on an
    immediate instead of loading a constructor. *)
@@ -76,6 +77,16 @@ type t = {
      conditional is its exact marginal).  Both ascending. *)
   coupled : int array;
   isolated : int array;
+  (* The coupled variables labelled into components (query variables
+     joined by a factor), packed: component [c] is
+     [comp_vars.(comp_off.(c)) .. comp_vars.(comp_off.(c + 1) - 1)],
+     cheapest flip first; components are ordered by their smallest
+     variable.
+     [enum_states] is the sum of 2^k over the components (saturating at
+     [max_int]). *)
+  comp_off : int array;
+  comp_vars : int array;
+  enum_states : int;
 }
 
 let graph t = t.graph
@@ -87,6 +98,19 @@ let num_query t = Array.length t.query
 let query_vars t = Array.copy t.query
 let num_coupled t = Array.length t.coupled
 let coupled_vars t = Array.copy t.coupled
+let num_components t = Array.length t.comp_off - 1
+
+(* The [c] of [enumerable]: enumerated states allowed per chain update
+   replaced.  Measured crossover (DESIGN.md §8): one state costs 0.4-0.5
+   chain updates on uniform synthetic components and about 1.5 on
+   Pharma's components of fourteen heavy variables; 1 keeps enumeration
+   at or near the chain's cost on both. *)
+let exact_work_ratio = 1.0
+
+let enumerable t ~steps =
+  float_of_int t.enum_states
+  <= exact_work_ratio *. float_of_int steps *. float_of_int (Array.length t.coupled)
+
 let learnable_active t = Array.copy t.learnable_active
 
 let refresh_weights t =
@@ -260,6 +284,7 @@ let compile g =
   Array.iter (fun v -> Bytes.set query_flag v '\001') query;
   let in_query v = v >= 0 && Bytes.get query_flag v <> '\000' in
   let coupled_flag = Bytes.make (max 1 nvars) '\000' in
+  let uf = Union_find.create nvars in
   for fid = 0 to nfactors - 1 do
     let h = f_head.(fid) in
     let l0 = b_lit_off.(f_body_off.(fid)) and l1 = b_lit_off.(f_body_off.(fid + 1)) - 1 in
@@ -269,9 +294,16 @@ let compile g =
       if in_query v then if !first < 0 then first := v else if v <> !first then shared := true
     done;
     if !shared then begin
-      if in_query h then Bytes.set coupled_flag h '\001';
+      if in_query h then begin
+        Bytes.set coupled_flag h '\001';
+        Union_find.union uf !first h
+      end;
       for l = l0 to l1 do
-        if in_query l_var.(l) then Bytes.set coupled_flag l_var.(l) '\001'
+        let v = l_var.(l) in
+        if in_query v then begin
+          Bytes.set coupled_flag v '\001';
+          Union_find.union uf !first v
+        end
       done
     end
   done;
@@ -284,6 +316,49 @@ let compile g =
       if is_coupled v then begin coupled.(!nc) <- v; incr nc end
       else begin isolated.(!ni) <- v; incr ni end)
     query;
+  (* Number the components in order of their smallest variable, then
+     counting-sort the coupled variables by component. *)
+  let comp_of_root = Array.make (max 1 nvars) (-1) in
+  let ncomp = ref 0 in
+  let comp_of =
+    Array.map
+      (fun v ->
+        let r = Union_find.find uf v in
+        if comp_of_root.(r) < 0 then begin
+          comp_of_root.(r) <- !ncomp;
+          incr ncomp
+        end;
+        comp_of_root.(r))
+      coupled
+  in
+  let comp_off = Array.make (!ncomp + 1) 0 in
+  Array.iter (fun c -> comp_off.(c + 1) <- comp_off.(c + 1) + 1) comp_of;
+  for c = 0 to !ncomp - 1 do
+    comp_off.(c + 1) <- comp_off.(c + 1) + comp_off.(c)
+  done;
+  let comp_vars = Array.make ncoupled 0 in
+  let cursor = Array.sub comp_off 0 !ncomp in
+  Array.iteri
+    (fun i c ->
+      comp_vars.(cursor.(c)) <- coupled.(i);
+      cursor.(c) <- cursor.(c) + 1)
+    comp_of;
+  (* Within a component, cheapest flip first: a Gray-code walk flips its
+     [j]-th variable 2^(n-1-j) times, and a flip costs the variable's
+     occurrences (ties keep ascending ids). *)
+  let flip_cost v = grp_occ_off.(v_grp_off.(v + 1)) - grp_occ_off.(v_grp_off.(v)) + grp_count.(v) in
+  for c = 0 to !ncomp - 1 do
+    let lo = comp_off.(c) and hi = comp_off.(c + 1) in
+    let part = Array.sub comp_vars lo (hi - lo) in
+    Array.stable_sort (fun a b -> compare (flip_cost a) (flip_cost b)) part;
+    Array.blit part 0 comp_vars lo (hi - lo)
+  done;
+  let enum_states = ref 0 in
+  for c = 0 to !ncomp - 1 do
+    let size = comp_off.(c + 1) - comp_off.(c) in
+    let states = if size >= Sys.int_size - 2 then max_int else 1 lsl size in
+    enum_states := if !enum_states > max_int - states then max_int else !enum_states + states
+  done;
   {
     graph = g;
     nvars;
@@ -307,6 +382,9 @@ let compile g =
     query;
     coupled;
     isolated;
+    comp_off;
+    comp_vars;
+    enum_states = !enum_states;
   }
 
 (* --- state -------------------------------------------------------------- *)
@@ -324,15 +402,8 @@ let value st v = Bytes.unsafe_get st.assign v <> '\000'
 
 let snapshot st = Array.init st.k.nvars (fun v -> value st v)
 
-let make_state ?init rng k =
-  let init =
-    match init with
-    | Some a ->
-      if Array.length a <> k.nvars then
-        invalid_arg "Compiled.make_state: assignment size mismatch";
-      a
-    | None -> Gibbs.init_assignment rng k.graph
-  in
+(* Counters for a whole-graph assignment. *)
+let state_of_world k init =
   let assign = Bytes.init k.nvars (fun v -> bool_byte init.(v)) in
   let unsat = Array.make (max 1 k.nbodies) 0 in
   let sat = Array.make (max 1 k.nfactors) 0 in
@@ -348,6 +419,17 @@ let make_state ?init rng k =
     done
   done;
   { k; assign; unsat; sat }
+
+let make_state ?init rng k =
+  let init =
+    match init with
+    | Some a ->
+      if Array.length a <> k.nvars then
+        invalid_arg "Compiled.make_state: assignment size mismatch";
+      a
+    | None -> Gibbs.init_assignment rng k.graph
+  in
+  state_of_world k init
 
 (* Satisfied-body count of a group's factor under a hypothetical value
    for [v], accumulated tail-recursively so the hot loop allocates
@@ -421,6 +503,42 @@ let set_value st v x =
     done
   end
 
+(* Flip [v] and return the energy change, [E(after) - E(before)], in one
+   pass over its occurrences: the counter updates of [set_value], plus,
+   per adjacent factor whose satisfied-body count or sign moved, the
+   difference of its energies as [counters_delta] computes them (a factor
+   that moved neither contributes exactly 0). *)
+let[@inline] flip st v =
+  let k = st.k in
+  let x = not (value st v) in
+  Bytes.unsafe_set st.assign v (bool_byte x);
+  let delta = ref 0.0 in
+  for grp = Array.unsafe_get k.v_grp_off v to Array.unsafe_get k.v_grp_off (v + 1) - 1 do
+    let fid = Array.unsafe_get k.grp_factor grp in
+    let before = Array.unsafe_get st.sat fid in
+    for o = Array.unsafe_get k.grp_occ_off grp to Array.unsafe_get k.grp_occ_off (grp + 1) - 1 do
+      let b = Array.unsafe_get k.occ_body o in
+      let lit_sat = x <> (Bytes.unsafe_get k.occ_neg o <> '\000') in
+      let u = Array.unsafe_get st.unsat b in
+      let u' = if lit_sat then u - 1 else u + 1 in
+      Array.unsafe_set st.unsat b u';
+      if u = 0 then Array.unsafe_set st.sat fid (Array.unsafe_get st.sat fid - 1)
+      else if u' = 0 then Array.unsafe_set st.sat fid (Array.unsafe_get st.sat fid + 1)
+    done;
+    let after = Array.unsafe_get st.sat fid in
+    let h = Array.unsafe_get k.f_head fid in
+    if after <> before || h = v then begin
+      let w = Array.unsafe_get k.weights (Array.unsafe_get k.f_weight fid) in
+      let sem = Array.unsafe_get k.f_sem fid in
+      let sign_after =
+        if h < 0 then 1.0 else if Bytes.unsafe_get st.assign h <> '\000' then 1.0 else -1.0
+      in
+      let sign_before = if h = v then -.sign_after else sign_after in
+      delta := !delta +. ((w *. sign_after *. g_of sem after) -. (w *. sign_before *. g_of sem before))
+    end
+  done;
+  !delta
+
 let resample_var rng st v = set_value st v (bernoulli rng (sigmoid (counters_delta st v)))
 
 let sweep rng st =
@@ -458,8 +576,8 @@ let sweep_slice_budgeted ~budget ~site rng st slice =
     i := stop
   done
 
-let accumulate_span_true st vars ~lo ~hi totals =
-  for i = lo to hi - 1 do
+let accumulate_span_true st vars totals =
+  for i = 0 to Array.length vars - 1 do
     let v = Array.unsafe_get vars i in
     if Bytes.unsafe_get st.assign v <> '\000' then totals.(v) <- totals.(v) + 1
   done
@@ -470,10 +588,92 @@ let closed_form_marginals st =
   Array.iter (fun v -> m.(v) <- sigmoid (counters_delta st v)) k.isolated;
   m
 
+(* Index of the lowest set bit of [i > 0]: the variable the [i]-th
+   Gray-code step flips. *)
+let rec lowest_bit i j = if i land 1 = 1 then j else lowest_bit (i lsr 1) (j + 1)
+
+(* Walk the 2^n assignments of component [c] in Gray-code order, one
+   flip per state, from the all-false assignment [state_of_world] put it
+   in.  The log-weight relative to that start moves by each flip's energy
+   change, which [flip] reads off the cached counters as it updates
+   them.  Weights are taken as [exp (lw - top)] against the largest
+   log-weight seen so far; a new maximum rescales every partial sum.
+   Components share no factor, so the other components' values never
+   enter.
+
+   The sums are pairwise, in aligned blocks: variable [j] (bit [j] of
+   the Gray code [i lxor (i lsr 1)]) is constant over each aligned block
+   of 2^j states, so when such a block completes its sum is added to
+   [j]'s accumulator if [j] is true over it, and merged upwards.  That is
+   amortized two steps per state, with no cancellation.  [sums] holds
+   the [n] accumulators, then the [n + 1] pending lower-half blocks; the
+   last pending block is the whole walk, the partition function. *)
+let enumerate_component st c sums m =
+  let k = st.k in
+  let lo = k.comp_off.(c) in
+  let n = k.comp_off.(c + 1) - lo in
+  Array.fill sums 0 ((2 * n) + 1) 0.0;
+  let lw = ref 0.0 and lw_err = ref 0.0 and top = ref 0.0 in
+  for i = 0 to (1 lsl n) - 1 do
+    if i > 0 then begin
+      (* Compensated (Kahan) running sum: the walk adds 2^n - 1 deltas. *)
+      let y = flip st (Array.unsafe_get k.comp_vars (lo + lowest_bit i 0)) -. !lw_err in
+      let t = !lw +. y in
+      lw_err := t -. !lw -. y;
+      lw := t
+    end;
+    if !lw > !top then begin
+      let scale = exp (!top -. !lw) in
+      for j = 0 to 2 * n do
+        Array.unsafe_set sums j (Array.unsafe_get sums j *. scale)
+      done;
+      top := !lw
+    end;
+    let gray = i lxor (i lsr 1) in
+    (* [s]: the sum of the aligned block of 2^l states ending at [i]. *)
+    let s = ref (exp (!lw -. !top)) and l = ref 0 and merging = ref true in
+    while !merging do
+      let j = !l in
+      if j < n && (gray lsr j) land 1 = 1 then
+        Array.unsafe_set sums j (Array.unsafe_get sums j +. !s);
+      if j < n && (i lsr j) land 1 = 1 then begin
+        s := !s +. Array.unsafe_get sums (n + j);
+        Array.unsafe_set sums (n + j) 0.0;
+        l := j + 1
+      end
+      else begin
+        Array.unsafe_set sums (n + j) !s;
+        merging := false
+      end
+    done
+  done;
+  let z = sums.(2 * n) in
+  for j = 0 to n - 1 do
+    m.(k.comp_vars.(lo + j)) <- sums.(j) /. z
+  done
+
+let exact_marginals ?(budget = Budget.unlimited) k =
+  let world =
+    Array.init k.nvars (fun v ->
+        match Graph.evidence_of k.graph v with Graph.Evidence b -> b | Graph.Query -> false)
+  in
+  let st = state_of_world k world in
+  let m = closed_form_marginals st in
+  let largest = ref 0 in
+  for c = 0 to num_components k - 1 do
+    largest := max !largest (k.comp_off.(c + 1) - k.comp_off.(c))
+  done;
+  let sums = Array.make ((2 * !largest) + 1) 0.0 in
+  for c = 0 to num_components k - 1 do
+    Budget.check budget "compiled.component";
+    enumerate_component st c sums m
+  done;
+  m
+
 (* The chain visits the coupled variables only; the poll stays once per
    sweep even when there are none, so a tick budget expires at the same
    sweep whatever the split. *)
-let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) rng k ~sweeps =
+let chain_marginals ~burn_in ~budget rng k ~sweeps =
   let st = make_state rng k in
   let m = closed_form_marginals st in
   let c = k.coupled in
@@ -485,11 +685,17 @@ let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) rng k ~sweeps =
   for _ = 1 to sweeps do
     Budget.check budget "compiled.sweep";
     sweep_slice rng st c;
-    accumulate_span_true st c ~lo:0 ~hi:(Array.length c) totals
+    accumulate_span_true st c totals
   done;
   let denom = float_of_int (max 1 sweeps) in
   Array.iter (fun v -> m.(v) <- float_of_int totals.(v) /. denom) c;
   m
+
+(* With nothing coupled both arms return the closed forms; the chain's
+   empty sweeps keep its per-sweep budget polls. *)
+let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) rng k ~sweeps =
+  if num_coupled k > 0 && enumerable k ~steps:(burn_in + sweeps) then exact_marginals ~budget k
+  else chain_marginals ~burn_in ~budget rng k ~sweeps
 
 let sample_worlds ?(burn_in = 10) ?(spacing = 1) rng k ~n =
   let st = make_state rng k in

@@ -49,6 +49,19 @@
     components.  {!sweep}, {!sweep_all} and {!sample_worlds} still visit
     every query variable: they produce whole worlds.
 
+    {b Exact marginals for small components.}  [compile] also labels the
+    coupled variables into components (query variables joined through a
+    shared factor, by {!Dd_util.Union_find}) and packs each one.  Given
+    the evidence, the distribution factorizes over components, so a
+    component of [k] variables can be answered exactly by walking its
+    [2^k] assignments.  {!enumerable} is the work rule: the sum of [2^k]
+    over the components is at most a measured constant times the
+    chain's [steps × num_coupled] variable updates.  When it holds (and
+    something is coupled), {!marginals} — and
+    {!Dd_parallel.Par_gibbs.marginals} — answer through
+    {!exact_marginals}, which draws nothing; otherwise they run the chain
+    described below, with unchanged bits.
+
     Determinism contract: for a given [(seed, graph)], {!make_state}
     draws the initial world exactly as {!Gibbs.init_assignment} does and
     {!sweep} draws from the PRNG in exactly the order and count of
@@ -63,7 +76,7 @@
     a graph with no isolated query variable it is bit-identical to
     counting every sweep of {!sweep} (the reference kept under
     [test/oracle]), and evaluating the closed forms consumes no
-    randomness. *)
+    randomness; enumeration ({!exact_marginals}) draws nothing at all. *)
 
 module Graph = Dd_fgraph.Graph
 
@@ -114,6 +127,18 @@ val coupled_vars : t -> int array
 (** Packed coupled query-variable ids (some adjacent factor mentions
     another query variable), ascending.  Fresh copy.  The remaining
     query variables are isolated. *)
+
+val num_components : t -> int
+(** Coupled components: maximal sets of query variables joined through
+    factors that mention two or more of them. *)
+
+val enumerable : t -> steps:int -> bool
+(** Every component is small enough to enumerate: the sum of [2^k] over
+    the components is at most [c × steps × num_coupled], where
+    [steps × num_coupled] counts the chain's variable updates for [steps]
+    sweeps (burn-in included) and [c] is the measured crossover of the
+    two estimators (DESIGN.md).
+    Depends on the structure only.  True when nothing is coupled. *)
 
 val learnable_active : t -> int array
 (** Weight slots that are learnable {e and} attached to at least one
@@ -173,10 +198,10 @@ val sweep_slice_budgeted :
     worker.  Draws from the PRNG exactly as {!sweep_slice} does
     for the variables it completes. *)
 
-val accumulate_span_true : state -> Graph.var array -> lo:int -> hi:int -> int array -> unit
-(** [accumulate_span_true st vars ~lo ~hi totals] increments
-    [totals.(v)] for every currently-true [v = vars.(i)] with [i] in
-    [\[lo, hi)] — the marginal-counting inner loop. *)
+val accumulate_span_true : state -> Graph.var array -> int array -> unit
+(** [accumulate_span_true st vars totals] increments [totals.(v)] for
+    every currently-true [v] in [vars] — the marginal-counting inner
+    loop. *)
 
 val closed_form_marginals : state -> float array
 (** A fresh marginal vector for a chain that sweeps only the coupled
@@ -186,15 +211,29 @@ val closed_form_marginals : state -> float array
     its current value as a placeholder the caller overwrites with its
     chain estimate.  Consumes no randomness. *)
 
+val exact_marginals : ?budget:Dd_util.Budget.t -> t -> float array
+(** Exact marginals by enumeration, component by component.  Evidence
+    and isolated query variables come from {!closed_form_marginals};
+    each component's [2^k] assignments are visited in Gray-code order,
+    one flip per state that updates the cached counters as
+    {!set_value} does and returns the energy change; the log-weight is a
+    compensated sum of those changes, and weights are summed pairwise
+    against a running maximum (rescaled when it grows).  Draws nothing
+    and allocates one accumulator array.  [budget] is polled once per component.  Cost is
+    exponential in the largest component: callers gate it with
+    {!enumerable}. *)
+
 val marginals :
   ?burn_in:int -> ?budget:Dd_util.Budget.t -> Dd_util.Prng.t -> t -> sweeps:int -> float array
-(** Fresh-state marginals.  Evidence and isolated query variables come
-    from {!closed_form_marginals}; the coupled ones are the fraction of
-    [sweeps] post-burn-in sweeps over {!coupled_vars} in which they were
-    true.  [budget] is polled once per sweep (burn-in included), also
-    when no variable is coupled, so a tick budget expires at the same
-    sweep whatever the split; exhaustion raises
-    {!Dd_util.Budget.Exceeded} instead of finishing the chain. *)
+(** Fresh-state marginals.  When something is coupled and
+    [enumerable ~steps:(burn_in + sweeps)] holds, {!exact_marginals}
+    (no draw).  Otherwise the chain: evidence and isolated query
+    variables come from {!closed_form_marginals}; the coupled ones are
+    the fraction of [sweeps] post-burn-in sweeps over {!coupled_vars} in
+    which they were true.  The chain polls [budget] once per sweep
+    (burn-in included), also when no variable is coupled, so a tick
+    budget expires at the same sweep whatever the split; exhaustion
+    raises {!Dd_util.Budget.Exceeded} instead of finishing. *)
 
 val sample_worlds :
   ?burn_in:int -> ?spacing:int -> Dd_util.Prng.t -> t -> n:int -> bool array array

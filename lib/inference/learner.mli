@@ -32,6 +32,7 @@ val default_cd : cd_options
 val train_cd :
   ?options:cd_options ->
   ?on_epoch:(int -> Graph.t -> unit) ->
+  ?kernel:Compiled.t ->
   Dd_util.Prng.t ->
   Graph.t ->
   unit
@@ -39,7 +40,9 @@ val train_cd :
     chains run on one {!Compiled} kernel; per-epoch gradients are read
     off its live satisfied-body counters into dense weight slots, and
     each step re-syncs the kernel via {!Compiled.refresh_weights}
-    (weights only — no regrounding, no structural rebuild). *)
+    (weights only — no regrounding, no structural rebuild).  [?kernel]
+    lends a kernel compiled from [g] with current weights (it is left
+    holding the learned ones); by default one is compiled. *)
 
 val pseudo_log_likelihood : ?worlds:int -> Dd_util.Prng.t -> Graph.t -> float
 (** Average log conditional probability of each evidence variable's label

@@ -177,15 +177,18 @@ let quarantined_files store =
 
 (* --- checkpoint save ------------------------------------------------------- *)
 
-let state_snapshot engine = Marshal.to_string (engine : Engine.t) []
+(* The compiled-kernel cache stays out of the base: recovery recompiles
+   it on first use, so its layout is not part of the format. *)
+let state_snapshot engine = Marshal.to_string (Engine.without_kernel engine : Engine.t) []
 
 (* Bumped whenever the marshalled [Engine.t] layout changes (3: the
    generator's state became a byte buffer; 4: the cached compiled kernel
    stores its coupled/isolated split; 5: the engine carries its commit
    log; 6: [Engine.options] lost its Gibbs-mode and initial-learning-rate
-   fields), so an older store fails the tag check instead of
-   unmarshalling into the wrong shape. *)
-let ckpt_tag = "ddckpt 6"
+   fields; 7: the kernel cache is no longer marshalled), so an older
+   store fails the tag check instead of unmarshalling into the wrong
+   shape. *)
+let ckpt_tag = "ddckpt 7"
 
 (* A save appends while the WAL stays within both caps and writes a base
    once it would pass either, so recovery replays at most

@@ -19,20 +19,21 @@ type t = {
   mode : mode;
 }
 
+(* Check the arguments; the lent kernel, or a fresh one. *)
+let kernel_for ?kernel ~domains g =
+  if domains < 1 then invalid_arg "Par_gibbs: domains must be >= 1";
+  match kernel with
+  | Some k ->
+    if not (Compiled.matches_structure k g) then
+      invalid_arg "Par_gibbs: compiled kernel does not match the graph";
+    k
+  | None -> Compiled.compile g
+
 (* [sweep_set] picks the packed variables a sweep visits: every query
    variable for {!create}, the coupled ones for {!marginals}.  On a graph
    with no isolated query variable the two are the same array, so the
    plan and every draw are too. *)
-let build ?kernel ~sweep_set ~domains rng g =
-  if domains < 1 then invalid_arg "Par_gibbs.create: domains must be >= 1";
-  let kernel =
-    match kernel with
-    | Some k ->
-      if not (Compiled.matches_structure k g) then
-        invalid_arg "Par_gibbs.create: compiled kernel does not match the graph";
-      k
-    | None -> Compiled.compile g
-  in
+let build ~kernel ~sweep_set ~domains rng g =
   let state = Compiled.make_state rng kernel in
   let vars = sweep_set kernel in
   if domains = 1 then { state; vars; mode = Sequential rng }
@@ -59,7 +60,8 @@ let build ?kernel ~sweep_set ~domains rng g =
     { state; vars; mode = Parallel { rngs; plan; pool = Pool.create domains } }
   end
 
-let create ?kernel ~domains rng g = build ?kernel ~sweep_set:Compiled.query_vars ~domains rng g
+let create ?kernel ~domains rng g =
+  build ~kernel:(kernel_for ?kernel ~domains g) ~sweep_set:Compiled.query_vars ~domains rng g
 
 let run_phase_with sweep p phase =
   (* Count the slices that actually hold work: a class smaller than the
@@ -77,11 +79,7 @@ let run_phase_with sweep p phase =
   if !busy = 1 then
     let d = !last in
     sweep p.rngs.(d) phase.(d)
-  else if !busy > 1 then
-    (* [limit] keeps the parked tail of an oversized shared pool asleep:
-       only the [Array.length phase] indexes the plan addresses run. *)
-    Pool.run ~limit:(Array.length phase) p.pool (fun d ->
-        if d < Array.length phase then sweep p.rngs.(d) phase.(d))
+  else if !busy > 1 then Pool.run p.pool (fun d -> sweep p.rngs.(d) phase.(d))
 
 let run_phase state p phase =
   run_phase_with (fun rng slice -> Compiled.sweep_slice rng state slice) p phase
@@ -119,25 +117,32 @@ let shutdown t =
   | Sequential _ -> ()
   | Parallel p -> Pool.shutdown p.pool
 
-(* The chain sweeps the coupled variables only; evidence and isolated
-   query variables are read in closed form before the first sweep. *)
+(* Small components are enumerated on the caller's domain, as
+   [Compiled.marginals] does (no pool, no draw).  Otherwise the chain
+   sweeps the coupled variables only; evidence and isolated query
+   variables are read in closed form before the first sweep. *)
 let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) ?kernel ~domains rng g ~sweeps =
-  let t = build ?kernel ~sweep_set:Compiled.coupled_vars ~domains rng g in
-  Fun.protect
-    ~finally:(fun () -> shutdown t)
-    (fun () ->
-      let m = Compiled.closed_form_marginals t.state in
-      let totals = Array.make (Graph.num_vars g) 0 in
-      for _ = 1 to burn_in do
-        sweep_budgeted budget t
-      done;
-      for _ = 1 to sweeps do
-        sweep_budgeted budget t;
-        Compiled.accumulate_span_true t.state t.vars ~lo:0 ~hi:(Array.length t.vars) totals
-      done;
-      let denom = float_of_int (max 1 sweeps) in
-      Array.iter (fun v -> m.(v) <- float_of_int totals.(v) /. denom) t.vars;
-      m)
+  let kernel = kernel_for ?kernel ~domains g in
+  if Compiled.num_coupled kernel > 0 && Compiled.enumerable kernel ~steps:(burn_in + sweeps) then
+    Compiled.exact_marginals ~budget kernel
+  else begin
+    let t = build ~kernel ~sweep_set:Compiled.coupled_vars ~domains rng g in
+    Fun.protect
+      ~finally:(fun () -> shutdown t)
+      (fun () ->
+        let m = Compiled.closed_form_marginals t.state in
+        let totals = Array.make (Graph.num_vars g) 0 in
+        for _ = 1 to burn_in do
+          sweep_budgeted budget t
+        done;
+        for _ = 1 to sweeps do
+          sweep_budgeted budget t;
+          Compiled.accumulate_span_true t.state t.vars totals
+        done;
+        let denom = float_of_int (max 1 sweeps) in
+        Array.iter (fun v -> m.(v) <- float_of_int totals.(v) /. denom) t.vars;
+        m)
+  end
 
 (* Deterministic near-equal split of [n] across [chains]. *)
 let share n chains c = (n * (c + 1) / chains) - (n * c / chains)

@@ -25,7 +25,10 @@
     out of its color plan and reads their exact marginal in closed form
     ({!Dd_inference.Compiled.closed_form_marginals}).  On a graph with no
     isolated query variable both sets are the same, and so are the plan
-    and every draw. *)
+    and every draw.  When every coupled component is small
+    ({!Dd_inference.Compiled.enumerable}), {!marginals} enumerates them
+    instead, on the calling domain, as {!Dd_inference.Compiled.marginals}
+    does. *)
 
 module Graph = Dd_fgraph.Graph
 
@@ -58,14 +61,17 @@ val marginals :
   Graph.t ->
   sweeps:int ->
   float array
-(** Single-chain marginals.  Evidence variables report their clamped
-    value and isolated query variables their closed-form marginal, read
-    once before the chain starts; the chain sweeps the coupled query
-    variables and counts them.  A drop-in for
-    {!Dd_inference.Compiled.marginals} (bit-identical at
-    [domains = 1]), polling [budget] on the coordinator between color
-    phases (every color keeps its phase, even one left empty by the
-    filter) and inside every worker slice. *)
+(** Single-chain marginals, a drop-in for
+    {!Dd_inference.Compiled.marginals} (bit-identical at [domains = 1]).
+    When something is coupled and
+    [Compiled.enumerable ~steps:(burn_in + sweeps)] holds, the answer is
+    {!Dd_inference.Compiled.exact_marginals}: no pool, no draw, the same
+    bits at every domain count.  Otherwise evidence variables report
+    their clamped value and isolated query variables their closed-form
+    marginal, read once before the chain starts; the chain sweeps the
+    coupled query variables and counts them, polling [budget] on the
+    coordinator between color phases (every color keeps its phase, even
+    one left empty by the filter) and inside every worker slice. *)
 
 val sample_worlds :
   ?burn_in:int -> ?spacing:int -> domains:int -> Dd_util.Prng.t -> Graph.t -> n:int -> bool array array

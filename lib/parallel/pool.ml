@@ -60,41 +60,31 @@ let create n =
 
 let size t = t.size
 
-let run ?limit t f =
+let run t f =
   if not t.alive then invalid_arg "Pool.run: pool has been shut down";
-  let limit =
-    match limit with
-    | None -> t.size
-    | Some l ->
-      if l < 1 || l > t.size then invalid_arg "Pool.run: limit out of [1, size]";
-      l
-  in
-  (* Workers [limit - 1 ..] stay parked: a job that only occupies [k]
-     indexes of an oversized shared pool pays wakeup/join cost for [k]
-     workers, not [size]. *)
-  for i = 0 to limit - 2 do
-    let w = t.workers.(i) in
-    Mutex.lock w.mutex;
-    w.busy <- true;
-    w.job <- Some f;
-    Condition.broadcast w.cond;
-    Mutex.unlock w.mutex
-  done;
+  Array.iter
+    (fun w ->
+      Mutex.lock w.mutex;
+      w.busy <- true;
+      w.job <- Some f;
+      Condition.broadcast w.cond;
+      Mutex.unlock w.mutex)
+    t.workers;
   let own_failure = try f 0; None with e -> Some e in
   let first_failure = ref own_failure in
-  for i = 0 to limit - 2 do
-    let w = t.workers.(i) in
-    Mutex.lock w.mutex;
-    while w.busy do
-      Condition.wait w.cond w.mutex
-    done;
-    (match w.failed with
-    | Some e ->
-      if Option.is_none !first_failure then first_failure := Some e;
-      w.failed <- None
-    | None -> ());
-    Mutex.unlock w.mutex
-  done;
+  Array.iter
+    (fun w ->
+      Mutex.lock w.mutex;
+      while w.busy do
+        Condition.wait w.cond w.mutex
+      done;
+      (match w.failed with
+      | Some e ->
+        if Option.is_none !first_failure then first_failure := Some e;
+        w.failed <- None
+      | None -> ());
+      Mutex.unlock w.mutex)
+    t.workers;
   match !first_failure with Some e -> raise e | None -> ()
 
 let shutdown t =

@@ -22,18 +22,12 @@ val create : int -> t
 
 val size : t -> int
 
-val run : ?limit:int -> t -> (int -> unit) -> unit
+val run : t -> (int -> unit) -> unit
 (** [run t f] executes [f 0 .. f (size - 1)] concurrently ([f 0] on the
     calling domain) and returns when all are finished.  If any [f d]
     raised, the first such exception (lowest worker index, caller first)
     is re-raised after the join — the batch still completes on every
-    other worker.  Raises [Invalid_argument] after {!shutdown}.
-
-    [?limit] restricts the batch to [f 0 .. f (limit - 1)]: workers
-    [limit ..] stay parked and pay no wakeup/join cost, so a job that
-    only occupies [k < size] indexes of an oversized shared pool should
-    pass [~limit:k].  Defaults to [size]; raises [Invalid_argument]
-    outside [[1, size]]. *)
+    other worker.  Raises [Invalid_argument] after {!shutdown}. *)
 
 val shutdown : t -> unit
 (** Stop and join the worker domains.  Idempotent. *)

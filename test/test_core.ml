@@ -636,6 +636,21 @@ let engine_fixture () =
   let prog = Program.add_rules (base_program ()) [ supervision_rule ] in
   (db, prog)
 
+(* [engine_fixture] with sixteen items on a chain of [link] rows: the
+   linked rule joins the fifteen unlabelled items into one coupled
+   component, over the enumeration bound, so the optimizer's §3.2 picks
+   (MH over stored worlds, variational) still answer. *)
+let coupled_fixture () =
+  let db = fresh_db () in
+  let items = List.init 16 (Printf.sprintf "i%02d") in
+  load_features db (List.mapi (fun i x -> (x, if i mod 2 = 0 then "f1" else "f2")) items);
+  List.iteri
+    (fun i x -> if i > 0 then Database.insert_rows db "link" [ [| s (List.nth items (i - 1)); s x |] ])
+    items;
+  Database.insert_rows db "label_src" [ [| s "i00"; Value.Bool true |] ];
+  let prog = Program.add_rules (base_program ()) [ supervision_rule; link_rule ] in
+  (db, prog)
+
 let quick_options =
   {
     Engine.default_options with
@@ -645,9 +660,16 @@ let quick_options =
     incremental_learning_epochs = 2;
   }
 
+let check_over_the_bound engine =
+  let k = Dd_inference.Compiled.compile (Engine.graph engine) in
+  Alcotest.(check bool) "a component over the enumeration bound" false
+    (Dd_inference.Compiled.enumerable k
+       ~steps:(quick_options.Engine.burn_in + quick_options.Engine.inference_chain))
+
 let test_engine_analysis_update_uses_sampling () =
-  let db, prog = engine_fixture () in
+  let db, prog = coupled_fixture () in
   let engine = Engine.create ~options:quick_options db prog in
+  check_over_the_bound engine;
   let report = Engine.apply_update engine (Grounding.rules_update []) in
   Alcotest.(check string) "sampling" "sampling" (Engine.strategy_used_to_string report.Engine.strategy);
   (match report.Engine.acceptance_rate with
@@ -655,8 +677,9 @@ let test_engine_analysis_update_uses_sampling () =
   | None -> Alcotest.fail "expected acceptance rate")
 
 let test_engine_exhaustion_switches () =
-  let db, prog = engine_fixture () in
+  let db, prog = coupled_fixture () in
   let engine = Engine.create ~options:quick_options db prog in
+  check_over_the_bound engine;
   (* 100 samples / 50 per chain: the third analysis update exhausts. *)
   ignore (Engine.apply_update engine (Grounding.rules_update []));
   ignore (Engine.apply_update engine (Grounding.rules_update []));
@@ -665,10 +688,11 @@ let test_engine_exhaustion_switches () =
     (Engine.strategy_used_to_string report.Engine.strategy)
 
 let test_engine_lesion_disable_sampling () =
-  let db, prog = engine_fixture () in
+  let db, prog = coupled_fixture () in
   let engine =
     Engine.create ~options:{ quick_options with Engine.disable_sampling = true } db prog
   in
+  check_over_the_bound engine;
   let report = Engine.apply_update engine (Grounding.rules_update []) in
   Alcotest.(check string) "forced variational" "variational"
     (Engine.strategy_used_to_string report.Engine.strategy)
@@ -686,8 +710,9 @@ let test_engine_lesion_disable_variational () =
     (report.Engine.strategy <> Engine.Used_variational)
 
 let test_engine_rematerialize_resets () =
-  let db, prog = engine_fixture () in
+  let db, prog = coupled_fixture () in
   let engine = Engine.create ~options:quick_options db prog in
+  check_over_the_bound engine;
   ignore (Engine.apply_update engine (Grounding.rules_update []));
   ignore (Engine.apply_update engine (Grounding.rules_update []));
   let (_ : float) = Engine.rematerialize engine in
@@ -710,6 +735,63 @@ let test_engine_rerun () =
   let marginals, seconds = Engine.rerun ~options:quick_options db prog in
   Alcotest.(check int) "four vars" 4 (Array.length marginals);
   Alcotest.(check bool) "took time" true (seconds > 0.0)
+
+(* [engine_fixture] with the linked rule over b -> c -> d: one coupled
+   component of three, small enough that every update takes the exact
+   rule on the real graph. *)
+let small_coupled_fixture () =
+  let db, prog = engine_fixture () in
+  Database.insert_rows db "link" [ [| s "b"; s "c" |]; [| s "c"; s "d" |] ];
+  (db, Program.add_rules prog [ link_rule ])
+
+let digest m =
+  Digest.to_hex (Digest.string (String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") m))))
+
+let test_engine_exact_rule () =
+  let module Checkpoint = Dd_kbc.Checkpoint in
+  let db, prog = small_coupled_fixture () in
+  let engine = Engine.create ~options:quick_options db prog in
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dd_core_exact_rule" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+  let store = Checkpoint.open_store ~fsync:false dir in
+  Checkpoint.save store engine;
+  let delta = Dred.Delta.create () in
+  Dred.Delta.insert delta "item_feature" [| s "e"; s "f1" |];
+  List.iter
+    (fun update ->
+      let report = Engine.apply_update engine update in
+      Alcotest.(check string) "real-graph pick" "full-gibbs"
+        (Engine.strategy_used_to_string report.Engine.strategy);
+      Alcotest.(check int) "one component enumerated" 1 report.Engine.exact_components;
+      let g = Engine.graph engine in
+      let exact = Exact.marginals g in
+      List.iter
+        (fun v ->
+          if abs_float (report.Engine.marginals.(v) -. exact.(v)) > 1e-12 then
+            Alcotest.failf "var %d reads %.17g, exact %.17g" v report.Engine.marginals.(v) exact.(v))
+        (Graph.query_vars g))
+    [ Grounding.rules_update []; Grounding.data_update delta ];
+  Checkpoint.save store engine;
+  Alcotest.(check bool) "both updates appended to the WAL" true
+    (Checkpoint.last_save store = Some (Checkpoint.Append 2));
+  Checkpoint.abandon store;
+  (match Checkpoint.recover (Checkpoint.open_store ~fsync:false dir) with
+  | Ok (recovered, applied) ->
+    Alcotest.(check int) "both updates replayed" 2 applied;
+    Alcotest.(check string) "recovered marginals bit-identical" (digest (Engine.marginals engine))
+      (digest (Engine.marginals recovered))
+  | Error e -> Alcotest.fail (Checkpoint.error_to_string e));
+  (* Learning is sequential and enumeration draws nothing, so the Rerun
+     is the same at any domain count. *)
+  let rerun domains =
+    let db, prog = small_coupled_fixture () in
+    digest (fst (Engine.rerun ~options:{ quick_options with Engine.parallel_domains = domains } db prog))
+  in
+  let once = rerun 1 in
+  Alcotest.(check string) "rerun reproduces itself" once (rerun 1);
+  Alcotest.(check string) "rerun at 3 domains reproduces itself" (rerun 3) (rerun 3);
+  Alcotest.(check string) "and matches 1 domain" once (rerun 3)
 
 let test_engine_marginals_by_relation () =
   let db, prog = engine_fixture () in
@@ -857,5 +939,6 @@ let () =
           Alcotest.test_case "data update report" `Quick test_engine_data_update_report;
           Alcotest.test_case "rerun" `Quick test_engine_rerun;
           Alcotest.test_case "marginals by relation" `Quick test_engine_marginals_by_relation;
+          Alcotest.test_case "exact rule on small components" `Quick test_engine_exact_rule;
         ] );
     ]

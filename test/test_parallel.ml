@@ -189,25 +189,6 @@ let test_pool_shutdown_idempotent () =
     | () -> false
     | exception Invalid_argument _ -> true)
 
-(* [Pool.run ~limit] must wake only the leading workers — the parked
-   tail of an oversized shared pool stays asleep. *)
-let test_pool_run_limit () =
-  let pool = Pool.create 4 in
-  let hits = Array.make 4 0 in
-  Pool.run ~limit:2 pool (fun d -> hits.(d) <- hits.(d) + 1);
-  Alcotest.(check (array int)) "only workers < limit ran" [| 1; 1; 0; 0 |] hits;
-  Pool.run pool (fun d -> hits.(d) <- hits.(d) + 1);
-  Alcotest.(check (array int)) "full run still works" [| 2; 2; 1; 1 |] hits;
-  Alcotest.(check bool) "limit 0 rejected" true
-    (match Pool.run ~limit:0 pool (fun _ -> ()) with
-    | () -> false
-    | exception Invalid_argument _ -> true);
-  Alcotest.(check bool) "limit > size rejected" true
-    (match Pool.run ~limit:5 pool (fun _ -> ()) with
-    | () -> false
-    | exception Invalid_argument _ -> true);
-  Pool.shutdown pool
-
 (* --- par_gibbs: domains = 1 is bit-exact ------------------------------- *)
 
 let test_seq_marginals_bit_identical () =
@@ -271,13 +252,7 @@ let test_par_sample_worlds_shape () =
       done)
     worlds
 
-let test_par_marginals_match_exact () =
-  (* Color-synchronous sweeps sample the same distribution: compare to
-     exact marginals on an enumerable graph. *)
-  let g = random_graph ~nvars:8 2 in
-  let m = Par_gibbs.marginals ~burn_in:100 ~domains:3 (Prng.create 72) g ~sweeps:12_000 in
-  let exact = Exact.marginals g in
-  Alcotest.(check bool) "within 4%" true (Stats.max_abs_diff m exact < 0.04)
+
 
 let test_par_voting_agrees () =
   (* The voting aggregation factor degrades the partition to singleton
@@ -301,24 +276,24 @@ let unary_graph n =
     (Graph.add_vars g n);
   g
 
-(* [n] variables in coupled pairs [(2i, 2i + 1)], each with a unary bias:
-   two color classes (even and odd ids), so every sweep is exactly two
-   parallel phases whose [domains] slices all carry work.  Poll counts
-   are then a pure function of the shapes: 1 coordinator poll per phase
-   plus [ceil (slice / 128)] polls per worker slice — deterministic no
-   matter how the domains interleave, because the tick counter is
-   atomic. *)
-let pair_graph n =
+(* [n] variables on a pairwise path, each with a unary bias: one coupled
+   component too large to enumerate, so the chain runs, and two color
+   classes (odd and even ids), so every sweep is exactly two parallel
+   phases whose [domains] slices all carry work.  Poll counts are then a
+   pure function of the shapes: 1 coordinator poll per phase plus
+   [ceil (slice / 128)] polls per worker slice — deterministic no matter
+   how the domains interleave, because the tick counter is atomic. *)
+let path_graph n =
   let g = unary_graph n in
   let w = Graph.add_weight g 0.4 in
-  for i = 0 to (n / 2) - 1 do
-    ignore (Graph.pairwise g ~weight:w (2 * i) ((2 * i) + 1))
+  for i = 0 to n - 2 do
+    ignore (Graph.pairwise g ~weight:w i (i + 1))
   done;
   g
 
 let test_budgeted_worker_slices () =
   let module Budget = Dd_util.Budget in
-  let g = pair_graph 1200 in
+  let g = path_graph 1200 in
   let run budget =
     Par_gibbs.marginals ?budget ~burn_in:1 ~domains:3 (Prng.create 90) g ~sweeps:5
   in
@@ -358,6 +333,20 @@ let chain_graph ~copies n =
     done
   done;
   g
+
+let test_par_marginals_match_exact () =
+  (* Color-synchronous and sequential sweeps sample the same
+     distribution: compare to exact marginals on a graph [Exact]
+     enumerates but whose one 19-variable component is over the bound at
+     12,100 steps, so the chain runs. *)
+  let g = chain_graph ~copies:1 20 in
+  Alcotest.(check bool) "over the bound" false
+    (Compiled.enumerable (Compiled.compile g) ~steps:12_100);
+  let m = Par_gibbs.marginals ~burn_in:100 ~domains:3 (Prng.create 72) g ~sweeps:12_000 in
+  let exact = Exact.marginals g in
+  Alcotest.(check bool) "within 4%" true (Stats.max_abs_diff m exact < 0.04);
+  let seq = Compiled.marginals ~burn_in:100 (Prng.create 72) (Compiled.compile g) ~sweeps:12_000 in
+  Alcotest.(check bool) "sequential chain within 4%" true (Stats.max_abs_diff seq exact < 0.04)
 
 (* Example 2.5's voting program: one head [q], an up and a down
    aggregation factor with one body per voter, unary biases on voters. *)
@@ -416,11 +405,12 @@ let i1_graph ~copies pairs =
   done;
   g
 
+(* Each has a component too large to enumerate at 7 + 40 steps, so
+   the estimators run the chain. *)
 let no_isolated_graphs () =
   [
     ("chain", chain_graph ~copies:3 24);
     ("voting", voting_graph ~copies:3 ~up:9 ~down:7 Semantics.Logical);
-    ("i1", i1_graph ~copies:3 8);
   ]
 
 let digest m =
@@ -430,7 +420,9 @@ let digest m =
 let check_no_isolated name g =
   let k = Compiled.compile g in
   Alcotest.(check int) (name ^ ": every query variable coupled") (Compiled.num_query k)
-    (Compiled.num_coupled k)
+    (Compiled.num_coupled k);
+  Alcotest.(check bool) (name ^ ": over the enumeration bound") false
+    (Compiled.enumerable k ~steps:47)
 
 (* On graphs with no isolated query variable the closed-form estimators
    must return the bits of the count-every-sweep oracle: the compiled
@@ -462,7 +454,6 @@ let parent_digests =
   [
     ("chain", "3f24775dbe62b47b654bee64408eed06");
     ("voting", "d4d047db7bdce1c5100d091788ed5d2c");
-    ("i1", "48b891548d1d327e04d1646c87439dbe");
   ]
 
 let test_no_isolated_three_domains_pinned () =
@@ -618,6 +609,57 @@ let test_budget_with_no_coupled () =
   Alcotest.(check string) "10 polls: 4 burn-in + 6 counted sweeps" "finished" (outcome 10 compiled);
   Alcotest.(check string) "the 10th poll is the last sweep's" "compiled.sweep" (outcome 9 compiled)
 
+(* --- exact marginals for small coupled components --------------------- *)
+
+let max_query_diff g m exact =
+  List.fold_left (fun acc v -> Float.max acc (abs_float (m.(v) -. exact.(v)))) 0.0 (Graph.query_vars g)
+
+(* At 10 + 200 steps every graph of at most 11 variables is enumerable:
+   2^11 <= 210 * 11.  The property still checks the rule's verdict. *)
+let exact_qcheck =
+  let open QCheck in
+  [
+    Test.make ~name:"enumerated marginals = exact, every mode" ~count:100 small_int (fun seed ->
+        let g = isolated_mix_graph seed in
+        let k = Compiled.compile g in
+        (not (Compiled.enumerable k ~steps:210))
+        ||
+        let exact = Exact.marginals g in
+        List.for_all
+          (fun (mode, m) ->
+            let d = max_query_diff g m exact in
+            d <= 1e-12 || Test.fail_reportf "seed %d, %s: max |marginal - exact| %.3g" seed mode d)
+          [
+            ("compiled", Compiled.marginals ~burn_in:10 (Prng.create seed) k ~sweeps:200);
+            ("sequential", Par_gibbs.marginals ~burn_in:10 ~domains:1 (Prng.create seed) g ~sweeps:200);
+            ("color-sync 3", Par_gibbs.marginals ~burn_in:10 ~domains:3 (Prng.create seed) g ~sweeps:200);
+          ]);
+  ]
+
+(* The I1 shape: eight coupled pairs, eight components of two.  Exact at
+   every domain count, without a draw, with one budget poll per
+   component. *)
+let test_i1_pairs_enumerate () =
+  let module Budget = Dd_util.Budget in
+  let g = i1_graph ~copies:1 8 in
+  let k = Compiled.compile g in
+  Alcotest.(check int) "eight components" 8 (Compiled.num_components k);
+  Alcotest.(check bool) "enumerable" true (Compiled.enumerable k ~steps:47);
+  let exact = Exact.marginals g in
+  let rng = Prng.create 31 in
+  let m = Par_gibbs.marginals ~burn_in:7 ~domains:3 rng g ~sweeps:40 in
+  Alcotest.(check bool) "within 1e-12 of exact" true (max_query_diff g m exact <= 1e-12);
+  Alcotest.(check string) "same bits at 1 domain" (digest m)
+    (digest (Par_gibbs.marginals ~burn_in:7 ~domains:1 (Prng.create 32) g ~sweeps:40));
+  Alcotest.(check string) "same bits from Compiled" (digest m)
+    (digest (Compiled.marginals ~burn_in:7 (Prng.create 33) k ~sweeps:40));
+  Alcotest.(check int) "nothing drawn" (Prng.bits53 (Prng.create 31)) (Prng.bits53 rng);
+  let run ticks = Compiled.marginals ~budget:(Budget.start (Budget.Ticks ticks)) ~burn_in:7 rng k ~sweeps:40 in
+  Alcotest.(check string) "8 polls finish" (digest m) (digest (run 8));
+  match run 7 with
+  | _ -> Alcotest.fail "expected Budget.Exceeded at the eighth component"
+  | exception Budget.Exceeded site -> Alcotest.(check string) "component site" "compiled.component" site
+
 (* --- Fig-KBC agreement (the recovery harness comparators) -------------- *)
 
 let tiny_news =
@@ -745,7 +787,6 @@ let () =
           Alcotest.test_case "runs all indices, reusable" `Quick test_pool_runs_all_indices;
           Alcotest.test_case "propagates exceptions" `Quick test_pool_propagates_exception;
           Alcotest.test_case "shutdown idempotent" `Quick test_pool_shutdown_idempotent;
-          Alcotest.test_case "limit wakes only leading workers" `Quick test_pool_run_limit;
         ] );
       ( "sequential equivalence",
         [
@@ -778,5 +819,8 @@ let () =
           Alcotest.test_case "budget ticks with nothing coupled" `Quick test_budget_with_no_coupled;
         ] );
       ("closed form properties", List.map QCheck_alcotest.to_alcotest closed_form_qcheck);
+      ( "exact components",
+        [ Alcotest.test_case "I1 pairs enumerate" `Quick test_i1_pairs_enumerate ] );
+      ("exact properties", List.map QCheck_alcotest.to_alcotest exact_qcheck);
       ("partition properties", List.map QCheck_alcotest.to_alcotest partition_qcheck);
     ]
