@@ -37,8 +37,9 @@ let f1_of_program corpus program =
   let grounding = Grounding.ground db program in
   let g = Grounding.graph grounding in
   let rng = Prng.create 61 in
-  Learner.train_cd ~options:{ Learner.default_cd with Learner.epochs = 40 } rng g;
-  let marginals = Compiled.marginals ~burn_in:30 rng (Compiled.compile g) ~sweeps:400 in
+  let kernel = Compiled.compile g in
+  Learner.train_cd ~options:{ Learner.default_cd with Learner.epochs = 40 } ~kernel rng;
+  let marginals = Compiled.marginals ~burn_in:30 rng kernel ~sweeps:400 in
   ( (Quality.evaluate grounding marginals ~truth:corpus.Corpus.truth).Quality.f1,
     (Grounding.stats grounding).Grounding.weights )
 

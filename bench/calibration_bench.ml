@@ -36,8 +36,9 @@ let calibration ~full =
       let grounding = Grounding.ground db (Pipeline.full_program ()) in
       let g = Grounding.graph grounding in
       let rng = Prng.create 81 in
-      Learner.train_cd ~options:{ Learner.default_cd with Learner.epochs = 50 } rng g;
-      let marginals = Compiled.marginals ~burn_in:50 rng (Compiled.compile g) ~sweeps:600 in
+      let kernel = Compiled.compile g in
+      Learner.train_cd ~options:{ Learner.default_cd with Learner.epochs = 50 } ~kernel rng;
+      let marginals = Compiled.marginals ~burn_in:50 rng kernel ~sweeps:600 in
       let report = Calibration.evaluate grounding marginals ~truth:corpus.Corpus.truth in
       Table.add_row table
         [

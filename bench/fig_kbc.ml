@@ -61,10 +61,10 @@ let fig6 ~full =
   let grounding = Grounding.ground db (Pipeline.full_program ()) in
   let g = Grounding.graph grounding in
   let rng = Prng.create 29 in
+  let kernel = Compiled.compile g in
   Dd_inference.Learner.train_cd
     ~options:{ Dd_inference.Learner.default_cd with Dd_inference.Learner.epochs = 40 }
-    rng g;
-  let kernel = Compiled.compile g in
+    ~kernel rng;
   let samples = Compiled.sample_worlds ~burn_in:30 rng kernel ~n:800 in
   let exactish = Compiled.marginals ~burn_in:30 rng kernel ~sweeps:400 in
   let reference = Grounding.marginals_by_relation grounding exactish in
@@ -252,10 +252,11 @@ let fig14 ~full =
   let g = Grounding.graph grounding in
   let rng = Prng.create 31 in
   (* Initial weights + shared samples (both variants start from these). *)
+  let kernel = Compiled.compile g in
   Dd_inference.Learner.train_cd
     ~options:{ Dd_inference.Learner.default_cd with Dd_inference.Learner.epochs = 15 }
-    rng g;
-  let samples = Compiled.sample_worlds ~burn_in:30 rng (Compiled.compile g) ~n:300 in
+    ~kernel rng;
+  let samples = Compiled.sample_worlds ~burn_in:30 rng kernel ~n:300 in
   (* Active variables: candidates of relation r0 (the analyst's focus). *)
   let active =
     List.filter_map

@@ -26,10 +26,9 @@ let f1_with_semantics config semantics =
   let grounding = Grounding.ground db (Pipeline.full_program ~semantics ()) in
   let g = Grounding.graph grounding in
   let rng = Prng.create 23 in
-  Learner.train_cd
-    ~options:{ Learner.default_cd with Learner.epochs = 30 }
-    rng g;
-  let marginals = Compiled.marginals ~burn_in:30 rng (Compiled.compile g) ~sweeps:300 in
+  let kernel = Compiled.compile g in
+  Learner.train_cd ~options:{ Learner.default_cd with Learner.epochs = 30 } ~kernel rng;
+  let marginals = Compiled.marginals ~burn_in:30 rng kernel ~sweeps:300 in
   (Quality.evaluate grounding marginals ~truth:corpus.Corpus.truth).Quality.f1
 
 let fig10b ~full =

@@ -248,5 +248,5 @@ let fig_kbc_graph ~full =
   let g = Grounding.graph grounding in
   Learner.train_cd
     ~options:{ Learner.default_cd with Learner.epochs = 10 }
-    (Prng.create 41) g;
+    ~kernel:(Dd_inference.Compiled.compile g) (Prng.create 41);
   g

@@ -151,8 +151,8 @@ let oracle_vs_compiled ~full =
 
 (* Steady-state sweeps: the sampler (partition, pool) is built once and
    warmed up before timing. *)
-let colorsync_rate ~sweeps ~repeats ~kernel g d =
-  let sampler = Par_gibbs.create ~kernel ~domains:d (Prng.create 53) g in
+let colorsync_rate ~sweeps ~repeats ~kernel d =
+  let sampler = Par_gibbs.create ~kernel ~domains:d (Prng.create 53) in
   Fun.protect
     ~finally:(fun () -> Par_gibbs.shutdown sampler)
     (fun () ->
@@ -161,11 +161,12 @@ let colorsync_rate ~sweeps ~repeats ~kernel g d =
       done;
       time_sweeps ~sweeps ~repeats (fun () -> Par_gibbs.sweep sampler))
 
-(* Worlds/s of the sample store drawn by [d] independent chains. *)
-let chain_rate ~worlds g d =
+(* Worlds/s of the sample store drawn by [d] independent chains on one
+   shared kernel (compiled outside the timer). *)
+let chain_rate ~worlds ~kernel d =
   rate_of ~sweeps:worlds
     (time_median ~repeats:1 (fun () ->
-         ignore (Par_gibbs.sample_worlds ~burn_in:5 ~domains:d (Prng.create 59) g ~n:worlds)))
+         ignore (Par_gibbs.sample_worlds ~burn_in:5 ~kernel ~domains:d (Prng.create 59) ~n:worlds)))
 
 let parallel_modes ~full =
   let nvars = if full then 1_200_000 else 60_000 in
@@ -187,8 +188,8 @@ let parallel_modes ~full =
   let table = Table.create [ "domains"; "color-sync s/s"; "chain worlds/s" ] in
   List.iter
     (fun d ->
-      let sync = colorsync_rate ~sweeps ~repeats ~kernel g d in
-      let chains = chain_rate ~worlds g d in
+      let sync = colorsync_rate ~sweeps ~repeats ~kernel d in
+      let chains = chain_rate ~worlds ~kernel d in
       metric (Printf.sprintf "colorsync_sweeps_per_sec_%dd" d) sync;
       metric (Printf.sprintf "chain_worlds_per_sec_%dd" d) chains;
       Table.add_row table
@@ -221,7 +222,8 @@ let equivalence_tier () =
     (Graph.num_vars g);
   let exact = Exact.marginals g in
   let sync =
-    Par_gibbs.marginals ~burn_in:equiv_burn_in ~domains:3 (Prng.create 12) g ~sweeps:equiv_sweeps
+    Par_gibbs.marginals ~burn_in:equiv_burn_in ~kernel:(Compiled.compile g) ~domains:3
+      (Prng.create 12) ~sweeps:equiv_sweeps
   in
   let kl =
     let acc = ref 0.0 in
@@ -254,8 +256,8 @@ let exact_tier graphs =
         let runs =
           [
             Compiled.marginals ~burn_in:10 (Prng.create 19) kernel ~sweeps;
-            Par_gibbs.marginals ~burn_in:10 ~domains:1 (Prng.create 19) g ~sweeps;
-            Par_gibbs.marginals ~burn_in:10 ~domains:3 (Prng.create 19) g ~sweeps;
+            Par_gibbs.marginals ~burn_in:10 ~kernel ~domains:1 (Prng.create 19) ~sweeps;
+            Par_gibbs.marginals ~burn_in:10 ~kernel ~domains:3 (Prng.create 19) ~sweeps;
           ]
         in
         let d = List.fold_left (fun acc m -> Float.max acc (Stats.max_abs_diff m exact)) 0.0 runs in
@@ -308,7 +310,7 @@ let closed_form_tier ~full =
   let coupled = Compiled.coupled_vars kernel in
   let isolated = List.filter (fun v -> not (Array.mem v coupled)) (Graph.query_vars g) in
   let sweeps = 50 in
-  let estimate domains = Par_gibbs.marginals ~burn_in:5 ~domains (Prng.create 17) g ~sweeps in
+  let estimate domains = Par_gibbs.marginals ~burn_in:5 ~kernel ~domains (Prng.create 17) ~sweeps in
   let runs =
     [
       ("compiled", Compiled.marginals ~burn_in:5 (Prng.create 17) kernel ~sweeps);

@@ -93,7 +93,7 @@ let run_cmd =
         Engine.inference_chain = sweeps;
         initial_learning_epochs = epochs;
         seed;
-        with_variational = false;
+        disable_variational = true;
       }
     in
     let engine = Engine.create ~options db prog in
@@ -167,14 +167,11 @@ let demo_cmd =
       Dd_kbc.Corpus.load corpus db;
       let grounding = Grounding.ground db (Dd_kbc.Pipeline.full_program ()) in
       let rng = Dd_util.Prng.create 5 in
+      let kernel = Dd_inference.Compiled.compile (Grounding.graph grounding) in
       Dd_inference.Learner.train_cd
         ~options:{ Dd_inference.Learner.default_cd with Dd_inference.Learner.epochs = 40 }
-        rng
-        (Grounding.graph grounding);
-      let marginals =
-        Dd_inference.Compiled.(
-          marginals ~burn_in:40 rng (compile (Grounding.graph grounding)) ~sweeps:500)
-      in
+        ~kernel rng;
+      let marginals = Dd_inference.Compiled.marginals ~burn_in:40 rng kernel ~sweeps:500 in
       Dd_kbc.Analysis.print
         (Dd_kbc.Analysis.analyze grounding marginals ~truth:corpus.Dd_kbc.Corpus.truth);
       print_endline "\n--- Calibration ---";

@@ -21,7 +21,6 @@ type options = {
   incremental_learning_epochs : int;
   incremental_learning_rate : float;
   variational_var_limit : int;
-  with_variational : bool;
   disable_sampling : bool;
   disable_variational : bool;
   workload_aware : bool;
@@ -41,7 +40,6 @@ let default_options =
     incremental_learning_epochs = 5;
     incremental_learning_rate = 0.03;
     variational_var_limit = 600;
-    with_variational = true;
     disable_sampling = false;
     disable_variational = false;
     workload_aware = true;
@@ -132,64 +130,56 @@ let compiled_kernel t =
     t.kernel_compiles <- t.kernel_compiles + 1;
     k
 
-let learn ?kernel t ~epochs ~learning_rate =
-  if epochs > 0 then
-    Learner.train_cd ~options:{ Learner.epochs; learning_rate } ?kernel t.rng (graph t)
+(* The NoRelaxation lesion skips the variational artifact it would
+   never read. *)
+let materialize opts ~kernel rng =
+  Materialize.materialize ~n_samples:opts.materialization_samples ~burn_in:opts.burn_in
+    ~lambda:opts.lambda ~variational_var_limit:opts.variational_var_limit
+    ~with_variational:(not opts.disable_variational) ~domains:opts.parallel_domains ~kernel rng
 
-let materialize_now t =
-  t.mat <-
-    Materialize.materialize ~n_samples:t.opts.materialization_samples
-      ~burn_in:t.opts.burn_in ~lambda:t.opts.lambda
-      ~variational_var_limit:t.opts.variational_var_limit
-      ~with_variational:t.opts.with_variational
-      ~domains:t.opts.parallel_domains t.rng (graph t);
-  Hashtbl.reset t.extension_origin;
-  t.proposals_used <- 0
+(* Inference on the real graph: the from-scratch answer, the exact rule,
+   and the fallback when neither §3.2 artifact is usable. *)
+let real_graph_marginals ?budget opts ~kernel rng =
+  Par_gibbs.marginals ~burn_in:opts.burn_in ?budget ~kernel ~domains:opts.parallel_domains rng
+    ~sweeps:opts.inference_chain
 
-let sample_mean_marginals mat nvars =
-  let totals = Array.make nvars 0 in
-  Array.iter
-    (fun world ->
-      for v = 0 to min nvars (Array.length world) - 1 do
-        if world.(v) then totals.(v) <- totals.(v) + 1
-      done)
-    mat.Materialize.samples;
-  let n = max 1 (Array.length mat.Materialize.samples) in
-  Array.map (fun c -> float_of_int c /. float_of_int n) totals
+(* The one from-scratch build behind [create], [rebuild] and [rerun]:
+   ground, compile once, then learn and infer on that kernel, which
+   leaves it holding the learned weights.  Inference reads a copy of the
+   stream at its post-learning state, so it takes no draw from what
+   [create] materializes next.  [hit] fires the fault points of
+   [create]. *)
+let build ~hit options db prog =
+  let ground = Grounding.ground db prog in
+  hit "engine.create.post_ground";
+  let rng = Prng.create options.seed in
+  let kernel = Compiled.compile (Grounding.graph ground) in
+  Learner.train_cd
+    ~options:{ Learner.default_cd with Learner.epochs = options.initial_learning_epochs }
+    ~kernel rng;
+  hit "engine.create.post_learn";
+  (ground, rng, kernel, real_graph_marginals options ~kernel (Prng.copy rng))
 
+(* Inference runs before materialization, so a fresh engine's marginals
+   are [rerun]'s bit for bit; the sample store and the variational
+   artifact come from the same kernel, which the engine keeps. *)
 let create ?(options = default_options) db prog =
-  let grounding = Grounding.ground db prog in
-  Fault.hit "engine.create.post_ground";
-  let t =
-    {
-      ground = grounding;
-      opts = options;
-      rng = Prng.create options.seed;
-      mat =
-        {
-          Materialize.samples = [||];
-          variational = None;
-          base_weights = [||];
-          base_factor_count = 0;
-          base_var_count = 0;
-          base_evidence = [||];
-        };
-      extension_origin = Hashtbl.create 64;
-      proposals_used = 0;
-      last_marginals = [||];
-      kernel = None;
-      kernel_compiles = 0;
-      identity = ref ();
-      commits = 0;
-      log = None;
-    }
-  in
-  learn t ~epochs:options.initial_learning_epochs
-    ~learning_rate:Learner.default_cd.Learner.learning_rate;
-  Fault.hit "engine.create.post_learn";
-  materialize_now t;
-  t.last_marginals <- sample_mean_marginals t.mat (Graph.num_vars (graph t));
-  t
+  let ground, rng, kernel, marginals = build ~hit:Fault.hit options db prog in
+  let mat = materialize options ~kernel rng in
+  {
+    ground;
+    opts = options;
+    rng;
+    mat;
+    extension_origin = Hashtbl.create 64;
+    proposals_used = 0;
+    last_marginals = marginals;
+    kernel = Some kernel;
+    kernel_compiles = 1;
+    identity = ref ();
+    commits = 0;
+    log = None;
+  }
 
 let record_extensions t (greport : Grounding.report) =
   List.iter
@@ -198,16 +188,15 @@ let record_extensions t (greport : Grounding.report) =
       then Hashtbl.replace t.extension_origin fid old_count)
     greport.Grounding.change.Metropolis.extended_factors
 
-(* The §3.2 strategies, picked by the §3.3 optimizer, with full Gibbs on
-   the real graph as the fallback when neither artifact is usable. *)
-let choose_and_infer t ~budget ~kernel =
+(* The §3.2 strategies, picked by the §3.3 optimizer; [None] when
+   neither artifact is usable and the real graph must answer. *)
+let choose_and_infer t =
   let change = Materialize.cumulative_change t.mat (graph t) ~extension_origin:t.extension_origin in
   let profile = Optimizer.profile_of_change change in
   let samples_total = Array.length t.mat.Materialize.samples in
   let exhausted = t.proposals_used + t.opts.inference_chain > samples_total in
-  let variational_available =
-    t.mat.Materialize.variational <> None && not t.opts.disable_variational
-  in
+  (* The NoRelaxation lesion materializes no artifact. *)
+  let variational_available = t.mat.Materialize.variational <> None in
   let sampling_available = samples_total > 0 && not t.opts.disable_sampling in
   let decision =
     if not sampling_available then Optimizer.Variational
@@ -238,7 +227,7 @@ let choose_and_infer t ~budget ~kernel =
             Materialize.variational_infer ~sweeps:t.opts.inference_chain
               ~burn_in:t.opts.burn_in t.rng ~approx ~change)
       in
-      (Used_variational, Some probe, m, probe_secs +. extra)
+      Some (Used_variational, Some probe, m, probe_secs +. extra)
     end
     else begin
       let chain_length =
@@ -253,8 +242,11 @@ let choose_and_infer t ~budget ~kernel =
               ~chain_length)
       in
       t.proposals_used <- t.proposals_used + result.Metropolis.proposals;
-      (Used_sampling, Some result.Metropolis.acceptance_rate, result.Metropolis.marginals,
-       probe_secs +. secs)
+      Some
+        ( Used_sampling,
+          Some result.Metropolis.acceptance_rate,
+          result.Metropolis.marginals,
+          probe_secs +. secs )
     end
   | Optimizer.Variational when variational_available ->
     let approx = Option.get t.mat.Materialize.variational in
@@ -263,15 +255,8 @@ let choose_and_infer t ~budget ~kernel =
           Materialize.variational_infer ~sweeps:t.opts.inference_chain
             ~burn_in:t.opts.burn_in t.rng ~approx ~change)
     in
-    (Used_variational, None, m, secs)
-  | Optimizer.Sampling | Optimizer.Variational ->
-    let m, secs =
-      Timer.time (fun () ->
-          Par_gibbs.marginals ~burn_in:t.opts.burn_in ~budget ~kernel
-            ~domains:t.opts.parallel_domains t.rng (graph t)
-            ~sweeps:t.opts.inference_chain)
-    in
-    (Used_full_gibbs, None, m, secs)
+    Some (Used_variational, None, m, secs)
+  | Optimizer.Sampling | Optimizer.Variational -> None
 
 let step t update =
   (* One budget per update step, polled cooperatively by grounding rounds
@@ -301,29 +286,30 @@ let step t update =
     || greport.Grounding.extended > 0
   in
   let learning_seconds =
-    if needs_learning then
+    if needs_learning && t.opts.incremental_learning_epochs > 0 then
       Timer.time_s (fun () ->
-          learn ~kernel:(compiled_kernel t) t ~epochs:t.opts.incremental_learning_epochs
-            ~learning_rate:t.opts.incremental_learning_rate)
+          Learner.train_cd
+            ~options:
+              {
+                Learner.epochs = t.opts.incremental_learning_epochs;
+                learning_rate = t.opts.incremental_learning_rate;
+              }
+            ~kernel:(compiled_kernel t) t.rng)
     else 0.0
   in
   Fault.hit "engine.apply_update.post_learning";
   let kernel = compiled_kernel t in
-  let strategy, acceptance_rate, marginals, inference_seconds, exact_components =
-    (* The §3.3 rule ahead of the optimizer: when every coupled component
-       is small, answer exactly on the real graph. *)
-    if Compiled.enumerable kernel ~steps:(t.opts.burn_in + t.opts.inference_chain) then begin
-      let m, secs =
-        Timer.time (fun () ->
-            Par_gibbs.marginals ~burn_in:t.opts.burn_in ~budget ~kernel
-              ~domains:t.opts.parallel_domains t.rng (graph t) ~sweeps:t.opts.inference_chain)
-      in
-      (Used_full_gibbs, None, m, secs, Compiled.num_components kernel)
-    end
-    else
-      let strategy, acceptance_rate, marginals, inference_seconds = choose_and_infer t ~budget ~kernel in
-      (strategy, acceptance_rate, marginals, inference_seconds, 0)
+  (* The §3.3 rule ahead of the optimizer: when every coupled component
+     is small, answer exactly on the real graph. *)
+  let exact = Compiled.enumerable kernel ~steps:(t.opts.burn_in + t.opts.inference_chain) in
+  let strategy, acceptance_rate, marginals, inference_seconds =
+    match if exact then None else choose_and_infer t with
+    | Some answer -> answer
+    | None ->
+      let m, secs = Timer.time (fun () -> real_graph_marginals ~budget t.opts ~kernel t.rng) in
+      (Used_full_gibbs, None, m, secs)
   in
+  let exact_components = if exact then Compiled.num_components kernel else 0 in
   Fault.hit "engine.apply_update.post_inference";
   t.last_marginals <- marginals;
   {
@@ -460,7 +446,10 @@ let txn_rollback t x =
 (* A fresh baseline and the PRNG draws it took: nothing replay redoes. *)
 let rematerialize t =
   t.log <- None;
-  Timer.time_s (fun () -> materialize_now t)
+  Timer.time_s (fun () ->
+      t.mat <- materialize t.opts ~kernel:(compiled_kernel t) t.rng;
+      Hashtbl.reset t.extension_origin;
+      t.proposals_used <- 0)
 
 (* The Rerun rung's engine: built from scratch over [t]'s database and
    program, it continues [t]'s commit count and, like any new engine,
@@ -470,21 +459,9 @@ let rebuild t =
   fresh.commits <- t.commits;
   fresh
 
-(* One kernel serves learning and inference: learning leaves it holding
-   the learned weights. *)
 let rerun_grounding options db prog =
-  let grounding = Grounding.ground db prog in
-  let rng = Prng.create options.seed in
-  let g = Grounding.graph grounding in
-  let kernel = Compiled.compile g in
-  Learner.train_cd
-    ~options:{ Learner.default_cd with Learner.epochs = options.initial_learning_epochs }
-    ~kernel rng g;
-  let marginals =
-    Par_gibbs.marginals ~burn_in:options.burn_in ~kernel ~domains:options.parallel_domains rng g
-      ~sweeps:options.inference_chain
-  in
-  (grounding, marginals)
+  let ground, _, _, marginals = build ~hit:ignore options db prog in
+  (ground, marginals)
 
 let rerun ?(options = default_options) db prog =
   let timer = Timer.start () in

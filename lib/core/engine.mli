@@ -1,7 +1,9 @@
 (** The incremental DeepDive engine (Section 3 end-to-end).
 
-    [create] grounds the program, learns initial weights, and materializes
-    both strategies.  [apply_update] then executes one iteration of the
+    [create] builds as [rerun] does — grounds the program, compiles one
+    {!Dd_inference.Compiled} kernel, learns initial weights and infers
+    on it — and then materializes both strategies from that kernel.
+    [apply_update] then executes one iteration of the
     KBC development loop: incremental grounding (DRed), incremental
     learning (warmstarted contrastive divergence), strategy selection (the
     Section 3.3 optimizer, with lesion switches for the Figure 11
@@ -12,7 +14,8 @@
     amortizes, Section 4.2); call [rematerialize] to refresh the baseline.
 
     [rerun] is the paper's Rerun baseline: ground, learn and infer from
-    scratch. *)
+    scratch.  A fresh engine's {!marginals} are its answer, bit for
+    bit. *)
 
 module Graph = Dd_fgraph.Graph
 module Tuple = Dd_relational.Tuple
@@ -35,9 +38,10 @@ type options = {
       (** warmstart fine-tuning is gentler than from-scratch learning, which
           also keeps the sampling approach's acceptance rate usable *)
   variational_var_limit : int;
-  with_variational : bool;
   disable_sampling : bool;  (** lesion: NoSampling *)
-  disable_variational : bool;  (** lesion: NoRelaxation *)
+  disable_variational : bool;
+      (** lesion: NoRelaxation — materialization builds no variational
+          artifact *)
   workload_aware : bool;  (** false = the NoWorkloadInfo baseline *)
   parallel_domains : int;
       (** domains used for materialization sampling and full-Gibbs
@@ -85,6 +89,13 @@ type report = {
 type t
 
 val create : ?options:options -> Database.t -> Program.t -> t
+(** Ground, compile one kernel, learn ([initial_learning_epochs] of
+    {!Dd_inference.Learner.train_cd}) and infer on it exactly as
+    {!rerun} does, from the same PRNG stream; then draw the
+    materialization from the same kernel and stream, and keep the
+    kernel as the engine's cache.  The fault points
+    [engine.create.post_ground] and [engine.create.post_learn] fire
+    here (and in {!rebuild}), not in {!rerun}. *)
 
 val options : t -> options
 
@@ -95,17 +106,20 @@ val graph : t -> Graph.t
 val materialization : t -> Materialize.t
 
 val marginals : t -> float array
-(** Most recent inference result (initially from materialization-time
-    sampling). *)
+(** Most recent inference result; on a fresh engine, {!rerun}'s
+    marginals on the same database, program and options, bit for
+    bit. *)
 
 val marginals_by_relation : t -> (string * Tuple.t * float) list
 
 val kernel_compiles : t -> int
 (** How many times the engine has compiled a flat Gibbs kernel
-    ({!Dd_inference.Compiled}) for full-Gibbs inference.  Stays flat
-    across weight-only incremental steps — the cached kernel is reused
-    with refreshed weight slots — and grows only when an update changed
-    the graph's structure or evidence. *)
+    ({!Dd_inference.Compiled}).  {!create} compiles one, which serves
+    its learning, inference and materialization, so a fresh engine
+    reads 1.  Stays flat across weight-only incremental steps — the
+    cached kernel is reused with refreshed weight slots — and grows only
+    when an update changed the graph's structure or evidence (or on the
+    first use after the cache was dropped, as in {!without_kernel}). *)
 
 val apply_update : t -> Grounding.update -> report
 (** One iteration of the incremental loop.  On an exception (a
@@ -187,8 +201,9 @@ val rebuild : t -> t
     this engine's {!commits} and needs a base. *)
 
 val rerun : ?options:options -> Database.t -> Program.t -> float array * float
-(** Ground + learn + infer from scratch; returns (marginals, seconds).
-    The marginals index the fresh grounding's variables. *)
+(** Ground, compile one kernel, learn and infer on it from scratch —
+    {!create}'s build without its materialization; returns (marginals,
+    seconds).  The marginals index the fresh grounding's variables. *)
 
 val rerun_grounding : options -> Database.t -> Program.t -> Grounding.t * float array
 (** {!rerun} without the clock, also returning the fresh grounding its

@@ -732,11 +732,6 @@ let extend ?(budget = Dd_util.Budget.unlimited) t update =
     needs_rebuild = !needs_rebuild;
   }
 
-let extend_checked ?budget t update =
-  match extend ?budget t update with
-  | report -> Ok report
-  | exception Error e -> (Error e : (report, error) result)
-
 (* --- transactional marks -------------------------------------------------- *)
 
 (* The grounding tables are append-only keyed by graph ids (vars, weights,

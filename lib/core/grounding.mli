@@ -110,9 +110,6 @@ val extend : ?budget:Dd_util.Budget.t -> t -> update -> report
     [extend] under an engine transaction ({!Engine.txn_begin} /
     {!Txn.apply}) when that matters. *)
 
-val extend_checked : ?budget:Dd_util.Budget.t -> t -> update -> (report, error) result
-(** Like {!extend}, with the failure as data instead of an exception. *)
-
 type mark
 (** Pre-update snapshot of the grounding's lookup tables (counters plus
     the program value — the tables are append-only keyed by graph ids). *)

@@ -51,10 +51,11 @@ let baseline g =
     Array.init (Graph.num_vars g) (Graph.evidence_of g) )
 
 let materialize ?(n_samples = 200) ?(burn_in = 20) ?(lambda = 0.1)
-    ?(variational_var_limit = 600) ?(with_variational = true) ?(domains = 1) rng g =
+    ?(variational_var_limit = 600) ?(with_variational = true) ?(domains = 1) ~kernel rng =
+  let g = Compiled.graph kernel in
   (* [domains = 1] is one compiled chain from [rng]; above that the
      sample store is drawn by independent chains, one per domain. *)
-  let samples = Par_gibbs.sample_worlds ~burn_in ~domains rng g ~n:n_samples in
+  let samples = Par_gibbs.sample_worlds ~burn_in ~kernel ~domains rng ~n:n_samples in
   let variational =
     if with_variational && Graph.num_vars g <= variational_var_limit then begin
       let approx, _stats = Approx.materialize ~lambda rng g ~samples in

@@ -50,12 +50,13 @@ val materialize :
   ?variational_var_limit:int ->
   ?with_variational:bool ->
   ?domains:int ->
+  kernel:Dd_inference.Compiled.t ->
   Dd_util.Prng.t ->
-  Graph.t ->
   t
-(** Draw [n_samples] (default 200) worlds and, when the graph is small
-    enough (default limit 600 variables) and [with_variational] (default
-    true), build the approximate graph from the same samples.  [domains]
+(** Draw [n_samples] (default 200) worlds on [kernel] and, when its
+    graph ({!Dd_inference.Compiled.graph}) is small enough (default
+    limit 600 variables) and [with_variational] (default true), build
+    the approximate graph from the same samples.  [domains]
     (default 1, the bit-exact sequential path) draws the worlds from that
     many independent chains in parallel via
     {!Dd_parallel.Par_gibbs.sample_worlds}. *)

@@ -33,7 +33,3 @@ let choose p ~samples_exhausted =
   else if (not p.changes_structure) && not p.modifies_evidence then Sampling
   else if p.modifies_evidence then Variational
   else Sampling
-
-let strategy_to_string = function
-  | Sampling -> "sampling"
-  | Variational -> "variational"

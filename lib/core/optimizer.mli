@@ -25,5 +25,3 @@ type profile = {
 val profile_of_change : Metropolis.change -> profile
 
 val choose : profile -> samples_exhausted:bool -> strategy
-
-val strategy_to_string : strategy -> string

@@ -6,7 +6,7 @@
    back to a validated pre-update state; the failure is classified into
    the {!Grounding.error} taxonomy and the supervisor walks down:
 
-     retry (transients only, bounded, deterministic exponential backoff)
+     retry (transients only, bounded, immediate)
        -> rematerialize and retry
        -> full rerun from scratch ([Engine.rebuild]) and retry
        -> quarantine the update into the dead-letter queue
@@ -16,13 +16,11 @@
    incremental is unprofitable (Section 3.3); the ladder extends that
    idea from a performance choice to a correctness mechanism.
 
-   Backoff delays are drawn from a dedicated [Prng] stream with a fixed
-   seed and recorded, never slept, so the whole ladder is deterministic
-   and wall-clock-free. *)
+   A retry follows its failure at once, with no delay, so the whole
+   ladder is deterministic and wall-clock-free. *)
 
 module Graph = Dd_fgraph.Graph
 module Database = Dd_relational.Database
-module Prng = Dd_util.Prng
 module Fault = Dd_util.Fault
 module Budget = Dd_util.Budget
 
@@ -37,12 +35,6 @@ type options = {
 }
 
 let default_options = { max_retries = 2; allow_rematerialize = true; allow_rerun = true }
-
-(* Delay before retry [k] is [backoff_base_s * 2^(k-1) * (0.5 + u)], [u]
-   from the backoff stream. *)
-let backoff_base_s = 0.05
-
-let backoff_seed = 97
 
 (* Extra attempts when the rollback itself is hit by an injected fault. *)
 let rollback_retries = 2
@@ -63,7 +55,6 @@ type outcome = {
   report : Engine.report;
   rung : rung;
   attempts : int;
-  backoffs_s : float list;
 }
 
 type dead_letter = {
@@ -81,7 +72,6 @@ type event =
 type t = {
   mutable engine : Engine.t;
   topts : options;
-  backoff_rng : Prng.t;
   mutable seq : int;
   mutable dead : dead_letter list;  (* newest first *)
   mutable observers : (event -> unit) list;  (* registration order *)
@@ -91,7 +81,6 @@ let create ?(options = default_options) engine =
   {
     engine;
     topts = options;
-    backoff_rng = Prng.create backoff_seed;
     seq = 0;
     dead = [];
     observers = [];
@@ -184,13 +173,12 @@ let try_once t update =
 
 let apply t update =
   let attempts = ref 0 in
-  let backoffs = ref [] in
   let attempt () =
     incr attempts;
     try_once t update
   in
   let finish rung report =
-    let outcome = { report; rung; attempts = !attempts; backoffs_s = List.rev !backoffs } in
+    let outcome = { report; rung; attempts = !attempts } in
     emit t (Committed outcome);
     Ok outcome
   in
@@ -201,18 +189,12 @@ let apply t update =
     emit t (Quarantined dl);
     Error err
   in
-  (* Rung 0/1: direct attempt, then bounded retry with deterministic
-     exponential backoff — transients only; a malformed delta or a
-     deterministic timeout will not pass on a second try. *)
+  (* Rung 0/1: direct attempt, then bounded retry — transients only; a
+     malformed delta or a deterministic timeout will not pass on a second
+     try. *)
   let rec retry k err =
     match err with
     | `Transient _ when k <= t.topts.max_retries ->
-      let delay =
-        backoff_base_s
-        *. (2.0 ** float_of_int (k - 1))
-        *. (0.5 +. Prng.float_unit t.backoff_rng)
-      in
-      backoffs := delay :: !backoffs;
       emit t (Degraded (Retry k));
       (match attempt () with Ok r -> Ok (Retry k, r) | Error e -> retry (k + 1) e)
     | _ -> Error err

@@ -4,8 +4,7 @@
     ({!Engine.txn_begin}); on any failure the engine is rolled back to a
     validated pre-update state and the supervisor walks the ladder:
 
-    - bounded {b retry} with deterministic exponential backoff (transient
-      failures only),
+    - bounded, immediate {b retry} (transient failures only),
     - {b rematerialize} the inference baseline and retry,
     - full {b rerun}: rebuild a fresh engine from scratch over the
       rolled-back database and program ({!Engine.rebuild}, which
@@ -14,8 +13,7 @@
       error, attempt count and a replayable serialized delta.
 
     A poison update therefore costs one rejected batch, never a wedged
-    pipeline.  Backoff delays come from a dedicated, fixed-seed PRNG stream
-    and are recorded in the outcome, never slept, so the ladder is
+    pipeline.  No rung waits on the clock, so the ladder is
     deterministic and wall-clock-free. *)
 
 type error = Grounding.error
@@ -42,7 +40,6 @@ type outcome = {
   report : Engine.report;
   rung : rung;  (** where on the ladder the update finally succeeded *)
   attempts : int;  (** total [apply_update] attempts, successful one included *)
-  backoffs_s : float list;  (** backoff delay chosen before each retry *)
 }
 
 type dead_letter = {

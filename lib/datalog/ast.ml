@@ -79,8 +79,6 @@ let check_program p =
 
 let idb_preds p = dedup (List.map head_pred p)
 
-let all_preds p = dedup (List.concat_map (fun r -> head_pred r :: body_preds r) p)
-
 let pp_term fmt = function
   | Var v -> Format.pp_print_string fmt v
   | Const (Value.Str s) -> Format.fprintf fmt "%S" s

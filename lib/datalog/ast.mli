@@ -61,8 +61,6 @@ val check_program : program -> (unit, string) result
 val idb_preds : program -> string list
 (** Predicates appearing in some head (sorted, distinct). *)
 
-val all_preds : program -> string list
-
 val pp_term : Format.formatter -> term -> unit
 val pp_atom : Format.formatter -> atom -> unit
 val pp_literal : Format.formatter -> literal -> unit

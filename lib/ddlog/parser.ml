@@ -287,11 +287,6 @@ let parse source =
     Error (Printf.sprintf "lex error at line %d, column %d: %s" pos.Lexer.line pos.Lexer.column message)
   | exception Invalid_argument message -> Error message
 
-let parse_exn source =
-  match parse source with
-  | Ok prog -> prog
-  | Error e -> invalid_arg ("Ddlog.parse: " ^ e)
-
 let parse_file path =
   let ic = open_in path in
   let n = in_channel_length ic in

@@ -34,6 +34,4 @@ exception Parse_error of string * Lexer.position
 val parse : string -> (Dd_core.Program.t, string) result
 (** Parse and validate a whole program source. *)
 
-val parse_exn : string -> Dd_core.Program.t
-
 val parse_file : string -> (Dd_core.Program.t, string) result

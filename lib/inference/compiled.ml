@@ -93,7 +93,6 @@ let graph t = t.graph
 let num_vars t = t.nvars
 let num_factors t = t.nfactors
 let num_weights t = Array.length t.weights
-let num_bodies t = t.nbodies
 let num_query t = Array.length t.query
 let query_vars t = Array.copy t.query
 let num_coupled t = Array.length t.coupled

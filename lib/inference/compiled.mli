@@ -115,7 +115,6 @@ val matches_structure : t -> Graph.t -> bool
 val num_vars : t -> int
 val num_factors : t -> int
 val num_weights : t -> int
-val num_bodies : t -> int
 val num_query : t -> int
 
 val query_vars : t -> int array

@@ -35,14 +35,14 @@ let cd_decay = 0.05
 let cd_l2 = 0.0001
 let cd_chain_sweeps = 2
 
-let train_cd ?(options = default_cd) ?(on_epoch = fun _ _ -> ()) ?kernel rng g =
+let train_cd ?(options = default_cd) ?(on_epoch = fun _ _ -> ()) ~kernel rng =
   (* Persistent chains over one compiled kernel: the positive chain keeps
      evidence clamped (the default sweep), the negative chain floats every
      variable.  Gradients come straight off the kernel's live
      satisfied-body counters into a dense per-weight-slot array, and each
      weight step re-syncs the kernel with [Compiled.refresh_weights]
      instead of regrounding or rebuilding any structure. *)
-  let kernel = match kernel with Some k -> k | None -> Compiled.compile g in
+  let g = Compiled.graph kernel in
   let positive = Compiled.make_state rng kernel in
   let negative = Compiled.make_state rng kernel in
   let learnable = Compiled.learnable_active kernel in

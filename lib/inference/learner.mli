@@ -32,17 +32,16 @@ val default_cd : cd_options
 val train_cd :
   ?options:cd_options ->
   ?on_epoch:(int -> Graph.t -> unit) ->
-  ?kernel:Compiled.t ->
+  kernel:Compiled.t ->
   Dd_util.Prng.t ->
-  Graph.t ->
   unit
-(** Mutates the graph's learnable weights in place.  Both persistent
-    chains run on one {!Compiled} kernel; per-epoch gradients are read
-    off its live satisfied-body counters into dense weight slots, and
-    each step re-syncs the kernel via {!Compiled.refresh_weights}
-    (weights only — no regrounding, no structural rebuild).  [?kernel]
-    lends a kernel compiled from [g] with current weights (it is left
-    holding the learned ones); by default one is compiled. *)
+(** Mutates the learnable weights of [kernel]'s graph
+    ({!Compiled.graph}) in place.  Both persistent chains run on
+    [kernel], which must hold the graph's current weights; per-epoch
+    gradients are read off its live satisfied-body counters into dense
+    weight slots, and each step re-syncs it via
+    {!Compiled.refresh_weights} (weights only — no regrounding, no
+    structural rebuild), so it is left holding the learned weights. *)
 
 val pseudo_log_likelihood : ?worlds:int -> Dd_util.Prng.t -> Graph.t -> float
 (** Average log conditional probability of each evidence variable's label

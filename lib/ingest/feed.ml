@@ -246,8 +246,6 @@ let stats t = t.stats
 
 let canonicalizer t = t.canon
 
-let dictionary_size t = Mention_finder.size t.dict
-
 let el_bindings t = Hashtbl.length t.el_bound
 
 let entities_bound t =

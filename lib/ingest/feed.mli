@@ -66,8 +66,6 @@ val stats : t -> stats
 
 val canonicalizer : t -> Canonicalizer.t
 
-val dictionary_size : t -> int
-
 val el_bindings : t -> int
 (** Keys currently linked in [el]. *)
 

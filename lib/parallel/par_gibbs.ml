@@ -15,53 +15,48 @@ type mode =
 
 type t = {
   state : Compiled.state;
-  vars : Graph.var array;  (** the packed variables one sweep visits, ascending *)
+  vars : Graph.var array;  (** the packed query variables, ascending *)
   mode : mode;
 }
 
-(* Check the arguments; the lent kernel, or a fresh one. *)
-let kernel_for ?kernel ~domains g =
-  if domains < 1 then invalid_arg "Par_gibbs: domains must be >= 1";
-  match kernel with
-  | Some k ->
-    if not (Compiled.matches_structure k g) then
-      invalid_arg "Par_gibbs: compiled kernel does not match the graph";
-    k
-  | None -> Compiled.compile g
+let check_domains domains =
+  if domains < 1 then invalid_arg "Par_gibbs: domains must be >= 1"
 
-(* [sweep_set] picks the packed variables a sweep visits: every query
-   variable for {!create}, the coupled ones for {!marginals}.  On a graph
-   with no isolated query variable the two are the same array, so the
-   plan and every draw are too. *)
-let build ~kernel ~sweep_set ~domains rng g =
+(* The color plan over [vars], the packed variables a sweep visits:
+   every query variable for {!create}, the coupled ones for
+   {!marginals}.  On a graph with no isolated query variable the two are
+   the same array, so the plan and every draw are too.  Called after
+   [Compiled.make_state], so the initial assignment is the sequential
+   sampler's for the same seed. *)
+let parallel_plan ~kernel ~vars ~domains rng =
+  let g = Compiled.graph kernel in
+  let partition = Partition.color g in
+  (* The coloring covers every query variable; a sweep over a subset
+     keeps each class's order, drops the rest, and then splits what is
+     left across the domains.  Every color keeps its phase. *)
+  let classes =
+    if Array.length vars = Compiled.num_query kernel then partition.Partition.classes
+    else begin
+      let keep = Bytes.make (Graph.num_vars g) '\000' in
+      Array.iter (fun v -> Bytes.set keep v '\001') vars;
+      Array.map
+        (fun cls ->
+          Array.of_list (List.filter (fun v -> Bytes.get keep v <> '\000') (Array.to_list cls)))
+        partition.Partition.classes
+    end
+  in
+  let plan = Partition.slices { partition with Partition.classes } ~domains in
+  let rngs = Array.init domains (fun _ -> Prng.split rng) in
+  { rngs; plan; pool = Pool.create domains }
+
+let create ~kernel ~domains rng =
+  check_domains domains;
   let state = Compiled.make_state rng kernel in
-  let vars = sweep_set kernel in
-  if domains = 1 then { state; vars; mode = Sequential rng }
-  else begin
-    let partition = Partition.color g in
-    (* The coloring covers every query variable; a sweep over a subset
-       keeps each class's order, drops the rest, and then splits what is
-       left across the domains.  Every color keeps its phase. *)
-    let classes =
-      if Array.length vars = Compiled.num_query kernel then partition.Partition.classes
-      else begin
-        let keep = Bytes.make (Graph.num_vars g) '\000' in
-        Array.iter (fun v -> Bytes.set keep v '\001') vars;
-        Array.map
-          (fun cls ->
-            Array.of_list (List.filter (fun v -> Bytes.get keep v <> '\000') (Array.to_list cls)))
-          partition.Partition.classes
-      end
-    in
-    let plan = Partition.slices { partition with Partition.classes } ~domains in
-    (* Splitting after [Compiled.make_state] keeps the initial assignment
-       identical to the sequential sampler's for the same seed. *)
-    let rngs = Array.init domains (fun _ -> Prng.split rng) in
-    { state; vars; mode = Parallel { rngs; plan; pool = Pool.create domains } }
-  end
-
-let create ?kernel ~domains rng g =
-  build ~kernel:(kernel_for ?kernel ~domains g) ~sweep_set:Compiled.query_vars ~domains rng g
+  let vars = Compiled.query_vars kernel in
+  let mode =
+    if domains = 1 then Sequential rng else Parallel (parallel_plan ~kernel ~vars ~domains rng)
+  in
+  { state; vars; mode }
 
 let run_phase_with sweep p phase =
   (* Count the slices that actually hold work: a class smaller than the
@@ -97,62 +92,59 @@ let sweep t =
    worker-side [Exceeded] is re-raised by [Pool.run] after the barrier:
    the other workers complete their (disjoint) slices first, so the shared
    state is never torn when the exception escapes. *)
-let sweep_budgeted budget t =
-  match t.mode with
-  | Sequential rng ->
-    Budget.check budget "par_gibbs.sweep";
-    Compiled.sweep_slice rng t.state t.vars
-  | Parallel p ->
-    Array.iter
-      (fun phase ->
-        Budget.check budget "par_gibbs.color_phase";
-        run_phase_with
-          (fun rng slice ->
-            Compiled.sweep_slice_budgeted ~budget ~site:"par_gibbs.slice" rng t.state slice)
-          p phase)
-      p.plan
+let sweep_budgeted budget state p =
+  Array.iter
+    (fun phase ->
+      Budget.check budget "par_gibbs.color_phase";
+      run_phase_with
+        (fun rng slice ->
+          Compiled.sweep_slice_budgeted ~budget ~site:"par_gibbs.slice" rng state slice)
+        p phase)
+    p.plan
 
 let shutdown t =
   match t.mode with
   | Sequential _ -> ()
   | Parallel p -> Pool.shutdown p.pool
 
-(* Small components are enumerated on the caller's domain, as
-   [Compiled.marginals] does (no pool, no draw).  Otherwise the chain
-   sweeps the coupled variables only; evidence and isolated query
-   variables are read in closed form before the first sweep. *)
-let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) ?kernel ~domains rng g ~sweeps =
-  let kernel = kernel_for ?kernel ~domains g in
-  if Compiled.num_coupled kernel > 0 && Compiled.enumerable kernel ~steps:(burn_in + sweeps) then
-    Compiled.exact_marginals ~budget kernel
+(* One domain, nothing coupled, or every component small: there is no
+   chain to split, and [Compiled.marginals] answers (enumeration, closed
+   forms, or the sequential chain) with no partition and no pool.
+   Otherwise the color-synchronous chain sweeps the coupled variables
+   only; evidence and isolated query variables are read in closed form
+   before the first sweep. *)
+let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) ~kernel ~domains rng ~sweeps =
+  check_domains domains;
+  if domains = 1 || Compiled.enumerable kernel ~steps:(burn_in + sweeps) then
+    Compiled.marginals ~burn_in ~budget rng kernel ~sweeps
   else begin
-    let t = build ~kernel ~sweep_set:Compiled.coupled_vars ~domains rng g in
+    let state = Compiled.make_state rng kernel in
+    let vars = Compiled.coupled_vars kernel in
+    let p = parallel_plan ~kernel ~vars ~domains rng in
     Fun.protect
-      ~finally:(fun () -> shutdown t)
+      ~finally:(fun () -> Pool.shutdown p.pool)
       (fun () ->
-        let m = Compiled.closed_form_marginals t.state in
-        let totals = Array.make (Graph.num_vars g) 0 in
+        let m = Compiled.closed_form_marginals state in
+        let totals = Array.make (Compiled.num_vars kernel) 0 in
         for _ = 1 to burn_in do
-          sweep_budgeted budget t
+          sweep_budgeted budget state p
         done;
         for _ = 1 to sweeps do
-          sweep_budgeted budget t;
-          Compiled.accumulate_span_true t.state t.vars totals
+          sweep_budgeted budget state p;
+          Compiled.accumulate_span_true state vars totals
         done;
         let denom = float_of_int (max 1 sweeps) in
-        Array.iter (fun v -> m.(v) <- float_of_int totals.(v) /. denom) t.vars;
+        Array.iter (fun v -> m.(v) <- float_of_int totals.(v) /. denom) vars;
         m)
   end
 
 (* Deterministic near-equal split of [n] across [chains]. *)
 let share n chains c = (n * (c + 1) / chains) - (n * c / chains)
 
-(* The graph is compiled once in the caller: the kernel is only read
-   while sampling, so every chain shares it and owns just its state and
-   PRNG stream. *)
-let sample_worlds ?(burn_in = 10) ?(spacing = 1) ~domains rng g ~n =
-  if domains < 1 then invalid_arg "Par_gibbs.sample_worlds: domains must be >= 1";
-  let kernel = Compiled.compile g in
+(* The kernel is only read while sampling, so every chain shares the
+   caller's and owns just its state and PRNG stream. *)
+let sample_worlds ?(burn_in = 10) ?(spacing = 1) ~kernel ~domains rng ~n =
+  check_domains domains;
   if domains = 1 then Compiled.sample_worlds ~burn_in ~spacing rng kernel ~n
   else begin
     let rngs = Array.init domains (fun _ -> Prng.split rng) in

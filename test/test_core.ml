@@ -12,6 +12,7 @@ module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
 module Exact = Dd_fgraph.Exact
 module Metropolis = Dd_inference.Metropolis
+module Compiled = Dd_inference.Compiled
 module Program = Dd_core.Program
 module Grounding = Dd_core.Grounding
 module Materialize = Dd_core.Materialize
@@ -452,7 +453,7 @@ let test_strawman_rejects_new_vars () =
 
 let test_materialize_contents () =
   let g = biased_graph () in
-  let m = Materialize.materialize ~n_samples:50 (Prng.create 1) g in
+  let m = Materialize.materialize ~n_samples:50 ~kernel:(Compiled.compile g) (Prng.create 1) in
   Alcotest.(check int) "samples" 50 (Array.length m.Materialize.samples);
   Alcotest.(check bool) "variational built" true (m.Materialize.variational <> None);
   Alcotest.(check int) "baseline factors" (Graph.num_factors g) m.Materialize.base_factor_count;
@@ -460,7 +461,10 @@ let test_materialize_contents () =
 
 let test_materialize_var_limit () =
   let g = biased_graph () in
-  let m = Materialize.materialize ~n_samples:10 ~variational_var_limit:1 (Prng.create 2) g in
+  let m =
+    Materialize.materialize ~n_samples:10 ~variational_var_limit:1 ~kernel:(Compiled.compile g)
+      (Prng.create 2)
+  in
   Alcotest.(check bool) "skipped above limit" true (m.Materialize.variational = None)
 
 let test_materialize_budget () =
@@ -470,7 +474,7 @@ let test_materialize_budget () =
 
 let test_cumulative_change () =
   let g = biased_graph () in
-  let m = Materialize.materialize ~n_samples:20 (Prng.create 4) g in
+  let m = Materialize.materialize ~n_samples:20 ~kernel:(Compiled.compile g) (Prng.create 4) in
   (* Mutate: new var, new factor, weight change, evidence change. *)
   let fresh = Graph.add_var g in
   Graph.set_weight g 0 2.0;
@@ -488,7 +492,7 @@ let test_cumulative_change () =
 let test_variational_infer_absorbs_update () =
   let g = biased_graph () in
   let rng = Prng.create 5 in
-  let m = Materialize.materialize ~n_samples:800 ~lambda:0.01 rng g in
+  let m = Materialize.materialize ~n_samples:800 ~lambda:0.01 ~kernel:(Compiled.compile g) rng in
   (* Add a strongly biased new variable. *)
   let fresh = Graph.add_var g in
   let w = Graph.add_weight g 2.5 in
@@ -511,7 +515,7 @@ let test_variational_infer_absorbs_update () =
    updates like the original. *)
 let test_materialize_save_load () =
   let g = biased_graph () in
-  let m = Materialize.materialize ~n_samples:30 (Prng.create 19) g in
+  let m = Materialize.materialize ~n_samples:30 ~kernel:(Compiled.compile g) (Prng.create 19) in
   let back : Materialize.t = Marshal.from_string (Marshal.to_string m []) 0 in
   Alcotest.(check int) "samples" 30 (Array.length back.Materialize.samples);
   Alcotest.(check bool) "sample contents" true (m.Materialize.samples = back.Materialize.samples);
@@ -793,6 +797,31 @@ let test_engine_exact_rule () =
   Alcotest.(check string) "rerun at 3 domains reproduces itself" (rerun 3) (rerun 3);
   Alcotest.(check string) "and matches 1 domain" once (rerun 3)
 
+(* A fresh engine answers as Rerun does: [create] and [rerun] share one
+   build (ground, compile once, learn, infer), so their marginals agree
+   bit for bit — read in closed form, enumerated, or counted off a
+   color-synchronous chain over the enumeration bound. *)
+let test_engine_create_is_rerun () =
+  let steps = quick_options.Engine.burn_in + quick_options.Engine.inference_chain in
+  List.iter
+    (fun (shape, fixture, options) ->
+      let db, prog = fixture () in
+      let engine = Engine.create ~options db prog in
+      let k = Compiled.compile (Engine.graph engine) in
+      Alcotest.(check string) "fixture shape" shape
+        (if Compiled.num_coupled k = 0 then "all isolated"
+         else if Compiled.enumerable k ~steps then "enumerable"
+         else "over the bound");
+      let db, prog = fixture () in
+      Alcotest.(check string) (shape ^ ": create = rerun")
+        (digest (fst (Engine.rerun ~options db prog)))
+        (digest (Engine.marginals engine)))
+    [
+      ("all isolated", engine_fixture, quick_options);
+      ("enumerable", small_coupled_fixture, quick_options);
+      ("over the bound", coupled_fixture, { quick_options with Engine.parallel_domains = 2 });
+    ]
+
 let test_engine_marginals_by_relation () =
   let db, prog = engine_fixture () in
   let engine = Engine.create ~options:quick_options db prog in
@@ -940,5 +969,6 @@ let () =
           Alcotest.test_case "rerun" `Quick test_engine_rerun;
           Alcotest.test_case "marginals by relation" `Quick test_engine_marginals_by_relation;
           Alcotest.test_case "exact rule on small components" `Quick test_engine_exact_rule;
+          Alcotest.test_case "create answers as rerun" `Quick test_engine_create_is_rerun;
         ] );
     ]

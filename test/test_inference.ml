@@ -303,7 +303,7 @@ let test_cd_learns_evidence_sign () =
   done;
   Learner.train_cd
     ~options:{ Learner.epochs = 80; learning_rate = 0.2 }
-    (Prng.create 16) g;
+    ~kernel:(Compiled.compile g) (Prng.create 16);
   Alcotest.(check bool) "positive weight up" true (Graph.weight_value g w_pos > 0.3);
   Alcotest.(check bool) "negative weight down" true (Graph.weight_value g w_neg < -0.3)
 
@@ -321,7 +321,7 @@ let test_pseudo_log_likelihood_improves () =
   let before = Learner.pseudo_log_likelihood ~worlds:20 (Prng.create 17) g in
   Learner.train_cd
     ~options:{ Learner.epochs = 60; learning_rate = 0.2 }
-    (Prng.create 18) g;
+    ~kernel:(Compiled.compile g) (Prng.create 18);
   let after = Learner.pseudo_log_likelihood ~worlds:20 (Prng.create 19) g in
   Alcotest.(check bool) "likelihood improved" true (after > before)
 

@@ -194,8 +194,9 @@ let test_pool_shutdown_idempotent () =
 let test_seq_marginals_bit_identical () =
   for seed = 0 to 4 do
     let g = random_graph seed in
-    let a = Par_gibbs.marginals ~burn_in:15 ~domains:1 (Prng.create (50 + seed)) g ~sweeps:80 in
-    let b = Compiled.marginals ~burn_in:15 (Prng.create (50 + seed)) (Compiled.compile g) ~sweeps:80 in
+    let kernel = Compiled.compile g in
+    let a = Par_gibbs.marginals ~burn_in:15 ~kernel ~domains:1 (Prng.create (50 + seed)) ~sweeps:80 in
+    let b = Compiled.marginals ~burn_in:15 (Prng.create (50 + seed)) kernel ~sweeps:80 in
     Alcotest.(check bool) (Printf.sprintf "seed %d identical" seed) true (a = b)
   done
 
@@ -209,13 +210,16 @@ let genomics_graph () =
   let g = Grounding.graph (Grounding.ground db (Pipeline.full_program ())) in
   Dd_inference.Learner.train_cd
     ~options:{ Dd_inference.Learner.default_cd with Dd_inference.Learner.epochs = 10 }
-    (Prng.create 62) g;
+    ~kernel:(Compiled.compile g) (Prng.create 62);
   g
 
 let test_seq_sample_worlds_bit_identical () =
   List.iter
     (fun (name, g) ->
-      let a = Par_gibbs.sample_worlds ~burn_in:10 ~domains:1 (Prng.create 60) g ~n:25 in
+      let a =
+        Par_gibbs.sample_worlds ~burn_in:10 ~kernel:(Compiled.compile g) ~domains:1 (Prng.create 60)
+          ~n:25
+      in
       let b = Gibbs.sample_worlds ~burn_in:10 (Prng.create 60) g ~n:25 in
       Alcotest.(check bool) (name ^ ": identical worlds") true (a = b))
     [ ("random graph", random_graph 9); ("genomics", genomics_graph ()) ]
@@ -224,7 +228,11 @@ let test_seq_materialize_bit_identical () =
   (* The engine's default path must not move: materialize with the
      [domains] argument at 1 equals the historical sequential draw. *)
   let g = random_graph 13 in
-  let a = (Materialize.materialize ~n_samples:40 ~with_variational:false (Prng.create 61) g).Materialize.samples in
+  let a =
+    (Materialize.materialize ~n_samples:40 ~with_variational:false ~kernel:(Compiled.compile g)
+       (Prng.create 61))
+      .Materialize.samples
+  in
   let b = Gibbs.sample_worlds ~burn_in:20 (Prng.create 61) g ~n:40 in
   Alcotest.(check bool) "identical sample store" true (a = b)
 
@@ -232,12 +240,15 @@ let test_seq_materialize_bit_identical () =
 
 let test_par_reproducible () =
   let g = random_graph 21 in
-  let run () = Par_gibbs.marginals ~burn_in:10 ~domains:3 (Prng.create 70) g ~sweeps:60 in
+  let kernel = Compiled.compile g in
+  let run () = Par_gibbs.marginals ~burn_in:10 ~kernel ~domains:3 (Prng.create 70) ~sweeps:60 in
   Alcotest.(check bool) "same seed, same domains -> identical" true (run () = run ())
 
 let test_par_sample_worlds_shape () =
   let g = random_graph 22 in
-  let worlds = Par_gibbs.sample_worlds ~burn_in:5 ~domains:3 (Prng.create 71) g ~n:20 in
+  let worlds =
+    Par_gibbs.sample_worlds ~burn_in:5 ~kernel:(Compiled.compile g) ~domains:3 (Prng.create 71) ~n:20
+  in
   Alcotest.(check int) "n worlds" 20 (Array.length worlds);
   Array.iter
     (fun w -> Alcotest.(check int) "width" (Graph.num_vars g) (Array.length w))
@@ -261,7 +272,10 @@ let test_par_voting_agrees () =
   let cfg = { Voting.default with Voting.n_up = 25; n_down = 18 } in
   let g, q, _, _ = Voting.build cfg in
   let exact = Voting.exact_marginal_q cfg in
-  let m = Par_gibbs.marginals ~burn_in:200 ~domains:4 (Prng.create 74) g ~sweeps:8000 in
+  let m =
+    Par_gibbs.marginals ~burn_in:200 ~kernel:(Compiled.compile g) ~domains:4 (Prng.create 74)
+      ~sweeps:8000
+  in
   Alcotest.(check bool) "q marginal within 5%" true (abs_float (m.(q) -. exact) < 0.05)
 
 (* --- budget polling inside worker slices -------------------------------- *)
@@ -294,8 +308,9 @@ let path_graph n =
 let test_budgeted_worker_slices () =
   let module Budget = Dd_util.Budget in
   let g = path_graph 1200 in
+  let kernel = Compiled.compile g in
   let run budget =
-    Par_gibbs.marginals ?budget ~burn_in:1 ~domains:3 (Prng.create 90) g ~sweeps:5
+    Par_gibbs.marginals ?budget ~burn_in:1 ~kernel ~domains:3 (Prng.create 90) ~sweeps:5
   in
   (* 6 sweeps x 2 phases x (1 phase poll + 3 slices x 2 chunk polls) = 84 ticks. *)
   let free = run None in
@@ -342,7 +357,10 @@ let test_par_marginals_match_exact () =
   let g = chain_graph ~copies:1 20 in
   Alcotest.(check bool) "over the bound" false
     (Compiled.enumerable (Compiled.compile g) ~steps:12_100);
-  let m = Par_gibbs.marginals ~burn_in:100 ~domains:3 (Prng.create 72) g ~sweeps:12_000 in
+  let m =
+    Par_gibbs.marginals ~burn_in:100 ~kernel:(Compiled.compile g) ~domains:3 (Prng.create 72)
+      ~sweeps:12_000
+  in
   let exact = Exact.marginals g in
   Alcotest.(check bool) "within 4%" true (Stats.max_abs_diff m exact < 0.04);
   let seq = Compiled.marginals ~burn_in:100 (Prng.create 72) (Compiled.compile g) ~sweeps:12_000 in
@@ -443,7 +461,8 @@ let test_no_isolated_matches_oracle () =
           same "Compiled.marginals"
             (Compiled.marginals ~burn_in:7 (Prng.create seed) (Compiled.compile g) ~sweeps:40);
           same "sequential"
-            (Par_gibbs.marginals ~burn_in:7 ~domains:1 (Prng.create seed) g ~sweeps:40))
+            (Par_gibbs.marginals ~burn_in:7 ~kernel:(Compiled.compile g) ~domains:1 (Prng.create seed)
+               ~sweeps:40))
         [ 31; 32; 33 ])
     (no_isolated_graphs ())
 
@@ -460,7 +479,10 @@ let test_no_isolated_three_domains_pinned () =
   List.iter2
     (fun (name, g) (name', sync_digest) ->
       assert (name = name');
-      let sync = Par_gibbs.marginals ~burn_in:7 ~domains:3 (Prng.create 31) g ~sweeps:40 in
+      let sync =
+        Par_gibbs.marginals ~burn_in:7 ~kernel:(Compiled.compile g) ~domains:3 (Prng.create 31)
+          ~sweeps:40
+      in
       Alcotest.(check string) (name ^ ": color-sync, 3 domains") sync_digest (digest sync))
     (no_isolated_graphs ()) parent_digests
 
@@ -541,8 +563,12 @@ let closed_form_qcheck =
         let estimates =
           [
             ("compiled", Compiled.marginals ~burn_in:3 (Prng.create seed) (Compiled.compile g) ~sweeps:5);
-            ("sequential", Par_gibbs.marginals ~burn_in:3 ~domains:1 (Prng.create seed) g ~sweeps:5);
-            ("color-sync 3", Par_gibbs.marginals ~burn_in:3 ~domains:3 (Prng.create seed) g ~sweeps:5);
+            ( "sequential",
+              Par_gibbs.marginals ~burn_in:3 ~kernel:(Compiled.compile g) ~domains:1 (Prng.create seed)
+                ~sweeps:5 );
+            ( "color-sync 3",
+              Par_gibbs.marginals ~burn_in:3 ~kernel:(Compiled.compile g) ~domains:3 (Prng.create seed)
+                ~sweeps:5 );
           ]
         in
         List.for_all
@@ -576,7 +602,7 @@ let test_coupled_match_exact () =
   in
   check "compiled" (Compiled.marginals ~burn_in:100 (Prng.create 12) k ~sweeps:20_000);
   check "color-sync 3"
-    (Par_gibbs.marginals ~burn_in:100 ~domains:3 (Prng.create 13) g ~sweeps:20_000)
+    (Par_gibbs.marginals ~burn_in:100 ~kernel:k ~domains:3 (Prng.create 13) ~sweeps:20_000)
 
 (* With every query variable isolated the chain sweeps nothing, but the
    budget is still polled once per sweep: a tick budget runs out at the
@@ -595,16 +621,16 @@ let test_budget_with_no_coupled () =
   let oracle budget = Sweep_oracle.marginals ~budget ~burn_in:4 (Prng.create 3) k ~sweeps:6 in
   let compiled budget = Compiled.marginals ~budget ~burn_in:4 (Prng.create 3) k ~sweeps:6 in
   let sequential budget =
-    Par_gibbs.marginals ~budget ~burn_in:4 ~domains:1 (Prng.create 3) g ~sweeps:6
+    Par_gibbs.marginals ~budget ~burn_in:4 ~kernel:k ~domains:1 (Prng.create 3) ~sweeps:6
   in
   for ticks = 0 to 11 do
     let expected = outcome ticks oracle in
     Alcotest.(check string) (Printf.sprintf "compiled, %d ticks" ticks) expected
       (outcome ticks compiled);
-    (* The sampler's per-sweep poll has its own site; it must run out at
-       the same poll. *)
-    Alcotest.(check bool) (Printf.sprintf "sequential, %d ticks" ticks) (expected = "finished")
-      (outcome ticks sequential = "finished")
+    (* At one domain the sampler is [Compiled.marginals]: same poll,
+       same site. *)
+    Alcotest.(check string) (Printf.sprintf "sequential, %d ticks" ticks) expected
+      (outcome ticks sequential)
   done;
   Alcotest.(check string) "10 polls: 4 burn-in + 6 counted sweeps" "finished" (outcome 10 compiled);
   Alcotest.(check string) "the 10th poll is the last sweep's" "compiled.sweep" (outcome 9 compiled)
@@ -631,8 +657,10 @@ let exact_qcheck =
             d <= 1e-12 || Test.fail_reportf "seed %d, %s: max |marginal - exact| %.3g" seed mode d)
           [
             ("compiled", Compiled.marginals ~burn_in:10 (Prng.create seed) k ~sweeps:200);
-            ("sequential", Par_gibbs.marginals ~burn_in:10 ~domains:1 (Prng.create seed) g ~sweeps:200);
-            ("color-sync 3", Par_gibbs.marginals ~burn_in:10 ~domains:3 (Prng.create seed) g ~sweeps:200);
+            ( "sequential",
+              Par_gibbs.marginals ~burn_in:10 ~kernel:k ~domains:1 (Prng.create seed) ~sweeps:200 );
+            ( "color-sync 3",
+              Par_gibbs.marginals ~burn_in:10 ~kernel:k ~domains:3 (Prng.create seed) ~sweeps:200 );
           ]);
   ]
 
@@ -647,10 +675,10 @@ let test_i1_pairs_enumerate () =
   Alcotest.(check bool) "enumerable" true (Compiled.enumerable k ~steps:47);
   let exact = Exact.marginals g in
   let rng = Prng.create 31 in
-  let m = Par_gibbs.marginals ~burn_in:7 ~domains:3 rng g ~sweeps:40 in
+  let m = Par_gibbs.marginals ~burn_in:7 ~kernel:k ~domains:3 rng ~sweeps:40 in
   Alcotest.(check bool) "within 1e-12 of exact" true (max_query_diff g m exact <= 1e-12);
   Alcotest.(check string) "same bits at 1 domain" (digest m)
-    (digest (Par_gibbs.marginals ~burn_in:7 ~domains:1 (Prng.create 32) g ~sweeps:40));
+    (digest (Par_gibbs.marginals ~burn_in:7 ~kernel:k ~domains:1 (Prng.create 32) ~sweeps:40));
   Alcotest.(check string) "same bits from Compiled" (digest m)
     (digest (Compiled.marginals ~burn_in:7 (Prng.create 33) k ~sweeps:40));
   Alcotest.(check int) "nothing drawn" (Prng.bits53 (Prng.create 31)) (Prng.bits53 rng);
@@ -659,6 +687,21 @@ let test_i1_pairs_enumerate () =
   match run 7 with
   | _ -> Alcotest.fail "expected Budget.Exceeded at the eighth component"
   | exception Budget.Exceeded site -> Alcotest.(check string) "component site" "compiled.component" site
+
+(* With nothing to split across domains — nothing coupled, or every
+   coupled component enumerable — the multi-domain sampler is
+   [Compiled.marginals], bit for bit, and draws exactly what it draws:
+   no partition, no per-domain stream, no pool. *)
+let test_routes_to_compiled () =
+  List.iter
+    (fun (name, g) ->
+      let k = Compiled.compile g in
+      let par_rng = Prng.create 41 and seq_rng = Prng.create 41 in
+      let par = Par_gibbs.marginals ~burn_in:5 ~kernel:k ~domains:3 par_rng ~sweeps:30 in
+      let seq = Compiled.marginals ~burn_in:5 seq_rng k ~sweeps:30 in
+      Alcotest.(check string) (name ^ ": bits of Compiled.marginals") (digest seq) (digest par);
+      Alcotest.(check int) (name ^ ": same draws") (Prng.bits53 seq_rng) (Prng.bits53 par_rng))
+    [ ("all isolated", unary_graph 50); ("enumerable", i1_graph ~copies:1 8) ]
 
 (* --- Fig-KBC agreement (the recovery harness comparators) -------------- *)
 
@@ -676,12 +719,13 @@ let test_par_fig_kbc_agreement () =
   Corpus.load corpus db;
   let grounding = Grounding.ground db (Pipeline.full_program ()) in
   let g = Grounding.graph grounding in
+  let kernel = Compiled.compile g in
   Dd_inference.Learner.train_cd
     ~options:{ Dd_inference.Learner.default_cd with Dd_inference.Learner.epochs = 10 }
-    (Prng.create 80) g;
+    ~kernel (Prng.create 80);
   let sweeps = 2500 in
-  let seq = Compiled.marginals ~burn_in:50 (Prng.create 81) (Compiled.compile g) ~sweeps in
-  let par = Par_gibbs.marginals ~burn_in:50 ~domains:3 (Prng.create 81) g ~sweeps in
+  let seq = Compiled.marginals ~burn_in:50 (Prng.create 81) kernel ~sweeps in
+  let par = Par_gibbs.marginals ~burn_in:50 ~kernel ~domains:3 (Prng.create 81) ~sweeps in
   let agreement =
     Quality.compare_marginals
       (Grounding.marginals_by_relation grounding par)
@@ -706,7 +750,7 @@ let test_engine_parallel_smoke () =
       Engine.materialization_samples = 60;
       inference_chain = 40;
       initial_learning_epochs = 5;
-      with_variational = false;
+      disable_variational = true;
       parallel_domains = 3;
     }
   in
@@ -735,7 +779,6 @@ let test_full_gibbs_durable () =
       Engine.materialization_samples = 40;
       inference_chain = 60;
       initial_learning_epochs = 5;
-      with_variational = false;
       disable_sampling = true;
       disable_variational = true;
       parallel_domains = 2;
@@ -820,7 +863,10 @@ let () =
         ] );
       ("closed form properties", List.map QCheck_alcotest.to_alcotest closed_form_qcheck);
       ( "exact components",
-        [ Alcotest.test_case "I1 pairs enumerate" `Quick test_i1_pairs_enumerate ] );
+        [
+          Alcotest.test_case "I1 pairs enumerate" `Quick test_i1_pairs_enumerate;
+          Alcotest.test_case "3 domains route to Compiled" `Quick test_routes_to_compiled;
+        ] );
       ("exact properties", List.map QCheck_alcotest.to_alcotest exact_qcheck);
       ("partition properties", List.map QCheck_alcotest.to_alcotest partition_qcheck);
     ]

@@ -315,11 +315,11 @@ let test_seq_is_commit_count () =
       Checkpoint.save store engine;
       Checkpoint.abandon store;
       let r = Record.of_file (Filename.concat dir "ckpt-0.ddckpt") in
-      let seq = Record.read r "ddckpt 7" in
+      let seq = Record.read r "ddckpt 8" in
       let graph = Record.read r "graph" in
       let state = Record.read r "state" in
       Alcotest.(check string) "a new engine's base is ckpt-0" "0" seq;
-      let forged = Record.frames [ ("ddckpt 7", "3"); ("graph", graph); ("state", state) ] in
+      let forged = Record.frames [ ("ddckpt 8", "3"); ("graph", graph); ("state", state) ] in
       Out_channel.with_open_bin (Filename.concat dir "ckpt-3.ddckpt") (fun oc ->
           output_string oc forged);
       match Checkpoint.verify_version store 3 with
@@ -338,7 +338,7 @@ let test_old_tag_rejected () =
       Checkpoint.abandon store;
       let path = Filename.concat dir "ckpt-0.ddckpt" in
       let r = Record.of_file path in
-      ignore (Record.read r "ddckpt 7");
+      ignore (Record.read r "ddckpt 8");
       let graph = Record.read r "graph" in
       Out_channel.with_open_bin path (fun oc ->
           output_string oc
@@ -472,7 +472,7 @@ let fixture =
                {
                  kind = "state";
                  bytes = file "ckpt-0.ddckpt";
-                 tags = [ "ddckpt 7"; "graph"; "state" ];
+                 tags = [ "ddckpt 8"; "graph"; "state" ];
                  rejects =
                    (fun b -> store_rejects "ckpt-0.ddckpt" b (fun s -> Checkpoint.verify_version s 0));
                };
