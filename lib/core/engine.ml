@@ -70,7 +70,7 @@ type report = {
 }
 
 type t = {
-  ground : Grounding.t;
+  mutable ground : Grounding.t;
   opts : options;
   rng : Prng.t;
   mutable mat : Materialize.t;
@@ -258,17 +258,35 @@ let choose_and_infer t =
     Some (Used_variational, None, m, secs)
   | Optimizer.Sampling | Optimizer.Variational -> None
 
-let step t update =
-  (* One budget per update step, polled cooperatively by grounding rounds
-     and Gibbs sweeps; [Ticks] specs re-arm deterministically per call. *)
-  let budget = Budget.start t.opts.step_budget in
-  let greport, grounding_seconds =
-    Timer.time (fun () -> Grounding.extend ~budget t.ground update)
+(* [Grounding.report.needs_rebuild]: the extended graph keeps a body whose
+   deterministic support was deleted.  Ground again over the updated
+   database and program through [build], as the Txn Rerun rung does, and
+   rematerialize; WAL replay redoes this bit for bit. *)
+let reground t greport ~grounding_seconds =
+  let (ground, rng, kernel, marginals), seconds =
+    Timer.time (fun () ->
+        build ~hit:ignore t.opts (Grounding.database t.ground) (Grounding.program t.ground))
   in
-  (* Crash here = the database and graph were already mutated by grounding
-     but the marginals were not refreshed; recovery must rebuild from the
-     pre-update checkpoint and replay the logged update. *)
-  Fault.hit "engine.apply_update.post_ground";
+  t.ground <- ground;
+  Prng.assign t.rng rng;
+  t.kernel <- Some kernel;
+  t.kernel_compiles <- t.kernel_compiles + 1;
+  t.mat <- materialize t.opts ~kernel t.rng;
+  Hashtbl.reset t.extension_origin;
+  t.proposals_used <- 0;
+  t.last_marginals <- marginals;
+  {
+    strategy = Used_full_gibbs;
+    grounding_seconds = grounding_seconds +. seconds;
+    learning_seconds = 0.0;
+    inference_seconds = 0.0;
+    acceptance_rate = None;
+    exact_components = 0;
+    grounding = greport;
+    marginals;
+  }
+
+let learn_and_infer t greport ~budget ~grounding_seconds =
   record_extensions t greport;
   (* Structure or evidence moved: the compiled kernel is stale.  A
      weight-only step (incremental learning below) keeps it and merely
@@ -323,6 +341,20 @@ let step t update =
     marginals;
   }
 
+let step t update =
+  (* One budget per update step, polled cooperatively by grounding rounds
+     and Gibbs sweeps; [Ticks] specs re-arm deterministically per call. *)
+  let budget = Budget.start t.opts.step_budget in
+  let greport, grounding_seconds =
+    Timer.time (fun () -> Grounding.extend ~budget t.ground update)
+  in
+  (* Crash here = the database and graph were already mutated by grounding
+     but the marginals were not refreshed; recovery must rebuild from the
+     pre-update checkpoint and replay the logged update. *)
+  Fault.hit "engine.apply_update.post_ground";
+  if greport.Grounding.needs_rebuild then reground t greport ~grounding_seconds
+  else learn_and_infer t greport ~budget ~grounding_seconds
+
 let apply_update t update =
   match step t update with
   | report ->
@@ -360,6 +392,7 @@ let require_base t = t.log <- None
    clean path therefore pays only journal bookkeeping, never a copy of
    the database or graph. *)
 type txn = {
+  x_ground : Grounding.t;
   x_graph_journal : Graph.journal;
   x_gmark : Grounding.mark;
   x_tables : string list;  (* tables existing at begin *)
@@ -386,6 +419,7 @@ let txn_begin t =
       Relation.set_journal rel (Some (fun tup prev -> log := (rel, tup, prev) :: !log)))
     journaled;
   {
+    x_ground = t.ground;
     x_graph_journal = Graph.journal_begin (graph t);
     x_gmark = Grounding.mark t.ground;
     x_tables = tables;
@@ -420,6 +454,9 @@ let txn_rollback t x =
      retries (bounded) on [Fault.Injected] escaping from here. *)
   Dd_util.Fault.hit "engine.txn_rollback.begin";
   detach_journals x;
+  (* A regrounding update replaced the grounding; the old one is the one
+     the journal and mark describe. *)
+  t.ground <- x.x_ground;
   Graph.rollback (graph t) x.x_graph_journal;
   Grounding.rollback t.ground x.x_gmark;
   let db = Grounding.database t.ground in

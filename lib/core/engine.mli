@@ -122,7 +122,10 @@ val kernel_compiles : t -> int
     first use after the cache was dropped, as in {!without_kernel}). *)
 
 val apply_update : t -> Grounding.update -> report
-(** One iteration of the incremental loop.  On an exception (a
+(** One iteration of the incremental loop.  When grounding reports
+    [needs_rebuild], the engine rebuilds from scratch as {!rerun} does
+    ([Used_full_gibbs], {!rerun}'s marginals) and rematerializes.  On an
+    exception (a
     {!Grounding.Error}, {!Dd_util.Budget.Exceeded}, or an injected fault)
     the engine may be left partially mutated — wrap the call in
     {!txn_begin} / {!txn_rollback} (or use {!Txn.apply}, which does) when

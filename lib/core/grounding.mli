@@ -19,9 +19,9 @@
     to [Evidence false], which deactivates every factor body mentioning
     them — energy-exact for conjunctive bodies.  A lost grounding whose
     vanished support was a purely deterministic tuple cannot be expressed
-    that way; [needs_rebuild] reports it so the engine can fall back to a
-    full reground (our workloads, like the paper's KBC updates, are
-    additive). *)
+    that way; [needs_rebuild] reports it, and {!Engine.apply_update} then
+    grounds again from scratch (our workloads, like the paper's KBC
+    updates, are additive). *)
 
 module Graph = Dd_fgraph.Graph
 module Tuple = Dd_relational.Tuple

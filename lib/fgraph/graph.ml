@@ -42,15 +42,11 @@ let vec_copy v = { v with data = Array.copy v.data }
 
 (* Inverse operations over pre-transaction slots.  Appends need no entry:
    rollback truncates the growable arrays back to the recorded base
-   lengths, so only in-place mutations of pre-existing slots are logged.
-   Adjacency lists are persistent and prepend-only, so one entry holding
-   the old list head restores a variable's adjacency in O(1) no matter how
-   many factors were added. *)
+   lengths, so only in-place mutations of pre-existing slots are logged. *)
 type undo =
   | U_evidence of var * evidence
   | U_weight of weight_id * float
   | U_factor of int * factor
-  | U_adjacency of var * int list
 
 type journal = {
   base_vars : int;
@@ -64,7 +60,6 @@ type t = {
   weights : float vec;
   learnable : bool vec;
   factors : factor vec;
-  adjacency : int list vec;  (** var -> factor indices *)
   mutable journal : journal option;
 }
 
@@ -75,7 +70,6 @@ let create () =
     learnable = vec_create false;
     factors =
       vec_create { head = None; bodies = [||]; weight_id = 0; semantics = Semantics.Linear };
-    adjacency = vec_create [];
     journal = None;
   }
 
@@ -87,7 +81,6 @@ let num_weights t = t.weights.len
 
 let add_var ?(evidence = Query) t =
   vec_push t.evidence evidence;
-  vec_push t.adjacency [];
   t.evidence.len - 1
 
 let add_vars ?evidence t n = Array.init n (fun _ -> add_var ?evidence t)
@@ -114,16 +107,7 @@ let add_factor t f =
   if f.weight_id < 0 || f.weight_id >= num_weights t then
     invalid_arg "Graph.add_factor: unknown weight";
   vec_push t.factors f;
-  let idx = t.factors.len - 1 in
-  List.iter
-    (fun v ->
-      let old = vec_get t.adjacency v in
-      (match t.journal with
-      | Some j when v < j.base_vars -> j.entries <- U_adjacency (v, old) :: j.entries
-      | _ -> ());
-      vec_set t.adjacency v (idx :: old))
-    (vars_of_factor f);
-  idx
+  t.factors.len - 1
 
 let pairwise t ~weight a b =
   add_factor t
@@ -158,20 +142,7 @@ let extend_factor t i bodies =
     (match t.journal with
     | Some j when i < j.base_factors -> j.entries <- U_factor (i, f) :: j.entries
     | _ -> ());
-    let known = vars_of_factor f in
-    let extended = { f with bodies = Array.append f.bodies bodies } in
-    vec_set t.factors i extended;
-    let fresh =
-      List.filter (fun v -> not (List.mem v known)) (vars_of_factor extended)
-    in
-    List.iter
-      (fun v ->
-        let old = vec_get t.adjacency v in
-        (match t.journal with
-        | Some j when v < j.base_vars -> j.entries <- U_adjacency (v, old) :: j.entries
-        | _ -> ());
-        vec_set t.adjacency v (i :: old))
-      fresh
+    vec_set t.factors i { f with bodies = Array.append f.bodies bodies }
   end
 
 let factor t i = vec_get t.factors i
@@ -194,7 +165,24 @@ let set_evidence t v e =
   | _ -> ());
   vec_set t.evidence v e
 
-let factors_of_var t v = vec_get t.adjacency v
+(* One pass over the factors, ascending, prepending each factor to the
+   list of every distinct variable it mentions, so each list ends newest
+   first.  [last.(v)] is the last factor that listed [v]. *)
+let factors_of_var t =
+  let n = num_vars t in
+  let lists = Array.make n [] and last = Array.make n (-1) in
+  let note fid v =
+    if last.(v) <> fid then begin
+      last.(v) <- fid;
+      lists.(v) <- fid :: lists.(v)
+    end
+  in
+  for fid = 0 to t.factors.len - 1 do
+    let f = t.factors.data.(fid) in
+    Option.iter (note fid) f.head;
+    Array.iter (Array.iter (fun l -> note fid l.var)) f.bodies
+  done;
+  lists
 
 let iter_factors f t =
   for i = 0 to t.factors.len - 1 do
@@ -222,20 +210,6 @@ let evidence_vars t =
 let body_satisfied assignment body =
   Array.for_all (fun l -> assignment l.var <> l.negated) body
 
-let satisfied_bodies assignment f =
-  Array.fold_left
-    (fun acc body -> if body_satisfied assignment body then acc + 1 else acc)
-    0 f.bodies
-
-let factor_energy t f assignment =
-  let n = satisfied_bodies assignment f in
-  let sign =
-    match f.head with
-    | None -> 1.0
-    | Some h -> if assignment h then 1.0 else -1.0
-  in
-  weight_value t f.weight_id *. sign *. Semantics.g f.semantics n
-
 let factor_energy_prefix t f assignment k =
   let n = ref 0 in
   for b = 0 to min k (Array.length f.bodies) - 1 do
@@ -248,6 +222,20 @@ let factor_energy_prefix t f assignment k =
   in
   weight_value t f.weight_id *. sign *. Semantics.g f.semantics !n
 
+let factor_energy t f assignment = factor_energy_prefix t f assignment (Array.length f.bodies)
+
+let flip_energy t fids assignment v =
+  let lookup v' = assignment.(v') in
+  let energy_with value =
+    assignment.(v) <- value;
+    List.fold_left (fun acc fid -> acc +. factor_energy t (vec_get t.factors fid) lookup) 0.0 fids
+  in
+  let saved = assignment.(v) in
+  let on = energy_with true in
+  let off = energy_with false in
+  assignment.(v) <- saved;
+  on -. off
+
 let total_energy t assignment =
   let acc = ref 0.0 in
   iter_factors (fun _ f -> acc := !acc +. factor_energy t f assignment) t;
@@ -259,7 +247,6 @@ let copy t =
     weights = vec_copy t.weights;
     learnable = vec_copy t.learnable;
     factors = vec_copy t.factors;
-    adjacency = vec_copy t.adjacency;
     journal = None;
   }
 
@@ -297,20 +284,18 @@ let rollback t j =
     (function
       | U_evidence (v, e) -> if v < j.base_vars then vec_set t.evidence v e
       | U_weight (w, x) -> if w < j.base_weights then vec_set t.weights w x
-      | U_factor (i, f) -> if i < j.base_factors then vec_set t.factors i f
-      | U_adjacency (v, l) -> if v < j.base_vars then vec_set t.adjacency v l)
+      | U_factor (i, f) -> if i < j.base_factors then vec_set t.factors i f)
     j.entries;
   vec_truncate t.evidence j.base_vars;
-  vec_truncate t.adjacency j.base_vars;
   vec_truncate t.weights j.base_weights;
   vec_truncate t.learnable j.base_weights;
   vec_truncate t.factors j.base_factors
 
-let freeze_assignment t =
+let freeze_assignment ?(query = fun () -> false) t =
   Array.init (num_vars t) (fun v ->
       match vec_get t.evidence v with
       | Evidence b -> b
-      | Query -> false)
+      | Query -> query ())
 
 (* Structural integrity check for graphs restored from disk (and a cheap
    invariant audit elsewhere).  Everything [add_factor] enforces on entry
@@ -363,14 +348,8 @@ let validate t =
   Result.bind (check_weights ()) (fun () -> check_factors 0)
 
 let degree_stats t =
-  let n = num_vars t in
-  if n = 0 then (0.0, 0)
-  else begin
-    let total = ref 0 and worst = ref 0 in
-    for v = 0 to n - 1 do
-      let d = List.length (vec_get t.adjacency v) in
-      total := !total + d;
-      worst := max !worst d
-    done;
-    (float_of_int !total /. float_of_int n, !worst)
-  end
+  let degrees = Array.map List.length (factors_of_var t) in
+  if degrees = [||] then (0.0, 0)
+  else
+    ( float_of_int (Array.fold_left ( + ) 0 degrees) /. float_of_int (Array.length degrees),
+      Array.fold_left max 0 degrees )

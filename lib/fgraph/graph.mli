@@ -14,7 +14,8 @@
     (rule-supplied constant).
 
     Graphs are mutable and growable — incremental grounding appends new
-    variables and factors to an existing graph ([Delta V], [Delta F]). *)
+    variables and factors to an existing graph ([Delta V], [Delta F]).
+    It keeps no variable-to-factor index ({!factors_of_var} builds one). *)
 
 type var = int
 
@@ -66,8 +67,7 @@ val implication : t -> weight:weight_id -> semantics:Semantics.t -> var list -> 
 val extend_factor : t -> int -> literal array array -> unit
 (** [extend_factor t i bodies] appends body groundings to factor [i]
     (incremental grounding discovers new groundings of an existing rule
-    head / weight group).  Adjacency is updated for newly referenced
-    variables. *)
+    head / weight group). *)
 
 val num_vars : t -> int
 
@@ -87,8 +87,10 @@ val evidence_of : t -> var -> evidence
 
 val set_evidence : t -> var -> evidence -> unit
 
-val factors_of_var : t -> var -> int list
-(** Indices of factors mentioning the variable (head or body). *)
+val factors_of_var : t -> int list array
+(** For every variable, the indices of the factors mentioning it (head or
+    body), newest (highest index) first.  One pass over the factors per
+    call: build it once and index it, never call it per variable. *)
 
 val vars_of_factor : factor -> var list
 (** Distinct variables of a factor. *)
@@ -107,6 +109,11 @@ val factor_energy_prefix : t -> factor -> (var -> bool) -> int -> float
     pre-extension energy needed when incremental grounding appended
     groundings to an existing factor. *)
 
+val flip_energy : t -> int list -> bool array -> var -> float
+(** Summed energy of factors [fids] (in list order) with [v] true minus
+    with [v] false, the rest as in [a] (left unchanged): over [v]'s
+    factors, the log-odds of its Gibbs conditional. *)
+
 val total_energy : t -> (var -> bool) -> float
 (** Sum of factor energies: the log-unnormalized probability [W(F, I)]. *)
 
@@ -117,9 +124,8 @@ type journal
 (** An undo log over one transactional episode.  Appends (new variables,
     weights, factors) are undone by truncating back to the recorded base
     counts; in-place mutations of pre-existing slots ({!set_evidence},
-    {!set_weight}, {!extend_factor}, adjacency prepends from
-    {!add_factor}) are logged as inverse operations holding the absolute
-    pre-transaction value. *)
+    {!set_weight}, {!extend_factor}) are logged as inverse operations
+    holding the absolute pre-transaction value. *)
 
 val journal_begin : t -> journal
 (** Start recording.  Replaces any previously active journal (the old one
@@ -133,12 +139,14 @@ val rollback : t -> journal -> unit
     Idempotent — entries carry absolute previous values, so re-running a
     partially completed rollback converges. *)
 
-val freeze_assignment : t -> bool array
+val freeze_assignment : ?query:(unit -> bool) -> t -> bool array
 (** A fresh assignment array: evidence variables at their fixed value,
-    query variables false. *)
+    query variables at [query ()] (default false), called in ascending
+    variable order. *)
 
 val degree_stats : t -> float * int
-(** Mean and max number of factors per variable. *)
+(** Mean and max number of factors per variable (one {!factors_of_var}
+    pass). *)
 
 val validate : t -> (unit, string) result
 (** Structural integrity check: every factor's head and literal variables

@@ -426,7 +426,7 @@ let make_state ?init rng k =
       if Array.length a <> k.nvars then
         invalid_arg "Compiled.make_state: assignment size mismatch";
       a
-    | None -> Gibbs.init_assignment rng k.graph
+    | None -> Graph.freeze_assignment ~query:(fun () -> Prng.bool rng) k.graph
   in
   state_of_world k init
 

@@ -2,45 +2,30 @@ module Graph = Dd_fgraph.Graph
 module Prng = Dd_util.Prng
 module Stats = Dd_util.Stats
 
-let conditional_true_prob g assignment v =
-  let lookup v' = assignment.(v') in
-  let energy_with value =
-    let saved = assignment.(v) in
-    assignment.(v) <- value;
-    let acc =
-      List.fold_left
-        (fun acc fi -> acc +. Graph.factor_energy g (Graph.factor g fi) lookup)
-        0.0 (Graph.factors_of_var g v)
-    in
-    assignment.(v) <- saved;
-    acc
-  in
-  Stats.sigmoid (energy_with true -. energy_with false)
+let conditional adj g assignment v = Stats.sigmoid (Graph.flip_energy g adj.(v) assignment v)
 
-let resample_var rng g assignment v =
-  assignment.(v) <- Prng.bernoulli rng (conditional_true_prob g assignment v)
+let conditional_true_prob g assignment v = conditional (Graph.factors_of_var g) g assignment v
 
-let sweep rng g assignment =
+let sweep_with adj rng g assignment =
   let n = Graph.num_vars g in
   for v = 0 to n - 1 do
     match Graph.evidence_of g v with
-    | Graph.Query -> resample_var rng g assignment v
+    | Graph.Query -> assignment.(v) <- Prng.bernoulli rng (conditional adj g assignment v)
     | Graph.Evidence _ -> ()
   done
 
-let init_assignment rng g =
-  Array.init (Graph.num_vars g) (fun v ->
-      match Graph.evidence_of g v with
-      | Graph.Evidence b -> b
-      | Graph.Query -> Prng.bool rng)
+let sweep rng g assignment = sweep_with (Graph.factors_of_var g) rng g assignment
+
+let init_assignment rng g = Graph.freeze_assignment ~query:(fun () -> Prng.bool rng) g
 
 let run ?(burn_in = 0) ?init rng g ~sweeps ~on_sweep =
   let assignment = match init with Some a -> a | None -> init_assignment rng g in
+  let adj = Graph.factors_of_var g in
   for _ = 1 to burn_in do
-    sweep rng g assignment
+    sweep_with adj rng g assignment
   done;
   for i = 1 to sweeps do
-    sweep rng g assignment;
+    sweep_with adj rng g assignment;
     on_sweep i assignment
   done
 
@@ -71,9 +56,10 @@ let sweeps_to_converge ?(tolerance = 0.01) ?(max_sweeps = 100_000) rng g ~target
   let trues = ref 0 and total = ref 0 in
   let converged_at = ref None in
   let assignment = init_assignment rng g in
+  let adj = Graph.factors_of_var g in
   (try
      for i = 1 to max_sweeps do
-       sweep rng g assignment;
+       sweep_with adj rng g assignment;
        if assignment.(target_var) then incr trues;
        incr total;
        if i mod check_every = 0 then begin

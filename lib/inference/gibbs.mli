@@ -5,17 +5,16 @@
     marginals by averaging.  Evidence variables stay clamped.  Each
     conditional re-evaluates every adjacent factor, so this module is the
     test oracle for the production sampler {!Compiled}, which must track
-    it draw for draw.  Its one production use is
-    {!Metropolis.extend_sample}'s single-site resample of a proposal's
-    new variables, which touches only their factors. *)
+    it draw for draw; no library module calls it.  Each call builds the
+    variable-to-factor table once ({!Dd_fgraph.Graph.factors_of_var}, one
+    pass over the factors): a multi-sweep run pays it once, and
+    {!conditional_true_prob} and {!sweep} pay it per call. *)
 
 module Graph = Dd_fgraph.Graph
 
 val conditional_true_prob : Graph.t -> bool array -> Graph.var -> float
 (** [P(v = true | rest)] — computed from the energy difference of the
     factors adjacent to [v] only. *)
-
-val resample_var : Dd_util.Prng.t -> Graph.t -> bool array -> Graph.var -> unit
 
 val sweep : Dd_util.Prng.t -> Graph.t -> bool array -> unit
 (** One pass resampling every query variable in order. *)

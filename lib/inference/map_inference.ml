@@ -13,24 +13,9 @@ let default_schedule ~sweeps i =
   let progress = float_of_int i /. float_of_int (max 1 (sweeps - 1)) in
   t0 *. ((t1 /. t0) ** progress)
 
-(* Energy difference of setting [v] to true vs false, over adjacent
-   factors. *)
-let local_delta g assignment v =
-  let lookup v' = assignment.(v') in
-  let energy_with value =
-    let saved = assignment.(v) in
-    assignment.(v) <- value;
-    let acc =
-      List.fold_left
-        (fun acc fid -> acc +. Graph.factor_energy g (Graph.factor g fid) lookup)
-        0.0 (Graph.factors_of_var g v)
-    in
-    assignment.(v) <- saved;
-    acc
-  in
-  energy_with true -. energy_with false
-
-let greedy_refine g assignment =
+(* [adj] is [Graph.factors_of_var g], built once per run; each flip reads
+   the energy difference of [v]'s factors. *)
+let refine adj g assignment =
   let flips = ref 0 in
   let improved = ref true in
   while !improved do
@@ -39,7 +24,7 @@ let greedy_refine g assignment =
       match Graph.evidence_of g v with
       | Graph.Evidence _ -> ()
       | Graph.Query ->
-        let delta = local_delta g assignment v in
+        let delta = Graph.flip_energy g adj.(v) assignment v in
         if abs_float delta > 1e-12 then begin
           let desired = delta > 0.0 in
           if desired <> assignment.(v) then begin
@@ -52,11 +37,16 @@ let greedy_refine g assignment =
   done;
   !flips
 
+let greedy_refine g assignment = refine (Graph.factors_of_var g) g assignment
+
 let search ?(sweeps = 500) ?init rng g =
   let schedule = default_schedule ~sweeps in
   let assignment =
-    match init with Some a -> Array.copy a | None -> Gibbs.init_assignment rng g
+    match init with
+    | Some a -> Array.copy a
+    | None -> Graph.freeze_assignment ~query:(fun () -> Prng.bool rng) g
   in
+  let adj = Graph.factors_of_var g in
   let best = Array.copy assignment in
   let lookup_of a v = a.(v) in
   let best_weight = ref (Graph.total_energy g (lookup_of best)) in
@@ -67,7 +57,7 @@ let search ?(sweeps = 500) ?init rng g =
       match Graph.evidence_of g v with
       | Graph.Evidence _ -> ()
       | Graph.Query ->
-        let delta = local_delta g assignment v in
+        let delta = Graph.flip_energy g adj.(v) assignment v in
         let p_true = Stats.sigmoid (delta /. temperature) in
         let fresh = Prng.bernoulli rng p_true in
         if fresh <> assignment.(v) then begin
@@ -81,5 +71,5 @@ let search ?(sweeps = 500) ?init rng g =
       Array.blit assignment 0 best 0 (Array.length assignment)
     end
   done;
-  ignore (greedy_refine g best);
+  ignore (refine adj g best);
   { assignment = best; log_weight = Graph.total_energy g (lookup_of best); sweeps }

@@ -1,5 +1,6 @@
 module Graph = Dd_fgraph.Graph
 module Prng = Dd_util.Prng
+module Stats = Dd_util.Stats
 
 type change = {
   graph : Graph.t;
@@ -20,106 +21,100 @@ let unchanged graph =
     evidence_changes = [];
   }
 
-(* Old weight values by id. *)
-let old_weight_table change =
-  let table = Hashtbl.create 16 in
-  List.iter (fun (w, old_value) -> Hashtbl.replace table w old_value) change.changed_weights;
-  table
+(* Energy of a factor's first [bodies] groundings under weight [w]:
+   factor energies are linear in the weight, with a unit probe when the
+   current weight is 0. *)
+let energy_under_weight g f lookup ~bodies w =
+  let current = Graph.weight_value g f.Graph.weight_id in
+  if current <> 0.0 then Graph.factor_energy_prefix g f lookup bodies /. current *. w
+  else begin
+    Graph.set_weight g f.Graph.weight_id 1.0;
+    let unit_energy = Graph.factor_energy_prefix g f lookup bodies in
+    Graph.set_weight g f.Graph.weight_id current;
+    unit_energy *. w
+  end
 
-(* Factors affected by a weight change, excluding brand-new factors (their
-   full energy is already counted) and extended factors (handled together
-   with their body extension). *)
-let weight_affected_factors change =
-  match change.changed_weights with
-  | [] -> []
-  | changed ->
-    let excluded =
-      let set = Hashtbl.create 16 in
-      List.iter (fun i -> Hashtbl.replace set i ()) change.new_factor_ids;
-      List.iter (fun (i, _) -> Hashtbl.replace set i ()) change.extended_factors;
-      fun i -> Hashtbl.mem set i
-    in
-    let table = Hashtbl.create 16 in
-    List.iter (fun (w, old_value) -> Hashtbl.replace table w old_value) changed;
-    let out = ref [] in
+let clamped g v =
+  match Graph.evidence_of g v with Graph.Evidence b -> Some (v, b) | Graph.Query -> None
+
+(* What a chain reads of the change, prepared once: the factors whose
+   energy moved (new ones; extended ones, then the others whose weight
+   moved, descending id, each with its old body count and old weight),
+   the variables to clamp (re-labelled ones, then new ones, that are
+   evidence now), and each new query variable with the ids of its
+   factors.  A new variable appears only in new or extended factors; its
+   list is newest (highest id) first, the order of
+   {!Graph.factors_of_var}. *)
+type prepared = {
+  pgraph : Graph.t;
+  fresh : Graph.factor array;
+  extended : (Graph.factor * int * float) array;
+  reweighted : (Graph.factor * int * float) array;
+  required : (Graph.var * bool) array;
+  clamp_new : (Graph.var * bool) array;
+  resample : (Graph.var * int list) array;
+}
+
+let prepare change =
+  let g = change.graph in
+  let old_weights = Hashtbl.create 16 in
+  List.iter (fun (w, old_value) -> Hashtbl.replace old_weights w old_value) change.changed_weights;
+  let moved fid bodies =
+    let f = Graph.factor g fid in
+    let w = f.Graph.weight_id in
+    (f, bodies, Option.value (Hashtbl.find_opt old_weights w) ~default:(Graph.weight_value g w))
+  in
+  let touched = change.new_factor_ids @ List.map fst change.extended_factors in
+  let reweighted = ref [] in
+  if change.changed_weights <> [] then begin
+    let excluded = Hashtbl.create 16 in
+    List.iter (fun i -> Hashtbl.replace excluded i ()) touched;
     Graph.iter_factors
       (fun i f ->
-        if not (excluded i) then
-          match Hashtbl.find_opt table f.Graph.weight_id with
-          | Some old_value -> out := (i, old_value) :: !out
-          | None -> ())
-      change.graph;
-    !out
-
-(* Energy of a factor under an explicit weight value: factor energies are
-   linear in the weight, with a unit probe when the current weight is 0. *)
-let energy_under_weight g f lookup target_weight =
-  let current = Graph.weight_value g f.Graph.weight_id in
-  if current <> 0.0 then Graph.factor_energy g f lookup /. current *. target_weight
-  else begin
-    Graph.set_weight g f.Graph.weight_id 1.0;
-    let unit_energy = Graph.factor_energy g f lookup in
-    Graph.set_weight g f.Graph.weight_id current;
-    unit_energy *. target_weight
-  end
-
-let prefix_energy_under_weight g f lookup old_bodies target_weight =
-  let current = Graph.weight_value g f.Graph.weight_id in
-  if current <> 0.0 then
-    Graph.factor_energy_prefix g f lookup old_bodies /. current *. target_weight
-  else begin
-    Graph.set_weight g f.Graph.weight_id 1.0;
-    let unit_energy = Graph.factor_energy_prefix g f lookup old_bodies in
-    Graph.set_weight g f.Graph.weight_id current;
-    unit_energy *. target_weight
-  end
-
-let delta_log_weight change assignment =
-  let g = change.graph in
-  let lookup v = assignment.(v) in
-  let violates_evidence =
-    List.exists
-      (fun (v, _old) ->
-        match Graph.evidence_of g v with
-        | Graph.Evidence b -> assignment.(v) <> b
-        | Graph.Query -> false)
-      change.evidence_changes
+        if Hashtbl.mem old_weights f.Graph.weight_id && not (Hashtbl.mem excluded i) then
+          reweighted := moved i (Array.length f.Graph.bodies) :: !reweighted)
+      g
+  end;
+  (* new query variable -> (last factor id listed, its factor ids) *)
+  let lists = Hashtbl.create 16 in
+  List.iter
+    (fun v -> if Graph.evidence_of g v = Graph.Query then Hashtbl.replace lists v (-1, []))
+    change.new_vars;
+  let note fid v =
+    match Hashtbl.find_opt lists v with
+    | Some (last, fids) when last <> fid -> Hashtbl.replace lists v (fid, fid :: fids)
+    | Some _ | None -> ()
   in
-  if violates_evidence then neg_infinity
-  else begin
-    let old_weights = old_weight_table change in
-    let old_weight f =
-      match Hashtbl.find_opt old_weights f.Graph.weight_id with
-      | Some w -> w
-      | None -> Graph.weight_value g f.Graph.weight_id
-    in
-    let from_new_factors =
-      List.fold_left
-        (fun acc i -> acc +. Graph.factor_energy g (Graph.factor g i) lookup)
-        0.0 change.new_factor_ids
-    in
-    (* An extended factor had only its first [old_bodies] groundings and the
-       old weight before the update. *)
-    let from_extensions =
-      List.fold_left
-        (fun acc (i, old_bodies) ->
-          let f = Graph.factor g i in
-          let now = Graph.factor_energy g f lookup in
-          let before = prefix_energy_under_weight g f lookup old_bodies (old_weight f) in
-          acc +. now -. before)
-        0.0 change.extended_factors
-    in
-    let from_weight_changes =
-      List.fold_left
-        (fun acc (i, old_value) ->
-          let f = Graph.factor g i in
-          let now = Graph.factor_energy g f lookup in
-          let before = energy_under_weight g f lookup old_value in
-          acc +. now -. before)
-        0.0 (weight_affected_factors change)
-    in
-    from_new_factors +. from_extensions +. from_weight_changes
-  end
+  List.iter
+    (fun fid ->
+      let f = Graph.factor g fid in
+      Option.iter (note fid) f.Graph.head;
+      Array.iter (Array.iter (fun (l : Graph.literal) -> note fid l.Graph.var)) f.Graph.bodies)
+    (List.sort_uniq Int.compare touched);
+  let factors v = Option.map (fun (_, fids) -> (v, fids)) (Hashtbl.find_opt lists v) in
+  {
+    pgraph = g;
+    fresh = Array.of_list (List.map (Graph.factor g) change.new_factor_ids);
+    extended = Array.of_list (List.map (fun (i, bodies) -> moved i bodies) change.extended_factors);
+    reweighted = Array.of_list !reweighted;
+    required = Array.of_list (List.filter_map (fun (v, _) -> clamped g v) change.evidence_changes);
+    clamp_new = Array.of_list (List.filter_map (clamped g) change.new_vars);
+    resample = Array.of_list (List.filter_map factors change.new_vars);
+  }
+
+let eval_delta p assignment =
+  let g = p.pgraph in
+  let lookup v = assignment.(v) in
+  let moved acc (f, bodies, w) =
+    acc +. Graph.factor_energy g f lookup -. energy_under_weight g f lookup ~bodies w
+  in
+  if Array.exists (fun (v, b) -> assignment.(v) <> b) p.required then neg_infinity
+  else
+    Array.fold_left (fun acc f -> acc +. Graph.factor_energy g f lookup) 0.0 p.fresh
+    +. Array.fold_left moved 0.0 p.extended
+    +. Array.fold_left moved 0.0 p.reweighted
+
+let delta_log_weight change assignment = eval_delta (prepare change) assignment
 
 type result = {
   marginals : float array;
@@ -129,29 +124,22 @@ type result = {
   exhausted : bool;
 }
 
-(* Extend a stored sample to the updated graph: copy old values, clamp all
-   evidence, then run a few restricted Gibbs sweeps over the new
-   variables. *)
-let extend_sample rng change stored_sample ~sweeps =
+(* Extend a stored world to the updated graph: copy it, draw every new
+   variable uniformly, clamp what the change made evidence, then run a
+   few restricted Gibbs sweeps over the new query variables.  Stored
+   worlds already hold the original evidence. *)
+let extend_sample rng change p stored_sample ~sweeps =
   let g = change.graph in
   let n = Graph.num_vars g in
   let a = Array.make n false in
-  let old_n = Array.length stored_sample in
-  Array.blit stored_sample 0 a 0 (min old_n n);
+  Array.blit stored_sample 0 a 0 (min (Array.length stored_sample) n);
   List.iter (fun v -> if v < n then a.(v) <- Prng.bool rng) change.new_vars;
-  (* Clamp evidence under the updated graph. *)
-  for v = 0 to n - 1 do
-    match Graph.evidence_of g v with
-    | Graph.Evidence b -> a.(v) <- b
-    | Graph.Query -> ()
-  done;
+  Array.iter (fun (v, b) -> a.(v) <- b) p.required;
+  Array.iter (fun (v, b) -> a.(v) <- b) p.clamp_new;
   for _ = 1 to sweeps do
-    List.iter
-      (fun v ->
-        match Graph.evidence_of g v with
-        | Graph.Query -> Gibbs.resample_var rng g a v
-        | Graph.Evidence _ -> ())
-      change.new_vars
+    Array.iter
+      (fun (v, fids) -> a.(v) <- Prng.bernoulli rng (Stats.sigmoid (Graph.flip_energy g fids a v)))
+      p.resample
   done;
   a
 
@@ -161,15 +149,15 @@ let infer rng change ~stored ~chain_length =
   let nstored = Array.length stored in
   if nstored = 0 then invalid_arg "Metropolis.infer: no stored samples";
   let n = Graph.num_vars g in
-  let current = ref (extend_sample rng change stored.(0) ~sweeps:new_var_sweeps) in
-  let current_delta = ref (delta_log_weight change !current) in
+  let p = prepare change in
+  let propose stored_sample = extend_sample rng change p stored_sample ~sweeps:new_var_sweeps in
+  let current = ref (propose stored.(0)) in
+  let current_delta = ref (eval_delta p !current) in
   let totals = Array.make n 0 in
   let accepted = ref 0 in
   for step = 0 to chain_length - 1 do
-    let proposal =
-      extend_sample rng change stored.((step + 1) mod nstored) ~sweeps:new_var_sweeps
-    in
-    let proposal_delta = delta_log_weight change proposal in
+    let proposal = propose stored.((step + 1) mod nstored) in
+    let proposal_delta = eval_delta p proposal in
     let log_alpha = proposal_delta -. !current_delta in
     if log_alpha >= 0.0 || Prng.float_unit rng < exp log_alpha then begin
       current := proposal;
@@ -191,8 +179,4 @@ let infer rng change ~stored ~chain_length =
 
 let acceptance_probe rng change ~stored ~probes =
   let n = min probes (Array.length stored) in
-  if n = 0 then 1.0
-  else begin
-    let result = infer rng change ~stored ~chain_length:n in
-    result.acceptance_rate
-  end
+  if n = 0 then 1.0 else (infer rng change ~stored ~chain_length:n).acceptance_rate

@@ -53,8 +53,15 @@ val infer :
   chain_length:int ->
   result
 (** Run the independent MH chain for [chain_length] steps, proposing stored
-    samples in order (cycling).  Variables in [new_vars] are filled in by
-    two restricted Gibbs sweeps conditioned on the proposal.  Marginals are chain averages. *)
+    samples in order (cycling).  Marginals are chain averages.
+
+    The chain reads only the change, prepared once per call (a pass over
+    all factors only when a weight moved).  A proposal copies its stored
+    world, draws [new_vars] uniformly, clamps the new and re-labelled
+    variables that are evidence now, and resamples the new query
+    variables in two Gibbs sweeps over their new and extended factors.
+    Other variables keep their stored values, so stored worlds must hold
+    the evidence they were drawn under (Gibbs chains' worlds do). *)
 
 val acceptance_probe :
   Dd_util.Prng.t -> change -> stored:bool array array -> probes:int -> float

@@ -2,7 +2,7 @@
    the obvious implementation of the bag [Relation] keeps, and the
    reference the column store is checked against under random mutation
    programs.  [hash_index] is the hash-index builder the reference
-   matcher and algebra join through. *)
+   matcher joins through. *)
 
 module Tuple = Dd_relational.Tuple
 module Relation = Dd_relational.Relation

@@ -797,6 +797,98 @@ let test_engine_exact_rule () =
   Alcotest.(check string) "rerun at 3 domains reproduces itself" (rerun 3) (rerun 3);
   Alcotest.(check string) "and matches 1 domain" once (rerun 3)
 
+(* Every factor of a grounding by tuple key: head and body literals named
+   by their candidate tuples, with the weight key and semantics, sorted. *)
+let factor_keys grounding =
+  let g = Grounding.graph grounding in
+  let name v =
+    let rel, tuple = Grounding.origin grounding v in
+    rel ^ Dd_relational.Tuple.to_string tuple
+  in
+  let keys = ref [] in
+  Graph.iter_factors
+    (fun _ f ->
+      let body b =
+        String.concat "&"
+          (Array.to_list
+             (Array.map (fun l -> (if l.Graph.negated then "!" else "") ^ name l.Graph.var) b))
+      in
+      let bodies = List.sort compare (Array.to_list (Array.map body f.Graph.bodies)) in
+      keys :=
+        Printf.sprintf "%s <= %s [%s %s]"
+          (match f.Graph.head with Some h -> name h | None -> "-")
+          (String.concat " | " bodies)
+          (Grounding.weight_key_of grounding f.Graph.weight_id)
+          (Semantics.to_string f.Graph.semantics)
+        :: !keys)
+    g;
+  List.sort compare !keys
+
+(* [small_coupled_fixture] plus a link a -> b.  Deleting that row takes
+   away the only support of the linked grounding [is_pos(a) <= is_pos(b)],
+   and neither variable is clamped by the deletion, so the extended graph
+   would keep a stale body ([Grounding.report.needs_rebuild]).  The engine
+   grounds again: its graph matches a scratch grounding of the updated
+   data by tuple key, its marginals are Rerun's on that data, and a
+   rolled-back attempt, a direct application and WAL replay all agree. *)
+let test_engine_deletion_regrounds () =
+  let module Checkpoint = Dd_kbc.Checkpoint in
+  let module Serialize = Dd_fgraph.Serialize in
+  let before_delete () =
+    let db, prog = small_coupled_fixture () in
+    Database.insert_rows db "link" [ [| s "a"; s "b" |] ];
+    (db, prog)
+  in
+  let update () =
+    let delta = Dred.Delta.create () in
+    Dred.Delta.delete delta "link" [| s "a"; s "b" |];
+    Grounding.data_update delta
+  in
+  let state e =
+    ( digest (Engine.marginals e),
+      Serialize.to_string (Engine.graph e),
+      Engine.marginals_by_relation e,
+      Engine.kernel_compiles e )
+  in
+  let engine = Engine.create ~options:quick_options (fst (before_delete ())) (snd (before_delete ())) in
+  let dir = Filename.concat (Filename.get_temp_dir_name ()) "dd_core_deletion_regrounds" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+  let store = Checkpoint.open_store ~fsync:false dir in
+  Checkpoint.save store engine;
+  let pre = state engine in
+  let x = Engine.txn_begin engine in
+  ignore (Engine.apply_update engine (update ()));
+  Engine.txn_rollback engine x;
+  Alcotest.(check bool) "rollback restores the engine" true (state engine = pre);
+  let report = Engine.apply_update engine (update ()) in
+  Alcotest.(check bool) "needs rebuild" true report.Engine.grounding.Grounding.needs_rebuild;
+  let db, prog = small_coupled_fixture () in
+  Alcotest.(check (list string)) "graph = scratch grounding by tuple key"
+    (factor_keys (Grounding.ground db prog))
+    (factor_keys (Engine.grounding engine));
+  let db, prog = small_coupled_fixture () in
+  Alcotest.(check string) "marginals = rerun on the updated data"
+    (digest (fst (Engine.rerun ~options:quick_options db prog)))
+    (digest (Engine.marginals engine));
+  let direct =
+    let db, prog = before_delete () in
+    Engine.create ~options:quick_options db prog
+  in
+  ignore (Engine.apply_update direct (update ()));
+  Alcotest.(check bool) "retry after rollback = direct application" true (state engine = state direct);
+  Checkpoint.save store engine;
+  Alcotest.(check bool) "the update appended to the WAL" true
+    (Checkpoint.last_save store = Some (Checkpoint.Append 1));
+  Checkpoint.abandon store;
+  match Checkpoint.recover (Checkpoint.open_store ~fsync:false dir) with
+  | Ok (recovered, applied) ->
+    Alcotest.(check int) "update replayed" 1 applied;
+    let m, g, _, _ = state engine and m', g', _, _ = state recovered in
+    Alcotest.(check string) "replayed marginals bit-identical" m m';
+    Alcotest.(check string) "replayed graph bytes" g g'
+  | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
+
 (* A fresh engine answers as Rerun does: [create] and [rerun] share one
    build (ground, compile once, learn, infer), so their marginals agree
    bit for bit — read in closed form, enumerated, or counted off a
@@ -840,7 +932,10 @@ let test_engine_marginals_by_relation () =
    three small News corpora (the full program, as a Rerun grounds it, and the
    base program plus the six updates).  Grounding is a canonical function of
    the facts and rules, so any change to the store, the join plans or
-   factor construction must leave every digest unchanged. *)
+   factor construction must leave every digest unchanged.  The graph lost
+   its variable-to-factor index after these were first recorded; the
+   current values equal the marshalled evidence, weights, learnable flags,
+   factors and journal of the graphs that index was built beside. *)
 module Systems = Dd_kbc.Systems
 module Corpus = Dd_kbc.Corpus
 module Pipeline = Dd_kbc.Pipeline
@@ -877,25 +972,25 @@ let pinned_graph_digests () =
 
 let expected_graph_digests =
   [
-    ("Adversarial ground", "6ed5edfad8691f427f7cfbd4e744d941");
-    ("Adversarial +6 rules", "ffb9dd8db5a0d45e2e5baf04af4bb9c6");
-    ("News ground", "aadc8200029d59cba4f58814a382b156");
-    ("News +6 rules", "3de1214d8629d41bd91337a368df5e2d");
-    ("Genomics ground", "27e85e7dc50ac6c5dcc93b7d0518e134");
-    ("Genomics +6 rules", "38aaf49e6e6852491a10c8322efa8e7c");
-    ("Pharma ground", "3213c08a469f3fe66ab5bf605c4dc789");
-    ("Pharma +6 rules", "feb24a058bd5886ba5597ab403c60a48");
-    ("Paleontology ground", "c0e8b7e58ecf2b6a4f626d0fee3fe3ee");
-    ("Paleontology +6 rules", "a245207aaf0091f0d248edb1105f547d");
-    ("news-500 full", "4760ec52e1e9afcd9616f6254dab3b0e");
-    ("news-500 ground", "ad8808cb9dca252b4427a5c4f6fdc63f");
-    ("news-500 +6 rules", "4760ec52e1e9afcd9616f6254dab3b0e");
-    ("news-501 full", "ca53ca504b6cd2b0522c7711a5aac895");
-    ("news-501 ground", "8ce1fc65c123d8f9b91fc44db55ea8a2");
-    ("news-501 +6 rules", "ca53ca504b6cd2b0522c7711a5aac895");
-    ("news-502 full", "c949acd54fd34d8025900da70a55e86e");
-    ("news-502 ground", "d0f52f5e89f3fb74e64b73131cc41d48");
-    ("news-502 +6 rules", "c949acd54fd34d8025900da70a55e86e");
+    ("Adversarial ground", "8ea00e4b9d6bbfc5e6d5ac2a01d6151c");
+    ("Adversarial +6 rules", "0daa14978212737fecaa8d40854aa0ad");
+    ("News ground", "cc82d3dc18fc977e3d9af4001dd197f5");
+    ("News +6 rules", "17e8e472f26ede07ece855940c8bd507");
+    ("Genomics ground", "c7d6a2152b3d944ff6a4fa81f1aa223c");
+    ("Genomics +6 rules", "433703e113ccccc523381f3bf036dea7");
+    ("Pharma ground", "756f24593c99a5bc502363f5286c7728");
+    ("Pharma +6 rules", "e0ba5c2b27419b23d76fa58c5ad52b3b");
+    ("Paleontology ground", "181462fc687e4f9b039dc73cd5bc25dd");
+    ("Paleontology +6 rules", "010f95c2a94826adc4b7f08e0fc5577f");
+    ("news-500 full", "b8fe0e879116de94b4f7bae33a2116ef");
+    ("news-500 ground", "764d15a48522c49b13e043331964ccb7");
+    ("news-500 +6 rules", "b8fe0e879116de94b4f7bae33a2116ef");
+    ("news-501 full", "aa7b2ecfcf40722c5655973bc2e156b4");
+    ("news-501 ground", "7ca3dcd918d9630e8b8594817dcede54");
+    ("news-501 +6 rules", "aa7b2ecfcf40722c5655973bc2e156b4");
+    ("news-502 full", "f2ddd2d247204a219163d2bc2c688c11");
+    ("news-502 ground", "4fff02d0f501601e85e0b7304d600ecd");
+    ("news-502 +6 rules", "f2ddd2d247204a219163d2bc2c688c11");
   ]
 
 let test_graph_digest_pins () =
@@ -970,5 +1065,6 @@ let () =
           Alcotest.test_case "marginals by relation" `Quick test_engine_marginals_by_relation;
           Alcotest.test_case "exact rule on small components" `Quick test_engine_exact_rule;
           Alcotest.test_case "create answers as rerun" `Quick test_engine_create_is_rerun;
+          Alcotest.test_case "deletion regrounds" `Quick test_engine_deletion_regrounds;
         ] );
     ]

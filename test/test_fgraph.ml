@@ -66,15 +66,69 @@ let test_graph_add_factor_validation () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
+(* The on-demand adjacency by definition: for each variable, every factor
+   whose head or literals mention it, highest index first. *)
+let reference_adjacency g =
+  Array.init (Graph.num_vars g) (fun v ->
+      List.filter
+        (fun fid -> List.mem v (Graph.vars_of_factor (Graph.factor g fid)))
+        (List.init (Graph.num_factors g) (fun i -> Graph.num_factors g - 1 - i)))
+
+(* A random graph grown by [add_factor] and [extend_factor] (bodies may
+   repeat a variable or mention the head), then a journaled episode of
+   more growth that is rolled back, then more growth. *)
+let random_adjacency_case seed =
+  let st = Random.State.make [| seed |] in
+  let g = Graph.create () in
+  let w = Graph.add_weight g 0.5 in
+  let grow rounds =
+    for _ = 1 to rounds do
+      if Random.State.int st 3 = 0 || Graph.num_vars g < 2 then ignore (Graph.add_var g)
+      else begin
+        let n = Graph.num_vars g in
+        let body () =
+          Array.init
+            (1 + Random.State.int st 3)
+            (fun _ -> { Graph.var = Random.State.int st n; negated = Random.State.bool st })
+        in
+        let bodies () = Array.init (Random.State.int st 3) (fun _ -> body ()) in
+        if Graph.num_factors g > 0 && Random.State.bool st then
+          Graph.extend_factor g (Random.State.int st (Graph.num_factors g)) (bodies ())
+        else
+          ignore
+            (Graph.add_factor g
+               {
+                 Graph.head = (if Random.State.bool st then Some (Random.State.int st n) else None);
+                 bodies = bodies ();
+                 weight_id = w;
+                 semantics = Semantics.Linear;
+               })
+      end
+    done
+  in
+  grow 25;
+  let before = Graph.factors_of_var g in
+  let j = Graph.journal_begin g in
+  grow 15;
+  let during = Graph.factors_of_var g = reference_adjacency g in
+  Graph.rollback g j;
+  let restored = Graph.factors_of_var g = before in
+  grow 10;
+  during && restored && Graph.factors_of_var g = reference_adjacency g
+
 let test_graph_adjacency () =
   let g = Graph.create () in
   let a = Graph.add_var g and b = Graph.add_var g and c = Graph.add_var g in
   let w = Graph.add_weight g 1.0 in
   let f1 = Graph.pairwise g ~weight:w a b in
   let f2 = Graph.unary g ~weight:w a in
-  Alcotest.(check (list int)) "a in both" [ f2; f1 ] (Graph.factors_of_var g a);
-  Alcotest.(check (list int)) "b in one" [ f1 ] (Graph.factors_of_var g b);
-  Alcotest.(check (list int)) "c in none" [] (Graph.factors_of_var g c)
+  let adj = Graph.factors_of_var g in
+  Alcotest.(check (list int)) "a in both" [ f2; f1 ] adj.(a);
+  Alcotest.(check (list int)) "b in one" [ f1 ] adj.(b);
+  Alcotest.(check (list int)) "c in none" [] adj.(c);
+  QCheck.Test.check_exn
+    (QCheck.Test.make ~name:"factors_of_var lists exactly the factors mentioning each var"
+       ~count:200 QCheck.small_int random_adjacency_case)
 
 let test_vars_of_factor_distinct () =
   let f =
@@ -152,7 +206,7 @@ let test_extend_factor () =
   Graph.extend_factor g fid [| [| lit b2 |] |];
   let f = Graph.factor g fid in
   Alcotest.(check int) "two bodies" 2 (Array.length f.Graph.bodies);
-  Alcotest.(check bool) "b2 adjacency" true (List.mem fid (Graph.factors_of_var g b2));
+  Alcotest.(check bool) "b2 adjacency" true (List.mem fid (Graph.factors_of_var g).(b2));
   (* Prefix energy sees only the original body. *)
   let all_true _ = true in
   check_close 0.0 "full" 2.0 (Graph.factor_energy g f all_true);

@@ -262,6 +262,88 @@ let test_acceptance_probe () =
   let rate = Metropolis.acceptance_probe (Prng.create 15) (Metropolis.unchanged g) ~stored ~probes:30 in
   check_close 0.0 "unchanged probe" 1.0 rate
 
+(* A change with everything MH reads: new variables inside extended
+   factors and inside new factors, weights moved on untouched, extended and
+   zeroed factors, and evidence set and lifted on old variables.  Stored
+   worlds come from the original graph; the digests below were taken when
+   proposals read [Graph]'s variable-to-factor lists, and must not move. *)
+let mh_pin_case () =
+  let g = Graph.create () in
+  let v = Graph.add_vars g 6 in
+  let ev = Graph.add_var ~evidence:(Graph.Evidence true) g in
+  let weight x = Graph.add_weight g x in
+  let w_bias = Array.map (fun x -> weight x) [| 0.3; -0.5; 0.8; -0.2; 0.1; 0.4 |] in
+  Array.iteri (fun i x -> ignore (Graph.unary g ~weight:w_bias.(i) x)) v;
+  let w_pair = weight 0.7 and w_impl = weight 0.9 and w_ratio = weight 0.6 in
+  ignore (Graph.pairwise g ~weight:w_pair v.(0) v.(1));
+  ignore (Graph.pairwise g ~weight:w_pair v.(2) ev);
+  let f_impl =
+    Graph.add_factor g
+      { Graph.head = Some v.(3); bodies = [| [| lit v.(4) |] |]; weight_id = w_impl;
+        semantics = Semantics.Linear }
+  in
+  let f_ratio =
+    Graph.add_factor g
+      { Graph.head = Some v.(5); bodies = [| [| lit v.(0); lit ~negated:true v.(2) |] |];
+        weight_id = w_ratio; semantics = Semantics.Ratio }
+  in
+  let stored = Gibbs.sample_worlds ~burn_in:30 (Prng.create 70) g ~n:120 in
+  (* the update *)
+  let n1 = Graph.add_var g and n2 = Graph.add_var g in
+  let n3 = Graph.add_var ~evidence:(Graph.Evidence true) g in
+  Graph.extend_factor g f_impl [| [| lit n1 |]; [| lit v.(1); lit n2 |] |];
+  Graph.extend_factor g f_ratio [| [| lit n2; lit ~negated:true n1 |] |];
+  let w_new = weight 1.1 in
+  let fresh =
+    [
+      Graph.pairwise g ~weight:w_new n1 n2;
+      Graph.unary g ~weight:(weight (-0.4)) n2;
+      Graph.add_factor g
+        { Graph.head = Some v.(4); bodies = [| [| lit n3; lit n1 |] |]; weight_id = w_new;
+          semantics = Semantics.Logical };
+    ]
+  in
+  let old_pair = Graph.weight_value g w_pair and old_impl = Graph.weight_value g w_impl in
+  let old_bias = Graph.weight_value g w_bias.(1) in
+  Graph.set_weight g w_pair 1.3;
+  Graph.set_weight g w_impl 0.2;
+  Graph.set_weight g w_bias.(1) 0.0;
+  Graph.set_evidence g v.(2) (Graph.Evidence false);
+  Graph.set_evidence g ev Graph.Query;
+  let change =
+    {
+      Metropolis.graph = g;
+      new_factor_ids = fresh;
+      extended_factors = [ (f_impl, 1); (f_ratio, 1) ];
+      changed_weights = [ (w_pair, old_pair); (w_impl, old_impl); (w_bias.(1), old_bias) ];
+      new_vars = [ n1; n2; n3 ];
+      evidence_changes = [ (v.(2), Graph.Query); (ev, Graph.Evidence true) ];
+    }
+  in
+  (change, stored)
+
+let mh_pin_digests () =
+  let hex m = String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") m)) in
+  let change, stored = mh_pin_case () in
+  List.map
+    (fun seed ->
+      let r = Metropolis.infer (Prng.create seed) change ~stored ~chain_length:300 in
+      let probe = Metropolis.acceptance_probe (Prng.create seed) change ~stored ~probes:60 in
+      Digest.to_hex
+        (Digest.string
+           (Printf.sprintf "%s|%h|%d|%h" (hex r.Metropolis.marginals) r.Metropolis.acceptance_rate
+              r.Metropolis.accepted probe)))
+    [ 1; 2; 3 ]
+
+let test_mh_digests_pinned () =
+  Alcotest.(check (list string)) "marginals, acceptance and probe per seed"
+    [
+      "958ed6fe4a8e397daed902462a0fae09";
+      "aab99ec3ad3d0e5bdc8811a01853b59a";
+      "7be5901964c571a2bde5f981fda21e41";
+    ]
+    (mh_pin_digests ())
+
 (* --- learner ------------------------------------------------------------------ *)
 
 let test_feature_counts () =
@@ -592,6 +674,7 @@ let () =
           Alcotest.test_case "fills new vars" `Quick test_mh_new_vars_filled;
           Alcotest.test_case "acceptance vs change size" `Quick test_acceptance_decreases_with_change;
           Alcotest.test_case "acceptance probe" `Quick test_acceptance_probe;
+          Alcotest.test_case "digests pinned" `Quick test_mh_digests_pinned;
         ] );
       ( "fast_gibbs",
         [

@@ -538,12 +538,13 @@ let isolated_mix_graph seed =
    some factor mentioning it mentions another query variable. *)
 let reference_coupled g =
   let is_query v = Graph.evidence_of g v = Graph.Query in
+  let adj = Graph.factors_of_var g in
   List.filter
     (fun v ->
       List.exists
         (fun fid ->
           List.exists (fun u -> u <> v && is_query u) (Graph.vars_of_factor (Graph.factor g fid)))
-        (Graph.factors_of_var g v))
+        adj.(v))
     (Graph.query_vars g)
 
 let isolated_of g =

@@ -1,12 +1,10 @@
 (* Tests for Dd_relational: values, schemas, tuples, relations and their
-   column stores, CSV ingestion and the database catalog; plus the
-   reference relational algebra kept under test/oracle. *)
+   column stores, CSV ingestion and the database catalog. *)
 
 module Value = Dd_relational.Value
 module Schema = Dd_relational.Schema
 module Tuple = Dd_relational.Tuple
 module Relation = Dd_relational.Relation
-module Algebra = Dd_oracle.Algebra
 module Database = Dd_relational.Database
 module Csv = Dd_relational.Csv
 module Column_store = Dd_relational.Column_store
@@ -262,110 +260,6 @@ let test_compact_emptied_run_drops_filter () =
   Alcotest.(check int) "run empty" 0 (Column_store.run_rows cs);
   Alcotest.(check (result unit string)) "audit" (Ok ()) (Column_store.audit cs)
 
-(* --- algebra ---------------------------------------------------------------- *)
-
-let people () =
-  let schema = Schema.make [ ("id", Value.TInt); ("city", Value.TStr) ] in
-  Relation.of_list ~name:"people" schema
-    [ [| i 1; s "sf" |]; [| i 2; s "nyc" |]; [| i 3; s "sf" |] ]
-
-let test_select () =
-  let r = Algebra.select_eq (people ()) "city" (s "sf") in
-  Alcotest.(check int) "two in sf" 2 (Relation.cardinality r)
-
-let test_project_merges_counts () =
-  let r = Algebra.project (people ()) [ "city" ] in
-  Alcotest.(check int) "two cities" 2 (Relation.cardinality r);
-  Alcotest.(check int) "sf count merged" 2 (Relation.count r [| s "sf" |])
-
-let test_rename () =
-  let r = Algebra.rename (people ()) [ ("city", "town") ] in
-  Alcotest.(check (list string)) "renamed" [ "id"; "town" ] (Schema.names (Relation.schema r))
-
-let test_product () =
-  let small = Relation.of_list (Schema.make [ ("x", Value.TInt) ]) [ [| i 1 |]; [| i 2 |] ] in
-  let r = Algebra.product (people ()) small in
-  Alcotest.(check int) "3 x 2" 6 (Relation.cardinality r)
-
-let test_natural_join () =
-  let cities =
-    Relation.of_list ~name:"cities"
-      (Schema.make [ ("city", Value.TStr); ("state", Value.TStr) ])
-      [ [| s "sf"; s "ca" |]; [| s "nyc"; s "ny" |] ]
-  in
-  let joined = Algebra.natural_join (people ()) cities in
-  Alcotest.(check int) "all match" 3 (Relation.cardinality joined);
-  Alcotest.(check int) "3 columns" 3 (Schema.arity (Relation.schema joined))
-
-let test_natural_join_no_shared_is_product () =
-  let other = Relation.of_list (Schema.make [ ("z", Value.TInt) ]) [ [| i 9 |] ] in
-  let joined = Algebra.natural_join (people ()) other in
-  Alcotest.(check int) "product" 3 (Relation.cardinality joined)
-
-let test_equi_join_disambiguates () =
-  let other =
-    Relation.of_list ~name:"other"
-      (Schema.make [ ("id", Value.TInt); ("score", Value.TInt) ])
-      [ [| i 1; i 100 |] ]
-  in
-  let joined = Algebra.equi_join (people ()) other [ ("id", "id") ] in
-  Alcotest.(check int) "one match" 1 (Relation.cardinality joined);
-  Alcotest.(check bool) "prefixed col" true (Schema.mem (Relation.schema joined) "other.id")
-
-let test_union_difference_intersect () =
-  let a = people () in
-  let b =
-    Relation.of_list
-      (Schema.make [ ("id", Value.TInt); ("city", Value.TStr) ])
-      [ [| i 1; s "sf" |]; [| i 9; s "la" |] ]
-  in
-  Alcotest.(check int) "union distinct" 4 (Relation.cardinality (Algebra.union a b));
-  Alcotest.(check int) "union counts add" 2
-    (Relation.count (Algebra.union a b) [| i 1; s "sf" |]);
-  Alcotest.(check int) "difference" 2 (Relation.cardinality (Algebra.difference a b));
-  Alcotest.(check int) "intersect" 1 (Relation.cardinality (Algebra.intersect a b))
-
-let test_distinct () =
-  let r = make_rel [] in
-  Relation.insert ~count:5 r [| i 1; s "x" |];
-  let d = Algebra.distinct r in
-  Alcotest.(check int) "count reset" 1 (Relation.count d [| i 1; s "x" |])
-
-let test_aggregate_count_group () =
-  let agg = Algebra.aggregate (people ()) ~group_by:[ "city" ] Algebra.Count ~output:"n" in
-  Alcotest.(check int) "two groups" 2 (Relation.cardinality agg);
-  Alcotest.(check bool) "sf has 2" true (Relation.mem agg [| s "sf"; i 2 |])
-
-let test_aggregate_sum_min_max_avg () =
-  let schema = Schema.make [ ("g", Value.TStr); ("v", Value.TInt) ] in
-  let r = Relation.of_list schema [ [| s "a"; i 1 |]; [| s "a"; i 3 |]; [| s "b"; i 10 |] ] in
-  let sum = Algebra.aggregate r ~group_by:[ "g" ] (Algebra.Sum "v") ~output:"s" in
-  Alcotest.(check bool) "sum a" true (Relation.mem sum [| s "a"; i 4 |]);
-  let mn = Algebra.aggregate r ~group_by:[ "g" ] (Algebra.Min "v") ~output:"m" in
-  Alcotest.(check bool) "min a" true (Relation.mem mn [| s "a"; i 1 |]);
-  let mx = Algebra.aggregate r ~group_by:[ "g" ] (Algebra.Max "v") ~output:"m" in
-  Alcotest.(check bool) "max a" true (Relation.mem mx [| s "a"; i 3 |]);
-  let avg = Algebra.aggregate r ~group_by:[ "g" ] (Algebra.Avg "v") ~output:"m" in
-  Alcotest.(check bool) "avg a" true (Relation.mem avg [| s "a"; f 2.0 |])
-
-let test_aggregate_global () =
-  let agg = Algebra.aggregate (people ()) ~group_by:[] Algebra.Count ~output:"n" in
-  Alcotest.(check bool) "global count" true (Relation.mem agg [| i 3 |])
-
-let test_map_rows () =
-  let out_schema = Schema.make [ ("id2", Value.TInt) ] in
-  let r = Algebra.map_rows (people ()) out_schema (fun t -> [| i (Value.as_int t.(0) * 2) |]) in
-  Alcotest.(check bool) "doubled" true (Relation.mem r [| i 4 |])
-
-let test_flat_map_rows () =
-  let out_schema = Schema.make [ ("tok", Value.TStr) ] in
-  let r =
-    Algebra.flat_map_rows (people ()) out_schema (fun t ->
-        [ [| t.(1) |]; [| s (Value.as_str t.(1) ^ "!") |] ])
-  in
-  Alcotest.(check bool) "exploded" true (Relation.mem r [| s "sf!" |]);
-  Alcotest.(check int) "distinct" 4 (Relation.cardinality r)
-
 (* --- csv ------------------------------------------------------------------- *)
 
 let test_csv_parse_values () =
@@ -417,37 +311,6 @@ let test_database_deep_copy () =
   Alcotest.(check int) "original unchanged" 1 (Relation.cardinality (Database.find db "t"))
 
 (* --- qcheck properties ------------------------------------------------------ *)
-
-let qcheck_tests =
-  let open QCheck in
-  let tuple_gen =
-    Gen.map (fun (a, b) -> [| i a; s (string_of_int b) |]) Gen.(pair (0 -- 20) (0 -- 5))
-  in
-  let rel_gen =
-    Gen.map
-      (fun rows ->
-        let r = Relation.create ab_schema in
-        List.iter (fun row -> Relation.insert r row) rows;
-        r)
-      (Gen.list_size Gen.(0 -- 30) tuple_gen)
-  in
-  let arb_rel = make ~print:(fun r -> Format.asprintf "%a" Relation.pp r) rel_gen in
-  [
-    Test.make ~name:"distinct idempotent" ~count:100 arb_rel (fun r ->
-        let d = Algebra.distinct r in
-        Relation.equal_contents d (Algebra.distinct d));
-    Test.make ~name:"union cardinality bounds" ~count:100 (pair arb_rel arb_rel)
-      (fun (a, b) ->
-        let u = Relation.cardinality (Algebra.union a b) in
-        u >= max (Relation.cardinality a) (Relation.cardinality b)
-        && u <= Relation.cardinality a + Relation.cardinality b);
-    Test.make ~name:"difference then intersect empty" ~count:100 (pair arb_rel arb_rel)
-      (fun (a, b) -> Relation.cardinality (Algebra.intersect (Algebra.difference a b) b) = 0);
-    Test.make ~name:"natural self join keeps tuples" ~count:100 arb_rel (fun r ->
-        Relation.equal_sets (Algebra.distinct (Algebra.natural_join r r)) (Algebra.distinct r));
-    Test.make ~name:"project to all columns preserves" ~count:100 arb_rel (fun r ->
-        Relation.equal_sets (Algebra.project r [ "a"; "b" ]) r);
-  ]
 
 (* Columnar durability: a store reaches disk marshalled inside the
    checkpoint's engine snapshot (whose record framing rejects flipped
@@ -673,23 +536,6 @@ let () =
           Alcotest.test_case "compaction emptying the run drops its filter" `Quick
             test_compact_emptied_run_drops_filter;
         ] );
-      ( "algebra",
-        [
-          Alcotest.test_case "select" `Quick test_select;
-          Alcotest.test_case "project" `Quick test_project_merges_counts;
-          Alcotest.test_case "rename" `Quick test_rename;
-          Alcotest.test_case "product" `Quick test_product;
-          Alcotest.test_case "natural join" `Quick test_natural_join;
-          Alcotest.test_case "join no shared cols" `Quick test_natural_join_no_shared_is_product;
-          Alcotest.test_case "equi join" `Quick test_equi_join_disambiguates;
-          Alcotest.test_case "union/difference/intersect" `Quick test_union_difference_intersect;
-          Alcotest.test_case "distinct" `Quick test_distinct;
-          Alcotest.test_case "aggregate count" `Quick test_aggregate_count_group;
-          Alcotest.test_case "aggregate sum/min/max/avg" `Quick test_aggregate_sum_min_max_avg;
-          Alcotest.test_case "aggregate global" `Quick test_aggregate_global;
-          Alcotest.test_case "map rows" `Quick test_map_rows;
-          Alcotest.test_case "flat map rows" `Quick test_flat_map_rows;
-        ] );
       ( "csv",
         [
           Alcotest.test_case "parse values" `Quick test_csv_parse_values;
@@ -701,7 +547,6 @@ let () =
           Alcotest.test_case "catalog" `Quick test_database_catalog;
           Alcotest.test_case "deep copy" `Quick test_database_deep_copy;
         ] );
-      ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
       ( "columnar-durability",
         List.map QCheck_alcotest.to_alcotest columnar_qcheck_tests );
       ("columnar-index", List.map QCheck_alcotest.to_alcotest index_qcheck_tests);
