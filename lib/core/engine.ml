@@ -188,75 +188,57 @@ let record_extensions t (greport : Grounding.report) =
       then Hashtbl.replace t.extension_origin fid old_count)
     greport.Grounding.change.Metropolis.extended_factors
 
-(* The §3.2 strategies, picked by the §3.3 optimizer; [None] when
-   neither artifact is usable and the real graph must answer. *)
-let choose_and_infer t =
-  let change = Materialize.cumulative_change t.mat (graph t) ~extension_origin:t.extension_origin in
-  let profile = Optimizer.profile_of_change change in
-  let samples_total = Array.length t.mat.Materialize.samples in
-  let exhausted = t.proposals_used + t.opts.inference_chain > samples_total in
-  (* The NoRelaxation lesion materializes no artifact. *)
-  let variational_available = t.mat.Materialize.variational <> None in
-  let sampling_available = samples_total > 0 && not t.opts.disable_sampling in
-  let decision =
-    if not sampling_available then Optimizer.Variational
-    else if not variational_available then Optimizer.Sampling
-    else if not t.opts.workload_aware then
-      if exhausted then Optimizer.Variational else Optimizer.Sampling
-    else Optimizer.choose profile ~samples_exhausted:exhausted
+(* What the §3.3 optimizer reads of the engine; every rule over it lives
+   in [Optimizer]. *)
+let observe t kernel =
+  {
+    Optimizer.enumerable = Compiled.enumerable kernel ~steps:(t.opts.burn_in + t.opts.inference_chain);
+    stored_samples = Array.length t.mat.Materialize.samples;
+    samples_used = t.proposals_used;
+    variational_built = t.mat.Materialize.variational <> None;
+    disable_sampling = t.opts.disable_sampling;
+    workload_aware = t.opts.workload_aware;
+    chain = t.opts.inference_chain;
+    acceptance_floor = t.opts.acceptance_floor;
+  }
+
+let variational t change =
+  Materialize.variational_infer ~sweeps:t.opts.inference_chain ~burn_in:t.opts.burn_in t.rng
+    ~approx:(Option.get t.mat.Materialize.variational) ~change
+
+(* MH over the stored worlds, after a probe of the acceptance rate that
+   sizes the chain or sends the update to the variational artifact. *)
+let sample t obs change =
+  let mh chain_length =
+    let r = Metropolis.infer t.rng change ~stored:t.mat.Materialize.samples ~chain_length in
+    t.proposals_used <- t.proposals_used + r.Metropolis.proposals;
+    r
   in
-  match decision with
-  | Optimizer.Sampling when sampling_available ->
-    (* Probe the acceptance rate first: a chain needs ~SI/rho proposals
-       for SI effective samples, and when the distribution moved too much
-       the method "resorts to another evaluation method" (Section
-       3.2.2). *)
-    let (probe, m_probe), probe_secs =
-      Timer.time (fun () ->
-          let r =
-            Metropolis.infer t.rng change ~stored:t.mat.Materialize.samples
-              ~chain_length:(min 150 (Array.length t.mat.Materialize.samples))
-          in
-          (r.Metropolis.acceptance_rate, r))
-    in
-    t.proposals_used <- t.proposals_used + m_probe.Metropolis.proposals;
-    if probe < t.opts.acceptance_floor && variational_available then begin
-      let approx = Option.get t.mat.Materialize.variational in
-      let m, extra =
-        Timer.time (fun () ->
-            Materialize.variational_infer ~sweeps:t.opts.inference_chain
-              ~burn_in:t.opts.burn_in t.rng ~approx ~change)
-      in
-      Some (Used_variational, Some probe, m, probe_secs +. extra)
-    end
-    else begin
-      let chain_length =
-        min
-          (t.opts.inference_chain * 10)
-          (int_of_float
-             (ceil (float_of_int t.opts.inference_chain /. max probe 0.02)))
-      in
-      let result, secs =
-        Timer.time (fun () ->
-            Metropolis.infer t.rng change ~stored:t.mat.Materialize.samples
-              ~chain_length)
-      in
-      t.proposals_used <- t.proposals_used + result.Metropolis.proposals;
-      Some
-        ( Used_sampling,
-          Some result.Metropolis.acceptance_rate,
-          result.Metropolis.marginals,
-          probe_secs +. secs )
-    end
-  | Optimizer.Variational when variational_available ->
-    let approx = Option.get t.mat.Materialize.variational in
-    let m, secs =
-      Timer.time (fun () ->
-          Materialize.variational_infer ~sweeps:t.opts.inference_chain
-            ~burn_in:t.opts.burn_in t.rng ~approx ~change)
-    in
-    Some (Used_variational, None, m, secs)
-  | Optimizer.Sampling | Optimizer.Variational -> None
+  let probe = (mh (Optimizer.probe_length obs)).Metropolis.acceptance_rate in
+  match Optimizer.after_probe obs ~acceptance:probe with
+  | Optimizer.Resort_to_variational -> (Used_variational, Some probe, variational t change)
+  | Optimizer.Mh_chain chain_length ->
+    let r = mh chain_length in
+    (Used_sampling, Some r.Metropolis.acceptance_rate, r.Metropolis.marginals)
+
+(* One update's inference: the optimizer's decision, then one arm per
+   strategy.  The change against the materialization is built only when
+   the decision or its arm reads it. *)
+let infer t ~budget kernel =
+  let obs = observe t kernel in
+  let change =
+    lazy (Materialize.cumulative_change t.mat (graph t) ~extension_origin:t.extension_origin)
+  in
+  let decision = Optimizer.decide obs ~change in
+  let strategy, acceptance_rate, marginals =
+    match decision with
+    | Optimizer.Exact | Optimizer.Real_graph_chain ->
+      (Used_full_gibbs, None, real_graph_marginals ~budget t.opts ~kernel t.rng)
+    | Optimizer.Sampling -> sample t obs (Lazy.force change)
+    | Optimizer.Variational -> (Used_variational, None, variational t (Lazy.force change))
+  in
+  let exact_components = if decision = Optimizer.Exact then Compiled.num_components kernel else 0 in
+  (strategy, acceptance_rate, marginals, exact_components)
 
 (* [Grounding.report.needs_rebuild]: the extended graph keeps a body whose
    deterministic support was deleted.  Ground again over the updated
@@ -288,21 +270,16 @@ let reground t greport ~grounding_seconds =
 
 let learn_and_infer t greport ~budget ~grounding_seconds =
   record_extensions t greport;
-  (* Structure or evidence moved: the compiled kernel is stale.  A
-     weight-only step (incremental learning below) keeps it and merely
-     refreshes the dense weight slots on next use. *)
-  if
-    greport.Grounding.new_vars > 0
-    || greport.Grounding.new_factors > 0
-    || greport.Grounding.extended > 0
-    || greport.Grounding.evidence_changed > 0
-  then t.kernel <- None;
   (* Incremental learning: warmstart is implicit (weights are live). *)
   let needs_learning =
     greport.Grounding.evidence_changed > 0
     || greport.Grounding.new_factors > 0
     || greport.Grounding.extended > 0
   in
+  (* Structure or evidence moved: the compiled kernel is stale.  A
+     weight-only step (incremental learning below) keeps it and merely
+     refreshes the dense weight slots on next use. *)
+  if needs_learning || greport.Grounding.new_vars > 0 then t.kernel <- None;
   let learning_seconds =
     if needs_learning && t.opts.incremental_learning_epochs > 0 then
       Timer.time_s (fun () ->
@@ -317,17 +294,9 @@ let learn_and_infer t greport ~budget ~grounding_seconds =
   in
   Fault.hit "engine.apply_update.post_learning";
   let kernel = compiled_kernel t in
-  (* The §3.3 rule ahead of the optimizer: when every coupled component
-     is small, answer exactly on the real graph. *)
-  let exact = Compiled.enumerable kernel ~steps:(t.opts.burn_in + t.opts.inference_chain) in
-  let strategy, acceptance_rate, marginals, inference_seconds =
-    match if exact then None else choose_and_infer t with
-    | Some answer -> answer
-    | None ->
-      let m, secs = Timer.time (fun () -> real_graph_marginals ~budget t.opts ~kernel t.rng) in
-      (Used_full_gibbs, None, m, secs)
+  let (strategy, acceptance_rate, marginals, exact_components), inference_seconds =
+    Timer.time (fun () -> infer t ~budget kernel)
   in
-  let exact_components = if exact then Compiled.num_components kernel else 0 in
   Fault.hit "engine.apply_update.post_inference";
   t.last_marginals <- marginals;
   {

@@ -5,9 +5,9 @@
     on it — and then materializes both strategies from that kernel.
     [apply_update] then executes one iteration of the
     KBC development loop: incremental grounding (DRed), incremental
-    learning (warmstarted contrastive divergence), strategy selection (the
-    Section 3.3 optimizer, with lesion switches for the Figure 11
-    experiments), and incremental inference against the materialization.
+    learning (warmstarted contrastive divergence), and inference by the
+    one strategy {!Optimizer.decide} picks from what the engine observes,
+    each strategy one call.
 
     The deltas are always expressed against the *materialized* baseline, so
     a single materialization serves many successive updates (its cost
@@ -26,10 +26,7 @@ type options = {
   inference_chain : int;  (** MH proposals / Gibbs sweeps per inference *)
   burn_in : int;
   lambda : float;  (** variational regularization *)
-  acceptance_floor : float;
-      (** below this measured MH acceptance rate, re-answer the update with
-          the variational artifact ("the method resorts to another
-          evaluation method", Section 3.2.2) *)
+  acceptance_floor : float;  (** read by {!Optimizer.after_probe} *)
   initial_learning_epochs : int;
       (** from-scratch learning runs at {!Dd_inference.Learner.default_cd}'s
           rate *)
@@ -38,11 +35,9 @@ type options = {
       (** warmstart fine-tuning is gentler than from-scratch learning, which
           also keeps the sampling approach's acceptance rate usable *)
   variational_var_limit : int;
-  disable_sampling : bool;  (** lesion: NoSampling *)
-  disable_variational : bool;
-      (** lesion: NoRelaxation — materialization builds no variational
-          artifact *)
-  workload_aware : bool;  (** false = the NoWorkloadInfo baseline *)
+  disable_sampling : bool;  (** lesion: NoSampling ({!Optimizer.decide}) *)
+  disable_variational : bool;  (** lesion: NoRelaxation — no variational artifact *)
+  workload_aware : bool;  (** false = the NoWorkloadInfo lesion ({!Optimizer.decide}) *)
   parallel_domains : int;
       (** domains used for materialization sampling and full-Gibbs
           inference ({!Dd_parallel}).  The default 1 keeps the sequential
@@ -63,13 +58,11 @@ type options = {
 val default_options : options
 
 type strategy_used =
-  | Used_sampling
-  | Used_variational
+  | Used_sampling  (** MH over the stored worlds *)
+  | Used_variational  (** also a sampling pick that {!Optimizer.after_probe} resorted *)
   | Used_full_gibbs
-      (** inference on the real graph: exact enumeration when every
-          coupled component is small ({!report.exact_components} says how
-          many were enumerated), else the Gibbs chain — the fallback when
-          neither §3.2 artifact is usable *)
+      (** {!Optimizer.Exact} ({!report.exact_components} enumerated) or
+          {!Optimizer.Real_graph_chain}: inference on the real graph *)
 
 val strategy_used_to_string : strategy_used -> string
 

@@ -701,17 +701,21 @@ let extend ?(budget = Dd_util.Budget.unlimited) t update =
                 end))
         r.Program.body)
     old_inference;
-  (* Full grounding of brand-new inference rules (post-update state). *)
-  List.iter
-    (function
-      | Program.Infer r ->
-        let plan = Plan.Cache.full t.plans (inference_rule_ast r) in
-        let tpl = compile_template t pending plan r in
-        Plan.iter_rows plan ~lookup:view_lookup ~f:(fun row _ -> add_grounding tpl row)
-      | Program.Deterministic _ | Program.Supervise _ -> ())
-    update.new_rules;
+  (* Full grounding of brand-new inference rules (post-update state) and
+     the flush, skipped when a rebuild will discard this graph. *)
+  if not !needs_rebuild then
+    List.iter
+      (function
+        | Program.Infer r ->
+          let plan = Plan.Cache.full t.plans (inference_rule_ast r) in
+          let tpl = compile_template t pending plan r in
+          Plan.iter_rows plan ~lookup:view_lookup ~f:(fun row _ -> add_grounding tpl row)
+        | Program.Deterministic _ | Program.Supervise _ -> ())
+      update.new_rules;
   phase "staged-factors";
-  let new_factor_ids, extended_factors = flush_groups t pending in
+  let new_factor_ids, extended_factors =
+    if !needs_rebuild then ([], []) else flush_groups t pending
+  in
   let change =
     {
       Metropolis.graph = t.graph;

@@ -97,6 +97,8 @@ type report = {
   evidence_changed : int;
   flips : int;  (** total membership flips propagated by DRed *)
   needs_rebuild : bool;
+      (** a lost grounding no clamp expresses: [extend] grounds no factor
+          after the staged pass, and the caller discards the graph *)
 }
 
 val extend : ?budget:Dd_util.Budget.t -> t -> update -> report

@@ -1,35 +1,34 @@
 module Metropolis = Dd_inference.Metropolis
-module Graph = Dd_fgraph.Graph
 
-type strategy =
-  | Sampling
-  | Variational
-
-type profile = {
-  changes_structure : bool;
-  modifies_evidence : bool;
-  introduces_features : bool;
+type observation = {
+  enumerable : bool;
+  stored_samples : int;
+  samples_used : int;
+  variational_built : bool;
+  disable_sampling : bool;
+  workload_aware : bool;
+  chain : int;
+  acceptance_floor : float;
 }
 
-let profile_of_change (c : Metropolis.change) =
-  let moved_learnable =
-    List.exists
-      (fun (w, old_value) ->
-        Graph.weight_learnable c.Metropolis.graph w
-        && Graph.weight_value c.Metropolis.graph w <> old_value)
-      c.Metropolis.changed_weights
-  in
-  {
-    changes_structure =
-      c.Metropolis.new_factor_ids <> []
-      || c.Metropolis.extended_factors <> []
-      || c.Metropolis.new_vars <> [];
-    modifies_evidence = c.Metropolis.evidence_changes <> [];
-    introduces_features = moved_learnable;
-  }
+type decision = Exact | Sampling | Variational | Real_graph_chain
 
-let choose p ~samples_exhausted =
-  if samples_exhausted then Variational
-  else if (not p.changes_structure) && not p.modifies_evidence then Sampling
-  else if p.modifies_evidence then Variational
-  else Sampling
+let decide o ~change =
+  if o.enumerable then Exact
+  else if o.stored_samples = 0 || o.disable_sampling then
+    if o.variational_built then Variational else Real_graph_chain
+  else if not o.variational_built then Sampling
+  else if o.samples_used + o.chain > o.stored_samples then Variational
+  else if not o.workload_aware then Sampling
+  else if (Lazy.force change).Metropolis.evidence_changes <> [] then Variational (* rule 2 *)
+  else Sampling (* rules 1 and 3 *)
+
+let probe_length o = min 150 o.stored_samples
+
+type after_probe = Mh_chain of int | Resort_to_variational
+
+let after_probe o ~acceptance =
+  if acceptance < o.acceptance_floor && o.variational_built then Resort_to_variational
+  else
+    Mh_chain
+      (min (o.chain * 10) (int_of_float (ceil (float_of_int o.chain /. max acceptance 0.02))))

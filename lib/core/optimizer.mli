@@ -1,27 +1,48 @@
-(** The rule-based optimizer of Section 3.3.
+(** The rule-based optimizer of Section 3.3: one inference strategy per
+    update, from what the engine observes.
 
     Neither materialization strategy dominates (Figure 5), so DeepDive
     materializes both and defers the choice to the inference phase, when the
-    workload is observable.  The rules, in order:
+    workload is observable.  {!decide} applies, in order:
 
-    + if the update does not change the structure of the graph, choose the
-      sampling approach;
-    + if the update modifies the evidence, choose the variational approach;
-    + if the update introduces new features, choose the sampling approach;
-    + if we run out of samples, use the variational approach. *)
+    + the exact rule: every coupled component small ([enumerable]) → exact;
+    + lesions and availability: no usable sample store (none drawn, or
+      NoSampling) → variational, or the real-graph chain without that
+      artifact too; no variational artifact (NoRelaxation, or a graph over
+      the variable limit) → sampling;
+    + exhaustion: the next chain would run out of samples → variational;
+    + NoWorkloadInfo → sampling;
+    + Section 3.3 on the change: an evidence change → variational (rule 2);
+      otherwise sampling, the default arm — the update either leaves the
+      structure alone (rule 1) or introduces features (rule 3). *)
 
 module Metropolis = Dd_inference.Metropolis
 
-type strategy =
-  | Sampling
-  | Variational
-
-type profile = {
-  changes_structure : bool;  (** new variables, factors, or groundings *)
-  modifies_evidence : bool;
-  introduces_features : bool;  (** new or moved learnable weights *)
+type observation = {
+  enumerable : bool;  (** {!Dd_inference.Compiled.enumerable} on the live kernel *)
+  stored_samples : int;
+  samples_used : int;  (** MH proposals spent since materialization *)
+  variational_built : bool;
+  disable_sampling : bool;  (** the NoSampling lesion *)
+  workload_aware : bool;  (** false = the NoWorkloadInfo lesion *)
+  chain : int;  (** MH proposals / Gibbs sweeps per inference *)
+  acceptance_floor : float;
 }
 
-val profile_of_change : Metropolis.change -> profile
+type decision = Exact | Sampling | Variational | Real_graph_chain
 
-val choose : profile -> samples_exhausted:bool -> strategy
+val decide : observation -> change:Metropolis.change Lazy.t -> decision
+(** [change], the update against the materialization, is forced only when
+    the Section 3.3 rules are reached. *)
+
+val probe_length : observation -> int
+(** A sampling pick first probes the MH acceptance rate ρ over this many
+    proposals. *)
+
+type after_probe = Mh_chain of int | Resort_to_variational
+
+val after_probe : observation -> acceptance:float -> after_probe
+(** [Mh_chain (min (10·chain) ⌈chain / max ρ 0.02⌉)], about [chain]
+    effective samples; below [acceptance_floor], with a variational
+    artifact, the method "resorts to another evaluation method"
+    (Section 3.2.2). *)

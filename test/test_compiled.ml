@@ -23,9 +23,8 @@ module Prng = Dd_util.Prng
 module Stats = Dd_util.Stats
 
 (* Random mixed graphs: unary biases on every variable plus multi-body
-   factors with random heads, negation, and semantics — the same shape as
-   the cached-sampler equivalence tests of test_inference, parameterized
-   by seed. *)
+   factors with random heads, negation, and semantics — the shape of
+   [mixed_graph8] below, with size and learnable weights drawn by seed. *)
 let mixed_graph ?(learnable = false) seed =
   let rng = Prng.create seed in
   let g = Graph.create () in
@@ -339,6 +338,113 @@ let test_compile_rejects_duplicate_literal () =
     (Invalid_argument "Compiled.compile: variable repeated within a body")
     (fun () -> ignore (Compiled.compile g))
 
+(* --- fast (cached) gibbs: the compiled sampler against the plain one ---------- *)
+
+(* A harsher structure mix for equivalence testing: implications with
+   multiple bodies, negated literals, evidence, all three semantics, on a
+   fixed eight variables. *)
+let mixed_graph8 seed =
+  let rng = Prng.create seed in
+  let g = Graph.create () in
+  let vars = Graph.add_vars g 8 in
+  Graph.set_evidence g vars.(7) (Graph.Evidence true);
+  Array.iter
+    (fun v ->
+      let w = Graph.add_weight g (Prng.float_range rng (-1.0) 1.0) in
+      ignore (Graph.unary g ~weight:w v))
+    vars;
+  for _ = 1 to 6 do
+    let a = Prng.int_below rng 8 and b = Prng.int_below rng 8 in
+    if a <> b then begin
+      let w = Graph.add_weight g (Prng.float_range rng (-1.0) 1.0) in
+      let semantics = Prng.choice rng [| Semantics.Linear; Semantics.Logical; Semantics.Ratio |] in
+      let head = if Prng.bool rng then Some (Prng.int_below rng 8) else None in
+      let negated = Prng.bool rng in
+      ignore
+        (Graph.add_factor g
+           {
+             Graph.head;
+             bodies =
+               [|
+                 [| { Graph.var = a; negated } |];
+                 [| { Graph.var = a; negated = false }; { Graph.var = b; negated = true } |];
+               |];
+             weight_id = w;
+             semantics;
+           })
+    end
+  done;
+  g
+
+let test_fast_gibbs_conditionals_match () =
+  (* The cached sampler's conditional must agree with the plain sampler's
+     for every variable under many random assignments. *)
+  for seed = 0 to 9 do
+    let g = mixed_graph8 seed in
+    let rng = Prng.create (100 + seed) in
+    for _ = 1 to 10 do
+      let a = Gibbs.init_assignment rng g in
+      let fast = Compiled.make_state ~init:a (Prng.copy rng) (Compiled.compile g) in
+      for v = 0 to Graph.num_vars g - 1 do
+        let plain = Gibbs.conditional_true_prob g a v in
+        let cached = Compiled.conditional_true_prob fast v in
+        if abs_float (plain -. cached) > 1e-9 then
+          Alcotest.failf "seed %d var %d: plain %.12f fast %.12f" seed v plain cached
+      done
+    done
+  done
+
+let test_fast_gibbs_identical_chain () =
+  (* Same PRNG stream -> bit-identical trajectories. *)
+  let g = mixed_graph8 42 in
+  let init = Gibbs.init_assignment (Prng.create 7) g in
+  let a = Array.copy init in
+  let rng_plain = Prng.create 8 and rng_fast = Prng.create 8 in
+  let fast = Compiled.make_state ~init (Prng.create 9) (Compiled.compile g) in
+  for _ = 1 to 50 do
+    Gibbs.sweep rng_plain g a;
+    Compiled.sweep rng_fast fast
+  done;
+  Alcotest.(check bool) "same trajectory" true (a = Compiled.snapshot fast)
+
+let test_fast_gibbs_marginals_match_exact () =
+  let g = mixed_graph8 3 in
+  let m = Compiled.marginals ~burn_in:100 (Prng.create 10) (Compiled.compile g) ~sweeps:20_000 in
+  let exact = Dd_fgraph.Exact.marginals g in
+  Alcotest.(check bool) "within 3%" true (Stats.max_abs_diff m exact < 0.03)
+
+let test_fast_gibbs_voting_fast () =
+  (* The whole point: a voting factor with 500 bodies costs O(1) per vote
+     update instead of O(n).  Just check it converges on a mid-size
+     instance within a modest wall-clock. *)
+  let cfg = { Dd_fgraph.Voting.default with Dd_fgraph.Voting.n_up = 250; n_down = 250 } in
+  let graph, q, _, _ = Dd_fgraph.Voting.build cfg in
+  let exact = Dd_fgraph.Voting.exact_marginal_q cfg in
+  match
+    Compiled.sweeps_to_converge ~tolerance:0.02 ~max_sweeps:20_000 (Prng.create 11)
+      (Compiled.compile graph)
+      ~target_var:q ~target_prob:exact
+  with
+  | Some _ -> ()
+  | None -> Alcotest.fail "did not converge"
+
+let test_fast_gibbs_rejects_duplicate_literal () =
+  let g = Graph.create () in
+  let a = Graph.add_var g in
+  let w = Graph.add_weight g 1.0 in
+  ignore
+    (Graph.add_factor g
+       {
+         Graph.head = None;
+         bodies = [| [| { Graph.var = a; negated = false }; { Graph.var = a; negated = true } |] |];
+         weight_id = w;
+         semantics = Semantics.Logical;
+       });
+  Alcotest.(check bool) "rejected" true
+    (match Compiled.compile g with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 (* --- dense gradients vs the graph-walking feature counter ----------------------- *)
 
 let test_add_feature_counts_matches_reference () =
@@ -488,6 +594,14 @@ let () =
             test_matches_structure_evidence_flip;
           Alcotest.test_case "duplicate literal" `Quick test_compile_rejects_duplicate_literal;
           Alcotest.test_case "dense gradients" `Quick test_add_feature_counts_matches_reference;
+        ] );
+      ( "fast_gibbs",
+        [
+          Alcotest.test_case "conditionals match" `Quick test_fast_gibbs_conditionals_match;
+          Alcotest.test_case "identical chain" `Quick test_fast_gibbs_identical_chain;
+          Alcotest.test_case "marginals vs exact" `Slow test_fast_gibbs_marginals_match_exact;
+          Alcotest.test_case "voting converges fast" `Slow test_fast_gibbs_voting_fast;
+          Alcotest.test_case "duplicate literal" `Quick test_fast_gibbs_rejects_duplicate_literal;
         ] );
       ("engine", [ Alcotest.test_case "kernel cache" `Quick test_engine_reuses_kernel ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);

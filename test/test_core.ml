@@ -534,37 +534,79 @@ let test_materialize_save_load () =
 
 (* --- optimizer ----------------------------------------------------------------- *)
 
-let test_optimizer_rules () =
-  let base = { Optimizer.changes_structure = false; modifies_evidence = false; introduces_features = false } in
-  (* Rule 1: no structure change -> sampling. *)
-  Alcotest.(check bool) "analysis -> sampling" true
-    (Optimizer.choose base ~samples_exhausted:false = Optimizer.Sampling);
-  (* Rule 2: evidence change -> variational. *)
-  Alcotest.(check bool) "supervision -> variational" true
-    (Optimizer.choose { base with Optimizer.modifies_evidence = true } ~samples_exhausted:false
-    = Optimizer.Variational);
-  (* Rule 3: new features -> sampling. *)
-  Alcotest.(check bool) "features -> sampling" true
-    (Optimizer.choose
-       { base with Optimizer.changes_structure = true; introduces_features = true }
-       ~samples_exhausted:false
-    = Optimizer.Sampling);
-  (* Rule 4: exhausted -> variational regardless. *)
-  Alcotest.(check bool) "exhausted -> variational" true
-    (Optimizer.choose base ~samples_exhausted:true = Optimizer.Variational)
+let decision_name = function
+  | Optimizer.Exact -> "exact"
+  | Optimizer.Sampling -> "sampling"
+  | Optimizer.Variational -> "variational"
+  | Optimizer.Real_graph_chain -> "real-graph chain"
 
-let test_optimizer_profile () =
-  let g = biased_graph () in
-  let unchanged = Optimizer.profile_of_change (Metropolis.unchanged g) in
-  Alcotest.(check bool) "nothing" true
-    ((not unchanged.Optimizer.changes_structure)
-    && (not unchanged.Optimizer.modifies_evidence)
-    && not unchanged.Optimizer.introduces_features);
-  let with_evidence =
-    { (Metropolis.unchanged g) with Metropolis.evidence_changes = [ (0, Graph.Query) ] }
+let after_probe_name = function
+  | Optimizer.Mh_chain n -> Printf.sprintf "chain %d" n
+  | Optimizer.Resort_to_variational -> "variational"
+
+(* Every arm of [Optimizer.decide] and [Optimizer.after_probe], in the
+   order the rules apply.  The changes are on [biased_graph]; a row whose
+   answer must not depend on the change passes one that fails the test
+   when read. *)
+let test_optimizer_table () =
+  let unchanged = Metropolis.unchanged (biased_graph ()) in
+  let analysis = lazy unchanged in
+  let supervision = lazy { unchanged with Metropolis.evidence_changes = [ (0, Graph.Query) ] } in
+  let features = lazy { unchanged with Metropolis.new_factor_ids = [ 1 ] } in
+  let o =
+    {
+      Optimizer.enumerable = false;
+      stored_samples = 200;
+      samples_used = 0;
+      variational_built = true;
+      disable_sampling = false;
+      workload_aware = true;
+      chain = 100;
+      acceptance_floor = 0.02;
+    }
   in
-  Alcotest.(check bool) "evidence detected" true
-    (Optimizer.profile_of_change with_evidence).Optimizer.modifies_evidence
+  let unread = lazy (Alcotest.fail "the change was read") in
+  List.iter
+    (fun (name, obs, change, expected) ->
+      Alcotest.(check string) name expected (decision_name (Optimizer.decide obs ~change)))
+    [
+      ("exact first", { o with Optimizer.enumerable = true; disable_sampling = true }, unread, "exact");
+      ("NoSampling", { o with Optimizer.disable_sampling = true }, unread, "variational");
+      ("no stored samples", { o with Optimizer.stored_samples = 0 }, unread, "variational");
+      ( "both artifacts missing",
+        { o with Optimizer.disable_sampling = true; variational_built = false },
+        unread,
+        "real-graph chain" );
+      ("NoRelaxation", { o with Optimizer.variational_built = false; samples_used = 200 }, unread, "sampling");
+      ("exhausted", { o with Optimizer.samples_used = 101 }, unread, "variational");
+      ("last full chain", { o with Optimizer.samples_used = 100 }, analysis, "sampling");
+      ("NoWorkloadInfo", { o with Optimizer.workload_aware = false }, unread, "sampling");
+      ( "NoWorkloadInfo exhausted",
+        { o with Optimizer.workload_aware = false; samples_used = 101 },
+        unread,
+        "variational" );
+      ("rule 1: no structure change", o, analysis, "sampling");
+      ("rule 2: evidence change", o, supervision, "variational");
+      ("rule 3: structure-only change", o, features, "sampling");
+      ( "rule 2 before rule 3",
+        o,
+        lazy { (Lazy.force supervision) with Metropolis.new_factor_ids = [ 1 ] },
+        "variational" );
+    ];
+  Alcotest.(check (list int)) "probe length" [ 150; 80 ]
+    (List.map Optimizer.probe_length [ o; { o with Optimizer.stored_samples = 80 } ]);
+  List.iter
+    (fun (name, obs, acceptance, expected) ->
+      Alcotest.(check string) name expected
+        (after_probe_name (Optimizer.after_probe obs ~acceptance)))
+    [
+      ("below the floor", o, 0.01, "variational");
+      ("below the floor, no variational", { o with Optimizer.variational_built = false }, 0.01, "chain 1000");
+      ("zero, no variational", { o with Optimizer.variational_built = false }, 0.0, "chain 1000");
+      ("at the floor", o, 0.02, "chain 1000");
+      ("above the floor", o, 0.3, "chain 334");
+      ("full acceptance", o, 1.0, "chain 100");
+    ]
 
 (* --- decomposition --------------------------------------------------------------- *)
 
@@ -824,6 +866,13 @@ let factor_keys grounding =
     g;
   List.sort compare !keys
 
+(* What a rollback must restore, compared whole. *)
+let engine_state e =
+  ( digest (Engine.marginals e),
+    Dd_fgraph.Serialize.to_string (Engine.graph e),
+    Engine.marginals_by_relation e,
+    Engine.kernel_compiles e )
+
 (* [small_coupled_fixture] plus a link a -> b.  Deleting that row takes
    away the only support of the linked grounding [is_pos(a) <= is_pos(b)],
    and neither variable is clamped by the deletion, so the extended graph
@@ -833,7 +882,6 @@ let factor_keys grounding =
    rolled-back attempt, a direct application and WAL replay all agree. *)
 let test_engine_deletion_regrounds () =
   let module Checkpoint = Dd_kbc.Checkpoint in
-  let module Serialize = Dd_fgraph.Serialize in
   let before_delete () =
     let db, prog = small_coupled_fixture () in
     Database.insert_rows db "link" [ [| s "a"; s "b" |] ];
@@ -844,12 +892,7 @@ let test_engine_deletion_regrounds () =
     Dred.Delta.delete delta "link" [| s "a"; s "b" |];
     Grounding.data_update delta
   in
-  let state e =
-    ( digest (Engine.marginals e),
-      Serialize.to_string (Engine.graph e),
-      Engine.marginals_by_relation e,
-      Engine.kernel_compiles e )
-  in
+  let state = engine_state in
   let engine = Engine.create ~options:quick_options (fst (before_delete ())) (snd (before_delete ())) in
   let dir = Filename.concat (Filename.get_temp_dir_name ()) "dd_core_deletion_regrounds" in
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
@@ -888,6 +931,56 @@ let test_engine_deletion_regrounds () =
     Alcotest.(check string) "replayed marginals bit-identical" m m';
     Alcotest.(check string) "replayed graph bytes" g g'
   | Error e -> Alcotest.fail (Checkpoint.error_to_string e)
+
+(* The "deletion regrounds" update plus a new item, which alone would add
+   a variable and a factor.  The deletion sets [needs_rebuild], so
+   [Grounding.extend] grounds no factor into the graph the engine is about
+   to discard; a quarantined attempt through [Txn] still restores the
+   engine, and replaying the dead letter equals a direct application. *)
+let test_rebuild_skips_flush () =
+  let module Txn = Dd_core.Txn in
+  let module Fault = Dd_util.Fault in
+  let fixture () =
+    let db, prog = small_coupled_fixture () in
+    Database.insert_rows db "link" [ [| s "a"; s "b" |] ];
+    (db, prog)
+  in
+  let update () =
+    let delta = Dred.Delta.create () in
+    Dred.Delta.delete delta "link" [| s "a"; s "b" |];
+    Dred.Delta.insert delta "item_feature" [| s "e"; s "f1" |];
+    Grounding.data_update delta
+  in
+  let grounding = Grounding.ground (fst (fixture ())) (snd (fixture ())) in
+  let g = Grounding.graph grounding in
+  let factors = Graph.num_factors g and weights = Graph.num_weights g in
+  let report = Grounding.extend grounding (update ()) in
+  Alcotest.(check bool) "needs rebuild" true report.Grounding.needs_rebuild;
+  Alcotest.(check int) "one new variable" 1 report.Grounding.new_vars;
+  Alcotest.(check int) "no factor added" factors (Graph.num_factors g);
+  Alcotest.(check int) "no weight added" weights (Graph.num_weights g);
+  Alcotest.(check int) "none reported" 0 (report.Grounding.new_factors + report.Grounding.extended);
+  let engine () =
+    let db, prog = fixture () in
+    Engine.create ~options:quick_options db prog
+  in
+  let txn =
+    Txn.create
+      ~options:{ Txn.max_retries = 0; allow_rematerialize = false; allow_rerun = false }
+      (engine ())
+  in
+  let pre = engine_state (Txn.engine txn) in
+  Fault.arm "engine.apply_update.post_ground" (Fault.Nth 1);
+  let outcome = Fun.protect ~finally:Fault.reset (fun () -> Txn.apply txn (update ())) in
+  Alcotest.(check bool) "quarantined" true (Result.is_error outcome);
+  Alcotest.(check bool) "rollback restores the engine" true (engine_state (Txn.engine txn) = pre);
+  let direct = engine () in
+  ignore (Engine.apply_update direct (update ()));
+  match Txn.replay txn (List.hd (Txn.dead_letters txn)) with
+  | Ok _ ->
+    Alcotest.(check bool) "replay = direct application" true
+      (engine_state (Txn.engine txn) = engine_state direct)
+  | Error e -> Alcotest.fail (Txn.error_message e)
 
 (* A fresh engine answers as Rerun does: [create] and [rerun] share one
    build (ground, compile once, learn, infer), so their marginals agree
@@ -1042,8 +1135,7 @@ let () =
         ] );
       ( "optimizer",
         [
-          Alcotest.test_case "rules" `Quick test_optimizer_rules;
-          Alcotest.test_case "profile" `Quick test_optimizer_profile;
+          Alcotest.test_case "decision table" `Quick test_optimizer_table;
         ] );
       ( "decompose",
         [
@@ -1066,5 +1158,6 @@ let () =
           Alcotest.test_case "exact rule on small components" `Quick test_engine_exact_rule;
           Alcotest.test_case "create answers as rerun" `Quick test_engine_create_is_rerun;
           Alcotest.test_case "deletion regrounds" `Quick test_engine_deletion_regrounds;
+          Alcotest.test_case "regrounding skips the flush" `Quick test_rebuild_skips_flush;
         ] );
     ]

@@ -457,10 +457,12 @@ let test_lr_loss_zero_weights () =
   let data = separable_data (Prng.create 27) 50 in
   check_close 1e-9 "log 2" (log 2.0) (Learner.lr_loss data (Array.make 3 0.0))
 
-(* --- fast (cached) gibbs: the compiled sampler against the plain one ---------- *)
+(* --- map inference ---------------------------------------------------------------- *)
 
-(* A harsher structure mix for equivalence testing: implications with
-   multiple bodies, negated literals, evidence, all three semantics. *)
+module Map_inference = Dd_inference.Map_inference
+
+(* A harsher structure mix: implications with multiple bodies, negated
+   literals, evidence, all three semantics. *)
 let mixed_graph seed =
   let rng = Prng.create seed in
   let g = Graph.create () in
@@ -493,79 +495,6 @@ let mixed_graph seed =
     end
   done;
   g
-
-let test_fast_gibbs_conditionals_match () =
-  (* The cached sampler's conditional must agree with the plain sampler's
-     for every variable under many random assignments. *)
-  for seed = 0 to 9 do
-    let g = mixed_graph seed in
-    let rng = Prng.create (100 + seed) in
-    for _ = 1 to 10 do
-      let a = Gibbs.init_assignment rng g in
-      let fast = Compiled.make_state ~init:a (Prng.copy rng) (Compiled.compile g) in
-      for v = 0 to Graph.num_vars g - 1 do
-        let plain = Gibbs.conditional_true_prob g a v in
-        let cached = Compiled.conditional_true_prob fast v in
-        if abs_float (plain -. cached) > 1e-9 then
-          Alcotest.failf "seed %d var %d: plain %.12f fast %.12f" seed v plain cached
-      done
-    done
-  done
-
-let test_fast_gibbs_identical_chain () =
-  (* Same PRNG stream -> bit-identical trajectories. *)
-  let g = mixed_graph 42 in
-  let init = Gibbs.init_assignment (Prng.create 7) g in
-  let a = Array.copy init in
-  let rng_plain = Prng.create 8 and rng_fast = Prng.create 8 in
-  let fast = Compiled.make_state ~init (Prng.create 9) (Compiled.compile g) in
-  for _ = 1 to 50 do
-    Gibbs.sweep rng_plain g a;
-    Compiled.sweep rng_fast fast
-  done;
-  Alcotest.(check bool) "same trajectory" true (a = Compiled.snapshot fast)
-
-let test_fast_gibbs_marginals_match_exact () =
-  let g = mixed_graph 3 in
-  let m = Compiled.marginals ~burn_in:100 (Prng.create 10) (Compiled.compile g) ~sweeps:20_000 in
-  let exact = Dd_fgraph.Exact.marginals g in
-  Alcotest.(check bool) "within 3%" true (Stats.max_abs_diff m exact < 0.03)
-
-let test_fast_gibbs_voting_fast () =
-  (* The whole point: a voting factor with 500 bodies costs O(1) per vote
-     update instead of O(n).  Just check it converges on a mid-size
-     instance within a modest wall-clock. *)
-  let cfg = { Dd_fgraph.Voting.default with Dd_fgraph.Voting.n_up = 250; n_down = 250 } in
-  let graph, q, _, _ = Dd_fgraph.Voting.build cfg in
-  let exact = Dd_fgraph.Voting.exact_marginal_q cfg in
-  match
-    Compiled.sweeps_to_converge ~tolerance:0.02 ~max_sweeps:20_000 (Prng.create 11)
-      (Compiled.compile graph)
-      ~target_var:q ~target_prob:exact
-  with
-  | Some _ -> ()
-  | None -> Alcotest.fail "did not converge"
-
-let test_fast_gibbs_rejects_duplicate_literal () =
-  let g = Graph.create () in
-  let a = Graph.add_var g in
-  let w = Graph.add_weight g 1.0 in
-  ignore
-    (Graph.add_factor g
-       {
-         Graph.head = None;
-         bodies = [| [| { Graph.var = a; negated = false }; { Graph.var = a; negated = true } |] |];
-         weight_id = w;
-         semantics = Semantics.Logical;
-       });
-  Alcotest.(check bool) "rejected" true
-    (match Compiled.compile g with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
-
-(* --- map inference ---------------------------------------------------------------- *)
-
-module Map_inference = Dd_inference.Map_inference
 
 let exact_map g =
   (* Brute-force most probable world. *)
@@ -675,14 +604,6 @@ let () =
           Alcotest.test_case "acceptance vs change size" `Quick test_acceptance_decreases_with_change;
           Alcotest.test_case "acceptance probe" `Quick test_acceptance_probe;
           Alcotest.test_case "digests pinned" `Quick test_mh_digests_pinned;
-        ] );
-      ( "fast_gibbs",
-        [
-          Alcotest.test_case "conditionals match" `Quick test_fast_gibbs_conditionals_match;
-          Alcotest.test_case "identical chain" `Quick test_fast_gibbs_identical_chain;
-          Alcotest.test_case "marginals vs exact" `Slow test_fast_gibbs_marginals_match_exact;
-          Alcotest.test_case "voting converges fast" `Slow test_fast_gibbs_voting_fast;
-          Alcotest.test_case "duplicate literal" `Quick test_fast_gibbs_rejects_duplicate_literal;
         ] );
       ( "learner",
         [

@@ -1,5 +1,6 @@
 (* Tests for Dd_kbc: corpus generation, the pipeline program, quality
-   metrics, system presets, drift workload and the snapshot experiment. *)
+   metrics, system presets, drift workload, the snapshot experiment and
+   the optimizer's Figure 11 lesion arms. *)
 
 module Value = Dd_relational.Value
 module Schema = Dd_relational.Schema
@@ -384,6 +385,83 @@ let test_snapshots_skip_rerun () =
       Alcotest.(check (float 0.0)) "no rerun time" 0.0 row.Snapshots.rerun_seconds)
     result.Snapshots.rows
 
+(* --- optimizer lesion arms (Figure 11) ---------------------------------------- *)
+
+let lesion_arms =
+  [
+    ("All", quick_options);
+    ("NoSampling", { quick_options with Engine.disable_sampling = true });
+    ("NoVariational", { quick_options with Engine.disable_variational = true });
+    ("NoWorkloadInfo", { quick_options with Engine.workload_aware = false });
+  ]
+
+(* One line per Fig. 9 update: rule, strategy, MH acceptance (hex) and an
+   MD5 of the engine's marginals (hex floats). *)
+let lesion_trace options =
+  let corpus = Corpus.generate coupled_config in
+  let db = Database.create () in
+  Corpus.load corpus db;
+  let engine = Engine.create ~options db (Pipeline.base_program ()) in
+  List.map
+    (fun rule_id ->
+      let report = Engine.apply_update engine (Pipeline.update_of rule_id) in
+      let marginals =
+        String.concat "," (Array.to_list (Array.map (Printf.sprintf "%h") (Engine.marginals engine)))
+      in
+      Printf.sprintf "%s %s %s %s"
+        (Pipeline.rule_id_to_string rule_id)
+        (Engine.strategy_used_to_string report.Engine.strategy)
+        (match report.Engine.acceptance_rate with None -> "-" | Some a -> Printf.sprintf "%h" a)
+        (Digest.to_hex (Digest.string marginals)))
+    Pipeline.all_rule_ids
+
+(* Every arm's strategies, acceptance rates and marginals, pinned: the
+   optimizer's decision and the draws of each strategy stay bit for bit
+   what they were when these were taken. *)
+let pinned_lesion_traces =
+  [
+    ( "All",
+      [
+        "A1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "FE1 full-gibbs - 6121bb33ceefe6461cf3025ae28a6599";
+        "FE2 full-gibbs - d0f10a1cdea972718814311cb715698d";
+        "I1 sampling 0x1.47ae147ae147bp-6 f6794f3ce55b47647371741a3ee4cb02";
+        "S1 full-gibbs - c2ed43068f9d0dd37a5cb1694f0a123a";
+        "S2 full-gibbs - 402951d18a9d8584c87e337773e7fb09";
+      ] );
+    ( "NoSampling",
+      [
+        "A1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "FE1 full-gibbs - 6121bb33ceefe6461cf3025ae28a6599";
+        "FE2 full-gibbs - d0f10a1cdea972718814311cb715698d";
+        "I1 variational - cb9974b2bf1fbeb4504453e66a30f02e";
+        "S1 full-gibbs - 099aad6061ae625d5c69ff2622a6c3be";
+        "S2 full-gibbs - 6e17ea05b7d05b0f2a1af179d2f2289c";
+      ] );
+    ( "NoVariational",
+      [
+        "A1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "FE1 full-gibbs - 0dcc535897cac00f6195a30df57c5a1e";
+        "FE2 full-gibbs - 4ad0d25030fdd6f3e20759d848d6c18b";
+        "I1 sampling 0x1.47ae147ae147bp-6 f6794f3ce55b47647371741a3ee4cb02";
+        "S1 full-gibbs - 595446b81cf6c81423156b7431858441";
+        "S2 full-gibbs - c983ec106d101323c380060afe67cf39";
+      ] );
+    ( "NoWorkloadInfo",
+      [
+        "A1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "FE1 full-gibbs - 6121bb33ceefe6461cf3025ae28a6599";
+        "FE2 full-gibbs - d0f10a1cdea972718814311cb715698d";
+        "I1 sampling 0x1.47ae147ae147bp-6 f6794f3ce55b47647371741a3ee4cb02";
+        "S1 full-gibbs - c2ed43068f9d0dd37a5cb1694f0a123a";
+        "S2 full-gibbs - 402951d18a9d8584c87e337773e7fb09";
+      ] );
+  ]
+
+let test_lesion_arms_pinned () =
+  let traces = List.map (fun (name, options) -> (name, lesion_trace options)) lesion_arms in
+  Alcotest.(check (list (pair string (list string)))) "arms" pinned_lesion_traces traces
+
 let () =
   Alcotest.run "dd_kbc"
     [
@@ -440,4 +518,5 @@ let () =
           Alcotest.test_case "run" `Slow test_snapshots_run;
           Alcotest.test_case "skip rerun" `Slow test_snapshots_skip_rerun;
         ] );
+      ("optimizer", [ Alcotest.test_case "lesion arms pinned" `Quick test_lesion_arms_pinned ]);
     ]
