@@ -544,31 +544,36 @@ let after_probe_name = function
   | Optimizer.Mh_chain n -> Printf.sprintf "chain %d" n
   | Optimizer.Resort_to_variational -> "variational"
 
-(* Every arm of [Optimizer.decide] and [Optimizer.after_probe], in the
-   order the rules apply.  The changes are on [biased_graph]; a row whose
-   answer must not depend on the change passes one that fails the test
-   when read. *)
-let test_optimizer_table () =
-  let unchanged = Metropolis.unchanged (biased_graph ()) in
-  let analysis = lazy unchanged in
-  let supervision = lazy { unchanged with Metropolis.evidence_changes = [ (0, Graph.Query) ] } in
-  let features = lazy { unchanged with Metropolis.new_factor_ids = [ 1 ] } in
-  let o =
-    {
-      Optimizer.enumerable = false;
-      stored_samples = 200;
-      samples_used = 0;
-      variational_built = true;
-      disable_sampling = false;
-      workload_aware = true;
-      chain = 100;
-      acceptance_floor = 0.02;
-    }
-  in
-  let unread = lazy (Alcotest.fail "the change was read") in
+(* The observation every row of the optimizer tables edits: both
+   artifacts built, 200 stored samples of which none used, a chain of 100. *)
+let optimizer_observation =
+  {
+    Optimizer.enumerable = false;
+    stored_samples = 200;
+    samples_used = 0;
+    variational_built = true;
+    disable_sampling = false;
+    workload_aware = true;
+    chain = 100;
+    acceptance_floor = 0.02;
+  }
+
+(* One table over [Optimizer.decide]: each row's observation, change and
+   expected decision.  The changes are on [biased_graph]. *)
+let check_decisions rows =
   List.iter
     (fun (name, obs, change, expected) ->
       Alcotest.(check string) name expected (decision_name (Optimizer.decide obs ~change)))
+    rows
+
+(* The arms [Optimizer.decide] takes before it reads the change (exact
+   first, lesions and availability, exhaustion, NoWorkloadInfo), each row
+   passing a change that fails the test when read, then
+   [Optimizer.probe_length] and every arm of [Optimizer.after_probe]. *)
+let test_optimizer_rules () =
+  let o = optimizer_observation in
+  let unread = lazy (Alcotest.fail "the change was read") in
+  check_decisions
     [
       ("exact first", { o with Optimizer.enumerable = true; disable_sampling = true }, unread, "exact");
       ("NoSampling", { o with Optimizer.disable_sampling = true }, unread, "variational");
@@ -579,18 +584,10 @@ let test_optimizer_table () =
         "real-graph chain" );
       ("NoRelaxation", { o with Optimizer.variational_built = false; samples_used = 200 }, unread, "sampling");
       ("exhausted", { o with Optimizer.samples_used = 101 }, unread, "variational");
-      ("last full chain", { o with Optimizer.samples_used = 100 }, analysis, "sampling");
       ("NoWorkloadInfo", { o with Optimizer.workload_aware = false }, unread, "sampling");
       ( "NoWorkloadInfo exhausted",
         { o with Optimizer.workload_aware = false; samples_used = 101 },
         unread,
-        "variational" );
-      ("rule 1: no structure change", o, analysis, "sampling");
-      ("rule 2: evidence change", o, supervision, "variational");
-      ("rule 3: structure-only change", o, features, "sampling");
-      ( "rule 2 before rule 3",
-        o,
-        lazy { (Lazy.force supervision) with Metropolis.new_factor_ids = [ 1 ] },
         "variational" );
     ];
   Alcotest.(check (list int)) "probe length" [ 150; 80 ]
@@ -606,6 +603,29 @@ let test_optimizer_table () =
       ("at the floor", o, 0.02, "chain 1000");
       ("above the floor", o, 0.3, "chain 334");
       ("full acceptance", o, 1.0, "chain 100");
+    ]
+
+(* The Section 3.3 rules, where the change's profile decides: an evidence
+   change picks variational (rule 2, also over new structure); no change
+   and a structure-only change pick sampling (rules 1 and 3), up to the
+   last full chain the stored samples hold. *)
+let test_optimizer_profile () =
+  let o = optimizer_observation in
+  let unchanged = Metropolis.unchanged (biased_graph ()) in
+  let supervision = { unchanged with Metropolis.evidence_changes = [ (0, Graph.Query) ] } in
+  check_decisions
+    [
+      ("rule 1: no structure change", o, lazy unchanged, "sampling");
+      ("last full chain", { o with Optimizer.samples_used = 100 }, lazy unchanged, "sampling");
+      ("rule 2: evidence change", o, lazy supervision, "variational");
+      ( "rule 3: structure-only change",
+        o,
+        lazy { unchanged with Metropolis.new_factor_ids = [ 1 ] },
+        "sampling" );
+      ( "rule 2 before rule 3",
+        o,
+        lazy { supervision with Metropolis.new_factor_ids = [ 1 ] },
+        "variational" );
     ]
 
 (* --- decomposition --------------------------------------------------------------- *)
@@ -1135,7 +1155,8 @@ let () =
         ] );
       ( "optimizer",
         [
-          Alcotest.test_case "decision table" `Quick test_optimizer_table;
+          Alcotest.test_case "rules" `Quick test_optimizer_rules;
+          Alcotest.test_case "profile" `Quick test_optimizer_profile;
         ] );
       ( "decompose",
         [
