@@ -6,9 +6,12 @@
    1/2/4/8 domains.
 
    Swap latency: the six-snapshot KBC sequence driven through the
-   supervisor with the server attached; every commit rebuilds and swaps a
+   supervisor with the server attached; every commit builds and swaps a
    snapshot, and the server's own health surface reports the build+publish
-   latency distribution.
+   latency distribution.  A second row drives one 600-doc synthetic
+   document stream through the feed, about 140 publishes over a KB that
+   grows to about 1,000 facts: the stream-shaped publish, where each
+   snapshot extends the previous one's layout.
 
    Staleness vs cadence: a sampler domain watches the health surface while
    the writer applies the sequence at different paces; mean wall-clock
@@ -25,6 +28,10 @@ module Txn = Dd_core.Txn
 module Pool = Dd_parallel.Pool
 module Snapshot = Dd_serve.Snapshot
 module Server = Dd_serve.Server
+module Program = Dd_core.Program
+module Source = Dd_ingest.Source
+module Batcher = Dd_ingest.Batcher
+module Feed = Dd_ingest.Feed
 
 let bench_options =
   {
@@ -61,6 +68,28 @@ let throughput server keys ~domains ~per_domain =
   let seconds = Timer.elapsed_s timer in
   Pool.shutdown pool;
   float_of_int (domains * per_domain) /. seconds
+
+(* --- stream publishes ------------------------------------------------------- *)
+
+(* The document-stream program and shape of [bench/e2e]'s doc_stream
+   workload: features and supervision ride along with the candidates. *)
+let stream_program () =
+  Program.add_rules (Pipeline.base_program ())
+    (Pipeline.rules_of Pipeline.FE1 @ Pipeline.rules_of Pipeline.S1 @ Pipeline.rules_of Pipeline.S2)
+
+let stream_run ~docs =
+  let config = { Source.default with Source.docs; entities = max 4 (docs / 8); rate = 60.0; seed = 1 } in
+  let db = Database.create () in
+  Feed.prepare_database db (Source.synthetic config);
+  let txn = Txn.create (Engine.create db (stream_program ())) in
+  let server = Server.create txn in
+  let summary = Feed.run (Feed.create txn) (Source.synthetic config) (Batcher.create ()) in
+  if summary.Feed.run_quarantined > 0 then failwith "bench stream quarantined a batch";
+  let snap = Server.current server in
+  (match Snapshot.verify snap with
+  | Ok () -> ()
+  | Error m -> failwith ("stream snapshot failed its audit: " ^ m));
+  (Snapshot.num_facts snap, Server.health server)
 
 (* --- staleness vs update cadence ------------------------------------------ *)
 
@@ -150,6 +179,15 @@ let serving ~full =
   metric "swap_count" (float_of_int h.Server.swaps);
   metric "swap_mean_ms" h.Server.mean_swap_ms;
   metric "swap_max_ms" h.Server.max_swap_ms;
+
+  let docs = 600 in
+  let facts, h = stream_run ~docs in
+  note "Stream publishes (%d docs): %d swaps to %d facts, mean %.3fms, last %.3fms" docs
+    h.Server.swaps facts h.Server.mean_swap_ms h.Server.last_swap_ms;
+  metric "stream_facts" (float_of_int facts);
+  metric "stream_swaps" (float_of_int h.Server.swaps);
+  metric "stream_swap_mean_ms" h.Server.mean_swap_ms;
+  metric "stream_swap_last_ms" h.Server.last_swap_ms;
 
   note "\nRead staleness vs update cadence (health sampled every 0.2ms):";
   let table = Table.create [ "cadence"; "samples"; "mean staleness (ms)"; "max staleness (ms)" ] in

@@ -70,6 +70,12 @@ val var_of : t -> string -> Tuple.t -> Graph.var option
 (** Variable of a query-relation tuple. *)
 
 val origin : t -> Graph.var -> string * Tuple.t
+(** The (relation, tuple) a variable stands for.  The pair is allocated
+    once, when the variable is created, and returned physically the same
+    for as long as the variable exists; {!rollback} removes a suffix of
+    variable ids, and a variable created again under a freed id gets a
+    new pair.  [Dd_serve.Snapshot] relies on both to tell a grown
+    grounding from a changed one. *)
 
 val vars_of_relation : t -> string -> (Tuple.t * Graph.var) list
 

@@ -8,13 +8,6 @@
 val max_enumerable : int
 (** Upper bound on the number of query variables accepted (25). *)
 
-val log_partition : Graph.t -> float
-(** Log of [Z = sum_I exp (W (F, I))] over worlds consistent with the
-    evidence. *)
-
-val world_log_weight : Graph.t -> bool array -> float
-(** Unnormalized log-weight of one world (must set evidence correctly). *)
-
 val world_probability : Graph.t -> bool array -> float
 
 val marginals : Graph.t -> float array

@@ -58,9 +58,9 @@
     over the components is at most a measured constant times the
     chain's [steps × num_coupled] variable updates.  When it holds (and
     something is coupled), {!marginals} — and
-    {!Dd_parallel.Par_gibbs.marginals} — answer through
-    {!exact_marginals}, which draws nothing; otherwise they run the chain
-    described below, with unchanged bits.
+    {!Dd_parallel.Par_gibbs.marginals} — enumerate each component,
+    drawing nothing; otherwise they run the chain described below, with
+    unchanged bits.
 
     Determinism contract: for a given [(seed, graph)], {!make_state}
     draws the initial world exactly as {!Gibbs.init_assignment} does and
@@ -76,7 +76,7 @@
     a graph with no isolated query variable it is bit-identical to
     counting every sweep of {!sweep} (the reference kept under
     [test/oracle]), and evaluating the closed forms consumes no
-    randomness; enumeration ({!exact_marginals}) draws nothing at all. *)
+    randomness; enumeration draws nothing at all. *)
 
 module Graph = Dd_fgraph.Graph
 
@@ -160,19 +160,12 @@ val snapshot : state -> bool array
 
 val conditional_true_prob : state -> Graph.var -> float
 (** P(v = true | rest), from cached counters.  Only the returned float
-    is boxed; {!resample_var} computes the same value without boxing. *)
-
-val set_value : state -> Graph.var -> bool -> unit
-(** Write one variable and incrementally maintain the unsat / sat
-    counters (no-op when the value is unchanged). *)
-
-val resample_var : Dd_util.Prng.t -> state -> Graph.var -> unit
-(** One Gibbs update: draw [v] from {!conditional_true_prob}, consuming
-    one {!Dd_util.Prng.bits53} (the draw {!Dd_util.Prng.bernoulli} makes),
-    and maintain the counters. *)
+    is boxed; the sweeps compute the same value without boxing. *)
 
 val sweep : Dd_util.Prng.t -> state -> unit
-(** One pass over the packed query variables, ascending. *)
+(** One pass over the packed query variables, ascending: each draws from
+    {!conditional_true_prob}, consuming one {!Dd_util.Prng.bits53} (the
+    draw {!Dd_util.Prng.bernoulli} makes), and maintains the counters. *)
 
 val sweep_all : Dd_util.Prng.t -> state -> unit
 (** Resample {e every} variable, evidence included — the negative-chain
@@ -210,23 +203,15 @@ val closed_form_marginals : state -> float array
     its current value as a placeholder the caller overwrites with its
     chain estimate.  Consumes no randomness. *)
 
-val exact_marginals : ?budget:Dd_util.Budget.t -> t -> float array
-(** Exact marginals by enumeration, component by component.  Evidence
-    and isolated query variables come from {!closed_form_marginals};
-    each component's [2^k] assignments are visited in Gray-code order,
-    one flip per state that updates the cached counters as
-    {!set_value} does and returns the energy change; the log-weight is a
-    compensated sum of those changes, and weights are summed pairwise
-    against a running maximum (rescaled when it grows).  Draws nothing
-    and allocates one accumulator array.  [budget] is polled once per component.  Cost is
-    exponential in the largest component: callers gate it with
-    {!enumerable}. *)
-
 val marginals :
   ?burn_in:int -> ?budget:Dd_util.Budget.t -> Dd_util.Prng.t -> t -> sweeps:int -> float array
 (** Fresh-state marginals.  When something is coupled and
-    [enumerable ~steps:(burn_in + sweeps)] holds, {!exact_marginals}
-    (no draw).  Otherwise the chain: evidence and isolated query
+    [enumerable ~steps:(burn_in + sweeps)] holds, exact marginals by
+    enumeration, component by component: evidence and isolated query
+    variables come from {!closed_form_marginals}; each component's [2^k]
+    assignments are visited in Gray-code order, one flip per state that
+    updates the cached counters and returns the energy change (no draw;
+    cost exponential in the largest component).  Otherwise the chain: evidence and isolated query
     variables come from {!closed_form_marginals}; the coupled ones are
     the fraction of [sweeps] post-burn-in sweeps over {!coupled_vars} in
     which they were true.  The chain polls [budget] once per sweep

@@ -72,9 +72,6 @@ val members : t -> string -> string list
 (** Keys belonging to a canonical entity id, in registration order
     ([[]] for an unknown id). *)
 
-val alias_pairs : t -> (string * string) list
-(** Declared alias pairs, oldest first (as normalized keys). *)
-
 val encode : t -> string
 (** Canonical text serialization in one {!Dd_util.Record} frame (tag
     [ddcanon 2], length + CRC-32).  Deterministic:

@@ -34,11 +34,3 @@ val load_documents :
     inserts rows; tables are created when missing.  [first_sid] (default 0)
     lets successive loads keep ids unique. *)
 
-val pair_rows :
-  first_sid:int ->
-  entity_names:string list ->
-  (int * string) list ->
-  (string * Dd_relational.Tuple.t list) list * stats
-(** The rows that {!load_documents} would insert, for callers that want to
-    feed them through {!Dd_datalog.Dred.Delta} instead (incremental
-    document arrival). *)

@@ -57,9 +57,6 @@ val cholesky : t -> t
 (** Lower-triangular [l] with [l * l^T = a]. Raises
     {!Not_positive_definite} when the input is not (numerically) SPD. *)
 
-val cholesky_solve : t -> float array -> float array
-(** [cholesky_solve l b] solves [l l^T x = b] given a Cholesky factor [l]. *)
-
 val spd_solve : t -> float array -> float array
 (** Solve [a x = b] for SPD [a] (factors internally). *)
 

@@ -95,10 +95,6 @@ val compact : t -> unit
     Probes work entirely on ids; values are decoded only where a consumer
     (a plan's bind step, a join's output) actually materializes them. *)
 
-val encode_tuple : t -> Tuple.t -> int array option
-(** Ids for an existing tuple's values; [None] if any value was never
-    interned (the tuple cannot be live) or the arity mismatches. *)
-
 val find_id : t -> int -> Value.t -> int
 (** [find_id t col v] is [v]'s id in column [col]'s dictionary, or [-1]
     when [v] was never interned.  Allocates nothing. *)

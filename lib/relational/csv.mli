@@ -7,8 +7,6 @@
 val parse_value : Value.ty -> string -> Value.t
 (** Raises [Invalid_argument] on malformed input; empty string is [Null]. *)
 
-val parse_line : Schema.t -> string -> Tuple.t
-
 val load_string : Relation.t -> string -> int
 (** Load CSV text into a relation; returns the number of rows inserted. *)
 

@@ -22,8 +22,6 @@ let column_index t name = Hashtbl.find t.index name
 
 let mem t name = Hashtbl.mem t.index name
 
-let column_ty t name = t.cols.(column_index t name).ty
-
 let names t = Array.to_list (Array.map (fun c -> c.name) t.cols)
 
 let equal a b =

@@ -16,8 +16,6 @@ val column_index : t -> string -> int
 
 val mem : t -> string -> bool
 
-val column_ty : t -> string -> Value.ty
-
 val names : t -> string list
 
 val equal : t -> t -> bool

@@ -61,13 +61,15 @@ type t = {
 }
 
 (* A snapshot carries the engine's commit count, which a Rerun rung
-   continues. *)
+   continues.  The next snapshot extends the current one's layout; only
+   the writer publishes, so [current] is the previous publish. *)
 let publish t engine =
   let t0 = Unix.gettimeofday () in
   let epoch = t.next_epoch in
   t.next_epoch <- epoch + 1;
   let snap =
-    Snapshot.build ~bins:t.bins ?truth:t.truth ~epoch ~txn_seq:(Engine.commits engine) engine
+    Snapshot.next ~bins:t.bins ?truth:t.truth (Atomic.get t.current) ~epoch
+      ~txn_seq:(Engine.commits engine) engine
   in
   Atomic.set t.current snap;
   Atomic.incr t.swaps;

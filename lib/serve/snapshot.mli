@@ -20,7 +20,39 @@
     - the publishing transaction's commit sequence and the publication
       epoch, for staleness accounting;
     - a CRC over the marginals, so tests and paranoid readers can prove a
-      read was not torn. *)
+      read was not torn.
+
+    {b What carries across epochs.}  A snapshot keeps a {e layout}: per
+    query variable its relation id, tuple hash and string values interned
+    to int ids (with their hashes), the variables in (relation, tuple)
+    order, the point-index and entity-index slots, and the per-value
+    posting counts.  {!next} hands the previous snapshot's layout on,
+    extended by the variables the grounding added since: the new ones are
+    sorted by name and merged in.  Per epoch it
+    then reads every marginal and evidence flag (learning moves tied
+    weights on most commits), shares each fact whose fields did not move,
+    orders by probability with a stable pass over the name order on
+    unboxed floats, and fills the per-relation orders and entity postings
+    as fresh int arrays from the cached ids; no value is hashed and no
+    tuple compared on that path.
+
+    {b When it is rebuilt.}  The layout is rebuilt from scratch whenever
+    the engine's grounding is not its grounding grown: a new engine, the
+    {!Dd_core.Txn} Rerun rung's [Engine.rebuild], a reground after
+    [needs_rebuild], a recovered engine, or a rollback that removed
+    variables a later update re-created under the same ids.  The check
+    is one physical comparison: [Grounding.origin] allocates a fresh
+    (relation, tuple) pair per variable created, and a rollback removes
+    a suffix of ids, so the layout's last variable still holding its pair
+    proves every earlier one does.
+
+    {b Why readers never see a mutation.}  Extending a layout copies each
+    array it changes (appends, a merged name order, a copied or regrown
+    slot table) and never writes into one a published snapshot holds;
+    each epoch's fact, order and posting arrays are new, and a fact
+    shared with an earlier epoch is immutable.  So a
+    snapshot held across any number of later publishes answers as it did
+    when it was published. *)
 
 module Tuple = Dd_relational.Tuple
 module Engine = Dd_core.Engine
@@ -47,6 +79,18 @@ val build :
     ([bins] buckets, default 10); without it facts carry their raw
     probability as [calibrated] and {!calibration} is [None].  The engine
     must not be mutated concurrently — call from the writer's domain. *)
+
+val next :
+  ?bins:int ->
+  ?truth:Dd_kbc.Corpus.fact list ->
+  t ->
+  epoch:int ->
+  txn_seq:int ->
+  Engine.t ->
+  t
+(** [next prev ~epoch ~txn_seq engine] answers exactly as {!build} does,
+    reusing [prev]'s layout when the engine's grounding only grew since
+    [prev] was built (see the header).  [prev] is left as it was. *)
 
 (** {1 Identity} *)
 
@@ -95,6 +139,9 @@ val calibrated_bucket : t -> float -> Calibration.bucket option
 val verify : t -> (unit, string) result
 (** Full internal-consistency audit: sort order of every per-relation
     array, agreement of the point-lookup and inverted indexes with the
-    fact list, probability/calibration ranges, calibration bucket
-    arithmetic, and the marginals CRC.  [Ok] on every snapshot {!build}
+    fact list in both directions (every fact is found under its key and
+    each of its string values; every index entry and posting names a
+    fact of this snapshot, and their counts are what the facts imply),
+    probability/calibration ranges, calibration bucket arithmetic, and
+    the marginals CRC.  [Ok] on every snapshot {!build}
     publishes; an [Error] means a reader observed torn state. *)

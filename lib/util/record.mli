@@ -21,9 +21,7 @@ exception Malformed of string
 val header : string -> string -> string
 (** [header tag payload] is the record's first line, newline included.
     For writers that stream a record in pieces:
-    [header tag payload ^ payload ^ terminator = frame tag payload]. *)
-
-val terminator : string
+    [header tag payload ^ payload ^ "\n" = frame tag payload]. *)
 
 val frame : string -> string -> string
 (** [frame tag payload] is the whole record. *)

@@ -16,6 +16,17 @@ module Pipeline = Dd_kbc.Pipeline
 module Calibration = Dd_kbc.Calibration
 module Snapshot = Dd_serve.Snapshot
 module Server = Dd_serve.Server
+module Oracle = Dd_oracle.Snapshot_full
+module Systems = Dd_kbc.Systems
+module Program = Dd_core.Program
+module Grounding = Dd_core.Grounding
+module Schema = Dd_relational.Schema
+module Ast = Dd_datalog.Ast
+module Dred = Dd_datalog.Dred
+module Semantics = Dd_fgraph.Semantics
+module Source = Dd_ingest.Source
+module Batcher = Dd_ingest.Batcher
+module Feed = Dd_ingest.Feed
 
 let tiny_config = { Corpus.default with Corpus.docs = 12; relations = 2; entities = 20; seed = 5 }
 
@@ -357,6 +368,309 @@ let test_driver_quarantine_stream () =
   Alcotest.(check int) "no commits" 0 h.Server.writer_commits;
   Alcotest.(check int) "two dead letters" 2 (List.length (Txn.dead_letters txn))
 
+(* --- equivalence with the full build ------------------------------------- *)
+
+(* Fields compared bit for bit: floats by their bits, tuples by their
+   marshalled bytes. *)
+let same_fact (a : Snapshot.fact) (b : Snapshot.fact) =
+  String.equal a.Snapshot.relation b.Snapshot.relation
+  && String.equal (Marshal.to_string a.Snapshot.tuple []) (Marshal.to_string b.Snapshot.tuple [])
+  && bits a.Snapshot.probability = bits b.Snapshot.probability
+  && bits a.Snapshot.calibrated = bits b.Snapshot.calibrated
+  && a.Snapshot.evidence = b.Snapshot.evidence
+
+let same_facts a b = List.length a = List.length b && List.for_all2 same_fact a b
+
+(* Every query the snapshot answers, against the full build of the same
+   engine state; [misses] are keys neither may serve. *)
+let check_equivalent ?(misses = []) label snap oracle =
+  let fail fmt = Printf.ksprintf (fun m -> Alcotest.fail (label ^ ": " ^ m)) fmt in
+  (match Snapshot.verify snap with Ok () -> () | Error m -> fail "verify: %s" m);
+  let all = Oracle.top_k oracle max_int in
+  if not (same_facts (Snapshot.top_k snap max_int) all) then fail "facts differ";
+  if Snapshot.num_facts snap <> List.length all then fail "num_facts differs";
+  let relations = Oracle.relations oracle in
+  if Snapshot.relations snap <> relations then fail "relations differ";
+  List.iter
+    (fun r ->
+      if
+        not
+          (same_facts
+             (Array.to_list (Snapshot.relation_facts snap r))
+             (Array.to_list (Oracle.relation_facts oracle r)))
+      then fail "relation_facts %s differ" r)
+    ("no_such_relation" :: relations);
+  List.iter
+    (fun (f : Snapshot.fact) ->
+      match Snapshot.lookup snap ~relation:f.Snapshot.relation f.Snapshot.tuple with
+      | Some g when same_fact f g -> ()
+      | _ -> fail "lookup %s%s" f.Snapshot.relation (Tuple.to_string f.Snapshot.tuple))
+    all;
+  List.iter
+    (fun (relation, tuple) ->
+      if Snapshot.lookup snap ~relation tuple <> None then fail "served %s" (Tuple.to_string tuple);
+      if Oracle.lookup oracle ~relation tuple <> None then
+        fail "the full build serves %s" (Tuple.to_string tuple))
+    misses;
+  let values = Hashtbl.create 64 in
+  List.iter
+    (fun (f : Snapshot.fact) ->
+      Array.iter (function Value.Str v -> Hashtbl.replace values v () | _ -> ()) f.Snapshot.tuple)
+    all;
+  Hashtbl.replace values "no such value" ();
+  Hashtbl.iter
+    (fun v () ->
+      if not (same_facts (Snapshot.entity_facts snap v) (Oracle.entity_facts oracle v)) then
+        fail "entity_facts %s differ" v)
+    values;
+  List.iter
+    (fun relation ->
+      List.iter
+        (fun thr ->
+          if Snapshot.count_above snap ?relation thr <> Oracle.count_above oracle ?relation thr then
+            fail "count_above %g differs" thr;
+          if not (same_facts (Snapshot.above snap ?relation thr) (Oracle.above oracle ?relation thr))
+          then fail "above %g differs" thr)
+        [ 0.0; 0.1; 0.5; 0.75; 0.9; 1.0; 1.1 ];
+      List.iter
+        (fun k ->
+          if not (same_facts (Snapshot.top_k snap ?relation k) (Oracle.top_k oracle ?relation k))
+          then fail "top_k %d differs" k)
+        [ 0; 1; 5; 50 ])
+    (None :: List.map Option.some relations);
+  if
+    not
+      (String.equal
+         (Marshal.to_string (Snapshot.calibration snap) [])
+         (Marshal.to_string (Oracle.calibration oracle) []))
+  then fail "calibration differs";
+  if not (identical (Snapshot.marginals snap) (Oracle.marginals oracle)) then fail "marginals differ"
+
+(* After every publish (commit or quarantine), compare the served
+   snapshot with a full build of the live engine; hold each snapshot
+   and compare it again five publishes later. *)
+let watch ?truth ?(misses = fun () -> []) txn server =
+  let published = ref 0 and held = Queue.create () in
+  Txn.on_event txn (function
+    | Txn.Degraded _ -> ()
+    | Txn.Committed _ | Txn.Quarantined _ ->
+      incr published;
+      let snap = Server.current server in
+      let oracle = Oracle.build ?truth (Txn.engine txn) in
+      let label = Printf.sprintf "epoch %d" (Snapshot.epoch snap) in
+      check_equivalent ~misses:(misses ()) label snap oracle;
+      Queue.push (label, snap, oracle) held;
+      if Queue.length held > 5 then begin
+        let label, snap, oracle = Queue.pop held in
+        check_equivalent (label ^ ", held across five publishes") snap oracle
+      end);
+  published
+
+let stream_program () =
+  Program.add_rules (Pipeline.base_program ())
+    (Pipeline.rules_of Pipeline.FE1 @ Pipeline.rules_of Pipeline.S1 @ Pipeline.rules_of Pipeline.S2)
+
+let test_equivalence_streams () =
+  Fault.reset ();
+  List.iter
+    (fun seed ->
+      let config =
+        { Source.default with Source.docs = 90; entities = 12; seed; primary_first = 0.3; alias_lag = 0.7 }
+      in
+      let db = Database.create () in
+      Feed.prepare_database db (Source.synthetic config);
+      let engine = Engine.create ~options:quick_options db (stream_program ()) in
+      let txn = Txn.create engine in
+      let server = Server.create txn in
+      check_equivalent "initial" (Server.current server) (Oracle.build engine);
+      let published = watch txn server in
+      let feed = Feed.create txn in
+      let summary = Feed.run feed (Source.synthetic config) (Batcher.create ~max_docs:4 ()) in
+      Alcotest.(check int) "no quarantine" 0 summary.Feed.run_quarantined;
+      Alcotest.(check bool) (Printf.sprintf "seed %d merges late aliases" seed) true
+        ((Feed.stats feed).Feed.merges > 0);
+      Alcotest.(check bool) "every batch published" true (!published >= 10))
+    [ 11; 12; 13 ]
+
+let test_equivalence_presets () =
+  Fault.reset ();
+  List.iter
+    (fun config ->
+      let corpus = Corpus.generate config in
+      let db = Database.create () in
+      Corpus.load corpus db;
+      let engine = Engine.create ~options:quick_options db (Pipeline.base_program ()) in
+      let txn = Txn.create engine in
+      let truth = corpus.Corpus.truth in
+      let server = Server.create ~truth txn in
+      check_equivalent "initial" (Server.current server) (Oracle.build ~truth engine);
+      let published = watch ~truth txn server in
+      List.iter
+        (fun rid ->
+          match Txn.apply txn (Pipeline.update_of rid) with
+          | Ok _ -> ()
+          | Error e -> Alcotest.fail (Txn.error_message e))
+        Pipeline.all_rule_ids;
+      Alcotest.(check int) "six publishes" 6 !published;
+      Alcotest.(check bool) "calibrated" true (Snapshot.calibration (Server.current server) <> None))
+    Systems.all
+
+(* A miniature program: items with features, one classifier, and a link
+   rule that correlates linked items. *)
+let item_schema = Schema.make [ ("item", Value.TStr); ("feature", Value.TStr) ]
+let link_schema = Schema.make [ ("a", Value.TStr); ("b", Value.TStr) ]
+let label_schema = Schema.make [ ("item", Value.TStr); ("lbl", Value.TBool) ]
+let str = Value.str
+
+let items_fixture ~links =
+  let v name = Ast.Var name and atom = Ast.atom in
+  let db = Database.create () in
+  ignore (Database.create_table db "item_feature" item_schema);
+  ignore (Database.create_table db "link" link_schema);
+  ignore (Database.create_table db "label_src" label_schema);
+  List.iter
+    (fun (item, feature) -> Database.insert_rows db "item_feature" [ [| str item; str feature |] ])
+    [ ("a", "f1"); ("b", "f1"); ("c", "f2"); ("d", "f2") ];
+  Database.insert_rows db "label_src" [ [| str "a"; Value.Bool true |] ];
+  List.iter (fun (x, y) -> Database.insert_rows db "link" [ [| str x; str y |] ]) links;
+  let infer name head body weight semantics populate_head =
+    Program.Infer
+      { Program.name; head; body; guards = []; weight; semantics; populate_head }
+  in
+  let prog =
+    {
+      Program.input_schemas =
+        [ ("item_feature", item_schema); ("link", link_schema); ("label_src", label_schema) ];
+      query_relations = [ ("is_pos", Schema.make [ ("item", Value.TStr) ]) ];
+      rules =
+        [
+          infer "classify" (atom "is_pos" [ v "x" ])
+            [ Ast.Pos (atom "item_feature" [ v "x"; v "f" ]) ]
+            (Program.Tied [ v "f" ]) Semantics.Linear true;
+          Program.Supervise
+            ( "labels",
+              Ast.rule (atom "is_pos_ev" [ v "x"; v "l" ]) [ Ast.Pos (atom "label_src" [ v "x"; v "l" ]) ]
+            );
+          infer "linked" (atom "is_pos" [ v "x" ])
+            [ Ast.Pos (atom "is_pos" [ v "y" ]); Ast.Pos (atom "link" [ v "x"; v "y" ]) ]
+            (Program.Fixed 0.8) Semantics.Logical false;
+        ];
+    }
+  in
+  (db, prog)
+
+let new_item item feature =
+  let delta = Dred.Delta.create () in
+  Dred.Delta.insert delta "item_feature" [| str item; str feature |];
+  Grounding.data_update delta
+
+(* A rolled-back update leaves var ids free that the next update takes
+   with other tuples.  Through [Txn], a quarantine republishes; the same
+   on the engine directly, where a snapshot published inside the
+   transaction holds a layout naming the rolled-back variable. *)
+let test_equivalence_rollback () =
+  Fault.reset ();
+  let db, prog = items_fixture ~links:[ ("b", "c"); ("c", "d") ] in
+  let engine = Engine.create ~options:quick_options db prog in
+  let options = { Txn.max_retries = 0; allow_rematerialize = false; allow_rerun = false } in
+  let txn = Txn.create ~options engine in
+  let server = Server.create txn in
+  let gone = ("is_pos", [| str "e" |]) in
+  let published = watch ~misses:(fun () -> [ gone ]) txn server in
+  Fault.arm "engine.apply_update.post_ground" (Fault.Nth 1);
+  (match Txn.apply txn (new_item "e" "f1") with
+  | Ok _ -> Alcotest.fail "poisoned update committed"
+  | Error _ -> ());
+  Fault.reset ();
+  (match Txn.apply txn (new_item "z" "f2") with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Txn.error_message e));
+  Alcotest.(check int) "quarantine and commit published" 2 !published;
+  let engine = Txn.engine txn in
+  let z = Grounding.var_of (Engine.grounding engine) "is_pos" [| str "z" |] in
+  Alcotest.(check (option int)) "z took the freed id" (Some 4) z;
+  (* Directly: publish inside a transaction, roll back, re-create. *)
+  let db, prog = items_fixture ~links:[ ("b", "c"); ("c", "d") ] in
+  let engine = Engine.create ~options:quick_options db prog in
+  let first = Snapshot.build ~epoch:1 ~txn_seq:0 engine in
+  let x = Engine.txn_begin engine in
+  ignore (Engine.apply_update engine (new_item "e" "f1"));
+  let inside = Snapshot.next first ~epoch:2 ~txn_seq:1 engine in
+  let inside_oracle = Oracle.build engine in
+  check_equivalent "inside the transaction" inside inside_oracle;
+  Engine.txn_rollback engine x;
+  let rolled = Snapshot.next inside ~epoch:3 ~txn_seq:0 engine in
+  check_equivalent ~misses:[ gone ] "rolled back" rolled (Oracle.build engine);
+  ignore (Engine.apply_update engine (new_item "z" "f2"));
+  let oracle = Oracle.build engine in
+  check_equivalent ~misses:[ gone ] "re-created after the in-transaction layout"
+    (Snapshot.next inside ~epoch:4 ~txn_seq:1 engine) oracle;
+  check_equivalent ~misses:[ gone ] "re-created after the rolled-back layout"
+    (Snapshot.next rolled ~epoch:4 ~txn_seq:1 engine) oracle;
+  check_equivalent "the in-transaction snapshot still answers" inside inside_oracle
+
+(* The Rerun rung replaces the engine mid-stream: its grounding numbers
+   the variables in sorted order, not in arrival order, so the layout
+   starts again. *)
+let test_equivalence_rerun () =
+  Fault.reset ();
+  let config = { Source.default with Source.docs = 60; entities = 10; seed = 21 } in
+  let db = Database.create () in
+  Feed.prepare_database db (Source.synthetic config);
+  let engine = Engine.create ~options:quick_options db (stream_program ()) in
+  let options = { Txn.max_retries = 0; allow_rematerialize = false; allow_rerun = true } in
+  let txn = Txn.create ~options engine in
+  let server = Server.create txn in
+  let published = watch txn server in
+  let feed = Feed.create txn in
+  let source = Source.synthetic config and batcher = Batcher.create ~max_docs:4 () in
+  let batches = ref 0 and reruns = ref 0 in
+  let ingest batch =
+    incr batches;
+    if !batches = 8 then Fault.arm "engine.apply_update.post_ground" (Fault.Nth 1);
+    match (Feed.ingest feed batch).Feed.outcome with
+    | Ok outcome -> if outcome.Txn.rung = Txn.Rerun then incr reruns
+    | Error e -> Alcotest.fail (Txn.error_message e)
+  in
+  let rec pump () =
+    match Source.next source with
+    | Some doc ->
+      Option.iter ingest (Batcher.push batcher doc);
+      pump ()
+    | None -> Option.iter ingest (Batcher.drain batcher)
+  in
+  pump ();
+  Fault.reset ();
+  Alcotest.(check int) "one batch took the rerun rung" 1 !reruns;
+  Alcotest.(check bool) "engine replaced" true (Txn.engine txn != engine);
+  Alcotest.(check int) "every batch published" !batches !published
+
+(* The test_core "deletion regrounds" fixture: deleting the only support
+   of a linked grounding makes the engine ground again, and a new item
+   there takes the id of one added before ("g" sorts before "z"). *)
+let test_equivalence_reground () =
+  Fault.reset ();
+  let db, prog = items_fixture ~links:[ ("a", "b"); ("b", "c"); ("c", "d") ] in
+  let engine = Engine.create ~options:quick_options db prog in
+  let txn = Txn.create engine in
+  let server = Server.create txn in
+  let published = watch txn server in
+  (match Txn.apply txn (new_item "z" "f2") with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Txn.error_message e));
+  let delta = Dred.Delta.create () in
+  Dred.Delta.delete delta "link" [| str "a"; str "b" |];
+  Dred.Delta.insert delta "item_feature" [| str "g"; str "f1" |];
+  (match Txn.apply txn (Grounding.data_update delta) with
+  | Ok outcome ->
+    Alcotest.(check bool) "regrounded" true
+      outcome.Txn.report.Engine.grounding.Grounding.needs_rebuild
+  | Error e -> Alcotest.fail (Txn.error_message e));
+  (match Txn.apply txn (new_item "h" "f1") with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail (Txn.error_message e));
+  Alcotest.(check int) "three publishes" 3 !published
+
 (* --- properties ---------------------------------------------------------- *)
 
 let qcheck_tests =
@@ -413,6 +727,11 @@ let () =
         [
           Alcotest.test_case "queries vs reference marginals" `Quick test_snapshot_queries;
           Alcotest.test_case "calibrated probabilities" `Quick test_snapshot_calibration;
+          Alcotest.test_case "equals the full build: streams" `Quick test_equivalence_streams;
+          Alcotest.test_case "equals the full build: presets" `Quick test_equivalence_presets;
+          Alcotest.test_case "equals the full build: rollback" `Quick test_equivalence_rollback;
+          Alcotest.test_case "equals the full build: rerun rung" `Quick test_equivalence_rerun;
+          Alcotest.test_case "equals the full build: reground" `Quick test_equivalence_reground;
         ] );
       ( "server",
         [
