@@ -20,12 +20,15 @@ verify:
 bench:
 	dune exec bench/main.exe -- $(ARGS)
 
-# Line totals of lib/ .ml and .mli files: the net lib/ delta that
-# CHANGES.md records for each change.
+# Line totals of lib/ and test/oracle .ml and .mli files: the net lib/
+# delta that CHANGES.md records for each change, and where code moved
+# out of lib/ into the test oracles lands.
 loc:
-	@printf 'lib .ml   %6d\n' $$(find lib -name '*.ml' -exec cat {} + | wc -l)
-	@printf 'lib .mli  %6d\n' $$(find lib -name '*.mli' -exec cat {} + | wc -l)
-	@printf 'lib total %6d\n' $$(find lib \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l)
+	@for d in lib test/oracle; do \
+	  printf '%s .ml   %6d\n' $$d $$(find $$d -name '*.ml' -exec cat {} + | wc -l); \
+	  printf '%s .mli  %6d\n' $$d $$(find $$d -name '*.mli' -exec cat {} + | wc -l); \
+	  printf '%s total %6d\n' $$d $$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l); \
+	done
 
 clean:
 	dune clean

@@ -7,6 +7,7 @@ module Graph = Dd_fgraph.Graph
 module Compiled = Dd_inference.Compiled
 module Metropolis = Dd_inference.Metropolis
 module Materialize = Dd_core.Materialize
+module Strawman = Dd_oracle.Strawman
 module Approx = Dd_variational.Approx
 module Prng = Dd_util.Prng
 module Timer = Dd_util.Timer
@@ -18,7 +19,11 @@ let accepted_goal = 100
 (* Inference time of the sampling approach: enough proposals for roughly
    [accepted_goal] accepted samples at the probed acceptance rate. *)
 let sampling_inference_time rng change ~stored =
-  let probe = Metropolis.acceptance_probe (Prng.copy rng) change ~stored ~probes:50 in
+  let probe =
+    (Metropolis.infer (Prng.copy rng) change ~stored
+       ~chain_length:(min 50 (Array.length stored)))
+      .Metropolis.acceptance_rate
+  in
   let chain_length =
     int_of_float (ceil (float_of_int accepted_goal /. max 0.005 probe))
   in
@@ -47,7 +52,7 @@ let fig5a ~full =
       (* Materialization. *)
       let strawman = ref None in
       let straw_mat =
-        if n <= 17 then Some (Timer.time_s (fun () -> strawman := Some (Materialize.strawman g)))
+        if n <= 17 then Some (Timer.time_s (fun () -> strawman := Some (Strawman.materialize g)))
         else None
       in
       let stored = ref [||] in
@@ -70,7 +75,7 @@ let fig5a ~full =
         Option.map
           (fun _ ->
             Timer.time_s (fun () ->
-                ignore (Materialize.strawman_marginals (Option.get !strawman) change)))
+                ignore (Strawman.marginals (Option.get !strawman) change)))
           straw_mat
       in
       let sample_inf, _rate = sampling_inference_time rng change ~stored:!stored in

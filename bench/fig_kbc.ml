@@ -14,7 +14,8 @@ module Compiled = Dd_inference.Compiled
 module Engine = Dd_core.Engine
 module Grounding = Dd_core.Grounding
 module Materialize = Dd_core.Materialize
-module Decompose = Dd_core.Decompose
+module Decompose = Dd_oracle.Decompose
+module Budget_materialize = Dd_oracle.Budget_materialize
 module Approx = Dd_variational.Approx
 module Database = Dd_relational.Database
 module Prng = Dd_util.Prng
@@ -308,7 +309,7 @@ let fig15 ~full =
       let grounding = Grounding.ground db (Pipeline.full_program ()) in
       let g = Grounding.graph grounding in
       let rng = Prng.create 17 in
-      let m = Materialize.materialize_within_budget rng g ~seconds:budget in
+      let m = Budget_materialize.materialize rng g ~seconds:budget in
       Table.add_row table
         [
           config.Corpus.name;

@@ -10,7 +10,7 @@
 open Harness
 module Corpus = Dd_kbc.Corpus
 module Systems = Dd_kbc.Systems
-module Soak = Dd_kbc.Soak
+module Soak = Dd_oracle.Soak
 module Engine = Dd_core.Engine
 module Timer = Dd_util.Timer
 module Table = Dd_util.Table

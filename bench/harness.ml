@@ -4,7 +4,6 @@
 
 module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
-module Gibbs = Dd_inference.Gibbs
 module Metropolis = Dd_inference.Metropolis
 module Prng = Dd_util.Prng
 module Timer = Dd_util.Timer
@@ -205,8 +204,9 @@ let calibrate_acceptance rng g ~stored ~target =
   let probe delta =
     let change = perturb_weights (Prng.copy rng) g delta in
     let rate =
-      Metropolis.acceptance_probe (Prng.create 99) change ~stored
-        ~probes:(min 200 (Array.length stored))
+      (Metropolis.infer (Prng.create 99) change ~stored
+         ~chain_length:(min 200 (Array.length stored)))
+        .Metropolis.acceptance_rate
     in
     restore_weights g change;
     rate

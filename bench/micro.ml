@@ -4,7 +4,7 @@
 
 open Harness
 module Graph = Dd_fgraph.Graph
-module Gibbs = Dd_inference.Gibbs
+module Gibbs = Dd_oracle.Gibbs
 module Compiled = Dd_inference.Compiled
 module Prng = Dd_util.Prng
 module Value = Dd_relational.Value

@@ -2,7 +2,7 @@
    measured against its oracle and across its parallel modes.
 
    - Oracle vs compiled at one domain: sweeps/s of the naive graph-walking
-     sampler (Dd_inference.Gibbs, which re-evaluates every adjacent factor
+     sampler (Dd_oracle.Gibbs, which re-evaluates every adjacent factor
      per conditional) and of the compiled CSR kernel, on pairwise, voting
      and grounded KBC graphs.  The gap explodes on aggregation factors
      (the voting program, one body per vote) and stays a constant factor
@@ -32,9 +32,9 @@
 open Harness
 module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
-module Exact = Dd_fgraph.Exact
+module Exact = Dd_oracle.Exact
 module Voting = Dd_fgraph.Voting
-module Gibbs = Dd_inference.Gibbs
+module Gibbs = Dd_oracle.Gibbs
 module Compiled = Dd_inference.Compiled
 module Par_gibbs = Dd_parallel.Par_gibbs
 module Partition = Dd_parallel.Partition

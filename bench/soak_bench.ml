@@ -15,9 +15,9 @@ module Corpus = Dd_kbc.Corpus
 module Engine = Dd_core.Engine
 module Fault_file = Dd_util.Fault_file
 module Checkpoint = Dd_kbc.Checkpoint
-module Soak = Dd_kbc.Soak
+module Soak = Dd_oracle.Soak
 module Source = Dd_ingest.Source
-module Soak_driver = Dd_ingest.Soak_driver
+module Soak_driver = Dd_oracle.Soak_driver
 module Server = Dd_serve.Server
 module Snapshot = Dd_serve.Snapshot
 module Timer = Dd_util.Timer

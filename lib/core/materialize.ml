@@ -1,39 +1,8 @@
 module Graph = Dd_fgraph.Graph
-module Exact = Dd_fgraph.Exact
 module Compiled = Dd_inference.Compiled
 module Metropolis = Dd_inference.Metropolis
 module Approx = Dd_variational.Approx
 module Par_gibbs = Dd_parallel.Par_gibbs
-module Timer = Dd_util.Timer
-
-type strawman = { worlds : (bool array * float) array }
-
-let strawman g = { worlds = Array.of_list (Exact.enumerate g) }
-
-let strawman_marginals s change =
-  let nvars = Graph.num_vars change.Metropolis.graph in
-  (* Reweight each stored world by exp(delta); new variables do not exist
-     in stored worlds and are marginalized by extending each world both
-     ways would be exponential — the strawman is only used on unchanged
-     variable sets, so we require none. *)
-  if change.Metropolis.new_vars <> [] then
-    invalid_arg "Materialize.strawman_marginals: strawman cannot absorb new variables";
-  let reweighted =
-    Array.map
-      (fun (world, p) ->
-        let delta = Metropolis.delta_log_weight change world in
-        (world, p *. exp delta))
-      s.worlds
-  in
-  let z = Array.fold_left (fun acc (_, p) -> acc +. p) 0.0 reweighted in
-  let marginals = Array.make nvars 0.0 in
-  Array.iter
-    (fun (world, p) ->
-      for v = 0 to min nvars (Array.length world) - 1 do
-        if world.(v) then marginals.(v) <- marginals.(v) +. p
-      done)
-    reweighted;
-  Array.map (fun m -> if z > 0.0 then m /. z else 0.0) marginals
 
 type t = {
   samples : bool array array;
@@ -43,12 +12,6 @@ type t = {
   base_var_count : int;
   base_evidence : Graph.evidence array;
 }
-
-let baseline g =
-  ( Array.init (Graph.num_weights g) (Graph.weight_value g),
-    Graph.num_factors g,
-    Graph.num_vars g,
-    Array.init (Graph.num_vars g) (Graph.evidence_of g) )
 
 let materialize ?(n_samples = 200) ?(burn_in = 20) ?(lambda = 0.1)
     ?(variational_var_limit = 600) ?(with_variational = true) ?(domains = 1) ~kernel rng =
@@ -63,28 +26,13 @@ let materialize ?(n_samples = 200) ?(burn_in = 20) ?(lambda = 0.1)
     end
     else None
   in
-  let base_weights, base_factor_count, base_var_count, base_evidence = baseline g in
-  { samples; variational; base_weights; base_factor_count; base_var_count; base_evidence }
-
-let materialize_within_budget ?(burn_in = 20) rng g ~seconds =
-  let timer = Timer.start () in
-  let st = Compiled.make_state rng (Compiled.compile g) in
-  for _ = 1 to burn_in do
-    Compiled.sweep rng st
-  done;
-  let acc = ref [] in
-  while Timer.elapsed_s timer < seconds do
-    Compiled.sweep rng st;
-    acc := Compiled.snapshot st :: !acc
-  done;
-  let base_weights, base_factor_count, base_var_count, base_evidence = baseline g in
   {
-    samples = Array.of_list (List.rev !acc);
-    variational = None;
-    base_weights;
-    base_factor_count;
-    base_var_count;
-    base_evidence;
+    samples;
+    variational;
+    base_weights = Array.init (Graph.num_weights g) (Graph.weight_value g);
+    base_factor_count = Graph.num_factors g;
+    base_var_count = Graph.num_vars g;
+    base_evidence = Array.init (Graph.num_vars g) (Graph.evidence_of g);
   }
 
 let cumulative_change m g ~extension_origin =

@@ -1,8 +1,6 @@
-(** The three materialization strategies of Section 3.2.
+(** The materialization strategies of Section 3.2 that incremental
+    inference runs on.
 
-    - {b Strawman} (3.2.1): store the probability of every possible world.
-      Perfect fidelity, exponential cost — usable below ~20 variables and
-      kept as the fidelity baseline of Figure 5(a).
     - {b Sampling} (3.2.2): store worlds drawn from the original
       distribution (MCDB-style tuple bundles); incremental inference reuses
       them as independent Metropolis-Hastings proposals.
@@ -19,18 +17,6 @@
 
 module Graph = Dd_fgraph.Graph
 module Metropolis = Dd_inference.Metropolis
-
-(** {1 Strawman} *)
-
-type strawman = { worlds : (bool array * float) array }
-
-val strawman : Graph.t -> strawman
-(** Enumerate and store every world with its probability.  Raises on graphs
-    beyond {!Dd_fgraph.Exact.max_enumerable} query variables. *)
-
-val strawman_marginals : strawman -> Metropolis.change -> float array
-(** Exact marginals under the changed distribution: each stored world is
-    reweighted by [exp (delta log-weight)] — no access to original factors. *)
 
 (** {1 Combined materialization} *)
 
@@ -60,12 +46,6 @@ val materialize :
     (default 1, the bit-exact sequential path) draws the worlds from that
     many independent chains in parallel via
     {!Dd_parallel.Par_gibbs.sample_worlds}. *)
-
-val materialize_within_budget :
-  ?burn_in:int -> Dd_util.Prng.t -> Graph.t -> seconds:float -> t
-(** Best-effort materialization: keep drawing samples until the wall-clock
-    budget runs out (the paper's "as many samples as possible when idle"
-    policy, Figure 15); no variational artifact. *)
 
 (** {1 Inference against the materialization} *)
 

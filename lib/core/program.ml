@@ -59,8 +59,6 @@ let supervision_rules t =
 
 let is_query_relation t name = List.mem_assoc name t.query_relations
 
-let query_schema t name = List.assoc name t.query_relations
-
 let add_rules t rules = { t with rules = t.rules @ rules }
 
 let validate t =

@@ -76,8 +76,6 @@ val supervision_rules : t -> (string * Ast.rule) list
 
 val is_query_relation : t -> string -> bool
 
-val query_schema : t -> string -> Schema.t
-
 val add_rules : t -> rule list -> t
 
 val validate : t -> (unit, string) result

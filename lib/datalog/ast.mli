@@ -61,9 +61,4 @@ val check_program : program -> (unit, string) result
 val idb_preds : program -> string list
 (** Predicates appearing in some head (sorted, distinct). *)
 
-val pp_term : Format.formatter -> term -> unit
-val pp_atom : Format.formatter -> atom -> unit
-val pp_literal : Format.formatter -> literal -> unit
-val pp_guard : Format.formatter -> guard -> unit
-val pp_rule : Format.formatter -> rule -> unit
 val rule_to_string : rule -> string

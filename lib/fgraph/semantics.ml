@@ -21,5 +21,3 @@ let of_string = function
   | "logical" -> Some Logical
   | "ratio" -> Some Ratio
   | _ -> None
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -18,5 +18,3 @@ val all : t list
 val to_string : t -> string
 
 val of_string : string -> t option
-
-val pp : Format.formatter -> t -> unit

@@ -27,15 +27,15 @@ let ratio_table_len = 64
 let ratio_g = Array.init ratio_table_len (fun n -> log (1.0 +. float_of_int n))
 
 (* Must compute exactly what [Semantics.g] computes (agreement with the
-   {!Gibbs} oracle depends on it). *)
+   naive Gibbs oracle in test/oracle depends on it). *)
 let[@inline] g_of tag n =
   if tag = sem_linear then float_of_int n
   else if tag = sem_logical then if n > 0 then 1.0 else 0.0
   else if n < ratio_table_len then Array.unsafe_get ratio_g n
   else log (1.0 +. float_of_int n)
 
-(* The same expression as [Stats.sigmoid], which the {!Gibbs} oracle
-   calls. *)
+(* The same expression as [Stats.sigmoid], which the naive Gibbs
+   oracle calls. *)
 let[@inline] sigmoid x =
   if x >= 0.0 then 1.0 /. (1.0 +. exp (-.x))
   else begin
@@ -91,8 +91,6 @@ type t = {
 
 let graph t = t.graph
 let num_vars t = t.nvars
-let num_factors t = t.nfactors
-let num_weights t = Array.length t.weights
 let num_query t = Array.length t.query
 let query_vars t = Array.copy t.query
 let num_coupled t = Array.length t.coupled
@@ -470,8 +468,8 @@ let[@inline] counters_delta st v =
     let sem = Array.unsafe_get k.f_sem fid in
     let h = Array.unsafe_get k.f_head fid in
     (* Per factor [w *. sign *. g(sem, n)], as [Graph.factor_energy]
-       computes it; only the summation order differs from the {!Gibbs}
-       oracle's. *)
+       computes it; only the summation order differs from the naive
+       Gibbs oracle's. *)
     let sign_true =
       if h < 0 || h = v then 1.0
       else if Bytes.unsafe_get st.assign h <> '\000' then 1.0

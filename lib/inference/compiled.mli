@@ -31,10 +31,10 @@
     time; {!refresh_weights} re-reads them from the graph, which is the
     cheap "recompile" path when learning moved weights but the structure
     did not change.  A packed query-variable array replaces the
-    per-variable evidence branch of {!Gibbs.sweep}.
+    per-variable evidence branch of [Dd_oracle.Gibbs.sweep].
 
     This is the only Gibbs sampler on production paths; the naive
-    {!Gibbs} module stays as its test oracle.
+    [Dd_oracle.Gibbs] (under [test/oracle]) stays as its test oracle.
 
     {b Isolated and coupled query variables.}  [compile] splits the
     query set once, in one pass over the literals: a query variable is
@@ -63,13 +63,13 @@
     unchanged bits.
 
     Determinism contract: for a given [(seed, graph)], {!make_state}
-    draws the initial world exactly as {!Gibbs.init_assignment} does and
-    {!sweep} draws from the PRNG in exactly the order and count of
-    {!Gibbs.sweep} (ascending variable id over query variables, one
-    Bernoulli draw each), so the two PRNG streams stay in step.  The
-    conditional sums the same per-factor energies as
-    {!Gibbs.conditional_true_prob} in a different order, so the two
-    agree to floating-point reassociation (within 1e-9), and
+    draws the initial world exactly as [Dd_oracle.Gibbs.init_assignment]
+    does and {!sweep} draws from the PRNG in exactly the order and count
+    of [Dd_oracle.Gibbs.sweep] (ascending variable id over query
+    variables, one Bernoulli draw each), so the two PRNG streams stay in
+    step.  The conditional sums the same per-factor energies as
+    [Dd_oracle.Gibbs.conditional_true_prob] in a different order, so the
+    two agree to floating-point reassociation (within 1e-9), and
     trajectories agree per seed unless a uniform draw lands between the
     two values (asserted by tests).  {!marginals} draws the same initial
     world and then one Bernoulli per {e coupled} variable per sweep; on
@@ -113,8 +113,6 @@ val matches_structure : t -> Graph.t -> bool
     {!make_state} reads the values from the graph. *)
 
 val num_vars : t -> int
-val num_factors : t -> int
-val num_weights : t -> int
 val num_query : t -> int
 
 val query_vars : t -> int array
@@ -147,8 +145,8 @@ val learnable_active : t -> int array
 
 val make_state : ?init:bool array -> Dd_util.Prng.t -> t -> state
 (** Build counters for an initial assignment.  [init] defaults to
-    {!Gibbs.init_assignment} (consuming the PRNG identically); raises
-    [Invalid_argument] on a size mismatch. *)
+    [Dd_oracle.Gibbs.init_assignment] (consuming the PRNG identically);
+    raises [Invalid_argument] on a size mismatch. *)
 
 val kernel : state -> t
 
@@ -224,8 +222,8 @@ val sample_worlds :
 (** Draw [n] worlds from one fresh chain, [spacing] sweeps apart
     (default 1) after [burn_in] (default 10) — the tuple-bundle store of
     the sampling materialization; the compiled counterpart of
-    {!Gibbs.sample_worlds}.  Reads the kernel only, so several domains
-    may draw chains from one shared kernel concurrently. *)
+    [Dd_oracle.Gibbs.sample_worlds].  Reads the kernel only, so several
+    domains may draw chains from one shared kernel concurrently. *)
 
 val sweeps_to_converge :
   ?tolerance:float ->
@@ -235,7 +233,7 @@ val sweeps_to_converge :
   target_var:Graph.var ->
   target_prob:float ->
   int option
-(** As {!Gibbs.sweeps_to_converge}, on a fresh compiled chain. *)
+(** As [Dd_oracle.Gibbs.sweeps_to_converge], on a fresh compiled chain. *)
 
 val ratio_table_len : int
 (** [Ratio]'s [g = log (1 + n)] is read from a table for satisfied-body

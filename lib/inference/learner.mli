@@ -15,10 +15,6 @@
 
 module Graph = Dd_fgraph.Graph
 
-val feature_counts : Graph.t -> bool array -> (Graph.weight_id * float) list
-(** Per learnable weight id, the energy gradient [sum over its factors of
-    sign * g(n)] in the given world. *)
-
 type cd_options = {
   epochs : int;
   learning_rate : float;
@@ -42,11 +38,6 @@ val train_cd :
     weight slots, and each step re-syncs it via
     {!Compiled.refresh_weights} (weights only — no regrounding, no
     structural rebuild), so it is left holding the learned weights. *)
-
-val pseudo_log_likelihood : ?worlds:int -> Dd_util.Prng.t -> Graph.t -> float
-(** Average log conditional probability of each evidence variable's label
-    given sampled assignments of the rest — the quality proxy for generic
-    graphs. *)
 
 (** {1 Logistic regression} *)
 

@@ -121,7 +121,6 @@ type result = {
   acceptance_rate : float;
   proposals : int;
   accepted : int;
-  exhausted : bool;
 }
 
 (* Extend a stored world to the updated graph: copy it, draw every new
@@ -174,9 +173,4 @@ let infer rng change ~stored ~chain_length =
     acceptance_rate = float_of_int !accepted /. float_of_int (max 1 chain_length);
     proposals = chain_length;
     accepted = !accepted;
-    exhausted = chain_length > nstored;
   }
-
-let acceptance_probe rng change ~stored ~probes =
-  let n = min probes (Array.length stored) in
-  if n = 0 then 1.0 else (infer rng change ~stored ~chain_length:n).acceptance_rate

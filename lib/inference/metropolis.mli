@@ -42,8 +42,6 @@ type result = {
   acceptance_rate : float;
   proposals : int;
   accepted : int;
-  exhausted : bool;
-      (** true when the chain consumed more proposals than stored samples *)
 }
 
 val infer :
@@ -62,9 +60,3 @@ val infer :
     variables in two Gibbs sweeps over their new and extended factors.
     Other variables keep their stored values, so stored worlds must hold
     the evidence they were drawn under (Gibbs chains' worlds do). *)
-
-val acceptance_probe :
-  Dd_util.Prng.t -> change -> stored:bool array array -> probes:int -> float
-(** Estimate the acceptance rate with a short probe chain; the rule-based
-    optimizer uses this to pick a strategy without committing to a full
-    run. *)

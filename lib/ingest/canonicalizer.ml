@@ -128,8 +128,6 @@ let declare_alias t a b =
 
 let entities t = Union_find.count t.uf
 
-let keys t = Hashtbl.length t.node_of_key
-
 let all_keys t = List.init (Union_find.length t.uf) (key_of t)
 
 let members t entity =

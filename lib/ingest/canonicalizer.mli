@@ -62,9 +62,6 @@ val declare_alias : t -> string -> string -> merge option
 val entities : t -> int
 (** Number of distinct canonical entities. *)
 
-val keys : t -> int
-(** Number of distinct normalized keys registered. *)
-
 val all_keys : t -> string list
 (** Every registered key, in registration order. *)
 

@@ -23,7 +23,8 @@
     engine's commit count ({!Dd_core.Engine.commits}): a base [ckpt-<n>]
     holds the engine after its [n]-th commit and WAL entry [n] is commit
     [n].  Crash sites in this module ({!fault_points}) and in the engine are instrumented with
-    {!Dd_util.Fault} points; {!Soak} is the crash harness built on top. *)
+    {!Dd_util.Fault} points; [Dd_oracle.Soak] (under [test/oracle]) is
+    the crash harness built on top. *)
 
 module Engine = Dd_core.Engine
 

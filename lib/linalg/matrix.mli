@@ -29,8 +29,6 @@ val update : t -> int -> int -> (float -> float) -> unit
 
 val copy : t -> t
 
-val map : (float -> float) -> t -> t
-
 val add : t -> t -> t
 
 val sub : t -> t -> t

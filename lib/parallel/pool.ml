@@ -8,7 +8,6 @@ type worker = {
 }
 
 type t = {
-  size : int;
   workers : worker array;  (** length [size - 1]; entry [i] is index [i + 1] *)
   mutable handles : unit Domain.t array;
   mutable alive : bool;
@@ -56,9 +55,7 @@ let create n =
         })
   in
   let handles = Array.mapi (fun i w -> Domain.spawn (fun () -> worker_loop w (i + 1))) workers in
-  { size; workers; handles; alive = true }
-
-let size t = t.size
+  { workers; handles; alive = true }
 
 let run t f =
   if not t.alive then invalid_arg "Pool.run: pool has been shut down";

@@ -20,8 +20,6 @@ type t
 val create : int -> t
 (** [create n] spawns a pool of size [max 1 n]. *)
 
-val size : t -> int
-
 val run : t -> (int -> unit) -> unit
 (** [run t f] executes [f 0 .. f (size - 1)] concurrently ([f 0] on the
     calling domain) and returns when all are finished.  If any [f d]

@@ -177,7 +177,6 @@ let create schema =
     total = 0;
   }
 
-let schema t = t.cs_schema
 let arity t = t.cs_arity
 let cardinality t = t.card
 let total_count t = t.total

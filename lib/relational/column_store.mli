@@ -35,8 +35,6 @@ type t
 
 val create : Schema.t -> t
 
-val schema : t -> Schema.t
-
 val arity : t -> int
 
 val cardinality : t -> int

@@ -33,12 +33,3 @@ let validate t =
   List.fold_left
     (fun acc name -> Result.bind acc (fun () -> Relation.validate (find t name)))
     (Ok ()) (table_names t)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  List.iter
-    (fun name ->
-      let r = find t name in
-      Format.fprintf fmt "%s: %d tuples@," name (Relation.cardinality r))
-    (table_names t);
-  Format.fprintf fmt "@]"

@@ -31,5 +31,3 @@ val copy : t -> t
 
 val validate : t -> (unit, string) result
 (** {!Relation.validate} over every table (first failure wins). *)
-
-val pp : Format.formatter -> t -> unit

@@ -123,8 +123,3 @@ let filter pred t =
   let out = create ~name:t.name t.schema in
   iter (fun tup c -> if pred tup then insert ~count:c out tup) t;
   out
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>%s%a {@," t.name Schema.pp t.schema;
-  iter (fun tup c -> Format.fprintf fmt "  %a x%d@," Tuple.pp tup c) t;
-  Format.fprintf fmt "}@]"

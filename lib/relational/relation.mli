@@ -108,5 +108,3 @@ val validate : t -> (unit, string) result
     {!Column_store.audit}. *)
 
 val filter : (Tuple.t -> bool) -> t -> t
-
-val pp : Format.formatter -> t -> unit

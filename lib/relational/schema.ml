@@ -24,10 +24,6 @@ let mem t name = Hashtbl.mem t.index name
 
 let names t = Array.to_list (Array.map (fun c -> c.name) t.cols)
 
-let equal a b =
-  Array.length a.cols = Array.length b.cols
-  && Array.for_all2 (fun x y -> x.name = y.name && x.ty = y.ty) a.cols b.cols
-
 let conforms t row =
   Array.length row = arity t
   && Array.for_all2 (fun c v -> Value.conforms v c.ty) t.cols row

@@ -18,8 +18,6 @@ val mem : t -> string -> bool
 
 val names : t -> string list
 
-val equal : t -> t -> bool
-
 val conforms : t -> Value.t array -> bool
 (** Arity and per-column type check ([Null] always conforms). *)
 

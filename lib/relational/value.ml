@@ -59,8 +59,6 @@ let ty_to_string = function
   | TFloat -> "float"
   | TStr -> "text"
 
-let pp_ty fmt ty = Format.pp_print_string fmt (ty_to_string ty)
-
 let int i = Int i
 let str s = Str s
 let bool b = Bool b

@@ -29,8 +29,6 @@ val to_string : t -> string
 
 val pp : Format.formatter -> t -> unit
 
-val pp_ty : Format.formatter -> ty -> unit
-
 val ty_to_string : ty -> string
 
 (** Convenience constructors/extractors; extractors raise [Invalid_argument]

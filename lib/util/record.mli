@@ -18,11 +18,6 @@
 
 exception Malformed of string
 
-val header : string -> string -> string
-(** [header tag payload] is the record's first line, newline included.
-    For writers that stream a record in pieces:
-    [header tag payload ^ payload ^ "\n" = frame tag payload]. *)
-
 val frame : string -> string -> string
 (** [frame tag payload] is the whole record. *)
 

@@ -1,10 +1,10 @@
 (** Disjoint-set forest with union by rank and path compression.
 
-    Used by the factor-graph decomposition heuristic (DESIGN.md, Appendix B.1
-    of the paper) to compute connected components of inactive variables, and
-    by the streaming entity canonicalizer ({!Dd_ingest.Canonicalizer}) to
-    merge surface forms across documents — the latter registers elements as
-    they first appear, so the structure grows dynamically via {!add}. *)
+    Used by the compiled kernel ({!Dd_inference.Compiled}) to label the
+    coupled query variables into components, and by the streaming entity
+    canonicalizer ({!Dd_ingest.Canonicalizer}) to merge surface forms
+    across documents — the latter registers elements as they first
+    appear, so the structure grows dynamically via {!add}. *)
 
 type t
 

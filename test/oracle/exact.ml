@@ -1,3 +1,5 @@
+module Graph = Dd_fgraph.Graph
+
 let max_enumerable = 25
 
 let check_size g =

@@ -2,8 +2,10 @@
 
     Exponential in the number of query variables, so usable only on small
     graphs — exactly the regime where the paper's "strawman" complete
-    materialization lives, and the ground truth against which the samplers
-    are tested. *)
+    materialization ({!Strawman}) lives, and the ground truth against which
+    the samplers are tested. *)
+
+module Graph = Dd_fgraph.Graph
 
 val max_enumerable : int
 (** Upper bound on the number of query variables accepted (25). *)

@@ -4,11 +4,12 @@
     variable, resample it from its conditional given the rest, estimate
     marginals by averaging.  Evidence variables stay clamped.  Each
     conditional re-evaluates every adjacent factor, so this module is the
-    test oracle for the production sampler {!Compiled}, which must track
-    it draw for draw; no library module calls it.  Each call builds the
-    variable-to-factor table once ({!Dd_fgraph.Graph.factors_of_var}, one
-    pass over the factors): a multi-sweep run pays it once, and
-    {!conditional_true_prob} and {!sweep} pay it per call. *)
+    test oracle for the production sampler {!Dd_inference.Compiled},
+    which must track it draw for draw; no [lib/] module calls it.  Each
+    call builds the variable-to-factor table once
+    ({!Dd_fgraph.Graph.factors_of_var}, one pass over the factors): a
+    multi-sweep run pays it once, and {!conditional_true_prob} and
+    {!sweep} pay it per call. *)
 
 module Graph = Dd_fgraph.Graph
 

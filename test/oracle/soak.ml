@@ -13,6 +13,10 @@
 
 module Engine = Dd_core.Engine
 module Database = Dd_relational.Database
+module Checkpoint = Dd_kbc.Checkpoint
+module Corpus = Dd_kbc.Corpus
+module Pipeline = Dd_kbc.Pipeline
+module Scrub = Dd_kbc.Scrub
 module Fault = Dd_util.Fault
 module Fault_file = Dd_util.Fault_file
 module Prng = Dd_util.Prng

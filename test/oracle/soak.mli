@@ -23,9 +23,11 @@
 
     The pipeline is a record of closures so the same runner drives both
     the bare kbc loop ({!kbc_pipeline}) and the full
-    ingest→txn→checkpoint→serve loop (see [Dd_ingest.Soak_driver]). *)
+    ingest→txn→checkpoint→serve loop (see {!Soak_driver}). *)
 
 module Engine = Dd_core.Engine
+module Corpus = Dd_kbc.Corpus
+module Scrub = Dd_kbc.Scrub
 
 type pipeline = {
   steps : int;  (** number of updates the op sequence applies *)

@@ -13,9 +13,11 @@ module Txn = Dd_core.Txn
 module Database = Dd_relational.Database
 module Checkpoint = Dd_kbc.Checkpoint
 module Scrub = Dd_kbc.Scrub
-module Soak = Dd_kbc.Soak
 module Pipeline = Dd_kbc.Pipeline
 module Program = Dd_core.Program
+module Source = Dd_ingest.Source
+module Batcher = Dd_ingest.Batcher
+module Feed = Dd_ingest.Feed
 
 let blob_name = "canon"
 

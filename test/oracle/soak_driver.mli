@@ -1,8 +1,8 @@
-(** The full ingest→txn→checkpoint loop as a {!Dd_kbc.Soak.pipeline},
-    built the way {!Dd_kbc.Soak.kbc_pipeline} is.
+(** The full ingest→txn→checkpoint loop as a {!Soak.pipeline},
+    built the way {!Soak.kbc_pipeline} is.
 
     Each pipeline step commits one pre-batched slice (at most 8 documents)
-    of a deterministic document stream through {!Feed.ingest}; every
+    of a deterministic document stream through {!Dd_ingest.Feed.ingest}; every
     second step publishes the feed state (sentence counter +
     canonicalizer) as a blob stamped with the engine's commit count, then
     a {!Dd_kbc.Checkpoint.save}, which appends the committed batches to
@@ -19,6 +19,7 @@
 
 module Engine = Dd_core.Engine
 module Txn = Dd_core.Txn
+module Source = Dd_ingest.Source
 
 val pipeline :
   ?options:Engine.options ->
@@ -26,7 +27,7 @@ val pipeline :
   ?verify_snapshot:(unit -> (unit, string) result) ->
   dir:string ->
   Source.t ->
-  Dd_kbc.Soak.pipeline
+  Soak.pipeline
 (** Build the soakable pipeline over [source]'s full stream (consumed
     eagerly into batches) and a checkpoint store at [dir] (two versions
     kept).  [attach] is called with the live transactional supervisor

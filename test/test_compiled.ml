@@ -11,11 +11,11 @@ module Ast = Dd_datalog.Ast
 module Dred = Dd_datalog.Dred
 module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
-module Exact = Dd_fgraph.Exact
+module Exact = Dd_oracle.Exact
 module Voting = Dd_fgraph.Voting
-module Gibbs = Dd_inference.Gibbs
+module Gibbs = Dd_oracle.Gibbs
 module Compiled = Dd_inference.Compiled
-module Learner = Dd_inference.Learner
+module Learner_ref = Dd_oracle.Learner_ref
 module Program = Dd_core.Program
 module Grounding = Dd_core.Grounding
 module Engine = Dd_core.Engine
@@ -410,7 +410,7 @@ let test_fast_gibbs_identical_chain () =
 let test_fast_gibbs_marginals_match_exact () =
   let g = mixed_graph8 3 in
   let m = Compiled.marginals ~burn_in:100 (Prng.create 10) (Compiled.compile g) ~sweeps:20_000 in
-  let exact = Dd_fgraph.Exact.marginals g in
+  let exact = Exact.marginals g in
   Alcotest.(check bool) "within 3%" true (Stats.max_abs_diff m exact < 0.03)
 
 let test_fast_gibbs_voting_fast () =
@@ -456,7 +456,7 @@ let test_add_feature_counts_matches_reference () =
     let st = Compiled.make_state ~init (Prng.create 1) kernel in
     let dense = Array.make nw 0.0 in
     Compiled.add_feature_counts st ~scale:1.0 dense;
-    let reference = Learner.feature_counts g init in
+    let reference = Learner_ref.feature_counts g init in
     List.iter
       (fun (w, expected) ->
         if abs_float (dense.(w) -. expected) > 1e-9 then

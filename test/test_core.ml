@@ -10,14 +10,16 @@ module Ast = Dd_datalog.Ast
 module Dred = Dd_datalog.Dred
 module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
-module Exact = Dd_fgraph.Exact
+module Exact = Dd_oracle.Exact
 module Metropolis = Dd_inference.Metropolis
 module Compiled = Dd_inference.Compiled
 module Program = Dd_core.Program
 module Grounding = Dd_core.Grounding
 module Materialize = Dd_core.Materialize
 module Optimizer = Dd_core.Optimizer
-module Decompose = Dd_core.Decompose
+module Decompose = Dd_oracle.Decompose
+module Strawman = Dd_oracle.Strawman
+module Budget_materialize = Dd_oracle.Budget_materialize
 module Engine = Dd_core.Engine
 module Prng = Dd_util.Prng
 module Stats = Dd_util.Stats
@@ -433,21 +435,21 @@ let biased_graph () =
 
 let test_strawman_exact_after_change () =
   let g = biased_graph () in
-  let strawman = Materialize.strawman g in
+  let strawman = Strawman.materialize g in
   (* Change: weight 0 -> shift the unary weight. *)
   Graph.set_weight g 0 1.4;
   let change = { (Metropolis.unchanged g) with Metropolis.changed_weights = [ (0, 0.6) ] } in
-  let updated = Materialize.strawman_marginals strawman change in
+  let updated = Strawman.marginals strawman change in
   let exact = Exact.marginals g in
   Alcotest.(check bool) "exact reweighting" true (Stats.max_abs_diff updated exact < 1e-9)
 
 let test_strawman_rejects_new_vars () =
   let g = biased_graph () in
-  let strawman = Materialize.strawman g in
+  let strawman = Strawman.materialize g in
   let fresh = Graph.add_var g in
   let change = { (Metropolis.unchanged g) with Metropolis.new_vars = [ fresh ] } in
   Alcotest.(check bool) "raises" true
-    (match Materialize.strawman_marginals strawman change with
+    (match Strawman.marginals strawman change with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -469,7 +471,7 @@ let test_materialize_var_limit () =
 
 let test_materialize_budget () =
   let g = biased_graph () in
-  let m = Materialize.materialize_within_budget (Prng.create 3) g ~seconds:0.05 in
+  let m = Budget_materialize.materialize (Prng.create 3) g ~seconds:0.05 in
   Alcotest.(check bool) "some samples" true (Array.length m.Materialize.samples > 10)
 
 let test_cumulative_change () =

@@ -3,7 +3,7 @@
 
 module Semantics = Dd_fgraph.Semantics
 module Graph = Dd_fgraph.Graph
-module Exact = Dd_fgraph.Exact
+module Exact = Dd_oracle.Exact
 module Voting = Dd_fgraph.Voting
 module Stats = Dd_util.Stats
 

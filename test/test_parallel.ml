@@ -6,9 +6,9 @@
 
 module Graph = Dd_fgraph.Graph
 module Semantics = Dd_fgraph.Semantics
-module Exact = Dd_fgraph.Exact
+module Exact = Dd_oracle.Exact
 module Voting = Dd_fgraph.Voting
-module Gibbs = Dd_inference.Gibbs
+module Gibbs = Dd_oracle.Gibbs
 module Partition = Dd_parallel.Partition
 module Pool = Dd_parallel.Pool
 module Par_gibbs = Dd_parallel.Par_gibbs

@@ -12,7 +12,7 @@ module Fault = Dd_util.Fault
 module Corpus = Dd_kbc.Corpus
 module Pipeline = Dd_kbc.Pipeline
 module Checkpoint = Dd_kbc.Checkpoint
-module Soak = Dd_kbc.Soak
+module Soak = Dd_oracle.Soak
 module Record = Dd_util.Record
 module Txn = Dd_core.Txn
 module Canonicalizer = Dd_ingest.Canonicalizer

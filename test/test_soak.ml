@@ -17,9 +17,9 @@ module Corpus = Dd_kbc.Corpus
 module Pipeline = Dd_kbc.Pipeline
 module Checkpoint = Dd_kbc.Checkpoint
 module Scrub = Dd_kbc.Scrub
-module Soak = Dd_kbc.Soak
+module Soak = Dd_oracle.Soak
 module Source = Dd_ingest.Source
-module Soak_driver = Dd_ingest.Soak_driver
+module Soak_driver = Dd_oracle.Soak_driver
 module Server = Dd_serve.Server
 module Snapshot = Dd_serve.Snapshot
 

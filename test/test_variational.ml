@@ -2,8 +2,8 @@
    solver of Algorithm 1, and the approximate-graph construction. *)
 
 module Graph = Dd_fgraph.Graph
-module Exact = Dd_fgraph.Exact
-module Gibbs = Dd_inference.Gibbs
+module Exact = Dd_oracle.Exact
+module Gibbs = Dd_oracle.Gibbs
 module Covariance = Dd_variational.Covariance
 module Logdet = Dd_variational.Logdet
 module Approx = Dd_variational.Approx
