@@ -74,8 +74,6 @@ type t = {
   opts : options;
   rng : Prng.t;
   mutable mat : Materialize.t;
-  extension_origin : (int, int) Hashtbl.t;
-  mutable proposals_used : int;
   mutable last_marginals : float array;
   (* Compiled Gibbs kernel cache: valid as long as the graph's structure
      (and evidence) has not changed since compilation — weight-only
@@ -171,8 +169,6 @@ let create ?(options = default_options) db prog =
     opts = options;
     rng;
     mat;
-    extension_origin = Hashtbl.create 64;
-    proposals_used = 0;
     last_marginals = marginals;
     kernel = Some kernel;
     kernel_compiles = 1;
@@ -181,20 +177,13 @@ let create ?(options = default_options) db prog =
     log = None;
   }
 
-let record_extensions t (greport : Grounding.report) =
-  List.iter
-    (fun (fid, old_count) ->
-      if fid < t.mat.Materialize.base_factor_count && not (Hashtbl.mem t.extension_origin fid)
-      then Hashtbl.replace t.extension_origin fid old_count)
-    greport.Grounding.change.Metropolis.extended_factors
-
 (* What the §3.3 optimizer reads of the engine; every rule over it lives
    in [Optimizer]. *)
 let observe t kernel =
   {
     Optimizer.enumerable = Compiled.enumerable kernel ~steps:(t.opts.burn_in + t.opts.inference_chain);
     stored_samples = Array.length t.mat.Materialize.samples;
-    samples_used = t.proposals_used;
+    samples_used = t.mat.Materialize.samples_used;
     variational_built = t.mat.Materialize.variational <> None;
     disable_sampling = t.opts.disable_sampling;
     workload_aware = t.opts.workload_aware;
@@ -210,8 +199,10 @@ let variational t change =
    sizes the chain or sends the update to the variational artifact. *)
 let sample t obs change =
   let mh chain_length =
-    let r = Metropolis.infer t.rng change ~stored:t.mat.Materialize.samples ~chain_length in
-    t.proposals_used <- t.proposals_used + r.Metropolis.proposals;
+    let m = t.mat in
+    let r = Metropolis.infer t.rng change ~stored:m.Materialize.samples ~chain_length in
+    t.mat <-
+      { m with Materialize.samples_used = m.Materialize.samples_used + r.Metropolis.proposals };
     r
   in
   let probe = (mh (Optimizer.probe_length obs)).Metropolis.acceptance_rate in
@@ -226,9 +217,7 @@ let sample t obs change =
    the decision or its arm reads it. *)
 let infer t ~budget kernel =
   let obs = observe t kernel in
-  let change =
-    lazy (Materialize.cumulative_change t.mat (graph t) ~extension_origin:t.extension_origin)
-  in
+  let change = lazy (Materialize.cumulative_change t.mat (graph t)) in
   let decision = Optimizer.decide obs ~change in
   let strategy, acceptance_rate, marginals =
     match decision with
@@ -254,8 +243,6 @@ let reground t greport ~grounding_seconds =
   t.kernel <- Some kernel;
   t.kernel_compiles <- t.kernel_compiles + 1;
   t.mat <- materialize t.opts ~kernel t.rng;
-  Hashtbl.reset t.extension_origin;
-  t.proposals_used <- 0;
   t.last_marginals <- marginals;
   {
     strategy = Used_full_gibbs;
@@ -269,7 +256,6 @@ let reground t greport ~grounding_seconds =
   }
 
 let learn_and_infer t greport ~budget ~grounding_seconds =
-  record_extensions t greport;
   (* Incremental learning: warmstart is implicit (weights are live). *)
   let needs_learning =
     greport.Grounding.evidence_changed > 0
@@ -355,9 +341,10 @@ let require_base t = t.log <- None
 
 (* Everything [apply_update] can mutate, captured as either a cheap value
    snapshot (rng state, counters, marginals, kernel cache, commit log —
-   all small) or an undo log over the big mutable stores (relations
-   journal their tuple flips, the graph journals in-place slot writes and
-   truncates appends, the grounding tables prune by id thresholds).  The
+   all small — and the immutable materialization) or an undo log over
+   the big mutable stores (relations journal their tuple flips, the
+   graph journals in-place slot writes and truncates appends, the
+   grounding tables prune by id thresholds).  The
    clean path therefore pays only journal bookkeeping, never a copy of
    the database or graph. *)
 type txn = {
@@ -369,8 +356,6 @@ type txn = {
   x_journaled : Relation.t list;
   x_rng : Dd_util.Prng.t;
   x_mat : Materialize.t;
-  x_origin : (int * int) list;
-  x_proposals_used : int;
   x_last_marginals : float array;
   x_kernel : Compiled.t option;
   x_kernel_compiles : int;
@@ -396,8 +381,6 @@ let txn_begin t =
     x_journaled = journaled;
     x_rng = Prng.copy t.rng;
     x_mat = t.mat;
-    x_origin = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.extension_origin [];
-    x_proposals_used = t.proposals_used;
     x_last_marginals = t.last_marginals;
     x_kernel = t.kernel;
     x_kernel_compiles = t.kernel_compiles;
@@ -440,9 +423,6 @@ let txn_rollback t x =
   Dd_util.Fault.hit "engine.txn_rollback.mid_restore";
   Prng.assign t.rng x.x_rng;
   t.mat <- x.x_mat;
-  Hashtbl.reset t.extension_origin;
-  List.iter (fun (k, v) -> Hashtbl.replace t.extension_origin k v) x.x_origin;
-  t.proposals_used <- x.x_proposals_used;
   t.last_marginals <- x.x_last_marginals;
   t.kernel <- x.x_kernel;
   t.kernel_compiles <- x.x_kernel_compiles;
@@ -452,10 +432,7 @@ let txn_rollback t x =
 (* A fresh baseline and the PRNG draws it took: nothing replay redoes. *)
 let rematerialize t =
   t.log <- None;
-  Timer.time_s (fun () ->
-      t.mat <- materialize t.opts ~kernel:(compiled_kernel t) t.rng;
-      Hashtbl.reset t.extension_origin;
-      t.proposals_used <- 0)
+  Timer.time_s (fun () -> t.mat <- materialize t.opts ~kernel:(compiled_kernel t) t.rng)
 
 (* The Rerun rung's engine: built from scratch over [t]'s database and
    program, it continues [t]'s commit count and, like any new engine,

@@ -7,7 +7,6 @@ module Ast = Dd_datalog.Ast
 module Engine = Dd_datalog.Engine
 module Plan = Dd_datalog.Plan
 module Dred = Dd_datalog.Dred
-module Metropolis = Dd_inference.Metropolis
 
 (* Typed failure taxonomy of the update path, shared with the
    transactional supervisor ({!Txn}): the class decides which rung of the
@@ -358,13 +357,13 @@ let compare_bodies (a : Graph.literal array) (b : Graph.literal array) =
     !c
   end
 
-(* Flush pending groups into the graph.  Returns (new factor ids, extended
-   factors with their prior body counts).  Groups are flushed in sorted key
-   order and each group's bodies in sorted literal order, so weight and
-   factor ids — and every factor's body layout — depend only on the set of
-   groundings, not on the order the store's layout yielded them in.  Groups
-   whose key strings coincide (distinct values that print alike) form one
-   factor, led by the group created first. *)
+(* Flush pending groups into the graph.  Returns the number of new and
+   of extended factors.  Groups are flushed in sorted key order and each
+   group's bodies in sorted literal order, so weight and factor ids — and
+   every factor's body layout — depend only on the set of groundings, not
+   on the order the store's layout yielded them in.  Groups whose key
+   strings coincide (distinct values that print alike) form one factor,
+   led by the group created first. *)
 let flush_groups t pending =
   let buf = Buffer.create 128 in
   let keyed =
@@ -386,15 +385,14 @@ let flush_groups t pending =
   in
   (* oldest first, and stable: a key's first group leads it *)
   let keyed = List.stable_sort (fun (a, _, _) (b, _, _) -> String.compare a b) keyed in
-  let new_factors = ref [] and extended = ref [] in
+  let new_factors = ref 0 and extended = ref 0 in
   let flush key wkey lead bodies =
     let bodies = Array.of_list bodies in
     Array.sort compare_bodies bodies;
     match Hashtbl.find_opt t.factor_table key with
     | Some fid ->
-      let old_count = Array.length (Graph.factor t.graph fid).Graph.bodies in
       Graph.extend_factor t.graph fid bodies;
-      extended := (fid, old_count) :: !extended
+      incr extended
     | None ->
       let weight_id = find_or_create_weight t lead.grule wkey in
       let fid =
@@ -407,7 +405,7 @@ let flush_groups t pending =
           }
       in
       Hashtbl.replace t.factor_table key fid;
-      new_factors := fid :: !new_factors
+      incr new_factors
   in
   let rec go = function
     | [] -> ()
@@ -421,7 +419,7 @@ let flush_groups t pending =
       go rest
   in
   go keyed;
-  (List.rev !new_factors, List.rev !extended)
+  (!new_factors, !extended)
 
 let inference_rule_ast (r : Program.inference_rule) =
   Ast.rule ~guards:r.Program.guards r.Program.head r.Program.body
@@ -491,7 +489,6 @@ let data_update delta = { edb = Some delta; new_rules = [] }
 let rules_update rules = { edb = None; new_rules = rules }
 
 type report = {
-  change : Metropolis.change;
   new_vars : int;
   new_factors : int;
   extended : int;
@@ -570,8 +567,8 @@ let extend ?(budget = Dd_util.Budget.unlimited) t update =
       (List.sort Tuple.compare !tuples)
   in
   (* New variables and clamped deletions. *)
-  let new_vars = ref [] in
-  let evidence_changes = ref [] in
+  let new_vars = ref 0 in
+  let evidence_changed = ref 0 in
   let clamped = Hashtbl.create 16 in
   List.iter
     (fun (pred, _) ->
@@ -579,7 +576,7 @@ let extend ?(budget = Dd_util.Budget.unlimited) t update =
         (fun (tuple, sign) ->
           if sign > 0 then begin
             let v = create_var t pred tuple in
-            new_vars := v :: !new_vars;
+            incr new_vars;
             apply_evidence_to_var t pred tuple v
           end
           else begin
@@ -589,8 +586,7 @@ let extend ?(budget = Dd_util.Budget.unlimited) t update =
               let old_evidence = Graph.evidence_of t.graph v in
               Graph.set_evidence t.graph v (Graph.Evidence false);
               Hashtbl.replace clamped v ();
-              if old_evidence <> Graph.Evidence false then
-                evidence_changes := (v, old_evidence) :: !evidence_changes
+              if old_evidence <> Graph.Evidence false then incr evidence_changed
           end)
         (canonical_flips (Dred.Delta.flips flips pred)))
     new_prog.Program.query_relations;
@@ -619,7 +615,7 @@ let extend ?(budget = Dd_util.Budget.unlimited) t update =
               in
               if fresh <> old_evidence then begin
                 Graph.set_evidence t.graph v fresh;
-                evidence_changes := (v, old_evidence) :: !evidence_changes
+                incr evidence_changed
               end
             end)
         (List.sort Tuple.compare touched))
@@ -713,25 +709,12 @@ let extend ?(budget = Dd_util.Budget.unlimited) t update =
         | Program.Deterministic _ | Program.Supervise _ -> ())
       update.new_rules;
   phase "staged-factors";
-  let new_factor_ids, extended_factors =
-    if !needs_rebuild then ([], []) else flush_groups t pending
-  in
-  let change =
-    {
-      Metropolis.graph = t.graph;
-      new_factor_ids;
-      extended_factors;
-      changed_weights = [];
-      new_vars = !new_vars;
-      evidence_changes = !evidence_changes;
-    }
-  in
+  let new_factors, extended = if !needs_rebuild then (0, 0) else flush_groups t pending in
   {
-    change;
-    new_vars = List.length !new_vars;
-    new_factors = List.length new_factor_ids;
-    extended = List.length extended_factors;
-    evidence_changed = List.length !evidence_changes;
+    new_vars = !new_vars;
+    new_factors;
+    extended;
+    evidence_changed = !evidence_changed;
     flips = Dred.Delta.total flips;
     needs_rebuild = !needs_rebuild;
   }

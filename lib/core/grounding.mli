@@ -11,9 +11,10 @@
     Incremental grounding ([extend]) applies base-table changes through
     DRed, evaluates newly added rules, and updates the live graph in place:
     new variables, new factors, extended factors (new groundings of an
-    existing group) and evidence changes.  Its output is a
-    {!Dd_inference.Metropolis.change} — the [(Delta V, Delta F)] the
-    incremental-inference phase consumes.
+    existing group) and evidence changes.  Its output is their counts
+    ({!report}); the [(Delta V, Delta F)] the incremental-inference phase
+    consumes is the live graph against the materialized baseline
+    ({!Materialize.cumulative_change}).
 
     Deletions: tuples leaving a query relation have their variable clamped
     to [Evidence false], which deactivates every factor body mentioning
@@ -27,7 +28,6 @@ module Graph = Dd_fgraph.Graph
 module Tuple = Dd_relational.Tuple
 module Database = Dd_relational.Database
 module Dred = Dd_datalog.Dred
-module Metropolis = Dd_inference.Metropolis
 
 type t
 
@@ -96,7 +96,6 @@ val data_update : Dred.Delta.t -> update
 val rules_update : Program.rule list -> update
 
 type report = {
-  change : Metropolis.change;
   new_vars : int;
   new_factors : int;
   extended : int;

@@ -8,9 +8,9 @@ type t = {
   samples : bool array array;
   variational : Graph.t option;
   base_weights : float array;
-  base_factor_count : int;
-  base_var_count : int;
+  base_bodies : int array;
   base_evidence : Graph.evidence array;
+  samples_used : int;
 }
 
 let materialize ?(n_samples = 200) ?(burn_in = 20) ?(lambda = 0.1)
@@ -30,38 +30,38 @@ let materialize ?(n_samples = 200) ?(burn_in = 20) ?(lambda = 0.1)
     samples;
     variational;
     base_weights = Array.init (Graph.num_weights g) (Graph.weight_value g);
-    base_factor_count = Graph.num_factors g;
-    base_var_count = Graph.num_vars g;
+    base_bodies =
+      Array.init (Graph.num_factors g) (fun f -> Array.length (Graph.factor g f).Graph.bodies);
     base_evidence = Array.init (Graph.num_vars g) (Graph.evidence_of g);
+    samples_used = 0;
   }
 
-let cumulative_change m g ~extension_origin =
+let cumulative_change m g =
+  let base_factors = Array.length m.base_bodies and base_vars = Array.length m.base_evidence in
   let new_factor_ids =
-    List.init (Graph.num_factors g - m.base_factor_count) (fun i -> m.base_factor_count + i)
+    List.init (Graph.num_factors g - base_factors) (fun i -> base_factors + i)
   in
-  let new_vars =
-    List.init (Graph.num_vars g - m.base_var_count) (fun i -> m.base_var_count + i)
-  in
-  let extended_factors =
-    Hashtbl.fold
-      (fun fid original acc ->
-        if fid < m.base_factor_count then (fid, original) :: acc else acc)
-      extension_origin []
-  in
+  let new_vars = List.init (Graph.num_vars g - base_vars) (fun i -> base_vars + i) in
+  let extended_factors = ref [] in
+  for f = base_factors - 1 downto 0 do
+    let original = m.base_bodies.(f) in
+    if Array.length (Graph.factor g f).Graph.bodies > original then
+      extended_factors := (f, original) :: !extended_factors
+  done;
   let changed_weights = ref [] in
   for w = 0 to Array.length m.base_weights - 1 do
     let now = Graph.weight_value g w in
     if now <> m.base_weights.(w) then changed_weights := (w, m.base_weights.(w)) :: !changed_weights
   done;
   let evidence_changes = ref [] in
-  for v = 0 to m.base_var_count - 1 do
+  for v = 0 to base_vars - 1 do
     let now = Graph.evidence_of g v in
     if now <> m.base_evidence.(v) then evidence_changes := (v, m.base_evidence.(v)) :: !evidence_changes
   done;
   {
     Metropolis.graph = g;
     new_factor_ids;
-    extended_factors;
+    extended_factors = !extended_factors;
     changed_weights = !changed_weights;
     new_vars;
     evidence_changes = !evidence_changes;

@@ -11,9 +11,9 @@
     {!materialize} produces the combined artifact the engine defers its
     strategy choice over (Section 3.3: "materialize the factor graph using
     both approaches, and defer the decision to the inference phase"),
-    together with the baseline snapshot (weights, factor/variable counts,
-    evidence) needed to express later updates as deltas against the
-    materialized distribution. *)
+    with the baseline [Pr(0)] (weights, body counts, evidence) that later
+    updates are expressed against and the samples MH has spent: an
+    immutable value, so restoring it restores all Section 3.2 state. *)
 
 module Graph = Dd_fgraph.Graph
 module Metropolis = Dd_inference.Metropolis
@@ -24,9 +24,9 @@ type t = {
   samples : bool array array;
   variational : Graph.t option;  (** absent above [variational_var_limit] *)
   base_weights : float array;
-  base_factor_count : int;
-  base_var_count : int;
+  base_bodies : int array;  (** body count of each factor at materialization *)
   base_evidence : Graph.evidence array;
+  samples_used : int;  (** MH proposals spent from [samples], 0 when drawn *)
 }
 
 val materialize :
@@ -49,13 +49,12 @@ val materialize :
 
 (** {1 Inference against the materialization} *)
 
-val cumulative_change :
-  t -> Graph.t -> extension_origin:(int, int) Hashtbl.t -> Metropolis.change
+val cumulative_change : t -> Graph.t -> Metropolis.change
 (** Describe the current graph as a delta against the materialized
-    baseline: factors/variables beyond the baseline counts are new, learnable
-    weights that moved are weight changes, evidence flips are evidence
-    changes, and [extension_origin] maps pre-existing factors to their body
-    count at materialization time. *)
+    baseline: factors/variables beyond the baseline's are new, a baseline
+    factor with more bodies than [base_bodies] records is extended
+    (ascending factor id), learnable weights that moved are weight
+    changes, and evidence flips are evidence changes. *)
 
 val variational_infer :
   ?sweeps:int ->

@@ -14,9 +14,9 @@ let semantics_of_code code =
   | Some s -> s
   | None -> fail "unknown semantics %s" code
 
-(* v2 writer: identical body to v1 plus a CRC-32 footer over every byte
-   from the header through the last body line (checksum and end lines
-   excluded), so any single flipped or dropped byte is detected on load.
+(* The CRC-32 footer covers every byte from the header through the last
+   body line (checksum and end lines excluded), so any single flipped or
+   dropped byte is detected on load.
    Each line is its keyword followed by space-prefixed fields, written
    straight into one buffer with no per-token [Printf]; only a weight
    goes through [%.17g], which round-trips every double exactly. *)
@@ -91,12 +91,7 @@ let of_string text =
   let expect_line () =
     match next_line () with Some l -> l | None -> fail "unexpected end of input"
   in
-  let version =
-    match String.split_on_char ' ' (expect_line ()) with
-    | [ "ddgraph"; "1" ] -> 1
-    | [ "ddgraph"; "2" ] -> 2
-    | _ -> fail "bad header (expected 'ddgraph 1' or 'ddgraph 2')"
-  in
+  if expect_line () <> "ddgraph 2" then fail "bad header (expected 'ddgraph 2')";
   let g = Graph.create () in
   let nvars =
     match String.split_on_char ' ' (expect_line ()) with
@@ -167,11 +162,9 @@ let of_string text =
       if !checksum_seen then fail "content after checksum footer"
     in
     match String.split_on_char ' ' l with
-    | [ "end" ] ->
-      if version >= 2 && not !checksum_seen then fail "missing checksum footer"
+    | [ "end" ] -> if not !checksum_seen then fail "missing checksum footer"
     | [ "checksum"; hex ] ->
       reject_after_checksum ();
-      if version < 2 then fail "unexpected checksum line in ddgraph 1";
       (* The checksum covers every byte before its own line.  Compare
          the exact rendering the writer emits, so a digest that differs
          only in letter case is a flipped byte like any other. *)

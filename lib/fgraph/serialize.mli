@@ -17,12 +17,12 @@
       end
     v}
 
-    Version 2 adds the CRC-32 footer; version 1 files (no footer) are
-    still readable.  The reader bounds-checks every reference — evidence
-    vars, factor heads, literal vars and weight ids — so a corrupt file
-    raises {!Format_error} instead of building an inconsistent graph.
-    Writers always emit version 2, and serialization is deterministic:
-    load followed by re-serialization is byte-identical. *)
+    Version 2 (the only one read or written) carries the CRC-32 footer.
+    The reader bounds-checks every reference — evidence vars, factor
+    heads, literal vars and weight ids — so a corrupt file raises
+    {!Format_error} instead of building an inconsistent graph.
+    Serialization is deterministic: load followed by re-serialization is
+    byte-identical. *)
 
 exception Format_error of string
 

@@ -187,9 +187,10 @@ let state_snapshot engine = Marshal.to_string (Engine.without_kernel engine : En
    log; 6: [Engine.options] lost its Gibbs-mode and initial-learning-rate
    fields; 7: the kernel cache is no longer marshalled; 8:
    [Engine.options] lost [with_variational]; 9: [Graph.t] dropped its
-   variable-to-factor index), so an older store fails the tag check
+   variable-to-factor index; 10: [Materialize.t] holds the baseline body
+   counts and the spent samples, the engine no extension table), so an older store fails the tag check
    instead of unmarshalling into the wrong shape. *)
-let ckpt_tag = "ddckpt 9"
+let ckpt_tag = "ddckpt 10"
 
 (* A save appends while the WAL stays within both caps and writes a base
    once it would pass either, so recovery replays at most

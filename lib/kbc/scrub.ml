@@ -112,12 +112,15 @@ let run ?engine ?reblob ?verify_snapshot store =
         match Column_store.audit cs with
         | Ok () -> r := { !r with tables_ok = !r.tables_ok + 1 }
         | Error _ -> (
-          (* An in-place repair is a change no WAL replay makes: the
-             engine's next save must be a base. *)
-          Engine.require_base engine;
           match Column_store.repair cs with
-          | Ok () -> r := { !r with tables_repaired = !r.tables_repaired + 1 }
-          | Error _ -> r := { !r with unrepaired = name :: !r.unrepaired }))
+          | Ok () ->
+            (* An in-place repair is a change no WAL replay makes: the
+               engine's next save must be a base. *)
+            Engine.require_base engine;
+            r := { !r with tables_repaired = !r.tables_repaired + 1 }
+          | Error _ ->
+            (* Still damaged: saves keep appending to the older base. *)
+            r := { !r with unrepaired = name :: !r.unrepaired }))
       (Database.table_names db));
   (* 5. The published serving snapshot, through the caller's verifier
      (this library sits below the serving layer). *)

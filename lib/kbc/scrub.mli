@@ -17,8 +17,10 @@
       ({!Dd_relational.Column_store.repair}, derived planes only) when
       the damage is confined to a derived plane; content damage is
       reported in [unrepaired] — the caller's cue to reground from
-      scratch.  A repair marks the engine as needing a base
-      ({!Engine.require_base}), since no WAL replay reproduces it.
+      scratch.  A successful repair marks the engine as needing a base
+      ({!Engine.require_base}), since no WAL replay reproduces it; an
+      unrepaired table does not, so saves keep appending to the base
+      written before the damage.
 
     A scrub never deletes anything and never serves damaged state.
     Drive it on a {!cadence} from the update loop; surface the counters

@@ -18,7 +18,8 @@ let materialize ?(burn_in = 20) rng g ~seconds =
     Materialize.samples = Array.of_list (List.rev !acc);
     variational = None;
     base_weights = Array.init (Graph.num_weights g) (Graph.weight_value g);
-    base_factor_count = Graph.num_factors g;
-    base_var_count = Graph.num_vars g;
+    base_bodies =
+      Array.init (Graph.num_factors g) (fun f -> Array.length (Graph.factor g f).Graph.bodies);
     base_evidence = Array.init (Graph.num_vars g) (Graph.evidence_of g);
+    samples_used = 0;
   }

@@ -458,8 +458,10 @@ let test_materialize_contents () =
   let m = Materialize.materialize ~n_samples:50 ~kernel:(Compiled.compile g) (Prng.create 1) in
   Alcotest.(check int) "samples" 50 (Array.length m.Materialize.samples);
   Alcotest.(check bool) "variational built" true (m.Materialize.variational <> None);
-  Alcotest.(check int) "baseline factors" (Graph.num_factors g) m.Materialize.base_factor_count;
-  Alcotest.(check int) "baseline vars" (Graph.num_vars g) m.Materialize.base_var_count
+  Alcotest.(check int) "baseline factors" (Graph.num_factors g)
+    (Array.length m.Materialize.base_bodies);
+  Alcotest.(check int) "baseline vars" (Graph.num_vars g) (Array.length m.Materialize.base_evidence);
+  Alcotest.(check int) "no sample spent" 0 m.Materialize.samples_used
 
 let test_materialize_var_limit () =
   let g = biased_graph () in
@@ -477,16 +479,20 @@ let test_materialize_budget () =
 let test_cumulative_change () =
   let g = biased_graph () in
   let m = Materialize.materialize ~n_samples:20 ~kernel:(Compiled.compile g) (Prng.create 4) in
-  (* Mutate: new var, new factor, weight change, evidence change. *)
+  (* Mutate: new var, new factor, extended base factor, weight change,
+     evidence change. *)
   let fresh = Graph.add_var g in
   Graph.set_weight g 0 2.0;
   let w = Graph.add_weight g 0.1 in
   let fid = Graph.unary g ~weight:w fresh in
+  Graph.extend_factor g fid [| [| { Graph.var = 0; negated = false } |] |];
+  Graph.extend_factor g 1 [| [| { Graph.var = fresh; negated = false } |] |];
   Graph.set_evidence g 0 (Graph.Evidence true);
-  let extension_origin = Hashtbl.create 4 in
-  let change = Materialize.cumulative_change m g ~extension_origin in
+  let change = Materialize.cumulative_change m g in
   Alcotest.(check (list int)) "new vars" [ fresh ] change.Metropolis.new_vars;
   Alcotest.(check (list int)) "new factors" [ fid ] change.Metropolis.new_factor_ids;
+  Alcotest.(check (list (pair int int))) "extended base factor with its original bodies"
+    [ (1, m.Materialize.base_bodies.(1)) ] change.Metropolis.extended_factors;
   Alcotest.(check bool) "weight change recorded" true
     (List.mem (0, 0.6) change.Metropolis.changed_weights);
   Alcotest.(check int) "evidence change" 1 (List.length change.Metropolis.evidence_changes)
@@ -522,12 +528,12 @@ let test_materialize_save_load () =
   Alcotest.(check int) "samples" 30 (Array.length back.Materialize.samples);
   Alcotest.(check bool) "sample contents" true (m.Materialize.samples = back.Materialize.samples);
   Alcotest.(check bool) "weights" true (m.Materialize.base_weights = back.Materialize.base_weights);
-  Alcotest.(check int) "factor count" m.Materialize.base_factor_count back.Materialize.base_factor_count;
+  Alcotest.(check bool) "body counts" true (m.Materialize.base_bodies = back.Materialize.base_bodies);
   Alcotest.(check bool) "evidence" true (m.Materialize.base_evidence = back.Materialize.base_evidence);
   Alcotest.(check bool) "variational kept" true (back.Materialize.variational <> None);
   Graph.set_weight g 0 2.0;
   let infer (m : Materialize.t) =
-    let change = Materialize.cumulative_change m g ~extension_origin:(Hashtbl.create 1) in
+    let change = Materialize.cumulative_change m g in
     (Dd_inference.Metropolis.infer (Prng.create 20) change ~stored:m.Materialize.samples
        ~chain_length:30)
       .Dd_inference.Metropolis.marginals
@@ -787,6 +793,62 @@ let test_engine_rematerialize_resets () =
   let report = Engine.apply_update engine (Grounding.rules_update []) in
   Alcotest.(check string) "sampling again" "sampling"
     (Engine.strategy_used_to_string report.Engine.strategy)
+
+(* The MH arm under a transaction.  A fault after inference rolls the
+   update back: the materialization, its spent samples included, is the
+   pre-update value again, so replaying the update answers as an
+   uninterrupted twin does.  The update's new link extends the linked
+   factor of i03, a base factor, and the analysis update before it leaves
+   samples already spent (a store of 400 outlasts both chains). *)
+let test_engine_sampling_rollback () =
+  let module Txn = Dd_core.Txn in
+  let module Fault = Dd_util.Fault in
+  let engine_after_analysis () =
+    let db, prog = coupled_fixture () in
+    let options = { quick_options with Engine.materialization_samples = 400 } in
+    let engine = Engine.create ~options db prog in
+    ignore (Engine.apply_update engine (Grounding.rules_update []));
+    engine
+  in
+  let update () =
+    let delta = Dred.Delta.create () in
+    Dred.Delta.insert delta "link" [| s "i03"; s "i10" |];
+    Grounding.data_update delta
+  in
+  Fault.reset ();
+  let engine = engine_after_analysis () in
+  check_over_the_bound engine;
+  let pre = Engine.materialization engine in
+  Alcotest.(check bool) "samples spent before the update" true (pre.Materialize.samples_used > 0);
+  let txn =
+    Txn.create
+      ~options:{ Txn.max_retries = 0; allow_rematerialize = false; allow_rerun = false }
+      engine
+  in
+  Fault.arm "engine.apply_update.post_inference" (Fault.Nth 1);
+  let result = Txn.apply txn (update ()) in
+  Fault.reset ();
+  Alcotest.(check bool) "quarantined" true (Result.is_error result);
+  Alcotest.(check bool) "materialization is the pre-update value" true
+    (Engine.materialization engine == pre);
+  Alcotest.(check int) "samples used restored" pre.Materialize.samples_used
+    (Engine.materialization engine).Materialize.samples_used;
+  let twin = engine_after_analysis () in
+  let clean = Engine.apply_update twin (update ()) in
+  Alcotest.(check string) "the update takes the MH arm" "sampling"
+    (Engine.strategy_used_to_string clean.Engine.strategy);
+  Alcotest.(check int) "one base factor extended" 1 clean.Engine.grounding.Grounding.extended;
+  match Txn.replay txn (List.hd (Txn.dead_letters txn)) with
+  | Error e -> Alcotest.fail ("replay failed: " ^ Txn.error_message e)
+  | Ok outcome ->
+    let replayed = outcome.Txn.report in
+    Alcotest.(check (option (float 0.0))) "replay acceptance = uninterrupted run"
+      clean.Engine.acceptance_rate replayed.Engine.acceptance_rate;
+    Alcotest.(check bool) "replay marginals = uninterrupted run" true
+      (clean.Engine.marginals = replayed.Engine.marginals);
+    Alcotest.(check int) "samples used = uninterrupted run"
+      (Engine.materialization twin).Materialize.samples_used
+      (Engine.materialization engine).Materialize.samples_used
 
 let test_engine_data_update_report () =
   let db, prog = engine_fixture () in
@@ -1175,6 +1237,7 @@ let () =
           Alcotest.test_case "lesion no sampling" `Quick test_engine_lesion_disable_sampling;
           Alcotest.test_case "lesion no variational" `Quick test_engine_lesion_disable_variational;
           Alcotest.test_case "rematerialize" `Quick test_engine_rematerialize_resets;
+          Alcotest.test_case "sampling rollback + replay" `Quick test_engine_sampling_rollback;
           Alcotest.test_case "data update report" `Quick test_engine_data_update_report;
           Alcotest.test_case "rerun" `Quick test_engine_rerun;
           Alcotest.test_case "marginals by relation" `Quick test_engine_marginals_by_relation;

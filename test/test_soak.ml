@@ -123,9 +123,25 @@ let test_scrub_content_damage_unrepaired () =
       let cs = Relation.store (Database.find db name) in
       Column_store.compact cs;
       Column_store.unsafe_corrupt_run cs;
+      let latest = Checkpoint.latest store in
       let r = Scrub.run ~engine store in
       Alcotest.(check (list string)) "reported for regrounding" [ name ] r.Scrub.unrepaired;
-      Alcotest.(check bool) "scrub reports unhealthy" false (Scrub.healthy r))
+      Alcotest.(check bool) "scrub reports unhealthy" false (Scrub.healthy r);
+      (* The damage must not become durable: the next save appends to the
+         undamaged base, and recovering the store yields sound tables. *)
+      Checkpoint.save store engine;
+      Alcotest.(check bool) "the next save appends" true
+        (Checkpoint.last_save store = Some (Checkpoint.Append 0));
+      Alcotest.(check (option string)) "no new base" latest (Checkpoint.latest store);
+      match Checkpoint.recover (Checkpoint.open_store dir) with
+      | Error e -> Alcotest.fail ("recovery failed: " ^ Checkpoint.error_to_string e)
+      | Ok (recovered, _) ->
+        let db = Grounding.database (Engine.grounding recovered) in
+        List.iter
+          (fun n ->
+            Alcotest.(check bool) (n ^ " audits clean after recovery") true
+              (Column_store.audit (Relation.store (Database.find db n)) = Ok ()))
+          (Database.table_names db))
 
 let test_scrub_quarantines_corrupt_version () =
   with_dir "scrub_version" (fun dir ->
