@@ -1,4 +1,4 @@
-.PHONY: all build test verify bench loc clean
+.PHONY: all build test verify bench loc surface clean
 
 all: build
 
@@ -29,6 +29,11 @@ loc:
 	  printf '%s .mli  %6d\n' $$d $$(find $$d -name '*.mli' -exec cat {} + | wc -l); \
 	  printf '%s total %6d\n' $$d $$(find $$d \( -name '*.ml' -o -name '*.mli' \) -exec cat {} + | wc -l); \
 	done
+
+# Public lib/*.mli vals that nothing outside test/ reads.  Fails when one
+# is missing from tools/surface_allowlist.txt or an entry there is stale.
+surface:
+	@python3 tools/surface.py
 
 clean:
 	dune clean

@@ -121,7 +121,7 @@ let scrub ~full =
   metric "save_append_ms" append_ms;
   metric "save_append_nofsync_ms" append_nofsync_ms;
 
-  (* --- clean path: the encode kernels of a save --------------------------- *)
+  (* --- clean path: the CRC-32 of every save, and the ddgraph text view ---- *)
   let crc_buffer = String.init (1 lsl 20) (fun i -> Char.chr ((i * 131) land 0xff)) in
   let crc_passes = 256 in
   ignore (Crc32.string crc_buffer);

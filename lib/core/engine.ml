@@ -97,8 +97,6 @@ and identity = unit ref
    drains drops it instead of holding every update. *)
 let log_capacity = 32
 
-let options t = t.opts
-
 let grounding t = t.ground
 
 let graph t = Grounding.graph t.ground
@@ -450,4 +448,3 @@ let rerun ?(options = default_options) db prog =
   let timer = Timer.start () in
   let _, marginals = rerun_grounding options db prog in
   (marginals, Timer.elapsed_s timer)
-

@@ -90,8 +90,6 @@ val create : ?options:options -> Database.t -> Program.t -> t
     [engine.create.post_ground] and [engine.create.post_learn] fire
     here (and in {!rebuild}), not in {!rerun}. *)
 
-val options : t -> options
-
 val grounding : t -> Grounding.t
 
 val graph : t -> Graph.t

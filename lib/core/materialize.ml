@@ -13,8 +13,8 @@ type t = {
   samples_used : int;
 }
 
-let materialize ?(n_samples = 200) ?(burn_in = 20) ?(lambda = 0.1)
-    ?(variational_var_limit = 600) ?(with_variational = true) ?(domains = 1) ~kernel rng =
+let materialize ~n_samples ~burn_in ~lambda ~variational_var_limit ~with_variational ~domains
+    ~kernel rng =
   let g = Compiled.graph kernel in
   (* [domains = 1] is one compiled chain from [rng]; above that the
      sample store is drawn by independent chains, one per domain. *)
@@ -75,7 +75,7 @@ let import_factor approx full (f : Graph.factor) ~bodies =
     (Graph.add_factor approx
        { Graph.head = f.Graph.head; bodies; weight_id = w; semantics = f.Graph.semantics })
 
-let variational_infer ?(sweeps = 200) ?(burn_in = 20) rng ~approx ~change =
+let variational_infer ~sweeps ~burn_in rng ~approx ~change =
   let full = change.Metropolis.graph in
   let working = Graph.copy approx in
   (* New variables (evidence synced below). *)

@@ -30,22 +30,23 @@ type t = {
 }
 
 val materialize :
-  ?n_samples:int ->
-  ?burn_in:int ->
-  ?lambda:float ->
-  ?variational_var_limit:int ->
-  ?with_variational:bool ->
-  ?domains:int ->
+  n_samples:int ->
+  burn_in:int ->
+  lambda:float ->
+  variational_var_limit:int ->
+  with_variational:bool ->
+  domains:int ->
   kernel:Dd_inference.Compiled.t ->
   Dd_util.Prng.t ->
   t
-(** Draw [n_samples] (default 200) worlds on [kernel] and, when its
-    graph ({!Dd_inference.Compiled.graph}) is small enough (default
-    limit 600 variables) and [with_variational] (default true), build
-    the approximate graph from the same samples.  [domains]
-    (default 1, the bit-exact sequential path) draws the worlds from that
-    many independent chains in parallel via
-    {!Dd_parallel.Par_gibbs.sample_worlds}. *)
+(** Draw [n_samples] worlds on [kernel] after [burn_in] sweeps and, when
+    its graph ({!Dd_inference.Compiled.graph}) has at most
+    [variational_var_limit] variables and [with_variational] holds,
+    build the approximate graph from the same samples with sparsity
+    [lambda].  [domains = 1] is the bit-exact sequential path; above
+    that the worlds come from that many independent chains in parallel
+    via {!Dd_parallel.Par_gibbs.sample_worlds}.  The engine passes its
+    {!Dd_core.Engine.options}, which hold the defaults. *)
 
 (** {1 Inference against the materialization} *)
 
@@ -57,8 +58,8 @@ val cumulative_change : t -> Graph.t -> Metropolis.change
     changes, and evidence flips are evidence changes. *)
 
 val variational_infer :
-  ?sweeps:int ->
-  ?burn_in:int ->
+  sweeps:int ->
+  burn_in:int ->
   Dd_util.Prng.t ->
   approx:Graph.t ->
   change:Metropolis.change ->

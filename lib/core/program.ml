@@ -29,16 +29,6 @@ type t = {
 
 let evidence_relation name = name ^ "_ev"
 
-let evidence_schema schema =
-  Schema.make
-    (List.map (fun c -> (c.Schema.name, c.Schema.ty)) (Array.to_list (Schema.columns schema))
-    @ [ ("label", Value.TBool) ])
-
-let rule_name = function
-  | Deterministic (name, _) -> name
-  | Supervise (name, _) -> name
-  | Infer r -> r.name
-
 let candidate_rule (r : inference_rule) = Ast.rule ~guards:r.guards r.head r.body
 
 let deterministic_program t =
@@ -51,11 +41,6 @@ let deterministic_program t =
 
 let inference_rules t =
   List.filter_map (function Infer r -> Some r | Deterministic _ | Supervise _ -> None) t.rules
-
-let supervision_rules t =
-  List.filter_map
-    (function Supervise (name, rule) -> Some (name, rule) | Deterministic _ | Infer _ -> None)
-    t.rules
 
 let is_query_relation t name = List.mem_assoc name t.query_relations
 

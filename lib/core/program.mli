@@ -60,19 +60,12 @@ type t = {
 val evidence_relation : string -> string
 (** Name of the evidence companion ([_ev] suffix). *)
 
-val evidence_schema : Schema.t -> Schema.t
-(** The query relation's schema extended with a [label : bool] column. *)
-
-val rule_name : rule -> string
-
 val deterministic_program : t -> Ast.program
 (** The datalog program evaluated before grounding: all deterministic and
     supervision rules, plus one candidate-population rule per inference
     rule (the head must exist as a tuple for a variable to exist). *)
 
 val inference_rules : t -> inference_rule list
-
-val supervision_rules : t -> (string * Ast.rule) list
 
 val is_query_relation : t -> string -> bool
 

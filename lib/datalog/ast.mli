@@ -52,10 +52,6 @@ val head_pred : rule -> string
 
 val body_preds : rule -> string list
 
-val check_safety : rule -> (unit, string) result
-(** A rule is safe when every head variable, every variable of a negated
-    atom and every guard variable occurs in some positive body atom. *)
-
 val check_program : program -> (unit, string) result
 
 val idb_preds : program -> string list

@@ -32,8 +32,6 @@ module Delta = struct
   let preds t =
     List.sort String.compare (Hashtbl.fold (fun p _ acc -> p :: acc) t [])
 
-  let is_empty t = Hashtbl.fold (fun _ b acc -> acc && !b = []) t true
-
   let total t = Hashtbl.fold (fun _ b acc -> acc + List.length !b) t 0
 end
 

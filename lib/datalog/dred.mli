@@ -31,10 +31,6 @@ module Delta : sig
   val flips : t -> string -> (Dd_relational.Tuple.t * int) list
   (** Signed membership changes recorded for a predicate. *)
 
-  val preds : t -> string list
-
-  val is_empty : t -> bool
-
   val total : t -> int
   (** Total number of membership changes. *)
 end

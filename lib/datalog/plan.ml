@@ -55,7 +55,6 @@ type step =
   | Test of { op : cmp; a : src; b : src }  (* guard *)
 
 type t = {
-  rule : Ast.rule;
   nslots : int;
   slots : (string, int) Hashtbl.t;
   head : src array;
@@ -63,8 +62,6 @@ type t = {
   delta_pos : int;  (* -1 for full plans *)
   order : int list;  (* original positions of Match steps, execution order *)
 }
-
-let rule t = t.rule
 
 let delta_pos t = t.delta_pos
 
@@ -209,7 +206,7 @@ let compile_internal (rule : Ast.rule) ~delta_pos =
     order;
   flush ~force:true;
   let head = Array.of_list (List.map term_src rule.Ast.head.Ast.args) in
-  { rule; nslots; slots; head; steps = Array.of_list (List.rev !steps); delta_pos; order }
+  { nslots; slots; head; steps = Array.of_list (List.rev !steps); delta_pos; order }
 
 let compile rule = compile_internal rule ~delta_pos:(-1)
 

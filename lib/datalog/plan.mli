@@ -86,8 +86,6 @@ val compile_delta : Ast.rule -> delta_pos:int -> t
     it, [delta] holds membership flips, [+1] for tuples that left the
     predicate and [-1] for tuples that entered it. *)
 
-val rule : t -> Ast.rule
-
 val delta_pos : t -> int
 (** The specialized position, or [-1] for a full plan. *)
 

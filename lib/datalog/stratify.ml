@@ -105,36 +105,3 @@ let stratify program =
       in
       Ok (List.filter (fun s -> s.preds <> []) strata)
     end
-
-let depends_on program pred =
-  let rec walk seen frontier =
-    match frontier with
-    | [] -> seen
-    | p :: rest ->
-      if SSet.mem p seen then walk seen rest
-      else begin
-        let seen = SSet.add p seen in
-        let next =
-          List.concat_map
-            (fun (r : Ast.rule) -> if Ast.head_pred r = p then Ast.body_preds r else [])
-            program
-        in
-        walk seen (next @ rest)
-      end
-  in
-  SSet.elements (walk SSet.empty [ pred ])
-
-let affected_idb program changed =
-  let changed_set = SSet.of_list changed in
-  let rec fix acc =
-    let next =
-      List.fold_left
-        (fun acc (r : Ast.rule) ->
-          let touched = List.exists (fun b -> SSet.mem b acc) (Ast.body_preds r) in
-          if touched then SSet.add (Ast.head_pred r) acc else acc)
-        acc program
-    in
-    if SSet.equal next acc then acc else fix next
-  in
-  let final = fix changed_set in
-  List.filter (fun p -> SSet.mem p final) (Ast.idb_preds program)

@@ -12,11 +12,3 @@ type stratum = {
 
 val stratify : Ast.program -> (stratum list, string) result
 (** Bottom-up strata; [Error] when negation is not stratifiable. *)
-
-val depends_on : Ast.program -> string -> string list
-(** [depends_on p pred] is the set of predicates reachable from [pred]
-    through body dependencies (transitively), including [pred] itself. *)
-
-val affected_idb : Ast.program -> string list -> string list
-(** [affected_idb p changed] is the set of IDB predicates whose contents may
-    change when the given (EDB or IDB) predicates change. *)

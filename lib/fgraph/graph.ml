@@ -127,15 +127,6 @@ let unary t ~weight v =
       semantics = Semantics.Logical;
     }
 
-let implication t ~weight ~semantics body head =
-  add_factor t
-    {
-      head = Some head;
-      bodies = [| Array.of_list (List.map (fun v -> { var = v; negated = false }) body) |];
-      weight_id = weight;
-      semantics;
-    }
-
 let extend_factor t i bodies =
   if Array.length bodies > 0 then begin
     let f = vec_get t.factors i in
@@ -346,10 +337,3 @@ let validate t =
       | Error _ as e -> e
   in
   Result.bind (check_weights ()) (fun () -> check_factors 0)
-
-let degree_stats t =
-  let degrees = Array.map List.length (factors_of_var t) in
-  if degrees = [||] then (0.0, 0)
-  else
-    ( float_of_int (Array.fold_left ( + ) 0 degrees) /. float_of_int (Array.length degrees),
-      Array.fold_left max 0 degrees )

@@ -60,10 +60,6 @@ val pairwise : t -> weight:weight_id -> var -> var -> int
 val unary : t -> weight:weight_id -> var -> int
 (** Convenience: bias factor [w * 1{a}]. *)
 
-val implication : t -> weight:weight_id -> semantics:Semantics.t -> var list -> var -> int
-(** [implication t ~weight ~semantics body head] adds one body grounding
-    [body => head] to a fresh factor. *)
-
 val extend_factor : t -> int -> literal array array -> unit
 (** [extend_factor t i bodies] appends body groundings to factor [i]
     (incremental grounding discovers new groundings of an existing rule
@@ -143,10 +139,6 @@ val freeze_assignment : ?query:(unit -> bool) -> t -> bool array
 (** A fresh assignment array: evidence variables at their fixed value,
     query variables at [query ()] (default false), called in ascending
     variable order. *)
-
-val degree_stats : t -> float * int
-(** Mean and max number of factors per variable (one {!factors_of_var}
-    pass). *)
 
 val validate : t -> (unit, string) result
 (** Structural integrity check: every factor's head and literal variables

@@ -1,9 +1,10 @@
 (** Factor-graph (de)serialization.
 
     DeepDive materializes the grounded factor graph as a file handed to the
-    external sampler.  Here the checkpoint embeds the graph in this
-    format as its auditable section, cross-checked against the marshalled
-    engine on load.  It is a versioned, line-oriented text format:
+    external sampler.  Here the format is the auditable text view of a
+    graph, which benches and tests write, compare and read back (a
+    checkpoint stores the graph only inside the marshalled engine).  It
+    is a versioned, line-oriented text format:
     human-greppable, stable under appends, and independent of in-memory
     representation details.
 

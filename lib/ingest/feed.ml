@@ -185,11 +185,6 @@ let ingest t (batch : Batcher.batch) =
   List.iter
     (fun (doc : Source.doc) ->
       match doc.Source.payload with
-      | Source.Rows tables ->
-        List.iter
-          (fun (name, rows) ->
-            List.iter (fun row -> Dred.Delta.insert delta name row) rows)
-          tables
       | Source.Text { text; names; aliases } ->
         let m, se, pa, me =
           ingest_text t delta pending ~doc_id:doc.Source.id ~text ~names ~aliases

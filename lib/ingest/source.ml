@@ -21,7 +21,6 @@
 module Value = Dd_relational.Value
 module Tuple = Dd_relational.Tuple
 module Prng = Dd_util.Prng
-module Corpus = Dd_kbc.Corpus
 module Mention_finder = Dd_text.Mention_finder
 
 type payload =
@@ -30,7 +29,6 @@ type payload =
       names : string list;
       aliases : (string * string) list;
     }
-  | Rows of (string * Tuple.t list) list
 
 type doc = { id : int; arrival_s : float; payload : payload }
 
@@ -68,7 +66,6 @@ let default =
 type t = {
   mutable queue : doc list;  (* arrival order *)
   static : (string * Tuple.t list) list;
-  total : int;
   truth_entities : int;
 }
 
@@ -237,25 +234,7 @@ let synthetic cfg =
   {
     queue = List.rev !docs;
     static;
-    total = cfg.docs;
     truth_entities = Hashtbl.length used_entities;
-  }
-
-let replay ?(rate = 1000.0) (corpus : Corpus.t) =
-  let n = corpus.Corpus.config.Corpus.docs in
-  let docs =
-    List.init n (fun id ->
-        {
-          id;
-          arrival_s = float_of_int (id + 1) /. rate;
-          payload = Rows corpus.Corpus.doc_tables.(id);
-        })
-  in
-  {
-    queue = docs;
-    static = corpus.Corpus.static_tables;
-    total = n;
-    truth_entities = corpus.Corpus.config.Corpus.entities;
   }
 
 let next t =
@@ -266,7 +245,5 @@ let next t =
     Some doc
 
 let static_tables t = t.static
-
-let total_docs t = t.total
 
 let true_entities t = t.truth_entities

@@ -1,18 +1,12 @@
 (** Deterministic document-arrival streams for the ingestion subsystem.
 
-    Two stream shapes share one consumer interface:
-
-    - {!synthetic} — a seeded generative process emitting raw-text
-      documents with a configurable mean rate and burstiness.  Each
-      document carries the dictionary names it introduces (the stream's
-      "NER hints") and zero or more alias declarations; entities appear
-      under several surface forms (full name, surname, initialed form,
-      case variants), and alias declarations may lag the first use of a
-      variant by several documents, so cross-document merges genuinely
-      happen late.
-    - {!replay} — the per-document tables of a {!Dd_kbc.Corpus}
-      materialization replayed on a fixed cadence, for feeding the
-      existing synthetic-corpus experiments through the streaming path.
+    {!synthetic} is a seeded generative process emitting raw-text
+    documents with a configurable mean rate and burstiness.  Each document
+    carries the dictionary names it introduces (the stream's "NER hints")
+    and zero or more alias declarations; entities appear under several
+    surface forms (full name, surname, initialed form, case variants), and
+    alias declarations may lag the first use of a variant by several
+    documents, so cross-document merges genuinely happen late.
 
     Arrival order and timestamps are fully determined by the config seed;
     two sources built from equal configs emit byte-identical streams. *)
@@ -25,8 +19,6 @@ type payload =
       names : string list;  (** dictionary names this document introduces *)
       aliases : (string * string) list;  (** declared synonym pairs *)
     }
-  | Rows of (string * Tuple.t list) list
-      (** pre-materialized base-table rows (corpus replay) *)
 
 type doc = { id : int; arrival_s : float; payload : payload }
 
@@ -57,21 +49,13 @@ type t
 
 val synthetic : config -> t
 
-val replay : ?rate:float -> Dd_kbc.Corpus.t -> t
-(** Replay a materialized corpus document-by-document at [rate] docs/s
-    (default 1000). *)
-
 val next : t -> doc option
 (** The next document in arrival order, [None] when the stream is done. *)
 
 val static_tables : t -> (string * Tuple.t list) list
 (** The non-streamed base tables ([rel], [phrase_rel], [known],
-    [disjoint]; for replay, the corpus's own static tables including its
-    [el]) to load before the first document. *)
-
-val total_docs : t -> int
+    [disjoint]) to load before the first document. *)
 
 val true_entities : t -> int
 (** Ground-truth entity count behind a synthetic stream (how many
-    canonical entities a perfect canonicalizer would converge to); for
-    replay streams, the corpus config's entity count. *)
+    canonical entities a perfect canonicalizer would converge to). *)

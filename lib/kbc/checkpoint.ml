@@ -8,8 +8,7 @@
 
    Every number is the engine's commit count ([Engine.commits]).  Every
    file is a sequence of [Dd_util.Record] frames (tag, length, CRC-32): a
-   checkpoint holds its sequence number, the factor graph in the
-   auditable ddgraph v2 text format and the marshalled engine state; a
+   checkpoint holds its sequence number and the marshalled engine state; a
    WAL its checkpoint's sequence number and whether that base continues
    the chain, then one frame per update.  A base publishes in two atomic,
    durable steps (temp file + data fsync + rename + directory fsync, all
@@ -45,7 +44,6 @@ module Engine = Dd_core.Engine
 module Grounding = Dd_core.Grounding
 module Txn = Dd_core.Txn
 module Graph = Dd_fgraph.Graph
-module Serialize = Dd_fgraph.Serialize
 module Database = Dd_relational.Database
 module Fault = Dd_util.Fault
 module Fault_file = Dd_util.Fault_file
@@ -188,9 +186,11 @@ let state_snapshot engine = Marshal.to_string (Engine.without_kernel engine : En
    fields; 7: the kernel cache is no longer marshalled; 8:
    [Engine.options] lost [with_variational]; 9: [Graph.t] dropped its
    variable-to-factor index; 10: [Materialize.t] holds the baseline body
-   counts and the spent samples, the engine no extension table), so an older store fails the tag check
-   instead of unmarshalling into the wrong shape. *)
-let ckpt_tag = "ddckpt 10"
+   counts and the spent samples, the engine no extension table; 11: the
+   base holds the engine once, without a ddgraph copy of its graph), so an
+   older store fails the tag check instead of unmarshalling into the wrong
+   shape. *)
+let ckpt_tag = "ddckpt 11"
 
 (* A save appends while the WAL stays within both caps and writes a base
    once it would pass either, so recovery replays at most
@@ -204,7 +204,6 @@ let checkpoint_content engine ~seq =
   Record.frames
     [
       (ckpt_tag, string_of_int seq);
-      ("graph", Serialize.to_string (Engine.graph engine));
       ("state", state_snapshot engine);
     ]
 
@@ -466,25 +465,11 @@ let load_checkpoint_file path =
   (match version_of_name (Filename.basename path) with
   | Some n when n <> seq -> corrupt "checkpoint seq %d does not match file %s" seq path
   | _ -> ());
-  let graph_text = read "graph" in
-  (* Both checksums pass before [Marshal.from_string], which is undefined
+  (* Every checksum passes before [Marshal.from_string], which is undefined
      behaviour on corrupted bytes. *)
   let state = read "state" in
   (try Record.finish r with Record.Malformed m -> corrupt "checkpoint: %s" m);
-  let graph =
-    match Serialize.of_string graph_text with
-    | g -> g
-    | exception Serialize.Format_error m -> corrupt "embedded graph: %s" m
-  in
-  (match Graph.validate graph with
-  | Ok () -> ()
-  | Error m -> raise (Bad (Invalid_state ("embedded graph: " ^ m))));
   let engine : Engine.t = Marshal.from_string state 0 in
-  (* Cross-check the binary snapshot against the auditable graph
-     section: both came from the same save, so re-serialization must
-     be byte-identical. *)
-  if Serialize.to_string (Engine.graph engine) <> graph_text then
-    raise (Bad (Invalid_state "embedded graph does not match engine state"));
   (match validate engine with
   | Ok () -> ()
   | Error m -> raise (Bad (Invalid_state m)));

@@ -6,14 +6,16 @@
 
     - {!save} appends the updates the engine committed since the last
       save to a write-ahead log, and on a bounded cadence publishes a
-      versioned base of the full engine state instead (the factor graph
-      in auditable ddgraph v2 text, plus a marshalled snapshot covering
-      learned weights, the materialization, the database and the
-      applied-rule list, each in a length- and CRC-checked
-      {!Dd_util.Record} frame) atomically via temp-file + rename, which
-      is the base's commit point.
+      versioned base of the full engine state instead (a [ddckpt 11]
+      tag frame with the commit count, then one marshalled snapshot of
+      the engine covering the factor graph, learned weights, the
+      materialization, the database and the applied-rule list; each
+      frame is length- and CRC-checked by {!Dd_util.Record}) atomically
+      via temp-file + rename, which is the base's commit point.
     - {!recover} loads the newest checkpoint, verifies every checksum,
-      runs {!Dd_fgraph.Graph.validate} plus a relational schema check,
+      runs {!Dd_fgraph.Graph.validate} and
+      {!Dd_relational.Database.validate} on the unmarshalled engine,
+      checks its commit count against the tag frame,
       replays the WAL through the ordinary update path (deterministic —
       the snapshot includes the PRNG state), and re-publishes.
 

@@ -167,26 +167,3 @@ let update_of ?semantics rule_id =
 
 let full_program ?semantics () =
   Program.add_rules (base_program ()) (List.concat_map (rules_of ?semantics) all_rule_ids)
-
-(* --- transactional driver -------------------------------------------------- *)
-
-module Txn = Dd_core.Txn
-
-type drive_step = {
-  step_rule : rule_id;
-  step_result : (Txn.outcome, Txn.error) result;
-}
-
-let drive ?semantics ?txn_options ?txn ?on_step engine rule_ids =
-  let txn =
-    match txn with Some t -> t | None -> Txn.create ?options:txn_options engine
-  in
-  let steps =
-    List.map
-      (fun rid ->
-        let step = { step_rule = rid; step_result = Txn.apply txn (update_of ?semantics rid) } in
-        (match on_step with Some f -> f step | None -> ());
-        step)
-      rule_ids
-  in
-  (txn, steps)

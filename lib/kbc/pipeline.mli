@@ -42,29 +42,3 @@ val full_program : ?semantics:Dd_fgraph.Semantics.t -> unit -> Program.t
 
 val query_relation : string
 (** The query relation name ([q]). *)
-
-type drive_step = {
-  step_rule : rule_id;
-  step_result : (Dd_core.Txn.outcome, Dd_core.Txn.error) result;
-}
-
-val drive :
-  ?semantics:Dd_fgraph.Semantics.t ->
-  ?txn_options:Dd_core.Txn.options ->
-  ?txn:Dd_core.Txn.t ->
-  ?on_step:(drive_step -> unit) ->
-  Dd_core.Engine.t ->
-  rule_id list ->
-  Dd_core.Txn.t * drive_step list
-(** Drive a snapshot sequence through the transactional supervisor: each
-    rule's update goes through {!Dd_core.Txn.apply}, so a poison snapshot
-    is quarantined instead of wedging the loop.  Returns the supervisor
-    (read the surviving engine and dead letters from it) and the per-step
-    results in order.
-
-    [?txn] lends an existing supervisor — e.g. one a serving layer has
-    already subscribed to via {!Dd_core.Txn.on_event} — instead of
-    creating one ([?txn_options] is then ignored; the engine argument is
-    unused since the supervisor owns its engine).  [?on_step] runs after
-    each step, on the driving domain — the hook a concurrent driver uses
-    to pace the update cadence. *)

@@ -7,10 +7,8 @@
     relations; Pharma has ambiguous text and many relations; Paleontology
     has precise, unambiguous writing and sparse correlations. *)
 
-val adversarial : Corpus.config
 val news : Corpus.config
 val genomics : Corpus.config
-val pharma : Corpus.config
 val paleontology : Corpus.config
 
 val all : Corpus.config list

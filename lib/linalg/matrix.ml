@@ -166,14 +166,3 @@ let add_ridge a eps =
     update out i i (fun v -> v +. eps)
   done;
   out
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>";
-  for i = 0 to t.n - 1 do
-    Format.fprintf fmt "[";
-    for j = 0 to t.n - 1 do
-      Format.fprintf fmt "%8.4f%s" (get t i j) (if j < t.n - 1 then " " else "")
-    done;
-    Format.fprintf fmt "]@,"
-  done;
-  Format.fprintf fmt "@]"

@@ -69,5 +69,3 @@ val is_spd : t -> bool
 
 val add_ridge : t -> float -> t
 (** [add_ridge a eps] adds [eps] to the diagonal (Tikhonov regularizer). *)
-
-val pp : Format.formatter -> t -> unit

@@ -609,8 +609,6 @@ let insert_prev ?(count = 1) ?notify t tup =
   let ids = encode_intern t tup in
   add_ids ?notify t ids count
 
-let insert ?count ?notify t tup = ignore (insert_prev ?count ?notify t tup)
-
 let remove ?(count = 1) ?notify t tup =
   match encode_tuple t tup with
   | None -> 0
@@ -1095,7 +1093,3 @@ let unsafe_corrupt_filter t =
 let unsafe_corrupt_run t =
   if t.rlen = 0 then invalid_arg "Column_store.unsafe_corrupt_run: empty run";
   t.counts.(0) <- -t.counts.(0)
-
-let pp fmt t =
-  Format.fprintf fmt "@[<v>columnar{run=%d tail=%d card=%d total=%d}@]" t.rlen
-    (IH.length t.tail) t.card t.total

@@ -17,7 +17,7 @@
       whose first key column holds id [k] are one perm range found with
       two array loads, and a multi-column probe binary-searches the other
       key columns inside it.
-    - {b Delta tail}: a small mutable hashtable absorbing {!insert} /
+    - {b Delta tail}: a small mutable hashtable absorbing {!insert_prev} /
       {!remove} / {!restore_count} between compactions.  Each entry records
       the tuple's run multiplicity ([base]) and the pending signed change
       ([delta]); the live multiplicity is [base + delta].  When the tail
@@ -51,14 +51,11 @@ val mem : t -> Tuple.t -> bool
 
 val count : t -> Tuple.t -> int
 
-val insert : ?count:int -> ?notify:(int -> unit) -> t -> Tuple.t -> unit
-(** Add [count] (default 1) derivations.  [notify] is called with the
-    previous multiplicity immediately before the store changes (the journal
-    hook).  Interns any new column values. *)
-
 val insert_prev : ?count:int -> ?notify:(int -> unit) -> t -> Tuple.t -> int
-(** Like {!insert} but returns the tuple's previous multiplicity, saving
-    the membership probe callers would otherwise pay before inserting. *)
+(** Add [count] (default 1) derivations and return the tuple's previous
+    multiplicity.  [notify] is called with the previous multiplicity
+    immediately before the store changes (the journal hook).  Interns any
+    new column values. *)
 
 val remove : ?count:int -> ?notify:(int -> unit) -> t -> Tuple.t -> int
 (** Subtract up to [count] derivations; returns how many were removed.
@@ -135,7 +132,7 @@ type loader
 val loader : t -> loader
 
 val load : loader -> int -> Tuple.t -> unit
-(** [load l count tup] interns [tup]'s values (in call order, as {!insert}
+(** [load l count tup] interns [tup]'s values (in call order, as {!insert_prev}
     would) and queues [count] derivations of it.  [tup] may be a reused
     buffer; it is not retained. *)
 
@@ -172,5 +169,3 @@ val unsafe_corrupt_filter : t -> unit
 
 val unsafe_corrupt_run : t -> unit
 (** Raises [Invalid_argument] when the run is empty. *)
-
-val pp : Format.formatter -> t -> unit

@@ -21,8 +21,6 @@ let schema t = t.schema
 
 let cardinality t = Column_store.cardinality t.store
 
-let total_count t = Column_store.total_count t.store
-
 let mem t tup = Column_store.mem t.store tup
 
 let count t tup = Column_store.count t.store tup
@@ -83,17 +81,9 @@ let copy t = { t with store = Column_store.copy t.store; journal = None }
    replaying must not re-log. *)
 let restore_count t tup target = Column_store.restore_count t.store tup target
 
-let of_list ?name schema tuples =
-  let t = create ?name schema in
-  List.iter (fun tup -> insert t tup) tuples;
-  t
-
 let equal_contents a b =
   cardinality a = cardinality b
   && fold (fun tup c acc -> acc && count b tup = c) a true
-
-let equal_sets a b =
-  cardinality a = cardinality b && fold (fun tup _ acc -> acc && mem b tup) a true
 
 (* Re-audit schema conformance and count positivity — [insert] enforces
    both on entry, but a relation restored from a durable snapshot bypassed
@@ -118,8 +108,3 @@ let validate t =
       match Column_store.audit t.store with
       | Ok () -> Ok ()
       | Error m -> Error (Printf.sprintf "%s: columnar audit: %s" t.name m))
-
-let filter pred t =
-  let out = create ~name:t.name t.schema in
-  iter (fun tup c -> if pred tup then insert ~count:c out tup) t;
-  out

@@ -25,9 +25,6 @@ val schema : t -> Schema.t
 val cardinality : t -> int
 (** Number of distinct tuples. *)
 
-val total_count : t -> int
-(** Sum of multiplicities. *)
-
 val mem : t -> Tuple.t -> bool
 
 val count : t -> Tuple.t -> int
@@ -93,18 +90,11 @@ val restore_count : t -> Tuple.t -> int -> unit
     count)] records newest-to-oldest restores the pre-transaction
     contents, and replaying is idempotent. *)
 
-val of_list : ?name:string -> Schema.t -> Tuple.t list -> t
-
 val equal_contents : t -> t -> bool
 (** Same distinct tuples with the same multiplicities. *)
-
-val equal_sets : t -> t -> bool
-(** Same distinct tuples, multiplicities ignored. *)
 
 val validate : t -> (unit, string) result
 (** Re-check every stored tuple against the schema (and counts against
     positivity).  [insert] enforces this on entry; relations restored from
     a checkpoint bypassed insert and must be re-audited.  Also runs
     {!Column_store.audit}. *)
-
-val filter : (Tuple.t -> bool) -> t -> t

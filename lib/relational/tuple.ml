@@ -23,8 +23,6 @@ let hash t = Array.fold_left (fun acc v -> (acc * 31) + Value.hash v) 7 t
 let to_string t =
   "(" ^ String.concat ", " (Array.to_list (Array.map Value.to_string t)) ^ ")"
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let project t idxs = Array.map (fun i -> t.(i)) idxs
 
 let concat = Array.append

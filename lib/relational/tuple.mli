@@ -10,8 +10,6 @@ val hash : t -> int
 
 val to_string : t -> string
 
-val pp : Format.formatter -> t -> unit
-
 val project : t -> int array -> t
 (** [project tup idxs] picks the components at [idxs] in order. *)
 

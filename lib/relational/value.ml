@@ -61,14 +61,5 @@ let ty_to_string = function
 
 let int i = Int i
 let str s = Str s
-let bool b = Bool b
-let float f = Float f
 
-let as_int = function Int i -> i | v -> invalid_arg ("Value.as_int: " ^ to_string v)
 let as_str = function Str s -> s | v -> invalid_arg ("Value.as_str: " ^ to_string v)
-let as_bool = function Bool b -> b | v -> invalid_arg ("Value.as_bool: " ^ to_string v)
-
-let as_float = function
-  | Float f -> f
-  | Int i -> float_of_int i
-  | v -> invalid_arg ("Value.as_float: " ^ to_string v)

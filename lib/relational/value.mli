@@ -36,10 +36,5 @@ val ty_to_string : ty -> string
 
 val int : int -> t
 val str : string -> t
-val bool : bool -> t
-val float : float -> t
 
-val as_int : t -> int
 val as_str : t -> string
-val as_bool : t -> bool
-val as_float : t -> float

@@ -134,9 +134,6 @@ let lookup t ~relation tuple =
 
 let top_k t ?relation k = read_with t t.c_top_ks (fun s -> Snapshot.top_k s ?relation k)
 
-let above t ?relation threshold =
-  read_with t t.c_scans (fun s -> Snapshot.above s ?relation threshold)
-
 let count_above t ?relation threshold =
   read_with t t.c_scans (fun s -> Snapshot.count_above s ?relation threshold)
 

@@ -40,7 +40,6 @@ val read : t -> (Snapshot.t -> 'a) -> 'a
 
 val lookup : t -> relation:string -> Tuple.t -> Snapshot.fact option
 val top_k : t -> ?relation:string -> int -> Snapshot.fact list
-val above : t -> ?relation:string -> float -> Snapshot.fact list
 val count_above : t -> ?relation:string -> float -> int
 val entity_facts : t -> string -> Snapshot.fact list
 
@@ -48,7 +47,7 @@ val entity_facts : t -> string -> Snapshot.fact list
 
 type counters = {
   lookups : int;
-  scans : int;  (** {!above} + {!count_above} *)
+  scans : int;  (** {!count_above} *)
   top_ks : int;
   entities : int;
   generic : int;  (** {!read} calls made directly *)

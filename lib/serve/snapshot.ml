@@ -509,10 +509,6 @@ let cut t vars threshold =
 
 let count_above t ?relation threshold = cut t (pool t relation) threshold
 
-let above t ?relation threshold =
-  let vars = pool t relation in
-  prefix t vars (cut t vars threshold)
-
 let entity_facts t value =
   let l = t.layout in
   match find_value l value with

@@ -118,12 +118,9 @@ val relation_facts : t -> string -> fact array
 val top_k : t -> ?relation:string -> int -> fact list
 (** The [k] most probable facts, over one relation or all of them. *)
 
-val above : t -> ?relation:string -> float -> fact list
-(** Facts with [probability >= threshold], most probable first. *)
-
 val count_above : t -> ?relation:string -> float -> int
-(** [List.length (above ...)] without materializing the list (binary
-    search on the sorted per-relation arrays). *)
+(** Number of facts with [probability >= threshold], over one relation or
+    all of them (binary search on the sorted per-relation arrays). *)
 
 val entity_facts : t -> string -> fact list
 (** Facts whose tuple mentions the given string value (e.g. a mention id

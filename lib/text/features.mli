@@ -17,19 +17,5 @@ val phrase_between : ?max_tokens:int -> pair_context -> string option
     ['_'] — the paper's running example ("and_his_wife").  [None] when the
     gap is empty or longer than [max_tokens] (default 6). *)
 
-val bag_of_words_between : pair_context -> string list
-(** One feature per distinct normalized token between the mentions
-    (prefixed ["bow:"]). *)
-
-val window : pair_context -> string list
-(** The token immediately before the first and the one after the second
-    mention (prefixed ["left:"] / ["right:"]). *)
-
-val inverted_order : pair_context -> string option
-(** ["inv_order"] when [m2] precedes [m1] in the sentence. *)
-
 val mention_distance_bucket : pair_context -> string
 (** Coarse token-distance bucket ("dist:adj", "dist:near", "dist:far"). *)
-
-val all_features : pair_context -> string list
-(** The union of the extractors above (the default FE feature set). *)

@@ -103,5 +103,3 @@ let find dict tokens =
     else incr i
   done;
   List.rev !out
-
-let find_in_sentence dict sentence = find dict (Tokenizer.tokenize sentence)

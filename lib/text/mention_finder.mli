@@ -43,6 +43,3 @@ val mem : dictionary -> string -> bool
 
 val find : dictionary -> Tokenizer.token list -> mention list
 (** Greedy longest-match scan (no overlapping mentions), left to right. *)
-
-val find_in_sentence : dictionary -> string -> mention list
-(** Tokenize then {!find}. *)

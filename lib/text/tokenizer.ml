@@ -70,8 +70,6 @@ let sentences input =
   flush n;
   List.rev !out
 
-let token_texts tokens = List.map (fun t -> t.text) tokens
-
 let slice tokens i j = List.filter (fun t -> t.index >= i && t.index < j) tokens
 
 let normalize word =

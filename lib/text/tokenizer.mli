@@ -23,8 +23,6 @@ val sentences : string -> (int * string) list
     returns (start offset, sentence text) pairs.  Terminators stay with
     their sentence. *)
 
-val token_texts : token list -> string list
-
 val slice : token list -> int -> int -> token list
 (** [slice tokens i j] is the tokens with indexes in [i, j). *)
 

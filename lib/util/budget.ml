@@ -35,8 +35,6 @@ let check t site =
   | Deadline d -> if Timer.elapsed_s d.timer >= d.limit_s then raise (Exceeded site)
   | Tick k -> if Atomic.fetch_and_add k.left (-1) <= 0 then raise (Exceeded site)
 
-let is_exceeded = function Exceeded _ -> true | _ -> false
-
 let spec_to_string = function
   | Unlimited -> "unlimited"
   | Ms ms -> Printf.sprintf "%.1fms" ms

@@ -34,6 +34,4 @@ val check : t -> string -> unit
 (** [check t site] raises [Exceeded site] when the budget is exhausted.
     Cheap when unarmed. *)
 
-val is_exceeded : exn -> bool
-
 val spec_to_string : spec -> string

@@ -87,18 +87,3 @@ let shuffle_in_place t a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let sample_without_replacement t k n =
-  assert (0 <= k && k <= n);
-  (* Floyd's algorithm keeps memory proportional to k. *)
-  let seen = Hashtbl.create (2 * max 1 k) in
-  let out = Array.make k 0 in
-  let pos = ref 0 in
-  for j = n - k to n - 1 do
-    let r = int_below t (j + 1) in
-    let v = if Hashtbl.mem seen r then j else r in
-    Hashtbl.replace seen v ();
-    out.(!pos) <- v;
-    incr pos
-  done;
-  out

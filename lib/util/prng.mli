@@ -70,7 +70,3 @@ val choice : t -> 'a array -> 'a
 
 val shuffle_in_place : t -> 'a array -> unit
 (** Fisher-Yates shuffle. *)
-
-val sample_without_replacement : t -> int -> int -> int array
-(** [sample_without_replacement t k n] returns [k] distinct indices drawn
-    uniformly from [0, n-1]. Requires [0 <= k <= n]. *)

@@ -24,16 +24,6 @@ let variance xs =
 
 let stddev xs = sqrt (variance xs)
 
-let covariance xs ys =
-  let n = Array.length xs in
-  assert (n = Array.length ys);
-  if n = 0 then 0.0
-  else begin
-    let mx = mean xs and my = mean ys in
-    let acc = Array.init n (fun i -> (xs.(i) -. mx) *. (ys.(i) -. my)) in
-    fsum acc /. float_of_int n
-  end
-
 let percentile xs p =
   assert (Array.length xs > 0);
   let sorted = Array.copy xs in
@@ -70,22 +60,6 @@ let kl_bernoulli p q =
   let eps = 1e-9 in
   let p = clamp eps (1.0 -. eps) p and q = clamp eps (1.0 -. eps) q in
   (p *. log (p /. q)) +. ((1.0 -. p) *. log ((1.0 -. p) /. (1.0 -. q)))
-
-let dot xs ys =
-  assert (Array.length xs = Array.length ys);
-  let acc = ref 0.0 in
-  Array.iteri (fun i x -> acc := !acc +. (x *. ys.(i))) xs;
-  !acc
-
-let l2_distance xs ys =
-  assert (Array.length xs = Array.length ys);
-  let acc = ref 0.0 in
-  Array.iteri
-    (fun i x ->
-      let d = x -. ys.(i) in
-      acc := !acc +. (d *. d))
-    xs;
-  sqrt !acc
 
 let max_abs_diff xs ys =
   assert (Array.length xs = Array.length ys);

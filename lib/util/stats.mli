@@ -8,9 +8,6 @@ val variance : float array -> float
 
 val stddev : float array -> float
 
-val covariance : float array -> float array -> float
-(** Population covariance of two equal-length arrays. *)
-
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0,1]; linear interpolation between order
     statistics. Requires a non-empty array. *)
@@ -30,12 +27,5 @@ val kl_bernoulli : float -> float -> float
 
 val clamp : float -> float -> float -> float
 (** [clamp lo hi x]. *)
-
-val fsum : float array -> float
-(** Kahan-compensated summation. *)
-
-val dot : float array -> float array -> float
-
-val l2_distance : float array -> float array -> float
 
 val max_abs_diff : float array -> float array -> float

@@ -64,20 +64,6 @@ let union t x y =
       t.rank.(rx) <- t.rank.(rx) + 1
     end
 
-let same t x y =
-  check t x;
-  check t y;
-  find_unchecked t x = find_unchecked t y
-
-let groups t =
-  let table = Hashtbl.create 16 in
-  for x = 0 to t.length - 1 do
-    let r = find_unchecked t x in
-    let members = try Hashtbl.find table r with Not_found -> [] in
-    Hashtbl.replace table r (x :: members)
-  done;
-  table
-
 let count t =
   let seen = Hashtbl.create 16 in
   for x = 0 to t.length - 1 do

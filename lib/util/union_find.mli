@@ -26,11 +26,5 @@ val find : t -> int -> int
 val union : t -> int -> int -> unit
 (** Merge the two sets. *)
 
-val same : t -> int -> int -> bool
-(** Whether two elements share a set. *)
-
-val groups : t -> (int, int list) Hashtbl.t
-(** Map from representative to the members of its set. *)
-
 val count : t -> int
 (** Number of distinct sets. *)

@@ -16,8 +16,13 @@ type reader_report = {
   verify_failures : string list;
 }
 
+type step = {
+  step_rule : Pipeline.rule_id;
+  step_result : (Txn.outcome, Txn.error) result;
+}
+
 type report = {
-  steps : Pipeline.drive_step list;
+  steps : step list;
   readers : reader_report array;
   health : Server.health;
   final_identical : bool;
@@ -74,8 +79,15 @@ let run ?(readers = 2) ?(verify_every = 64) ?bins ?truth ?semantics ?txn_options
            (match on_step with Some f -> f step | None -> ());
            if pace_s > 0.0 then Unix.sleepf pace_s
          in
-         let _, s = Pipeline.drive ?semantics ~txn ~on_step (Txn.engine txn) rule_ids in
-         steps := s)
+         steps :=
+           List.map
+             (fun rid ->
+               let step =
+                 { step_rule = rid; step_result = Txn.apply txn (Pipeline.update_of ?semantics rid) }
+               in
+               on_step step;
+               step)
+             rule_ids)
    in
    let reader d () =
      let rng = Prng.create (0x5e7e + d) in

@@ -27,8 +27,13 @@ type reader_report = {
   verify_failures : string list;  (** must be [[]]; any entry is a torn read *)
 }
 
+type step = {
+  step_rule : Pipeline.rule_id;
+  step_result : (Txn.outcome, Txn.error) result;
+}
+
 type report = {
-  steps : Pipeline.drive_step list;  (** per-update outcomes, in order *)
+  steps : step list;  (** per-update outcomes, in order *)
   readers : reader_report array;
   health : Server.health;  (** health surface after the stream drained *)
   final_identical : bool;
@@ -44,7 +49,7 @@ val run :
   ?semantics:Dd_fgraph.Semantics.t ->
   ?txn_options:Txn.options ->
   ?pace_s:float ->
-  ?on_step:(Pipeline.drive_step -> unit) ->
+  ?on_step:(step -> unit) ->
   Dd_core.Engine.t ->
   Pipeline.rule_id list ->
   Txn.t * Server.t * report

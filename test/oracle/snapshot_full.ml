@@ -156,10 +156,6 @@ let cut arr threshold =
 
 let count_above t ?relation threshold = cut (pool t relation) threshold
 
-let above t ?relation threshold =
-  let arr = pool t relation in
-  prefix arr (cut arr threshold)
-
 let entity_facts t value = Option.value ~default:[] (Hashtbl.find_opt t.entity value)
 
 let calibration t = t.calibration

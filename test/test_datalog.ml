@@ -40,25 +40,25 @@ let test_ast_vars () =
 
 let test_safety_ok () =
   let r = Ast.rule (atom "p" [ v "x" ]) [ Ast.Pos (atom "q" [ v "x" ]) ] in
-  Alcotest.(check bool) "safe" true (Result.is_ok (Ast.check_safety r))
+  Alcotest.(check bool) "safe" true (Result.is_ok (Ast.check_program [ r ]))
 
 let test_safety_unbound_head () =
   let r = Ast.rule (atom "p" [ v "z" ]) [ Ast.Pos (atom "q" [ v "x" ]) ] in
-  Alcotest.(check bool) "unsafe head" true (Result.is_error (Ast.check_safety r))
+  Alcotest.(check bool) "unsafe head" true (Result.is_error (Ast.check_program [ r ]))
 
 let test_safety_unbound_negation () =
   let r =
     Ast.rule (atom "p" [ v "x" ])
       [ Ast.Pos (atom "q" [ v "x" ]); Ast.Neg (atom "r" [ v "y" ]) ]
   in
-  Alcotest.(check bool) "unsafe negation" true (Result.is_error (Ast.check_safety r))
+  Alcotest.(check bool) "unsafe negation" true (Result.is_error (Ast.check_program [ r ]))
 
 let test_safety_unbound_guard () =
   let r =
     Ast.rule ~guards:[ Ast.Lt (v "x", v "w") ] (atom "p" [ v "x" ])
       [ Ast.Pos (atom "q" [ v "x" ]) ]
   in
-  Alcotest.(check bool) "unsafe guard" true (Result.is_error (Ast.check_safety r))
+  Alcotest.(check bool) "unsafe guard" true (Result.is_error (Ast.check_program [ r ]))
 
 let test_rule_to_string () =
   let r =
@@ -126,29 +126,6 @@ let test_stratify_negative_cycle_rejected () =
     ]
   in
   Alcotest.(check bool) "rejected" true (Result.is_error (Stratify.stratify program))
-
-let test_affected_idb () =
-  let program =
-    [
-      Ast.rule (atom "a" [ v "x" ]) [ Ast.Pos (atom "edge" [ v "x"; v "y" ]) ];
-      Ast.rule (atom "b" [ v "x" ]) [ Ast.Pos (atom "a" [ v "x" ]) ];
-      Ast.rule (atom "z" [ v "x" ]) [ Ast.Pos (atom "other" [ v "x" ]) ];
-    ]
-  in
-  Alcotest.(check (list string)) "edge affects a,b" [ "a"; "b" ]
-    (Stratify.affected_idb program [ "edge" ]);
-  Alcotest.(check (list string)) "other affects z" [ "z" ]
-    (Stratify.affected_idb program [ "other" ])
-
-let test_depends_on () =
-  let program =
-    [
-      Ast.rule (atom "a" [ v "x" ]) [ Ast.Pos (atom "edge" [ v "x"; v "y" ]) ];
-      Ast.rule (atom "b" [ v "x" ]) [ Ast.Pos (atom "a" [ v "x" ]) ];
-    ]
-  in
-  Alcotest.(check (list string)) "b depends" [ "a"; "b"; "edge" ]
-    (Stratify.depends_on program "b")
 
 (* --- matcher ------------------------------------------------------------------ *)
 
@@ -530,7 +507,7 @@ let test_dred_noop_update () =
     dred_equivalence ~program:nonrec_program ~initial_edges:[ (1, 2) ] ~inserts:[ (1, 2) ]
       ~deletes:[ (9, 9) ]
   in
-  Alcotest.(check bool) "no changes" true (Dred.Delta.is_empty flips)
+  Alcotest.(check bool) "no changes" true (Dred.Delta.total flips = 0)
 
 let test_dred_rejects_idb_change () =
   let db = db_with_edges [ (1, 2) ] in
@@ -615,8 +592,6 @@ let () =
           Alcotest.test_case "recursion flag" `Quick test_stratify_recursion_flag;
           Alcotest.test_case "negation ok" `Quick test_stratify_negation_ok;
           Alcotest.test_case "negative cycle" `Quick test_stratify_negative_cycle_rejected;
-          Alcotest.test_case "affected idb" `Quick test_affected_idb;
-          Alcotest.test_case "depends on" `Quick test_depends_on;
         ] );
       ( "matcher",
         [

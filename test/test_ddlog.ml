@@ -107,7 +107,13 @@ let test_parse_rule_kinds () =
 
 let test_parse_rule_names () =
   let prog = parse_ok minimal in
-  let names = List.map Program.rule_name prog.Program.rules in
+  let names =
+    List.map
+      (function
+        | Program.Deterministic (name, _) | Program.Supervise (name, _) -> name
+        | Program.Infer r -> r.Program.name)
+      prog.Program.rules
+  in
   Alcotest.(check bool) "classifier named" true (List.mem "classifier" names);
   Alcotest.(check bool) "prior named" true (List.mem "prior" names)
 
@@ -128,8 +134,8 @@ let test_parse_weight_specs () =
 
 let test_parse_supervision_constant () =
   let prog = parse_ok minimal in
-  match Program.supervision_rules prog with
-  | [ (_, rule) ] ->
+  match List.filter_map (function Program.Supervise (_, rule) -> Some rule | _ -> None) prog.Program.rules with
+  | [ rule ] ->
     let last = List.nth rule.Ast.head.Ast.args 1 in
     Alcotest.(check bool) "true constant" true (last = Ast.Const (Value.Bool true))
   | _ -> Alcotest.fail "expected one supervision rule"

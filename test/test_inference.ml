@@ -81,7 +81,14 @@ let test_gibbs_matches_exact_implication () =
   let g = Graph.create () in
   let h = Graph.add_var g and b1 = Graph.add_var g and b2 = Graph.add_var g in
   let w = Graph.add_weight g 1.2 in
-  ignore (Graph.implication g ~weight:w ~semantics:Semantics.Ratio [ b1; b2 ] h);
+  ignore
+    (Graph.add_factor g
+       {
+         Graph.head = Some h;
+         bodies = [| [| lit b1; lit b2 |] |];
+         weight_id = w;
+         semantics = Semantics.Ratio;
+       });
   let wb = Graph.add_weight g 0.8 in
   ignore (Graph.unary g ~weight:wb b1);
   ignore (Graph.unary g ~weight:wb b2);

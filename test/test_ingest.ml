@@ -6,7 +6,6 @@ module Source = Dd_ingest.Source
 module Batcher = Dd_ingest.Batcher
 module Canonicalizer = Dd_ingest.Canonicalizer
 module Feed = Dd_ingest.Feed
-module Corpus = Dd_kbc.Corpus
 module Pipeline = Dd_kbc.Pipeline
 module Checkpoint = Dd_kbc.Checkpoint
 module Engine = Dd_core.Engine
@@ -30,8 +29,6 @@ let payload_fingerprint = function
   | Source.Text { text; names; aliases } ->
     text ^ "|" ^ String.concat "," names ^ "|"
     ^ String.concat "," (List.map (fun (a, b) -> a ^ "=" ^ b) aliases)
-  | Source.Rows tables ->
-    String.concat ";" (List.map (fun (n, rows) -> Printf.sprintf "%s:%d" n (List.length rows)) tables)
 
 let test_source_deterministic () =
   let a = drain (Source.synthetic small_config) in
@@ -63,19 +60,6 @@ let test_source_seed_changes_stream () =
     String.concat "\n" (List.map (fun (d : Source.doc) -> payload_fingerprint d.Source.payload) docs)
   in
   Alcotest.(check bool) "different" true (fp a <> fp b)
-
-let test_source_replay () =
-  let corpus = Corpus.generate { Dd_kbc.Systems.news with Corpus.docs = 6 } in
-  let source = Source.replay ~rate:100.0 corpus in
-  Alcotest.(check int) "total" 6 (Source.total_docs source);
-  let docs = drain source in
-  Alcotest.(check int) "drained" 6 (List.length docs);
-  List.iter
-    (fun (d : Source.doc) ->
-      match d.Source.payload with
-      | Source.Rows _ -> ()
-      | Source.Text _ -> Alcotest.fail "replay must emit Rows payloads")
-    docs
 
 (* --- batcher --------------------------------------------------------------- *)
 
@@ -463,7 +447,6 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_source_deterministic;
           Alcotest.test_case "arrivals increase" `Quick test_source_arrivals_increase;
           Alcotest.test_case "seed changes stream" `Quick test_source_seed_changes_stream;
-          Alcotest.test_case "replay corpus" `Quick test_source_replay;
         ] );
       ( "batcher",
         [

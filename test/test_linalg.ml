@@ -146,7 +146,13 @@ let test_frobenius_and_max_abs () =
 let qcheck_tests =
   let open QCheck in
   let spd_gen = Gen.map (fun seed -> random_spd (Dd_util.Prng.create seed) 4) Gen.small_int in
-  let arbitrary_spd = make ~print:(fun m -> Format.asprintf "%a" Matrix.pp m) spd_gen in
+  let show m =
+    let n = Matrix.dim m in
+    String.concat "; "
+      (List.init n (fun i ->
+           String.concat " " (List.init n (fun j -> Printf.sprintf "%.4f" (Matrix.get m i j)))))
+  in
+  let arbitrary_spd = make ~print:show spd_gen in
   [
     Test.make ~name:"spd_solve satisfies system" ~count:50 arbitrary_spd (fun a ->
         let b = [| 1.0; -2.0; 0.5; 3.0 |] in

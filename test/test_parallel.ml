@@ -229,7 +229,8 @@ let test_seq_materialize_bit_identical () =
      [domains] argument at 1 equals the historical sequential draw. *)
   let g = random_graph 13 in
   let a =
-    (Materialize.materialize ~n_samples:40 ~with_variational:false ~kernel:(Compiled.compile g)
+    (Materialize.materialize ~n_samples:40 ~burn_in:20 ~lambda:0.1 ~variational_var_limit:600
+       ~with_variational:false ~domains:1 ~kernel:(Compiled.compile g)
        (Prng.create 61))
       .Materialize.samples
   in
@@ -404,8 +405,17 @@ let i1_graph ~copies pairs =
       let wp = Graph.add_weight g (0.2 *. float_of_int ((i mod 5) - 2)) in
       ignore (Graph.unary g ~weight:wp x);
       let ws = Graph.add_weight g 0.9 in
-      ignore (Graph.implication g ~weight:ws ~semantics:Semantics.Logical [ x ] y);
-      ignore (Graph.implication g ~weight:ws ~semantics:Semantics.Logical [ y ] x);
+      let imply body head =
+        Graph.add_factor g
+          {
+            Graph.head = Some head;
+            bodies = [| [| { Graph.var = body; negated = false } |] |];
+            weight_id = ws;
+            semantics = Semantics.Logical;
+          }
+      in
+      ignore (imply x y);
+      ignore (imply y x);
       let wr = Graph.add_weight g (-0.5) in
       ignore
         (Graph.add_factor g

@@ -31,6 +31,11 @@ let atom = Ast.atom
 let schema_of_arity n =
   Schema.make (List.init n (fun k -> (Printf.sprintf "c%d" k, Value.TInt)))
 
+let relation_of schema rows =
+  let r = Relation.create schema in
+  List.iter (Relation.insert r) rows;
+  r
+
 (* Fixed EDB vocabulary: predicate name -> arity. *)
 let preds = [ ("e1", 1); ("e2", 2); ("f2", 2); ("g3", 3) ]
 
@@ -183,7 +188,7 @@ let test_run_rejects_wrong_mode () =
 (* --- unit: patched views ------------------------------------------------------ *)
 
 let test_view_mem_patched () =
-  let base = Relation.of_list (schema_of_arity 1) [ [| i 1 |]; [| i 2 |] ] in
+  let base = relation_of (schema_of_arity 1) [ [| i 1 |]; [| i 2 |] ] in
   let minus = Tuple.Hashtbl.create 4 and plus = Tuple.Hashtbl.create 4 in
   Tuple.Hashtbl.replace minus [| i 2 |] ();
   Tuple.Hashtbl.replace plus [| i 9 |] ();
@@ -218,7 +223,7 @@ let test_patched_view_equals_materialized () =
     if pred = "f2" then Plan.patched ~base:(Database.find db "f2") ~minus ~plus
     else Plan.whole (Engine.lookup_in db pred)
   in
-  let old_f2 = Relation.of_list (schema_of_arity 2) [ [| i 2; i 4 |]; [| i 5; i 6 |] ] in
+  let old_f2 = relation_of (schema_of_arity 2) [ [| i 2; i 4 |]; [| i 5; i 6 |] ] in
   let materialized_lookup pred =
     if pred = "f2" then old_f2 else Engine.lookup_in db pred
   in
@@ -410,7 +415,7 @@ let check_ops_equivalence ops =
   let cs = Relation.store rel in
   let agree () =
     Row_bag.equal_relation bag rel
-    && Row_bag.total_count bag = Relation.total_count rel
+    && Row_bag.total_count bag = Column_store.total_count cs
     && Result.is_ok (Relation.validate rel)
   in
   let apply = function

@@ -81,8 +81,8 @@ let test_checkpoint_roundtrip () =
 
 let test_checkpoint_detects_corruption () =
   (* One flipped byte anywhere in the checkpoint must fail the load with a
-     checksum error, both in the text graph section and in the binary
-     state section. *)
+     checksum error, both in the tag frame and in the marshalled state
+     frame. *)
   List.iter
     (fun (label, pos) ->
       with_store "corrupt" (fun dir ->
@@ -101,7 +101,7 @@ let test_checkpoint_detects_corruption () =
           | Error e ->
             Alcotest.fail (label ^ ": wrong error: " ^ Checkpoint.error_to_string e)
           | Ok _ -> Alcotest.fail (label ^ ": corruption not detected")))
-    [ ("graph section", 40); ("state section", -40) ]
+    [ ("tag frame", 2); ("state section", -40) ]
 
 let test_wal_replay () =
   with_store "wal" (fun dir ->
@@ -315,11 +315,10 @@ let test_seq_is_commit_count () =
       Checkpoint.save store engine;
       Checkpoint.abandon store;
       let r = Record.of_file (Filename.concat dir "ckpt-0.ddckpt") in
-      let seq = Record.read r "ddckpt 10" in
-      let graph = Record.read r "graph" in
+      let seq = Record.read r "ddckpt 11" in
       let state = Record.read r "state" in
       Alcotest.(check string) "a new engine's base is ckpt-0" "0" seq;
-      let forged = Record.frames [ ("ddckpt 10", "3"); ("graph", graph); ("state", state) ] in
+      let forged = Record.frames [ ("ddckpt 11", "3"); ("state", state) ] in
       Out_channel.with_open_bin (Filename.concat dir "ckpt-3.ddckpt") (fun oc ->
           output_string oc forged);
       match Checkpoint.verify_version store 3 with
@@ -338,17 +337,15 @@ let test_old_tag_rejected () =
       Checkpoint.abandon store;
       let path = Filename.concat dir "ckpt-0.ddckpt" in
       let r = Record.of_file path in
-      ignore (Record.read r "ddckpt 10");
-      let graph = Record.read r "graph" in
+      ignore (Record.read r "ddckpt 11");
       Out_channel.with_open_bin path (fun oc ->
-          output_string oc
-            (Record.frames [ ("ddckpt 9", "0"); ("graph", graph); ("state", "not an engine") ]));
+          output_string oc (Record.frames [ ("ddckpt 10", "0"); ("state", "not an engine") ]));
       match Checkpoint.recover (Checkpoint.open_store ~fsync:false dir) with
       | Error (Checkpoint.Corrupt _) ->
         Alcotest.(check (list string)) "the old base quarantined" [ "ckpt-0.ddckpt.quarantined" ]
           (Checkpoint.quarantined_files (Checkpoint.open_store dir))
       | Error e -> Alcotest.fail ("wrong error: " ^ Checkpoint.error_to_string e)
-      | Ok _ -> Alcotest.fail "a ddckpt 9 base loaded")
+      | Ok _ -> Alcotest.fail "a ddckpt 10 base loaded")
 
 (* A base written after a rematerialization holds a state no replay
    reproduces, so it ends the chain — also when it is written again at
@@ -472,7 +469,7 @@ let fixture =
                {
                  kind = "state";
                  bytes = file "ckpt-0.ddckpt";
-                 tags = [ "ddckpt 10"; "graph"; "state" ];
+                 tags = [ "ddckpt 11"; "state" ];
                  rejects =
                    (fun b -> store_rejects "ckpt-0.ddckpt" b (fun s -> Checkpoint.verify_version s 0));
                };

@@ -79,7 +79,7 @@ let test_snapshot_queries () =
       Alcotest.(check int)
         (Printf.sprintf "count_above %.2f" thr)
         expected (Snapshot.count_above snap thr);
-      let above = Snapshot.above snap thr in
+      let above = Snapshot.top_k snap (Snapshot.count_above snap thr) in
       Alcotest.(check int) "above materializes the same set" expected (List.length above);
       List.iter
         (fun f -> Alcotest.(check bool) "above respects threshold" true (f.Snapshot.probability >= thr))
@@ -178,7 +178,7 @@ let test_server_publishes_on_commit () =
   let relation = Pipeline.query_relation in
   ignore (Server.top_k server 3);
   ignore (Server.count_above server ~relation 0.5);
-  ignore (Server.above server 0.9);
+  ignore (Server.count_above server 0.9);
   ignore (Server.entity_facts server "nobody");
   ignore (Server.read server Snapshot.num_facts);
   (match Snapshot.top_k (Server.current server) 1 with
@@ -284,11 +284,11 @@ let test_driver_clean_stream () =
   in
   List.iter
     (fun step ->
-      match step.Pipeline.step_result with
+      match step.Driver.step_result with
       | Ok _ -> ()
       | Error e ->
         Alcotest.fail
-          (Pipeline.rule_id_to_string step.Pipeline.step_rule ^ " quarantined: "
+          (Pipeline.rule_id_to_string step.Driver.step_rule ^ " quarantined: "
           ^ Txn.error_message e))
     report.Driver.steps;
   check_readers "clean" report;
@@ -329,7 +329,7 @@ let test_driver_fault_sweep () =
       Alcotest.(check int) (point ^ " fired") 1 (Fault.fired point);
       Fault.reset ();
       (match report.Driver.steps with
-      | [ { Pipeline.step_result = Ok outcome; _ } ] ->
+      | [ { Driver.step_result = Ok outcome; _ } ] ->
         Alcotest.(check bool) (point ^ " recovered via retry") true
           (outcome.Txn.rung = Txn.Retry 1)
       | _ -> Alcotest.fail (point ^ ": expected one committed step"));
@@ -357,7 +357,7 @@ let test_driver_quarantine_stream () =
   Fault.reset ();
   List.iter
     (fun step ->
-      match step.Pipeline.step_result with
+      match step.Driver.step_result with
       | Error _ -> ()
       | Ok _ -> Alcotest.fail "poison step committed")
     report.Driver.steps;
@@ -428,9 +428,7 @@ let check_equivalent ?(misses = []) label snap oracle =
       List.iter
         (fun thr ->
           if Snapshot.count_above snap ?relation thr <> Oracle.count_above oracle ?relation thr then
-            fail "count_above %g differs" thr;
-          if not (same_facts (Snapshot.above snap ?relation thr) (Oracle.above oracle ?relation thr))
-          then fail "above %g differs" thr)
+            fail "count_above %g differs" thr)
         [ 0.0; 0.1; 0.5; 0.75; 0.9; 1.0; 1.1 ];
       List.iter
         (fun k ->
@@ -699,7 +697,6 @@ let qcheck_tests =
         (* ...threshold scans agree with a naive count over top-k... *)
         && Snapshot.count_above snap thr
            = List.length (List.filter (fun f -> f.Snapshot.probability >= thr) facts)
-        && List.length (Snapshot.above snap thr) = Snapshot.count_above snap thr
         (* ...and calibration covers exactly the predictions, with each
            fact calibrated to its own bucket's precision. *)
         &&

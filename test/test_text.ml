@@ -10,7 +10,8 @@ module Relation = Dd_relational.Relation
 
 (* --- tokenizer ------------------------------------------------------------ *)
 
-let texts s = Tokenizer.token_texts (Tokenizer.tokenize s)
+let token_texts tokens = List.map (fun t -> t.Tokenizer.text) tokens
+let texts s = token_texts (Tokenizer.tokenize s)
 
 let test_tokenize_words () =
   Alcotest.(check (list string)) "words" [ "a"; "b"; "cd" ] (texts "a b  cd")
@@ -51,41 +52,43 @@ let test_normalize () =
 let test_slice () =
   let tokens = Tokenizer.tokenize "a b c d" in
   Alcotest.(check (list string)) "middle" [ "b"; "c" ]
-    (Tokenizer.token_texts (Tokenizer.slice tokens 1 3))
+    (token_texts (Tokenizer.slice tokens 1 3))
 
 (* --- mention finder ---------------------------------------------------------- *)
+
+let find_in dict sentence = Mention_finder.find dict (Tokenizer.tokenize sentence)
 
 let people = [ "Barack Obama"; "Michelle Obama"; "Obama"; "Angela Merkel" ]
 
 let test_find_single_token () =
   let dict = Mention_finder.dictionary [ "Merkel" ] in
-  let found = Mention_finder.find_in_sentence dict "Chancellor Merkel spoke" in
+  let found = find_in dict "Chancellor Merkel spoke" in
   Alcotest.(check int) "one" 1 (List.length found);
   Alcotest.(check string) "surface" "Merkel" (List.hd found).Mention_finder.surface
 
 let test_find_longest_match () =
   (* "Barack Obama" must win over the shorter "Obama". *)
   let dict = Mention_finder.dictionary people in
-  let found = Mention_finder.find_in_sentence dict "Barack Obama met Angela Merkel" in
+  let found = find_in dict "Barack Obama met Angela Merkel" in
   Alcotest.(check (list string)) "two mentions" [ "Barack Obama"; "Angela Merkel" ]
     (List.map (fun m -> m.Mention_finder.surface) found)
 
 let test_find_case_insensitive () =
   let dict = Mention_finder.dictionary [ "Barack Obama" ] in
-  let found = Mention_finder.find_in_sentence dict "BARACK OBAMA waved" in
+  let found = find_in dict "BARACK OBAMA waved" in
   Alcotest.(check int) "found" 1 (List.length found);
   (* Surface preserves the original casing. *)
   Alcotest.(check string) "surface" "BARACK OBAMA" (List.hd found).Mention_finder.surface
 
 let test_find_no_overlap () =
   let dict = Mention_finder.dictionary [ "a b"; "b c" ] in
-  let found = Mention_finder.find_in_sentence dict "a b c" in
+  let found = find_in dict "a b c" in
   Alcotest.(check (list string)) "greedy left-to-right" [ "a b" ]
     (List.map (fun m -> m.Mention_finder.surface) found)
 
 let test_find_token_spans () =
   let dict = Mention_finder.dictionary [ "Barack Obama" ] in
-  let found = Mention_finder.find_in_sentence dict "today Barack Obama spoke" in
+  let found = find_in dict "today Barack Obama spoke" in
   let m = List.hd found in
   Alcotest.(check int) "first token" 1 m.Mention_finder.first_token;
   Alcotest.(check int) "last token" 2 m.Mention_finder.last_token
@@ -93,7 +96,7 @@ let test_find_token_spans () =
 let test_add_name_after_build () =
   let dict = Mention_finder.dictionary [] in
   Alcotest.(check bool) "new" true (Mention_finder.add_name dict "New Entity");
-  let found = Mention_finder.find_in_sentence dict "the New Entity appeared" in
+  let found = find_in dict "the New Entity appeared" in
   Alcotest.(check int) "found" 1 (List.length found)
 
 let test_dictionary_dedups_names () =
@@ -107,7 +110,7 @@ let test_dictionary_dedups_names () =
   Alcotest.(check bool) "mem normalized" true (Mention_finder.mem dict "OBAMA");
   Alcotest.(check bool) "mem fresh" false (Mention_finder.mem dict "Biden");
   (* Still exactly one mention per occurrence. *)
-  let found = Mention_finder.find_in_sentence dict "Obama met OBAMA" in
+  let found = find_in dict "Obama met OBAMA" in
   Alcotest.(check int) "no duplicate matches" 2 (List.length found)
 
 let test_add_name_rejects_empty () =
@@ -123,13 +126,13 @@ let test_normalize_name () =
 
 let test_find_empty_document () =
   let dict = Mention_finder.dictionary people in
-  Alcotest.(check int) "empty string" 0 (List.length (Mention_finder.find_in_sentence dict ""));
-  Alcotest.(check int) "whitespace" 0 (List.length (Mention_finder.find_in_sentence dict "   "));
+  Alcotest.(check int) "empty string" 0 (List.length (find_in dict ""));
+  Alcotest.(check int) "whitespace" 0 (List.length (find_in dict "   "));
   Alcotest.(check (list string)) "no sentences" [] (List.map snd (Tokenizer.sentences ""))
 
 let test_find_punctuation_only () =
   let dict = Mention_finder.dictionary people in
-  Alcotest.(check int) "punct only" 0 (List.length (Mention_finder.find_in_sentence dict "... !! ,"));
+  Alcotest.(check int) "punct only" 0 (List.length (find_in dict "... !! ,"));
   (* A punctuation-only sentence inside a document tokenizes but yields
      no mentions. *)
   List.iter
@@ -141,12 +144,12 @@ let test_find_overlapping_multitoken () =
   (* Chained overlapping multi-token names: greedy longest from the left,
      then continue after the match. *)
   let dict = Mention_finder.dictionary [ "a b c"; "b c d"; "c d"; "d e" ] in
-  let found = Mention_finder.find_in_sentence dict "a b c d e" in
+  let found = find_in dict "a b c d e" in
   Alcotest.(check (list string)) "left longest then rest" [ "a b c"; "d e" ]
     (List.map (fun m -> m.Mention_finder.surface) found);
   (* A name that is a prefix of a longer one: longest wins at the site. *)
   let dict = Mention_finder.dictionary [ "New York"; "New York City" ] in
-  let found = Mention_finder.find_in_sentence dict "in New York City today" in
+  let found = find_in dict "in New York City today" in
   Alcotest.(check (list string)) "longest wins" [ "New York City" ]
     (List.map (fun m -> m.Mention_finder.surface) found)
 
@@ -174,36 +177,12 @@ let test_phrase_between_too_long () =
   in
   Alcotest.(check (option string)) "capped" None (Features.phrase_between ~max_tokens:6 ctx)
 
-let test_bag_of_words () =
-  let ctx = pair_ctx "Barack Obama and his wife Michelle Obama" in
-  Alcotest.(check (list string)) "bow" [ "bow:and"; "bow:his"; "bow:wife" ]
-    (Features.bag_of_words_between ctx)
-
-let test_window_features () =
-  let ctx = pair_ctx "yesterday Barack Obama met Michelle Obama gladly" in
-  let w = Features.window ctx in
-  Alcotest.(check bool) "left" true (List.mem "left:yesterday" w);
-  Alcotest.(check bool) "right" true (List.mem "right:gladly" w)
-
-let test_inverted_order () =
-  let ctx = pair_ctx "Barack Obama met Michelle Obama" in
-  Alcotest.(check (option string)) "in order" None (Features.inverted_order ctx);
-  let swapped = Features.{ ctx with m1 = ctx.m2; m2 = ctx.m1 } in
-  Alcotest.(check (option string)) "inverted" (Some "inv_order")
-    (Features.inverted_order swapped)
-
 let test_distance_bucket () =
   Alcotest.(check string) "adjacent" "dist:adj"
     (Features.mention_distance_bucket (pair_ctx "Barack Obama met Michelle Obama"));
   Alcotest.(check string) "far" "dist:far"
     (Features.mention_distance_bucket
        (pair_ctx "Barack Obama a b c d e f g h Michelle Obama"))
-
-let test_all_features_nonempty () =
-  let feats = Features.all_features (pair_ctx "Barack Obama and his wife Michelle Obama") in
-  Alcotest.(check bool) "has phrase feature" true
-    (List.mem "phrase:and_his_wife" feats);
-  Alcotest.(check bool) "has distance" true (List.mem "dist:near" feats)
 
 (* --- nlp load -------------------------------------------------------------------- *)
 
@@ -322,11 +301,7 @@ let () =
           Alcotest.test_case "phrase between" `Quick test_phrase_between;
           Alcotest.test_case "empty gap" `Quick test_phrase_between_empty_gap;
           Alcotest.test_case "too long" `Quick test_phrase_between_too_long;
-          Alcotest.test_case "bag of words" `Quick test_bag_of_words;
-          Alcotest.test_case "window" `Quick test_window_features;
-          Alcotest.test_case "inverted order" `Quick test_inverted_order;
           Alcotest.test_case "distance bucket" `Quick test_distance_bucket;
-          Alcotest.test_case "all features" `Quick test_all_features_nonempty;
         ] );
       ( "nlp_load",
         [

@@ -90,7 +90,6 @@ let test_budget_ticks () =
   (match Budget.check b "c" with
   | () -> Alcotest.fail "third poll should exceed"
   | exception Budget.Exceeded site -> Alcotest.(check string) "site" "c" site);
-  Alcotest.(check bool) "is_exceeded" true (Budget.is_exceeded (Budget.Exceeded "c"));
   let u = Budget.start Budget.Unlimited in
   for _ = 1 to 1000 do
     Budget.check u "never"
