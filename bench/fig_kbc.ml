@@ -41,7 +41,6 @@ let bench_options =
     initial_learning_epochs = 60;
     incremental_learning_epochs = 20;
     incremental_learning_rate = 0.08;
-    variational_var_limit = 900;
     acceptance_floor = 0.05;
   }
 

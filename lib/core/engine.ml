@@ -20,7 +20,6 @@ type options = {
   initial_learning_epochs : int;
   incremental_learning_epochs : int;
   incremental_learning_rate : float;
-  variational_var_limit : int;
   disable_sampling : bool;
   disable_variational : bool;
   workload_aware : bool;
@@ -39,7 +38,6 @@ let default_options =
     initial_learning_epochs = 30;
     incremental_learning_epochs = 5;
     incremental_learning_rate = 0.03;
-    variational_var_limit = 600;
     disable_sampling = false;
     disable_variational = false;
     workload_aware = true;
@@ -130,8 +128,8 @@ let compiled_kernel t =
    never read. *)
 let materialize opts ~kernel rng =
   Materialize.materialize ~n_samples:opts.materialization_samples ~burn_in:opts.burn_in
-    ~lambda:opts.lambda ~variational_var_limit:opts.variational_var_limit
-    ~with_variational:(not opts.disable_variational) ~domains:opts.parallel_domains ~kernel rng
+    ~lambda:opts.lambda ~with_variational:(not opts.disable_variational)
+    ~domains:opts.parallel_domains ~kernel rng
 
 (* Inference on the real graph: the from-scratch answer, the exact rule,
    and the fallback when neither §3.2 artifact is usable. *)

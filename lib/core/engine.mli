@@ -25,7 +25,10 @@ type options = {
   materialization_samples : int;
   inference_chain : int;  (** MH proposals / Gibbs sweeps per inference *)
   burn_in : int;
-  lambda : float;  (** variational regularization *)
+  lambda : float;
+      (** variational regularization; every graph gets the variational
+          artifact ({!Dd_variational.Approx}, one coupled block at a time)
+          unless [disable_variational] *)
   acceptance_floor : float;  (** read by {!Optimizer.after_probe} *)
   initial_learning_epochs : int;
       (** from-scratch learning runs at {!Dd_inference.Learner.default_cd}'s
@@ -34,7 +37,6 @@ type options = {
   incremental_learning_rate : float;
       (** warmstart fine-tuning is gentler than from-scratch learning, which
           also keeps the sampling approach's acceptance rate usable *)
-  variational_var_limit : int;
   disable_sampling : bool;  (** lesion: NoSampling ({!Optimizer.decide}) *)
   disable_variational : bool;  (** lesion: NoRelaxation — no variational artifact *)
   workload_aware : bool;  (** false = the NoWorkloadInfo lesion ({!Optimizer.decide}) *)

@@ -13,14 +13,13 @@ type t = {
   samples_used : int;
 }
 
-let materialize ~n_samples ~burn_in ~lambda ~variational_var_limit ~with_variational ~domains
-    ~kernel rng =
+let materialize ~n_samples ~burn_in ~lambda ~with_variational ~domains ~kernel rng =
   let g = Compiled.graph kernel in
   (* [domains = 1] is one compiled chain from [rng]; above that the
      sample store is drawn by independent chains, one per domain. *)
   let samples = Par_gibbs.sample_worlds ~burn_in ~kernel ~domains rng ~n:n_samples in
   let variational =
-    if with_variational && Graph.num_vars g <= variational_var_limit then begin
+    if with_variational then begin
       let approx, _stats = Approx.materialize ~lambda rng g ~samples in
       Some approx
     end

@@ -22,7 +22,7 @@ module Metropolis = Dd_inference.Metropolis
 
 type t = {
   samples : bool array array;
-  variational : Graph.t option;  (** absent above [variational_var_limit] *)
+  variational : Graph.t option;  (** absent under the NoRelaxation lesion *)
   base_weights : float array;
   base_bodies : int array;  (** body count of each factor at materialization *)
   base_evidence : Graph.evidence array;
@@ -33,18 +33,18 @@ val materialize :
   n_samples:int ->
   burn_in:int ->
   lambda:float ->
-  variational_var_limit:int ->
   with_variational:bool ->
   domains:int ->
   kernel:Dd_inference.Compiled.t ->
   Dd_util.Prng.t ->
   t
 (** Draw [n_samples] worlds on [kernel] after [burn_in] sweeps and, when
-    its graph ({!Dd_inference.Compiled.graph}) has at most
-    [variational_var_limit] variables and [with_variational] holds,
-    build the approximate graph from the same samples with sparsity
-    [lambda].  [domains = 1] is the bit-exact sequential path; above
-    that the worlds come from that many independent chains in parallel
+    [with_variational] holds, build the approximate graph of its graph
+    ({!Dd_inference.Compiled.graph}) from the same samples with sparsity
+    [lambda] ({!Dd_variational.Approx.materialize}, one coupled block at a
+    time, so every graph gets one).  [domains = 1] is the bit-exact
+    sequential path; above that the worlds come from that many
+    independent chains in parallel
     via {!Dd_parallel.Par_gibbs.sample_worlds}.  The engine passes its
     {!Dd_core.Engine.options}, which hold the defaults. *)
 

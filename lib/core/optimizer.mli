@@ -8,8 +8,8 @@
     + the exact rule: every coupled component small ([enumerable]) → exact;
     + lesions and availability: no usable sample store (none drawn, or
       NoSampling) → variational, or the real-graph chain without that
-      artifact too; no variational artifact (NoRelaxation, or a graph over
-      the variable limit) → sampling;
+      artifact too; no variational artifact (the NoRelaxation lesion) →
+      sampling;
     + exhaustion: the next chain would run out of samples → variational;
     + NoWorkloadInfo → sampling;
     + Section 3.3 on the change: an evidence change → variational (rule 2);

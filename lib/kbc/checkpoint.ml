@@ -187,10 +187,11 @@ let state_snapshot engine = Marshal.to_string (Engine.without_kernel engine : En
    [Engine.options] lost [with_variational]; 9: [Graph.t] dropped its
    variable-to-factor index; 10: [Materialize.t] holds the baseline body
    counts and the spent samples, the engine no extension table; 11: the
-   base holds the engine once, without a ddgraph copy of its graph), so an
+   base holds the engine once, without a ddgraph copy of its graph; 12:
+   [Engine.options] lost the variational variable limit), so an
    older store fails the tag check instead of unmarshalling into the wrong
    shape. *)
-let ckpt_tag = "ddckpt 11"
+let ckpt_tag = "ddckpt 12"
 
 (* A save appends while the WAL stays within both caps and writes a base
    once it would pass either, so recovery replays at most

@@ -6,7 +6,7 @@
 
     - {!save} appends the updates the engine committed since the last
       save to a write-ahead log, and on a bounded cadence publishes a
-      versioned base of the full engine state instead (a [ddckpt 11]
+      versioned base of the full engine state instead (a [ddckpt 12]
       tag frame with the commit count, then one marshalled snapshot of
       the engine covering the factor graph, learned weights, the
       materialization, the database and the applied-rule list; each

@@ -11,6 +11,15 @@
     (a documented implementation choice; Algorithm 1 itself only emits
     binary potentials).
 
+    Lines 1-4 run one coupled block at a time: the covariance, the
+    maximizer and [theta] are zero off NZ, the pairs of variables that
+    share a factor, so they are block-diagonal over NZ's connected
+    components.  Each component of two or more variables is estimated,
+    solved ({!Logdet.solve}) and inverted as a k x k block, with its
+    covariances read from the sample store at global ids; a variable that
+    shares no factor gets only its unary factor.  The cost is the sum of
+    k^3 over the blocks, so every graph gets an artifact.
+
     Inference on the approximate graph is compiled Gibbs sampling; because it
     has O(nnz) factors instead of the original graph's, sparse graphs run
     an order of magnitude faster (Figure 5(c)). *)
@@ -34,4 +43,5 @@ val materialize :
     sampled out of [g].  The result has the same variables and evidence as
     [g] (so variable ids line up), only simpler factors.  [lambda] defaults
     to 0.1, the paper's "safe region" choice; unary weights take three
-    rounds of moment matching. *)
+    rounds of moment matching.  The pairwise factors come first, in
+    ascending pair order, then one unary factor per query variable. *)

@@ -84,14 +84,3 @@ let solve ?(options = default) ~nz ~lambda m =
     done
   done;
   result
-
-let offdiag_nonzeros x =
-  let n = Matrix.dim x in
-  let out = ref [] in
-  for i = 0 to n - 1 do
-    for j = i + 1 to n - 1 do
-      let v = Matrix.get x i j in
-      if v <> 0.0 then out := (i, j, v) :: !out
-    done
-  done;
-  List.rev !out

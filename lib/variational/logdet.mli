@@ -13,7 +13,12 @@
     to stay inside the positive-definite cone.  The solution estimates a
     sparse inverse covariance; its non-zero off-diagonal entries become the
     pairwise factors of the approximate graph, and [lambda] trades sparsity
-    (hence inference speed) against fidelity — Figure 6 of the paper. *)
+    (hence inference speed) against fidelity — Figure 6 of the paper.
+
+    The objective and every constraint separate over NZ's connected
+    components, so {!Approx} calls {!solve} once per coupled block, on that
+    block's k x k covariance, and each block takes its own steps and stops
+    on its own move. *)
 
 module Matrix = Dd_linalg.Matrix
 
@@ -29,7 +34,5 @@ val default : options
 val solve :
   ?options:options -> nz:(int * int) list -> lambda:float -> Matrix.t -> Matrix.t
 (** [solve ~nz ~lambda m] returns the constrained maximizer (approximately)
-    for the estimated covariance matrix [m]. *)
-
-val offdiag_nonzeros : Matrix.t -> (int * int * float) list
-(** Entries [(i, j, x)] with [i < j] and [x <> 0]. *)
+    for the estimated covariance matrix [m], whose off-diagonal entries may
+    be non-zero only at the index pairs [nz]. *)

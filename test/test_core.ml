@@ -454,8 +454,8 @@ let test_strawman_rejects_new_vars () =
 let test_materialize_contents () =
   let g = biased_graph () in
   let m =
-    Materialize.materialize ~n_samples:50 ~burn_in:20 ~lambda:0.1 ~variational_var_limit:600
-      ~with_variational:true ~domains:1 ~kernel:(Compiled.compile g) (Prng.create 1)
+    Materialize.materialize ~n_samples:50 ~burn_in:20 ~lambda:0.1 ~with_variational:true
+      ~domains:1 ~kernel:(Compiled.compile g) (Prng.create 1)
   in
   Alcotest.(check int) "samples" 50 (Array.length m.Materialize.samples);
   Alcotest.(check bool) "variational built" true (m.Materialize.variational <> None);
@@ -463,15 +463,6 @@ let test_materialize_contents () =
     (Array.length m.Materialize.base_bodies);
   Alcotest.(check int) "baseline vars" (Graph.num_vars g) (Array.length m.Materialize.base_evidence);
   Alcotest.(check int) "no sample spent" 0 m.Materialize.samples_used
-
-let test_materialize_var_limit () =
-  let g = biased_graph () in
-  let m =
-    Materialize.materialize ~n_samples:10 ~burn_in:20 ~lambda:0.1 ~variational_var_limit:1
-      ~with_variational:true ~domains:1 ~kernel:(Compiled.compile g)
-      (Prng.create 2)
-  in
-  Alcotest.(check bool) "skipped above limit" true (m.Materialize.variational = None)
 
 let test_materialize_budget () =
   let g = biased_graph () in
@@ -481,8 +472,8 @@ let test_materialize_budget () =
 let test_cumulative_change () =
   let g = biased_graph () in
   let m =
-    Materialize.materialize ~n_samples:20 ~burn_in:20 ~lambda:0.1 ~variational_var_limit:600
-      ~with_variational:true ~domains:1 ~kernel:(Compiled.compile g) (Prng.create 4)
+    Materialize.materialize ~n_samples:20 ~burn_in:20 ~lambda:0.1 ~with_variational:true
+      ~domains:1 ~kernel:(Compiled.compile g) (Prng.create 4)
   in
   (* Mutate: new var, new factor, extended base factor, weight change,
      evidence change. *)
@@ -506,8 +497,8 @@ let test_variational_infer_absorbs_update () =
   let g = biased_graph () in
   let rng = Prng.create 5 in
   let m =
-    Materialize.materialize ~n_samples:800 ~burn_in:20 ~lambda:0.01 ~variational_var_limit:600
-      ~with_variational:true ~domains:1 ~kernel:(Compiled.compile g) rng
+    Materialize.materialize ~n_samples:800 ~burn_in:20 ~lambda:0.01 ~with_variational:true
+      ~domains:1 ~kernel:(Compiled.compile g) rng
   in
   (* Add a strongly biased new variable. *)
   let fresh = Graph.add_var g in
@@ -532,8 +523,8 @@ let test_variational_infer_absorbs_update () =
 let test_materialize_save_load () =
   let g = biased_graph () in
   let m =
-    Materialize.materialize ~n_samples:30 ~burn_in:20 ~lambda:0.1 ~variational_var_limit:600
-      ~with_variational:true ~domains:1 ~kernel:(Compiled.compile g) (Prng.create 19)
+    Materialize.materialize ~n_samples:30 ~burn_in:20 ~lambda:0.1 ~with_variational:true
+      ~domains:1 ~kernel:(Compiled.compile g) (Prng.create 19)
   in
   let back : Materialize.t = Marshal.from_string (Marshal.to_string m []) 0 in
   Alcotest.(check int) "samples" 30 (Array.length back.Materialize.samples);
@@ -1185,6 +1176,20 @@ let test_graph_digest_pins () =
   let actual = pinned_graph_digests () in
   Alcotest.(check (list (pair string string))) "graph digests" expected_graph_digests actual
 
+(* Every graph gets a variational artifact, whatever its size: the
+   approximate graph is built one coupled block at a time, so there is
+   no variable limit to fence its cost.  News at 450 documents under the
+   full program grounds more than 600 variables. *)
+let test_engine_artifact_on_large_graph () =
+  let db = Database.create () in
+  Corpus.load (Corpus.generate { Systems.news with Corpus.docs = 450 }) db;
+  let engine = Engine.create ~options:quick_options db (Pipeline.full_program ()) in
+  let g = Engine.graph engine in
+  Alcotest.(check bool) "more than 600 variables" true (Graph.num_vars g > 600);
+  match (Engine.materialization engine).Materialize.variational with
+  | None -> Alcotest.fail "no variational artifact"
+  | Some approx -> Alcotest.(check int) "same variables" (Graph.num_vars g) (Graph.num_vars approx)
+
 let () =
   Alcotest.run "dd_core"
     [
@@ -1222,7 +1227,6 @@ let () =
           Alcotest.test_case "strawman exact" `Quick test_strawman_exact_after_change;
           Alcotest.test_case "strawman new vars" `Quick test_strawman_rejects_new_vars;
           Alcotest.test_case "contents" `Quick test_materialize_contents;
-          Alcotest.test_case "var limit" `Quick test_materialize_var_limit;
           Alcotest.test_case "budget" `Quick test_materialize_budget;
           Alcotest.test_case "cumulative change" `Quick test_cumulative_change;
           Alcotest.test_case "variational infer" `Slow test_variational_infer_absorbs_update;
@@ -1256,5 +1260,6 @@ let () =
           Alcotest.test_case "create answers as rerun" `Quick test_engine_create_is_rerun;
           Alcotest.test_case "deletion regrounds" `Quick test_engine_deletion_regrounds;
           Alcotest.test_case "regrounding skips the flush" `Quick test_rebuild_skips_flush;
+          Alcotest.test_case "artifact on a large graph" `Quick test_engine_artifact_on_large_graph;
         ] );
     ]

@@ -229,8 +229,8 @@ let test_seq_materialize_bit_identical () =
      [domains] argument at 1 equals the historical sequential draw. *)
   let g = random_graph 13 in
   let a =
-    (Materialize.materialize ~n_samples:40 ~burn_in:20 ~lambda:0.1 ~variational_var_limit:600
-       ~with_variational:false ~domains:1 ~kernel:(Compiled.compile g)
+    (Materialize.materialize ~n_samples:40 ~burn_in:20 ~lambda:0.1 ~with_variational:false
+       ~domains:1 ~kernel:(Compiled.compile g)
        (Prng.create 61))
       .Materialize.samples
   in

@@ -315,10 +315,10 @@ let test_seq_is_commit_count () =
       Checkpoint.save store engine;
       Checkpoint.abandon store;
       let r = Record.of_file (Filename.concat dir "ckpt-0.ddckpt") in
-      let seq = Record.read r "ddckpt 11" in
+      let seq = Record.read r "ddckpt 12" in
       let state = Record.read r "state" in
       Alcotest.(check string) "a new engine's base is ckpt-0" "0" seq;
-      let forged = Record.frames [ ("ddckpt 11", "3"); ("state", state) ] in
+      let forged = Record.frames [ ("ddckpt 12", "3"); ("state", state) ] in
       Out_channel.with_open_bin (Filename.concat dir "ckpt-3.ddckpt") (fun oc ->
           output_string oc forged);
       match Checkpoint.verify_version store 3 with
@@ -337,15 +337,15 @@ let test_old_tag_rejected () =
       Checkpoint.abandon store;
       let path = Filename.concat dir "ckpt-0.ddckpt" in
       let r = Record.of_file path in
-      ignore (Record.read r "ddckpt 11");
+      ignore (Record.read r "ddckpt 12");
       Out_channel.with_open_bin path (fun oc ->
-          output_string oc (Record.frames [ ("ddckpt 10", "0"); ("state", "not an engine") ]));
+          output_string oc (Record.frames [ ("ddckpt 11", "0"); ("state", "not an engine") ]));
       match Checkpoint.recover (Checkpoint.open_store ~fsync:false dir) with
       | Error (Checkpoint.Corrupt _) ->
         Alcotest.(check (list string)) "the old base quarantined" [ "ckpt-0.ddckpt.quarantined" ]
           (Checkpoint.quarantined_files (Checkpoint.open_store dir))
       | Error e -> Alcotest.fail ("wrong error: " ^ Checkpoint.error_to_string e)
-      | Ok _ -> Alcotest.fail "a ddckpt 10 base loaded")
+      | Ok _ -> Alcotest.fail "a ddckpt 11 base loaded")
 
 (* A base written after a rematerialization holds a state no replay
    reproduces, so it ends the chain — also when it is written again at
@@ -469,7 +469,7 @@ let fixture =
                {
                  kind = "state";
                  bytes = file "ckpt-0.ddckpt";
-                 tags = [ "ddckpt 11"; "state" ];
+                 tags = [ "ddckpt 12"; "state" ];
                  rejects =
                    (fun b -> store_rejects "ckpt-0.ddckpt" b (fun s -> Checkpoint.verify_version s 0));
                };
