@@ -92,7 +92,7 @@ let storage ~full =
       Corpus.load corpus db;
       let grounding = Grounding.ground db (Pipeline.full_program ()) in
       let g = Grounding.graph grounding in
-      let graph_bytes = String.length (Dd_fgraph.Serialize.to_string g) in
+      let graph_bytes = String.length (Dd_oracle.Serialize.to_string g) in
       let samples_bytes = 100 * Dd_util.Bitvec.byte_size (Dd_util.Bitvec.create (Graph.num_vars g)) in
       Table.add_row table
         [

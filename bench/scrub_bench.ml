@@ -25,7 +25,7 @@ module Column_store = Dd_relational.Column_store
 module Timer = Dd_util.Timer
 module Table = Dd_util.Table
 module Crc32 = Dd_util.Crc32
-module Serialize = Dd_fgraph.Serialize
+module Serialize = Dd_oracle.Serialize
 
 let bench_options =
   {

@@ -73,9 +73,10 @@ type t = {
   rng : Prng.t;
   mutable mat : Materialize.t;
   mutable last_marginals : float array;
-  (* Compiled Gibbs kernel cache: valid as long as the graph's structure
-     (and evidence) has not changed since compilation — weight-only
-     incremental steps just re-sync the dense slots. *)
+  (* Compiled Gibbs kernel cache, for the graph as it stands: an
+     appending update extends it, any other structural update drops it
+     for a compile on next use, and weight-only steps just re-sync the
+     dense slots. *)
   mutable kernel : Compiled.t option;
   mutable kernel_compiles : int;
   (* Commit log for durable stores: the updates committed since a store
@@ -108,9 +109,9 @@ let marginals_by_relation t =
 
 let kernel_compiles t = t.kernel_compiles
 
-(* Reuse the cached kernel when only weights moved since compile time;
-   [apply_update] drops the cache on any structural or evidence delta,
-   and [matches_structure] re-checks the counts as a belt-and-braces
+(* Reuse the cached kernel when only weights moved since it was built;
+   [learn_and_infer] extends or drops the cache on any structural or
+   evidence delta, and [matches_structure] re-checks the counts as a
    guard against mutation paths that bypass the report. *)
 let compiled_kernel t =
   let g = graph t in
@@ -258,13 +259,22 @@ let learn_and_infer t greport ~budget ~grounding_seconds =
     || greport.Grounding.new_factors > 0
     || greport.Grounding.extended > 0
   in
-  (* Structure or evidence moved: the compiled kernel is stale.  A
-     weight-only step (incremental learning below) keeps it and merely
-     refreshes the dense weight slots on next use. *)
-  if needs_learning || greport.Grounding.new_vars > 0 then t.kernel <- None;
+  (* Structure or evidence moved: an appending update (no factor gained
+     a body, no new factor reaches an older variable) extends the
+     kernel, and any other drops it for a compile.  A weight-only step
+     (incremental learning below) keeps it and merely refreshes the
+     dense weight slots on next use.  Learning's time includes the
+     extend, as it includes a compile. *)
+  let update_kernel () =
+    if needs_learning || greport.Grounding.new_vars > 0 then
+      t.kernel <-
+        (if greport.Grounding.extended > 0 then None
+         else Option.bind t.kernel (fun k -> Compiled.extend k (graph t)))
+  in
   let learning_seconds =
     if needs_learning && t.opts.incremental_learning_epochs > 0 then
       Timer.time_s (fun () ->
+          update_kernel ();
           Learner.train_cd
             ~options:
               {
@@ -272,7 +282,10 @@ let learn_and_infer t greport ~budget ~grounding_seconds =
                 learning_rate = t.opts.incremental_learning_rate;
               }
             ~kernel:(compiled_kernel t) t.rng)
-    else 0.0
+    else begin
+      update_kernel ();
+      0.0
+    end
   in
   Fault.hit "engine.apply_update.post_learning";
   let kernel = compiled_kernel t in
@@ -317,8 +330,10 @@ let apply_update t update =
       | Some _ | None -> None);
     report
   | exception e ->
-    (* A half-applied update is a state no replay reproduces. *)
+    (* A half-applied update is a state no replay reproduces, and the
+       kernel may no longer describe a prefix of the graph. *)
     t.log <- None;
+    t.kernel <- None;
     raise e
 
 let identity t = t.identity

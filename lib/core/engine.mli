@@ -110,9 +110,14 @@ val kernel_compiles : t -> int
     ({!Dd_inference.Compiled}).  {!create} compiles one, which serves
     its learning, inference and materialization, so a fresh engine
     reads 1.  Stays flat across weight-only incremental steps — the
-    cached kernel is reused with refreshed weight slots — and grows only
-    when an update changed the graph's structure or evidence (or on the
-    first use after the cache was dropped, as in {!without_kernel}). *)
+    cached kernel is reused with refreshed weight slots — and across
+    {e appending} updates, which add only variables, weights and
+    factors over new variables, and/or move evidence: those
+    {!Dd_inference.Compiled.extend} the cached kernel.  It grows when an
+    update added a body to an existing factor or a factor over an
+    existing variable, when grounding reports [needs_rebuild], and on
+    the first use after the cache was dropped (a failed update, or
+    {!without_kernel}). *)
 
 val apply_update : t -> Grounding.update -> report
 (** One iteration of the incremental loop.  When grounding reports

@@ -14,7 +14,10 @@
     existing group) and evidence changes.  Its output is their counts
     ({!report}); the [(Delta V, Delta F)] the incremental-inference phase
     consumes is the live graph against the materialized baseline
-    ({!Materialize.cumulative_change}).
+    ({!Materialize.cumulative_change}).  New variables, weights and
+    factors take the next ids, so the graph only grows by a suffix: with
+    no extended factor the engine extends its compiled kernel
+    ({!Dd_inference.Compiled.extend}) instead of compiling it again.
 
     Deletions: tuples leaving a query relation have their variable clamped
     to [Evidence false], which deactivates every factor body mentioning

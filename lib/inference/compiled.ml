@@ -47,29 +47,9 @@ let[@inline] sigmoid x =
    exactly [float_of_int (Prng.bits53 rng) *. 0x1p-53]. *)
 let[@inline] bernoulli rng p = float_of_int (Prng.bits53 rng) *. 0x1p-53 < p
 
-type t = {
-  graph : Graph.t;
-  nvars : int;
-  nfactors : int;
-  nbodies : int;
-  (* factor-major view *)
-  f_head : int array;  (* -1 = no head *)
-  f_sem : int array;
-  f_weight : int array;
-  f_learnable : Bytes.t;  (* '\001' iff the factor's weight slot is learnable *)
-  f_body_off : int array;  (* nfactors + 1; spans of global body ids *)
-  b_lit_off : int array;  (* nbodies + 1; spans into l_var / l_neg *)
-  l_var : int array;
-  l_neg : Bytes.t;
-  (* variable-major view: var -> factor groups -> body occurrences *)
-  v_grp_off : int array;  (* nvars + 1 *)
-  grp_factor : int array;
-  grp_occ_off : int array;  (* ngroups + 1 *)
-  occ_body : int array;  (* global body id *)
-  occ_neg : Bytes.t;
-  (* dense weight slots *)
-  weights : float array;
-  learnable_active : int array;
+(* What [mark] derives from the layout and the evidence, for a range of
+   variables and the factors that mention only them. *)
+type marks = {
   query : int array;
   (* The query set split by Appendix B.1's decomposition: a query
      variable is coupled when some adjacent factor also mentions another
@@ -87,15 +67,52 @@ type t = {
   comp_off : int array;
   comp_vars : int array;
   enum_states : int;
+  (* Learning's split, evidence included: a variable is shared when some
+     factor mentions it and another variable, and lone otherwise.  The
+     chains of [train_cd] sweep the shared variables ([shared_query] in
+     the clamped phase, [shared] in the free one) and count the
+     learnable factors that touch one ([chain_factors]); each lone
+     evidence variable with a factor ([lone_evidence]) is learned in
+     closed form.  All ascending. *)
+  shared_query : int array;
+  shared : int array;
+  lone_evidence : int array;
+  chain_factors : int array;
+}
+
+type t = {
+  graph : Graph.t;
+  nvars : int;
+  nfactors : int;
+  nbodies : int;
+  (* factor-major view *)
+  f_head : int array;  (* -1 = no head *)
+  f_sem : int array;
+  f_weight : int array;
+  f_body_off : int array;  (* nfactors + 1; spans of global body ids *)
+  b_lit_off : int array;  (* nbodies + 1; spans into l_var / l_neg *)
+  l_var : int array;
+  l_neg : Bytes.t;
+  (* variable-major view: var -> factor groups -> body occurrences *)
+  v_grp_off : int array;  (* nvars + 1 *)
+  grp_factor : int array;
+  grp_occ_off : int array;  (* ngroups + 1 *)
+  occ_body : int array;  (* global body id *)
+  occ_neg : Bytes.t;
+  (* dense weight slots *)
+  weights : float array;
+  learnable_active : int array;
+  marks : marks;
 }
 
 let graph t = t.graph
 let num_vars t = t.nvars
-let num_query t = Array.length t.query
-let query_vars t = Array.copy t.query
-let num_coupled t = Array.length t.coupled
-let coupled_vars t = Array.copy t.coupled
-let num_components t = Array.length t.comp_off - 1
+let num_query t = Array.length t.marks.query
+let query_vars t = Array.copy t.marks.query
+let num_coupled t = Array.length t.marks.coupled
+let coupled_vars t = Array.copy t.marks.coupled
+let num_components t = Array.length t.marks.comp_off - 1
+let num_shared t = Array.length t.marks.shared
 
 (* The [c] of [enumerable]: enumerated states allowed per chain update
    replaced.  Measured crossover (DESIGN.md §8): one state costs 0.4-0.5
@@ -105,8 +122,8 @@ let num_components t = Array.length t.comp_off - 1
 let exact_work_ratio = 1.0
 
 let enumerable t ~steps =
-  float_of_int t.enum_states
-  <= exact_work_ratio *. float_of_int steps *. float_of_int (Array.length t.coupled)
+  float_of_int t.marks.enum_states
+  <= exact_work_ratio *. float_of_int steps *. float_of_int (Array.length t.marks.coupled)
 
 let learnable_active t = Array.copy t.learnable_active
 
@@ -115,212 +132,94 @@ let refresh_weights t =
     t.weights.(w) <- Graph.weight_value t.graph w
   done
 
-let count_bodies g =
-  let n = ref 0 in
-  Graph.iter_factors (fun _ f -> n := !n + Array.length f.Graph.bodies) g;
-  !n
+let matches_structure t g =
+  t.graph == g
+  && t.nvars = Graph.num_vars g
+  && t.nfactors = Graph.num_factors g
+  && Array.length t.weights = Graph.num_weights g
 
 let is_query g v = match Graph.evidence_of g v with Graph.Query -> true | Graph.Evidence _ -> false
 
-(* Same query set: the packed ids are all still [Query] and no other
-   variable became one (the counts agree). *)
-let same_query_set t g =
-  let n = ref 0 in
-  for v = 0 to t.nvars - 1 do
-    if is_query g v then incr n
-  done;
-  !n = Array.length t.query && Array.for_all (is_query g) t.query
-
-let matches_structure t g =
-  t.nvars = Graph.num_vars g
-  && t.nfactors = Graph.num_factors g
-  && Array.length t.weights = Graph.num_weights g
-  && t.nbodies = count_bodies g
-  && same_query_set t g
-
 let bool_byte b = if b then '\001' else '\000'
 
-let compile g =
-  let nvars = Graph.num_vars g in
-  let nfactors = Graph.num_factors g in
-  let nweights = Graph.num_weights g in
-  (* Pass 1: factor-major sizes. *)
-  let nbodies = count_bodies g in
-  let nlits = ref 0 in
-  Graph.iter_factors
-    (fun _ f ->
-      Array.iter (fun body -> nlits := !nlits + Array.length body) f.Graph.bodies)
-    g;
-  let nlits = !nlits in
-  let f_head = Array.make nfactors (-1) in
-  let f_sem = Array.make nfactors 0 in
-  let f_weight = Array.make nfactors 0 in
-  let f_body_off = Array.make (nfactors + 1) 0 in
-  let b_lit_off = Array.make (nbodies + 1) 0 in
-  let l_var = Array.make (max 1 nlits) 0 in
-  let l_neg = Bytes.make (max 1 nlits) '\000' in
-  (* [stamp.(v)] remembers the last global body id that mentioned [v],
-     catching within-body repeats in O(1) per literal. *)
-  let stamp = Array.make (max 1 nvars) (-1) in
-  let bid = ref 0 and lid = ref 0 in
-  Graph.iter_factors
-    (fun fid f ->
-      (match f.Graph.head with Some h -> f_head.(fid) <- h | None -> ());
-      f_sem.(fid) <- sem_tag f.Graph.semantics;
-      f_weight.(fid) <- f.Graph.weight_id;
-      f_body_off.(fid) <- !bid;
-      Array.iter
-        (fun body ->
-          b_lit_off.(!bid) <- !lid;
-          Array.iter
-            (fun l ->
-              if stamp.(l.Graph.var) = !bid then
-                invalid_arg "Compiled.compile: variable repeated within a body";
-              stamp.(l.Graph.var) <- !bid;
-              l_var.(!lid) <- l.Graph.var;
-              Bytes.set l_neg !lid (bool_byte l.Graph.negated);
-              incr lid)
-            body;
-          incr bid)
-        f.Graph.bodies)
-    g;
-  f_body_off.(nfactors) <- !bid;
-  b_lit_off.(nbodies) <- !lid;
-  (* Pass 2: variable-major group counts.  Factors are visited in
-     ascending id order, so each variable's groups come out ascending;
-     [last_fid.(v)] collapses the head and every body occurrence of one
-     factor into a single group. *)
-  let last_fid = Array.make (max 1 nvars) (-1) in
-  let grp_count = Array.make (max 1 nvars) 0 in
-  let touch v fid = if last_fid.(v) <> fid then begin last_fid.(v) <- fid; grp_count.(v) <- grp_count.(v) + 1 end in
-  let iter_factor_vars fid =
-    let h = f_head.(fid) in
-    if h >= 0 then touch h fid;
-    for b = f_body_off.(fid) to f_body_off.(fid + 1) - 1 do
-      for l = b_lit_off.(b) to b_lit_off.(b + 1) - 1 do
-        touch l_var.(l) fid
-      done
-    done
-  in
-  for fid = 0 to nfactors - 1 do
-    iter_factor_vars fid
+let saturating_add a b = if a > max_int - b then max_int else a + b
+
+(* The ids in [lo, hi) that satisfy [p], ascending. *)
+let filter_range lo hi p =
+  let out = Array.make (max 0 (hi - lo)) 0 and n = ref 0 in
+  for i = lo to hi - 1 do
+    if p i then begin
+      out.(!n) <- i;
+      incr n
+    end
   done;
-  let v_grp_off = Array.make (nvars + 1) 0 in
-  for v = 0 to nvars - 1 do
-    v_grp_off.(v + 1) <- v_grp_off.(v) + grp_count.(v)
-  done;
-  let ngroups = v_grp_off.(nvars) in
-  let grp_factor = Array.make (max 1 ngroups) 0 in
-  let grp_cnt = Array.make (max 1 ngroups) 0 in
-  (* Pass 3: assign group slots and count occurrences per group. *)
-  Array.fill last_fid 0 (Array.length last_fid) (-1);
-  let grp_cursor = Array.make (max 1 nvars) 0 in
-  let current_grp = Array.make (max 1 nvars) (-1) in
-  let group_of v fid =
-    if last_fid.(v) <> fid then begin
-      last_fid.(v) <- fid;
-      let slot = v_grp_off.(v) + grp_cursor.(v) in
-      grp_cursor.(v) <- grp_cursor.(v) + 1;
-      grp_factor.(slot) <- fid;
-      current_grp.(v) <- slot
-    end;
-    current_grp.(v)
-  in
-  for fid = 0 to nfactors - 1 do
-    let h = f_head.(fid) in
-    if h >= 0 then ignore (group_of h fid);
-    for b = f_body_off.(fid) to f_body_off.(fid + 1) - 1 do
-      for l = b_lit_off.(b) to b_lit_off.(b + 1) - 1 do
-        let grp = group_of l_var.(l) fid in
-        grp_cnt.(grp) <- grp_cnt.(grp) + 1
-      done
-    done
-  done;
-  let grp_occ_off = Array.make (ngroups + 1) 0 in
-  for grp = 0 to ngroups - 1 do
-    grp_occ_off.(grp + 1) <- grp_occ_off.(grp) + grp_cnt.(grp)
-  done;
-  let nocc = grp_occ_off.(ngroups) in
-  let occ_body = Array.make (max 1 nocc) 0 in
-  let occ_neg = Bytes.make (max 1 nocc) '\000' in
-  (* Pass 4: fill occurrences. *)
-  Array.fill last_fid 0 (Array.length last_fid) (-1);
-  Array.fill grp_cursor 0 (Array.length grp_cursor) 0;
-  let occ_cursor = Array.make (max 1 ngroups) 0 in
-  for fid = 0 to nfactors - 1 do
-    let h = f_head.(fid) in
-    if h >= 0 then ignore (group_of h fid);
-    for b = f_body_off.(fid) to f_body_off.(fid + 1) - 1 do
-      for l = b_lit_off.(b) to b_lit_off.(b + 1) - 1 do
-        let grp = group_of l_var.(l) fid in
-        let o = grp_occ_off.(grp) + occ_cursor.(grp) in
-        occ_cursor.(grp) <- occ_cursor.(grp) + 1;
-        occ_body.(o) <- b;
-        Bytes.set occ_neg o (Bytes.get l_neg l)
-      done
-    done
-  done;
-  let weights = Array.init nweights (Graph.weight_value g) in
-  let factor_counts = Array.make (max 1 nweights) 0 in
-  for fid = 0 to nfactors - 1 do
-    factor_counts.(f_weight.(fid)) <- factor_counts.(f_weight.(fid)) + 1
-  done;
-  let f_learnable =
-    Bytes.init nfactors (fun fid -> bool_byte (Graph.weight_learnable g f_weight.(fid)))
-  in
-  let learnable_active = ref [] in
-  for w = nweights - 1 downto 0 do
-    if Graph.weight_learnable g w && factor_counts.(w) > 0 then
-      learnable_active := w :: !learnable_active
-  done;
-  let query = Array.of_list (Graph.query_vars g) in
-  (* The coupled/isolated split in one pass over the literals: a factor
-     mentioning two or more distinct query variables (head or body) marks
-     them all coupled.  A factor's literals are one contiguous span. *)
-  let query_flag = Bytes.make (max 1 nvars) '\000' in
-  Array.iter (fun v -> Bytes.set query_flag v '\001') query;
-  let in_query v = v >= 0 && Bytes.get query_flag v <> '\000' in
-  let coupled_flag = Bytes.make (max 1 nvars) '\000' in
-  let uf = Union_find.create nvars in
-  for fid = 0 to nfactors - 1 do
+  Array.sub out 0 !n
+
+(* The marks of the variables [v0, nvars) and the factors [f0, nfactors),
+   which must mention no variable below [v0]: one pass over the factors'
+   literal spans (a factor's literals are one contiguous span) reads the
+   query split, the lone/shared split and the components, all from the
+   flat layout plus the graph's evidence and learnable flags.  [compile]
+   marks everything; [extend] marks the appended suffix, or everything
+   again when the evidence moved. *)
+let mark g ~v0 ~nvars ~f0 ~nfactors ~f_head ~f_weight ~f_body_off ~b_lit_off ~l_var ~v_grp_off
+    ~grp_occ_off =
+  let n = nvars - v0 in
+  let query_flag = Bytes.init n (fun i -> bool_byte (is_query g (v0 + i))) in
+  let coupled_flag = Bytes.make n '\000' and shared_flag = Bytes.make n '\000' in
+  let flag b v = Bytes.get b (v - v0) <> '\000' in
+  let set b v = Bytes.set b (v - v0) '\001' in
+  let in_query v = v >= 0 && flag query_flag v in
+  let uf = Union_find.create n in
+  (* [only_var.(fid - f0)]: the one variable factor [fid] mentions, -1
+     if it mentions none and -2 if several. *)
+  let only_var = Array.make (nfactors - f0) (-2) in
+  for fid = f0 to nfactors - 1 do
     let h = f_head.(fid) in
     let l0 = b_lit_off.(f_body_off.(fid)) and l1 = b_lit_off.(f_body_off.(fid + 1)) - 1 in
-    let first = ref (if in_query h then h else -1) and shared = ref false in
+    (* [first]/[many]: the factor's first variable, and whether it
+       mentions another; [first_q]/[many_q], the same over query
+       variables. *)
+    let first = ref h and many = ref false in
+    let first_q = ref (if in_query h then h else -1) and many_q = ref false in
     for l = l0 to l1 do
       let v = l_var.(l) in
-      if in_query v then if !first < 0 then first := v else if v <> !first then shared := true
+      if !first < 0 then first := v else if v <> !first then many := true;
+      if in_query v then if !first_q < 0 then first_q := v else if v <> !first_q then many_q := true
     done;
-    if !shared then begin
+    if !many then begin
+      if h >= 0 then set shared_flag h;
+      for l = l0 to l1 do
+        set shared_flag l_var.(l)
+      done
+    end
+    else only_var.(fid - f0) <- !first;
+    if !many_q then begin
       if in_query h then begin
-        Bytes.set coupled_flag h '\001';
-        Union_find.union uf !first h
+        set coupled_flag h;
+        Union_find.union uf (!first_q - v0) (h - v0)
       end;
       for l = l0 to l1 do
         let v = l_var.(l) in
         if in_query v then begin
-          Bytes.set coupled_flag v '\001';
-          Union_find.union uf !first v
+          set coupled_flag v;
+          Union_find.union uf (!first_q - v0) (v - v0)
         end
       done
     end
   done;
-  let is_coupled v = Bytes.get coupled_flag v <> '\000' in
-  let ncoupled = Array.fold_left (fun n v -> if is_coupled v then n + 1 else n) 0 query in
-  let coupled = Array.make ncoupled 0 and isolated = Array.make (Array.length query - ncoupled) 0 in
-  let nc = ref 0 and ni = ref 0 in
-  Array.iter
-    (fun v ->
-      if is_coupled v then begin coupled.(!nc) <- v; incr nc end
-      else begin isolated.(!ni) <- v; incr ni end)
-    query;
+  let query = filter_range v0 nvars (flag query_flag) in
+  let coupled = filter_range v0 nvars (fun v -> flag coupled_flag v) in
+  let isolated = filter_range v0 nvars (fun v -> flag query_flag v && not (flag coupled_flag v)) in
+  let ncoupled = Array.length coupled in
   (* Number the components in order of their smallest variable, then
      counting-sort the coupled variables by component. *)
-  let comp_of_root = Array.make (max 1 nvars) (-1) in
+  let comp_of_root = Array.make n (-1) in
   let ncomp = ref 0 in
   let comp_of =
     Array.map
       (fun v ->
-        let r = Union_find.find uf v in
+        let r = Union_find.find uf (v - v0) in
         if comp_of_root.(r) < 0 then begin
           comp_of_root.(r) <- !ncomp;
           incr ncomp
@@ -342,47 +241,316 @@ let compile g =
     comp_of;
   (* Within a component, cheapest flip first: a Gray-code walk flips its
      [j]-th variable 2^(n-1-j) times, and a flip costs the variable's
-     occurrences (ties keep ascending ids). *)
-  let flip_cost v = grp_occ_off.(v_grp_off.(v + 1)) - grp_occ_off.(v_grp_off.(v)) + grp_count.(v) in
+     occurrences and groups (ties keep ascending ids). *)
+  let flip_cost v =
+    grp_occ_off.(v_grp_off.(v + 1)) - grp_occ_off.(v_grp_off.(v)) + v_grp_off.(v + 1) - v_grp_off.(v)
+  in
+  let enum_states = ref 0 in
   for c = 0 to !ncomp - 1 do
     let lo = comp_off.(c) and hi = comp_off.(c + 1) in
     let part = Array.sub comp_vars lo (hi - lo) in
     Array.stable_sort (fun a b -> compare (flip_cost a) (flip_cost b)) part;
-    Array.blit part 0 comp_vars lo (hi - lo)
+    Array.blit part 0 comp_vars lo (hi - lo);
+    let size = hi - lo in
+    enum_states := saturating_add !enum_states (if size >= Sys.int_size - 2 then max_int else 1 lsl size)
   done;
-  let enum_states = ref 0 in
-  for c = 0 to !ncomp - 1 do
-    let size = comp_off.(c + 1) - comp_off.(c) in
-    let states = if size >= Sys.int_size - 2 then max_int else 1 lsl size in
-    enum_states := if !enum_states > max_int - states then max_int else !enum_states + states
-  done;
+  let touches_shared fid =
+    let v = only_var.(fid - f0) in
+    v = -2 || (v >= 0 && flag shared_flag v)
+  in
   {
-    graph = g;
-    nvars;
-    nfactors;
-    nbodies;
-    f_head;
-    f_sem;
-    f_weight;
-    f_learnable;
-    f_body_off;
-    b_lit_off;
-    l_var;
-    l_neg;
-    v_grp_off;
-    grp_factor;
-    grp_occ_off;
-    occ_body;
-    occ_neg;
-    weights;
-    learnable_active = Array.of_list !learnable_active;
     query;
     coupled;
     isolated;
     comp_off;
     comp_vars;
     enum_states = !enum_states;
+    shared_query = filter_range v0 nvars (fun v -> flag query_flag v && flag shared_flag v);
+    shared = filter_range v0 nvars (flag shared_flag);
+    lone_evidence =
+      filter_range v0 nvars (fun v ->
+          (not (flag query_flag v)) && (not (flag shared_flag v)) && v_grp_off.(v + 1) > v_grp_off.(v));
+    chain_factors =
+      filter_range f0 nfactors (fun fid ->
+          Graph.weight_learnable g f_weight.(fid) && touches_shared fid);
   }
+
+(* The marks of [a]'s variables followed by those of [b]'s, which all
+   come after them: [mark] of the whole range equals it, because a
+   component, a sharing and a chain factor of [b]'s range never reach
+   into [a]'s. *)
+let concat_marks a b =
+  let nc = Array.length a.coupled in
+  {
+    query = Array.append a.query b.query;
+    coupled = Array.append a.coupled b.coupled;
+    isolated = Array.append a.isolated b.isolated;
+    comp_off =
+      Array.append a.comp_off
+        (Array.map (fun o -> o + nc) (Array.sub b.comp_off 1 (Array.length b.comp_off - 1)));
+    comp_vars = Array.append a.comp_vars b.comp_vars;
+    enum_states = saturating_add a.enum_states b.enum_states;
+    shared_query = Array.append a.shared_query b.shared_query;
+    shared = Array.append a.shared b.shared;
+    lone_evidence = Array.append a.lone_evidence b.lone_evidence;
+    chain_factors = Array.append a.chain_factors b.chain_factors;
+  }
+
+(* Whether a variable below [base]'s count changed between query and
+   evidence since [base] was built: one pass against its packed query
+   array. *)
+let query_set_moved base g =
+  let q = base.marks.query in
+  let i = ref 0 and v = ref 0 and moved = ref false in
+  while (not !moved) && !v < base.nvars do
+    let was = !i < Array.length q && q.(!i) = !v in
+    if was then incr i;
+    if was <> is_query g !v then moved := true;
+    incr v
+  done;
+  !moved
+
+(* A copy of [a]'s first [keep] cells in a fresh array of [len] cells,
+   the rest [fill]: the prefix of a layout array that an append keeps. *)
+let grow a keep len fill =
+  let b = Array.make len fill in
+  Array.blit a 0 b 0 keep;
+  b
+
+let grow_bytes a keep len =
+  let b = Bytes.make len '\000' in
+  Bytes.blit a 0 b 0 keep;
+  b
+
+(* [base]'s layout followed by the factors [base.nfactors ..] of [g] and
+   the variables [base.nvars ..], which the new factors alone mention:
+   each layout array is [base]'s, blitted, plus the new suffix, and only
+   the new factors' records are read.  [None] when a new factor mentions
+   an older variable.  The caller guarantees that [base]'s factors are
+   [g]'s first ones, unchanged. *)
+let append base g =
+  let v0 = base.nvars and f0 = base.nfactors and b0 = base.nbodies in
+  let nvars = Graph.num_vars g and nfactors = Graph.num_factors g in
+  let new_factors = Array.init (nfactors - f0) (fun i -> Graph.factor g (f0 + i)) in
+  let old_var v = v < v0 in
+  let mentions_old f =
+    (match f.Graph.head with Some h -> old_var h | None -> false)
+    || Array.exists (Array.exists (fun l -> old_var l.Graph.var)) f.Graph.bodies
+  in
+  if v0 > 0 && Array.exists mentions_old new_factors then None
+  else begin
+    (* Factor-major suffix. *)
+    let l0 = base.b_lit_off.(b0) in
+    let nbodies = ref b0 and nlits = ref l0 in
+    Array.iter
+      (fun f ->
+        nbodies := !nbodies + Array.length f.Graph.bodies;
+        Array.iter (fun body -> nlits := !nlits + Array.length body) f.Graph.bodies)
+      new_factors;
+    let nbodies = !nbodies and nlits = !nlits in
+    let f_head = grow base.f_head f0 nfactors (-1) in
+    let f_sem = grow base.f_sem f0 nfactors 0 in
+    let f_weight = grow base.f_weight f0 nfactors 0 in
+    let f_body_off = grow base.f_body_off f0 (nfactors + 1) 0 in
+    let b_lit_off = grow base.b_lit_off b0 (nbodies + 1) 0 in
+    let l_var = grow base.l_var l0 nlits 0 in
+    let l_neg = grow_bytes base.l_neg l0 nlits in
+    (* [stamp.(v - v0)] remembers the last body id that mentioned [v],
+       catching within-body repeats in O(1) per literal. *)
+    let n = nvars - v0 in
+    let stamp = Array.make n (-1) in
+    let bid = ref b0 and lid = ref l0 in
+    Array.iteri
+      (fun i f ->
+        let fid = f0 + i in
+        (match f.Graph.head with Some h -> f_head.(fid) <- h | None -> ());
+        f_sem.(fid) <- sem_tag f.Graph.semantics;
+        f_weight.(fid) <- f.Graph.weight_id;
+        f_body_off.(fid) <- !bid;
+        Array.iter
+          (fun body ->
+            b_lit_off.(!bid) <- !lid;
+            Array.iter
+              (fun l ->
+                let v = l.Graph.var in
+                if stamp.(v - v0) = !bid then
+                  invalid_arg "Compiled.compile: variable repeated within a body";
+                stamp.(v - v0) <- !bid;
+                l_var.(!lid) <- v;
+                Bytes.set l_neg !lid (bool_byte l.Graph.negated);
+                incr lid)
+              body;
+            incr bid)
+          f.Graph.bodies)
+      new_factors;
+    f_body_off.(nfactors) <- nbodies;
+    b_lit_off.(nbodies) <- nlits;
+    (* Variable-major suffix, the new variables' groups from the new
+       factors.  Pass 1 counts groups: factors are visited in ascending
+       id order, so each variable's groups come out ascending, and
+       [last_fid] collapses the head and every body occurrence of one
+       factor into a single group. *)
+    let last_fid = Array.make n (-1) in
+    let grp_count = Array.make n 0 in
+    let touch v fid =
+      let i = v - v0 in
+      if last_fid.(i) <> fid then begin
+        last_fid.(i) <- fid;
+        grp_count.(i) <- grp_count.(i) + 1
+      end
+    in
+    for fid = f0 to nfactors - 1 do
+      let h = f_head.(fid) in
+      if h >= 0 then touch h fid;
+      for l = b_lit_off.(f_body_off.(fid)) to b_lit_off.(f_body_off.(fid + 1)) - 1 do
+        touch l_var.(l) fid
+      done
+    done;
+    let g0 = base.v_grp_off.(v0) in
+    let v_grp_off = grow base.v_grp_off v0 (nvars + 1) g0 in
+    for v = v0 to nvars - 1 do
+      v_grp_off.(v + 1) <- v_grp_off.(v) + grp_count.(v - v0)
+    done;
+    let ngroups = v_grp_off.(nvars) in
+    let grp_factor = grow base.grp_factor g0 ngroups 0 in
+    (* Passes 2 and 3 assign group slots and count each group's
+       occurrences, then fill them. *)
+    Array.fill last_fid 0 n (-1);
+    let grp_cursor = Array.make n 0 in
+    let current_grp = Array.make n (-1) in
+    let group_of v fid =
+      let i = v - v0 in
+      if last_fid.(i) <> fid then begin
+        last_fid.(i) <- fid;
+        let slot = v_grp_off.(v) + grp_cursor.(i) in
+        grp_cursor.(i) <- grp_cursor.(i) + 1;
+        grp_factor.(slot) <- fid;
+        current_grp.(i) <- slot
+      end;
+      current_grp.(i)
+    in
+    let grp_cnt = Array.make (ngroups - g0) 0 in
+    for fid = f0 to nfactors - 1 do
+      let h = f_head.(fid) in
+      if h >= 0 then ignore (group_of h fid);
+      for l = b_lit_off.(f_body_off.(fid)) to b_lit_off.(f_body_off.(fid + 1)) - 1 do
+        let grp = group_of l_var.(l) fid - g0 in
+        grp_cnt.(grp) <- grp_cnt.(grp) + 1
+      done
+    done;
+    let o0 = base.grp_occ_off.(g0) in
+    let grp_occ_off = grow base.grp_occ_off g0 (ngroups + 1) o0 in
+    for grp = g0 to ngroups - 1 do
+      grp_occ_off.(grp + 1) <- grp_occ_off.(grp) + grp_cnt.(grp - g0)
+    done;
+    let nocc = grp_occ_off.(ngroups) in
+    let occ_body = grow base.occ_body o0 nocc 0 in
+    let occ_neg = grow_bytes base.occ_neg o0 nocc in
+    Array.fill last_fid 0 n (-1);
+    Array.fill grp_cursor 0 n 0;
+    let occ_cursor = Array.make (ngroups - g0) 0 in
+    for fid = f0 to nfactors - 1 do
+      let h = f_head.(fid) in
+      if h >= 0 then ignore (group_of h fid);
+      for b = f_body_off.(fid) to f_body_off.(fid + 1) - 1 do
+        for l = b_lit_off.(b) to b_lit_off.(b + 1) - 1 do
+          let grp = group_of l_var.(l) fid in
+          let o = grp_occ_off.(grp) + occ_cursor.(grp - g0) in
+          occ_cursor.(grp - g0) <- occ_cursor.(grp - g0) + 1;
+          occ_body.(o) <- b;
+          Bytes.set occ_neg o (Bytes.get l_neg l)
+        done
+      done
+    done;
+    (* A weight slot is active once a factor names it. *)
+    let nweights = Graph.num_weights g in
+    let active = Bytes.make nweights '\000' in
+    Array.iter (fun w -> Bytes.set active w '\001') base.learnable_active;
+    for fid = f0 to nfactors - 1 do
+      Bytes.set active f_weight.(fid) '\001'
+    done;
+    let mark ~v0 ~f0 =
+      mark g ~v0 ~nvars ~f0 ~nfactors ~f_head ~f_weight ~f_body_off ~b_lit_off ~l_var ~v_grp_off
+        ~grp_occ_off
+    in
+    let marks =
+      if query_set_moved base g then mark ~v0:0 ~f0:0 else concat_marks base.marks (mark ~v0 ~f0)
+    in
+    Some
+      {
+        graph = g;
+        nvars;
+        nfactors;
+        nbodies;
+        f_head;
+        f_sem;
+        f_weight;
+        f_body_off;
+        b_lit_off;
+        l_var;
+        l_neg;
+        v_grp_off;
+        grp_factor;
+        grp_occ_off;
+        occ_body;
+        occ_neg;
+        weights = Array.init nweights (Graph.weight_value g);
+        learnable_active =
+          filter_range 0 nweights (fun w ->
+              Bytes.get active w <> '\000' && Graph.weight_learnable g w);
+        marks;
+      }
+  end
+
+let no_marks =
+  {
+    query = [||];
+    coupled = [||];
+    isolated = [||];
+    comp_off = [| 0 |];
+    comp_vars = [||];
+    enum_states = 0;
+    shared_query = [||];
+    shared = [||];
+    lone_evidence = [||];
+    chain_factors = [||];
+  }
+
+(* The kernel of no variable and no factor, which [compile] appends the
+   whole graph to. *)
+let empty g =
+  {
+    graph = g;
+    nvars = 0;
+    nfactors = 0;
+    nbodies = 0;
+    f_head = [||];
+    f_sem = [||];
+    f_weight = [||];
+    f_body_off = [| 0 |];
+    b_lit_off = [| 0 |];
+    l_var = [||];
+    l_neg = Bytes.empty;
+    v_grp_off = [| 0 |];
+    grp_factor = [||];
+    grp_occ_off = [| 0 |];
+    occ_body = [||];
+    occ_neg = Bytes.empty;
+    weights = [||];
+    learnable_active = [||];
+    marks = no_marks;
+  }
+
+let compile g = Option.get (append (empty g) g)
+
+let extend k g =
+  if
+    k.graph != g
+    || Graph.num_vars g < k.nvars
+    || Graph.num_factors g < k.nfactors
+    || Graph.num_weights g < Array.length k.weights
+  then None
+  else append k g
 
 (* --- state -------------------------------------------------------------- *)
 
@@ -539,20 +707,19 @@ let[@inline] flip st v =
 let resample_var rng st v = set_value st v (bernoulli rng (sigmoid (counters_delta st v)))
 
 let sweep rng st =
-  let q = st.k.query in
+  let q = st.k.marks.query in
   for i = 0 to Array.length q - 1 do
     resample_var rng st (Array.unsafe_get q i)
-  done
-
-let sweep_all rng st =
-  for v = 0 to st.k.nvars - 1 do
-    resample_var rng st v
   done
 
 let sweep_slice rng st slice =
   for i = 0 to Array.length slice - 1 do
     resample_var rng st (Array.unsafe_get slice i)
   done
+
+let sweep_shared_query rng st = sweep_slice rng st st.k.marks.shared_query
+
+let sweep_shared rng st = sweep_slice rng st st.k.marks.shared
 
 (* Variables resampled between two budget polls. *)
 let poll_every = 128
@@ -582,7 +749,7 @@ let accumulate_span_true st vars totals =
 let closed_form_marginals st =
   let k = st.k in
   let m = Array.init k.nvars (fun v -> if value st v then 1.0 else 0.0) in
-  Array.iter (fun v -> m.(v) <- sigmoid (counters_delta st v)) k.isolated;
+  Array.iter (fun v -> m.(v) <- sigmoid (counters_delta st v)) k.marks.isolated;
   m
 
 (* Index of the lowest set bit of [i > 0]: the variable the [i]-th
@@ -607,14 +774,14 @@ let rec lowest_bit i j = if i land 1 = 1 then j else lowest_bit (i lsr 1) (j + 1
    last pending block is the whole walk, the partition function. *)
 let enumerate_component st c sums m =
   let k = st.k in
-  let lo = k.comp_off.(c) in
-  let n = k.comp_off.(c + 1) - lo in
+  let lo = k.marks.comp_off.(c) in
+  let n = k.marks.comp_off.(c + 1) - lo in
   Array.fill sums 0 ((2 * n) + 1) 0.0;
   let lw = ref 0.0 and lw_err = ref 0.0 and top = ref 0.0 in
   for i = 0 to (1 lsl n) - 1 do
     if i > 0 then begin
       (* Compensated (Kahan) running sum: the walk adds 2^n - 1 deltas. *)
-      let y = flip st (Array.unsafe_get k.comp_vars (lo + lowest_bit i 0)) -. !lw_err in
+      let y = flip st (Array.unsafe_get k.marks.comp_vars (lo + lowest_bit i 0)) -. !lw_err in
       let t = !lw +. y in
       lw_err := t -. !lw -. y;
       lw := t
@@ -646,7 +813,7 @@ let enumerate_component st c sums m =
   done;
   let z = sums.(2 * n) in
   for j = 0 to n - 1 do
-    m.(k.comp_vars.(lo + j)) <- sums.(j) /. z
+    m.(k.marks.comp_vars.(lo + j)) <- sums.(j) /. z
   done
 
 let exact_marginals ?(budget = Budget.unlimited) k =
@@ -658,7 +825,7 @@ let exact_marginals ?(budget = Budget.unlimited) k =
   let m = closed_form_marginals st in
   let largest = ref 0 in
   for c = 0 to num_components k - 1 do
-    largest := max !largest (k.comp_off.(c + 1) - k.comp_off.(c))
+    largest := max !largest (k.marks.comp_off.(c + 1) - k.marks.comp_off.(c))
   done;
   let sums = Array.make ((2 * !largest) + 1) 0.0 in
   for c = 0 to num_components k - 1 do
@@ -673,7 +840,7 @@ let exact_marginals ?(budget = Budget.unlimited) k =
 let chain_marginals ~burn_in ~budget rng k ~sweeps =
   let st = make_state rng k in
   let m = closed_form_marginals st in
-  let c = k.coupled in
+  let c = k.marks.coupled in
   for _ = 1 to burn_in do
     Budget.check budget "compiled.burn_in_sweep";
     sweep_slice rng st c
@@ -726,11 +893,51 @@ let sweeps_to_converge ?(tolerance = 0.01) ?(max_sweeps = 100_000) rng k ~target
 
 let add_feature_counts st ~scale grad =
   let k = st.k in
-  for fid = 0 to k.nfactors - 1 do
-    if Bytes.unsafe_get k.f_learnable fid <> '\000' then begin
+  let fids = k.marks.chain_factors in
+  for i = 0 to Array.length fids - 1 do
+    let fid = fids.(i) in
+    let w = k.f_weight.(fid) in
+    let h = k.f_head.(fid) in
+    let sign = if h < 0 || Bytes.unsafe_get st.assign h <> '\000' then 1.0 else -1.0 in
+    grad.(w) <- grad.(w) +. (scale *. sign *. g_of k.f_sem.(fid) st.sat.(fid))
+  done
+
+(* The feature [sign * g(n)] of factor [fid], which mentions the lone
+   variable [v] and no other, with [v] at [x]: every body of it either
+   holds [v] once (the group's occurrences) or is empty, and satisfied. *)
+let[@inline] lone_feature k v grp fid x =
+  let o0 = k.grp_occ_off.(grp) and o1 = k.grp_occ_off.(grp + 1) in
+  let n = ref (k.f_body_off.(fid + 1) - k.f_body_off.(fid) - (o1 - o0)) in
+  for o = o0 to o1 - 1 do
+    if x <> (Bytes.unsafe_get k.occ_neg o <> '\000') then incr n
+  done;
+  let sign = if x || k.f_head.(fid) <> v then 1.0 else -1.0 in
+  sign *. g_of k.f_sem.(fid) !n
+
+(* A lone variable is independent of every other variable in the free
+   phase, so its marginal there is the sigmoid of its energy difference
+   (summed as [counters_delta] sums it), and each of its factors'
+   expected features follows. *)
+let add_lone_terms k grad =
+  let ev = k.marks.lone_evidence in
+  for i = 0 to Array.length ev - 1 do
+    let v = ev.(i) in
+    let g0 = k.v_grp_off.(v) and g1 = k.v_grp_off.(v + 1) - 1 in
+    let delta = ref 0.0 in
+    for grp = g0 to g1 do
+      let fid = k.grp_factor.(grp) in
+      let w = k.weights.(k.f_weight.(fid)) in
+      delta := !delta +. (w *. lone_feature k v grp fid true) -. (w *. lone_feature k v grp fid false)
+    done;
+    let p = sigmoid !delta in
+    let clamped = match Graph.evidence_of k.graph v with Graph.Evidence b -> b | Graph.Query -> false in
+    for grp = g0 to g1 do
+      let fid = k.grp_factor.(grp) in
       let w = k.f_weight.(fid) in
-      let h = k.f_head.(fid) in
-      let sign = if h < 0 || Bytes.unsafe_get st.assign h <> '\000' then 1.0 else -1.0 in
-      grad.(w) <- grad.(w) +. (scale *. sign *. g_of k.f_sem.(fid) st.sat.(fid))
-    end
+      if Graph.weight_learnable k.graph w then begin
+        let f_true = lone_feature k v grp fid true and f_false = lone_feature k v grp fid false in
+        let f_clamped = if clamped then f_true else f_false in
+        grad.(w) <- grad.(w) +. (f_clamped -. ((p *. f_true) +. ((1.0 -. p) *. f_false)))
+      end
+    done
   done

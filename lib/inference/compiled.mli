@@ -30,7 +30,9 @@
     Weight {e values} are copied into a dense float array at compile
     time; {!refresh_weights} re-reads them from the graph, which is the
     cheap "recompile" path when learning moved weights but the structure
-    did not change.  A packed query-variable array replaces the
+    did not change.  When grounding only appended to the graph,
+    {!extend} builds the grown kernel from the old one instead of
+    compiling it again.  A packed query-variable array replaces the
     per-variable evidence branch of [Dd_oracle.Gibbs.sweep].
 
     This is the only Gibbs sampler on production paths; the naive
@@ -46,8 +48,8 @@
     (and {!Dd_parallel.Par_gibbs.marginals}) therefore read isolated
     variables in closed form ({!closed_form_marginals}) and run the
     chain over {!coupled_vars} only — Rao-Blackwellization on singleton
-    components.  {!sweep}, {!sweep_all} and {!sample_worlds} still visit
-    every query variable: they produce whole worlds.
+    components.  {!sweep} and {!sample_worlds} still visit every query
+    variable: they produce whole worlds.
 
     {b Exact marginals for small components.}  [compile] also labels the
     coupled variables into components (query variables joined through a
@@ -76,15 +78,34 @@
     a graph with no isolated query variable it is bit-identical to
     counting every sweep of {!sweep} (the reference kept under
     [test/oracle]), and evaluating the closed forms consumes no
-    randomness; enumeration draws nothing at all. *)
+    randomness; enumeration draws nothing at all.
+
+    {b Lone and shared variables.}  The same pass marks every variable,
+    evidence included, {e shared} when some factor mentions it and
+    another variable, and {e lone} otherwise.  Learning needs chains
+    only for the shared ones: a lone variable is independent of all
+    others in both phases of contrastive divergence, so its factors'
+    expected features have a closed form ({!add_lone_terms}), and
+    {!sweep_shared_query}, {!sweep_shared} and {!add_feature_counts}
+    visit only the shared variables and the factors that touch them.
+
+    {b Appends.}  {!compile} is {!extend} of the kernel of no variable:
+    the factor-major and variable-major arrays are a prefix followed by
+    the appended factors' and variables' suffix, and one function over
+    the flat arrays marks the query split, the components and the
+    lone/shared split of a suffix.  So {!extend} of a kernel equals
+    {!compile} of the same graph on every array, bit for bit. *)
 
 module Graph = Dd_fgraph.Graph
 
 type t
 (** Immutable compiled kernel.  Snapshots the graph's structure and
-    weight values; weights can be re-synced with {!refresh_weights},
-    but after adding variables, factors or bodies a new kernel must be
-    compiled (see {!matches_structure}). *)
+    weight values; weights can be re-synced with {!refresh_weights}.
+    After grounding appended variables and factors, or moved evidence,
+    {!extend} gives the new kernel; after it added bodies to a factor or
+    a factor over an older variable, {!compile} does.  A kernel is never
+    changed in place apart from its weight slots, so an old kernel
+    stays valid for the graph it was built from. *)
 
 type state
 (** Mutable sampling state over a kernel: the current assignment (one
@@ -95,6 +116,18 @@ val compile : Graph.t -> t
 (** One-shot compilation.  Raises [Invalid_argument] if a factor body
     mentions the same variable twice (never produced by grounding). *)
 
+val extend : t -> Graph.t -> t option
+(** [extend k g], for a [g] that is [k]'s graph after an {e appending}
+    update: new variables, new weights, new factors whose variables are
+    all new, and any evidence changes, but no body added to one of
+    [k]'s factors (the caller knows this from the grounding report).
+    Returns a new kernel equal to [compile g] on every array, bit for
+    bit, built in O(change) plus one blit per array; the query split
+    and its components are marked again over the whole graph only when
+    a variable moved between query and evidence.  [None] when a new
+    factor mentions one of [k]'s variables, or [g] is another graph or
+    has fewer variables, factors or weights than [k]. *)
+
 val graph : t -> Graph.t
 (** The source graph (shared, not copied). *)
 
@@ -104,13 +137,13 @@ val refresh_weights : t -> unit
     and weight-only engine updates. *)
 
 val matches_structure : t -> Graph.t -> bool
-(** Reuse check, O(variables + factors): true iff [g] still has the same
-    variable / factor / weight / body counts as at compile time {e and}
-    the same query set (as many query variables, each packed id still
-    [Query]), i.e. the kernel — its packed query array and its
-    isolated/coupled split — can be reused after {!refresh_weights}.
-    A change of an evidence variable's clamped value keeps the match:
-    {!make_state} reads the values from the graph. *)
+(** Reuse check, O(1): [g] is the kernel's graph with as many variables,
+    factors and weights as at compile time.  It does not see added
+    bodies or evidence moves: the caller extends or compiles a new
+    kernel on those ({!Dd_core.Engine} reads them from the grounding
+    report).  A change of an evidence variable's clamped value needs no
+    new kernel: {!make_state} and {!add_lone_terms} read the values from
+    the graph. *)
 
 val num_vars : t -> int
 val num_query : t -> int
@@ -136,6 +169,10 @@ val enumerable : t -> steps:int -> bool
     sweeps (burn-in included) and [c] is the measured crossover of the
     two estimators (DESIGN.md).
     Depends on the structure only.  True when nothing is coupled. *)
+
+val num_shared : t -> int
+(** Variables, evidence included, that share a factor with another
+    variable.  Zero means learning needs no chain. *)
 
 val learnable_active : t -> int array
 (** Weight slots that are learnable {e and} attached to at least one
@@ -165,9 +202,13 @@ val sweep : Dd_util.Prng.t -> state -> unit
     {!conditional_true_prob}, consuming one {!Dd_util.Prng.bits53} (the
     draw {!Dd_util.Prng.bernoulli} makes), and maintains the counters. *)
 
-val sweep_all : Dd_util.Prng.t -> state -> unit
-(** Resample {e every} variable, evidence included — the negative-chain
+val sweep_shared_query : Dd_util.Prng.t -> state -> unit
+(** Resample the shared query variables, ascending — the clamped-phase
     sweep of contrastive-divergence learning. *)
+
+val sweep_shared : Dd_util.Prng.t -> state -> unit
+(** Resample every shared variable, evidence included, ascending — the
+    free-phase sweep of contrastive-divergence learning. *)
 
 val sweep_slice : Dd_util.Prng.t -> state -> Graph.var array -> unit
 (** Resample the given variables in order with one PRNG stream.  Used
@@ -243,8 +284,19 @@ val ratio_table_len : int
 (** {1 Learning support} *)
 
 val add_feature_counts : state -> scale:float -> float array -> unit
-(** For every factor whose weight slot is learnable, add
-    [scale * sign(head) * g(semantics, satisfied bodies)] — the energy
-    gradient of that weight in the state's current world — into the
-    dense [grad] array (indexed by weight slot).  Reads the live
-    satisfied-body counters: no per-factor recomputation. *)
+(** For every factor whose weight slot is learnable and that mentions a
+    shared variable, add [scale * sign(head) * g(semantics, satisfied
+    bodies)] — the energy gradient of that weight in the state's current
+    world — into the dense [grad] array (indexed by weight slot).  Reads
+    the live satisfied-body counters: no per-factor recomputation.  The
+    factors over one lone variable are {!add_lone_terms}'s. *)
+
+val add_lone_terms : t -> float array -> unit
+(** For every learnable factor over one lone evidence variable, add its
+    feature at the clamped value minus its exact expectation in the free
+    phase, where the variable is true with probability [sigmoid] of its
+    energy difference, into [grad].  A factor over one lone query
+    variable adds exactly 0 to the contrastive-divergence gradient (both
+    phases give the variable the same conditional) and is skipped, as is
+    a factor over no variable.  Reads the kernel's weight slots and the
+    graph's evidence values; draws nothing. *)

@@ -12,29 +12,41 @@ let cd_l2 = 0.0001
 let cd_chain_sweeps = 2
 
 let train_cd ?(options = default_cd) ?(on_epoch = fun _ _ -> ()) ~kernel rng =
-  (* Persistent chains over one compiled kernel: the positive chain keeps
-     evidence clamped (the default sweep), the negative chain floats every
-     variable.  Gradients come straight off the kernel's live
-     satisfied-body counters into a dense per-weight-slot array, and each
-     weight step re-syncs the kernel with [Compiled.refresh_weights]
-     instead of regrounding or rebuilding any structure. *)
+  (* Persistent chains over one compiled kernel, for the shared variables
+     only: the positive chain keeps evidence clamped, the negative chain
+     floats every shared variable.  Their gradients come straight off
+     the kernel's live satisfied-body counters into a dense per-slot
+     array; the factors over one lone variable add their exact terms
+     instead, and with nothing shared no chain is built and nothing is
+     drawn.  Each weight step re-syncs the kernel with
+     [Compiled.refresh_weights] instead of regrounding or rebuilding any
+     structure. *)
   let g = Compiled.graph kernel in
-  let positive = Compiled.make_state rng kernel in
-  let negative = Compiled.make_state rng kernel in
+  let chains =
+    if Compiled.num_shared kernel = 0 then None
+    else begin
+      let positive = Compiled.make_state rng kernel in
+      Some (positive, Compiled.make_state rng kernel)
+    end
+  in
   let learnable = Compiled.learnable_active kernel in
   let gradient = Array.make (Graph.num_weights g) 0.0 in
   for epoch = 0 to options.epochs - 1 do
     (* Crash mid-training = weights partially stepped; recovery discards
        them with the rest of the in-memory state. *)
     Dd_util.Fault.hit "learner.train_cd.epoch";
-    for _ = 1 to cd_chain_sweeps do
-      Compiled.sweep rng positive;
-      Compiled.sweep_all rng negative
-    done;
     let lr = options.learning_rate /. (1.0 +. (cd_decay *. float_of_int epoch)) in
     Array.fill gradient 0 (Array.length gradient) 0.0;
-    Compiled.add_feature_counts positive ~scale:1.0 gradient;
-    Compiled.add_feature_counts negative ~scale:(-1.0) gradient;
+    Option.iter
+      (fun (positive, negative) ->
+        for _ = 1 to cd_chain_sweeps do
+          Compiled.sweep_shared_query rng positive;
+          Compiled.sweep_shared rng negative
+        done;
+        Compiled.add_feature_counts positive ~scale:1.0 gradient;
+        Compiled.add_feature_counts negative ~scale:(-1.0) gradient)
+      chains;
+    Compiled.add_lone_terms kernel gradient;
     Array.iter
       (fun w ->
         let current = Graph.weight_value g w in

@@ -6,7 +6,9 @@
       graph — the positive phase clamps evidence variables to their labels,
       the negative phase lets everything float, and learnable (tied) weights
       move along the difference of expected feature counts.  This is the
-      Gibbs-based learning loop DeepDive inherits from Tuffy/DimmWitted.
+      Gibbs-based learning loop DeepDive inherits from Tuffy/DimmWitted,
+      with the chains kept to the variables that share a factor: for the
+      others the difference has a closed form.
     - {!train_lr}: exact logistic regression over feature vectors, with
       stochastic or full-batch gradients and optional warmstart.  This backs
       the incremental-learning experiments (Appendix B.3/B.4, Figures 16 and
@@ -33,9 +35,17 @@ val train_cd :
   unit
 (** Mutates the learnable weights of [kernel]'s graph
     ({!Compiled.graph}) in place.  Both persistent chains run on
-    [kernel], which must hold the graph's current weights; per-epoch
-    gradients are read off its live satisfied-body counters into dense
-    weight slots, and each step re-syncs it via
+    [kernel], which must hold the graph's current weights, over its
+    shared variables only: the positive chain resamples the shared query
+    variables ({!Compiled.sweep_shared_query}), the negative chain every
+    shared variable ({!Compiled.sweep_shared}), and their gradients are
+    read off the live satisfied-body counters into dense weight slots
+    for the factors that touch a shared variable.  A factor over one
+    lone evidence variable adds its exact term instead
+    ({!Compiled.add_lone_terms}), and a factor over one lone query
+    variable adds 0.  With no shared variable no chain state is built
+    and nothing is drawn from the PRNG, so the learned weights do not
+    depend on the seed.  Each step re-syncs the kernel via
     {!Compiled.refresh_weights} (weights only — no regrounding, no
     structural rebuild), so it is left holding the learned weights. *)
 

@@ -1,19 +1,52 @@
 module Graph = Dd_fgraph.Graph
 module Matrix = Dd_linalg.Matrix
 
-(* Each pair is coded as [i * n + j], so one int sort orders and
-   deduplicates them. *)
+(* A stable counting sort of [codes] by [digit c], a value in [0, n). *)
+let counting_sort codes n digit =
+  let count = Array.make (n + 1) 0 in
+  Array.iter (fun c -> count.(digit c + 1) <- count.(digit c + 1) + 1) codes;
+  for d = 0 to n - 1 do
+    count.(d + 1) <- count.(d + 1) + count.(d)
+  done;
+  let sorted = Array.make (Array.length codes) 0 in
+  Array.iter
+    (fun c ->
+      let d = digit c in
+      sorted.(count.(d)) <- c;
+      count.(d) <- count.(d) + 1)
+    codes;
+  sorted
+
+(* Each pair is coded as [i * n + j] into one int array, which a
+   counting sort on [j] and then one on [i] orders in linear time,
+   putting the repeats side by side for the dedupe on the way out: a
+   factor's pairs recur in other factors, about six times over on
+   News. *)
 let nonzero_pairs g =
   let n = Graph.num_vars g in
-  let codes = ref [] in
+  let codes = ref (Array.make 64 0) and len = ref 0 in
+  let push c =
+    if !len = Array.length !codes then begin
+      let grown = Array.make (2 * !len) 0 in
+      Array.blit !codes 0 grown 0 !len;
+      codes := grown
+    end;
+    !codes.(!len) <- c;
+    incr len
+  in
   Graph.iter_factors
     (fun _ f ->
       let vars = Graph.vars_of_factor f in
-      List.iter
-        (fun i -> List.iter (fun j -> if i < j then codes := ((i * n) + j) :: !codes) vars)
-        vars)
+      List.iter (fun i -> List.iter (fun j -> if i < j then push ((i * n) + j)) vars) vars)
     g;
-  List.map (fun c -> (c / n, c mod n)) (List.sort_uniq Int.compare !codes)
+  let codes = Array.sub !codes 0 !len in
+  let codes = counting_sort (counting_sort codes n (fun c -> c mod n)) n (fun c -> c / n) in
+  let pairs = ref [] in
+  for k = Array.length codes - 1 downto 0 do
+    let c = codes.(k) in
+    if k = Array.length codes - 1 || c <> codes.(k + 1) then pairs := (c / n, c mod n) :: !pairs
+  done;
+  !pairs
 
 let means samples nvars =
   let n = Array.length samples in

@@ -1,6 +1,6 @@
 (* The ddgraph v2 writer as one [Printf.sprintf] per line with a running
    CRC over the emitted lines (bytewise, {!Crc32_bytewise}): the
-   reference the buffer writer [Dd_fgraph.Serialize.to_string] must match
+   reference the buffer writer [Dd_oracle.Serialize.to_string] must match
    byte for byte. *)
 
 module Graph = Dd_fgraph.Graph

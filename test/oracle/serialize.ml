@@ -1,4 +1,6 @@
 module Crc32 = Dd_util.Crc32
+module Graph = Dd_fgraph.Graph
+module Semantics = Dd_fgraph.Semantics
 
 exception Format_error of string
 

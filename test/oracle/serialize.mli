@@ -25,6 +25,8 @@
     Serialization is deterministic: load followed by re-serialization is
     byte-identical. *)
 
+module Graph = Dd_fgraph.Graph
+
 exception Format_error of string
 
 val to_string : Graph.t -> string

@@ -1,7 +1,8 @@
 (* Tests for the compiled flat (CSR) factor-graph kernel: trajectories
    that track the plain Gibbs oracle per (seed, graph), agreement with
-   exact marginals, refresh_weights-vs-recompile equivalence, dense
-   gradient agreement with the graph-walking feature counter, and the
+   exact marginals, refresh_weights-vs-recompile equivalence, extend
+   against compile, dense gradient agreement with the graph-walking
+   feature counter, the lone variables' exact gradient terms, and the
    engine's kernel cache across incremental steps. *)
 
 module Value = Dd_relational.Value
@@ -223,7 +224,7 @@ let test_sweeps_allocation_free () =
   in
   let slice = Compiled.query_vars k in
   check_allocation_free "sweep" (repeat (fun () -> Compiled.sweep rng st));
-  check_allocation_free "sweep_all" (repeat (fun () -> Compiled.sweep_all rng st));
+  check_allocation_free "sweep_shared" (repeat (fun () -> Compiled.sweep_shared rng st));
   check_allocation_free "sweep_slice" (repeat (fun () -> Compiled.sweep_slice rng st slice))
 
 (* --- agreement with exact marginals -------------------------------------------- *)
@@ -295,33 +296,134 @@ let test_matches_structure () =
   ignore (Graph.unary g ~weight:w v);
   Alcotest.(check bool) "new factor detected" false (Compiled.matches_structure kernel2 g)
 
+(* Every array of a kernel, weight bits included: two kernels over one
+   graph are equal iff their marshalled bytes are. *)
+let kernel_bytes k = Marshal.to_string k [ Marshal.No_sharing ]
+
+let check_extend_equals_compile label k g =
+  if kernel_bytes k <> kernel_bytes (Compiled.compile g) then
+    Alcotest.failf "%s: extend differs from compile" label
+
+let extend_exn k g =
+  match Compiled.extend k g with
+  | Some k' -> k'
+  | None -> Alcotest.fail "extend refused an appending update"
+
 (* Evidence flips keep every count but change the query set, and with it
-   the packed query array and the isolated/coupled split: a kernel compiled
-   before the flip must not be reused. *)
-let test_matches_structure_evidence_flip () =
+   the packed query array and the isolated/coupled and lone/shared
+   splits: [matches_structure] does not see them, and [extend] marks the
+   whole graph again, giving [compile]'s kernel. *)
+let test_extend_evidence_flip () =
   let g = mixed_graph 2 in
   let q = List.hd (Graph.query_vars g) in
   let kernel = Compiled.compile g in
   Graph.set_evidence g q (Graph.Evidence true);
-  Alcotest.(check bool) "query -> evidence detected" false (Compiled.matches_structure kernel g);
-  let kernel2 = Compiled.compile g in
+  Alcotest.(check bool) "counts still match" true (Compiled.matches_structure kernel g);
+  let kernel2 = extend_exn kernel g in
+  check_extend_equals_compile "query -> evidence" kernel2 g;
+  Alcotest.(check int) "one query variable fewer" (Compiled.num_query kernel - 1)
+    (Compiled.num_query kernel2);
   Graph.set_evidence g q Graph.Query;
-  Alcotest.(check bool) "evidence -> query detected" false (Compiled.matches_structure kernel2 g);
-  Alcotest.(check bool) "original query set matches again" true
-    (Compiled.matches_structure kernel g);
+  check_extend_equals_compile "evidence -> query" (extend_exn kernel2 g) g;
   Graph.set_evidence g q (Graph.Evidence false);
-  let kernel3 = Compiled.compile g in
+  let kernel3 = extend_exn kernel g in
   Graph.set_evidence g q (Graph.Evidence true);
-  Alcotest.(check bool) "clamped value flip keeps the query set" true
-    (Compiled.matches_structure kernel3 g);
+  check_extend_equals_compile "clamped value flip" (extend_exn kernel3 g) g;
   (* Counts equal, sets differ: one variable freed, another clamped. *)
   let e = List.hd (List.map fst (Graph.evidence_vars g)) in
   let q' = List.hd (Graph.query_vars g) in
   let kernel4 = Compiled.compile g in
   Graph.set_evidence g e Graph.Query;
   Graph.set_evidence g q' (Graph.Evidence false);
-  Alcotest.(check bool) "swapped query set detected" false (Compiled.matches_structure kernel4 g)
+  check_extend_equals_compile "swapped query set" (extend_exn kernel4 g) g
 
+(* A factor over an older variable is not an append: [extend] declines
+   it, and so does it a graph the kernel was not built from. *)
+let test_extend_declines () =
+  let g = mixed_graph 4 in
+  let kernel = Compiled.compile g in
+  let v = Graph.add_var g in
+  let kernel2 = extend_exn kernel g in
+  check_extend_equals_compile "new variable" kernel2 g;
+  ignore (Graph.pairwise g ~weight:(Graph.add_weight g 0.5) 0 v);
+  Alcotest.(check bool) "factor over an older variable" true (Compiled.extend kernel2 g = None);
+  Alcotest.(check bool) "another graph" true (Compiled.extend kernel2 (mixed_graph 4) = None)
+
+let random_evidence rng =
+  match Prng.int_below rng 3 with
+  | 0 -> Graph.Query
+  | 1 -> Graph.Evidence true
+  | _ -> Graph.Evidence false
+
+(* One appending step: new variables (query or evidence), new learnable
+   and fixed weights (some unused), and factors over the new variables
+   only, of every semantics, with heads, negation, empty bodies and
+   old weights reused; a three-variable chain now and then, whose
+   middle a later step may clamp, splitting its component; then
+   evidence moves and value flips on older variables. *)
+let appending_step rng g chains =
+  let v0 = Graph.num_vars g in
+  let fresh = Prng.int_below rng 6 in
+  let vars = Array.init fresh (fun _ -> Graph.add_var ~evidence:(random_evidence rng) g) in
+  let weight () =
+    if Graph.num_weights g > 0 && Prng.int_below rng 3 = 0 then Prng.int_below rng (Graph.num_weights g)
+    else Graph.add_weight ~learnable:(Prng.bool rng) g (Prng.float_range rng (-1.0) 1.0)
+  in
+  if Prng.bool rng then ignore (Graph.add_weight ~learnable:(Prng.bool rng) g 0.25);
+  let semantics () = Prng.choice rng [| Semantics.Linear; Semantics.Logical; Semantics.Ratio |] in
+  let lit v = { Graph.var = v; negated = Prng.bool rng } in
+  Array.iter
+    (fun v ->
+      match Prng.int_below rng 4 with
+      | 0 -> ()
+      | 1 -> ignore (Graph.unary g ~weight:(weight ()) v)
+      | 2 ->
+        ignore
+          (Graph.add_factor g
+             { Graph.head = Some v; bodies = [| [| lit v |]; [||] |]; weight_id = weight (); semantics = semantics () })
+      | _ ->
+        ignore
+          (Graph.add_factor g
+             { Graph.head = None; bodies = [| [| lit v |]; [| lit v |] |]; weight_id = weight (); semantics = semantics () }))
+    vars;
+  if fresh >= 2 then
+    for _ = 1 to Prng.int_below rng 4 do
+      let a = vars.(Prng.int_below rng fresh) and b = vars.(Prng.int_below rng fresh) in
+      if a <> b then
+        ignore
+          (Graph.add_factor g
+             {
+               Graph.head = (if Prng.bool rng then Some vars.(Prng.int_below rng fresh) else None);
+               bodies = [| [| lit a |]; [| lit a; lit b |] |];
+               weight_id = weight ();
+               semantics = semantics ();
+             })
+    done;
+  if fresh >= 3 && Prng.bool rng then begin
+    let w = weight () in
+    ignore (Graph.pairwise g ~weight:w vars.(0) vars.(1));
+    ignore (Graph.pairwise g ~weight:w vars.(1) vars.(2));
+    chains := vars.(1) :: !chains
+  end;
+  if v0 > 0 then
+    for _ = 1 to Prng.int_below rng 3 do
+      Graph.set_evidence g (Prng.int_below rng v0) (random_evidence rng)
+    done;
+  match !chains with
+  | middle :: _ when middle < v0 && Prng.bool rng -> Graph.set_evidence g middle (random_evidence rng)
+  | _ -> ()
+
+let extend_tracks_compile seed =
+  let rng = Prng.create (7000 + seed) in
+  let g = mixed_graph ~learnable:true seed in
+  let chains = ref [] in
+  let k = ref (Compiled.compile g) in
+  for step = 1 to 12 do
+    appending_step rng g chains;
+    k := extend_exn !k g;
+    check_extend_equals_compile (Printf.sprintf "seed %d step %d" seed step) !k g
+  done;
+  true
 let test_compile_rejects_duplicate_literal () =
   let g = Graph.create () in
   let v = Graph.add_var g in
@@ -447,6 +549,29 @@ let test_fast_gibbs_rejects_duplicate_literal () =
 
 (* --- dense gradients vs the graph-walking feature counter ----------------------- *)
 
+(* The lone variables of [g], by the definition: every factor that
+   mentions the variable mentions no other. *)
+let lone_vars g =
+  let by_var = Graph.factors_of_var g in
+  Array.map
+    (fun fids -> List.for_all (fun fid -> List.length (Graph.vars_of_factor (Graph.factor g fid)) = 1) fids)
+    by_var
+
+(* [g]'s variables, evidence and weights, with only the factors [keep]
+   selects. *)
+let restrict g keep =
+  let g' = Graph.create () in
+  for v = 0 to Graph.num_vars g - 1 do
+    ignore (Graph.add_var ~evidence:(Graph.evidence_of g v) g')
+  done;
+  for w = 0 to Graph.num_weights g - 1 do
+    ignore (Graph.add_weight ~learnable:(Graph.weight_learnable g w) g' (Graph.weight_value g w))
+  done;
+  Graph.iter_factors (fun _ f -> if keep f then ignore (Graph.add_factor g' f)) g;
+  g'
+
+(* The chains count the factors that touch a shared variable; the
+   factors over one lone variable are [add_lone_terms]'s. *)
 let test_add_feature_counts_matches_reference () =
   for seed = 0 to 9 do
     let g = mixed_graph ~learnable:true seed in
@@ -456,7 +581,9 @@ let test_add_feature_counts_matches_reference () =
     let st = Compiled.make_state ~init (Prng.create 1) kernel in
     let dense = Array.make nw 0.0 in
     Compiled.add_feature_counts st ~scale:1.0 dense;
-    let reference = Learner_ref.feature_counts g init in
+    let lone = lone_vars g in
+    let chain = restrict g (fun f -> List.exists (fun v -> not lone.(v)) (Graph.vars_of_factor f)) in
+    let reference = Learner_ref.feature_counts chain init in
     List.iter
       (fun (w, expected) ->
         if abs_float (dense.(w) -. expected) > 1e-9 then
@@ -469,6 +596,101 @@ let test_add_feature_counts_matches_reference () =
           Alcotest.failf "seed %d weight %d: spurious gradient %.12f" seed w v)
       dense
   done
+
+(* Lone evidence, lone query and shared variables under one semantics:
+   four lone variables with one to three factors each (a unary bias, a
+   headed factor with a negated and an empty body, a head-only factor),
+   and a coupled triangle with an evidence corner.  Small enough to
+   enumerate. *)
+let lone_fixture semantics seed =
+  let rng = Prng.create seed in
+  let g = Graph.create () in
+  let weight () = Graph.add_weight ~learnable:true g (Prng.float_range rng (-1.5) 1.5) in
+  let lone =
+    Array.init 4 (fun i ->
+        Graph.add_var ~evidence:(if i = 3 then Graph.Query else Graph.Evidence (i mod 2 = 0)) g)
+  in
+  Array.iteri
+    (fun i v ->
+      ignore (Graph.unary g ~weight:(weight ()) v);
+      if i <> 1 then
+        ignore
+          (Graph.add_factor g
+             {
+               Graph.head = Some v;
+               bodies = [| [| { Graph.var = v; negated = true } |]; [||]; [| { Graph.var = v; negated = false } |] |];
+               weight_id = weight ();
+               semantics;
+             });
+      if i = 2 then
+        ignore (Graph.add_factor g { Graph.head = Some v; bodies = [| [||] |]; weight_id = weight (); semantics }))
+    lone;
+  let tri = Graph.add_vars g 3 in
+  Graph.set_evidence g tri.(0) (Graph.Evidence true);
+  Array.iteri
+    (fun i a ->
+      let b = tri.((i + 1) mod 3) in
+      ignore
+        (Graph.add_factor g
+           {
+             Graph.head = Some a;
+             bodies = [| [| { Graph.var = b; negated = i = 1 } |] |];
+             weight_id = weight ();
+             semantics;
+           }))
+    tri;
+  g
+
+(* The exact expectation, from the oracles: for each lone evidence
+   variable [v], with [p] its free-phase marginal ([Exact.marginals] of
+   the graph with every variable released), the feature counts of the
+   world with [v] at its label minus [p] times those with [v] true and
+   [1 - p] times those with [v] false; every other variable is false in
+   all three, so its factors cancel. *)
+let lone_reference g =
+  let n = Graph.num_vars g in
+  let free = Graph.copy g in
+  for v = 0 to n - 1 do
+    Graph.set_evidence free v Graph.Query
+  done;
+  let p = Exact.marginals free in
+  let grad = Array.make (Graph.num_weights g) 0.0 in
+  let counts v x =
+    let a = Array.make n false in
+    a.(v) <- x;
+    Learner_ref.feature_counts g a
+  in
+  let add scale = List.iter (fun (w, c) -> grad.(w) <- grad.(w) +. (scale *. c)) in
+  Array.iteri
+    (fun v is_lone ->
+      match Graph.evidence_of g v with
+      | Graph.Evidence label when is_lone ->
+        add 1.0 (counts v label);
+        add (-.p.(v)) (counts v true);
+        add (-.(1.0 -. p.(v))) (counts v false)
+      | _ -> ())
+    (lone_vars g);
+  grad
+
+let test_lone_terms_exact () =
+  List.iter
+    (fun semantics ->
+      for seed = 0 to 4 do
+        let g = lone_fixture semantics seed in
+        let kernel = Compiled.compile g in
+        let grad = Array.make (Graph.num_weights g) 0.0 in
+        Compiled.add_lone_terms kernel grad;
+        let reference = lone_reference g in
+        Array.iteri
+          (fun w expected ->
+            if abs_float (grad.(w) -. expected) > 1e-12 then
+              Alcotest.failf "%s seed %d weight %d: kernel %.17g exact %.17g"
+                (Semantics.to_string semantics) seed w grad.(w) expected)
+          reference;
+        if Array.for_all (fun x -> abs_float x < 1e-3) reference then
+          Alcotest.failf "seed %d: the fixture has no lone evidence term" seed
+      done)
+    [ Semantics.Linear; Semantics.Logical; Semantics.Ratio ]
 
 (* --- engine kernel cache -------------------------------------------------------- *)
 
@@ -543,11 +765,19 @@ let test_engine_reuses_kernel () =
   ignore (Engine.apply_update engine (Grounding.rules_update []));
   ignore (Engine.apply_update engine (Grounding.rules_update []));
   Alcotest.(check int) "cache reused" 1 (Engine.kernel_compiles engine);
-  (* A data update that grows the graph must recompile. *)
+  (* A data update that appends a variable and a factor over it extends
+     the kernel instead of compiling it. *)
   let delta = Dred.Delta.create () in
   Dred.Delta.insert delta "item_feature" [| s "e"; s "f1" |];
   let r2 = Engine.apply_update engine (Grounding.data_update delta) in
   Alcotest.(check bool) "graph grew" true (r2.Engine.grounding.Grounding.new_vars > 0);
+  Alcotest.(check int) "extended" 1 (Engine.kernel_compiles engine);
+  (* A new factor over an existing variable is not an append. *)
+  let delta = Dred.Delta.create () in
+  Dred.Delta.insert delta "item_feature" [| s "a"; s "f3" |];
+  let r3 = Engine.apply_update engine (Grounding.data_update delta) in
+  Alcotest.(check int) "no new variable" 0 r3.Engine.grounding.Grounding.new_vars;
+  Alcotest.(check bool) "new factor" true (r3.Engine.grounding.Grounding.new_factors > 0);
   Alcotest.(check int) "recompiled" 2 (Engine.kernel_compiles engine);
   ignore (Engine.apply_update engine (Grounding.rules_update []));
   Alcotest.(check int) "reused again" 2 (Engine.kernel_compiles engine)
@@ -558,6 +788,8 @@ let qcheck_tests =
   let open QCheck in
   [
     Test.make ~name:"compiled sampler tracks Gibbs per seed" ~count:50 small_int tracks_oracle;
+    Test.make ~name:"extend equals compile over appends and flips" ~count:100 small_int
+      extend_tracks_compile;
     Test.make ~name:"compiled conditionals match plain Gibbs" ~count:50 small_int (fun seed ->
         let g = mixed_graph seed in
         let a = Gibbs.init_assignment (Prng.create (500 + seed)) g in
@@ -590,10 +822,11 @@ let () =
         [
           Alcotest.test_case "refresh_weights = recompile" `Quick test_refresh_weights_equiv_recompile;
           Alcotest.test_case "matches_structure" `Quick test_matches_structure;
-          Alcotest.test_case "matches_structure sees evidence flips" `Quick
-            test_matches_structure_evidence_flip;
+          Alcotest.test_case "extend sees evidence flips" `Quick test_extend_evidence_flip;
+          Alcotest.test_case "extend declines" `Quick test_extend_declines;
           Alcotest.test_case "duplicate literal" `Quick test_compile_rejects_duplicate_literal;
           Alcotest.test_case "dense gradients" `Quick test_add_feature_counts_matches_reference;
+          Alcotest.test_case "lone terms exact" `Quick test_lone_terms_exact;
         ] );
       ( "fast_gibbs",
         [

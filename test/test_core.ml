@@ -955,7 +955,7 @@ let factor_keys grounding =
 (* What a rollback must restore, compared whole. *)
 let engine_state e =
   ( digest (Engine.marginals e),
-    Dd_fgraph.Serialize.to_string (Engine.graph e),
+    Dd_oracle.Serialize.to_string (Engine.graph e),
     Engine.marginals_by_relation e,
     Engine.kernel_compiles e )
 

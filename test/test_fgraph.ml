@@ -365,7 +365,7 @@ let test_log_choose () =
 
 (* --- serialization --------------------------------------------------------------- *)
 
-module Serialize = Dd_fgraph.Serialize
+module Serialize = Dd_oracle.Serialize
 
 let rich_graph () =
   let g = Graph.create () in

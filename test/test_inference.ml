@@ -404,6 +404,44 @@ let test_cd_learns_evidence_sign () =
   Alcotest.(check bool) "positive weight up" true (Graph.weight_value g w_pos > 0.3);
   Alcotest.(check bool) "negative weight down" true (Graph.weight_value g w_neg < -0.3)
 
+(* With no evidence and only lone variables the exact gradient is 0, and
+   learning draws nothing: every learnable weight ends at its start under
+   the L2 decay alone, step for step, so a weight at 0 stays 0. *)
+let test_cd_no_evidence_lone_weights_decay () =
+  let g = Graph.create () in
+  let starts = [| 0.0; 0.7; -1.3 |] in
+  let weights = Array.map (fun w -> Graph.add_weight ~learnable:true g w) starts in
+  let fixed = Graph.add_weight g 0.4 in
+  for i = 0 to 5 do
+    let v = Graph.add_var g in
+    ignore (Graph.unary g ~weight:weights.(i mod 3) v);
+    ignore
+      (Graph.add_factor g
+         {
+           Graph.head = Some v;
+           bodies = [| [| { Graph.var = v; negated = i mod 2 = 0 } |] |];
+           weight_id = (if i < 3 then weights.((i + 1) mod 3) else fixed);
+           semantics = Semantics.Ratio;
+         })
+  done;
+  let options = { Learner.epochs = 25; learning_rate = 0.2 } in
+  let rng = Prng.create 23 in
+  let before = Prng.copy rng in
+  Learner.train_cd ~options ~kernel:(Compiled.compile g) rng;
+  Alcotest.(check int64) "no draw" (Prng.bits64 before) (Prng.bits64 rng);
+  Array.iteri
+    (fun i w ->
+      let expected = ref starts.(i) in
+      for epoch = 0 to options.Learner.epochs - 1 do
+        let lr = options.Learner.learning_rate /. (1.0 +. (0.05 *. float_of_int epoch)) in
+        expected := !expected +. (lr *. (0.0 -. (0.0001 *. !expected)))
+      done;
+      let got = Graph.weight_value g w in
+      if Int64.bits_of_float got <> Int64.bits_of_float !expected then
+        Alcotest.failf "weight %d: %h, L2 decay alone gives %h" w got !expected)
+    weights;
+  Alcotest.(check (float 0.0)) "fixed weight" 0.4 (Graph.weight_value g fixed)
+
 let test_pseudo_log_likelihood_improves () =
   let build () =
     let g = Graph.create () in
@@ -625,6 +663,7 @@ let () =
           Alcotest.test_case "feature counts" `Quick test_feature_counts;
           Alcotest.test_case "feature counts w=0" `Quick test_feature_counts_zero_weight;
           Alcotest.test_case "cd learns signs" `Slow test_cd_learns_evidence_sign;
+          Alcotest.test_case "lone weights decay only" `Quick test_cd_no_evidence_lone_weights_decay;
           Alcotest.test_case "pll improves" `Slow test_pseudo_log_likelihood_improves;
           Alcotest.test_case "lr separable" `Quick test_lr_learns_separable;
           Alcotest.test_case "lr gd" `Quick test_lr_gd_also_converges;

@@ -274,6 +274,17 @@ let test_feed_merges_not_forks () =
   Alcotest.(check bool) "latencies recorded" true
     (Array.length summary.Feed.latencies_s = 20)
 
+(* Every batch of a stream only appends variables and factors over them,
+   or moves evidence, so the engine extends the kernel it compiled at
+   create and never compiles another. *)
+let test_feed_extends_kernel () =
+  let cfg = { Source.default with Source.docs = 48; entities = 6; seed = 7 } in
+  let txn, feed = make_feed (Source.synthetic cfg) in
+  let summary = Feed.run feed (Source.synthetic cfg) (Batcher.create ()) in
+  Alcotest.(check int) "all docs" 48 summary.Feed.run_docs;
+  Alcotest.(check int) "no quarantine" 0 summary.Feed.run_quarantined;
+  Alcotest.(check int) "one compile" 1 (Engine.kernel_compiles (Txn.engine txn))
+
 let test_feed_late_alias_retracts () =
   let source = Source.synthetic { small_config with Source.docs = 2 } in
   let txn, feed = make_feed source in
@@ -467,6 +478,7 @@ let () =
         [
           Alcotest.test_case "merges not forks" `Quick test_feed_merges_not_forks;
           Alcotest.test_case "late alias retracts" `Quick test_feed_late_alias_retracts;
+          Alcotest.test_case "extends the kernel" `Quick test_feed_extends_kernel;
           Alcotest.test_case "state roundtrip" `Quick test_feed_state_roundtrip;
         ] );
       ( "checkpoint",

@@ -422,46 +422,71 @@ let lesion_trace options =
 
 (* Every arm's strategies, acceptance rates and marginals, pinned: the
    optimizer's decision and the draws of each strategy stay bit for bit
-   what they were when these were taken. *)
+   what they were when these were taken.  The corpus has no evidence
+   for FE1's and FE2's features, and every variable they add is lone,
+   so their exact gradient is 0: their weights stay 0 and the marginals
+   stay A1's. *)
 let pinned_lesion_traces =
   [
     ( "All",
       [
         "A1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
-        "FE1 full-gibbs - 6121bb33ceefe6461cf3025ae28a6599";
-        "FE2 full-gibbs - d0f10a1cdea972718814311cb715698d";
-        "I1 sampling 0x1.47ae147ae147bp-6 f6794f3ce55b47647371741a3ee4cb02";
-        "S1 full-gibbs - c2ed43068f9d0dd37a5cb1694f0a123a";
-        "S2 full-gibbs - 402951d18a9d8584c87e337773e7fb09";
+        "FE1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "FE2 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "I1 sampling 0x1.47ae147ae147bp-6 aac6606a061272ba61eda2679119ba56";
+        "S1 full-gibbs - ebfc3eb910d9bacd607a31cbbc584bca";
+        "S2 full-gibbs - 1b603dd22293e57e08d036ee96a7acff";
       ] );
     ( "NoSampling",
       [
         "A1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
-        "FE1 full-gibbs - 6121bb33ceefe6461cf3025ae28a6599";
-        "FE2 full-gibbs - d0f10a1cdea972718814311cb715698d";
-        "I1 variational - cb9974b2bf1fbeb4504453e66a30f02e";
-        "S1 full-gibbs - 099aad6061ae625d5c69ff2622a6c3be";
-        "S2 full-gibbs - 6e17ea05b7d05b0f2a1af179d2f2289c";
+        "FE1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "FE2 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "I1 variational - c66291c28546b9976c4a17262341a756";
+        "S1 full-gibbs - cc7f7a723c680a931d96b10ccab86f23";
+        "S2 full-gibbs - 7db79a716a1dc807b8863909df70ca53";
       ] );
     ( "NoVariational",
       [
         "A1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
-        "FE1 full-gibbs - 0dcc535897cac00f6195a30df57c5a1e";
-        "FE2 full-gibbs - 4ad0d25030fdd6f3e20759d848d6c18b";
-        "I1 sampling 0x1.47ae147ae147bp-6 f6794f3ce55b47647371741a3ee4cb02";
-        "S1 full-gibbs - 595446b81cf6c81423156b7431858441";
-        "S2 full-gibbs - c983ec106d101323c380060afe67cf39";
+        "FE1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "FE2 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "I1 sampling 0x1.47ae147ae147bp-6 aac6606a061272ba61eda2679119ba56";
+        "S1 full-gibbs - e7ada0972df08a2e2200a8fdb41f0484";
+        "S2 full-gibbs - ee0ded801f8613b7280e14bee2b87bff";
       ] );
     ( "NoWorkloadInfo",
       [
         "A1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
-        "FE1 full-gibbs - 6121bb33ceefe6461cf3025ae28a6599";
-        "FE2 full-gibbs - d0f10a1cdea972718814311cb715698d";
-        "I1 sampling 0x1.47ae147ae147bp-6 f6794f3ce55b47647371741a3ee4cb02";
-        "S1 full-gibbs - c2ed43068f9d0dd37a5cb1694f0a123a";
-        "S2 full-gibbs - 402951d18a9d8584c87e337773e7fb09";
+        "FE1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "FE2 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
+        "I1 sampling 0x1.47ae147ae147bp-6 aac6606a061272ba61eda2679119ba56";
+        "S1 full-gibbs - ebfc3eb910d9bacd607a31cbbc584bca";
+        "S2 full-gibbs - 1b603dd22293e57e08d036ee96a7acff";
       ] );
   ]
+
+(* Base + FE1 + S1 + S2 leaves every variable lone on the presets, so
+   learning takes exact steps and draws nothing, and inference reads
+   closed forms: a Rerun does not depend on the seed. *)
+let test_rerun_seed_free () =
+  let program =
+    Program.add_rules (Pipeline.base_program ())
+      (List.concat_map Pipeline.rules_of [ Pipeline.FE1; Pipeline.S1; Pipeline.S2 ])
+  in
+  List.iter
+    (fun preset ->
+      let corpus = Corpus.generate preset in
+      let rerun seed =
+        let db = Database.create () in
+        Corpus.load corpus db;
+        fst (Engine.rerun ~options:{ quick_options with Engine.seed } db program)
+      in
+      let a = rerun 1 and b = rerun 2 in
+      Alcotest.(check bool) "some marginal is learned" true (Array.exists (fun p -> p > 0.0 && p < 1.0) a);
+      Alcotest.(check bool) "bit-identical across seeds" true
+        (Array.for_all2 (fun x y -> Int64.bits_of_float x = Int64.bits_of_float y) a b))
+    [ Dd_kbc.Systems.news; Dd_kbc.Systems.genomics ]
 
 let test_lesion_arms_pinned () =
   let traces = List.map (fun (name, options) -> (name, lesion_trace options)) lesion_arms in
@@ -524,4 +549,5 @@ let () =
           Alcotest.test_case "skip rerun" `Slow test_snapshots_skip_rerun;
         ] );
       ("optimizer", [ Alcotest.test_case "lesion arms pinned" `Quick test_lesion_arms_pinned ]);
+      ("learning", [ Alcotest.test_case "rerun seed-free" `Quick test_rerun_seed_free ]);
     ]

@@ -604,7 +604,7 @@ module Program = Dd_core.Program
 module Grounding = Dd_core.Grounding
 module Core_engine = Dd_core.Engine
 module Semantics = Dd_fgraph.Semantics
-module Serialize = Dd_fgraph.Serialize
+module Serialize = Dd_oracle.Serialize
 
 let s = Value.str
 

@@ -7,7 +7,7 @@ module Relation = Dd_relational.Relation
 module Column_store = Dd_relational.Column_store
 module Engine = Dd_core.Engine
 module Grounding = Dd_core.Grounding
-module Serialize = Dd_fgraph.Serialize
+module Serialize = Dd_oracle.Serialize
 module Fault = Dd_util.Fault
 module Corpus = Dd_kbc.Corpus
 module Pipeline = Dd_kbc.Pipeline

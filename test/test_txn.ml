@@ -8,7 +8,7 @@ module Fault = Dd_util.Fault
 module Database = Dd_relational.Database
 module Relation = Dd_relational.Relation
 module Column_store = Dd_relational.Column_store
-module Serialize = Dd_fgraph.Serialize
+module Serialize = Dd_oracle.Serialize
 module Engine = Dd_core.Engine
 module Grounding = Dd_core.Grounding
 module Txn = Dd_core.Txn
@@ -215,6 +215,45 @@ let test_rollback_bit_identity () =
     Alcotest.(check bool) "replay marginals = uninterrupted run" true
       (clean.Engine.marginals = outcome.Txn.report.Engine.marginals));
   Alcotest.(check int) "dead letter drained" 0 (List.length (Txn.dead_letters txn))
+
+(* An appending update extends the kernel; a fault after inference rolls
+   it back to the pre-update kernel (the replay compiles nothing), and
+   the replay matches an uninterrupted twin bit for bit. *)
+let test_rollback_restores_extended_kernel () =
+  Fault.reset ();
+  let program =
+    Dd_core.Program.add_rules (Pipeline.base_program ())
+      (Pipeline.rules_of Pipeline.FE1 @ Pipeline.rules_of Pipeline.S1)
+  in
+  let engine_of () =
+    let corpus = Corpus.generate tiny_config in
+    let db = Database.create () in
+    Corpus.load corpus ~docs:8 db;
+    (corpus, Engine.create ~options:quick_options db program)
+  in
+  let corpus, engine = engine_of () in
+  let update = Grounding.data_update (Corpus.doc_delta corpus ~from_doc:8 ~until_doc:12) in
+  let _, twin = engine_of () in
+  let clean = Engine.apply_update twin update in
+  Alcotest.(check bool) "the update adds variables" true (clean.Engine.grounding.Grounding.new_vars > 0);
+  Alcotest.(check int) "the twin extends its kernel" 1 (Engine.kernel_compiles twin);
+  let pre = snapshot engine in
+  let txn = Txn.create ~options:rollback_only engine in
+  Fault.arm "engine.apply_update.post_inference" (Fault.Nth 1);
+  (match apply_err txn update with
+  | `Transient _ -> ()
+  | e -> Alcotest.fail ("wrong class: " ^ Txn.error_message e));
+  note_covered ();
+  Fault.reset ();
+  check_snap "rolled back" pre (snapshot engine);
+  (match Txn.replay txn (List.hd (Txn.dead_letters txn)) with
+  | Error e -> Alcotest.fail ("replay failed: " ^ Txn.error_message e)
+  | Ok outcome ->
+    Alcotest.(check bool) "replay rung is direct" true (outcome.Txn.rung = Txn.Direct);
+    Alcotest.(check bool) "replay marginals = uninterrupted run" true
+      (clean.Engine.marginals = outcome.Txn.report.Engine.marginals));
+  Alcotest.(check int) "the replay extends the restored kernel" 1 (Engine.kernel_compiles engine);
+  check_snap "replayed = twin" (snapshot twin) (snapshot engine)
 
 (* --- the ladder under every exercised fault point ------------------------------- *)
 
@@ -609,6 +648,8 @@ let () =
       ( "rollback",
         [
           Alcotest.test_case "bit-identity + replay" `Quick test_rollback_bit_identity;
+          Alcotest.test_case "restores the extended kernel" `Quick
+            test_rollback_restores_extended_kernel;
           Alcotest.test_case "persistent rollback fault" `Quick
             test_persistent_rollback_fault_suppressed;
           Alcotest.test_case "commit ends the graph journal" `Quick
