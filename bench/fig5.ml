@@ -20,8 +20,7 @@ let accepted_goal = 100
    [accepted_goal] accepted samples at the probed acceptance rate. *)
 let sampling_inference_time rng change ~stored =
   let probe =
-    (Metropolis.infer (Prng.copy rng) change ~stored
-       ~chain_length:(min 50 (Array.length stored)))
+    (mh_chain (Prng.copy rng) change ~stored ~chain_length:(min 50 (Array.length stored)))
       .Metropolis.acceptance_rate
   in
   let chain_length =
@@ -29,7 +28,7 @@ let sampling_inference_time rng change ~stored =
   in
   let result = ref None in
   let seconds =
-    Timer.time_s (fun () -> result := Some (Metropolis.infer rng change ~stored ~chain_length))
+    Timer.time_s (fun () -> result := Some (mh_chain rng change ~stored ~chain_length))
   in
   (seconds, (Option.get !result).Metropolis.acceptance_rate)
 

@@ -198,14 +198,22 @@ let restore_weights g change =
     (fun (w, old_value) -> Graph.set_weight g w old_value)
     change.Metropolis.changed_weights
 
+(* An independent-MH chain of [chain_length] proposals that reads
+   [stored] round-robin: the synthetic experiments time chains longer than
+   their stores, and [Metropolis.infer] itself never wraps. *)
+let mh_chain rng change ~stored ~chain_length =
+  let n = Array.length stored in
+  Metropolis.infer rng change
+    ~stored:(Array.init (chain_length + 1) (fun i -> stored.(i mod n)))
+    ~first:0 ~proposals:chain_length
+
 (* Find a perturbation scale whose independent-MH acceptance rate is close
    to [target], by bisection on delta (acceptance decreases in delta). *)
 let calibrate_acceptance rng g ~stored ~target =
   let probe delta =
     let change = perturb_weights (Prng.copy rng) g delta in
     let rate =
-      (Metropolis.infer (Prng.create 99) change ~stored
-         ~chain_length:(min 200 (Array.length stored)))
+      (mh_chain (Prng.create 99) change ~stored ~chain_length:(min 200 (Array.length stored)))
         .Metropolis.acceptance_rate
     in
     restore_weights g change;

@@ -192,22 +192,27 @@ let variational t change =
   Materialize.variational_infer ~sweeps:t.opts.inference_chain ~burn_in:t.opts.burn_in t.rng
     ~approx:(Option.get t.mat.Materialize.variational) ~change
 
-(* MH over the stored worlds, after a probe of the acceptance rate that
-   sizes the chain or sends the update to the variational artifact. *)
+(* One MH chain per sampling pick, from the store cursor.  Its first
+   proposals probe the acceptance rate; the optimizer then resorts to the
+   variational artifact or lets the same chain go on.  The cursor moves
+   once, past every world the chain read. *)
 let sample t obs change =
-  let mh chain_length =
-    let m = t.mat in
-    let r = Metropolis.infer t.rng change ~stored:m.Materialize.samples ~chain_length in
-    t.mat <-
-      { m with Materialize.samples_used = m.Materialize.samples_used + r.Metropolis.proposals };
-    r
+  let m = t.mat in
+  let first = m.Materialize.samples_used in
+  let chain = Metropolis.infer t.rng change ~stored:m.Materialize.samples ~first in
+  let probe = Optimizer.probe_length obs in
+  let r = chain ~proposals:probe in
+  let next = Optimizer.after_probe obs ~acceptance:r.Metropolis.acceptance_rate in
+  let r =
+    match next with
+    | Optimizer.Mh_chain n -> chain ~proposals:(n - probe)
+    | Optimizer.Resort_to_variational -> r
   in
-  let probe = (mh (Optimizer.probe_length obs)).Metropolis.acceptance_rate in
-  match Optimizer.after_probe obs ~acceptance:probe with
-  | Optimizer.Resort_to_variational -> (Used_variational, Some probe, variational t change)
-  | Optimizer.Mh_chain chain_length ->
-    let r = mh chain_length in
-    (Used_sampling, Some r.Metropolis.acceptance_rate, r.Metropolis.marginals)
+  t.mat <- { m with Materialize.samples_used = first + 1 + r.Metropolis.proposals };
+  let rate = Some r.Metropolis.acceptance_rate in
+  match next with
+  | Optimizer.Resort_to_variational -> (Used_variational, rate, variational t change)
+  | Optimizer.Mh_chain _ -> (Used_sampling, rate, r.Metropolis.marginals)
 
 (* One update's inference: the optimizer's decision, then one arm per
    strategy.  The change against the materialization is built only when

@@ -60,8 +60,11 @@ type options = {
 val default_options : options
 
 type strategy_used =
-  | Used_sampling  (** MH over the stored worlds *)
-  | Used_variational  (** also a sampling pick that {!Optimizer.after_probe} resorted *)
+  | Used_sampling  (** one MH chain over fresh stored worlds from the store cursor *)
+  | Used_variational
+      (** also a sampling pick that {!Optimizer.after_probe} resorted: its
+          probe's worlds stay read, and the report carries the probe's
+          acceptance rate *)
   | Used_full_gibbs
       (** {!Optimizer.Exact} ({!report.exact_components} enumerated) or
           {!Optimizer.Real_graph_chain}: inference on the real graph *)

@@ -12,8 +12,9 @@
     strategy choice over (Section 3.3: "materialize the factor graph using
     both approaches, and defer the decision to the inference phase"),
     with the baseline [Pr(0)] (weights, body counts, evidence) that later
-    updates are expressed against and the samples MH has spent: an
-    immutable value, so restoring it restores all Section 3.2 state. *)
+    updates are expressed against and the store cursor of the worlds MH
+    has read: an immutable value, so restoring it restores all Section 3.2
+    state. *)
 
 module Graph = Dd_fgraph.Graph
 module Metropolis = Dd_inference.Metropolis
@@ -26,7 +27,9 @@ type t = {
   base_weights : float array;
   base_bodies : int array;  (** body count of each factor at materialization *)
   base_evidence : Graph.evidence array;
-  samples_used : int;  (** MH proposals spent from [samples], 0 when drawn *)
+  samples_used : int;
+      (** the store cursor: MH chains have read [samples.(0)] up to
+          [samples.(samples_used - 1)]; 0 when drawn *)
 }
 
 val materialize :

@@ -13,17 +13,15 @@ type observation = {
 
 type decision = Exact | Sampling | Variational | Real_graph_chain
 
+let probe_length o = max 1 (min 150 (o.stored_samples - 1))
+
 let decide o ~change =
   if o.enumerable then Exact
-  else if o.stored_samples = 0 || o.disable_sampling then
+  else if o.disable_sampling || o.stored_samples - o.samples_used <= probe_length o then
     if o.variational_built then Variational else Real_graph_chain
-  else if not o.variational_built then Sampling
-  else if o.samples_used + o.chain > o.stored_samples then Variational
-  else if not o.workload_aware then Sampling
+  else if (not o.variational_built) || not o.workload_aware then Sampling
   else if (Lazy.force change).Metropolis.evidence_changes <> [] then Variational (* rule 2 *)
   else Sampling (* rules 1 and 3 *)
-
-let probe_length o = min 150 o.stored_samples
 
 type after_probe = Mh_chain of int | Resort_to_variational
 

@@ -201,7 +201,7 @@ let evidence_vars t =
 let body_satisfied assignment body =
   Array.for_all (fun l -> assignment l.var <> l.negated) body
 
-let factor_energy_prefix t f assignment k =
+let factor_energy_prefix f ~weight assignment k =
   let n = ref 0 in
   for b = 0 to min k (Array.length f.bodies) - 1 do
     if body_satisfied assignment f.bodies.(b) then incr n
@@ -211,9 +211,10 @@ let factor_energy_prefix t f assignment k =
     | None -> 1.0
     | Some h -> if assignment h then 1.0 else -1.0
   in
-  weight_value t f.weight_id *. sign *. Semantics.g f.semantics !n
+  weight *. sign *. Semantics.g f.semantics !n
 
-let factor_energy t f assignment = factor_energy_prefix t f assignment (Array.length f.bodies)
+let factor_energy t f assignment =
+  factor_energy_prefix f ~weight:(weight_value t f.weight_id) assignment (Array.length f.bodies)
 
 let flip_energy t fids assignment v =
   let lookup v' = assignment.(v') in

@@ -100,10 +100,10 @@ val evidence_vars : t -> (var * bool) list
 val factor_energy : t -> factor -> (var -> bool) -> float
 (** [w * sign(head) * g(#satisfied bodies)] under the assignment. *)
 
-val factor_energy_prefix : t -> factor -> (var -> bool) -> int -> float
-(** Energy of the factor as if it only had its first [k] bodies — the
-    pre-extension energy needed when incremental grounding appended
-    groundings to an existing factor. *)
+val factor_energy_prefix : factor -> weight:float -> (var -> bool) -> int -> float
+(** Energy of the factor under [weight] as if it only had its first [k]
+    bodies — the pre-update energy needed when incremental grounding
+    appended groundings to an existing factor or moved its weight. *)
 
 val flip_energy : t -> int list -> bool array -> var -> float
 (** Summed energy of factors [fids] (in list order) with [v] true minus

@@ -561,8 +561,6 @@ type state = {
   sat : int array;  (* per factor: satisfied-body count *)
 }
 
-let kernel st = st.k
-
 let value st v = Bytes.unsafe_get st.assign v <> '\000'
 
 let snapshot st = Array.init st.k.nvars (fun v -> value st v)
@@ -861,15 +859,13 @@ let marginals ?(burn_in = 10) ?(budget = Budget.unlimited) rng k ~sweeps =
   if num_coupled k > 0 && enumerable k ~steps:(burn_in + sweeps) then exact_marginals ~budget k
   else chain_marginals ~burn_in ~budget rng k ~sweeps
 
-let sample_worlds ?(burn_in = 10) ?(spacing = 1) rng k ~n =
+let sample_worlds ?(burn_in = 10) rng k ~n =
   let st = make_state rng k in
   for _ = 1 to burn_in do
     sweep rng st
   done;
   Array.init n (fun _ ->
-      for _ = 1 to spacing do
-        sweep rng st
-      done;
+      sweep rng st;
       snapshot st)
 
 let sweeps_to_converge ?(tolerance = 0.01) ?(max_sweeps = 100_000) rng k ~target_var

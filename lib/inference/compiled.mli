@@ -185,8 +185,6 @@ val make_state : ?init:bool array -> Dd_util.Prng.t -> t -> state
     [Dd_oracle.Gibbs.init_assignment] (consuming the PRNG identically);
     raises [Invalid_argument] on a size mismatch. *)
 
-val kernel : state -> t
-
 val value : state -> Graph.var -> bool
 (** Current value of one variable. *)
 
@@ -258,10 +256,9 @@ val marginals :
     budget expires at the same sweep whatever the split; exhaustion
     raises {!Dd_util.Budget.Exceeded} instead of finishing. *)
 
-val sample_worlds :
-  ?burn_in:int -> ?spacing:int -> Dd_util.Prng.t -> t -> n:int -> bool array array
-(** Draw [n] worlds from one fresh chain, [spacing] sweeps apart
-    (default 1) after [burn_in] (default 10) — the tuple-bundle store of
+val sample_worlds : ?burn_in:int -> Dd_util.Prng.t -> t -> n:int -> bool array array
+(** Draw [n] worlds from one fresh chain, one sweep apart after
+    [burn_in] (default 10) — the tuple-bundle store of
     the sampling materialization; the compiled counterpart of
     [Dd_oracle.Gibbs.sample_worlds].  Reads the kernel only, so several
     domains may draw chains from one shared kernel concurrently. *)

@@ -11,7 +11,7 @@ let cd_decay = 0.05
 let cd_l2 = 0.0001
 let cd_chain_sweeps = 2
 
-let train_cd ?(options = default_cd) ?(on_epoch = fun _ _ -> ()) ~kernel rng =
+let train_cd ?(options = default_cd) ~kernel rng =
   (* Persistent chains over one compiled kernel, for the shared variables
      only: the positive chain keeps evidence clamped, the negative chain
      floats every shared variable.  Their gradients come straight off
@@ -52,10 +52,8 @@ let train_cd ?(options = default_cd) ?(on_epoch = fun _ _ -> ()) ~kernel rng =
         let current = Graph.weight_value g w in
         Graph.set_weight g w (current +. (lr *. (gradient.(w) -. (cd_l2 *. current)))))
       learnable;
-    on_epoch epoch g;
-    (* After both the step and the callback (which may also touch
-       weights): the kernel's dense slots track the graph again before
-       the next epoch samples. *)
+    (* The kernel's dense slots track the graph again before the next
+       epoch samples. *)
     Compiled.refresh_weights kernel
   done
 

@@ -29,7 +29,6 @@ val default_cd : cd_options
 
 val train_cd :
   ?options:cd_options ->
-  ?on_epoch:(int -> Graph.t -> unit) ->
   kernel:Compiled.t ->
   Dd_util.Prng.t ->
   unit

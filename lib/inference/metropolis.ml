@@ -21,19 +21,6 @@ let unchanged graph =
     evidence_changes = [];
   }
 
-(* Energy of a factor's first [bodies] groundings under weight [w]:
-   factor energies are linear in the weight, with a unit probe when the
-   current weight is 0. *)
-let energy_under_weight g f lookup ~bodies w =
-  let current = Graph.weight_value g f.Graph.weight_id in
-  if current <> 0.0 then Graph.factor_energy_prefix g f lookup bodies /. current *. w
-  else begin
-    Graph.set_weight g f.Graph.weight_id 1.0;
-    let unit_energy = Graph.factor_energy_prefix g f lookup bodies in
-    Graph.set_weight g f.Graph.weight_id current;
-    unit_energy *. w
-  end
-
 let clamped g v =
   match Graph.evidence_of g v with Graph.Evidence b -> Some (v, b) | Graph.Query -> None
 
@@ -105,8 +92,8 @@ let prepare change =
 let eval_delta p assignment =
   let g = p.pgraph in
   let lookup v = assignment.(v) in
-  let moved acc (f, bodies, w) =
-    acc +. Graph.factor_energy g f lookup -. energy_under_weight g f lookup ~bodies w
+  let moved acc (f, bodies, weight) =
+    acc +. Graph.factor_energy g f lookup -. Graph.factor_energy_prefix f ~weight lookup bodies
   in
   if Array.exists (fun (v, b) -> assignment.(v) <> b) p.required then neg_infinity
   else
@@ -124,10 +111,10 @@ type result = {
 }
 
 (* Extend a stored world to the updated graph: copy it, draw every new
-   variable uniformly, clamp what the change made evidence, then run a
-   few restricted Gibbs sweeps over the new query variables.  Stored
-   worlds already hold the original evidence. *)
-let extend_sample rng change p stored_sample ~sweeps =
+   variable uniformly, clamp what the change made evidence, then run two
+   restricted Gibbs sweeps over the new query variables.  Stored worlds
+   already hold the original evidence. *)
+let extend_sample rng change p stored_sample =
   let g = change.graph in
   let n = Graph.num_vars g in
   let a = Array.make n false in
@@ -135,42 +122,46 @@ let extend_sample rng change p stored_sample ~sweeps =
   List.iter (fun v -> if v < n then a.(v) <- Prng.bool rng) change.new_vars;
   Array.iter (fun (v, b) -> a.(v) <- b) p.required;
   Array.iter (fun (v, b) -> a.(v) <- b) p.clamp_new;
-  for _ = 1 to sweeps do
+  for _ = 1 to 2 do
     Array.iter
       (fun (v, fids) -> a.(v) <- Prng.bernoulli rng (Stats.sigmoid (Graph.flip_energy g fids a v)))
       p.resample
   done;
   a
 
-let infer rng change ~stored ~chain_length =
-  let new_var_sweeps = 2 in
-  let g = change.graph in
-  let nstored = Array.length stored in
-  if nstored = 0 then invalid_arg "Metropolis.infer: no stored samples";
-  let n = Graph.num_vars g in
+(* The chain's state lives in the closure: the world it holds and its
+   delta, how many steps held each variable true, and the next stored
+   world to propose. *)
+let infer rng change ~stored ~first =
+  if first < 0 || first >= Array.length stored then
+    invalid_arg "Metropolis.infer: no stored world left";
   let p = prepare change in
-  let propose stored_sample = extend_sample rng change p stored_sample ~sweeps:new_var_sweeps in
-  let current = ref (propose stored.(0)) in
+  let current = ref (extend_sample rng change p stored.(first)) in
   let current_delta = ref (eval_delta p !current) in
-  let totals = Array.make n 0 in
-  let accepted = ref 0 in
-  for step = 0 to chain_length - 1 do
-    let proposal = propose stored.((step + 1) mod nstored) in
-    let proposal_delta = eval_delta p proposal in
-    let log_alpha = proposal_delta -. !current_delta in
-    if log_alpha >= 0.0 || Prng.float_unit rng < exp log_alpha then begin
-      current := proposal;
-      current_delta := proposal_delta;
-      incr accepted
-    end;
-    let a = !current in
-    for v = 0 to n - 1 do
-      if a.(v) then totals.(v) <- totals.(v) + 1
-    done
-  done;
-  {
-    marginals = Array.map (fun c -> float_of_int c /. float_of_int (max 1 chain_length)) totals;
-    acceptance_rate = float_of_int !accepted /. float_of_int (max 1 chain_length);
-    proposals = chain_length;
-    accepted = !accepted;
-  }
+  let totals = Array.make (Graph.num_vars change.graph) 0 in
+  let next = ref (first + 1) and accepted = ref 0 in
+  fun ~proposals ->
+    let last = max !next (min (Array.length stored) (!next + proposals)) in
+    for i = !next to last - 1 do
+      let proposal = extend_sample rng change p stored.(i) in
+      let proposal_delta = eval_delta p proposal in
+      let log_alpha = proposal_delta -. !current_delta in
+      if log_alpha >= 0.0 || Prng.float_unit rng < exp log_alpha then begin
+        current := proposal;
+        current_delta := proposal_delta;
+        incr accepted
+      end;
+      let a = !current in
+      for v = 0 to Array.length totals - 1 do
+        if a.(v) then totals.(v) <- totals.(v) + 1
+      done
+    done;
+    next := last;
+    let steps = !next - first - 1 in
+    let per_step x = float_of_int x /. float_of_int (max 1 steps) in
+    {
+      marginals = Array.map per_step totals;
+      acceptance_rate = per_step !accepted;
+      proposals = steps;
+      accepted = !accepted;
+    }

@@ -45,16 +45,19 @@ type result = {
 }
 
 val infer :
-  Dd_util.Prng.t ->
-  change ->
-  stored:bool array array ->
-  chain_length:int ->
-  result
-(** Run the independent MH chain for [chain_length] steps, proposing stored
-    samples in order (cycling).  Marginals are chain averages.
+  Dd_util.Prng.t -> change -> stored:bool array array -> first:int -> proposals:int -> result
+(** One independent MH chain from [stored.(first)], the store cursor,
+    proposing [stored.(first + 1)], … in order with no wrap;
+    [Invalid_argument] when [first] is past the store's end.  It stops
+    early at the store's end and returns the chain's marginals (averages
+    over its steps), acceptance rate and counts: it has read
+    [stored.(first)] to [stored.(first + proposals)].  Applied without
+    [~proposals] it is the chain itself: each call goes on from where the
+    last stopped and returns the whole chain so far, so a probe of the
+    acceptance rate is the chain's first steps.
 
-    The chain reads only the change, prepared once per call (a pass over
-    all factors only when a weight moved).  A proposal copies its stored
+    The chain reads only the change, prepared once (a pass over all
+    factors only when a weight moved).  A proposal copies its stored
     world, draws [new_vars] uniformly, clamps the new and re-labelled
     variables that are evidence now, and resamples the new query
     variables in two Gibbs sweeps over their new and extended factors.

@@ -143,9 +143,9 @@ let share n chains c = (n * (c + 1) / chains) - (n * c / chains)
 
 (* The kernel is only read while sampling, so every chain shares the
    caller's and owns just its state and PRNG stream. *)
-let sample_worlds ?(burn_in = 10) ?(spacing = 1) ~kernel ~domains rng ~n =
+let sample_worlds ?(burn_in = 10) ~kernel ~domains rng ~n =
   check_domains domains;
-  if domains = 1 then Compiled.sample_worlds ~burn_in ~spacing rng kernel ~n
+  if domains = 1 then Compiled.sample_worlds ~burn_in rng kernel ~n
   else begin
     let rngs = Array.init domains (fun _ -> Prng.split rng) in
     let results = Array.make domains [||] in
@@ -156,6 +156,6 @@ let sample_worlds ?(burn_in = 10) ?(spacing = 1) ~kernel ~domains rng ~n =
         Pool.run pool (fun d ->
             let quota = share n domains d in
             if quota > 0 then
-              results.(d) <- Compiled.sample_worlds ~burn_in ~spacing rngs.(d) kernel ~n:quota));
+              results.(d) <- Compiled.sample_worlds ~burn_in rngs.(d) kernel ~n:quota));
     Array.concat (Array.to_list results)
   end

@@ -75,7 +75,6 @@ val marginals :
 
 val sample_worlds :
   ?burn_in:int ->
-  ?spacing:int ->
   kernel:Dd_inference.Compiled.t ->
   domains:int ->
   Dd_util.Prng.t ->

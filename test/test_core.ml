@@ -536,8 +536,8 @@ let test_materialize_save_load () =
   Graph.set_weight g 0 2.0;
   let infer (m : Materialize.t) =
     let change = Materialize.cumulative_change m g in
-    (Dd_inference.Metropolis.infer (Prng.create 20) change ~stored:m.Materialize.samples
-       ~chain_length:30)
+    (Dd_inference.Metropolis.infer (Prng.create 20) change ~stored:m.Materialize.samples ~first:0
+       ~proposals:30)
       .Dd_inference.Metropolis.marginals
   in
   Alcotest.(check bool) "answers updates like the original" true (infer back = infer m)
@@ -577,9 +577,11 @@ let check_decisions rows =
     rows
 
 (* The arms [Optimizer.decide] takes before it reads the change (exact
-   first, lesions and availability, exhaustion, NoWorkloadInfo), each row
+   first, availability over the store cursor, the lesions), each row
    passing a change that fails the test when read, then
-   [Optimizer.probe_length] and every arm of [Optimizer.after_probe]. *)
+   [Optimizer.probe_length] and every arm of [Optimizer.after_probe].
+   A probe reads 151 of the 200 stored worlds: its start and 150
+   proposals. *)
 let test_optimizer_rules () =
   let o = optimizer_observation in
   let unread = lazy (Alcotest.fail "the change was read") in
@@ -592,7 +594,12 @@ let test_optimizer_rules () =
         { o with Optimizer.disable_sampling = true; variational_built = false },
         unread,
         "real-graph chain" );
-      ("NoRelaxation", { o with Optimizer.variational_built = false; samples_used = 200 }, unread, "sampling");
+      ("NoRelaxation", { o with Optimizer.variational_built = false }, unread, "sampling");
+      ( "NoRelaxation exhausted",
+        { o with Optimizer.variational_built = false; samples_used = 200 },
+        unread,
+        "real-graph chain" );
+      ("less than a probe left", { o with Optimizer.samples_used = 50 }, unread, "variational");
       ("exhausted", { o with Optimizer.samples_used = 101 }, unread, "variational");
       ("NoWorkloadInfo", { o with Optimizer.workload_aware = false }, unread, "sampling");
       ( "NoWorkloadInfo exhausted",
@@ -600,8 +607,10 @@ let test_optimizer_rules () =
         unread,
         "variational" );
     ];
-  Alcotest.(check (list int)) "probe length" [ 150; 80 ]
-    (List.map Optimizer.probe_length [ o; { o with Optimizer.stored_samples = 80 } ]);
+  Alcotest.(check (list int)) "probe length" [ 150; 79; 1 ]
+    (List.map
+       (fun stored_samples -> Optimizer.probe_length { o with Optimizer.stored_samples })
+       [ 200; 80; 0 ]);
   List.iter
     (fun (name, obs, acceptance, expected) ->
       Alcotest.(check string) name expected
@@ -618,7 +627,7 @@ let test_optimizer_rules () =
 (* The Section 3.3 rules, where the change's profile decides: an evidence
    change picks variational (rule 2, also over new structure); no change
    and a structure-only change pick sampling (rules 1 and 3), up to the
-   last full chain the stored samples hold. *)
+   last full probe the fresh stored worlds hold. *)
 let test_optimizer_profile () =
   let o = optimizer_observation in
   let unchanged = Metropolis.unchanged (biased_graph ()) in
@@ -626,7 +635,8 @@ let test_optimizer_profile () =
   check_decisions
     [
       ("rule 1: no structure change", o, lazy unchanged, "sampling");
-      ("last full chain", { o with Optimizer.samples_used = 100 }, lazy unchanged, "sampling");
+      ("last full probe", { o with Optimizer.samples_used = 49 }, lazy unchanged, "sampling");
+      ("no full probe left", { o with Optimizer.samples_used = 100 }, lazy unchanged, "variational");
       ("rule 2: evidence change", o, lazy supervision, "variational");
       ( "rule 3: structure-only change",
         o,
@@ -756,7 +766,9 @@ let test_engine_exhaustion_switches () =
   let db, prog = coupled_fixture () in
   let engine = Engine.create ~options:quick_options db prog in
   check_over_the_bound engine;
-  (* 100 samples / 50 per chain: the third analysis update exhausts. *)
+  (* The first analysis update's chain reads all 100 stored worlds (a
+     99-proposal probe, already longer than the 50 it needs); the later
+     ones find no fresh probe left. *)
   ignore (Engine.apply_update engine (Grounding.rules_update []));
   ignore (Engine.apply_update engine (Grounding.rules_update []));
   let report = Engine.apply_update engine (Grounding.rules_update []) in
@@ -795,6 +807,54 @@ let test_engine_rematerialize_resets () =
   let report = Engine.apply_update engine (Grounding.rules_update []) in
   Alcotest.(check string) "sampling again" "sampling"
     (Engine.strategy_used_to_string report.Engine.strategy)
+
+(* The store cursor under NoRelaxation (no variational artifact, so every
+   available pick samples), 400 stored worlds and a chain of 200.  An
+   analysis update changes nothing, so every proposal is accepted, the
+   probe asks for a 200-proposal chain, and the marginals are the mean
+   of the proposed stored worlds.  The first pick starts at world 0,
+   probes 1..150 and goes on with 151..200; the second starts at 201 and
+   stops at the store's end; the third finds no fresh probe and answers
+   with the real-graph chain. *)
+let test_engine_store_cursor () =
+  let db, prog = coupled_fixture () in
+  let options =
+    {
+      quick_options with
+      Engine.materialization_samples = 400;
+      inference_chain = 200;
+      disable_variational = true;
+    }
+  in
+  let engine = Engine.create ~options db prog in
+  check_over_the_bound engine;
+  let stored = (Engine.materialization engine).Materialize.samples in
+  let cursor () = (Engine.materialization engine).Materialize.samples_used in
+  let mean lo hi =
+    Array.init (Array.length stored.(0)) (fun v ->
+        let count = ref 0 in
+        for i = lo to hi do
+          if stored.(i).(v) then incr count
+        done;
+        float_of_int !count /. float_of_int (hi - lo + 1))
+  in
+  let pick name ~strategy ~marginals ~next =
+    let report = Engine.apply_update engine (Grounding.rules_update []) in
+    Alcotest.(check string) (name ^ ": strategy") strategy
+      (Engine.strategy_used_to_string report.Engine.strategy);
+    Option.iter
+      (fun expected ->
+        Alcotest.(check (option (float 0.0))) (name ^ ": acceptance") (Some 1.0)
+          report.Engine.acceptance_rate;
+        Alcotest.(check bool) (name ^ ": marginals are the proposed worlds") true
+          (report.Engine.marginals = expected))
+      marginals;
+    Alcotest.(check int) (name ^ ": cursor") next (cursor ())
+  in
+  Alcotest.(check int) "fresh store" 0 (cursor ());
+  pick "first pick" ~strategy:"sampling" ~marginals:(Some (mean 1 200)) ~next:201;
+  pick "second pick" ~strategy:"sampling" ~marginals:(Some (mean 202 399)) ~next:400;
+  pick "store read" ~strategy:"full-gibbs" ~marginals:None ~next:400
 
 (* The MH arm under a transaction.  A fault after inference rolls the
    update back: the materialization, its spent samples included, is the
@@ -1249,6 +1309,7 @@ let () =
         [
           Alcotest.test_case "analysis uses sampling" `Quick test_engine_analysis_update_uses_sampling;
           Alcotest.test_case "exhaustion switches" `Quick test_engine_exhaustion_switches;
+          Alcotest.test_case "store cursor" `Quick test_engine_store_cursor;
           Alcotest.test_case "lesion no sampling" `Quick test_engine_lesion_disable_sampling;
           Alcotest.test_case "lesion no variational" `Quick test_engine_lesion_disable_variational;
           Alcotest.test_case "rematerialize" `Quick test_engine_rematerialize_resets;

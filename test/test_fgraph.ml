@@ -210,7 +210,8 @@ let test_extend_factor () =
   (* Prefix energy sees only the original body. *)
   let all_true _ = true in
   check_close 0.0 "full" 2.0 (Graph.factor_energy g f all_true);
-  check_close 0.0 "prefix" 1.0 (Graph.factor_energy_prefix g f all_true 1)
+  check_close 0.0 "prefix" 1.0
+    (Graph.factor_energy_prefix f ~weight:(Graph.weight_value g w) all_true 1)
 
 let test_graph_copy_independent () =
   let g = Graph.create () in

@@ -142,7 +142,7 @@ let test_unchanged_full_acceptance () =
   let rng = Prng.create 6 in
   let stored = Gibbs.sample_worlds ~burn_in:50 rng g ~n:100 in
   let result =
-    Metropolis.infer (Prng.create 7) (Metropolis.unchanged g) ~stored ~chain_length:100
+    Metropolis.infer (Prng.create 7) (Metropolis.unchanged g) ~stored ~first:0 ~proposals:100
   in
   check_close 0.0 "acceptance 1.0" 1.0 result.Metropolis.acceptance_rate
 
@@ -218,7 +218,7 @@ let test_mh_tracks_changed_distribution () =
   let stored = Gibbs.sample_worlds ~burn_in:100 rng g ~n:2000 in
   Graph.set_weight g w 1.0;
   let change = { (Metropolis.unchanged g) with Metropolis.changed_weights = [ (w, -1.0) ] } in
-  let result = Metropolis.infer (Prng.create 9) change ~stored ~chain_length:2000 in
+  let result = Metropolis.infer (Prng.create 9) change ~stored ~first:0 ~proposals:2000 in
   let exact = (Exact.marginals g).(a) in
   Alcotest.(check bool) "tracks new marginal" true
     (abs_float (result.Metropolis.marginals.(a) -. exact) < 0.05);
@@ -239,7 +239,7 @@ let test_mh_new_vars_filled () =
       new_vars = [ fresh ];
     }
   in
-  let result = Metropolis.infer (Prng.create 11) change ~stored ~chain_length:300 in
+  let result = Metropolis.infer (Prng.create 11) change ~stored ~first:0 ~proposals:300 in
   Alcotest.(check bool) "new var marginal learned" true
     (result.Metropolis.marginals.(fresh) > 0.8)
 
@@ -255,7 +255,7 @@ let test_acceptance_decreases_with_change () =
     let change =
       { (Metropolis.unchanged g) with Metropolis.changed_weights = [ (w, 0.0) ] }
     in
-    (Metropolis.infer (Prng.create 13) change ~stored ~chain_length:400).Metropolis
+    (Metropolis.infer (Prng.create 13) change ~stored ~first:0 ~proposals:400).Metropolis
       .acceptance_rate
   in
   let small_change = make_stored_and_change 0.2 in
@@ -267,17 +267,135 @@ let test_acceptance_probe () =
   let rng = Prng.create 14 in
   let stored = Gibbs.sample_worlds ~burn_in:20 rng g ~n:50 in
   let rate =
-    (Metropolis.infer (Prng.create 15) (Metropolis.unchanged g) ~stored
-       ~chain_length:(min 30 (Array.length stored)))
+    (Metropolis.infer (Prng.create 15) (Metropolis.unchanged g) ~stored ~first:0
+       ~proposals:(min 30 (Array.length stored)))
       .Metropolis.acceptance_rate
   in
   check_close 0.0 "unchanged probe" 1.0 rate
 
+(* A store of one-hot worlds (world i sets variable i) under an unchanged
+   graph: every proposal is accepted, so a variable's marginal is the
+   share of steps that held its world, and reveals which indexes the
+   chain proposed. *)
+let test_chain_reads_from_cursor () =
+  let g = Graph.create () in
+  ignore (Graph.add_vars g 10);
+  let stored = Array.init 10 (fun i -> Array.init 10 (fun v -> v = i)) in
+  let chain = Metropolis.infer (Prng.create 3) (Metropolis.unchanged g) ~stored ~first:3 in
+  let shares r = Array.to_list r.Metropolis.marginals in
+  let probe = chain ~proposals:4 in
+  Alcotest.(check int) "probe proposals" 4 probe.Metropolis.proposals;
+  Alcotest.(check (list (float 0.0))) "probe proposes 4..7"
+    [ 0.; 0.; 0.; 0.; 0.25; 0.25; 0.25; 0.25; 0.; 0. ]
+    (shares probe);
+  let r = chain ~proposals:100 in
+  Alcotest.(check int) "stops at the store's end" 6 r.Metropolis.proposals;
+  let sixth = 1.0 /. 6.0 in
+  Alcotest.(check (list (float 1e-15))) "the chain goes on with 8 and 9"
+    [ 0.; 0.; 0.; 0.; sixth; sixth; sixth; sixth; sixth; sixth ]
+    (shares r);
+  Alcotest.(check bool) "no world left to start from" true
+    (match Metropolis.infer (Prng.create 3) (Metropolis.unchanged g) ~stored ~first:10 with
+    | (_ : proposals:int -> Metropolis.result) -> false
+    | exception Invalid_argument _ -> true)
+
+(* Independent draws from a graph's exact distribution (inverse CDF over
+   its enumerated worlds), so MH proposals are exactly [Pr(0)]. *)
+let exact_draws rng g ~n =
+  let worlds = Array.of_list (Exact.enumerate g) in
+  let last = Array.length worlds - 1 in
+  let rec pick u i =
+    let world, p = worlds.(i) in
+    if i = last || u < p then Array.copy world else pick (u -. p) (i + 1)
+  in
+  Array.init n (fun _ -> pick (Prng.float_unit rng) 0)
+
+(* MH marginals against [Exact] on coupled graphs.  The stored worlds are
+   exact draws from the graph before [update]; the chain starts at store
+   index 5 and runs as a sampling pick does, a 150-proposal probe and the
+   same chain on to [length] proposals.  With [m] the largest ratio
+   Pr(Δ)/Pr(0) over worlds, independent MH has spectral gap at least 1/m,
+   so a marginal's chain average has standard error at most
+   sqrt((2m − 1) / (4 length)) and a start bias at most m / length; the
+   tolerance is four standard errors plus that bias. *)
+let check_mh_against_exact name g update ~length =
+  let before = Exact.enumerate g in
+  let stored = exact_draws (Prng.create 41) g ~n:(length + 6) in
+  let change = update g in
+  let after = Exact.enumerate g in
+  let m = List.fold_left2 (fun acc (_, p0) (_, p1) -> max acc (p1 /. p0)) 0.0 before after in
+  let n = float_of_int length in
+  let tolerance = (4.0 *. sqrt (((2.0 *. m) -. 1.0) /. (4.0 *. n))) +. (m /. n) in
+  let chain = Metropolis.infer (Prng.create 43) change ~stored ~first:5 in
+  ignore (chain ~proposals:150);
+  let r = chain ~proposals:(length - 150) in
+  Alcotest.(check int) (name ^ ": proposals") length r.Metropolis.proposals;
+  Alcotest.(check bool) (name ^ ": the change moved the distribution") true (m > 1.05);
+  let exact = Exact.marginals g in
+  Array.iteri
+    (fun v p ->
+      let err = abs_float (r.Metropolis.marginals.(v) -. p) in
+      if err > tolerance then
+        Alcotest.failf "%s: variable %d: MH %.4f, exact %.4f, |error| %.4f > %.4f (m = %.3f)" name v
+          r.Metropolis.marginals.(v) p err tolerance m)
+    exact
+
+let test_mh_matches_exact () =
+  (* A chain of six pairwise-coupled variables with biases; the update
+     moves two coupling weights, zeroes a bias and adds a new factor over
+     old variables. *)
+  let chain_case g =
+    let v = Graph.add_vars g 6 in
+    let biases = Array.map (Graph.add_weight g) [| 0.4; -0.3; 0.2; -0.5; 0.1; 0.3 |] in
+    Array.iteri (fun i x -> ignore (Graph.unary g ~weight:biases.(i) x)) v;
+    let couplings = Array.init 5 (fun i -> Graph.add_weight g (0.6 -. (0.2 *. float_of_int i))) in
+    Array.iteri (fun i w -> ignore (Graph.pairwise g ~weight:w v.(i) v.(i + 1))) couplings;
+    fun g ->
+      let moved = [ (couplings.(1), 1.1); (couplings.(3), -0.7); (biases.(2), 0.0) ] in
+      let changed_weights = List.map (fun (w, _) -> (w, Graph.weight_value g w)) moved in
+      List.iter (fun (w, x) -> Graph.set_weight g w x) moved;
+      let fid = Graph.pairwise g ~weight:(Graph.add_weight g 0.8) v.(0) v.(5) in
+      { (Metropolis.unchanged g) with Metropolis.changed_weights; new_factor_ids = [ fid ] }
+  in
+  (* Five variables under implication factors of every semantics; the
+     update extends two of them with bodies over old variables and moves
+     a weight from 0. *)
+  let factor_case g =
+    let v = Graph.add_vars g 5 in
+    Array.iteri
+      (fun i x -> ignore (Graph.unary g ~weight:(Graph.add_weight g (0.1 *. float_of_int (i - 2))) x))
+      v;
+    let implication head bodies weight semantics =
+      Graph.add_factor g
+        { Graph.head = Some head; bodies; weight_id = Graph.add_weight g weight; semantics }
+    in
+    let f_linear = implication v.(0) [| [| lit v.(1) |] |] 0.7 Semantics.Linear in
+    let f_ratio = implication v.(2) [| [| lit v.(3); lit ~negated:true v.(4) |] |] 0.9 Semantics.Ratio in
+    let f_logical = implication v.(4) [| [| lit v.(0) |] |] 0.0 Semantics.Logical in
+    fun g ->
+      Graph.extend_factor g f_linear [| [| lit v.(2) |]; [| lit v.(3) |] |];
+      Graph.extend_factor g f_ratio [| [| lit v.(1) |] |];
+      let w = (Graph.factor g f_logical).Graph.weight_id in
+      Graph.set_weight g w 1.2;
+      {
+        (Metropolis.unchanged g) with
+        Metropolis.extended_factors = [ (f_linear, 1); (f_ratio, 1) ];
+        changed_weights = [ (w, 0.0) ];
+      }
+  in
+  List.iter
+    (fun (name, case) ->
+      let g = Graph.create () in
+      let update = case g in
+      check_mh_against_exact name g update ~length:20_000)
+    [ ("pairwise chain", chain_case); ("implications", factor_case) ]
+
 (* A change with everything MH reads: new variables inside extended
    factors and inside new factors, weights moved on untouched, extended and
    zeroed factors, and evidence set and lifted on old variables.  Stored
-   worlds come from the original graph; the digests below were taken when
-   proposals read [Graph]'s variable-to-factor lists, and must not move. *)
+   worlds come from the original graph.  The digests below pin one chain
+   from store index 0: a 60-proposal probe, then the same chain on to the
+   store's end (119 proposals in all), as a sampling pick runs it. *)
 let mh_pin_case () =
   let g = Graph.create () in
   let v = Graph.add_vars g 6 in
@@ -338,24 +456,27 @@ let mh_pin_digests () =
   let change, stored = mh_pin_case () in
   List.map
     (fun seed ->
-      let r = Metropolis.infer (Prng.create seed) change ~stored ~chain_length:300 in
-      let probe =
-        (Metropolis.infer (Prng.create seed) change ~stored
-           ~chain_length:(min 60 (Array.length stored)))
-          .Metropolis.acceptance_rate
-      in
+      let chain = Metropolis.infer (Prng.create seed) change ~stored ~first:0 in
+      let probe = (chain ~proposals:60).Metropolis.acceptance_rate in
+      let r = chain ~proposals:240 in
       Digest.to_hex
         (Digest.string
-           (Printf.sprintf "%s|%h|%d|%h" (hex r.Metropolis.marginals) r.Metropolis.acceptance_rate
-              r.Metropolis.accepted probe)))
+           (Printf.sprintf "%s|%h|%d|%h|%d" (hex r.Metropolis.marginals)
+              r.Metropolis.acceptance_rate r.Metropolis.accepted probe r.Metropolis.proposals)))
     [ 1; 2; 3 ]
 
 let test_mh_digests_pinned () =
-  Alcotest.(check (list string)) "marginals, acceptance and probe per seed"
+  let change, stored = mh_pin_case () in
+  let chain = Metropolis.infer (Prng.create 1) change ~stored ~first:0 in
+  ignore (chain ~proposals:60);
+  let split = chain ~proposals:240 in
+  Alcotest.(check bool) "a probe and its continuation are one chain" true
+    (split = Metropolis.infer (Prng.create 1) change ~stored ~first:0 ~proposals:300);
+  Alcotest.(check (list string)) "marginals, acceptance, probe and proposals per seed"
     [
-      "958ed6fe4a8e397daed902462a0fae09";
-      "aab99ec3ad3d0e5bdc8811a01853b59a";
-      "7be5901964c571a2bde5f981fda21e41";
+      "75d5c936513e00cc84fbead3da875daa";
+      "1c19c8fbfe13a1c389b22c6be33ab254";
+      "5762ec5beb73bdc718b91f37016bc8d5";
     ]
     (mh_pin_digests ())
 
@@ -657,6 +778,8 @@ let () =
           Alcotest.test_case "acceptance vs change size" `Quick test_acceptance_decreases_with_change;
           Alcotest.test_case "acceptance probe" `Quick test_acceptance_probe;
           Alcotest.test_case "digests pinned" `Quick test_mh_digests_pinned;
+          Alcotest.test_case "chain reads from the cursor" `Quick test_chain_reads_from_cursor;
+          Alcotest.test_case "matches exact" `Quick test_mh_matches_exact;
         ] );
       ( "learner",
         [

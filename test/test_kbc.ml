@@ -433,9 +433,9 @@ let pinned_lesion_traces =
         "A1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
         "FE1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
         "FE2 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
-        "I1 sampling 0x1.47ae147ae147bp-6 aac6606a061272ba61eda2679119ba56";
-        "S1 full-gibbs - ebfc3eb910d9bacd607a31cbbc584bca";
-        "S2 full-gibbs - 1b603dd22293e57e08d036ee96a7acff";
+        "I1 sampling 0x1.9ec8e951033d9p-5 c478f801fb5f8072d29a4be704a8d72b";
+        "S1 full-gibbs - 8cb5a5dd7acc823809d3a473eba2c75e";
+        "S2 full-gibbs - 3a91326fefd1fbdddad9ff7e5431a22a";
       ] );
     ( "NoSampling",
       [
@@ -451,18 +451,18 @@ let pinned_lesion_traces =
         "A1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
         "FE1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
         "FE2 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
-        "I1 sampling 0x1.47ae147ae147bp-6 aac6606a061272ba61eda2679119ba56";
-        "S1 full-gibbs - e7ada0972df08a2e2200a8fdb41f0484";
-        "S2 full-gibbs - ee0ded801f8613b7280e14bee2b87bff";
+        "I1 sampling 0x1.9ec8e951033d9p-5 c478f801fb5f8072d29a4be704a8d72b";
+        "S1 full-gibbs - 7d80d037a29cdbb61d9ef95ccec970ec";
+        "S2 full-gibbs - ad09a15699d520a65e689cd3ca91a40d";
       ] );
     ( "NoWorkloadInfo",
       [
         "A1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
         "FE1 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
         "FE2 full-gibbs - 5684522b123ce7a280315a65d14fc3a1";
-        "I1 sampling 0x1.47ae147ae147bp-6 aac6606a061272ba61eda2679119ba56";
-        "S1 full-gibbs - ebfc3eb910d9bacd607a31cbbc584bca";
-        "S2 full-gibbs - 1b603dd22293e57e08d036ee96a7acff";
+        "I1 sampling 0x1.9ec8e951033d9p-5 c478f801fb5f8072d29a4be704a8d72b";
+        "S1 full-gibbs - 8cb5a5dd7acc823809d3a473eba2c75e";
+        "S2 full-gibbs - 3a91326fefd1fbdddad9ff7e5431a22a";
       ] );
   ]
 

@@ -3,9 +3,9 @@
 
 A val is read when a `.ml` file of bin/, examples/, bench/ or a lib/
 module other than its own names it: `M.v`, `Dd_lib.M.v`, `A.v` after
-`module A = M`, or a bare `v` in a file that opens `M` (`open M`,
-`let open M in`, `M.( ... )`, `include M`).  Comments and string
-literals are skipped.  The test is a grep, so it errs towards finding a
+`module A = M`, a bare `v` in a file that opens `M` (`open M`,
+`let open M in`, `include M`), or a bare `v` inside the parentheses of
+a local open `M.( ... )`.  Comments and string literals are skipped.  The test is a grep, so it errs towards finding a
 reader: a bare name that a file opening `M` binds itself counts too.
 
 Each listed val must appear in the allowlist (tools/surface_allowlist.txt,
@@ -95,6 +95,19 @@ def readers():
                     yield os.path.join(dirpath, f)
 
 
+def words(text):
+    return set(re.findall(r"(?<![\w.'])" + IDENT, text))
+
+
+def local_open_end(src, i):
+    """Index of the parenthesis that closes the one opened just before i."""
+    depth = 1
+    while i < len(src) and depth:
+        depth += {"(": 1, ")": -1}.get(src[i], 0)
+        i += 1
+    return i - 1
+
+
 def uses(path, modules):
     """Names read from each module: {module: set of val paths or bare names}."""
     src = strip_comments_and_strings(open(path).read())
@@ -107,16 +120,13 @@ def uses(path, modules):
     for a, rest in re.findall(r"(?<![\w.'])" + qual + r"([A-Z]\w*)((?:\.[A-Z]\w*)*\." + IDENT + ")", src):
         if a in alias:
             read.setdefault(alias[a], set()).add(rest[1:])
-    opened = set()
     for a in re.findall(r"\b(?:open!?|include)\s+" + qual + r"([A-Z]\w*)\b", src):
-        opened.add(a)
-    for a in re.findall(r"(?<![\w.'])" + qual + r"([A-Z]\w*)\.\(", src):
-        opened.add(a)
-    if opened:
-        words = set(re.findall(r"(?<![\w.'])" + IDENT, src))
-        for a in opened:
-            if a in alias:
-                read.setdefault(alias[a], set()).update(words)
+        if a in alias:
+            read.setdefault(alias[a], set()).update(words(src))
+    for m in re.finditer(r"(?<![\w.'])" + qual + r"([A-Z]\w*)\.\(", src):
+        if m.group(1) in alias:
+            scope = src[m.end():local_open_end(src, m.end())]
+            read.setdefault(alias[m.group(1)], set()).update(words(scope))
     return read
 
 
